@@ -58,7 +58,7 @@ _CHILD = textwrap.dedent(
     config = baseline_config()
     mapping = RubixDMapping(config, gang_size=4, seed=7, remap_rate=0.01)
     stats, swaps = run_window(
-        mapping, trace.lines, chunk_lines=chunk_lines, backend="numpy"
+        mapping, trace.lines, chunk_lines=chunk_lines
     )
     print(f"{stats.n_activations} {swaps} {peak_rss_kb()}")
     """

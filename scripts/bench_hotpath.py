@@ -9,26 +9,19 @@ reference on a synthetic mixed window (10M lines by default):
 * remap sweep advancement (closed form vs per-episode walk),
 * the end-to-end dynamic window combining all three.
 
-``--backend`` times one specific kernel tier (reference / numpy /
-numba) and ``--all-backends`` times every tier the interpreter can run,
-reporting a per-kernel matrix (the numba tier is JIT-warmed before
-timing and silently-absent numba is *reported*, never timed as its
-fallback).
-
-Every implementation pair/backend is asserted bit-identical before its
-timing is reported, so this doubles as an equivalence regression check
--- ``--quick`` runs a small window for exactly that purpose in CI (no
+Every implementation pair is asserted bit-identical before its timing
+is reported, so this doubles as an equivalence regression check --
+``--quick`` runs a small window for exactly that purpose in CI (no
 timing gate).
 
 Reports append to a ``{"history": [...]}`` list in the output file, so
-successive runs (different backends, machines, or dates) accumulate
+successive runs (different machines or dates) accumulate
 instead of overwriting each other; a pre-history single-report file is
 wrapped on first append.
 
 Usage:
     PYTHONPATH=src python scripts/bench_hotpath.py                  # full 10M run
     PYTHONPATH=src python scripts/bench_hotpath.py --quick          # CI equivalence
-    PYTHONPATH=src python scripts/bench_hotpath.py --all-backends   # tier matrix
 """
 
 from __future__ import annotations
@@ -41,13 +34,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from repro.perf.backends import BACKENDS  # noqa: E402
 from repro.perf.hotpath_bench import (  # noqa: E402
     DEFAULT_LINES,
     DEFAULT_SEED,
-    format_backend_report,
     format_report,
-    run_backend_benchmarks,
     run_benchmarks,
 )
 
@@ -114,18 +104,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="dynamic-window chunk size (default 2^20)",
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="time one specific kernel tier (still equivalence-checked"
-        " against the reference tier)",
-    )
-    parser.add_argument(
-        "--all-backends",
-        action="store_true",
-        help="time every runnable kernel tier and report the matrix",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
         help=f"equivalence-check mode: {QUICK_LINES:,} lines, 1 rep (for CI)",
@@ -136,32 +114,17 @@ def main(argv: "list[str] | None" = None) -> int:
         help="report path (default BENCH_hotpath.json); '-' skips writing",
     )
     args = parser.parse_args(argv)
-    if args.backend and args.all_backends:
-        parser.error("--backend and --all-backends are mutually exclusive")
 
-    lines = QUICK_LINES if args.quick else args.lines
-    reps = 1 if args.quick else args.reps
-    common = dict(
-        lines=lines,
-        reps=reps,
+    report = run_benchmarks(
+        lines=QUICK_LINES if args.quick else args.lines,
+        reps=1 if args.quick else args.reps,
         seed=args.seed,
         chunk_lines=args.chunk_lines,
         gang_size=args.gang_size,
         segments=args.segments,
     )
-    if args.all_backends or args.backend:
-        backends = None
-        if args.backend:
-            # Always pair the requested tier with the reference tier so
-            # the in-run bit-identity assertion still has its anchor.
-            backends = tuple(dict.fromkeys(["reference", args.backend]))
-        report = run_backend_benchmarks(backends=backends, **common)
-        report["mode"] = "backends"
-        print(format_backend_report(report))
-    else:
-        report = run_benchmarks(**common)
-        report["mode"] = "pair"
-        print(format_report(report))
+    report["mode"] = "pair"
+    print(format_report(report))
     report["config"]["quick"] = bool(args.quick)
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if args.out != "-":

@@ -8,12 +8,9 @@ measured under the same configuration and fails when any kernel got
 more than ``--threshold`` percent slower -- the creeping-regression
 check a bit-equivalence assertion cannot provide.
 
-Both report shapes in the history are understood:
-
-* pair reports: ``kernels.<k>.optimized_s`` (legacy vs optimized);
-* backend reports (``mode: "backends"``): ``kernels.<k>.seconds.<b>``,
-  scored on the fastest non-reference backend (falling back to
-  ``reference`` when it is the only one).
+Each entry is scored on its optimized kernels
+(``kernels.<k>.optimized_s``); history entries without that field
+score nothing.
 
 Entries are only compared when their ``config`` matches (same line
 count, reps, seed, chunking, quick flag, ...), so a --quick run can
@@ -51,31 +48,15 @@ def load_history(path: Path) -> list:
 
 
 def kernel_seconds(entry: dict) -> dict:
-    """Normalize one history entry to ``{kernel: best seconds}``.
+    """Normalize one history entry to ``{kernel: optimized seconds}``.
 
-    Pair reports score the optimized kernel; backend reports score the
-    fastest non-reference backend, so adding a faster tier later (e.g.
-    numba) tightens rather than confuses the baseline.  Kernels that
-    cannot be scored are skipped.
+    Kernels without a numeric ``optimized_s`` are skipped.
     """
-    scored = {}
-    for kernel, result in entry.get("kernels", {}).items():
-        if not isinstance(result, dict):
-            continue
-        if isinstance(result.get("optimized_s"), (int, float)):
-            scored[kernel] = float(result["optimized_s"])
-            continue
-        seconds = result.get("seconds")
-        if isinstance(seconds, dict) and seconds:
-            tiers = {
-                name: float(value)
-                for name, value in seconds.items()
-                if isinstance(value, (int, float))
-            }
-            fast = {k: v for k, v in tiers.items() if k != "reference"} or tiers
-            if fast:
-                scored[kernel] = min(fast.values())
-    return scored
+    return {
+        kernel: float(result["optimized_s"])
+        for kernel, result in entry.get("kernels", {}).items()
+        if isinstance(result, dict) and isinstance(result.get("optimized_s"), (int, float))
+    }
 
 
 def check_regressions(history: list, threshold_pct: float) -> tuple:

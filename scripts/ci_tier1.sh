@@ -8,12 +8,9 @@
 # optimized kernels stay bit-identical to their in-tree references (an
 # equivalence check only -- no timing gate), followed by an *advisory*
 # bench-history regression gate (scripts/bench_regress.py, >15% per
-# kernel); stage 3b checks the kernel
-# backend tiers the same way (--all-backends) and proves the numba
-# fallback is transparent (scripts/backend_fallback_check.py); stage 4
-# re-runs the
-# parallel smoke with telemetry enabled and validates the emitted
-# manifest + metric snapshots against the schema catalog
+# kernel); stage 4 re-runs the parallel smoke with telemetry enabled
+# and validates the emitted manifest + metric snapshots against the
+# schema catalog
 # (scripts/validate_telemetry.py), so instrumentation and catalog
 # cannot drift apart; stage 5 smoke-tests the fault-tolerant campaign
 # service (two overlapping tenants, seeded chaos killing workers,
@@ -61,14 +58,6 @@ run_bounded "$BENCH_BUDGET" python scripts/bench_hotpath.py --quick --out -
 # scripts/bench_regress.py directly as a hard gate for perf work.
 run_bounded 60 python scripts/bench_regress.py \
     || echo "WARN: bench_regress reported a >15% kernel regression (advisory)"
-
-# Stage 3b: kernel-backend tier check -- every available backend
-# (reference, numpy, and numba when installed) must produce the same
-# window bit-for-bit (asserted in-run by the harness), and requesting
-# the numba tier on a machine without numba must fall back to numpy
-# transparently with identical campaign records.
-run_bounded "$BENCH_BUDGET" python scripts/bench_hotpath.py --quick --all-backends --out -
-run_bounded "$SMOKE_BUDGET" python scripts/backend_fallback_check.py
 
 # Stage 4: telemetry round-trip -- run the same smoke with telemetry
 # enabled, then validate every emitted artifact against the schema.

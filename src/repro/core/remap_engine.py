@@ -21,13 +21,12 @@ drawn -- exactly the walk shown in Figure 10.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from repro.crypto.keys import KeySchedule
 from repro.obs.profile import PROFILER
-from repro.perf.backends import register, resolve_backend
 
 IntOrArray = Union[int, np.ndarray]
 
@@ -159,7 +158,7 @@ class XorRemapEngine:
             self.epochs_completed += 1
         return swapped
 
-    def remap_steps(self, count: int, *, backend: Optional[str] = None) -> int:
+    def remap_steps(self, count: int) -> int:
         """Perform ``count`` episodes; returns the number of actual swaps.
 
         Closed form instead of walking episodes one by one: within an
@@ -172,18 +171,11 @@ class XorRemapEngine:
         (the 1%-of-activations sweep used to pay a Python loop per
         episode on large windows).  Epoch wrap-around is exact: keys
         rotate and the pointer resets mid-count just as the stepwise
-        walk would.
-
-        ``backend="reference"`` (directly or via
-        ``REPRO_KERNEL_BACKEND``) routes through the stepwise walk; the
-        numpy and numba tiers are this closed form -- scalar math a JIT
-        cannot improve.
+        walk would (:meth:`_remap_steps_loop` is the stepwise oracle).
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         with PROFILER.phase("remap_steps"):
-            if resolve_backend(backend) == "reference":
-                return self._remap_steps_loop(count)
             total = 0
             remaining = count
             while remaining > 0:
@@ -200,14 +192,12 @@ class XorRemapEngine:
                     self.epochs_completed += 1
             return total
 
-    def _remap_steps_loop(self, count: int, *, backend: Optional[str] = None) -> int:
+    def _remap_steps_loop(self, count: int) -> int:
         """Stepwise reference for :meth:`remap_steps` (tests/benchmarks).
 
         Walks ``count`` episodes through :meth:`remap_step` exactly as
         the pre-closed-form implementation did; counters, pointer, and
         the key schedule end in the same state as :meth:`remap_steps`.
-        ``backend`` is accepted (and ignored -- this *is* the reference
-        tier) so harnesses can swap this in for :meth:`remap_steps`.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -246,20 +236,6 @@ def _swaps_in_range(lo: int, hi: int, next_key: int) -> int:
         return (m >> (h + 1)) * half + min(m & (period - 1), half)
 
     return below(hi) - below(lo)
-
-
-# ---------------------------------------------------------------------------
-# Backend registry entries (see repro.perf.backends): uniform
-# ``fn(engine, count)`` callables mutating the engine's sweep state.
-# ---------------------------------------------------------------------------
-@register("remap_steps", "reference")
-def _remap_steps_reference_entry(engine: XorRemapEngine, count: int) -> int:
-    return engine._remap_steps_loop(count)
-
-
-@register("remap_steps", "numpy")
-def _remap_steps_numpy_entry(engine: XorRemapEngine, count: int) -> int:
-    return engine.remap_steps(count, backend="numpy")
 
 
 __all__ = [

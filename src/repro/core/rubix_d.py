@@ -20,7 +20,7 @@ and writes (Section 5.4), which the performance and power models charge.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.core.gangs import GangSplitter
 from repro.core.remap_engine import XorRemapEngine, gather_translate, snapshot_engines
 from repro.dram.config import Coordinate, DRAMConfig
 from repro.mapping.base import AddressMapping, MappedTrace
-from repro.perf.backends import register, resolve_backend
 from repro.utils.bitops import bit_length_for, is_power_of_two, mask
 from repro.utils.prng import derive_key
 
@@ -156,9 +155,7 @@ class RubixDMapping(AddressMapping):
         remapped = self.remap_row_addr(row_addr, vgroup)
         return self._decode(remapped, vgroup, line_in_gang)
 
-    def translate_trace(
-        self, lines: np.ndarray, *, validate: bool = True, backend: Optional[str] = None
-    ) -> MappedTrace:
+    def translate_trace(self, lines: np.ndarray, *, validate: bool = True) -> MappedTrace:
         """Translate a whole chunk in one vectorized gather pass.
 
         Per-access engine ids (``vgroup * segments + segment``) index
@@ -169,27 +166,9 @@ class RubixDMapping(AddressMapping):
         ``validate=False`` when the caller already checked the window);
         the intermediate math runs in uint32 whenever the line address
         fits, halving memory traffic.  Output is bit-identical to
-        per-element :meth:`translate` on every backend tier:
-        ``backend`` picks ``"reference"`` (masked per-engine loop),
-        ``"numpy"`` (this gather pass), or ``"numba"`` (one fused jit
-        loop); None resolves via ``REPRO_KERNEL_BACKEND`` then numpy.
+        per-element :meth:`translate` and to the masked per-engine
+        oracle :meth:`_translate_trace_loop` (which computes in uint64).
         """
-        resolved = resolve_backend(backend)
-        if resolved == "reference":
-            mapped = self._translate_trace_loop(lines, validate=validate)
-            # The loop computes in uint64; narrow to the numpy tier's
-            # output dtype so every tier is bit-identical, dtype included.
-            out = np.uint32 if self.config.line_addr_bits <= 32 else np.uint64
-            return MappedTrace(
-                flat_bank=np.asarray(mapped.flat_bank).astype(out, copy=False),
-                row=np.asarray(mapped.row).astype(out, copy=False),
-                col=np.asarray(mapped.col).astype(out, copy=False),
-                rows_per_bank=mapped.rows_per_bank,
-            )
-        if resolved == "numba":
-            from repro.perf.numba_kernels import translate_trace_numba
-
-            return translate_trace_numba(self, lines, validate=validate)
         lines = np.asarray(lines, dtype=np.uint64)
         if validate and lines.size and int(lines.max()) >= self.config.total_lines:
             raise ValueError(
@@ -221,9 +200,9 @@ class RubixDMapping(AddressMapping):
     ) -> MappedTrace:
         """Pre-vectorization reference: one masked pass per remap engine.
 
-        Kept for the equivalence property tests, as the registry's
-        ``"reference"`` backend, and as the baseline
-        ``scripts/bench_hotpath.py`` measures the other tiers against.
+        Kept as the oracle for the equivalence property tests and as the
+        baseline ``scripts/bench_hotpath.py`` measures the gather pass
+        against.
         """
         lines = np.asarray(lines, dtype=np.uint64)
         row_addr, vgroup, line_in_gang = self._split_fields(lines)
@@ -267,9 +246,7 @@ class RubixDMapping(AddressMapping):
         return MappedTrace(flat_bank=flat, row=row, col=col, rows_per_bank=c.rows_per_bank)
 
     # --- dynamic remapping --------------------------------------------------
-    def record_activations(
-        self, counts_per_vgroup: np.ndarray, *, backend: Optional[str] = None
-    ) -> int:
+    def record_activations(self, counts_per_vgroup: np.ndarray) -> int:
         """Advance remap circuits for observed activations.
 
         Args:
@@ -277,9 +254,6 @@ class RubixDMapping(AddressMapping):
                 v-group (length ``self.vgroups``); with segments, counts
                 are split evenly across a v-group's segments (the
                 probabilistic trigger has no per-segment preference).
-            backend: Kernel tier for the sweep advancement (see
-                :meth:`XorRemapEngine.remap_steps`); all tiers leave the
-                circuits in bit-identical states.
 
         Returns:
             Number of swap operations performed (for cost accounting).
@@ -298,7 +272,7 @@ class RubixDMapping(AddressMapping):
         self._pending_steps -= whole
         for index, steps in enumerate(whole):
             if steps > 0:
-                swaps += self.engines[index].remap_steps(int(steps), backend=backend)
+                swaps += self.engines[index].remap_steps(int(steps))
         self.total_swaps += swaps
         return swaps
 
@@ -319,20 +293,6 @@ class RubixDMapping(AddressMapping):
         # A v-group sees ~1/vgroups of all activations; each episode
         # advances its pointer by one of `space` positions.
         return space / self.remap_rate
-
-
-# ---------------------------------------------------------------------------
-# Backend registry entries (see repro.perf.backends): uniform
-# ``fn(mapping, lines, *, validate)`` callables over the same mapping.
-# ---------------------------------------------------------------------------
-@register("translate_trace", "reference")
-def _translate_trace_reference_entry(mapping, lines, *, validate=True):
-    return mapping._translate_trace_loop(lines, validate=validate)
-
-
-@register("translate_trace", "numpy")
-def _translate_trace_numpy_entry(mapping, lines, *, validate=True):
-    return mapping.translate_trace(lines, validate=validate, backend="numpy")
 
 
 __all__ = ["RubixDMapping"]

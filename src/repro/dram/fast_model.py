@@ -17,14 +17,13 @@ open by the previous request to that bank and the open-adaptive budget
 detailed model only strengthens row locality; the cross-validation test
 in ``tests/integration/test_tier_agreement.py`` bounds the difference.
 
-Two kernels are provided for the same computation.  ``method="count"``
-(the default) groups accesses by bank with an O(n) counting sort over
-the narrow bank-id domain and builds the per-row activation histogram
-with ``np.bincount`` + ``np.flatnonzero`` instead of sorting; it is the
-hot path for 10M-100M-line windows.  ``method="sort"`` is the original
-``np.argsort``/``np.unique`` implementation, kept as the reference the
-equivalence tests and ``scripts/bench_hotpath.py`` compare against.
-Both produce bit-identical :class:`TraceStats`.
+:func:`analyze_trace` groups accesses by bank with an O(n) counting sort
+over the narrow bank-id domain and builds the per-row activation
+histogram with ``np.bincount`` + ``np.flatnonzero`` instead of sorting;
+it is the hot path for 10M-100M-line windows.  The original
+``np.argsort``/``np.unique`` implementation survives as the private
+oracle :func:`_analyze_trace_sorted`, which the equivalence tests and
+``scripts/bench_hotpath.py`` compare against bit-for-bit.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.obs.profile import PROFILER
-from repro.perf.backends import register, resolve_backend
 
 
 @dataclass
@@ -129,9 +127,9 @@ class TraceStats:
             if keep_detail and all(cols_kept)
             else None
         )
-        # Unique rows touched can only be summed approximately across
-        # chunks; parts produced by chunked analysis pass the true value
-        # via merge_unique_rows() instead.
+        # Unique rows touched can only be bounded from below across
+        # chunks; ChunkedAnalyzer overwrites it with the exact count of
+        # the rows its chunks touched.
         unique_touched = max(int(row_ids.size), max(p.unique_rows_touched for p in parts))
         return cls(
             n_accesses=sum(p.n_accesses for p in parts),
@@ -216,23 +214,6 @@ def unique_row_ids(global_row: np.ndarray, domain: Optional[int] = None) -> np.n
     return np.unique(global_row).astype(np.int64, copy=False)
 
 
-def _analysis_backend(method: str, backend: Optional[str]) -> str:
-    """Resolve the (legacy ``method``, ``backend``) pair to one tier.
-
-    ``backend`` wins when given; otherwise ``method="sort"`` pins the
-    reference tier (the pre-backend spelling every existing caller and
-    test uses) and ``method="count"`` resolves through the environment
-    (``REPRO_KERNEL_BACKEND``) with the numpy tier as default.
-    """
-    if method not in ("count", "sort"):
-        raise ValueError(f"method must be 'count' or 'sort', got {method!r}")
-    if backend is not None:
-        return resolve_backend(backend)
-    if method == "sort":
-        return "reference"
-    return resolve_backend(None)
-
-
 def analyze_trace(
     flat_bank: np.ndarray,
     row: np.ndarray,
@@ -241,8 +222,6 @@ def analyze_trace(
     max_hits: Optional[int] = 16,
     col: Optional[np.ndarray] = None,
     keep_detail: bool = False,
-    method: str = "count",
-    backend: Optional[str] = None,
 ) -> TraceStats:
     """Analyze one trace window under the open-adaptive page policy.
 
@@ -254,13 +233,6 @@ def analyze_trace(
         col: Optional column (line-in-row) per access; required when
             ``keep_detail`` is set and Table-3-style analysis is wanted.
         keep_detail: Keep per-activation (row, col) arrays.
-        method: ``"count"`` for the vectorized kernels (default) or
-            ``"sort"`` for the argsort/np.unique reference path -- the
-            legacy alias for ``backend="reference"``.
-        backend: Kernel tier: ``"reference"``, ``"numpy"``, or
-            ``"numba"`` (see :mod:`repro.perf.backends`); None resolves
-            via ``REPRO_KERNEL_BACKEND`` then the numpy default.  All
-            tiers return bit-identical statistics.
 
     Returns:
         A :class:`TraceStats` for the window.
@@ -273,8 +245,6 @@ def analyze_trace(
             max_hits=max_hits,
             col=col,
             keep_detail=keep_detail,
-            method=method,
-            backend=backend,
         )
 
 
@@ -286,10 +256,7 @@ def _analyze_trace_impl(
     max_hits: Optional[int] = 16,
     col: Optional[np.ndarray] = None,
     keep_detail: bool = False,
-    method: str = "count",
-    backend: Optional[str] = None,
 ) -> TraceStats:
-    resolved = _analysis_backend(method, backend)
     flat_bank = np.asarray(flat_bank)
     row = np.asarray(row)
     if flat_bank.shape != row.shape or flat_bank.ndim != 1:
@@ -299,31 +266,6 @@ def _analyze_trace_impl(
         return TraceStats(0, 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0)
     if max_hits is not None and max_hits < 1:
         raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
-    if resolved == "reference":
-        return _analyze_trace_sorted(
-            flat_bank,
-            row,
-            rows_per_bank=rows_per_bank,
-            max_hits=max_hits,
-            col=col,
-            keep_detail=keep_detail,
-        )
-    if resolved == "numba":
-        from repro.perf.numba_kernels import analyze_trace_numba
-
-        stats = analyze_trace_numba(
-            flat_bank,
-            row,
-            rows_per_bank=rows_per_bank,
-            max_hits=max_hits,
-            col=col,
-            keep_detail=keep_detail,
-        )
-        if stats is not None:
-            return stats
-        # Domain past the dense budget: the numpy tier has the sparse
-        # np.unique path for exactly this case.
-
     n_bank_ids = int(flat_bank.max()) + 1
     # Exclusive upper bound on the global row ids; when it fits in 32
     # bits the whole kernel runs on half the memory bandwidth (the ids
@@ -396,9 +338,9 @@ def _analyze_trace_sorted(
 ) -> TraceStats:
     """The original argsort/np.unique kernel (reference implementation).
 
-    Kept verbatim as the baseline the property tests and the hot-path
-    benchmark compare the counting kernels against; inputs are assumed
-    validated and non-empty by :func:`analyze_trace`.
+    Kept verbatim as the oracle the property tests and the hot-path
+    benchmark compare :func:`analyze_trace` against; inputs must be
+    validated, non-empty 1-D arrays.
     """
     n = flat_bank.size
     global_row = flat_bank.astype(np.int64) * np.int64(rows_per_bank) + row.astype(np.int64)
@@ -456,27 +398,18 @@ class ChunkedAnalyzer:
     rows_per_bank: int
     max_hits: Optional[int] = 16
     keep_detail: bool = False
-    method: str = "count"
-    #: Kernel tier for the per-chunk analysis and the dense cross-chunk
-    #: accumulation; None resolves method/env as in :func:`analyze_trace`.
-    backend: Optional[str] = None
     _parts: List[TraceStats] = field(default_factory=list)
     _touched: List[np.ndarray] = field(default_factory=list)
-    #: Dense accumulators for ``method="count"``: per-row activation
-    #: histogram and touched-row bitmap over the global-row domain.
-    #: They replace the sort-heavy cross-chunk merge (concatenate +
-    #: np.unique over every chunk's ids) with O(n) scatters; if a chunk
-    #: ever pushes the domain past the dense-histogram budget, the
-    #: accumulated state converts to the list-based form and the merge
-    #: falls back to the reference path.
+    #: Dense accumulators: per-row activation histogram and touched-row
+    #: bitmap over the global-row domain.  They replace the sort-heavy
+    #: cross-chunk merge (concatenate + np.unique over every chunk's
+    #: ids) with O(n) scatters; if a chunk ever pushes the domain past
+    #: the dense-histogram budget, the accumulated state converts to the
+    #: list-based form and the merge falls back to :meth:`TraceStats.merge`.
     _hist: Optional[np.ndarray] = None
     _seen: Optional[np.ndarray] = None
     _dense: bool = True
     _fed: int = 0
-
-    def resolved_backend(self) -> str:
-        """The kernel tier this analyzer's chunks run on."""
-        return _analysis_backend(self.method, self.backend)
 
     def feed(
         self,
@@ -485,7 +418,6 @@ class ChunkedAnalyzer:
         col: Optional[np.ndarray] = None,
     ) -> TraceStats:
         """Analyze one chunk; returns the chunk's own stats."""
-        backend = self.resolved_backend()
         stats = analyze_trace(
             flat_bank,
             row,
@@ -493,7 +425,6 @@ class ChunkedAnalyzer:
             max_hits=self.max_hits,
             col=col,
             keep_detail=self.keep_detail,
-            backend=backend,
         )
         self._parts.append(stats)
         flat = np.asarray(flat_bank)
@@ -506,27 +437,15 @@ class ChunkedAnalyzer:
             work_dtype
         )
         self._fed += int(flat.size)
-        use_dense = (
-            backend != "reference"
-            and self._dense
-            and _histogram_domain_ok(domain, self._fed)
-        )
-        if use_dense:
+        if self._dense and _histogram_domain_ok(domain, self._fed):
             if self._hist is None or self._hist.size < domain:
                 self._hist = _grown(self._hist, domain, np.int64)
                 self._seen = _grown(self._seen, domain, bool)
-            if backend == "numba":
-                from repro.perf.numba_kernels import merge_chunk_numba
-
-                with PROFILER.phase("chunk_merge"):
-                    merge_chunk_numba(
-                        self._hist, self._seen, global_row, stats.row_ids, stats.acts_per_row
-                    )
-            else:
-                with PROFILER.phase("chunk_merge"):
-                    _merge_chunk_numpy(
-                        self._hist, self._seen, global_row, stats.row_ids, stats.acts_per_row
-                    )
+            with PROFILER.phase("chunk_merge"):
+                # Row ids are unique within a chunk, so the histogram
+                # scatter needs no np.add.at; the bitmap tolerates repeats.
+                self._seen[global_row] = True
+                self._hist[stats.row_ids] += stats.acts_per_row
             if not self.keep_detail:
                 # The chunk's per-row arrays now live in the dense
                 # accumulators; retaining them per part as well made a
@@ -564,10 +483,7 @@ class ChunkedAnalyzer:
                     self._parts = [folded, self._parts[-1]]
                 self._hist = self._seen = None
             self._dense = False
-            if backend == "reference":
-                self._touched.append(np.unique(global_row))
-            else:
-                self._touched.append(unique_row_ids(global_row, domain))
+            self._touched.append(unique_row_ids(global_row, domain))
         return stats
 
     def result(self) -> TraceStats:
@@ -580,7 +496,7 @@ class ChunkedAnalyzer:
         return merged
 
     def _dense_result(self) -> TraceStats:
-        """Window merge from the dense accumulators (count method only).
+        """Window merge from the dense accumulators.
 
         Same contract as :meth:`TraceStats.merge` plus the exact
         touched-row count -- row ids come out of ``np.flatnonzero``
@@ -606,41 +522,6 @@ class ChunkedAnalyzer:
                 else None
             ),
         )
-
-
-def _merge_chunk_numpy(
-    hist: np.ndarray,
-    seen: np.ndarray,
-    global_row: np.ndarray,
-    row_ids: np.ndarray,
-    acts_per_row: np.ndarray,
-) -> None:
-    """Numpy-tier cross-chunk accumulation: two vectorized scatters.
-
-    ``row_ids`` are unique within a chunk, so the histogram scatter
-    needs no ``np.add.at``; the bitmap scatter tolerates duplicates.
-    """
-    seen[global_row] = True
-    hist[row_ids] += acts_per_row
-
-
-# ---------------------------------------------------------------------------
-# Backend registry entries (see repro.perf.backends).  The reference and
-# numpy analysis tiers are thin dispatches back through analyze_trace so
-# registry consumers (the benchmark harness, introspection) call the
-# exact code path production uses.
-# ---------------------------------------------------------------------------
-@register("analyze_trace", "reference")
-def _analyze_trace_reference_entry(flat_bank, row, **kwargs):
-    return analyze_trace(flat_bank, row, backend="reference", **kwargs)
-
-
-@register("analyze_trace", "numpy")
-def _analyze_trace_numpy_entry(flat_bank, row, **kwargs):
-    return analyze_trace(flat_bank, row, backend="numpy", **kwargs)
-
-
-register("chunk_merge", "numpy")(_merge_chunk_numpy)
 
 
 __all__ = ["TraceStats", "analyze_trace", "ChunkedAnalyzer", "unique_row_ids"]

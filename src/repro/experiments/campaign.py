@@ -45,7 +45,6 @@ from repro.experiments.common import (
 )
 from repro.mapping.base import AddressMapping
 from repro.obs.runtime import METRICS, TRACER
-from repro.perf.backends import validate_backend
 from repro.perf.simulator import SCHEMES, RunResult
 from repro.resilience.executor import CellOutcome, ResilientExecutor
 from repro.resilience.faults import check_result_invariants
@@ -95,12 +94,6 @@ class Campaign:
     thresholds: Sequence[int] = (128,)
     scale: float = 0.2
     config: Optional[DRAMConfig] = None
-    #: Kernel tier the cells run on (see :mod:`repro.perf.backends`);
-    #: None resolves ``REPRO_KERNEL_BACKEND`` / the numpy default.  All
-    #: tiers are bit-identical, so the backend is deliberately absent
-    #: from cell keys and stats-cache keys -- records and journals from
-    #: different backends are interchangeable.
-    backend: Optional[str] = None
     #: Scale multiplier the graceful-degradation fallback re-runs with
     #: when a cell exceeds its budget (None disables the fallback).
     degrade_scale_factor: Optional[float] = 0.5
@@ -117,8 +110,6 @@ class Campaign:
             raise ValueError("campaign needs at least one mapping")
         if not 0 < self.scale <= 1.0:
             raise ValueError(f"scale must be in (0, 1], got {self.scale}")
-        if self.backend is not None:
-            validate_backend(self.backend)
         for workload in self.workloads:
             validate_workload(workload)
         for spec in self.mappings:
@@ -143,7 +134,7 @@ class Campaign:
         )
 
     def _make_mapping(self, spec: MappingSpec) -> AddressMapping:
-        sim = get_simulator(self.config, backend=self.backend)
+        sim = get_simulator(self.config)
         return make_mapping(
             spec.kind,
             sim.config,
@@ -246,7 +237,7 @@ class Campaign:
 
         checkpoint, completed = self._checkpoint(journal, resume_from)
         executor = executor or ResilientExecutor()
-        sim = simulator or get_simulator(self.config, backend=self.backend)
+        sim = simulator or get_simulator(self.config)
         if stats_cache_dir is not None:
             sim.stats_cache.persist_to(stats_cache_dir)
 
@@ -320,7 +311,6 @@ class Campaign:
             "thresholds": list(self.thresholds),
             "scale": self.scale,
             "config": self.config,
-            "backend": self.backend,
             "degrade_scale_factor": self.degrade_scale_factor,
         }
 
@@ -427,7 +417,6 @@ def campaign_from_spec(spec: dict) -> Campaign:
         "schemes",
         "thresholds",
         "scale",
-        "backend",
         "tenant",
     }
     unknown = set(spec) - allowed
@@ -457,8 +446,6 @@ def campaign_from_spec(spec: dict) -> Campaign:
         kwargs["thresholds"] = [int(t) for t in spec["thresholds"]]
     if "scale" in spec:
         kwargs["scale"] = float(spec["scale"])
-    if "backend" in spec:
-        kwargs["backend"] = str(spec["backend"])
     return Campaign(**kwargs)
 
 

@@ -22,7 +22,6 @@ from repro.mapping.mop import MOPMapping
 from repro.mapping.stride import LargeStrideMapping
 from repro.obs.runtime import METRICS, TRACER
 from repro.parallel.cache import StatsCache, default_persist_dir
-from repro.perf.backends import resolve_backend
 from repro.perf.simulator import Simulator
 from repro.workloads.mixes import mix_names, mix_trace
 from repro.workloads.playbook import (
@@ -100,32 +99,27 @@ def _fmt(value: object) -> str:
 # ---------------------------------------------------------------------------
 # Shared caches
 # ---------------------------------------------------------------------------
-_SIMULATORS: Dict[Tuple, Simulator] = {}
+_SIMULATORS: Dict[DRAMConfig, Simulator] = {}
 _TRACES: Dict[Tuple, Trace] = {}
 
 
-def get_simulator(
-    config: Optional[DRAMConfig] = None, *, backend: Optional[str] = None
-) -> Simulator:
-    """Process-wide simulator for a (geometry, kernel backend) pair.
+def get_simulator(config: Optional[DRAMConfig] = None) -> Simulator:
+    """Process-wide simulator for one DRAM configuration.
 
-    When the ``REPRO_STATS_CACHE`` environment variable names a
-    directory, the simulator's window-statistics cache persists there --
-    pool workers and sequential suite runs then share one content-keyed
-    cache on disk.  ``backend`` selects the kernel tier (see
-    :mod:`repro.perf.backends`); all tiers are bit-identical, so cached
-    statistics are shared across backends even though simulators differ.
+    Keyed on the whole (frozen) config: row size and timing shape both
+    the mappings a campaign builds from ``sim.config`` and the
+    performance model, so configs differing in any field never share a
+    simulator.  When the ``REPRO_STATS_CACHE`` environment variable
+    names a directory, the simulator's window-statistics cache persists
+    there -- pool workers and sequential suite runs then share one
+    content-keyed cache on disk.
     """
     config = config or baseline_config()
-    resolved = resolve_backend(backend)
-    key = (config.channels, config.ranks, config.banks, config.rows_per_bank, resolved)
-    if key not in _SIMULATORS:
-        _SIMULATORS[key] = Simulator(
-            config,
-            stats_cache=StatsCache(persist_dir=default_persist_dir()),
-            backend=resolved,
+    if config not in _SIMULATORS:
+        _SIMULATORS[config] = Simulator(
+            config, stats_cache=StatsCache(persist_dir=default_persist_dir())
         )
-    return _SIMULATORS[key]
+    return _SIMULATORS[config]
 
 
 def workload_names() -> List[str]:

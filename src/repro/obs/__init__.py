@@ -49,7 +49,7 @@ from repro.obs.metrics import (
     snapshot_to_jsonl,
     snapshot_to_prometheus,
 )
-from repro.obs.profile import PROFILER, SamplingProfiler, profiling_enabled, wrap_kernel
+from repro.obs.profile import PROFILER, SamplingProfiler, profiling_enabled
 from repro.obs.runtime import (
     LOGS,
     METRICS,
@@ -132,5 +132,4 @@ __all__ = [
     "validate_snapshot",
     "validate_telemetry_dir",
     "validate_traces",
-    "wrap_kernel",
 ]

@@ -1,34 +1,28 @@
 """Opt-in sampling profiler scoped around the hot kernels.
 
-A production campaign spends almost all of its time inside the four
-registered kernels (:data:`repro.perf.backends.KERNELS`).  This module
-answers "*where inside them*" without instrumenting a single kernel
-line: a daemon thread samples the Python stacks of threads currently
-inside a profiled phase every few milliseconds via
-``sys._current_frames()`` and aggregates them into collapsed-stack
-counts -- the ``frame;frame;frame count`` format flamegraph tooling
-consumes directly.
+A production campaign spends almost all of its time inside a handful of
+hot kernels (trace translation, trace analysis and its chunk merge, and
+remap-sweep advancement).  This module answers "*where inside them*"
+without instrumenting a single kernel line: a daemon thread samples the
+Python stacks of threads currently inside a profiled phase every few
+milliseconds via ``sys._current_frames()`` and aggregates them into
+collapsed-stack counts -- the ``frame;frame;frame count`` format
+flamegraph tooling consumes directly.
 
 Opt-in and zero-overhead when off:
 
 * enable with ``REPRO_PROFILE=1`` in the environment (workers inherit
   it like every other telemetry variable) or programmatically via
   :meth:`SamplingProfiler.enable`;
-* while disabled, the only cost anywhere is
-  :func:`wrap_kernel` returning its argument unchanged -- kernel
-  resolution (:func:`repro.perf.backends.get_kernel`) stays
-  identity-preserving, and no thread, no lock, no allocation exists;
+* while disabled, :meth:`SamplingProfiler.phase` returns a shared no-op
+  scope -- no thread, no lock, no allocation exists;
 * while enabled, entering a phase registers the calling thread with the
   sampler; samples are attributed to the innermost active phase.
 
-Phases are scoped at two layers: :func:`wrap_kernel` wraps every
-implementation resolved through
-:func:`repro.perf.backends.get_kernel` (the benchmark/introspection
-path), and the production hot paths scope themselves directly --
-``analyze_trace`` / the chunk merge in ``repro.dram.fast_model``,
-``RemapEngine.remap_steps``, and the simulator's ``translate_trace``
-call sites -- so a profiled campaign attributes samples no matter how
-the kernel was reached (nested same-phase scopes are harmless).
+Phases are scoped at one layer, the production entry points themselves:
+``analyze_trace`` and the chunk merge in ``repro.dram.fast_model``,
+``XorRemapEngine.remap_steps``, and the simulator's ``translate_trace``
+call sites.  Nested same-phase scopes are harmless.
 
 Output: one ``profile-<phase>-<pid>.collapsed`` file per profiled phase
 per process, written into the telemetry directory by
@@ -233,26 +227,6 @@ def profiling_enabled() -> bool:
     return PROFILER.enabled
 
 
-def wrap_kernel(name: str, fn):
-    """Scope ``fn`` under a profiler phase named after its kernel.
-
-    The backend registry (:func:`repro.perf.backends.get_kernel`) routes
-    every resolved kernel through here; with the profiler disabled this
-    returns ``fn`` unchanged, preserving function identity and adding
-    zero call overhead.
-    """
-    if not PROFILER.enabled:
-        return fn
-
-    def profiled(*args, **kwargs):
-        with PROFILER.phase(name):
-            return fn(*args, **kwargs)
-
-    profiled.__name__ = getattr(fn, "__name__", name)
-    profiled.__wrapped__ = fn
-    return profiled
-
-
 def _write_at_exit() -> None:
     """Worker processes never call ``write_telemetry``; flush here."""
     if not PROFILER.samples():
@@ -289,5 +263,4 @@ __all__ = [
     "PROFILER",
     "SamplingProfiler",
     "profiling_enabled",
-    "wrap_kernel",
 ]

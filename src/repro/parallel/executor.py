@@ -117,7 +117,7 @@ def build_worker_state(
         # contents never double-count in the parent's merge.
         apply_config(obs_config)
     campaign = Campaign(**payload)
-    sim = get_simulator(campaign.config, backend=campaign.backend)
+    sim = get_simulator(campaign.config)
     if stats_cache_dir:
         sim.stats_cache.persist_to(stats_cache_dir)
     return {

@@ -5,40 +5,19 @@ fast DRAM analyzer, then :mod:`repro.perf.core_model` converts the
 measured activation/hit mix and mitigation-invocation counts into an
 execution-time estimate.  All calibration constants live in
 :class:`repro.perf.core_model.Calibration` and are documented in
-EXPERIMENTS.md.  :mod:`repro.perf.backends` selects which kernel tier
-(reference / numpy / numba) the hot paths run on.
-
-Exports resolve lazily (PEP 562): low-level modules (the DRAM analyzer,
-the remap engine) import ``repro.perf.backends`` for kernel dispatch,
-and an eager package ``__init__`` would close an import cycle through
-the simulator stack right back onto them.
+EXPERIMENTS.md.
 """
 
-import importlib
+from repro.perf.core_model import Calibration, PerformanceModel
+from repro.perf.metrics import geometric_mean, percent, slowdown_percent
+from repro.perf.simulator import RunResult, Simulator
 
-_EXPORTS = {
-    "Calibration": ("repro.perf.core_model", "Calibration"),
-    "PerformanceModel": ("repro.perf.core_model", "PerformanceModel"),
-    "Simulator": ("repro.perf.simulator", "Simulator"),
-    "RunResult": ("repro.perf.simulator", "RunResult"),
-    "geometric_mean": ("repro.perf.metrics", "geometric_mean"),
-    "percent": ("repro.perf.metrics", "percent"),
-    "slowdown_percent": ("repro.perf.metrics", "slowdown_percent"),
-    "resolve_backend": ("repro.perf.backends", "resolve_backend"),
-    "available_backends": ("repro.perf.backends", "available_backends"),
-    "numba_available": ("repro.perf.backends", "numba_available"),
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.perf' has no attribute '{name}'")
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ = [
+    "Calibration",
+    "PerformanceModel",
+    "Simulator",
+    "RunResult",
+    "geometric_mean",
+    "percent",
+    "slowdown_percent",
+]

@@ -7,15 +7,16 @@ pre-optimization reference, kept in-tree:
 * **translate** -- :meth:`RubixDMapping.translate_trace` (gather over
   snapshot register arrays) vs :meth:`RubixDMapping._translate_trace_loop`
   (one masked pass per remap engine),
-* **analyze** -- :func:`analyze_trace` with ``method="count"`` (counting
-  sort + dense histograms) vs ``method="sort"`` (argsort/np.unique),
+* **analyze** -- :func:`analyze_trace` (counting sort + dense
+  histograms) vs :func:`_analyze_trace_sorted` (argsort/np.unique),
 * **remap** -- :meth:`XorRemapEngine.remap_steps` (closed-form swap
   counting) vs :meth:`XorRemapEngine._remap_steps_loop` (per-episode walk),
 
 plus an **end-to-end** dynamic window (chunked map + analyze +
 activation-driven remap advancement, mirroring
 :meth:`~repro.perf.simulator.Simulator._run_dynamic`) run once with every
-reference kernel and once with every optimized kernel.
+optimized kernel (:func:`run_window`) and once with every reference
+kernel (:func:`_reference_window`).
 
 Every benchmark *asserts* that both implementations produce bit-identical
 results before reporting timings, so a regression in equivalence fails
@@ -35,7 +36,12 @@ import numpy as np
 
 from repro.core.rubix_d import RubixDMapping
 from repro.dram.config import DRAMConfig, baseline_config
-from repro.dram.fast_model import ChunkedAnalyzer, TraceStats, analyze_trace
+from repro.dram.fast_model import (
+    ChunkedAnalyzer,
+    TraceStats,
+    _analyze_trace_sorted,
+    analyze_trace,
+)
 from repro.mapping.base import MappedTrace
 from repro.workloads.trace import interleave, iter_line_chunks
 
@@ -125,15 +131,14 @@ def assert_mapped_equal(a: MappedTrace, b: MappedTrace) -> None:
     assert np.array_equal(np.asarray(a.col), np.asarray(b.col))
 
 
-def _use_loop_remap(mapping: RubixDMapping) -> None:
-    """Route a mapping's remap advancement through the stepwise walk.
-
-    Per-instance rebinding -- the engines' class is untouched, so the
-    legacy end-to-end measurement below runs entirely on reference
-    kernels without affecting anything else in the process.
-    """
-    for engine in mapping.engines:
-        engine.remap_steps = engine._remap_steps_loop  # type: ignore[method-assign]
+def _vgroup_shares(mapping: RubixDMapping, col, n_activations: int) -> np.ndarray:
+    """A chunk's activations attributed to v-groups by access share."""
+    vgroup = np.asarray(col).astype(np.int64) >> np.int64(mapping.k_bits)
+    shares = np.bincount(vgroup, minlength=mapping.vgroups).astype(np.float64)
+    total = shares.sum()
+    if total > 0 and n_activations > 0:
+        shares *= n_activations / total
+    return shares
 
 
 def run_window(
@@ -142,41 +147,59 @@ def run_window(
     *,
     chunk_lines: int,
     max_hits: Optional[int] = 16,
-    optimized: bool = True,
-    backend: Optional[str] = None,
 ) -> Tuple[TraceStats, int]:
-    """One dynamic window, exactly as the simulator runs it.
-
-    ``optimized=False`` replays the pre-optimization pipeline: masked
-    per-engine translation, argsort/np.unique analysis, and (when the
-    caller also applied :func:`_use_loop_remap`) per-episode remap
-    stepping.  ``backend`` pins the whole window to one kernel tier
-    (translate, analyze, chunk merge, and remap advancement), exactly
-    as ``Simulator(backend=...)`` does.  All variants drive the same
-    chunking and activation attribution, so their results must match
-    bit-for-bit.
-    """
-    analyzer = ChunkedAnalyzer(
-        rows_per_bank=mapping.config.rows_per_bank,
-        max_hits=max_hits,
-        method="count" if optimized else "sort",
-        backend=backend,
-    )
+    """One dynamic window, exactly as the simulator runs it."""
+    analyzer = ChunkedAnalyzer(rows_per_bank=mapping.config.rows_per_bank, max_hits=max_hits)
     swaps = 0
-    k = mapping.k_bits
     for chunk in iter_line_chunks(lines, chunk_lines):
-        if optimized:
-            mapped = mapping.translate_trace(chunk, validate=False, backend=backend)
-        else:
-            mapped = mapping._translate_trace_loop(chunk)
+        mapped = mapping.translate_trace(chunk, validate=False)
         chunk_stats = analyzer.feed(mapped.flat_bank, mapped.row, mapped.col)
-        vgroup = np.asarray(mapped.col).astype(np.int64) >> np.int64(k)
-        shares = np.bincount(vgroup, minlength=mapping.vgroups).astype(np.float64)
-        total = shares.sum()
-        if total > 0 and chunk_stats.n_activations > 0:
-            shares *= chunk_stats.n_activations / total
-        swaps += mapping.record_activations(shares, backend=backend)
+        swaps += mapping.record_activations(
+            _vgroup_shares(mapping, mapped.col, chunk_stats.n_activations)
+        )
     return analyzer.result(), swaps
+
+
+def _reference_window(
+    mapping: RubixDMapping,
+    lines: np.ndarray,
+    *,
+    chunk_lines: int,
+    max_hits: Optional[int] = 16,
+) -> Tuple[TraceStats, int]:
+    """:func:`run_window` on the pre-optimization kernels (the oracle).
+
+    Masked per-engine translation, argsort/np.unique analysis per chunk,
+    :meth:`TraceStats.merge` across chunks, ``np.unique`` over every
+    touched row, and per-episode remap stepping (rebound on this
+    mapping's engines only).  Same chunking and activation attribution
+    as :func:`run_window`, so the two must agree bit-for-bit.
+    """
+    for engine in mapping.engines:
+        engine.remap_steps = engine._remap_steps_loop  # type: ignore[method-assign]
+    rows_per_bank = mapping.config.rows_per_bank
+    parts, touched, swaps = [], [], 0
+    for chunk in iter_line_chunks(lines, chunk_lines):
+        mapped = mapping._translate_trace_loop(chunk)
+        stats = _analyze_trace_sorted(
+            mapped.flat_bank,
+            mapped.row,
+            rows_per_bank=rows_per_bank,
+            max_hits=max_hits,
+            col=mapped.col,
+            keep_detail=False,
+        )
+        parts.append(stats)
+        global_row = mapped.flat_bank.astype(np.int64) * rows_per_bank + mapped.row.astype(
+            np.int64
+        )
+        touched.append(np.unique(global_row))
+        swaps += mapping.record_activations(
+            _vgroup_shares(mapping, mapped.col, stats.n_activations)
+        )
+    merged = TraceStats.merge(parts)
+    merged.unique_rows_touched = int(np.unique(np.concatenate(touched)).size)
+    return merged, swaps
 
 
 def bench_translate(
@@ -194,20 +217,14 @@ def bench_analyze(
 ) -> KernelResult:
     """Counting-kernel analysis vs the argsort/np.unique reference."""
     mapped = mapping.translate_trace(lines, validate=False)
-    rows_per_bank = mapping.config.rows_per_bank
-
-    def run(method: str) -> TraceStats:
-        return analyze_trace(
-            mapped.flat_bank,
-            mapped.row,
-            rows_per_bank=rows_per_bank,
-            max_hits=max_hits,
-            col=mapped.col,
-            method=method,
-        )
-
-    slow, ref = _best_of(lambda: run("sort"), reps)
-    fast, new = _best_of(lambda: run("count"), reps)
+    kwargs = dict(
+        rows_per_bank=mapping.config.rows_per_bank, max_hits=max_hits, col=mapped.col
+    )
+    slow, ref = _best_of(
+        lambda: _analyze_trace_sorted(mapped.flat_bank, mapped.row, keep_detail=False, **kwargs),
+        reps,
+    )
+    fast, new = _best_of(lambda: analyze_trace(mapped.flat_bank, mapped.row, **kwargs), reps)
     assert_stats_equal(ref, new)
     return KernelResult("analyze_trace", slow, fast)
 
@@ -235,12 +252,10 @@ def bench_e2e(
         return RubixDMapping(config, gang_size=gang_size, seed=seed, segments=segments)
 
     def legacy() -> Tuple[TraceStats, int]:
-        mapping = fresh()
-        _use_loop_remap(mapping)
-        return run_window(mapping, lines, chunk_lines=chunk_lines, optimized=False)
+        return _reference_window(fresh(), lines, chunk_lines=chunk_lines)
 
     def optimized() -> Tuple[TraceStats, int]:
-        return run_window(fresh(), lines, chunk_lines=chunk_lines, optimized=True)
+        return run_window(fresh(), lines, chunk_lines=chunk_lines)
 
     slow, ref = _best_of(legacy, reps)
     fast, new = _best_of(optimized, reps)
@@ -329,175 +344,6 @@ def bench_remap_steps_for(
     return KernelResult("remap_steps", slow, fast)
 
 
-# ---------------------------------------------------------------------------
-# Per-backend benchmark matrix (reference / numpy / numba)
-# ---------------------------------------------------------------------------
-def run_backend_benchmarks(
-    *,
-    backends: Optional[Tuple[str, ...]] = None,
-    lines: int = DEFAULT_LINES,
-    reps: int = 3,
-    seed: int = DEFAULT_SEED,
-    chunk_lines: int = 1 << 20,
-    gang_size: int = 4,
-    segments: int = 1,
-    config: Optional[DRAMConfig] = None,
-) -> Dict[str, object]:
-    """Time every hot kernel on every requested backend tier.
-
-    Defaults to every backend the process can actually run (numba drops
-    out when the package is absent -- it is reported under
-    ``"unavailable"`` rather than silently timed as its numpy fallback).
-    The numba tier is warmed up first so JIT compilation never pollutes
-    a timing.  Each kernel's per-backend results are asserted
-    bit-identical against the reference tier before any timing is
-    reported, making the report a cross-backend equivalence certificate
-    at its parameters.
-    """
-    from repro.perf.backends import available_backends, validate_backend
-
-    requested = tuple(backends) if backends else available_backends()
-    for name in requested:
-        validate_backend(name)
-    usable = tuple(b for b in requested if b in available_backends())
-    unavailable = [b for b in requested if b not in usable]
-    if not usable:
-        raise ValueError(f"no usable backend among {requested!r}")
-
-    config = config or baseline_config()
-    if "numba" in usable:
-        from repro.perf.numba_kernels import warmup
-
-        warmup(config)
-    trace = synth_lines(lines, config, seed=seed)
-    mapping = RubixDMapping(config, gang_size=gang_size, seed=seed, segments=segments)
-    rows_per_bank = config.rows_per_bank
-    remap_steps = mapping.engines[0].space + mapping.engines[0].space // 3
-    nbits = mapping.engines[0].nbits
-    mapped = mapping.translate_trace(trace, validate=False)
-
-    def time_translate(backend: str):
-        return _best_of(
-            lambda: mapping.translate_trace(trace, validate=False, backend=backend),
-            reps,
-        )
-
-    def time_analyze(backend: str):
-        return _best_of(
-            lambda: analyze_trace(
-                mapped.flat_bank,
-                mapped.row,
-                rows_per_bank=rows_per_bank,
-                max_hits=16,
-                col=mapped.col,
-                backend=backend,
-            ),
-            reps,
-        )
-
-    def time_remap(backend: str):
-        from repro.core.remap_engine import XorRemapEngine
-
-        def run() -> Tuple[int, int, int, int, int]:
-            e = XorRemapEngine(nbits=nbits, seed=seed)
-            swaps = e.remap_steps(remap_steps, backend=backend)
-            return (swaps, e.swaps_performed, e.swaps_skipped, e.ptr, e.epochs_completed)
-
-        return _best_of(run, reps)
-
-    def time_e2e(backend: str):
-        def run() -> Tuple[TraceStats, int]:
-            fresh = RubixDMapping(
-                config, gang_size=gang_size, seed=seed, segments=segments
-            )
-            return run_window(
-                fresh, trace, chunk_lines=chunk_lines, backend=backend
-            )
-
-        return _best_of(run, reps)
-
-    timers = {
-        "translate_trace": (time_translate, assert_mapped_equal),
-        "analyze_trace": (time_analyze, assert_stats_equal),
-        "remap_steps": (time_remap, lambda a, b: _assert_plain_equal(a, b)),
-        "e2e_window": (time_e2e, _assert_window_equal),
-    }
-    kernels: Dict[str, Dict[str, object]] = {}
-    for kernel, (timer, check) in timers.items():
-        seconds: Dict[str, float] = {}
-        baseline_result = None
-        for backend in usable:
-            elapsed, result = timer(backend)
-            seconds[kernel_key(backend)] = elapsed
-            if baseline_result is None:
-                baseline_result = result
-            else:
-                check(baseline_result, result)
-        ref = seconds.get("reference")
-        kernels[kernel] = {
-            "seconds": seconds,
-            "speedup_vs_reference": (
-                {b: ref / s for b, s in seconds.items() if s > 0}
-                if ref is not None
-                else {}
-            ),
-        }
-    return {
-        "config": {
-            "lines": int(lines),
-            "reps": int(reps),
-            "seed": int(seed),
-            "chunk_lines": int(chunk_lines),
-            "gang_size": int(gang_size),
-            "segments": int(segments),
-            "remap_steps": int(remap_steps),
-            "total_lines": int(config.total_lines),
-            "numpy": np.__version__,
-        },
-        "backends": list(usable),
-        "unavailable": unavailable,
-        "equivalence": "bit-identical across backends (asserted in-run per kernel)",
-        "kernels": kernels,
-    }
-
-
-def kernel_key(backend: str) -> str:
-    """Backend names pass through unchanged (hook for future variants)."""
-    return backend
-
-
-def _assert_plain_equal(a: object, b: object) -> None:
-    assert a == b, f"backend results differ: {a!r} vs {b!r}"
-
-
-def _assert_window_equal(a: Tuple[TraceStats, int], b: Tuple[TraceStats, int]) -> None:
-    assert a[1] == b[1], f"swap totals differ: {a[1]} vs {b[1]}"
-    assert_stats_equal(a[0], b[0])
-
-
-def format_backend_report(report: Dict[str, object]) -> str:
-    """Human-readable matrix for one :func:`run_backend_benchmarks` report."""
-    cfg = report["config"]
-    backends = list(report["backends"])
-    header = f"{'kernel':<16}" + "".join(f" {b + ' (s)':>14}" for b in backends)
-    lines = [
-        f"kernel backends @ {cfg['lines']:,} lines "
-        f"(reps={cfg['reps']}, seed={cfg['seed']:#x}, "
-        f"GS{cfg['gang_size']}, segments={cfg['segments']})",
-        header,
-    ]
-    for name, entry in report["kernels"].items():
-        seconds = entry["seconds"]
-        row = f"{name:<16}" + "".join(
-            f" {seconds.get(b, float('nan')):>14.4f}" for b in backends
-        )
-        lines.append(row)
-    if report.get("unavailable"):
-        lines.append(f"unavailable: {', '.join(report['unavailable'])}")
-    lines.append(f"equivalence: {report['equivalence']}")
-    return "\n".join(lines)
-
-
 def format_report(report: Dict[str, object]) -> str:
     """Human-readable table for one :func:`run_benchmarks` report."""
     cfg = report["config"]
@@ -526,9 +372,7 @@ __all__ = [
     "bench_e2e",
     "bench_remap_steps_for",
     "bench_translate",
-    "format_backend_report",
     "format_report",
-    "run_backend_benchmarks",
     "run_benchmarks",
     "run_window",
     "synth_lines",

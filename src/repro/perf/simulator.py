@@ -33,7 +33,6 @@ from repro.mapping.intel import CoffeeLakeMapping
 from repro.obs.profile import PROFILER
 from repro.obs.runtime import METRICS, TRACER
 from repro.parallel.cache import StatsCache, stats_cache_key
-from repro.perf.backends import resolve_backend
 from repro.perf.core_model import Calibration, PerformanceModel
 from repro.perf.metrics import slowdown_percent
 from repro.workloads.trace import Trace, iter_line_chunks
@@ -103,12 +102,6 @@ class Simulator:
             :class:`~repro.parallel.cache.StatsCache` by default; pass
             one with a ``persist_dir`` to share analysis results across
             processes).
-        backend: Kernel tier (``"reference"`` / ``"numpy"`` /
-            ``"numba"``) for translation, analysis, and remap sweeps;
-            None resolves ``REPRO_KERNEL_BACKEND`` then the numpy
-            default.  All tiers produce bit-identical results, which is
-            why the backend is *not* part of stats-cache keys -- cached
-            windows are shared freely across backends.
     """
 
     def __init__(
@@ -119,7 +112,6 @@ class Simulator:
         chunk_lines: int = 1 << 20,
         max_hits: int = 16,
         stats_cache: Optional[StatsCache] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.config = config or baseline_config()
         self.model = PerformanceModel(self.config, calibration)
@@ -127,7 +119,6 @@ class Simulator:
         self.chunk_lines = chunk_lines
         self.max_hits = max_hits
         self.stats_cache = stats_cache if stats_cache is not None else StatsCache()
-        self.backend = resolve_backend(backend)
 
     # ------------------------------------------------------------------
     def _trace_key(self, trace: Trace) -> Tuple:
@@ -180,16 +171,10 @@ class Simulator:
         t0 = time.perf_counter() if telemetry else 0.0
         if not dynamic:
             # Window already validated above -- the mapping can skip its
-            # own domain scan.  Only Rubix-D translation is multi-backend;
-            # other mappings have a single vectorized path.
-            translate_kwargs = (
-                {"backend": self.backend} if isinstance(mapping, RubixDMapping) else {}
-            )
+            # own domain scan.
             with TRACER.span("sim.translate", mapping=mapping.name):
                 with PROFILER.phase("translate_trace"):
-                    mapped = mapping.translate_trace(
-                        trace.lines, validate=False, **translate_kwargs
-                    )
+                    mapped = mapping.translate_trace(trace.lines, validate=False)
             with TRACER.span("sim.analyze", mapping=mapping.name):
                 stats = analyze_trace(
                     mapped.flat_bank,
@@ -198,7 +183,6 @@ class Simulator:
                     max_hits=self.max_hits,
                     col=mapped.col,
                     keep_detail=keep_detail,
-                    backend=self.backend,
                 )
             swaps = 0
         else:
@@ -241,7 +225,6 @@ class Simulator:
             rows_per_bank=self.config.rows_per_bank,
             max_hits=self.max_hits,
             keep_detail=keep_detail,
-            backend=self.backend,
         )
         swaps = 0
         k = mapping.k_bits
@@ -254,9 +237,7 @@ class Simulator:
         for chunk in iter_line_chunks(trace.lines, self.chunk_lines):
             t0 = time.perf_counter() if telemetry else 0.0
             with PROFILER.phase("translate_trace"):
-                mapped = mapping.translate_trace(
-                    chunk, validate=False, backend=self.backend
-                )
+                mapped = mapping.translate_trace(chunk, validate=False)
             if telemetry:
                 t1 = time.perf_counter()
                 translate_s += t1 - t0
@@ -271,7 +252,7 @@ class Simulator:
             total = shares.sum()
             if total > 0 and chunk_stats.n_activations > 0:
                 shares *= chunk_stats.n_activations / total
-            swaps += mapping.record_activations(shares, backend=self.backend)
+            swaps += mapping.record_activations(shares)
         if telemetry:
             TRACER.add("sim.translate", translate_s, mapping=mapping.name)
             TRACER.add("sim.analyze", analyze_s, mapping=mapping.name)

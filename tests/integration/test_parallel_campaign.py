@@ -56,29 +56,6 @@ class TestParallelMatchesSerial:
         records = campaign.run(workers=1, executor=ResilientExecutor())
         assert len(records) == campaign.size() == 4
 
-    def test_identical_records_across_backends_and_modes(self):
-        """Serial == parallel, per backend AND across backends.
-
-        The kernel-backend tiers are bit-identical by contract, so every
-        (backend, workers) combination of the same grid must produce one
-        identical record list -- the property that lets pool workers,
-        journals, and the stats cache ignore backend choice entirely.
-        """
-        from repro.perf.backends import available_backends
-
-        grids = {}
-        for backend in available_backends():
-            grids[(backend, "serial")] = make_campaign(
-                workloads=["xz"], thresholds=[128], backend=backend
-            ).run()
-            grids[(backend, "parallel")] = make_campaign(
-                workloads=["xz"], thresholds=[128], backend=backend
-            ).run(workers=2)
-        baseline = grids[("numpy", "serial")]
-        assert all(r["status"] == "ok" for r in baseline)
-        for key, records in grids.items():
-            assert records == baseline, f"{key} diverged from (numpy, serial)"
-
 
 class TestValidation:
     def test_workers_below_one_rejected(self):

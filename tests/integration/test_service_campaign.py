@@ -281,6 +281,10 @@ class TestSpecRoundTrip:
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign spec key"):
             campaign_from_spec({"workloads": ["xz"], "mapings": ["coffeelake"]})
+        with pytest.raises(ValueError, match="unknown campaign spec key"):
+            campaign_from_spec(
+                {"backend": "numpy", "workloads": ["xz"], "mappings": ["coffeelake"]}
+            )
         with pytest.raises(ValueError, match="mapping"):
             campaign_from_spec({"workloads": ["xz"], "mappings": [42]})
         with pytest.raises(ValueError):

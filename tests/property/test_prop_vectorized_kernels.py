@@ -1,24 +1,22 @@
 """Equivalence properties for the vectorized hot-path kernels.
 
-Each optimized kernel keeps its pre-optimization reference in-tree;
-these tests pin the contract the optimization relies on: *bit-identical*
-results, not just statistically similar ones.
+Each optimized kernel keeps its pre-optimization twin in-tree as a
+private oracle; these tests pin the contract the optimization relies
+on: *bit-identical* results, not just statistically similar ones.
 
-* ``analyze_trace(method="count")`` vs ``method="sort")`` -- every
+* ``analyze_trace`` vs ``_analyze_trace_sorted`` -- every
   :class:`TraceStats` field including detail-array order,
+* ``ChunkedAnalyzer`` (dense accumulators, and the list fallback the
+  domain size selects) vs per-chunk ``_analyze_trace_sorted`` plus
+  ``TraceStats.merge``,
 * ``RubixDMapping.translate_trace`` (gather) vs per-element
   ``translate`` and the masked ``_translate_trace_loop``, including
   mid-sweep engine states (nonzero Ptr),
 * Rubix-S batch translation vs per-element translation under the
   one-shot-validation fast path,
-* ``XorRemapEngine.remap_steps`` (closed form) vs the stepwise walk,
-  across epoch wrap-arounds,
-* the **three-way backend matrix** -- every kernel's ``reference`` /
-  ``numpy`` / ``numba`` tiers (see :mod:`repro.perf.backends`) produce
-  identical results.  Without numba installed the jitted functions run
-  as plain Python through the njit shim, so the numba tier's *logic* is
-  pinned on every machine; tests marked ``numba`` additionally exercise
-  the compiled path and skip where the package is absent.
+* ``XorRemapEngine.remap_steps`` (closed form) vs the stepwise
+  ``_remap_steps_loop``, across epoch wrap-arounds,
+* the whole dynamic window, ``run_window`` vs ``_reference_window``.
 """
 
 import numpy as np
@@ -30,21 +28,14 @@ from repro.core.remap_engine import XorRemapEngine
 from repro.core.rubix_d import RubixDMapping
 from repro.core.rubix_s import RubixSMapping
 from repro.dram.config import DRAMConfig
-from repro.dram.fast_model import ChunkedAnalyzer, _merge_chunk_numpy, analyze_trace
-from repro.perf.backends import numba_available
-from repro.perf.numba_kernels import (
-    analyze_trace_numba,
-    merge_chunk_numba,
-    translate_trace_numba,
+from repro.dram.fast_model import (
+    ChunkedAnalyzer,
+    TraceStats,
+    _analyze_trace_sorted,
+    analyze_trace,
 )
 
 SMALL = DRAMConfig(banks=4, rows_per_bank=256, row_bytes=1024)
-
-#: Backends exercised through the *public* dispatch path.  The numba
-#: tier joins only when truly importable -- passing ``backend="numba"``
-#: without numba resolves to numpy (by design), which would silently
-#: test the same tier twice.
-PUBLIC_BACKENDS = ["reference", "numpy"] + (["numba"] if numba_available() else [])
 
 traces = st.lists(
     st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=63)),
@@ -90,8 +81,8 @@ def test_count_kernel_matches_sort_kernel(trace, max_hits, keep_detail):
         rows_per_bank=1024, max_hits=max_hits, col=cols, keep_detail=keep_detail
     )
     _assert_stats_identical(
-        analyze_trace(banks, rows, method="sort", **kwargs),
-        analyze_trace(banks, rows, method="count", **kwargs),
+        _analyze_trace_sorted(banks, rows, **kwargs),
+        analyze_trace(banks, rows, **kwargs),
     )
 
 
@@ -103,9 +94,42 @@ def test_count_kernel_beyond_histogram_domain(rows):
     rng = np.random.default_rng(rows)
     banks = rng.integers(0, 2, size=200, dtype=np.uint64)
     row = rng.integers(0, 1 << 24, size=200, dtype=np.uint64)
-    a = analyze_trace(banks, row, rows_per_bank=1 << 24, max_hits=16, method="sort")
-    b = analyze_trace(banks, row, rows_per_bank=1 << 24, max_hits=16, method="count")
+    kwargs = dict(rows_per_bank=1 << 24, max_hits=16)
+    a = _analyze_trace_sorted(banks, row, col=None, keep_detail=False, **kwargs)
+    b = analyze_trace(banks, row, **kwargs)
     _assert_stats_identical(a, b)
+
+
+def _sorted_chunks(chunks, *, rows_per_bank, keep_detail=False):
+    """Per-chunk oracle stats plus their merged window.
+
+    The merge is the pre-optimization one: :meth:`TraceStats.merge`
+    across chunks, with the exact touched-row count from ``np.unique``
+    over every chunk's global row ids.
+    """
+    parts = [
+        _analyze_trace_sorted(
+            banks,
+            rows,
+            rows_per_bank=rows_per_bank,
+            max_hits=16,
+            col=cols,
+            keep_detail=keep_detail,
+        )
+        for banks, rows, cols in chunks
+    ]
+    merged = TraceStats.merge(parts)
+    merged.unique_rows_touched = int(
+        np.unique(
+            np.concatenate(
+                [
+                    banks.astype(np.int64) * rows_per_bank + rows.astype(np.int64)
+                    for banks, rows, _ in chunks
+                ]
+            )
+        ).size
+    )
+    return parts, merged
 
 
 @given(
@@ -116,25 +140,25 @@ def test_count_kernel_beyond_histogram_domain(rows):
 )
 @settings(max_examples=40, deadline=None)
 def test_chunked_analyzer_count_matches_sort(seed, rows_per_bank, n_chunks, keep_detail):
-    """Chunk-merged windows agree between the dense accumulators of the
-    count method and the sort method's concatenate-and-unique merge
-    (the 2^24 rows-per-bank case forces the non-dense fallback)."""
+    """Chunk-merged windows agree between the analyzer's dense
+    accumulators and the oracle's concatenate-and-unique merge (the 2^24
+    rows-per-bank case forces the analyzer's list fallback)."""
     rng = np.random.default_rng(seed)
-    count = ChunkedAnalyzer(
-        rows_per_bank=rows_per_bank, max_hits=16, keep_detail=keep_detail, method="count"
-    )
-    sort = ChunkedAnalyzer(
-        rows_per_bank=rows_per_bank, max_hits=16, keep_detail=keep_detail, method="sort"
-    )
+    chunks = []
     for _ in range(n_chunks):
         n = int(rng.integers(1, 300))
-        banks = rng.integers(0, 4, size=n, dtype=np.uint64)
-        rows = rng.integers(0, rows_per_bank, size=n, dtype=np.uint64)
-        cols = rng.integers(0, 128, size=n, dtype=np.uint64)
-        _assert_stats_identical(
-            sort.feed(banks, rows, cols), count.feed(banks, rows, cols)
+        chunks.append(
+            (
+                rng.integers(0, 4, size=n, dtype=np.uint64),
+                rng.integers(0, rows_per_bank, size=n, dtype=np.uint64),
+                rng.integers(0, 128, size=n, dtype=np.uint64),
+            )
         )
-    _assert_stats_identical(sort.result(), count.result())
+    analyzer = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=16, keep_detail=keep_detail)
+    parts, merged = _sorted_chunks(chunks, rows_per_bank=rows_per_bank, keep_detail=keep_detail)
+    for (banks, rows, cols), part in zip(chunks, parts):
+        _assert_stats_identical(part, analyzer.feed(banks, rows, cols))
+    _assert_stats_identical(merged, analyzer.result())
 
 
 def test_chunked_analyzer_dense_to_fallback_midstream():
@@ -142,8 +166,6 @@ def test_chunked_analyzer_dense_to_fallback_midstream():
     mid-window folds the accumulated state into the fallback merge
     without losing any earlier chunk's contribution."""
     rng = np.random.default_rng(3)
-    count = ChunkedAnalyzer(rows_per_bank=64, max_hits=16, method="count")
-    sort = ChunkedAnalyzer(rows_per_bank=64, max_hits=16, method="sort")
     chunks = [
         (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 64, 200, dtype=np.uint64)),
         # Out-of-spec row indices blow up the observed domain (the
@@ -151,10 +173,13 @@ def test_chunked_analyzer_dense_to_fallback_midstream():
         (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 1 << 30, 200, dtype=np.uint64)),
         (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 64, 200, dtype=np.uint64)),
     ]
+    analyzer = ChunkedAnalyzer(rows_per_bank=64, max_hits=16)
     for banks, rows in chunks:
-        count.feed(banks, rows)
-        sort.feed(banks, rows)
-    _assert_stats_identical(sort.result(), count.result())
+        analyzer.feed(banks, rows)
+    _, merged = _sorted_chunks(
+        [(banks, rows, None) for banks, rows in chunks], rows_per_bank=64
+    )
+    _assert_stats_identical(merged, analyzer.result())
 
 
 @pytest.mark.parametrize("gang_size", [1, 2, 4])
@@ -241,7 +266,7 @@ def test_dynamic_window_pipeline_bit_identical():
     invariant that keeps simulator RunResults (and the content-keyed
     stats cache) unchanged by the optimization."""
     from repro.perf.hotpath_bench import (
-        _use_loop_remap,
+        _reference_window,
         assert_stats_equal,
         run_window,
         synth_lines,
@@ -249,177 +274,11 @@ def test_dynamic_window_pipeline_bit_identical():
 
     lines = synth_lines(20_000, SMALL, seed=0x5EED)
     legacy_map = RubixDMapping(SMALL, gang_size=4, seed=0x5EED, remap_rate=0.01)
-    _use_loop_remap(legacy_map)
     new_map = RubixDMapping(SMALL, gang_size=4, seed=0x5EED, remap_rate=0.01)
-    legacy_stats, legacy_swaps = run_window(
-        legacy_map, lines, chunk_lines=4096, optimized=False
-    )
-    new_stats, new_swaps = run_window(new_map, lines, chunk_lines=4096, optimized=True)
+    legacy_stats, legacy_swaps = _reference_window(legacy_map, lines, chunk_lines=4096)
+    new_stats, new_swaps = run_window(new_map, lines, chunk_lines=4096)
     assert legacy_swaps == new_swaps and new_swaps > 0
     assert_stats_equal(legacy_stats, new_stats)
-
-
-# ---------------------------------------------------------------------------
-# Three-way backend matrix: reference / numpy / numba
-# ---------------------------------------------------------------------------
-@given(
-    trace=traces,
-    max_hits=st.sampled_from([None, 1, 3, 16]),
-    keep_detail=st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_analyze_backend_matrix(trace, max_hits, keep_detail):
-    """Every analysis tier returns bit-identical TraceStats.
-
-    The numba tier is exercised through its wrapper directly (plain
-    Python under the njit shim when numba is absent), so the matrix is
-    three-way on every machine.
-    """
-    banks = np.array([b for b, _ in trace], dtype=np.uint64)
-    rows = np.array([r for _, r in trace], dtype=np.uint64)
-    cols = np.arange(banks.size, dtype=np.uint64) % 128
-    kwargs = dict(
-        rows_per_bank=1024, max_hits=max_hits, col=cols, keep_detail=keep_detail
-    )
-    ref = analyze_trace(banks, rows, backend="reference", **kwargs)
-    _assert_stats_identical(ref, analyze_trace(banks, rows, backend="numpy", **kwargs))
-    via_numba = analyze_trace_numba(banks, rows, **kwargs)
-    assert via_numba is not None
-    _assert_stats_identical(ref, via_numba)
-
-
-def test_analyze_numba_defers_oversized_domains():
-    """The numba wrapper declines pathological dense domains (returns
-    None); the public dispatcher then lands on the numpy sparse path and
-    still matches the reference."""
-    rng = np.random.default_rng(5)
-    banks = rng.integers(0, 2, size=100, dtype=np.uint64)
-    rows = rng.integers(0, 1 << 30, size=100, dtype=np.uint64)
-    kwargs = dict(rows_per_bank=1 << 30, max_hits=16)
-    assert analyze_trace_numba(banks, rows, **kwargs) is None
-    _assert_stats_identical(
-        analyze_trace(banks, rows, backend="reference", **kwargs),
-        analyze_trace(banks, rows, backend="numpy", **kwargs),
-    )
-
-
-@pytest.mark.parametrize("segments", [1, 2])
-def test_translate_backend_matrix(segments):
-    """Every translation tier agrees element-for-element *and* in output
-    dtype (the uint32 narrowing), including mid-sweep engine states."""
-    mapping = RubixDMapping(
-        SMALL, gang_size=4, seed=0xFACE, segments=segments, remap_rate=0.01
-    )
-    rng = np.random.default_rng(13)
-    lines = rng.integers(0, SMALL.total_lines, size=2048, dtype=np.uint64)
-    for round_no in range(3):
-        results = [
-            mapping.translate_trace(lines, backend=b) for b in PUBLIC_BACKENDS
-        ] + [translate_trace_numba(mapping, lines)]
-        ref = results[0]
-        for other in results[1:]:
-            for attr in ("flat_bank", "row", "col"):
-                a, b = np.asarray(getattr(ref, attr)), np.asarray(getattr(other, attr))
-                assert np.array_equal(a, b)
-                assert a.dtype == b.dtype
-        counts = np.arange(mapping.vgroups, dtype=np.float64) * 300.0 * (round_no + 1)
-        mapping.record_activations(counts)
-    assert any(e.ptr > 0 or e.epochs_completed > 0 for e in mapping.engines)
-
-
-@given(
-    nbits=st.integers(min_value=2, max_value=8),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    counts=st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=4),
-)
-@settings(max_examples=40, deadline=None)
-def test_remap_backend_matrix(nbits, seed, counts):
-    """remap_steps leaves identical engine state under every backend."""
-    from repro.perf.numba_kernels import remap_steps_numba
-
-    engines = {b: XorRemapEngine(nbits=nbits, seed=seed) for b in PUBLIC_BACKENDS}
-    shim = XorRemapEngine(nbits=nbits, seed=seed)
-    for count in counts:
-        swaps = {b: e.remap_steps(count, backend=b) for b, e in engines.items()}
-        swaps["numba-shim"] = remap_steps_numba(shim, count)
-        assert len(set(swaps.values())) == 1, swaps
-        states = {
-            b: (e.ptr, e.curr_key, e.next_key, e.swaps_performed, e.epochs_completed)
-            for b, e in {**engines, "numba-shim": shim}.items()
-        }
-        assert len(set(states.values())) == 1, states
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    n_chunks=st.integers(min_value=1, max_value=4),
-)
-@settings(max_examples=40, deadline=None)
-def test_chunk_merge_backend_matrix(seed, n_chunks):
-    """The numpy and numba dense accumulators scatter identically."""
-    rng = np.random.default_rng(seed)
-    domain = 256
-    hist_np = np.zeros(domain, np.int64)
-    seen_np = np.zeros(domain, np.bool_)
-    hist_nb = np.zeros(domain, np.int64)
-    seen_nb = np.zeros(domain, np.bool_)
-    for _ in range(n_chunks):
-        n = int(rng.integers(1, 100))
-        global_row = rng.integers(0, domain, size=n)
-        row_ids = np.unique(rng.integers(0, domain, size=n))
-        acts = rng.integers(1, 5, size=row_ids.size)
-        _merge_chunk_numpy(hist_np, seen_np, global_row, row_ids, acts)
-        merge_chunk_numba(hist_nb, seen_nb, global_row, row_ids, acts)
-    assert np.array_equal(hist_np, hist_nb)
-    assert np.array_equal(seen_np, seen_nb)
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    n_chunks=st.integers(min_value=1, max_value=3),
-    keep_detail=st.booleans(),
-)
-@settings(max_examples=30, deadline=None)
-def test_chunked_analyzer_backend_matrix(seed, n_chunks, keep_detail):
-    """Whole chunked windows agree across the public backend tiers."""
-    rng = np.random.default_rng(seed)
-    analyzers = {
-        b: ChunkedAnalyzer(
-            rows_per_bank=64, max_hits=16, keep_detail=keep_detail, backend=b
-        )
-        for b in PUBLIC_BACKENDS
-    }
-    for _ in range(n_chunks):
-        n = int(rng.integers(1, 200))
-        banks = rng.integers(0, 4, size=n, dtype=np.uint64)
-        rows = rng.integers(0, 64, size=n, dtype=np.uint64)
-        cols = rng.integers(0, 128, size=n, dtype=np.uint64)
-        fed = [a.feed(banks, rows, cols) for a in analyzers.values()]
-        for other in fed[1:]:
-            _assert_stats_identical(fed[0], other)
-    finals = [a.result() for a in analyzers.values()]
-    for other in finals[1:]:
-        _assert_stats_identical(finals[0], other)
-
-
-@pytest.mark.numba
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def test_compiled_numba_window_matches_reference():
-    """With numba truly installed, a full dynamic window dispatched via
-    ``backend="numba"`` (compiled kernels) matches the reference tier."""
-    from repro.perf.hotpath_bench import assert_stats_equal, run_window, synth_lines
-    from repro.perf.numba_kernels import warmup
-
-    assert warmup(SMALL)
-    lines = synth_lines(30_000, SMALL, seed=0xD00D)
-    ref_map = RubixDMapping(SMALL, gang_size=4, seed=0xD00D, remap_rate=0.01)
-    nb_map = RubixDMapping(SMALL, gang_size=4, seed=0xD00D, remap_rate=0.01)
-    ref_stats, ref_swaps = run_window(
-        ref_map, lines, chunk_lines=4096, backend="reference"
-    )
-    nb_stats, nb_swaps = run_window(nb_map, lines, chunk_lines=4096, backend="numba")
-    assert ref_swaps == nb_swaps
-    assert_stats_equal(ref_stats, nb_stats)
 
 
 def test_remap_steps_epoch_wrap_exact():

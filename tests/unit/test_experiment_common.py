@@ -1,8 +1,11 @@
 """Unit tests for experiment-harness plumbing (common, registry, runner)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.dram.config import baseline_config
+from repro.dram.config import DRAMConfig, DRAMTiming, baseline_config
+from repro.experiments.campaign import Campaign, MappingSpec
 from repro.experiments.common import (
     ExperimentResult,
     clear_caches,
@@ -11,6 +14,7 @@ from repro.experiments.common import (
     make_mapping,
 )
 from repro.experiments.registry import ExperimentEntry, get_experiment, list_experiments
+from repro.utils.units import KB
 
 
 class TestExperimentResult:
@@ -48,6 +52,33 @@ class TestCaches:
     def test_simulator_shared_per_geometry(self):
         config = baseline_config()
         assert get_simulator(config) is get_simulator(config)
+        base = get_simulator(config)
+        for variant in (
+            replace(config, row_bytes=4 * KB),
+            replace(config, timing=DRAMTiming(t_rc=90e-9)),
+        ):
+            sim = get_simulator(variant)
+            assert sim is not base
+            assert sim.config == variant
+            assert get_simulator(variant) is sim
+
+    def test_campaign_record_independent_of_earlier_configs(self):
+        def run(config):
+            return Campaign(
+                workloads=["xz"],
+                mappings=[MappingSpec("rubix-d")],
+                schemes=["aqua"],
+                scale=0.02,
+                config=config,
+            ).run()
+
+        slow = DRAMConfig(timing=DRAMTiming(t_rc=90e-9))
+        clear_caches()
+        cold = run(slow)
+        clear_caches()
+        run(None)
+        warm = run(slow)
+        assert cold == warm
 
     def test_trace_cache_by_parameters(self):
         a = get_trace("xz", scale=0.02)

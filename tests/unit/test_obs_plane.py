@@ -25,7 +25,7 @@ from repro.obs.assemble import (
     validate_traces,
 )
 from repro.obs.live import PROMETHEUS_CONTENT_TYPE, LiveEndpoint
-from repro.obs.profile import PROFILER, SamplingProfiler, wrap_kernel
+from repro.obs.profile import PROFILER, SamplingProfiler
 from repro.obs.schema import validate_events_lines, validate_telemetry_dir
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -200,15 +200,10 @@ def _busy(deadline):
 
 
 class TestSamplingProfiler:
-    def test_disabled_phase_and_wrap_are_noops(self):
+    def test_disabled_phase_is_noop(self):
         profiler = SamplingProfiler()
         scope = profiler.phase("translate_trace")
         assert profiler.phase("analyze_trace") is scope  # shared null scope
-
-        def fn():
-            return 42
-
-        assert wrap_kernel("translate_trace", fn) is fn  # PROFILER is off
 
     def test_samples_attribute_to_active_phase(self, tmp_path):
         profiler = SamplingProfiler(interval_s=0.001)
@@ -249,32 +244,34 @@ class TestSamplingProfiler:
         assert SamplingProfiler().write(tmp_path) == []
         assert list(tmp_path.iterdir()) == []
 
-    def test_wrap_kernel_scopes_phase_when_enabled(self):
+    def test_production_kernels_scope_their_phase(self, monkeypatch):
+        import threading
+
+        import numpy as np
+
+        from repro.core import remap_engine
+        from repro.dram import fast_model
+
+        seen = []
+
+        def phase_of(result):
+            def probe(*args, **kwargs):
+                seen.append(PROFILER._active.get(threading.get_ident()))
+                return result
+
+            return probe
+
+        empty = fast_model.TraceStats(0, 0, 0, np.empty(0), np.empty(0), 0)
+        monkeypatch.setattr(fast_model, "_analyze_trace_impl", phase_of(empty))
+        monkeypatch.setattr(remap_engine, "_swaps_in_range", phase_of(0))
         PROFILER.enable(interval_s=0.001)
         try:
-            seen = {}
-
-            def fn(x):
-                seen["phase"] = dict(PROFILER._active).get(
-                    __import__("threading").get_ident()
-                )
-                return x + 1
-
-            wrapped = wrap_kernel("remap_steps", fn)
-            assert wrapped is not fn and wrapped.__wrapped__ is fn
-            assert wrapped(1) == 2
-            assert seen["phase"] == "remap_steps"
+            fast_model.analyze_trace(np.zeros(1), np.zeros(1), rows_per_bank=1)
+            remap_engine.XorRemapEngine(nbits=4, seed=1).remap_steps(3)
         finally:
             PROFILER.disable()
             PROFILER.clear()
-
-    def test_get_kernel_identity_preserved_when_off(self):
-        from repro.perf.backends import get_kernel, resolve_backend
-
-        backend = resolve_backend()
-        assert get_kernel("translate_trace", backend) is get_kernel(
-            "translate_trace", backend
-        )
+        assert seen == ["analyze_trace", "remap_steps"]
 
 
 @pytest.fixture
@@ -370,16 +367,6 @@ class TestBenchRegress:
             },
         }
 
-    def _backends(self, seconds, *, quick=False):
-        return {
-            "config": {"lines": 1000, "quick": quick},
-            "mode": "backends",
-            "kernels": {
-                kernel: {"seconds": {"reference": value * 10, "numpy": value}}
-                for kernel, value in seconds.items()
-            },
-        }
-
     def test_regression_over_threshold_fails(self):
         bench = _load_bench_regress()
         history = [
@@ -417,21 +404,6 @@ class TestBenchRegress:
         ]
         regressions, comparisons = bench.check_regressions(history, 15.0)
         assert regressions == [] and comparisons == []
-
-    def test_backend_entries_score_fastest_non_reference(self):
-        bench = _load_bench_regress()
-        assert bench.kernel_seconds(self._backends({"analyze_trace": 0.5})) == {
-            "analyze_trace": 0.5
-        }
-
-    def test_pair_and_backend_entries_interoperate(self):
-        bench = _load_bench_regress()
-        history = [
-            self._backends({"translate_trace": 1.0}),
-            self._pair({"translate_trace": 1.4}),
-        ]
-        regressions, _ = bench.check_regressions(history, 15.0)
-        assert len(regressions) == 1
 
     def test_single_entry_history_passes_vacuously(self):
         bench = _load_bench_regress()

@@ -56,6 +56,25 @@ class TestKey:
             **BASE_KEY_ARGS
         )
 
+    @pytest.mark.parametrize(
+        "mapping, dynamic, digest",
+        [
+            ("coffeelake", False, "07557f81fcb48bfc3e89484e80fdb46e9a1be944"),
+            ("rubix-d", True, "c56c457cbf427a1679a0f34836afb30d06493f93"),
+        ],
+    )
+    def test_simulator_key_pinned(self, mapping, dynamic, digest):
+        # Persisted .npz stats caches are named by this digest: a change
+        # here silently orphans every cache on disk.  Update the literal
+        # only together with a _DISK_VERSION bump.
+        from repro.experiments.common import make_mapping
+        from repro.perf.simulator import Simulator
+        from repro.workloads.spec import spec_trace
+
+        trace = spec_trace("xz", scale=0.01)
+        built = make_mapping(mapping, gang_size=2)
+        assert Simulator()._cache_key(trace, built, dynamic=dynamic) == digest
+
 
 class TestMemoryLayer:
     def test_miss_then_hit_returns_same_objects(self):
