@@ -7,7 +7,9 @@ reference on a synthetic mixed window (10M lines by default):
 * Rubix-D chunk translation (gather vs per-engine masked loop),
 * trace analysis (counting kernels vs argsort/np.unique),
 * remap sweep advancement (closed form vs per-episode walk),
-* the end-to-end dynamic window combining all three.
+* the end-to-end dynamic window combining all three,
+* Coffee Lake static translation (bit runs vs per-bit gather),
+* Rubix-S K-Cipher encryption (fused vs unfused per-round rounds).
 
 Every implementation pair is asserted bit-identical before its timing
 is reported, so this doubles as an equivalence regression check --

@@ -12,6 +12,10 @@ Each entry is scored on its optimized kernels
 (``kernels.<k>.optimized_s``); history entries without that field
 score nothing.
 
+A kernel the newest entry reports but no comparable prior entry does
+(one just added to the benchmark) is skipped, not failed: it has no
+history to regress against until its second run.
+
 Entries are only compared when their ``config`` matches (same line
 count, reps, seed, chunking, quick flag, ...), so a --quick run can
 never be judged against a full run.  With fewer than two comparable
@@ -66,6 +70,7 @@ def check_regressions(history: list, threshold_pct: float) -> tuple:
     list of human-readable failures and ``comparisons`` a list of
     ``(kernel, newest_s, best_prior_s, delta_pct)`` rows actually
     compared (empty when no prior entry shares the newest config).
+    Kernels without a comparable prior timing are left out of both.
     """
     if len(history) < 2:
         return [], []
@@ -129,6 +134,10 @@ def main(argv=None) -> int:
                 f"{kernel:>16s}: {now_s:.6f}s vs best {prior_s:.6f}s"
                 f" ({delta_pct:+.1f}%)"
             )
+        if comparisons:
+            compared = {row[0] for row in comparisons}
+            for kernel in sorted(set(kernel_seconds(history[-1])) - compared):
+                print(f"{kernel:>16s}: no comparable prior timing; skipped")
     if regressions:
         for line in regressions:
             print(f"FAIL: {line}", file=sys.stderr)

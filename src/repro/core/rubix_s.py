@@ -22,6 +22,7 @@ from repro.crypto.kcipher import KCipher
 from repro.dram.config import Coordinate, DRAMConfig
 from repro.mapping.base import AddressMapping, MappedTrace
 from repro.mapping.linear import LinearMapping
+from repro.utils.bitops import mask
 from repro.utils.prng import derive_key
 
 
@@ -95,8 +96,15 @@ class RubixSMapping(AddressMapping):
             raise ValueError(
                 f"line addresses exceed the {self.config.capacity_bytes} byte memory"
             )
-        gang, offset = self.splitter.split(lines)
-        encrypted = self.splitter.merge(self.cipher.encrypt(gang, validate=False), offset)
+        # The cipher returns a fresh array: merge the line-in-gang bits
+        # back into it in place, staged through one byte per line.
+        k = self.splitter.k_bits
+        encrypted = self.cipher.encrypt(lines >> np.uint64(k) if k else lines, validate=False)
+        if k:
+            encrypted <<= np.uint64(k)
+            encrypted |= np.bitwise_and(
+                lines, np.uint64(mask(k)), out=np.empty(lines.shape, np.uint8)
+            )
         return self.decode.translate_trace(encrypted, validate=False)
 
     def inverse(self, coord: Coordinate) -> int:

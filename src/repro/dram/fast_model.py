@@ -273,13 +273,27 @@ def _analyze_trace_impl(
     # maximum so even out-of-spec row indices stay in domain.
     domain = (n_bank_ids - 1) * rows_per_bank + int(row.max()) + 1
     work_dtype = np.int32 if domain <= np.iinfo(np.int32).max else np.int64
-    global_row = flat_bank.astype(work_dtype) * work_dtype(rows_per_bank) + row.astype(
-        work_dtype
-    )
+    global_row = flat_bank.astype(work_dtype)
+    global_row *= work_dtype(rows_per_bank)
+    np.add(global_row, row, out=global_row, dtype=work_dtype, casting="unsafe")
 
-    # Group accesses by bank while preserving program order inside each bank.
+    # Group accesses by bank while preserving program order inside each
+    # bank; the permutation outlives the grouping only for column detail.
     order = _grouping_order(flat_bank, n_bank_ids)
     g = global_row[order]
+    del global_row
+    if not (keep_detail and col is not None):
+        del order
+
+    # Distinct rows touched: a one-byte-per-row bitmap over the domain
+    # (the grouped ids are the same multiset as the program-order ones).
+    if _histogram_domain_ok(domain, n):
+        touched = np.zeros(domain, dtype=bool)
+        touched[g] = True
+        unique_rows = int(np.count_nonzero(touched))
+        del touched
+    else:
+        unique_rows = int(np.unique(g).size)
 
     # An access continues the current run iff it targets the same global
     # row as its predecessor within the same bank.  Because global row ids
@@ -287,28 +301,33 @@ def _analyze_trace_impl(
     # the first access of each bank group must start a new run even if the
     # previous bank's last row id coincides; embedding makes collision
     # impossible (row ids of different banks never match).
-    same = np.empty(n, dtype=bool)
-    same[0] = False
-    np.equal(g[1:], g[:-1], out=same[1:])
-    new_run = ~same
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    np.not_equal(g[1:], g[:-1], out=new_run[1:])
 
     if max_hits is None:
         act_mask = new_run
     else:
-        run_starts = np.flatnonzero(new_run)
-        run_id = np.cumsum(new_run)
+        # Position of each access in its run, in int32 whenever n allows.
+        index_dtype = np.int32 if n < 2**31 else np.int64
+        run_starts = np.flatnonzero(new_run).astype(index_dtype)
+        run_id = np.cumsum(new_run, dtype=index_dtype)
         run_id -= 1
-        pos_in_run = np.arange(n, dtype=np.int64)
-        pos_in_run -= run_starts[run_id]
+        pos_in_run = run_starts[run_id]
+        del run_id, run_starts
+        np.subtract(np.arange(n, dtype=index_dtype), pos_in_run, out=pos_in_run)
         if max_hits & (max_hits - 1) == 0:
-            act_mask = (pos_in_run & (max_hits - 1)) == 0
+            pos_in_run &= max_hits - 1
         else:
-            act_mask = (pos_in_run % max_hits) == 0
+            pos_in_run %= max_hits
+        act_mask = pos_in_run == 0
+        del pos_in_run
+    del new_run
 
     act_rows = g[act_mask]
+    del g
     n_act = int(act_rows.size)
     row_ids, acts_per_row = _unique_counts(act_rows, domain)
-    unique_rows = int(unique_row_ids(global_row, domain).size)
 
     detail_rows = act_rows.astype(np.int64, copy=False) if keep_detail else None
     detail_cols = None

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.dram.config import Coordinate, DRAMConfig
+from repro.utils.bitops import mask
 
 FIELD_ORDER = ("channel", "rank", "bank", "row", "col")
 
@@ -153,6 +154,12 @@ class FieldDecodeMapping(AddressMapping):
                 f"got {len(bank_hash_row_bits)}"
             )
         self.bank_hash_row_bits = bank_hash_row_bits
+        #: Per field, its source bits as contiguous ``(src, dst, width)`` runs.
+        self._runs = {
+            field: _bit_runs(self.field_bits.get(field, [])) for field in FIELD_ORDER
+        }
+        #: Per bank bit, the mask of the row bits its hash folds in.
+        self._bank_masks = [sum(1 << rb for rb in bits) for bits in bank_hash_row_bits or []]
 
     # ------------------------------------------------------------------
     def _expected_widths(self) -> Dict[str, int]:
@@ -188,28 +195,31 @@ class FieldDecodeMapping(AddressMapping):
             )
 
     # ------------------------------------------------------------------
+    def _extract(self, lines: np.ndarray, field: str, dtype) -> np.ndarray:
+        """One field of every line: one shift and one mask per bit run.
+
+        A one-run field (most of them) is shifted straight into the output.
+        """
+        out = np.zeros(lines.shape, dtype=dtype)
+        part = np.empty_like(out) if len(self._runs[field]) > 1 else out
+        for src, dst, width in self._runs[field]:
+            np.right_shift(lines, np.uint64(src), out=part)
+            part &= dtype(mask(width))
+            if part is not out:
+                part <<= dtype(dst)
+                out |= part
+        return out
+
     def _gather_field(self, lines: np.ndarray, bits: Sequence[int]) -> np.ndarray:
         out = np.zeros(lines.shape, dtype=np.uint64)
         for i, src in enumerate(bits):
             out |= ((lines >> np.uint64(src)) & np.uint64(1)) << np.uint64(i)
         return out
 
-    def _hash_bank(self, bank: np.ndarray, row: np.ndarray) -> np.ndarray:
-        if self.bank_hash_row_bits is None:
-            return bank
-        hashed = bank.copy() if isinstance(bank, np.ndarray) else bank
-        for bit_index, row_bits in enumerate(self.bank_hash_row_bits):
-            fold = np.zeros(row.shape, dtype=np.uint64) if isinstance(row, np.ndarray) else 0
-            for rb in row_bits:
-                if isinstance(row, np.ndarray):
-                    fold ^= (row >> np.uint64(rb)) & np.uint64(1)
-                else:
-                    fold ^= (row >> rb) & 1
-            if isinstance(bank, np.ndarray):
-                hashed = hashed ^ (fold << np.uint64(bit_index))
-            else:
-                hashed ^= fold << bit_index
-        return hashed
+    def _hash_bank(self, bank: int, row: int) -> int:
+        for bit_index, row_mask in enumerate(self._bank_masks):
+            bank ^= (bin(row & row_mask).count("1") & 1) << bit_index
+        return bank
 
     # ------------------------------------------------------------------
     def translate(self, line_addr: int) -> Coordinate:
@@ -225,17 +235,57 @@ class FieldDecodeMapping(AddressMapping):
         return Coordinate(**values)
 
     def translate_trace(self, lines: np.ndarray, *, validate: bool = True) -> MappedTrace:
+        """Vectorized :meth:`translate`, in uint32 whenever the address fits.
+
+        Every pass writes into the fresh output arrays, never into
+        ``lines``; bit-identical to :meth:`_translate_trace_reference`.
+        """
         lines = np.asarray(lines, dtype=np.uint64)
         if validate and lines.size and int(lines.max()) >= self.config.total_lines:
             raise ValueError(
                 f"line addresses exceed the {self.config.capacity_bytes} byte memory"
             )
+        c = self.config
+        dtype = np.uint32 if c.line_addr_bits <= 32 else np.uint64
+        row = self._extract(lines, "row", dtype)
+        bank = self._extract(lines, "bank", dtype)
+        if self._bank_masks:
+            parity = np.empty_like(row)
+            for bit_index, row_mask in enumerate(self._bank_masks):
+                np.bitwise_and(row, dtype(row_mask), out=parity)
+                np.bitwise_count(parity, out=parity)
+                parity &= dtype(1)
+                parity <<= dtype(bit_index)
+                bank ^= parity
+            del parity
+        col = self._extract(lines, "col", dtype)
+        if c.channels == 1 and c.ranks == 1:
+            flat = bank
+        else:
+            flat = self._extract(lines, "channel", dtype)
+            flat *= dtype(c.ranks)
+            flat += self._extract(lines, "rank", dtype)
+            flat *= dtype(c.banks)
+            flat += bank
+        return MappedTrace(flat_bank=flat, row=row, col=col, rows_per_bank=c.rows_per_bank)
+
+    def _translate_trace_reference(self, lines: np.ndarray) -> MappedTrace:
+        """The per-bit uint64 kernel :meth:`translate_trace` replaced.
+
+        Kept as the oracle the equivalence tests and the hot-path
+        benchmark compare against; no validation.
+        """
+        lines = np.asarray(lines, dtype=np.uint64)
         channel = self._gather_field(lines, self.field_bits["channel"])
         rank = self._gather_field(lines, self.field_bits["rank"])
         bank = self._gather_field(lines, self.field_bits["bank"])
         row = self._gather_field(lines, self.field_bits["row"])
         col = self._gather_field(lines, self.field_bits["col"])
-        bank = self._hash_bank(bank, row)
+        for bit_index, row_bits in enumerate(self.bank_hash_row_bits or []):
+            fold = np.zeros(row.shape, dtype=np.uint64)
+            for rb in row_bits:
+                fold ^= (row >> np.uint64(rb)) & np.uint64(1)
+            bank = bank ^ (fold << np.uint64(bit_index))
         flat = (channel * np.uint64(self.config.ranks) + rank) * np.uint64(
             self.config.banks
         ) + bank
@@ -258,6 +308,17 @@ class FieldDecodeMapping(AddressMapping):
             for i, src in enumerate(self.field_bits[field]):
                 line |= ((value >> i) & 1) << src
         return line
+
+
+def _bit_runs(bits: Sequence[int]) -> List["tuple[int, int, int]"]:
+    """``(src, dst, width)`` runs: field bits ``dst..dst+width`` are address bits ``src..``."""
+    runs: List[List[int]] = []
+    for dst, src in enumerate(bits):
+        if runs and runs[-1][0] + runs[-1][2] == src:
+            runs[-1][2] += 1
+        else:
+            runs.append([src, dst, 1])
+    return [(src, dst, width) for src, dst, width in runs]
 
 
 def fields_from_segments(

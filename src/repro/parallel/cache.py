@@ -42,7 +42,7 @@ log = get_logger("cache")
 STATS_CACHE_ENV = "REPRO_STATS_CACHE"
 
 #: On-disk entry format version (bump on layout changes).
-_DISK_VERSION = 1
+_DISK_VERSION = 2
 
 
 def stats_cache_key(

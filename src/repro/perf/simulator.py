@@ -134,9 +134,13 @@ class Simulator:
         )
 
     def _cache_key(self, trace: Trace, mapping: AddressMapping, *, dynamic: bool) -> str:
+        # A mapping decodes differently on every geometry, so the key
+        # carries the mapping's whole geometry, not just rows per bank.
+        c = mapping.config
+        geometry = (c.channels, c.ranks, c.banks, c.rows_per_bank, c.row_bytes, c.line_bytes)
         return stats_cache_key(
             trace_key=self._trace_key(trace),
-            mapping_key=mapping.cache_key,
+            mapping_key=f"{mapping.cache_key}/geometry={geometry}",
             rows_per_bank=self.config.rows_per_bank,
             max_hits=self.max_hits,
             # Chunk boundaries only matter when the mapping advances
@@ -247,8 +251,9 @@ class Simulator:
             # Attribute the chunk's activations to v-groups in proportion
             # to each group's access share (the probabilistic remap
             # trigger has no better information either).
-            vgroup = (mapped.col >> np.uint64(k)).astype(np.int64)
-            shares = np.bincount(vgroup, minlength=mapping.vgroups).astype(np.float64)
+            shares = np.bincount(
+                mapped.col >> mapped.col.dtype.type(k), minlength=mapping.vgroups
+            ).astype(np.float64)
             total = shares.sum()
             if total > 0 and chunk_stats.n_activations > 0:
                 shares *= chunk_stats.n_activations / total

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.crypto.feistel import FeistelNetwork
+from repro.crypto.feistel import _BLOCK, FeistelNetwork, _permute_unfused
 from repro.crypto.kcipher import KCIPHER_KEY_BITS, KCIPHER_LATENCY_CYCLES, KCipher
 from repro.crypto.keys import KeySchedule, generate_key
 
@@ -33,6 +33,18 @@ class TestFeistelBijectivity:
         net = FeistelNetwork(width=26, key=11, rounds=6)
         values = np.random.default_rng(0).integers(0, 1 << 26, 5000, dtype=np.uint64)
         assert np.array_equal(net.decrypt(net.encrypt(values)), values)
+
+    def test_fused_blocks_match_unfused_oracle(self):
+        # Sizes around the fused path's block length, and a 2-D input.
+        net = FeistelNetwork(width=33, key=13, rounds=6)
+        rng = np.random.default_rng(1)
+        for size in (1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3):
+            values = rng.integers(0, 1 << 33, size, dtype=np.uint64)
+            enc = net.encrypt(values)
+            assert np.array_equal(enc, _permute_unfused(net, values))
+            assert np.array_equal(net.decrypt(enc), values)
+        grid = rng.integers(0, 1 << 33, (3, 5), dtype=np.uint64)
+        assert np.array_equal(net.encrypt(grid), _permute_unfused(net, grid))
 
     def test_keys_change_permutation(self):
         a = FeistelNetwork(width=16, key=1)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.rubix_s import RubixSMapping
 from repro.dram.config import DRAMConfig, baseline_config, multichannel_config
 from repro.mapping.base import FieldDecodeMapping, fields_from_segments
 from repro.mapping.intel import CoffeeLakeMapping, SkylakeMapping
 from repro.mapping.linear import LinearMapping
 from repro.mapping.mop import MOPMapping
 from repro.mapping.stride import LargeStrideMapping
+from repro.workloads.trace import Trace
+from repro.workloads.trace_io import load_trace_raw, save_trace_raw
 
 ALL_MAPPINGS = [
     LinearMapping,
@@ -16,6 +19,14 @@ ALL_MAPPINGS = [
     SkylakeMapping,
     MOPMapping,
     LargeStrideMapping,
+]
+
+#: Single channel (the bench geometry), non-empty channel field, and a
+#: 35-bit line address (the uint64 path).
+GEOMETRIES = [
+    baseline_config(),
+    multichannel_config(2),
+    DRAMConfig(channels=2, ranks=2, rows_per_bank=1 << 22),
 ]
 
 
@@ -50,15 +61,31 @@ class TestCommonMappingProperties:
         for line in (0, 1, 127, 128, 8191, 123_456_789, config.total_lines - 1):
             assert mapping.inverse(mapping.translate(line)) == line
 
-    def test_scalar_matches_vectorized(self, mapping_cls, config, rng):
-        mapping = mapping_cls(config)
-        lines = rng.integers(0, config.total_lines, 500, dtype=np.uint64)
-        mapped = mapping.translate_trace(lines)
-        for i in (0, 100, 499):
-            coord = mapping.translate(int(lines[i]))
-            assert config.flat_bank(coord) == int(mapped.flat_bank[i])
-            assert coord.row == int(mapped.row[i])
-            assert coord.col == int(mapped.col[i])
+    def test_scalar_matches_vectorized(self, mapping_cls, rng):
+        # The bit-run kernel, and Rubix-S decoding through it at GS1/2/4,
+        # against the per-bit oracle on every element and scalar
+        # translate on a sample, on every geometry.
+        for config in GEOMETRIES:
+            dtype = np.uint32 if config.line_addr_bits <= 32 else np.uint64
+            decode = mapping_cls(config)
+            lines = rng.integers(0, config.total_lines, 500, dtype=np.uint64)
+            mappings = [decode] + [
+                RubixSMapping(config, gang_size=gang, base_decode=decode) for gang in (1, 2, 4)
+            ]
+            for mapping in mappings:
+                mapped = mapping.translate_trace(lines)
+                decoded = lines
+                if mapping is not decode:
+                    decoded = np.array([mapping.encrypt_line(int(x)) for x in lines], np.uint64)
+                oracle = decode._translate_trace_reference(decoded)
+                for field in ("flat_bank", "row", "col"):
+                    assert getattr(mapped, field).dtype == dtype
+                    assert np.array_equal(getattr(mapped, field), getattr(oracle, field))
+                for i in (0, 100, 499):
+                    coord = mapping.translate(int(lines[i]))
+                    assert config.flat_bank(coord) == int(mapped.flat_bank[i])
+                    assert coord.row == int(mapped.row[i])
+                    assert coord.col == int(mapped.col[i])
 
     def test_bijective_on_sample(self, mapping_cls, config, rng):
         mapping = mapping_cls(config)
@@ -75,6 +102,24 @@ class TestCommonMappingProperties:
             mapping.translate(config.total_lines)
         with pytest.raises(ValueError):
             mapping.translate(-1)
+
+
+@pytest.mark.parametrize("gang_size", [None, 1, 4])
+def test_translate_trace_leaves_readonly_memmap_untouched(tmp_path, config, rng, gang_size):
+    """The in-place kernels write only into their own arrays."""
+    lines = rng.integers(0, config.total_lines, 3000, dtype=np.uint64)
+    path = save_trace_raw(Trace("ro", lines, instructions=10_000), tmp_path / "ro.rtr")
+    trace = load_trace_raw(path)
+    assert not trace.lines.flags.writeable
+    if gang_size is None:
+        mapping = CoffeeLakeMapping(config)
+    else:
+        mapping = RubixSMapping(config, gang_size=gang_size)
+    expected = mapping.translate_trace(lines.copy())
+    mapped = mapping.translate_trace(trace.lines, validate=False)
+    assert np.array_equal(mapped.global_row, expected.global_row)
+    assert np.array_equal(mapped.col, expected.col)
+    assert np.array_equal(trace.lines, lines)
 
 
 class TestCoffeeLake:

@@ -405,6 +405,20 @@ class TestBenchRegress:
         regressions, comparisons = bench.check_regressions(history, 15.0)
         assert regressions == [] and comparisons == []
 
+    def test_kernel_without_prior_entry_is_skipped(self, tmp_path, capsys):
+        bench = _load_bench_regress()
+        history = [
+            self._pair({"translate_trace": 1.0}),
+            self._pair({"translate_trace": 1.0, "encrypt": 9.0}),
+        ]
+        regressions, comparisons = bench.check_regressions(history, 15.0)
+        assert regressions == []
+        assert [row[0] for row in comparisons] == ["translate_trace"]
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps({"history": history}))
+        assert bench.main(["--history", str(path)]) == 0
+        assert "encrypt: no comparable prior timing; skipped" in capsys.readouterr().out
+
     def test_single_entry_history_passes_vacuously(self):
         bench = _load_bench_regress()
         assert bench.check_regressions([self._pair({"k": 1.0})], 15.0) == ([], [])
