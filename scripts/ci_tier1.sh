@@ -18,7 +18,11 @@
 # telemetry enabled and validates its artifacts the same way; stage 6
 # smoke-tests the playbook sweep fuzzer (seeded tiny sweep + bisection,
 # exact re-run reproducibility, Rubix-S blind-vs-informed contrast --
-# scripts/fuzz_smoke.py), schema-validating its telemetry too.  All run
+# scripts/fuzz_smoke.py), schema-validating its telemetry too; stage 7
+# smoke-tests the distributed service; stage 8 runs the repository
+# benchmark's correctness gate (bench/run.py --quick --seconds 0: every
+# workload's digests must equal bench/expected.json and no cell may
+# fail -- timings are printed but not gated).  All run
 # under a hard wall-clock ceiling, so a
 # wedged simulation fails CI instead of stalling it.  Per-test timeouts
 # come from [tool.pytest.ini_options] in pyproject.toml (pytest-timeout,
@@ -29,7 +33,8 @@
 #   CI_TIER1_TIMEOUT=seconds   pytest stage budget (default 1800)
 #   CI_SMOKE_TIMEOUT=seconds   parallel smoke budget (default 300,
 #                              also used by the telemetry stage)
-#   CI_BENCH_TIMEOUT=seconds   hot-path equivalence budget (default 300)
+#   CI_BENCH_TIMEOUT=seconds   hot-path equivalence and repository
+#                              benchmark gate budget (default 300)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -101,3 +106,8 @@ run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$DIST_TELEMETRY_DIR" \
 # parent span present (the smoke also hits /metrics//healthz//status
 # mid-run and asserts the scheduler+workers share one rooted trace).
 run_bounded 60 python scripts/validate_telemetry.py "$DIST_TELEMETRY_DIR" --traces
+
+# Stage 8: repository benchmark correctness gate -- the four seeded
+# workloads at quick scale, fewest passes; exits non-zero on any digest
+# mismatch against bench/expected.json or any failed cell.
+run_bounded "$BENCH_BUDGET" python3 bench/run.py --quick --seconds 0

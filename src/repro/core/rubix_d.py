@@ -31,6 +31,9 @@ from repro.mapping.base import AddressMapping, MappedTrace
 from repro.utils.bitops import bit_length_for, is_power_of_two, mask
 from repro.utils.prng import derive_key
 
+#: Elements per block of the gather path (its temporaries stay cache-sized).
+_BLOCK = 1 << 16
+
 
 class RubixDMapping(AddressMapping):
     """Rubix-D with per-vertical-group xor remap circuits.
@@ -156,44 +159,50 @@ class RubixDMapping(AddressMapping):
         return self._decode(remapped, vgroup, line_in_gang)
 
     def translate_trace(self, lines: np.ndarray, *, validate: bool = True) -> MappedTrace:
-        """Translate a whole chunk in one vectorized gather pass.
+        """Translate a whole chunk by gathering per-access remap registers.
 
         Per-access engine ids (``vgroup * segments + segment``) index
-        snapshot arrays of every circuit's registers, so the chunk
-        translates in a handful of elementwise passes instead of a
-        ``vgroups x segments`` Python loop of masked sub-translations.
-        Domain validation is one max-scan per chunk (skippable via
-        ``validate=False`` when the caller already checked the window);
-        the intermediate math runs in uint32 whenever the line address
-        fits, halving memory traffic.  Output is bit-identical to
-        per-element :meth:`translate` and to the masked per-engine
-        oracle :meth:`_translate_trace_loop` (which computes in uint64).
+        snapshot arrays of every circuit's registers, so each block of
+        the chunk translates in a handful of elementwise passes instead
+        of a ``vgroups x segments`` Python loop of masked
+        sub-translations.  Blocks are cache-sized and write straight
+        into the preallocated outputs; ``col`` is the untouched low
+        ``k + p`` address bits.  Domain validation is one max-scan per
+        chunk (skippable via ``validate=False`` when the caller already
+        checked the window); the math runs in uint32 whenever the line
+        address fits.  Output is bit-identical to per-element
+        :meth:`translate` and to the masked per-engine oracle
+        :meth:`_translate_trace_loop` (which computes in uint64).
         """
         lines = np.asarray(lines, dtype=np.uint64)
         if validate and lines.size and int(lines.max()) >= self.config.total_lines:
             raise ValueError(
                 f"line addresses exceed the {self.config.capacity_bytes} byte memory"
             )
-        dtype = np.uint32 if self.config.line_addr_bits <= 32 else np.uint64
-        dt = dtype  # numpy scalar-type constructor
-        v = lines.astype(dtype, copy=False)
+        dt = np.uint32 if self.config.line_addr_bits <= 32 else np.uint64
         k, p, sb = self.k_bits, self.p_bits, self.segment_bits
-        row_addr = v >> dt(k + p)
-        vgroup = (v >> dt(k)) & dt(mask(p))
-        line_in_gang = v & dt(mask(k))
-        if sb:
-            segment = row_addr & dt(mask(sb))
-            upper = row_addr >> dt(sb)
-            engine_idx = (vgroup << dt(sb)) | segment
-        else:
-            segment = None
-            upper = row_addr
-            engine_idx = vgroup
-        curr, nxt, ptr = snapshot_engines(self.engines, dtype=dtype)
-        remapped = gather_translate(upper, engine_idx, curr, nxt, ptr)
-        if sb:
-            remapped = (remapped << dt(sb)) | segment
-        return self._decode_trace(remapped, vgroup, line_in_gang)
+        col = lines.astype(dt)
+        col &= dt(mask(k + p))
+        flat_bank = np.empty_like(col)
+        row = np.empty_like(col)
+        curr, nxt, ptr = snapshot_engines(self.engines, dtype=dt)
+        for start in range(0, lines.size, _BLOCK):
+            stop = start + _BLOCK
+            row_addr = lines[start:stop].astype(dt) >> dt(k + p)
+            engine_idx = col[start:stop] >> dt(k)
+            if sb:
+                segment = row_addr & dt(mask(sb))
+                engine_idx <<= dt(sb)
+                engine_idx |= segment
+                row_addr >>= dt(sb)
+            remapped = gather_translate(row_addr, engine_idx, curr, nxt, ptr)
+            if sb:
+                remapped <<= dt(sb)
+                remapped |= segment
+            self._decode_rows(remapped, flat_bank[start:stop], row[start:stop])
+        return MappedTrace(
+            flat_bank=flat_bank, row=row, col=col, rows_per_bank=self.config.rows_per_bank
+        )
 
     def _translate_trace_loop(
         self, lines: np.ndarray, *, validate: bool = True
@@ -228,22 +237,30 @@ class RubixDMapping(AddressMapping):
     def _decode_trace(
         self, remapped_row: np.ndarray, vgroup: np.ndarray, line_in_gang: np.ndarray
     ) -> MappedTrace:
+        flat = np.empty_like(remapped_row)
+        row = np.empty_like(remapped_row)
+        self._decode_rows(remapped_row, flat, row)
+        col = (vgroup << remapped_row.dtype.type(self.k_bits)) | line_in_gang
+        return MappedTrace(
+            flat_bank=flat, row=row, col=col, rows_per_bank=self.config.rows_per_bank
+        )
+
+    def _decode_rows(
+        self, remapped_row: np.ndarray, flat_out: np.ndarray, row_out: np.ndarray
+    ) -> None:
+        """Decode remapped global rows into flat bank ids and rows, in place."""
         c = self.config
         dt = remapped_row.dtype.type
-        bank = remapped_row & dt(mask(c.bank_bits))
-        row = remapped_row >> dt(c.bank_bits + c.rank_bits + c.channel_bits)
-        col = (vgroup << dt(self.k_bits)) | line_in_gang
-        if c.ranks == 1 and c.channels == 1:
-            # Single-rank, single-channel geometries (the Table 1
-            # baseline): the flat bank id IS the bank field.
-            flat = bank
-        else:
+        np.right_shift(remapped_row, dt(c.bank_bits + c.rank_bits + c.channel_bits), out=row_out)
+        np.bitwise_and(remapped_row, dt(mask(c.bank_bits)), out=flat_out)
+        if c.ranks > 1 or c.channels > 1:
+            # Otherwise (the Table 1 baseline) the flat bank id IS the
+            # bank field.
             rank = (remapped_row >> dt(c.bank_bits)) & dt(mask(c.rank_bits))
             channel = (remapped_row >> dt(c.bank_bits + c.rank_bits)) & dt(
                 mask(c.channel_bits)
             )
-            flat = (channel * dt(c.ranks) + rank) * dt(c.banks) + bank
-        return MappedTrace(flat_bank=flat, row=row, col=col, rows_per_bank=c.rows_per_bank)
+            flat_out += (channel * dt(c.ranks) + rank) * dt(c.banks)
 
     # --- dynamic remapping --------------------------------------------------
     def record_activations(self, counts_per_vgroup: np.ndarray) -> int:

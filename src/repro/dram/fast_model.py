@@ -18,8 +18,9 @@ detailed model only strengthens row locality; the cross-validation test
 in ``tests/integration/test_tier_agreement.py`` bounds the difference.
 
 :func:`analyze_trace` groups accesses by bank with an O(n) counting sort
-over the narrow bank-id domain and builds the per-row activation
-histogram with ``np.bincount`` + ``np.flatnonzero`` instead of sorting;
+over the narrow bank-id domain and counts the activated rows with one
+sort-based ``np.unique`` on ``int32`` ids, so a window costs time and
+memory in proportion to its own activations, never to the row domain;
 it is the hot path for 10M-100M-line windows.  The original
 ``np.argsort``/``np.unique`` implementation survives as the private
 oracle :func:`_analyze_trace_sorted`, which the equivalence tests and
@@ -35,6 +36,17 @@ import numpy as np
 
 from repro.obs.profile import PROFILER
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _fitting_int(largest: int):
+    """``np.int32`` when values up to ``largest`` fit in it, else ``np.int64``."""
+    return np.int32 if largest <= _INT32_MAX else np.int64
+
+
+#: Shared empty histogram for empty and slimmed results (never mutated).
+_EMPTY_HISTOGRAM = np.empty(0, dtype=np.int32)
+
 
 @dataclass
 class TraceStats:
@@ -45,11 +57,19 @@ class TraceStats:
         n_activations: ACT commands issued.
         n_hits: Row-buffer hits.
         row_ids: Global physical-row ids with at least one activation
-            (sorted, unique).
-        acts_per_row: Activation count aligned with ``row_ids``.
+            (sorted, unique).  ``int32`` whenever the largest id fits,
+            which holds for every modelled geometry; ``int64`` beyond.
+        acts_per_row: Activation count aligned with ``row_ids``;
+            ``int32`` (``int64`` only past 2^31 activations per window).
         unique_rows_touched: Number of distinct physical rows accessed.
-        act_rows: If detail was kept, the global row id of every ACT.
+        act_rows: If detail was kept, the global row id of every ACT
+            (``int64``).
         act_cols: If detail was kept, the column of every ACT.
+
+    Every producer -- :func:`analyze_trace`, :class:`ChunkedAnalyzer`,
+    :meth:`merge` and the stats cache's disk layer -- hands out the
+    histogram in these dtypes (see :meth:`narrow_histogram`), so a
+    cached window holds 8 bytes per activated row, not 16.
     """
 
     n_accesses: int
@@ -99,6 +119,17 @@ class TraceStats:
         excess = self.acts_per_row.astype(np.int64) - threshold
         return int(excess[excess > 0].sum())
 
+    @staticmethod
+    def narrow_histogram(
+        row_ids: np.ndarray, acts_per_row: np.ndarray, n_activations: int
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """A sorted per-row histogram cast to the documented dtypes."""
+        largest_id = int(row_ids[-1]) if row_ids.size else 0
+        return (
+            row_ids.astype(_fitting_int(largest_id), copy=False),
+            acts_per_row.astype(_fitting_int(n_activations), copy=False),
+        )
+
     @classmethod
     def merge(cls, parts: Sequence["TraceStats"]) -> "TraceStats":
         """Merge chunk-wise statistics into one window-level result.
@@ -112,12 +143,14 @@ class TraceStats:
         downstream (row, col) analyses.
         """
         if not parts:
-            return cls(0, 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0)
+            return cls(0, 0, 0, _EMPTY_HISTOGRAM, _EMPTY_HISTOGRAM, 0)
         all_rows = np.concatenate([p.row_ids for p in parts])
         all_acts = np.concatenate([p.acts_per_row for p in parts])
         row_ids, inverse = np.unique(all_rows, return_inverse=True)
-        acts = np.zeros(row_ids.size, dtype=np.int64)
+        n_activations = sum(p.n_activations for p in parts)
+        acts = np.zeros(row_ids.size, dtype=_fitting_int(n_activations))
         np.add.at(acts, inverse, all_acts)
+        row_ids, acts = cls.narrow_histogram(row_ids, acts, n_activations)
         rows_kept = [p.act_rows is not None for p in parts]
         cols_kept = [p.act_cols is not None for p in parts]
         keep_detail = all(rows_kept) and (all(cols_kept) or not any(cols_kept))
@@ -128,12 +161,13 @@ class TraceStats:
             else None
         )
         # Unique rows touched can only be bounded from below across
-        # chunks; ChunkedAnalyzer overwrites it with the exact count of
-        # the rows its chunks touched.
+        # arbitrary parts.  For parts from analyze_trace the bound is
+        # exact: every run opens with an ACT, so each part touched
+        # exactly its activated rows.
         unique_touched = max(int(row_ids.size), max(p.unique_rows_touched for p in parts))
         return cls(
             n_accesses=sum(p.n_accesses for p in parts),
-            n_activations=sum(p.n_activations for p in parts),
+            n_activations=n_activations,
             n_hits=sum(p.n_hits for p in parts),
             row_ids=row_ids,
             acts_per_row=acts,
@@ -165,53 +199,21 @@ def _grouping_order(flat_bank: np.ndarray, n_bank_ids: int) -> np.ndarray:
 
 
 def _histogram_domain_ok(domain: int, n: int) -> bool:
-    """Whether a dense ``np.bincount`` over ``domain`` row ids is sane.
+    """Whether a dense histogram over ``domain`` row ids is sane for ``n`` accesses.
 
-    The dense histogram is O(n + domain) time and 8*domain bytes; beyond
-    a few multiples of the trace length the allocation would dwarf the
-    sorting it replaces, so larger domains use ``np.unique`` instead.
+    The dense window histogram is O(domain) memory; beyond a few
+    multiples of the lines fed the allocation would dwarf the sort-based
+    merge it replaces, so larger domains fall back to that merge.
     """
     return domain <= max(1 << 22, 2 * n)
 
 
-def _unique_counts(values: np.ndarray, domain: int) -> "tuple[np.ndarray, np.ndarray]":
-    """Sorted unique values and their counts (``np.unique`` equivalent)."""
-    if _histogram_domain_ok(domain, values.size):
-        hist = np.bincount(values, minlength=0)
-        ids = np.flatnonzero(hist)
-        return ids.astype(np.int64, copy=False), hist[ids]
-    ids, counts = np.unique(values, return_counts=True)
-    return ids.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
-
-
 def _grown(current: Optional[np.ndarray], size: int, dtype) -> np.ndarray:
     """A zeroed array of at least ``size``, preserving ``current``'s prefix."""
-    grown = np.zeros(size, dtype=dtype)
+    grown = np.zeros(max(size, 0 if current is None else current.size), dtype=dtype)
     if current is not None:
         grown[: current.size] = current
     return grown
-
-
-#: Shared empty placeholder for slimmed per-chunk stats (never mutated).
-_EMPTY_ROW_IDS = np.empty(0, dtype=np.int64)
-
-
-def unique_row_ids(global_row: np.ndarray, domain: Optional[int] = None) -> np.ndarray:
-    """Sorted unique global row ids, via dense histogram when feasible.
-
-    ``domain`` is an exclusive upper bound on the ids (computed from the
-    array when omitted); it decides between the O(n + domain) bincount
-    path and the O(n log n) ``np.unique`` fallback.
-    """
-    if global_row.size == 0:
-        return np.empty(0, np.int64)
-    if domain is None:
-        domain = int(global_row.max()) + 1
-    if _histogram_domain_ok(domain, global_row.size):
-        return np.flatnonzero(np.bincount(global_row, minlength=0)).astype(
-            np.int64, copy=False
-        )
-    return np.unique(global_row).astype(np.int64, copy=False)
 
 
 def analyze_trace(
@@ -263,16 +265,16 @@ def _analyze_trace_impl(
         raise ValueError("flat_bank and row must be 1-D arrays of equal length")
     n = flat_bank.size
     if n == 0:
-        return TraceStats(0, 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0)
+        return TraceStats(0, 0, 0, _EMPTY_HISTOGRAM, _EMPTY_HISTOGRAM, 0)
     if max_hits is not None and max_hits < 1:
         raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
     n_bank_ids = int(flat_bank.max()) + 1
-    # Exclusive upper bound on the global row ids; when it fits in 32
-    # bits the whole kernel runs on half the memory bandwidth (the ids
-    # themselves stay exact either way).  Derived from the observed row
-    # maximum so even out-of-spec row indices stay in domain.
-    domain = (n_bank_ids - 1) * rows_per_bank + int(row.max()) + 1
-    work_dtype = np.int32 if domain <= np.iinfo(np.int32).max else np.int64
+    # Upper bound on the global row ids; when it fits in 32 bits the
+    # whole kernel runs on half the memory bandwidth (the ids themselves
+    # stay exact either way).  Derived from the observed row maximum so
+    # even out-of-spec row indices stay in domain.
+    largest_id = (n_bank_ids - 1) * rows_per_bank + int(row.max())
+    work_dtype = _fitting_int(largest_id)
     global_row = flat_bank.astype(work_dtype)
     global_row *= work_dtype(rows_per_bank)
     np.add(global_row, row, out=global_row, dtype=work_dtype, casting="unsafe")
@@ -284,16 +286,6 @@ def _analyze_trace_impl(
     del global_row
     if not (keep_detail and col is not None):
         del order
-
-    # Distinct rows touched: a one-byte-per-row bitmap over the domain
-    # (the grouped ids are the same multiset as the program-order ones).
-    if _histogram_domain_ok(domain, n):
-        touched = np.zeros(domain, dtype=bool)
-        touched[g] = True
-        unique_rows = int(np.count_nonzero(touched))
-        del touched
-    else:
-        unique_rows = int(np.unique(g).size)
 
     # An access continues the current run iff it targets the same global
     # row as its predecessor within the same bank.  Because global row ids
@@ -309,7 +301,7 @@ def _analyze_trace_impl(
         act_mask = new_run
     else:
         # Position of each access in its run, in int32 whenever n allows.
-        index_dtype = np.int32 if n < 2**31 else np.int64
+        index_dtype = _fitting_int(n)
         run_starts = np.flatnonzero(new_run).astype(index_dtype)
         run_id = np.cumsum(new_run, dtype=index_dtype)
         run_id -= 1
@@ -327,7 +319,9 @@ def _analyze_trace_impl(
     act_rows = g[act_mask]
     del g
     n_act = int(act_rows.size)
-    row_ids, acts_per_row = _unique_counts(act_rows, domain)
+    row_ids, acts_per_row = TraceStats.narrow_histogram(
+        *np.unique(act_rows, return_counts=True), n_act
+    )
 
     detail_rows = act_rows.astype(np.int64, copy=False) if keep_detail else None
     detail_cols = None
@@ -339,8 +333,10 @@ def _analyze_trace_impl(
         n_activations=n_act,
         n_hits=n - n_act,
         row_ids=row_ids,
-        acts_per_row=acts_per_row.astype(np.int64, copy=False),
-        unique_rows_touched=unique_rows,
+        acts_per_row=acts_per_row,
+        # Every run opens with an ACT, so the rows touched are exactly
+        # the rows activated.
+        unique_rows_touched=int(row_ids.size),
         act_rows=detail_rows,
         act_cols=detail_cols,
     )
@@ -418,15 +414,15 @@ class ChunkedAnalyzer:
     max_hits: Optional[int] = 16
     keep_detail: bool = False
     _parts: List[TraceStats] = field(default_factory=list)
-    _touched: List[np.ndarray] = field(default_factory=list)
-    #: Dense accumulators: per-row activation histogram and touched-row
-    #: bitmap over the global-row domain.  They replace the sort-heavy
-    #: cross-chunk merge (concatenate + np.unique over every chunk's
-    #: ids) with O(n) scatters; if a chunk ever pushes the domain past
-    #: the dense-histogram budget, the accumulated state converts to the
-    #: list-based form and the merge falls back to :meth:`TraceStats.merge`.
+    #: Dense per-row activation histogram over the global-row domain.  It
+    #: replaces the sort-heavy cross-chunk merge (concatenate + np.unique
+    #: over every chunk's ids) with one scatter per chunk; if a chunk
+    #: ever pushes the domain past the dense budget, the accumulated
+    #: counts fold into the list form and the merge falls back to
+    #: :meth:`TraceStats.merge`.  Every run opens with an ACT, so a
+    #: chunk's ``row_ids`` are exactly the rows it touched and the
+    #: histogram's nonzero entries are the window's touched rows.
     _hist: Optional[np.ndarray] = None
-    _seen: Optional[np.ndarray] = None
     _dense: bool = True
     _fed: int = 0
 
@@ -446,94 +442,72 @@ class ChunkedAnalyzer:
             keep_detail=self.keep_detail,
         )
         self._parts.append(stats)
-        flat = np.asarray(flat_bank)
-        rows = np.asarray(row)
-        if flat.size == 0:
+        if stats.n_accesses == 0 or not self._dense:
             return stats
-        domain = int(flat.max()) * self.rows_per_bank + int(rows.max()) + 1
-        work_dtype = np.int32 if domain <= np.iinfo(np.int32).max else np.int64
-        global_row = flat.astype(work_dtype) * work_dtype(self.rows_per_bank) + rows.astype(
-            work_dtype
-        )
-        self._fed += int(flat.size)
-        if self._dense and _histogram_domain_ok(domain, self._fed):
-            if self._hist is None or self._hist.size < domain:
-                self._hist = _grown(self._hist, domain, np.int64)
-                self._seen = _grown(self._seen, domain, bool)
+        self._fed += stats.n_accesses
+        domain = int(stats.row_ids[-1]) + 1
+        if _histogram_domain_ok(domain, self._fed):
+            count_dtype = _fitting_int(self._fed)
+            if self._hist is None or self._hist.size < domain or self._hist.dtype != count_dtype:
+                self._hist = _grown(self._hist, domain, count_dtype)
             with PROFILER.phase("chunk_merge"):
-                # Row ids are unique within a chunk, so the histogram
-                # scatter needs no np.add.at; the bitmap tolerates repeats.
-                self._seen[global_row] = True
+                # Row ids are unique within a chunk, so the scatter
+                # needs no np.add.at.
                 self._hist[stats.row_ids] += stats.acts_per_row
             if not self.keep_detail:
-                # The chunk's per-row arrays now live in the dense
-                # accumulators; retaining them per part as well made a
-                # long streamed window hold every chunk's histogram at
-                # once (gigabytes over a 100M-line trace).  Keep only
-                # the scalar tallies the merged result needs.
+                # The chunk's per-row arrays now live in the histogram;
+                # retaining them per part as well made a long streamed
+                # window hold every chunk's histogram at once (gigabytes
+                # over a 100M-line trace).  Keep only the scalar tallies
+                # the merged result needs.
                 self._parts[-1] = TraceStats(
                     n_accesses=stats.n_accesses,
                     n_activations=stats.n_activations,
                     n_hits=stats.n_hits,
-                    row_ids=_EMPTY_ROW_IDS,
-                    acts_per_row=_EMPTY_ROW_IDS,
+                    row_ids=_EMPTY_HISTOGRAM,
+                    acts_per_row=_EMPTY_HISTOGRAM,
                     unique_rows_touched=stats.unique_rows_touched,
                 )
-        else:
-            if self._seen is not None:
-                # Domain outgrew the dense budget mid-stream: fold the
-                # bitmap into the list form and continue sort-merged.
-                self._touched.append(np.flatnonzero(self._seen).astype(np.int64))
-                if not self.keep_detail and len(self._parts) > 1:
-                    # The dense-era parts were slimmed to scalars, so
-                    # the histogram is the only copy of their per-row
-                    # counts: collapse it into one synthetic part the
-                    # sort-based merge can consume.
-                    prefix = self._parts[:-1]
-                    ids = np.flatnonzero(self._hist)
-                    folded = TraceStats(
-                        n_accesses=sum(p.n_accesses for p in prefix),
-                        n_activations=sum(p.n_activations for p in prefix),
-                        n_hits=sum(p.n_hits for p in prefix),
-                        row_ids=ids,
-                        acts_per_row=self._hist[ids],
-                        unique_rows_touched=int(ids.size),
-                    )
-                    self._parts = [folded, self._parts[-1]]
-                self._hist = self._seen = None
-            self._dense = False
-            self._touched.append(unique_row_ids(global_row, domain))
+            return stats
+        # Domain outgrew the dense budget mid-stream: continue
+        # sort-merged from here on.
+        self._dense = False
+        if self._hist is not None and not self.keep_detail and len(self._parts) > 1:
+            # The dense-era parts were slimmed to scalars, so the
+            # histogram is the only copy of their per-row counts:
+            # collapse it into one synthetic part the merge can consume.
+            folded = self._dense_result(self._parts[:-1])
+            self._parts = [folded, self._parts[-1]]
+        self._hist = None
         return stats
 
     def result(self) -> TraceStats:
         """Merged statistics across all chunks fed so far."""
-        if self._hist is not None and not self._touched:
-            return self._dense_result()
-        merged = TraceStats.merge(self._parts)
-        if self._touched:
-            merged.unique_rows_touched = int(np.unique(np.concatenate(self._touched)).size)
-        return merged
+        if self._hist is not None:
+            return self._dense_result(self._parts)
+        return TraceStats.merge(self._parts)
 
-    def _dense_result(self) -> TraceStats:
-        """Window merge from the dense accumulators.
+    def _dense_result(self, parts: List[TraceStats]) -> TraceStats:
+        """Merge of ``parts`` whose per-row counts live in the histogram.
 
-        Same contract as :meth:`TraceStats.merge` plus the exact
-        touched-row count -- row ids come out of ``np.flatnonzero``
-        sorted, counts from the histogram, details concatenated in chunk
-        order, all bit-identical to the reference merge.
+        Same contract as :meth:`TraceStats.merge` -- row ids come out of
+        ``np.flatnonzero`` sorted, counts from the histogram, details
+        concatenated in chunk order, all bit-identical to the reference
+        merge.
         """
-        parts = self._parts
+        n_activations = sum(p.n_activations for p in parts)
         row_ids = np.flatnonzero(self._hist)
+        row_ids, acts = TraceStats.narrow_histogram(row_ids, self._hist[row_ids], n_activations)
         rows_kept = [p.act_rows is not None for p in parts]
         cols_kept = [p.act_cols is not None for p in parts]
         keep = bool(parts) and all(rows_kept) and (all(cols_kept) or not any(cols_kept))
         return TraceStats(
             n_accesses=sum(p.n_accesses for p in parts),
-            n_activations=sum(p.n_activations for p in parts),
+            n_activations=n_activations,
             n_hits=sum(p.n_hits for p in parts),
             row_ids=row_ids,
-            acts_per_row=self._hist[row_ids],
-            unique_rows_touched=int(np.count_nonzero(self._seen)),
+            acts_per_row=acts,
+            unique_rows_touched=int(row_ids.size),
             act_rows=np.concatenate([p.act_rows for p in parts]) if keep else None,
             act_cols=(
                 np.concatenate([p.act_cols for p in parts])
@@ -543,4 +517,4 @@ class ChunkedAnalyzer:
         )
 
 
-__all__ = ["TraceStats", "analyze_trace", "ChunkedAnalyzer", "unique_row_ids"]
+__all__ = ["TraceStats", "analyze_trace", "ChunkedAnalyzer"]

@@ -169,12 +169,15 @@ class StatsCache:
                 METRICS.inc("cache.disk_bytes_read", path.stat().st_size)
             except OSError:
                 pass
+        # Entries written before the histogram narrowed hold int64
+        # arrays with the same values; they load in today's dtypes.
+        row_ids, acts = TraceStats.narrow_histogram(row_ids, acts, int(scalars[1]))
         stats = TraceStats(
             n_accesses=int(scalars[0]),
             n_activations=int(scalars[1]),
             n_hits=int(scalars[2]),
-            row_ids=row_ids.astype(np.int64),
-            acts_per_row=acts.astype(np.int64),
+            row_ids=row_ids,
+            acts_per_row=acts,
             unique_rows_touched=int(scalars[3]),
         )
         return stats, int(scalars[4])

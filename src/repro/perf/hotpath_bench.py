@@ -7,8 +7,9 @@ pre-optimization reference, kept in-tree:
 * **translate** -- :meth:`RubixDMapping.translate_trace` (gather over
   snapshot register arrays) vs :meth:`RubixDMapping._translate_trace_loop`
   (one masked pass per remap engine),
-* **analyze** -- :func:`analyze_trace` (counting sort + dense
-  histograms) vs :func:`_analyze_trace_sorted` (argsort/np.unique),
+* **analyze** -- :func:`analyze_trace` (counting sort + int32
+  sort-counted histograms) vs :func:`_analyze_trace_sorted`
+  (argsort/np.unique in int64),
 * **remap** -- :meth:`XorRemapEngine.remap_steps` (closed-form swap
   counting) vs :meth:`XorRemapEngine._remap_steps_loop` (per-episode walk),
 * **static translate** -- Coffee Lake's :meth:`FieldDecodeMapping.translate_trace`

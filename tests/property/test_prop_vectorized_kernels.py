@@ -5,8 +5,9 @@ private oracle; these tests pin the contract the optimization relies
 on: *bit-identical* results, not just statistically similar ones.
 
 * ``analyze_trace`` vs ``_analyze_trace_sorted`` -- every
-  :class:`TraceStats` field including detail-array order,
-* ``ChunkedAnalyzer`` (dense accumulators, and the list fallback the
+  :class:`TraceStats` field including detail-array order, with the
+  histogram in its documented narrow dtypes (the oracle stays int64),
+* ``ChunkedAnalyzer`` (dense histogram, and the list fallback the
   domain size selects) vs per-chunk ``_analyze_trace_sorted`` plus
   ``TraceStats.merge``,
 * ``RubixDMapping.translate_trace`` (gather) vs per-element
@@ -44,15 +45,23 @@ traces = st.lists(
 )
 
 
+def _assert_histogram_dtypes(stats):
+    """The documented dtypes: int32 row ids while the largest id fits,
+    int64 beyond; int32 counts."""
+    largest = int(stats.row_ids.max()) if stats.row_ids.size else 0
+    assert stats.row_ids.dtype == (np.int32 if largest < 2**31 else np.int64)
+    assert stats.acts_per_row.dtype == np.int32
+
+
 def _assert_stats_identical(a, b):
+    """``b`` equals the oracle ``a`` value for value, in its documented dtypes."""
     assert a.n_accesses == b.n_accesses
     assert a.n_activations == b.n_activations
     assert a.n_hits == b.n_hits
     assert a.unique_rows_touched == b.unique_rows_touched
     assert np.array_equal(a.row_ids, b.row_ids)
-    assert a.row_ids.dtype == b.row_ids.dtype
     assert np.array_equal(a.acts_per_row, b.acts_per_row)
-    assert a.acts_per_row.dtype == b.acts_per_row.dtype
+    _assert_histogram_dtypes(b)
     assert (a.act_rows is None) == (b.act_rows is None)
     if a.act_rows is not None:
         assert np.array_equal(a.act_rows, b.act_rows)
@@ -89,8 +98,8 @@ def test_count_kernel_matches_sort_kernel(trace, max_hits, keep_detail):
 @given(rows=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30, deadline=None)
 def test_count_kernel_beyond_histogram_domain(rows):
-    """Row ids past the dense-histogram cutoff use the np.unique fallback
-    and still match the reference."""
+    """Row domains far sparser than the trace (2^25 rows for 200 lines)
+    still match the reference."""
     rng = np.random.default_rng(rows)
     banks = rng.integers(0, 2, size=200, dtype=np.uint64)
     row = rng.integers(0, 1 << 24, size=200, dtype=np.uint64)
@@ -98,6 +107,52 @@ def test_count_kernel_beyond_histogram_domain(rows):
     a = _analyze_trace_sorted(banks, row, col=None, keep_detail=False, **kwargs)
     b = analyze_trace(banks, row, **kwargs)
     _assert_stats_identical(a, b)
+
+
+@pytest.mark.parametrize(
+    "bank, row, dtype",
+    [
+        (1, (1 << 30) - 1, np.int32),  # largest id 2^31 - 1: still fits
+        (2, 0, np.int64),  # largest id 2^31: the int64 fallback
+        (3, (1 << 30) - 1, np.int64),  # a domain of 2^32 rows
+    ],
+)
+def test_row_id_dtype_follows_largest_id(bank, row, dtype):
+    """Row ids narrow to int32 exactly while the largest global row id
+    fits; past 2^31 they stay int64 with every value exact."""
+    rng = np.random.default_rng(bank)
+    # Random lines in the banks below, then the one line holding the largest id.
+    banks = np.append(rng.integers(0, bank, size=300, dtype=np.uint64), bank)
+    rows = np.append(rng.integers(0, 1 << 30, size=300, dtype=np.uint64), row)
+    kwargs = dict(rows_per_bank=1 << 30, max_hits=16)
+    oracle = _analyze_trace_sorted(banks, rows, col=None, keep_detail=False, **kwargs)
+    got = analyze_trace(banks, rows, **kwargs)
+    _assert_stats_identical(oracle, got)
+    assert got.row_ids.dtype == dtype
+    assert int(got.row_ids[-1]) == bank * (1 << 30) + row
+
+    analyzer = ChunkedAnalyzer(rows_per_bank=1 << 30, max_hits=16)
+    for half in (slice(0, 150), slice(150, None)):
+        analyzer.feed(banks[half], rows[half])
+    assert analyzer.result().row_ids.dtype == dtype
+
+
+def test_empty_windows_have_documented_dtypes():
+    """Every empty result -- an empty window, an empty chunk, an analyzer
+    fed nothing, a merge of nothing -- carries the narrow dtypes too."""
+    empty = np.empty(0, dtype=np.uint64)
+    analyzer = ChunkedAnalyzer(rows_per_bank=64)
+    results = [
+        analyze_trace(empty, empty, rows_per_bank=64),
+        analyzer.result(),
+        analyzer.feed(empty, empty),
+        analyzer.result(),
+        TraceStats.merge([]),
+    ]
+    for stats in results:
+        assert (stats.n_accesses, stats.n_activations, stats.unique_rows_touched) == (0, 0, 0)
+        assert stats.row_ids.size == stats.acts_per_row.size == 0
+        _assert_histogram_dtypes(stats)
 
 
 def _sorted_chunks(chunks, *, rows_per_bank, keep_detail=False):
@@ -178,6 +233,36 @@ def test_chunked_analyzer_dense_to_fallback_midstream():
         analyzer.feed(banks, rows)
     _, merged = _sorted_chunks(
         [(banks, rows, None) for banks, rows in chunks], rows_per_bank=64
+    )
+    _assert_stats_identical(merged, analyzer.result())
+
+
+def test_chunked_analyzer_dense_accumulator_sparse_chunk():
+    """A chunk whose row domain is dense for the window accumulator (it
+    is sized by every line fed so far) but far beyond what the chunk's
+    own length would justify still lands every touched row in the
+    window: the analyzer makes that decision once, from the analysis's
+    own row ids, instead of the chunk kernel and the accumulator each
+    deciding for themselves."""
+    rows_per_bank = 1 << 20
+    rng = np.random.default_rng(5)
+    big = 2_300_000  # enough lines that 2x the fed count exceeds 2^22 rows
+    chunks = [
+        (rng.integers(0, 4, big, dtype=np.uint64), rng.integers(0, 1 << 20, big, dtype=np.uint64)),
+        # 200 lines reaching into bank 4: a ~4.46M-row domain, dense only
+        # because of the 2.3M lines fed before it.
+        (
+            np.append(rng.integers(0, 5, 199, dtype=np.uint64), 4),
+            np.append(rng.integers(0, 1 << 18, 199, dtype=np.uint64), (1 << 18) - 1),
+        ),
+    ]
+    analyzer = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=16)
+    for banks, rows in chunks:
+        analyzer.feed(banks, rows)
+    assert analyzer._hist is not None, "the window must have stayed dense"
+    assert analyzer._hist.size > 1 << 22
+    _, merged = _sorted_chunks(
+        [(banks, rows, None) for banks, rows in chunks], rows_per_bank=rows_per_bank
     )
     _assert_stats_identical(merged, analyzer.result())
 

@@ -224,6 +224,55 @@ class TestDiskLayer:
         assert fresh.get(key) is None
         assert fresh.corrupt == 0 and path.exists()  # left in place
 
+    @pytest.mark.parametrize("mapping", ["coffeelake", "rubix-d"])
+    def test_fresh_memory_and_disk_results_keep_dtypes(self, tmp_path, mapping):
+        """A fresh analysis, a memory hit and a disk hit are the same
+        TraceStats, narrow histogram dtypes included."""
+        from repro.experiments.common import make_mapping
+        from repro.perf.simulator import Simulator
+        from repro.workloads.spec import spec_trace
+
+        trace = spec_trace("xz", scale=0.01)
+        sim = Simulator(stats_cache=StatsCache(persist_dir=tmp_path))
+        fresh, swaps = sim.window_stats(trace, make_mapping(mapping, gang_size=2))
+        memory, _ = sim.window_stats(trace, make_mapping(mapping, gang_size=2))
+        reader = Simulator(stats_cache=StatsCache(persist_dir=tmp_path))
+        disk, disk_swaps = reader.window_stats(trace, make_mapping(mapping, gang_size=2))
+        assert sim.stats_cache.hits == 1 and reader.stats_cache.disk_hits == 1
+        assert fresh.row_ids.dtype == fresh.acts_per_row.dtype == np.int32
+        for got in (memory, disk):
+            assert got.row_ids.dtype == fresh.row_ids.dtype
+            assert got.acts_per_row.dtype == fresh.acts_per_row.dtype
+            assert np.array_equal(got.row_ids, fresh.row_ids)
+            assert np.array_equal(got.acts_per_row, fresh.acts_per_row)
+            assert (got.n_accesses, got.n_activations, got.n_hits) == (
+                fresh.n_accesses,
+                fresh.n_activations,
+                fresh.n_hits,
+            )
+            assert got.unique_rows_touched == fresh.unique_rows_touched
+        assert disk_swaps == swaps
+
+    def test_int64_version_2_entry_loads_narrow(self, tmp_path):
+        """Version-2 entries written while the histogram was int64 hold
+        the same values, so they still load -- as int32."""
+        key = stats_cache_key(**BASE_KEY_ARGS)
+        stats = _stats()
+        scalars = np.array([150, 100, 50, 2, 4, 2], dtype=np.int64)
+        np.savez_compressed(
+            tmp_path / f"{key}.npz",
+            scalars=scalars,
+            row_ids=stats.row_ids.astype(np.int64),
+            acts_per_row=stats.acts_per_row.astype(np.int64),
+        )
+        got = StatsCache(persist_dir=tmp_path).get(key)
+        assert got is not None
+        loaded, swaps = got
+        assert swaps == 4
+        assert loaded.row_ids.dtype == loaded.acts_per_row.dtype == np.int32
+        assert loaded.row_ids.tolist() == [3, 9]
+        assert loaded.acts_per_row.tolist() == [60, 40]
+
     def test_detail_bearing_stats_not_persisted(self, tmp_path):
         key = stats_cache_key(**BASE_KEY_ARGS)
         cache = StatsCache(persist_dir=tmp_path)
