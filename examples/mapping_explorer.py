@@ -66,10 +66,8 @@ def figure4_kernels() -> None:
     for trace in (stream_kernel(), stride_kernel(), random_kernel()):
         row = [trace.name]
         for mapping in (baseline, encrypted):
-            mapped = mapping.translate_trace(trace.lines)
             stats = analyze_trace(
-                mapped.flat_bank,
-                mapped.row,
+                mapping.global_rows(trace.lines),
                 rows_per_bank=config.rows_per_bank,
                 max_hits=None,
             )

@@ -122,10 +122,8 @@ def mapping_robustness(
     pattern_accesses = accesses // 8  # 1-in-8 interleave in the trace
 
     def hot(trace: Trace) -> "tuple[int, int]":
-        mapped = mapping.translate_trace(trace.lines)
         stats = analyze_trace(
-            mapped.flat_bank,
-            mapped.row,
+            mapping.global_rows(trace.lines),
             rows_per_bank=config.rows_per_bank,
             max_hits=16,
         )

@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.dram.fast_model import TraceStats
+from repro.dram.fast_model import TraceStats, _first_of_runs, _run_lengths
 
 #: Table 3's line-count buckets (inclusive lower, exclusive upper).
 LINE_BUCKETS: Tuple[Tuple[int, int], ...] = ((1, 32), (32, 64), (64, 129))
@@ -73,13 +73,20 @@ def line_contribution_table(
     if hot_ids.size == 0:
         return LineContribution(hot_rows=0, bucket_fractions=empty, average_lines=0.0)
 
-    mask = np.isin(stats.act_rows, hot_ids)
-    pair = stats.act_rows[mask] * np.int64(lines_per_row) + stats.act_cols[mask].astype(
-        np.int64
-    )
-    unique_pairs = np.unique(pair)
-    rows_of_pairs = unique_pairs // lines_per_row
-    _, lines_per_hot_row = np.unique(rows_of_pairs, return_counts=True)
+    # One in-place sort of every activation's packed (row, line) key:
+    # the first key of each run of equal keys is one distinct activating
+    # line, and the first of each run of equal rows among those is one
+    # activated row.
+    key = stats.act_rows.astype(np.int64)
+    key *= lines_per_row
+    np.add(key, stats.act_cols, out=key, casting="unsafe")
+    key.sort()
+    row_of_line = key[_first_of_runs(key)]
+    row_of_line //= lines_per_row
+    first_line = _first_of_runs(row_of_line)
+    lines_per_act_row = _run_lengths(first_line, np.int64)
+    # Every hot row was activated, so each one is found.
+    lines_per_hot_row = lines_per_act_row[np.searchsorted(row_of_line[first_line], hot_ids)]
 
     fractions = {}
     for lo, hi in LINE_BUCKETS:

@@ -262,6 +262,25 @@ class RubixDMapping(AddressMapping):
             )
             flat_out += (channel * dt(c.ranks) + rank) * dt(c.banks)
 
+    def vgroup_accesses(self, lines: np.ndarray) -> np.ndarray:
+        """Accesses per v-group: ``bincount(col >> k)``, straight from the lines.
+
+        The v-group of a line is its p bits above the k line-in-gang
+        bits, so no column array is built; the lines are counted in
+        cache-sized blocks.
+        """
+        lines = np.asarray(lines, dtype=np.uint64)
+        counts = np.zeros(self.vgroups, dtype=np.int64)
+        for start in range(0, lines.size, _BLOCK):
+            block = lines[start : start + _BLOCK]
+            vgroup = np.right_shift(
+                block, np.uint64(self.k_bits), out=np.empty(block.size, np.uint32),
+                casting="unsafe",
+            )
+            vgroup &= np.uint32(self.vgroups - 1)
+            counts += np.bincount(vgroup, minlength=self.vgroups)
+        return counts
+
     # --- dynamic remapping --------------------------------------------------
     def record_activations(self, counts_per_vgroup: np.ndarray) -> int:
         """Advance remap circuits for observed activations.

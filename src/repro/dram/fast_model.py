@@ -1,7 +1,8 @@
 """Vectorized single-pass DRAM trace analyzer.
 
-Given a mapped trace -- per-access flat bank ids and row indices in
-program order -- this module computes, without per-access Python loops:
+Given a mapped trace -- the global physical row id of every access
+(``flat_bank * rows_per_bank + row``), in program order -- this module
+computes, without per-access Python loops:
 
 * the number of activations (ACT commands) and row-buffer hits under the
   open-adaptive page policy,
@@ -17,13 +18,18 @@ open by the previous request to that bank and the open-adaptive budget
 detailed model only strengthens row locality; the cross-validation test
 in ``tests/integration/test_tier_agreement.py`` bounds the difference.
 
-:func:`analyze_trace` groups accesses by bank with an O(n) counting sort
-over the narrow bank-id domain and counts the activated rows with one
-sort-based ``np.unique`` on ``int32`` ids, so a window costs time and
-memory in proportion to its own activations, never to the row domain;
-it is the hot path for 10M-100M-line windows.  The original
-``np.argsort``/``np.unique`` implementation survives as the private
-oracle :func:`_analyze_trace_sorted`, which the equivalence tests and
+:func:`analyze_trace` is the hot path for 1M-100M-line windows, and it
+takes the row ids that ``AddressMapping.global_rows`` produces straight
+from the line addresses, so no window ever holds per-access bank, row
+and column arrays.  It groups accesses by bank by sorting one packed
+``(bank, position)`` key per access in place, in ``int32`` whenever it
+fits; finds each access's position in its same-row run with a running
+maximum, block by block; and counts the activated rows with one more
+in-place sort.  Beyond its input it holds at most about 14 bytes per
+access (fewer the more accesses hit), and no temporary is sized by the
+row domain.  The original ``np.argsort``/``np.unique`` implementation on
+``(flat_bank, row)`` survives as the private oracle
+:func:`_analyze_trace_sorted`, which the equivalence tests and
 ``scripts/bench_hotpath.py`` compare against bit-for-bit.
 """
 
@@ -46,6 +52,10 @@ def _fitting_int(largest: int):
 
 #: Shared empty histogram for empty and slimmed results (never mutated).
 _EMPTY_HISTOGRAM = np.empty(0, dtype=np.int32)
+
+#: Accesses per block of the analyzer's gathers and position pass (their
+#: temporaries stay cache-sized).
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -177,27 +187,6 @@ class TraceStats:
         )
 
 
-def _grouping_order(flat_bank: np.ndarray, n_bank_ids: int) -> np.ndarray:
-    """Stable permutation that groups accesses by bank in O(n).
-
-    This is a counting sort over the flat-bank-id domain: bucket sizes
-    come from a bincount of the ids, bucket offsets from their cumsum,
-    and indices scatter into their buckets in program order.  Numpy's
-    stable sort on 8/16-bit unsigned keys is exactly that counting pass
-    (one histogram + prefix sum + stable scatter per key byte, all in C),
-    so the ids are narrowed to the smallest width that holds them; bank
-    counts beyond 2^16 -- no modeled geometry comes close -- fall back to
-    the generic stable sort.
-    """
-    if n_bank_ids <= 1 << 8:
-        key = flat_bank.astype(np.uint8)
-    elif n_bank_ids <= 1 << 16:
-        key = flat_bank.astype(np.uint16)
-    else:
-        key = flat_bank
-    return np.argsort(key, kind="stable")
-
-
 def _histogram_domain_ok(domain: int, n: int) -> bool:
     """Whether a dense histogram over ``domain`` row ids is sane for ``n`` accesses.
 
@@ -217,8 +206,7 @@ def _grown(current: Optional[np.ndarray], size: int, dtype) -> np.ndarray:
 
 
 def analyze_trace(
-    flat_bank: np.ndarray,
-    row: np.ndarray,
+    global_row: np.ndarray,
     *,
     rows_per_bank: int,
     max_hits: Optional[int] = 16,
@@ -228,9 +216,12 @@ def analyze_trace(
     """Analyze one trace window under the open-adaptive page policy.
 
     Args:
-        flat_bank: Flat bank id per access, program order.
-        row: Row index within the bank per access.
-        rows_per_bank: Rows per bank (to form global row ids).
+        global_row: Global physical row id per access
+            (``flat_bank * rows_per_bank + row``), program order -- e.g.
+            :meth:`~repro.mapping.base.AddressMapping.global_rows` or
+            :attr:`~repro.mapping.base.MappedTrace.global_row`.
+        rows_per_bank: Rows per bank (the bank of an id is
+            ``id // rows_per_bank``).
         max_hits: Open-adaptive budget; ``None`` models pure open-page.
         col: Optional column (line-in-row) per access; required when
             ``keep_detail`` is set and Table-3-style analysis is wanted.
@@ -241,8 +232,7 @@ def analyze_trace(
     """
     with PROFILER.phase("analyze_trace"):
         return _analyze_trace_impl(
-            flat_bank,
-            row,
+            global_row,
             rows_per_bank=rows_per_bank,
             max_hits=max_hits,
             col=col,
@@ -250,83 +240,147 @@ def analyze_trace(
         )
 
 
+def _group_by_bank(
+    global_row: np.ndarray, rows_per_bank: int, col: Optional[np.ndarray]
+) -> "tuple[np.ndarray, Optional[np.ndarray]]":
+    """Row ids (and columns) grouped by bank, program order kept per bank.
+
+    Each access gets one packed ``bank << position_bits | position`` key
+    in the narrowest signed dtype that holds it and the ids.  Keys are
+    distinct, so one in-place sort of them is a stable sort by bank; each
+    block of sorted keys is then overwritten with the row ids at its
+    positions.  No ``intp`` permutation of the window ever exists.
+    """
+    n = global_row.size
+    if global_row.dtype.kind == "i" and int(global_row.min()) < 0:
+        raise ValueError("global row ids must be non-negative")
+    largest = int(global_row.max())
+    position_bits = (n - 1).bit_length()
+    width = max(position_bits + (largest // rows_per_bank).bit_length(), largest.bit_length())
+    if width > 63:
+        raise ValueError(f"a {n}-access window with row ids up to {largest} cannot be grouped")
+    dtype = _fitting_int((1 << width) - 1)
+    key = np.empty(n, dtype=dtype)
+    for start in range(0, n, _BLOCK):
+        block = key[start : start + _BLOCK]
+        np.floor_divide(
+            global_row[start : start + _BLOCK], rows_per_bank, out=block, casting="unsafe"
+        )
+        block <<= position_bits
+        block |= np.arange(start, start + block.size, dtype=dtype)
+    key.sort()
+    grouped_col = None if col is None else np.empty_like(col)
+    position_mask = dtype((1 << position_bits) - 1)
+    for start in range(0, n, _BLOCK):
+        block = key[start : start + _BLOCK]
+        position = block & position_mask
+        if grouped_col is not None:
+            grouped_col[start : start + block.size] = col[position]
+        block[:] = global_row[position]
+    return key, grouped_col
+
+
+def _activation_mask(new_run: np.ndarray, max_hits: int) -> np.ndarray:
+    """Which accesses issue an ACT under a ``max_hits`` budget, in ``new_run``'s place.
+
+    An access activates when its position in its same-row run is a
+    multiple of the budget.  The position is the access index minus the
+    run's start index, and the start is a running maximum over the
+    indices of the run openers, carried from block to block.
+    """
+    n = new_run.size
+    dtype = _fitting_int(n)
+    run_start = 0
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        position = np.arange(start, stop, dtype=dtype)
+        starts = position * new_run[start:stop]
+        starts[0] = max(int(starts[0]), run_start)
+        np.maximum.accumulate(starts, out=starts)
+        run_start = int(starts[-1])
+        position -= starts
+        if max_hits & (max_hits - 1) == 0:
+            position &= max_hits - 1
+        else:
+            position %= max_hits
+        np.equal(position, 0, out=new_run[start:stop])
+    return new_run
+
+
+def _run_lengths(boundary: np.ndarray, dtype) -> np.ndarray:
+    """Length of every run whose first element ``boundary`` marks, in ``dtype``.
+
+    ``boundary`` is non-empty and marks its first element.  Run starts
+    are found block by block, so no ``intp`` index array of the whole
+    window is built.
+    """
+    lengths = np.empty(np.count_nonzero(boundary), dtype=dtype)
+    written = last_start = 0
+    for start in range(0, boundary.size, _BLOCK):
+        found = np.flatnonzero(boundary[start : start + _BLOCK])
+        if found.size == 0:
+            continue
+        found += start
+        if written:
+            lengths[written - 1] = found[0] - last_start
+        lengths[written : written + found.size - 1] = np.diff(found)
+        last_start = int(found[-1])
+        written += found.size
+    lengths[written - 1] = boundary.size - last_start
+    return lengths
+
+
+def _first_of_runs(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal ``values``."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
 def _analyze_trace_impl(
-    flat_bank: np.ndarray,
-    row: np.ndarray,
+    global_row: np.ndarray,
     *,
     rows_per_bank: int,
     max_hits: Optional[int] = 16,
     col: Optional[np.ndarray] = None,
     keep_detail: bool = False,
 ) -> TraceStats:
-    flat_bank = np.asarray(flat_bank)
-    row = np.asarray(row)
-    if flat_bank.shape != row.shape or flat_bank.ndim != 1:
-        raise ValueError("flat_bank and row must be 1-D arrays of equal length")
-    n = flat_bank.size
+    global_row = np.asarray(global_row)
+    if global_row.ndim != 1:
+        raise ValueError("global_row must be a 1-D array")
+    if col is not None:
+        col = np.asarray(col)
+        if col.shape != global_row.shape:
+            raise ValueError("col must be aligned with global_row")
+    n = global_row.size
     if n == 0:
         return TraceStats(0, 0, 0, _EMPTY_HISTOGRAM, _EMPTY_HISTOGRAM, 0)
     if max_hits is not None and max_hits < 1:
         raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
-    n_bank_ids = int(flat_bank.max()) + 1
-    # Upper bound on the global row ids; when it fits in 32 bits the
-    # whole kernel runs on half the memory bandwidth (the ids themselves
-    # stay exact either way).  Derived from the observed row maximum so
-    # even out-of-spec row indices stay in domain.
-    largest_id = (n_bank_ids - 1) * rows_per_bank + int(row.max())
-    work_dtype = _fitting_int(largest_id)
-    global_row = flat_bank.astype(work_dtype)
-    global_row *= work_dtype(rows_per_bank)
-    np.add(global_row, row, out=global_row, dtype=work_dtype, casting="unsafe")
+    g, grouped_col = _group_by_bank(global_row, rows_per_bank, col if keep_detail else None)
 
-    # Group accesses by bank while preserving program order inside each
-    # bank; the permutation outlives the grouping only for column detail.
-    order = _grouping_order(flat_bank, n_bank_ids)
-    g = global_row[order]
-    del global_row
-    if not (keep_detail and col is not None):
-        del order
-
-    # An access continues the current run iff it targets the same global
-    # row as its predecessor within the same bank.  Because global row ids
-    # embed the bank id, comparing them also compares banks -- except that
-    # the first access of each bank group must start a new run even if the
-    # previous bank's last row id coincides; embedding makes collision
-    # impossible (row ids of different banks never match).
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    np.not_equal(g[1:], g[:-1], out=new_run[1:])
-
-    if max_hits is None:
-        act_mask = new_run
-    else:
-        # Position of each access in its run, in int32 whenever n allows.
-        index_dtype = _fitting_int(n)
-        run_starts = np.flatnonzero(new_run).astype(index_dtype)
-        run_id = np.cumsum(new_run, dtype=index_dtype)
-        run_id -= 1
-        pos_in_run = run_starts[run_id]
-        del run_id, run_starts
-        np.subtract(np.arange(n, dtype=index_dtype), pos_in_run, out=pos_in_run)
-        if max_hits & (max_hits - 1) == 0:
-            pos_in_run &= max_hits - 1
-        else:
-            pos_in_run %= max_hits
-        act_mask = pos_in_run == 0
-        del pos_in_run
-    del new_run
-
+    # An access opens a new run iff its row differs from its
+    # predecessor's in the grouped order.  Row ids embed the bank id, so
+    # the first access of every bank group opens a run as well.
+    act_mask = _first_of_runs(g)
+    if max_hits is not None:
+        act_mask = _activation_mask(act_mask, max_hits)
     act_rows = g[act_mask]
     del g
     n_act = int(act_rows.size)
-    row_ids, acts_per_row = TraceStats.narrow_histogram(
-        *np.unique(act_rows, return_counts=True), n_act
-    )
+    detail_rows = act_rows.astype(np.int64) if keep_detail else None
+    detail_cols = grouped_col[act_mask] if grouped_col is not None else None
+    del act_mask, grouped_col
 
-    detail_rows = act_rows.astype(np.int64, copy=False) if keep_detail else None
-    detail_cols = None
-    if keep_detail and col is not None:
-        detail_cols = np.asarray(col)[order][act_mask]
+    # Sort-count the activated rows: after one in-place sort, each run of
+    # equal ids is one histogram entry.
+    act_rows.sort()
+    first = _first_of_runs(act_rows)
+    acts_per_row = _run_lengths(first, _fitting_int(n_act))
+    row_ids = act_rows[first]
+    del act_rows, first
+    row_ids, acts_per_row = TraceStats.narrow_histogram(row_ids, acts_per_row, n_act)
 
     return TraceStats(
         n_accesses=n,
@@ -426,16 +480,10 @@ class ChunkedAnalyzer:
     _dense: bool = True
     _fed: int = 0
 
-    def feed(
-        self,
-        flat_bank: np.ndarray,
-        row: np.ndarray,
-        col: Optional[np.ndarray] = None,
-    ) -> TraceStats:
-        """Analyze one chunk; returns the chunk's own stats."""
+    def feed(self, global_row: np.ndarray, col: Optional[np.ndarray] = None) -> TraceStats:
+        """Analyze one chunk of global row ids; returns the chunk's own stats."""
         stats = analyze_trace(
-            flat_bank,
-            row,
+            global_row,
             rows_per_bank=self.rows_per_bank,
             max_hits=self.max_hits,
             col=col,

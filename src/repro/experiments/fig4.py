@@ -25,10 +25,9 @@ HOT_THRESHOLD = 64
 
 
 def _hot_rows(config: DRAMConfig, mapping, trace) -> int:
-    mapped = mapping.translate_trace(trace.lines)
     # The illustrative model uses a plain open-page row buffer.
     stats = analyze_trace(
-        mapped.flat_bank, mapped.row, rows_per_bank=config.rows_per_bank, max_hits=None
+        mapping.global_rows(trace.lines), rows_per_bank=config.rows_per_bank, max_hits=None
     )
     return stats.hot_rows(HOT_THRESHOLD)
 

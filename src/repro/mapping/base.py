@@ -23,6 +23,17 @@ from repro.utils.bitops import mask
 
 FIELD_ORDER = ("channel", "rank", "bank", "row", "col")
 
+#: Lines per block of :meth:`AddressMapping.global_rows` (its translation
+#: temporaries stay cache-sized).
+_BLOCK = 1 << 16
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _row_id_dtype(largest: int):
+    """Dtype of global row ids up to ``largest`` (see :attr:`MappedTrace.global_row`)."""
+    return np.uint32 if largest <= _INT32_MAX else np.int64
+
 
 @dataclass
 class MappedTrace:
@@ -35,10 +46,26 @@ class MappedTrace:
 
     @property
     def global_row(self) -> np.ndarray:
-        """Global physical row id per access."""
-        return self.flat_bank.astype(np.int64) * np.int64(self.rows_per_bank) + self.row.astype(
-            np.int64
+        """Global physical row id per access.
+
+        ``uint32`` while the ids fit in 31 bits (every modelled geometry,
+        and then every id also fits the ``int32`` histogram row ids),
+        else ``int64``.
+        """
+        largest = 0
+        if self.flat_bank.size:
+            largest = int(self.flat_bank.max()) * self.rows_per_bank + int(self.row.max())
+        out = np.empty(self.flat_bank.shape, dtype=_row_id_dtype(largest))
+        self.global_row_into(out)
+        return out
+
+    def global_row_into(self, out: np.ndarray) -> None:
+        """Write ``flat_bank * rows_per_bank + row`` into ``out`` (ids must fit)."""
+        dtype = out.dtype
+        np.multiply(
+            self.flat_bank, dtype.type(self.rows_per_bank), out=out, dtype=dtype, casting="unsafe"
         )
+        np.add(out, self.row, out=out, dtype=dtype, casting="unsafe")
 
     def __len__(self) -> int:
         return int(self.flat_bank.size)
@@ -108,6 +135,24 @@ class AddressMapping(abc.ABC):
         which checks once and then feeds chunks -- pass ``False`` so the
         hot path does no per-chunk scans at all.
         """
+
+    def global_rows(self, lines: np.ndarray, *, validate: bool = True) -> np.ndarray:
+        """The global physical row id of every line (dtype as :attr:`MappedTrace.global_row`).
+
+        Equal to ``translate_trace(lines).global_row``, but the window is
+        translated in :data:`_BLOCK`-line blocks written straight into
+        one preallocated output: the per-access bank, row and column
+        arrays (and a cipher's or decode's temporaries) only ever exist
+        at block size.  ``validate`` is passed to every block's
+        :meth:`translate_trace`.
+        """
+        lines = np.asarray(lines)
+        out = np.empty(lines.size, dtype=_row_id_dtype(self.config.total_rows - 1))
+        for start in range(0, lines.size, _BLOCK):
+            stop = start + _BLOCK
+            mapped = self.translate_trace(lines[start:stop], validate=validate)
+            mapped.global_row_into(out[start:stop])
+        return out
 
     def inverse(self, coord: Coordinate) -> int:
         """Translate a coordinate back to its line address.

@@ -7,9 +7,9 @@ pre-optimization reference, kept in-tree:
 * **translate** -- :meth:`RubixDMapping.translate_trace` (gather over
   snapshot register arrays) vs :meth:`RubixDMapping._translate_trace_loop`
   (one masked pass per remap engine),
-* **analyze** -- :func:`analyze_trace` (counting sort + int32
-  sort-counted histograms) vs :func:`_analyze_trace_sorted`
-  (argsort/np.unique in int64),
+* **analyze** -- :func:`analyze_trace` (packed bank/position keys
+  sorted in place + sort-counted int32 histograms) vs
+  :func:`_analyze_trace_sorted` (argsort/np.unique in int64),
 * **remap** -- :meth:`XorRemapEngine.remap_steps` (closed-form swap
   counting) vs :meth:`XorRemapEngine._remap_steps_loop` (per-episode walk),
 * **static translate** -- Coffee Lake's :meth:`FieldDecodeMapping.translate_trace`
@@ -18,8 +18,8 @@ pre-optimization reference, kept in-tree:
 * **encrypt** -- Rubix-S's fused :meth:`KCipher.encrypt` vs the unfused
   per-round reference :func:`~repro.crypto.feistel._permute_unfused`,
 
-plus an **end-to-end** dynamic window (chunked map + analyze +
-activation-driven remap advancement, mirroring
+plus an **end-to-end** dynamic window (chunked blocked global-row
+translation + analyze + activation-driven remap advancement, mirroring
 :meth:`~repro.perf.simulator.Simulator._run_dynamic`) run once with every
 optimized kernel (:func:`run_window`) and once with every reference
 kernel (:func:`_reference_window`).
@@ -140,10 +140,9 @@ def assert_mapped_equal(a: MappedTrace, b: MappedTrace) -> None:
     assert np.array_equal(np.asarray(a.col), np.asarray(b.col))
 
 
-def _vgroup_shares(mapping: RubixDMapping, col, n_activations: int) -> np.ndarray:
+def _vgroup_shares(accesses: np.ndarray, n_activations: int) -> np.ndarray:
     """A chunk's activations attributed to v-groups by access share."""
-    vgroup = np.asarray(col).astype(np.int64) >> np.int64(mapping.k_bits)
-    shares = np.bincount(vgroup, minlength=mapping.vgroups).astype(np.float64)
+    shares = accesses.astype(np.float64)
     total = shares.sum()
     if total > 0 and n_activations > 0:
         shares *= n_activations / total
@@ -161,10 +160,9 @@ def run_window(
     analyzer = ChunkedAnalyzer(rows_per_bank=mapping.config.rows_per_bank, max_hits=max_hits)
     swaps = 0
     for chunk in iter_line_chunks(lines, chunk_lines):
-        mapped = mapping.translate_trace(chunk, validate=False)
-        chunk_stats = analyzer.feed(mapped.flat_bank, mapped.row, mapped.col)
+        chunk_stats = analyzer.feed(mapping.global_rows(chunk, validate=False))
         swaps += mapping.record_activations(
-            _vgroup_shares(mapping, mapped.col, chunk_stats.n_activations)
+            _vgroup_shares(mapping.vgroup_accesses(chunk), chunk_stats.n_activations)
         )
     return analyzer.result(), swaps
 
@@ -180,9 +178,10 @@ def _reference_window(
 
     Masked per-engine translation, argsort/np.unique analysis per chunk,
     :meth:`TraceStats.merge` across chunks, ``np.unique`` over every
-    touched row, and per-episode remap stepping (rebound on this
-    mapping's engines only).  Same chunking and activation attribution
-    as :func:`run_window`, so the two must agree bit-for-bit.
+    touched row, v-group shares from the translated columns, and
+    per-episode remap stepping (rebound on this mapping's engines only).
+    Same chunking and activation attribution as :func:`run_window`, so
+    the two must agree bit-for-bit.
     """
     for engine in mapping.engines:
         engine.remap_steps = engine._remap_steps_loop  # type: ignore[method-assign]
@@ -203,8 +202,9 @@ def _reference_window(
             np.int64
         )
         touched.append(np.unique(global_row))
+        vgroup = mapped.col.astype(np.int64) >> np.int64(mapping.k_bits)
         swaps += mapping.record_activations(
-            _vgroup_shares(mapping, mapped.col, stats.n_activations)
+            _vgroup_shares(np.bincount(vgroup, minlength=mapping.vgroups), stats.n_activations)
         )
     merged = TraceStats.merge(parts)
     merged.unique_rows_touched = int(np.unique(np.concatenate(touched)).size)
@@ -224,16 +224,17 @@ def bench_translate(
 def bench_analyze(
     mapping: RubixDMapping, lines: np.ndarray, *, reps: int, max_hits: Optional[int] = 16
 ) -> KernelResult:
-    """Counting-kernel analysis vs the argsort/np.unique reference."""
+    """Packed-key analysis of global row ids vs the argsort/np.unique reference."""
     mapped = mapping.translate_trace(lines, validate=False)
-    kwargs = dict(
-        rows_per_bank=mapping.config.rows_per_bank, max_hits=max_hits, col=mapped.col
-    )
+    global_row = mapped.global_row
+    kwargs = dict(rows_per_bank=mapping.config.rows_per_bank, max_hits=max_hits)
     slow, ref = _best_of(
-        lambda: _analyze_trace_sorted(mapped.flat_bank, mapped.row, keep_detail=False, **kwargs),
+        lambda: _analyze_trace_sorted(
+            mapped.flat_bank, mapped.row, col=mapped.col, keep_detail=False, **kwargs
+        ),
         reps,
     )
-    fast, new = _best_of(lambda: analyze_trace(mapped.flat_bank, mapped.row, **kwargs), reps)
+    fast, new = _best_of(lambda: analyze_trace(global_row, **kwargs), reps)
     assert_stats_equal(ref, new)
     return KernelResult("analyze_trace", slow, fast)
 

@@ -178,14 +178,13 @@ class Simulator:
             # own domain scan.
             with TRACER.span("sim.translate", mapping=mapping.name):
                 with PROFILER.phase("translate_trace"):
-                    mapped = mapping.translate_trace(trace.lines, validate=False)
+                    global_row, col = self._translate(mapping, trace.lines, keep_detail)
             with TRACER.span("sim.analyze", mapping=mapping.name):
                 stats = analyze_trace(
-                    mapped.flat_bank,
-                    mapped.row,
-                    rows_per_bank=self.config.rows_per_bank,
+                    global_row,
+                    rows_per_bank=mapping.config.rows_per_bank,
                     max_hits=self.max_hits,
-                    col=mapped.col,
+                    col=col,
                     keep_detail=keep_detail,
                 )
             swaps = 0
@@ -222,16 +221,30 @@ class Simulator:
                     f"{total_lines}-line memory of {mapping.name}"
                 )
 
+    @staticmethod
+    def _translate(
+        mapping: AddressMapping, lines: np.ndarray, keep_detail: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Global row ids of ``lines``, plus their columns when detail is kept.
+
+        Without detail the window never materializes per-access bank,
+        row or column arrays: :meth:`AddressMapping.global_rows`
+        translates it block by block.
+        """
+        if not keep_detail:
+            return mapping.global_rows(lines, validate=False), None
+        mapped = mapping.translate_trace(lines, validate=False)
+        return mapped.global_row, mapped.col
+
     def _run_dynamic(
         self, trace: Trace, mapping: RubixDMapping, *, keep_detail: bool
     ) -> Tuple[TraceStats, int]:
         analyzer = ChunkedAnalyzer(
-            rows_per_bank=self.config.rows_per_bank,
+            rows_per_bank=mapping.config.rows_per_bank,
             max_hits=self.max_hits,
             keep_detail=keep_detail,
         )
         swaps = 0
-        k = mapping.k_bits
         # Chunk loops are too hot for per-chunk spans; accumulate the
         # phase times and report them as two synthetic spans at the end.
         telemetry = METRICS.enabled
@@ -241,19 +254,18 @@ class Simulator:
         for chunk in iter_line_chunks(trace.lines, self.chunk_lines):
             t0 = time.perf_counter() if telemetry else 0.0
             with PROFILER.phase("translate_trace"):
-                mapped = mapping.translate_trace(chunk, validate=False)
+                global_row, col = self._translate(mapping, chunk, keep_detail)
             if telemetry:
                 t1 = time.perf_counter()
                 translate_s += t1 - t0
-            chunk_stats = analyzer.feed(mapped.flat_bank, mapped.row, mapped.col)
+            chunk_stats = analyzer.feed(global_row, col)
+            del global_row, col
             if telemetry:
                 analyze_s += time.perf_counter() - t1
             # Attribute the chunk's activations to v-groups in proportion
             # to each group's access share (the probabilistic remap
             # trigger has no better information either).
-            shares = np.bincount(
-                mapped.col >> mapped.col.dtype.type(k), minlength=mapping.vgroups
-            ).astype(np.float64)
+            shares = mapping.vgroup_accesses(chunk).astype(np.float64)
             total = shares.sum()
             if total > 0 and chunk_stats.n_activations > 0:
                 shares *= chunk_stats.n_activations / total

@@ -12,12 +12,13 @@ making the journal the exactly-once commit log for leased scheduling.
 Journals written before any of those fields existed load unchanged:
 the fields are simply absent from their entries.
 
-Appends are atomic (full rewrite to a sibling temp file +
-``os.replace``), so a crash mid-write can at worst lose the in-flight
-cell, never corrupt earlier ones; a truncated final line left by a
-hard kill (or a filesystem without atomic rename) is skipped on load
-with a warning and a ``resilience.journal.truncated`` metric rather
-than poisoning the resume.
+An append writes and fsyncs one line, so it costs the same on the
+thousandth cell as on the first.  A crash mid-write can at worst leave
+the in-flight cell as a torn final line, never touch earlier ones: the
+next append starts on a fresh line so the two cannot merge, and load
+skips the torn line with a warning and a
+``resilience.journal.truncated`` metric rather than poisoning the
+resume.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ class CheckpointJournal:
         epoch: Optional[int] = None,
         lease_id: Optional[str] = None,
     ) -> None:
-        """Durably append one completed cell (atomic tmp + rename).
+        """Durably append one completed cell: one line, then fsync.
 
         Args:
             key: Canonical cell key.
@@ -174,8 +175,8 @@ class CheckpointJournal:
             raise JournalError(
                 f"record for '{key}' is not JSON-serializable", key=key
             ) from error
+        self._write_line(line)
         entries.append(json.loads(line))
-        self._write_all(entries)
 
     def reset(self) -> None:
         """Start the journal over (used when not resuming)."""
@@ -183,23 +184,24 @@ class CheckpointJournal:
         if self.path.exists():
             self.path.unlink()
 
-    def _write_all(self, entries: List[dict]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+    def _write_line(self, line: str) -> None:
+        """Append ``line`` durably, after a newline if the file ends torn."""
+        data = line.encode() + b"\n"
         try:
-            with open(tmp, "w") as handle:
-                for entry in entries:
-                    handle.write(json.dumps(entry, default=str) + "\n")
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a+b") as handle:
+                end = handle.seek(0, os.SEEK_END)
+                if end:
+                    handle.seek(end - 1)
+                    if handle.read(1) != b"\n":
+                        data = b"\n" + data
+                handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
         except OSError as error:
             raise JournalError(
                 f"cannot write journal: {error}", path=str(self.path)
             ) from error
-        finally:
-            if tmp.exists():
-                tmp.unlink()
 
 
 __all__ = ["CheckpointJournal"]

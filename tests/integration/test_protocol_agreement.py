@@ -42,7 +42,7 @@ def test_three_tiers_agree_on_activations(config, mapping_cls):
     # Tier 1: vectorized analyzer.
     mapped = mapping.translate_trace(lines)
     fast = analyze_trace(
-        mapped.flat_bank, mapped.row, rows_per_bank=config.rows_per_bank, max_hits=16
+        mapped.global_row, rows_per_bank=config.rows_per_bank, max_hits=16
     )
 
     # Tier 2: simple detailed model (FCFS, in order).

@@ -42,7 +42,7 @@ def test_fcfs_matches_fast_model_exactly(config, mapping_cls):
 
     mapped = mapping.translate_trace(lines)
     fast = analyze_trace(
-        mapped.flat_bank, mapped.row, rows_per_bank=config.rows_per_bank, max_hits=16
+        mapped.global_row, rows_per_bank=config.rows_per_bank, max_hits=16
     )
 
     system = MemorySystem(config, mapping, scheduler=FCFSScheduler(), queue_depth=1)
@@ -63,7 +63,7 @@ def test_frfcfs_only_improves_locality(config):
     lines = _random_lines(config, 3000, seed=1)
     mapped = mapping.translate_trace(lines)
     fast = analyze_trace(
-        mapped.flat_bank, mapped.row, rows_per_bank=config.rows_per_bank, max_hits=16
+        mapped.global_row, rows_per_bank=config.rows_per_bank, max_hits=16
     )
     system = MemorySystem(config, mapping, queue_depth=16)
     requests = [Request(line_addr=int(line), arrival=i * 1e-9) for i, line in enumerate(lines)]
@@ -80,7 +80,7 @@ def test_open_page_agreement(config):
     lines = _random_lines(config, 2000, seed=2)
     mapped = mapping.translate_trace(lines)
     fast = analyze_trace(
-        mapped.flat_bank, mapped.row, rows_per_bank=config.rows_per_bank, max_hits=None
+        mapped.global_row, rows_per_bank=config.rows_per_bank, max_hits=None
     )
     from repro.dram.page_policy import OpenPagePolicy
 

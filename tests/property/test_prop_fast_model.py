@@ -38,7 +38,7 @@ def _reference(accesses, max_hits):
 def test_matches_reference_simulation(trace, max_hits):
     banks = np.array([b for b, _ in trace], dtype=np.uint64)
     rows = np.array([r for _, r in trace], dtype=np.uint64)
-    stats = analyze_trace(banks, rows, rows_per_bank=1024, max_hits=max_hits)
+    stats = analyze_trace(banks * 1024 + rows, rows_per_bank=1024, max_hits=max_hits)
     ref_acts, ref_hits, ref_hist = _reference(trace, max_hits)
     assert stats.n_activations == ref_acts
     assert stats.n_hits == ref_hits
@@ -50,7 +50,7 @@ def test_matches_reference_simulation(trace, max_hits):
 def test_accounting_invariants(trace):
     banks = np.array([b for b, _ in trace], dtype=np.uint64)
     rows = np.array([r for _, r in trace], dtype=np.uint64)
-    stats = analyze_trace(banks, rows, rows_per_bank=1024)
+    stats = analyze_trace(banks * 1024 + rows, rows_per_bank=1024)
     # Conservation: every access is a hit or an activation.
     assert stats.n_hits + stats.n_activations == stats.n_accesses
     # The histogram sums to the activation count.
@@ -67,7 +67,7 @@ def test_accounting_invariants(trace):
 def test_crossings_and_excess_consistent(trace, threshold):
     banks = np.array([b for b, _ in trace], dtype=np.uint64)
     rows = np.array([r for _, r in trace], dtype=np.uint64)
-    stats = analyze_trace(banks, rows, rows_per_bank=1024)
+    stats = analyze_trace(banks * 1024 + rows, rows_per_bank=1024)
     crossings = stats.threshold_crossings(threshold)
     excess = stats.excess_activations(threshold)
     # floor(A/t) <= A/t and excess = sum(max(0, A-t)).

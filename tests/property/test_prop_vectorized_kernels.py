@@ -4,9 +4,13 @@ Each optimized kernel keeps its pre-optimization twin in-tree as a
 private oracle; these tests pin the contract the optimization relies
 on: *bit-identical* results, not just statistically similar ones.
 
-* ``analyze_trace`` vs ``_analyze_trace_sorted`` -- every
-  :class:`TraceStats` field including detail-array order, with the
-  histogram in its documented narrow dtypes (the oracle stays int64),
+* ``analyze_trace`` on global row ids vs ``_analyze_trace_sorted`` on
+  (bank, row) -- every :class:`TraceStats` field including detail-array
+  order, with the histogram in its documented narrow dtypes (the oracle
+  stays int64),
+* blocked ``AddressMapping.global_rows`` vs one whole-window
+  ``translate_trace``, and Rubix-D's lines-derived v-group counts vs the
+  column bincount,
 * ``ChunkedAnalyzer`` (dense histogram, and the list fallback the
   domain size selects) vs per-chunk ``_analyze_trace_sorted`` plus
   ``TraceStats.merge``,
@@ -91,7 +95,7 @@ def test_count_kernel_matches_sort_kernel(trace, max_hits, keep_detail):
     )
     _assert_stats_identical(
         _analyze_trace_sorted(banks, rows, **kwargs),
-        analyze_trace(banks, rows, **kwargs),
+        analyze_trace(banks * 1024 + rows, **kwargs),
     )
 
 
@@ -105,7 +109,7 @@ def test_count_kernel_beyond_histogram_domain(rows):
     row = rng.integers(0, 1 << 24, size=200, dtype=np.uint64)
     kwargs = dict(rows_per_bank=1 << 24, max_hits=16)
     a = _analyze_trace_sorted(banks, row, col=None, keep_detail=False, **kwargs)
-    b = analyze_trace(banks, row, **kwargs)
+    b = analyze_trace(banks * (1 << 24) + row, **kwargs)
     _assert_stats_identical(a, b)
 
 
@@ -126,14 +130,15 @@ def test_row_id_dtype_follows_largest_id(bank, row, dtype):
     rows = np.append(rng.integers(0, 1 << 30, size=300, dtype=np.uint64), row)
     kwargs = dict(rows_per_bank=1 << 30, max_hits=16)
     oracle = _analyze_trace_sorted(banks, rows, col=None, keep_detail=False, **kwargs)
-    got = analyze_trace(banks, rows, **kwargs)
+    global_row = banks * (1 << 30) + rows
+    got = analyze_trace(global_row, **kwargs)
     _assert_stats_identical(oracle, got)
     assert got.row_ids.dtype == dtype
     assert int(got.row_ids[-1]) == bank * (1 << 30) + row
 
     analyzer = ChunkedAnalyzer(rows_per_bank=1 << 30, max_hits=16)
     for half in (slice(0, 150), slice(150, None)):
-        analyzer.feed(banks[half], rows[half])
+        analyzer.feed(global_row[half])
     assert analyzer.result().row_ids.dtype == dtype
 
 
@@ -143,9 +148,9 @@ def test_empty_windows_have_documented_dtypes():
     empty = np.empty(0, dtype=np.uint64)
     analyzer = ChunkedAnalyzer(rows_per_bank=64)
     results = [
-        analyze_trace(empty, empty, rows_per_bank=64),
+        analyze_trace(empty, rows_per_bank=64),
         analyzer.result(),
-        analyzer.feed(empty, empty),
+        analyzer.feed(empty),
         analyzer.result(),
         TraceStats.merge([]),
     ]
@@ -153,6 +158,125 @@ def test_empty_windows_have_documented_dtypes():
         assert (stats.n_accesses, stats.n_activations, stats.unique_rows_touched) == (0, 0, 0)
         assert stats.row_ids.size == stats.acts_per_row.size == 0
         _assert_histogram_dtypes(stats)
+
+
+def _runny_window(rng, n, *, banks, rows):
+    """Bank/row/col arrays mixing long same-row streams with random rows.
+
+    The streams run far past the open-adaptive budgets, so the budget
+    arithmetic (power-of-two and not) is exercised, not just run starts.
+    """
+    bank = rng.integers(0, banks, size=n, dtype=np.uint64)
+    row = (np.arange(n, dtype=np.uint64) // 97) % np.uint64(rows)
+    noisy = rng.random(n) < 0.3
+    row[noisy] = rng.integers(0, rows, size=int(noisy.sum()), dtype=np.uint64)
+    col = rng.integers(0, 128, size=n, dtype=np.uint64)
+    return bank, row, col
+
+
+@pytest.mark.parametrize("rows_per_bank", [10, 100, 1 << 17])
+@pytest.mark.parametrize("max_hits", [None, 16, 12])
+@pytest.mark.parametrize("keep_detail", [False, True])
+def test_global_row_kernel_matches_oracle(rows_per_bank, max_hits, keep_detail):
+    """The packed-key kernel on global row ids equals the argsort oracle on
+    (bank, row) value for value, detail order included, for any rows per
+    bank and budget.  Window lengths straddle the kernel's 64k blocks."""
+    rng = np.random.default_rng(rows_per_bank * 31 + (max_hits or 0))
+    for n in (1, 2, 9, 5_000, 65_536, 140_001):
+        bank, row, col = _runny_window(rng, n, banks=16, rows=min(rows_per_bank, 60))
+        kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits, col=col)
+        _assert_stats_identical(
+            _analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs),
+            analyze_trace(bank * rows_per_bank + row, keep_detail=keep_detail, **kwargs),
+        )
+
+
+@pytest.mark.parametrize("max_hits", [None, 16, 12])
+@pytest.mark.parametrize("keep_detail", [False, True])
+def test_global_row_kernel_int64_ids(max_hits, keep_detail):
+    """Ids past 2^31 (int64 input, 64-bit packed keys) still match."""
+    rng = np.random.default_rng(0x1D5)
+    rows_per_bank = 1 << 30
+    bank, row, col = _runny_window(rng, 80_000, banks=6, rows=1 << 20)
+    row[::7] += np.uint64(rows_per_bank - (1 << 20))  # reach the top rows too
+    global_row = (bank * rows_per_bank + row).astype(np.int64)
+    assert int(global_row.max()) > 2**32
+    kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits, col=col)
+    got = analyze_trace(global_row, keep_detail=keep_detail, **kwargs)
+    _assert_stats_identical(
+        _analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs), got
+    )
+    assert got.row_ids.dtype == np.int64
+
+
+def test_global_row_kernel_empty_and_invalid():
+    """Empty windows of any dtype are empty results; negative ids and
+    misaligned columns are rejected."""
+    for dtype in (np.uint32, np.int64):
+        stats = analyze_trace(np.empty(0, dtype), rows_per_bank=10, col=np.empty(0, dtype))
+        assert (stats.n_accesses, stats.n_activations, stats.row_ids.size) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        analyze_trace(np.array([3, -1]), rows_per_bank=10)
+    with pytest.raises(ValueError):
+        analyze_trace(np.array([3, 4]), rows_per_bank=10, col=np.zeros(3))
+
+
+def _global_row_mappings():
+    from repro.dram.config import baseline_config, multichannel_config
+    from repro.mapping.intel import CoffeeLakeMapping, SkylakeMapping
+
+    base = baseline_config()
+    yield CoffeeLakeMapping(base)
+    yield SkylakeMapping(multichannel_config(2))
+    for gang_size in (1, 2, 4):
+        yield RubixSMapping(base, gang_size=gang_size, seed=0x5EED)
+    for segments in (1, 4):
+        mapping = RubixDMapping(base, gang_size=2, seed=0x5EED, segments=segments)
+        # Mid-sweep engines, so the per-block register snapshots matter.
+        mapping.record_activations(np.arange(mapping.vgroups, dtype=np.float64) * 900.0)
+        yield mapping
+
+
+@pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537])
+def test_global_rows_match_translate_trace(n):
+    """Blocked ``global_rows`` == ``flat_bank * rows_per_bank + row`` of one
+    whole-window ``translate_trace``, on every side of a block boundary,
+    in ``uint32`` for every modelled geometry."""
+    for mapping in _global_row_mappings():
+        config = mapping.config
+        lines = np.random.default_rng(n).integers(
+            0, config.total_lines, size=n, dtype=np.uint64
+        )
+        mapped = mapping.translate_trace(lines)
+        expected = mapped.flat_bank.astype(np.int64) * config.rows_per_bank + mapped.row.astype(
+            np.int64
+        )
+        got = mapping.global_rows(lines)
+        assert got.dtype == np.uint32, mapping.name
+        assert np.array_equal(got, expected), mapping.name
+        assert np.array_equal(mapped.global_row, expected), mapping.name
+
+
+def test_global_rows_validate():
+    """``global_rows`` rejects out-of-range lines unless told not to check."""
+    mapping = RubixSMapping(SMALL, gang_size=4, seed=1)
+    with pytest.raises(ValueError):
+        mapping.global_rows(np.array([0, SMALL.total_lines], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("gang_size", [1, 2, 4])
+def test_vgroup_accesses_match_column_bincount(gang_size):
+    """Rubix-D's per-v-group access counts from the lines equal
+    ``bincount(col >> k)`` over the translated columns."""
+    from repro.dram.config import baseline_config
+
+    mapping = RubixDMapping(baseline_config(), gang_size=gang_size, seed=3)
+    lines = np.random.default_rng(gang_size).integers(
+        0, mapping.config.total_lines, size=150_000, dtype=np.uint64
+    )
+    col = mapping.translate_trace(lines).col
+    expected = np.bincount(col >> col.dtype.type(mapping.k_bits), minlength=mapping.vgroups)
+    assert np.array_equal(mapping.vgroup_accesses(lines), expected)
 
 
 def _sorted_chunks(chunks, *, rows_per_bank, keep_detail=False):
@@ -212,7 +336,7 @@ def test_chunked_analyzer_count_matches_sort(seed, rows_per_bank, n_chunks, keep
     analyzer = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=16, keep_detail=keep_detail)
     parts, merged = _sorted_chunks(chunks, rows_per_bank=rows_per_bank, keep_detail=keep_detail)
     for (banks, rows, cols), part in zip(chunks, parts):
-        _assert_stats_identical(part, analyzer.feed(banks, rows, cols))
+        _assert_stats_identical(part, analyzer.feed(banks * rows_per_bank + rows, cols))
     _assert_stats_identical(merged, analyzer.result())
 
 
@@ -223,14 +347,17 @@ def test_chunked_analyzer_dense_to_fallback_midstream():
     rng = np.random.default_rng(3)
     chunks = [
         (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 64, 200, dtype=np.uint64)),
-        # Out-of-spec row indices blow up the observed domain (the
-        # analyzer derives it from the data, not the config).
-        (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 1 << 30, 200, dtype=np.uint64)),
+        # Bank ids up to 2^24 blow up the observed domain (the analyzer
+        # derives it from the data, not the config).
+        (
+            rng.integers(0, 1 << 24, 200, dtype=np.uint64),
+            rng.integers(0, 64, 200, dtype=np.uint64),
+        ),
         (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 64, 200, dtype=np.uint64)),
     ]
     analyzer = ChunkedAnalyzer(rows_per_bank=64, max_hits=16)
     for banks, rows in chunks:
-        analyzer.feed(banks, rows)
+        analyzer.feed(banks * 64 + rows)
     _, merged = _sorted_chunks(
         [(banks, rows, None) for banks, rows in chunks], rows_per_bank=64
     )
@@ -258,7 +385,7 @@ def test_chunked_analyzer_dense_accumulator_sparse_chunk():
     ]
     analyzer = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=16)
     for banks, rows in chunks:
-        analyzer.feed(banks, rows)
+        analyzer.feed(banks * rows_per_bank + rows)
     assert analyzer._hist is not None, "the window must have stayed dense"
     assert analyzer._hist.size > 1 << 22
     _, merged = _sorted_chunks(

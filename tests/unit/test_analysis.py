@@ -58,7 +58,7 @@ class TestHotRowAnalysis:
         rows = np.array([0, 1] * ((n_hot + 2) // 2), dtype=np.uint64)[: n_hot + 2]
         cols = np.arange(n_hot + 2, dtype=np.uint64) % 40
         return analyze_trace(
-            banks, rows, rows_per_bank=100, col=cols, keep_detail=True, max_hits=16
+            banks * 100 + rows, rows_per_bank=100, col=cols, keep_detail=True, max_hits=16
         )
 
     def test_summary(self):
@@ -68,11 +68,7 @@ class TestHotRowAnalysis:
         assert summary.activations == stats.n_activations
 
     def test_line_contribution_requires_detail(self):
-        stats = analyze_trace(
-            np.zeros(3, dtype=np.uint64),
-            np.zeros(3, dtype=np.uint64),
-            rows_per_bank=10,
-        )
+        stats = analyze_trace(np.zeros(3, dtype=np.uint64), rows_per_bank=10)
         with pytest.raises(ValueError):
             line_contribution_table(stats)
 
@@ -85,7 +81,6 @@ class TestHotRowAnalysis:
 
     def test_no_hot_rows(self):
         stats = analyze_trace(
-            np.zeros(4, dtype=np.uint64),
             np.array([1, 2, 3, 4], dtype=np.uint64),
             rows_per_bank=10,
             col=np.zeros(4, dtype=np.uint64),
@@ -94,3 +89,48 @@ class TestHotRowAnalysis:
         table = line_contribution_table(stats, threshold=64)
         assert table.hot_rows == 0
         assert table.average_lines == 0.0
+
+
+def _line_contribution_reference(stats, threshold, lines_per_row):
+    """Table 3 from Python sets: distinct activating lines per hot row."""
+    hot = [int(r) for r, a in zip(stats.row_ids, stats.acts_per_row) if a >= threshold]
+    lines = {row: set() for row in hot}
+    for row, col in zip(stats.act_rows.tolist(), stats.act_cols.tolist()):
+        if row in lines:
+            lines[row].add(col)
+    counts = [len(lines[row]) for row in hot]
+    assert all(0 < count <= lines_per_row for count in counts)
+    fractions = {
+        f"{lo}-{hi - 1}": sum(lo <= c < hi for c in counts) / len(hot)
+        for lo, hi in ((1, 32), (32, 64), (64, 129))
+    }
+    return len(hot), fractions, sum(counts) / len(counts)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("threshold", [1, 8, 64])
+def test_line_contribution_matches_set_reference(seed, threshold):
+    """The sort-and-diff kernel reproduces the set-based count exactly,
+    for chunk-merged detail as well as one-shot detail."""
+    from repro.dram.fast_model import ChunkedAnalyzer
+
+    rng = np.random.default_rng(seed)
+    n = 30_000
+    rows_per_bank = 64
+    # A few hot rows drawing from many lines, over a random background.
+    bank = rng.integers(0, 4, n)
+    row = np.where(rng.random(n) < 0.4, rng.integers(0, 3, n), rng.integers(0, 64, n))
+    col = rng.integers(0, 128, n).astype(np.uint32)
+    global_row = bank * rows_per_bank + row
+    one_shot = analyze_trace(
+        global_row, rows_per_bank=rows_per_bank, col=col, keep_detail=True, max_hits=4
+    )
+    chunked = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=4, keep_detail=True)
+    for start in range(0, n, 7_000):
+        chunked.feed(global_row[start : start + 7_000], col[start : start + 7_000])
+    for stats in (one_shot, chunked.result()):
+        table = line_contribution_table(stats, threshold=threshold, lines_per_row=128)
+        hot_rows, fractions, average = _line_contribution_reference(stats, threshold, 128)
+        assert table.hot_rows == hot_rows > 0
+        assert table.bucket_fractions == fractions
+        assert table.average_lines == average

@@ -7,12 +7,11 @@ from repro.dram.fast_model import ChunkedAnalyzer, TraceStats, analyze_trace
 
 
 def _analyze(banks, rows, **kwargs):
-    return analyze_trace(
-        np.asarray(banks, dtype=np.uint64),
-        np.asarray(rows, dtype=np.uint64),
-        rows_per_bank=kwargs.pop("rows_per_bank", 1024),
-        **kwargs,
+    rows_per_bank = kwargs.pop("rows_per_bank", 1024)
+    global_row = np.asarray(banks, dtype=np.uint64) * rows_per_bank + np.asarray(
+        rows, dtype=np.uint64
     )
+    return analyze_trace(global_row, rows_per_bank=rows_per_bank, **kwargs)
 
 
 class TestBasicCounting:
@@ -120,7 +119,6 @@ class TestDerivedMetrics:
 class TestDetail:
     def test_detail_arrays(self):
         stats = analyze_trace(
-            np.zeros(4, dtype=np.uint64),
             np.array([1, 1, 2, 2], dtype=np.uint64),
             rows_per_bank=10,
             col=np.array([7, 8, 9, 9], dtype=np.uint64),
@@ -189,10 +187,11 @@ class TestChunkedAnalyzer:
         rng = np.random.default_rng(0)
         banks = rng.integers(0, 4, 10_000).astype(np.uint64)
         rows = rng.integers(0, 50, 10_000).astype(np.uint64)
-        whole = analyze_trace(banks, rows, rows_per_bank=1024)
+        global_row = banks * 1024 + rows
+        whole = analyze_trace(global_row, rows_per_bank=1024)
         chunked = ChunkedAnalyzer(rows_per_bank=1024)
         for start in range(0, 10_000, 1000):
-            chunked.feed(banks[start : start + 1000], rows[start : start + 1000])
+            chunked.feed(global_row[start : start + 1000])
         merged = chunked.result()
         assert merged.n_accesses == whole.n_accesses
         # Boundary resets can only add activations, and at most one per
@@ -218,10 +217,11 @@ class TestChunkedAnalyzer:
         banks[hammer_idx] = 0
         rows[hammer_idx] = np.where(np.arange(len(hammer_idx)) % 2 == 0, 1, 2)
 
-        whole = analyze_trace(banks, rows, rows_per_bank=8192)
+        global_row = banks * 8192 + rows
+        whole = analyze_trace(global_row, rows_per_bank=8192)
         chunked = ChunkedAnalyzer(rows_per_bank=8192)
         for start in range(0, n, chunk_size):
-            chunked.feed(banks[start : start + chunk_size], rows[start : start + chunk_size])
+            chunked.feed(global_row[start : start + chunk_size])
         merged = chunked.result()
 
         assert merged.n_accesses == whole.n_accesses

@@ -60,7 +60,7 @@ class TestHorizontalXor:
         def hot(mapping):
             mapped = mapping.translate_trace(trace.lines)
             return analyze_trace(
-                mapped.flat_bank, mapped.row, rows_per_bank=config.rows_per_bank
+                mapped.global_row, rows_per_bank=config.rows_per_bank
             ).hot_rows(64)
 
         base = hot(CoffeeLakeMapping(config))

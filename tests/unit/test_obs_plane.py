@@ -266,7 +266,7 @@ class TestSamplingProfiler:
         monkeypatch.setattr(remap_engine, "_swaps_in_range", phase_of(0))
         PROFILER.enable(interval_s=0.001)
         try:
-            fast_model.analyze_trace(np.zeros(1), np.zeros(1), rows_per_bank=1)
+            fast_model.analyze_trace(np.zeros(1), rows_per_bank=1)
             remap_engine.XorRemapEngine(nbits=4, seed=1).remap_steps(3)
         finally:
             PROFILER.disable()

@@ -287,6 +287,35 @@ class TestCheckpointJournal:
         assert reloaded.completed_keys() == {"cell-1"}
         assert reloaded.skipped_lines == 1
 
+    def test_append_after_crash_starts_a_fresh_line(self, tmp_path):
+        # crash mid-append -> resume appends -> load: the torn record is
+        # skipped, and the new one is not glued onto it.
+        path = tmp_path / "j.jsonl"
+        CheckpointJournal(path).append("cell-1", {"ok": True})
+        with open(path, "a") as handle:
+            handle.write('{"key": "cell-2", "record": {"trunc')
+        resumed = CheckpointJournal(path)
+        assert resumed.completed_keys() == {"cell-1"}
+        resumed.append("cell-2", {"ok": True})
+        resumed.append("cell-3", {"ok": True})
+        assert resumed.completed_keys() == {"cell-1", "cell-2", "cell-3"}
+        reloaded = CheckpointJournal(path)
+        assert reloaded.completed() == {
+            "cell-1": {"ok": True}, "cell-2": {"ok": True}, "cell-3": {"ok": True}
+        }
+        assert reloaded.skipped_lines == 1
+        assert len(path.read_text().splitlines()) == 4
+
+    def test_append_writes_only_its_own_line(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path)
+        journal.append("cell-1", {"i": 1})
+        before = path.read_bytes()
+        journal.append("cell-2", {"i": 2})
+        after = path.read_bytes()
+        assert after.startswith(before)
+        assert after[len(before):] == b'{"key": "cell-2", "record": {"i": 2}}\n'
+
     def test_entry_without_key_is_corruption(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text(json.dumps({"record": {}}) + "\n")

@@ -76,7 +76,7 @@ class TestGeneratedTraces:
         trace = spec_trace(name, scale=scale)
         mapped = CoffeeLakeMapping(config).translate_trace(trace.lines)
         stats = analyze_trace(
-            mapped.flat_bank, mapped.row, rows_per_bank=config.rows_per_bank
+            mapped.global_row, rows_per_bank=config.rows_per_bank
         )
         profile = spec_profile(name)
         assert stats.hot_rows(64) == pytest.approx(profile.hot64_rows * scale, rel=0.25)
@@ -90,7 +90,7 @@ class TestGeneratedTraces:
         trace = spec_trace("leela", scale=0.5)
         mapped = CoffeeLakeMapping(config).translate_trace(trace.lines)
         stats = analyze_trace(
-            mapped.flat_bank, mapped.row, rows_per_bank=config.rows_per_bank
+            mapped.global_row, rows_per_bank=config.rows_per_bank
         )
         assert stats.hot_rows(64) <= 2
 

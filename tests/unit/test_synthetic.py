@@ -19,7 +19,7 @@ def _analyze(trace):
     config = baseline_config()
     mapped = CoffeeLakeMapping(config).translate_trace(trace.lines)
     return analyze_trace(
-        mapped.flat_bank, mapped.row, rows_per_bank=config.rows_per_bank, max_hits=16
+        mapped.global_row, rows_per_bank=config.rows_per_bank, max_hits=16
     )
 
 
