@@ -19,11 +19,13 @@
 # smoke-tests the playbook sweep fuzzer (seeded tiny sweep + bisection,
 # exact re-run reproducibility, Rubix-S blind-vs-informed contrast --
 # scripts/fuzz_smoke.py), schema-validating its telemetry too; stage 7
-# smoke-tests the distributed service; stage 8 runs the repository
-# benchmark's correctness gate (bench/run.py --quick --seconds 0: every
-# workload's digests must equal bench/expected.json and no cell may
-# fail -- timings are printed but not gated).  All run
-# under a hard wall-clock ceiling, so a
+# gates the published numbers byte for byte (runs the full paper suite
+# serially via scripts/run_paper_suite.py and diffs its output against
+# results_paper_suite.txt, ignoring only the "[... finished in Ns]"
+# timing lines); stage 8 runs the repository benchmark's correctness
+# gate (bench/run.py --quick --seconds 0: every workload's digests must
+# equal bench/expected.json and no cell may fail -- timings are printed
+# but not gated).  All run under a hard wall-clock ceiling, so a
 # wedged simulation fails CI instead of stalling it.  Per-test timeouts
 # come from [tool.pytest.ini_options] in pyproject.toml (pytest-timeout,
 # or the conftest SIGALRM fallback); this wrapper bounds each whole
@@ -91,21 +93,20 @@ run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$FUZZ_TELEMETRY_DIR" \
     python scripts/fuzz_smoke.py
 run_bounded 60 python scripts/validate_telemetry.py "$FUZZ_TELEMETRY_DIR" --no-required
 
-# Stage 7: distributed-service smoke -- scheduler on an ephemeral
-# loopback port, three spawned socket workers, seeded wire chaos
-# (dropped/corrupt/torn frames, severed connections), exactly-once
-# journal with forced re-dispatch, and the zero-worker degraded-mode
-# fallback (scripts/distributed_smoke.py); telemetry validated like
-# stage 4 -- the service.transport.* metrics ride along.
-DIST_TELEMETRY_DIR="$(mktemp -d -t rubix-dist-telemetry-XXXXXX)"
-trap 'rm -rf "$TELEMETRY_DIR" "$SERVICE_TELEMETRY_DIR" "$FUZZ_TELEMETRY_DIR" "$DIST_TELEMETRY_DIR"' EXIT
-run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$DIST_TELEMETRY_DIR" \
-    python scripts/distributed_smoke.py
-# --traces: every process in the distributed run exits cleanly, so the
-# assembled span trees must be complete -- one root per trace, every
-# parent span present (the smoke also hits /metrics//healthz//status
-# mid-run and asserts the scheduler+workers share one rooted trace).
-run_bounded 60 python scripts/validate_telemetry.py "$DIST_TELEMETRY_DIR" --traces
+# Stage 7: paper-suite golden -- every published number must match
+# results_paper_suite.txt byte for byte.  Only the per-experiment and
+# whole-suite "[... finished in Ns]" timing lines may differ.  A change
+# that moves a printed number must regenerate the golden and explain the
+# moved row in EXPERIMENTS.md.  The serial suite takes 66-76 s on a
+# 2-vCPU VM; the 180 s ceiling leaves room for a slower runner.
+SUITE_OUT="$(mktemp -t rubix-paper-suite-XXXXXX)"
+trap 'rm -rf "$TELEMETRY_DIR" "$SERVICE_TELEMETRY_DIR" "$FUZZ_TELEMETRY_DIR" "$SUITE_OUT"' EXIT
+run_bounded 180 python scripts/run_paper_suite.py "$SUITE_OUT" --quiet
+drop_timings() { grep -vE '^\[.* finished in [0-9.]+s\]$' "$1"; }
+if ! diff <(drop_timings results_paper_suite.txt) <(drop_timings "$SUITE_OUT"); then
+    echo "FAIL: paper-suite output differs from results_paper_suite.txt" >&2
+    exit 1
+fi
 
 # Stage 8: repository benchmark correctness gate -- the four seeded
 # workloads at quick scale, fewest passes; exits non-zero on any digest

@@ -8,12 +8,7 @@ required campaign metrics must actually have fired, and every span
 event must use a declared span name.  Instrumentation and catalog
 therefore cannot drift apart silently.
 
-With ``--traces`` the check also asserts distributed trace-tree
-completeness: every non-root span's parent span exists and every trace
-has exactly one root.  Only sound for runs whose processes all exited
-cleanly -- a chaos-killed worker legitimately leaves unfinished spans.
-
-Usage:  python scripts/validate_telemetry.py DIR [--no-required] [--traces]
+Usage:  python scripts/validate_telemetry.py DIR [--no-required]
 Exit status 0 when the directory validates, 1 otherwise.
 """
 
@@ -33,17 +28,9 @@ def main(argv=None) -> int:
         action="store_true",
         help="skip the required-campaign-metrics check (schema check only)",
     )
-    parser.add_argument(
-        "--traces",
-        action="store_true",
-        help="also assert trace-tree completeness (one root per trace,"
-        " no orphaned spans); use only on clean-exit runs",
-    )
     args = parser.parse_args(argv)
     required = () if args.no_required else REQUIRED_CAMPAIGN_METRICS
-    errors = validate_telemetry_dir(
-        args.directory, required=required, traces=args.traces
-    )
+    errors = validate_telemetry_dir(args.directory, required=required)
     if errors:
         for error in errors:
             print(f"FAIL: {error}", file=sys.stderr)

@@ -94,38 +94,6 @@ class WorkerLostError(InfrastructureError):
     """A worker holding a lease died or stopped heartbeating."""
 
 
-class TransportError(InfrastructureError):
-    """A wire-level failure between the scheduler and a remote worker.
-
-    Infrastructure by definition: a bad frame says nothing about the
-    cell's configuration, so recovery is retry/re-dispatch, never a
-    scheduler crash.  Two subclasses split the failure envelope:
-    :class:`FrameError` (the stream is still framed -- discard the frame
-    and continue) and :class:`ConnectionLostError` (the stream is torn
-    or desynchronized -- the connection is unusable).
-    """
-
-
-class FrameError(TransportError):
-    """A single frame failed integrity checks but framing survived.
-
-    Checksum mismatch or an undecodable payload inside a well-delimited
-    frame: the receiver discards exactly this frame, notifies the peer,
-    and keeps reading the stream.
-    """
-
-
-class ConnectionLostError(TransportError):
-    """The framed stream itself is gone or no longer trustworthy.
-
-    EOF or a socket error mid-frame (a torn write), a stalled read past
-    the frame timeout (a half-open peer), a bad magic number or an
-    impossible frame length (desynchronization): no later byte on this
-    connection can be framed safely, so it must be dropped and --
-    worker-side -- re-established.
-    """
-
-
 class ServiceSaturated(ReproError):
     """The campaign service's admission queue is full.
 
@@ -201,9 +169,6 @@ __all__ = [
     "TransientError",
     "InfrastructureError",
     "WorkerLostError",
-    "TransportError",
-    "FrameError",
-    "ConnectionLostError",
     "ServiceSaturated",
     "ServiceStopped",
     "JournalError",

@@ -6,7 +6,6 @@ Usage::
     python -m repro.experiments run fig7 [--scale 0.5] [--workloads 6]
     python -m repro.experiments run all [--scale 0.25] [--workers 4]
     python -m repro.experiments report --telemetry runs/today
-    python -m repro.experiments trace --telemetry runs/today
 
 ``--workers N`` fans the selected experiments out over a process pool;
 ``--stats-cache DIR`` points every process (and every later run) at one
@@ -143,15 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " REPRO_TELEMETRY_DIR environment variable so pool workers"
         " inherit it",
     )
-    run.add_argument(
-        "--serve-metrics",
-        metavar="PORT",
-        type=int,
-        default=None,
-        help="expose live GET /metrics, /healthz and /status on"
-        " 127.0.0.1:PORT for the duration of the run (pair with"
-        " --telemetry-dir for non-empty metrics)",
-    )
     playbook_cmd = sub.add_parser(
         "playbook", help="compile a declarative attack playbook and inspect its trace"
     )
@@ -213,21 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         required=True,
         help="telemetry directory a previous run wrote (--telemetry-dir)",
-    )
-    trace_cmd = sub.add_parser(
-        "trace",
-        help="reassemble distributed trace trees from telemetry events",
-    )
-    trace_cmd.add_argument(
-        "--telemetry",
-        metavar="DIR",
-        required=True,
-        help="telemetry directory holding the run's events-*.jsonl files",
-    )
-    trace_cmd.add_argument(
-        "--trace-id",
-        default=None,
-        help="render only this trace id (default: every trace, oldest first)",
     )
     submit = sub.add_parser(
         "submit",
@@ -303,68 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="enable the chaos harness with this seed (testing only):"
         " injects seeded worker kills, hangs, and duplicate completions",
     )
-    serve.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        default=None,
-        help="distributed mode: accept TCP socket workers here instead of"
-        " spawning a local pool ('repro-run work --connect HOST:PORT');"
-        " --workers becomes the degraded-mode local pool size",
-    )
-    serve.add_argument(
-        "--fallback-deadline",
-        type=float,
-        default=5.0,
-        help="with --listen: seconds to wait for workers before degrading"
-        " to a local pool so the campaign still completes",
-    )
-    serve.add_argument(
-        "--serve-metrics",
-        metavar="PORT",
-        type=int,
-        default=None,
-        help="expose the scheduler's live GET /metrics, /healthz and"
-        " /status on 127.0.0.1:PORT while the service runs",
-    )
     serve_verbosity = serve.add_mutually_exclusive_group()
     serve_verbosity.add_argument("--verbose", action="store_true")
     serve_verbosity.add_argument("--quiet", action="store_true")
     serve.add_argument("--log-json", metavar="PATH", default=None)
-    work = sub.add_parser(
-        "work",
-        help="run socket worker processes against a 'serve --listen' scheduler",
-    )
-    work.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        required=True,
-        help="scheduler listen address to dial",
-    )
-    work.add_argument(
-        "--workers", type=int, default=1, help="worker processes to run"
-    )
-    work.add_argument(
-        "--name",
-        default=None,
-        help="stable worker-name prefix (default: the hostname)",
-    )
-    work.add_argument(
-        "--stats-cache",
-        metavar="DIR",
-        default=None,
-        help="shared window-statistics cache directory (sets"
-        " REPRO_STATS_CACHE for the workers)",
-    )
-    work.add_argument(
-        "--max-reconnects",
-        type=int,
-        default=8,
-        help="reconnect attempts (exponential backoff) before giving up",
-    )
-    work_verbosity = work.add_mutually_exclusive_group()
-    work_verbosity.add_argument("--verbose", action="store_true")
-    work_verbosity.add_argument("--quiet", action="store_true")
-    work.add_argument("--log-json", metavar="PATH", default=None)
     return parser
 
 
@@ -407,17 +324,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         return _report(args)
 
-    if args.command == "trace":
-        return _trace(args)
-
     if args.command == "submit":
         return _submit(args)
 
     if args.command == "serve":
         return _serve(args)
-
-    if args.command == "work":
-        return _work(args)
 
     targets = (
         [e.experiment_id for e in list_experiments()]
@@ -447,7 +358,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # inherit it, and get_simulator() picks it up lazily.
         os.environ[STATS_CACHE_ENV] = args.stats_cache
     manifest = _configure_telemetry(args, targets)
-    endpoint = _maybe_serve_metrics(args)
     journal = CheckpointJournal(args.journal) if args.journal else None
     if journal is not None and not args.resume:
         journal.reset()
@@ -462,17 +372,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     pending = [eid for eid in targets if eid not in completed]
 
     failures = []
-    try:
-        for experiment_id, result, error, elapsed in _run_pending(pending, args):
-            ok = _emit_result(
-                args, experiment_id, result, error, elapsed, journal,
-                multi=len(targets) > 1,
-            )
-            if not ok:
-                failures.append(experiment_id)
-    finally:
-        if endpoint is not None:
-            endpoint.close()
+    for experiment_id, result, error, elapsed in _run_pending(pending, args):
+        ok = _emit_result(
+            args, experiment_id, result, error, elapsed, journal,
+            multi=len(targets) > 1,
+        )
+        if not ok:
+            failures.append(experiment_id)
     if manifest is not None:
         written = obs_runtime.write_telemetry(manifest=manifest)
         log.info(
@@ -518,59 +424,6 @@ def _configure_telemetry(args, targets: List[str]) -> Optional[RunManifest]:
             "stats_cache": args.stats_cache,
         },
     )
-
-
-def _maybe_serve_metrics(args):
-    """Start a live /metrics endpoint for this run, when asked to.
-
-    Plain ``run`` mode has no scheduler to publish rich status, so the
-    endpoint serves the process's metrics snapshot plus a minimal status
-    document; the caller closes it when the run finishes.
-    """
-    port = getattr(args, "serve_metrics", None)
-    if not port:
-        return None
-    from repro.obs.live import LiveEndpoint
-
-    endpoint = LiveEndpoint(
-        f"127.0.0.1:{port}",
-        status_provider=lambda: {
-            "command": "run",
-            "pid": os.getpid(),
-            "telemetry_enabled": METRICS.enabled,
-        },
-    )
-    endpoint.start()
-    log.info(
-        "obs.endpoint_started",
-        message=f"[live endpoint serving http://{endpoint.address}/metrics]",
-        address=endpoint.address,
-    )
-    return endpoint
-
-
-def _trace(args) -> int:
-    """Render the distributed trace trees a telemetry dir holds."""
-    from repro.obs.assemble import assemble_traces, render_trace
-
-    try:
-        trees = assemble_traces(args.telemetry)
-    except OSError as error:
-        log.error("trace.failed", message=str(error))
-        return 2
-    if args.trace_id:
-        trees = [tree for tree in trees if tree.trace_id == args.trace_id]
-        if not trees:
-            print(f"no trace {args.trace_id} in {args.telemetry}", file=sys.stderr)
-            return 1
-    if not trees:
-        print(f"no trace-context spans found in {args.telemetry}")
-        return 0
-    for index, tree in enumerate(trees):
-        if index:
-            print()
-        print(render_trace(tree))
-    return 0
 
 
 def _load_spec(path) -> Tuple[dict, "object"]:
@@ -624,6 +477,15 @@ def _serve(args) -> int:
     from repro.errors import ServiceSaturated, ServiceStopped
     from repro.service import ChaosSpec, ServiceConfig, run_service
 
+    try:
+        config = ServiceConfig(
+            workers=args.workers,
+            lease_timeout_s=args.lease_timeout,
+            stats_cache_dir=args.stats_cache,
+        )
+    except ValueError as error:
+        log.error("args.invalid", message=f"[bad service config: {error}]")
+        return 2
     spec_paths = [Path(p) for p in args.specs]
     if args.spool:
         spec_paths.extend(sorted(Path(args.spool).glob("*.json")))
@@ -654,16 +516,6 @@ def _serve(args) -> int:
         duplicate_frac=0.1,
         reorder_every=5,
     ) if args.chaos_seed is not None else None
-    config = ServiceConfig(
-        workers=args.workers,
-        lease_timeout_s=args.lease_timeout,
-        stats_cache_dir=args.stats_cache,
-        listen=args.listen,
-        local_fallback_deadline_s=args.fallback_deadline,
-        status_listen=(
-            f"127.0.0.1:{args.serve_metrics}" if args.serve_metrics else None
-        ),
-    )
     started = time.perf_counter()
     try:
         results = run_service(
@@ -737,71 +589,8 @@ def _configure_serve_telemetry(
             "journal": args.journal,
             "chaos_seed": args.chaos_seed,
             "stats_cache": args.stats_cache,
-            "listen": args.listen,
         },
     )
-
-
-def _work(args) -> int:
-    """Run socket worker processes against a listening scheduler."""
-    import socket as socket_mod
-
-    from repro.service import run_net_worker, spawn_net_workers
-    from repro.service.transport import parse_address
-
-    try:
-        parse_address(args.connect)
-    except ValueError as error:
-        log.error("work.invalid_address", message=f"[{error}]")
-        return 2
-    if args.workers < 1:
-        log.error("work.invalid_workers", message="[--workers must be >= 1]")
-        return 2
-    verbosity = VERBOSE if args.verbose else (QUIET if args.quiet else None)
-    obs_runtime.configure(
-        enabled=obs_runtime.enabled(),
-        verbosity=verbosity,
-        log_json=args.log_json,
-    )
-    if args.stats_cache:
-        os.environ[STATS_CACHE_ENV] = args.stats_cache
-    prefix = args.name or socket_mod.gethostname().split(".")[0]
-    log.info(
-        "work.starting",
-        message=f"[dialing {args.connect} with {args.workers} worker(s)"
-        f" as '{prefix}*']",
-        connect=args.connect,
-        workers=args.workers,
-    )
-    if args.workers == 1:
-        # Single worker runs in-process: simpler signals, visible logs.
-        cells = run_net_worker(
-            args.connect,
-            name=f"{prefix}0",
-            stats_cache_dir=args.stats_cache,
-            max_reconnects=args.max_reconnects,
-        )
-        log.info(
-            "work.done",
-            message=f"[{prefix}0 exited after {cells} cell(s)]",
-            cells=cells,
-        )
-        return 0
-    processes = spawn_net_workers(
-        args.connect,
-        args.workers,
-        name_prefix=prefix,
-        stats_cache_dir=args.stats_cache,
-        obs_config=obs_runtime.export_config(),
-        max_reconnects=args.max_reconnects,
-    )
-    exit_code = 0
-    for process in processes:
-        process.join()
-        if process.exitcode not in (0, None):
-            exit_code = 1
-    log.info("work.done", message=f"[{len(processes)} worker(s) exited]")
-    return exit_code
 
 
 def _report(args) -> int:

@@ -17,23 +17,10 @@ Everything is disabled by default and costs one boolean check per
 instrumented call site; see docs/OBSERVABILITY.md for the metric
 catalog, span hierarchy, and artifact formats.
 
-Beyond the post-run artifacts, the layer offers a live plane:
-:class:`LiveEndpoint` serves ``/metrics``, ``/healthz`` and ``/status``
-over HTTP while a run is in flight; :func:`assemble_traces` /
-:func:`render_trace` rebuild the distributed span trees every process
-of a run contributed to; and :data:`PROFILER` samples collapsed stacks
-around the hot kernels when ``REPRO_PROFILE`` is set.
+Beyond the post-run artifacts, :data:`PROFILER` samples collapsed
+stacks around the hot kernels when ``REPRO_PROFILE`` is set.
 """
 
-from repro.obs.assemble import (
-    SpanNode,
-    TraceTree,
-    assemble_traces,
-    load_span_events,
-    render_trace,
-    validate_traces,
-)
-from repro.obs.live import PROMETHEUS_CONTENT_TYPE, LiveEndpoint
 from repro.obs.logs import NORMAL, QUIET, VERBOSE, StructuredLogger
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, RunManifest, git_sha
 from repro.obs.metrics import (
@@ -82,31 +69,26 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "Histogram",
     "LOGS",
-    "LiveEndpoint",
     "MANIFEST_SCHEMA_VERSION",
     "MAX_SERIES_PER_METRIC",
     "METRICS",
     "MetricsRegistry",
     "NORMAL",
     "PROFILER",
-    "PROMETHEUS_CONTENT_TYPE",
     "QUIET",
     "REQUIRED_CAMPAIGN_METRICS",
     "RUN_ID_ENV",
     "RunManifest",
     "SEMANTIC_PREFIXES",
     "SamplingProfiler",
-    "SpanNode",
     "SpanRecord",
     "StructuredLogger",
     "TELEMETRY_DIR_ENV",
     "TELEMETRY_ENV",
     "TRACER",
-    "TraceTree",
     "Tracer",
     "VERBOSE",
     "apply_config",
-    "assemble_traces",
     "configure",
     "diff_snapshots",
     "enabled",
@@ -115,10 +97,8 @@ __all__ = [
     "get_logger",
     "git_sha",
     "heartbeat",
-    "load_span_events",
     "parse_series_key",
     "profiling_enabled",
-    "render_trace",
     "reset",
     "run_id",
     "series_key",
@@ -131,5 +111,4 @@ __all__ = [
     "validate_manifest",
     "validate_snapshot",
     "validate_telemetry_dir",
-    "validate_traces",
 ]

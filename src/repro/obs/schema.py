@@ -77,13 +77,6 @@ METRICS: Dict[str, dict] = {
     "service.worker_restarts": {"kind": "counter", "labels": set()},
     "service.workers": {"kind": "gauge", "labels": set()},
     "service.queue_depth": {"kind": "gauge", "labels": set()},
-    # -- socket transport (operational; distributed mode only) ---------
-    "service.transport.connects": {"kind": "counter", "labels": {"role"}},
-    "service.transport.reconnects": {"kind": "counter", "labels": set()},
-    "service.transport.frame_errors": {"kind": "counter", "labels": {"kind"}},
-    "service.transport.fallback": {"kind": "counter", "labels": set()},
-    "service.transport.slow_workers": {"kind": "counter", "labels": set()},
-    "service.transport.heartbeat_lag_s": {"kind": "gauge", "labels": {"worker"}},
     # -- chaos harness (operational, test/CI only) ---------------------
     "chaos.injections": {"kind": "counter", "labels": {"action"}},
     # -- playbook compiler / sweep fuzzer (operational) ----------------
@@ -92,8 +85,6 @@ METRICS: Dict[str, dict] = {
     "fuzz.probes": {"kind": "counter", "labels": set()},
     # -- experiment runner (operational) -------------------------------
     "runner.experiments": {"kind": "counter", "labels": {"status"}},
-    # -- live observability endpoint (operational) ---------------------
-    "obs.http_requests": {"kind": "counter", "labels": {"path"}},
     # -- tracer aggregates (operational) -------------------------------
     "span.count": {"kind": "counter", "labels": {"span", "status"}},
     "span.seconds": {"kind": "histogram", "labels": {"span"}},
@@ -127,7 +118,6 @@ SPAN_NAMES = {
     "sim.mitigation",
     "trace.gen",
     "service.submit",
-    "service.worker_session",
     "fuzz.sweep",
     "fuzz.bisect",
 }
@@ -259,17 +249,12 @@ def validate_telemetry_dir(
     directory: Union[str, Path],
     *,
     required: Optional[Iterable[str]] = REQUIRED_CAMPAIGN_METRICS,
-    traces: bool = False,
 ) -> List[str]:
     """Validate a whole telemetry directory; returns error strings.
 
     Expects ``manifest.json`` and ``metrics.jsonl`` plus zero or more
     ``events-*.jsonl`` files (one per (run, process) that emitted
-    events).  With ``traces=True`` the assembled trace trees are also
-    checked for completeness (every non-root span's parent exists;
-    exactly one root per trace) -- only sound for runs whose processes
-    all exited cleanly, since a chaos-killed worker legitimately leaves
-    half-open spans behind.
+    events).
     """
     from repro.obs.metrics import snapshot_from_jsonl
 
@@ -299,10 +284,6 @@ def validate_telemetry_dir(
                 events_path.read_text().splitlines(), source=events_path.name
             )
         )
-    if traces:
-        from repro.obs.assemble import validate_traces
-
-        errors.extend(validate_traces(directory))
     return errors
 
 

@@ -16,24 +16,22 @@ Each finished span is recorded three ways:
 * a bounded in-memory ring (:attr:`Tracer.finished`) keeps the most
   recent records for tests and ad-hoc inspection.
 
-**Distributed trace context.**  Every live span carries a
+**Trace context.**  Every live span carries a
 ``(trace_id, span_id, parent_span_id)`` triple.  The first span opened
 on a thread with no active context mints a fresh ``trace_id`` and
 becomes the root of a trace; nested spans inherit the trace and parent
-off the thread's stack.  The context crosses process (and host)
-boundaries as a compact token -- :meth:`Tracer.current_context` yields
+off the thread's stack.  The context crosses process boundaries as a
+compact token -- :meth:`Tracer.current_context` yields
 ``"<trace_id>:<span_id>"``, and :meth:`Tracer.attach` installs such a
 token as the parent of whatever spans a worker opens next -- so a cell
-computed by a socket worker on another machine still hangs off the
-scheduler's ``service.submit`` span in the assembled tree
-(:mod:`repro.obs.assemble`).
+computed by a Pipe or pool worker still names the scheduler's
+``service.submit`` span as its parent.
 
 Durations come from ``time.perf_counter()`` -- monotonic, so an NTP
 step during a run can never produce a negative span.  Span events also
 carry ``ts_mono`` (the emitting process's monotonic clock) alongside
-the wall-clock ``ts``: within one process the assembler orders siblings
-by the monotonic clock, so a wall-clock (NTP) adjustment mid-run cannot
-reorder the tree.  With telemetry disabled, :meth:`Tracer.span` returns
+the wall-clock ``ts``, so events of one process can be ordered even
+across a wall-clock (NTP) adjustment mid-run.  With telemetry disabled, :meth:`Tracer.span` returns
 a shared no-op context manager: the hot path pays one boolean check and
 no allocation.
 """

@@ -51,7 +51,7 @@ class CellTask:
     ``trace`` is the submitting side's trace context as a compact
     ``"trace_id:span_id"`` token (:meth:`Tracer.current_context`); a
     worker attaches it before executing, so the cell's spans join the
-    submitter's trace no matter which process -- or host -- runs it.
+    submitter's trace no matter which process runs it.
     Empty when telemetry is off or the submitter held no span.
     """
 

@@ -8,21 +8,14 @@ recovers from lost workers by re-dispatching expired leases, and
 commits each cell's record exactly once to a durable
 :class:`~repro.resilience.journal.CheckpointJournal`.
 
-Workers come in two substrates speaking the same protocol
-(:mod:`repro.service.protocol`): in-process Pipe workers (the default,
-byte-identical to the original pool) and TCP socket workers
-(:mod:`repro.service.net_worker`) framed by
-:mod:`repro.service.transport` -- point the scheduler at a listen
-address (``ServiceConfig.listen``) and run ``repro-run work --connect``
-on any host.
+Workers are local processes speaking the small message protocol of
+:mod:`repro.service.protocol` over ``multiprocessing.Pipe`` pairs.
 
 The chaos harness (:mod:`repro.service.chaos`) injects worker kills,
-heartbeat stalls, duplicated/reordered completions, journal truncation,
-and -- for the socket substrate -- wire faults (dropped, corrupted,
-truncated, delayed, duplicated frames; dropped connections) on a
-seeded, reproducible schedule; the integration tests use it to prove
-the service's results stay identical to a serial :meth:`Campaign.run`
-under failure.
+heartbeat stalls, duplicated/reordered completions and journal
+truncation on a seeded, reproducible schedule; the integration tests
+use it to prove the service's results stay identical to a serial
+:meth:`Campaign.run` under failure.
 """
 
 from repro.service.chaos import (
@@ -31,21 +24,15 @@ from repro.service.chaos import (
     ChaosEngine,
     ChaosSpec,
     CompletionGate,
-    WireDecision,
     planned_faults,
-    planned_wire_faults,
     truncate_journal_tail,
 )
 from repro.service.lease import Lease, LeaseTable, lease_id_for
-from repro.service.net_worker import run_net_worker, spawn_net_workers
 from repro.service.protocol import (
     CellAssignment,
     CompletionMsg,
     GoodbyeMsg,
     HeartbeatMsg,
-    HelloMsg,
-    NackMsg,
-    RegisteredMsg,
     ShutdownMsg,
     cell_digest,
     payload_digest,
@@ -56,7 +43,6 @@ from repro.service.scheduler import (
     SubmissionHandle,
     run_service,
 )
-from repro.service.transport import FramedSocket, connect, listen_socket
 
 __all__ = [
     "KILLED_EXIT_CODE",
@@ -67,27 +53,17 @@ __all__ = [
     "ChaosSpec",
     "CompletionGate",
     "CompletionMsg",
-    "FramedSocket",
     "GoodbyeMsg",
     "HeartbeatMsg",
-    "HelloMsg",
     "Lease",
     "LeaseTable",
-    "NackMsg",
-    "RegisteredMsg",
     "ServiceConfig",
     "ShutdownMsg",
     "SubmissionHandle",
-    "WireDecision",
     "cell_digest",
-    "connect",
     "lease_id_for",
-    "listen_socket",
     "payload_digest",
     "planned_faults",
-    "planned_wire_faults",
-    "run_net_worker",
     "run_service",
-    "spawn_net_workers",
     "truncate_journal_tail",
 ]

@@ -18,15 +18,7 @@ failures, reproducibly:
   out-of-order delivery;
 * **journal truncation** -- :func:`truncate_journal_tail` tears the
   final JSONL record of a checkpoint journal, simulating a crash
-  mid-write on a filesystem without atomic rename;
-* **wire faults** (socket transport only) -- a completion frame can be
-  *dropped* (lost in the network: the worker stays healthy but the
-  scheduler must expire the lease), *corrupted* (one payload byte
-  flipped: the CRC fails, the frame is discarded, and the peer is
-  nacked into resending), *truncated* (a torn write followed by a
-  connection close: a half-open socket), *duplicated*, or *delayed*;
-  independently the whole connection can be *dropped* right after a
-  clean send, forcing the worker through its reconnect/backoff path.
+  mid-write on a filesystem without atomic rename.
 
 Every decision is a pure function of ``(seed, cell key, attempt)`` via
 the same :func:`~repro.utils.prng.derive_key` construction the retry
@@ -74,23 +66,6 @@ class ChaosSpec:
             one delivery (0 disables).
         max_hold_s: Longest the completion gate may hold a message (so
             a held *final* completion still drains).
-        wire_drop_frac: P(the completion frame vanishes in the network);
-            socket transport only.  The fates partition one unit
-            interval in priority order drop > corrupt > truncate, so at
-            most one frame fate fires per cell.
-        wire_corrupt_frac: P(one payload byte of the completion frame is
-            flipped -- the receiver's CRC must catch it).
-        wire_truncate_frac: P(the completion frame is torn mid-write and
-            the connection closed -- a half-open socket).
-        wire_conn_drop_frac: P(the connection is dropped right *after* a
-            clean completion send); drawn independently of the frame
-            fate, exercising worker reconnection without losing data.
-        wire_delay_frac: P(the completion send is delayed by
-            ``wire_delay_s``); independent draw.
-        wire_delay_s: How long a delayed send sleeps.
-        wire_duplicate_frac: P(the completion frame is sent twice);
-            independent draw (distinct from ``duplicate_frac``, which
-            duplicates the in-process message on the Pipe substrate).
     """
 
     seed: int = 2024
@@ -101,13 +76,6 @@ class ChaosSpec:
     duplicate_frac: float = 0.0
     reorder_every: int = 0
     max_hold_s: float = 0.5
-    wire_drop_frac: float = 0.0
-    wire_corrupt_frac: float = 0.0
-    wire_truncate_frac: float = 0.0
-    wire_conn_drop_frac: float = 0.0
-    wire_delay_frac: float = 0.0
-    wire_delay_s: float = 0.0
-    wire_duplicate_frac: float = 0.0
 
     def __post_init__(self) -> None:
         total = self.kill_before_frac + self.kill_after_frac + self.hang_frac
@@ -115,47 +83,17 @@ class ChaosSpec:
             raise ValueError(
                 f"kill/hang fractions must sum to <= 1, got {total:.3f}"
             )
-        wire_total = (
-            self.wire_drop_frac + self.wire_corrupt_frac + self.wire_truncate_frac
-        )
-        if wire_total > 1.0 + 1e-9:
-            raise ValueError(
-                f"wire frame-fate fractions must sum to <= 1, got {wire_total:.3f}"
-            )
         for name in (
             "kill_before_frac",
             "kill_after_frac",
             "hang_frac",
             "duplicate_frac",
-            "wire_drop_frac",
-            "wire_corrupt_frac",
-            "wire_truncate_frac",
-            "wire_conn_drop_frac",
-            "wire_delay_frac",
-            "wire_duplicate_frac",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.reorder_every < 0:
             raise ValueError(f"reorder_every must be >= 0, got {self.reorder_every}")
-        if self.wire_delay_s < 0:
-            raise ValueError(f"wire_delay_s must be >= 0, got {self.wire_delay_s}")
-
-    @property
-    def has_wire_faults(self) -> bool:
-        """Does this schedule ever touch the socket transport?"""
-        return any(
-            getattr(self, name) > 0
-            for name in (
-                "wire_drop_frac",
-                "wire_corrupt_frac",
-                "wire_truncate_frac",
-                "wire_conn_drop_frac",
-                "wire_delay_frac",
-                "wire_duplicate_frac",
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -172,39 +110,6 @@ class ChaosDecision:
 
 
 _NO_CHAOS = ChaosDecision()
-
-
-@dataclass(frozen=True)
-class WireDecision:
-    """What the wire-fault layer does to one cell's completion frame."""
-
-    fate: str = "none"  # "none" | "drop" | "corrupt" | "truncate"
-    conn_drop: bool = False  #: Close the connection after a clean send.
-    delay_s: float = 0.0
-    duplicate: bool = False
-
-    @property
-    def benign(self) -> bool:
-        return (
-            self.fate == "none"
-            and not self.conn_drop
-            and not self.duplicate
-            and self.delay_s == 0.0
-        )
-
-    @property
-    def drops_connection(self) -> bool:
-        """Does this decision sever the TCP connection?
-
-        ``truncate`` tears the frame *and* closes the socket (a torn
-        write is only observable as one); ``conn_drop`` closes it after
-        a clean send.  Tests count these to assert a seed exercises
-        reconnection.
-        """
-        return self.fate == "truncate" or self.conn_drop
-
-
-_NO_WIRE_CHAOS = WireDecision()
 
 
 def _unit(seed: int, label: str) -> float:
@@ -241,44 +146,6 @@ class ChaosEngine:
             duplicate=duplicate,
         )
 
-    def decide_wire(self, key: str, attempt: int) -> WireDecision:
-        """The deterministic wire-fault plan for one completion send.
-
-        Like :meth:`decide`, fires only on a cell's **first** attempt:
-        re-dispatched attempts ship clean frames, so every wire-chaos
-        schedule converges.  The draws use distinct labels from the
-        process-fault draws, so wire and process chaos decorrelate.
-        """
-        if attempt != 1:
-            return _NO_WIRE_CHAOS
-        spec = self.spec
-        if not spec.has_wire_faults:
-            return _NO_WIRE_CHAOS
-        u = _unit(spec.seed, f"{key}#wire-fate")
-        if u < spec.wire_drop_frac:
-            fate = "drop"
-        elif u < spec.wire_drop_frac + spec.wire_corrupt_frac:
-            fate = "corrupt"
-        elif u < spec.wire_drop_frac + spec.wire_corrupt_frac + spec.wire_truncate_frac:
-            fate = "truncate"
-        else:
-            fate = "none"
-        conn_drop = (
-            fate in ("none", "drop")  # truncate already closes the socket
-            and _unit(spec.seed, f"{key}#wire-conn") < spec.wire_conn_drop_frac
-        )
-        delay = (
-            spec.wire_delay_s
-            if _unit(spec.seed, f"{key}#wire-delay") < spec.wire_delay_frac
-            else 0.0
-        )
-        duplicate = _unit(spec.seed, f"{key}#wire-dup") < spec.wire_duplicate_frac
-        if fate == "none" and not conn_drop and not duplicate and delay == 0.0:
-            return _NO_WIRE_CHAOS
-        return WireDecision(
-            fate=fate, conn_drop=conn_drop, delay_s=delay, duplicate=duplicate
-        )
-
     def kill_now(self, action: str) -> None:  # pragma: no cover - exits
         """Terminate this worker process immediately (no cleanup)."""
         METRICS.inc("chaos.injections", action=action)
@@ -297,24 +164,6 @@ def planned_faults(
     plan = []
     for key in keys:
         decision = engine.decide(key, 1)
-        if not decision.benign:
-            plan.append((key, decision))
-    return plan
-
-
-def planned_wire_faults(
-    spec: ChaosSpec, keys: Iterable[str]
-) -> List[Tuple[str, WireDecision]]:
-    """Precompute the first-attempt wire-fault schedule for some cells.
-
-    The distributed smoke uses this to assert its seed produces the
-    scenario the acceptance contract names (>= 2 connection drops, at
-    least one corrupt frame) before spending simulation time.
-    """
-    engine = ChaosEngine(spec)
-    plan = []
-    for key in keys:
-        decision = engine.decide_wire(key, 1)
         if not decision.benign:
             plan.append((key, decision))
     return plan
@@ -412,8 +261,6 @@ __all__ = [
     "ChaosEngine",
     "ChaosSpec",
     "CompletionGate",
-    "WireDecision",
     "planned_faults",
-    "planned_wire_faults",
     "truncate_journal_tail",
 ]

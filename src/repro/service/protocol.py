@@ -6,27 +6,17 @@ the small, picklable dataclasses below, sent over one-directional
 per worker, so a worker dying mid-write can tear at most its *own*
 channel, never a shared queue).
 
-Scheduler -> worker: :class:`CellAssignment` (a leased cell),
-:class:`ShutdownMsg` (graceful drain), :class:`RegisteredMsg`
-(registration acknowledgement for socket workers), and :class:`NackMsg`
-(a frame from the worker failed integrity checks; please resend).
-Worker -> scheduler: :class:`HelloMsg` (socket-worker registration),
+Scheduler -> worker: :class:`CellAssignment` (a leased cell) and
+:class:`ShutdownMsg` (graceful drain).  Worker -> scheduler:
 :class:`HeartbeatMsg` (lease renewal), :class:`CompletionMsg` (a
 finished cell, carrying the lease identity that produced it so the
 scheduler can fence stale and duplicate deliveries), and
 :class:`GoodbyeMsg` (clean exit acknowledgement).
 
-The same message set crosses both substrates: local workers ship the
-dataclasses over ``multiprocessing.Pipe`` (pickle), remote workers ship
-them as length-prefixed checksummed JSON frames over TCP
-(:mod:`repro.service.transport`).
-
-Distributed trace context crosses with them: every
-:class:`CellAssignment` carries the submitting span's
-``"trace_id:span_id"`` token inside its :class:`CellTask` (the
-``trace`` field), so the worker-side cell spans parent under the
-scheduler's ``service.submit`` span regardless of substrate -- pickle
-and JSON framing both round-trip the token untouched.
+Trace context crosses with them: every :class:`CellAssignment` carries
+the submitting span's ``"trace_id:span_id"`` token inside its
+:class:`CellTask` (the ``trace`` field), so the worker-side cell spans
+parent under the scheduler's ``service.submit`` span.
 
 Cells are identified by a *content digest* (:func:`cell_digest`): the
 same construction as the content-keyed stats cache
@@ -103,68 +93,20 @@ class ShutdownMsg:
     """Graceful stop: finish nothing new, acknowledge with a goodbye."""
 
 
-@dataclass(frozen=True)
-class RegisteredMsg:
-    """Registration acknowledgement for a socket worker.
-
-    Carries the scheduler-assigned ``worker_id`` (unique per
-    *connection*: a reconnecting worker gets a fresh identity) and the
-    heartbeat cadence the scheduler expects.
-    """
-
-    worker_id: str
-    heartbeat_interval_s: float
-
-
-@dataclass(frozen=True)
-class NackMsg:
-    """One of the worker's frames was discarded (checksum/decode failure).
-
-    ``lease_id`` names the lease the scheduler currently attributes to
-    the worker (empty when unknown).  A worker holding an unacknowledged
-    completion resends it -- cheap fast-path recovery that spares the
-    cell a full lease-expiry round trip.
-    """
-
-    reason: str
-    lease_id: str = ""
-
 
 # ---------------------------------------------------------------------------
 # Worker -> scheduler
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class HelloMsg:
-    """First frame of a socket worker's session: who is connecting.
-
-    ``name`` is the worker's *stable* self-chosen identity (it survives
-    reconnects and lands in logs/manifests); the scheduler's reply
-    (:class:`RegisteredMsg`) assigns the per-connection ``worker_id``
-    used by the lease table.
-    """
-
-    name: str
-    pid: int = 0
-    reconnects: int = 0  #: How many times this worker has reconnected.
-
-
-@dataclass(frozen=True)
 class HeartbeatMsg:
     """Periodic liveness proof for the lease a worker currently holds.
 
-    ``sent_at`` is wall-clock (human-readable in logs); ``sent_monotonic``
-    is the sender's monotonic clock, which the scheduler uses to compute
-    heartbeat latency *drift* (receive-interval minus send-interval)
-    without cross-clock skew -- the two clocks never need a common
-    epoch, only a common rate.  An **idle ping** is a heartbeat with an
-    empty ``lease_id``: socket workers send it between cells so the
-    scheduler can tell an idle worker from a half-open connection.
+    ``sent_at`` is wall-clock, for humans reading logs.
     """
 
     worker_id: str
     lease_id: str
     sent_at: float
-    sent_monotonic: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -195,9 +137,6 @@ __all__ = [
     "CompletionMsg",
     "GoodbyeMsg",
     "HeartbeatMsg",
-    "HelloMsg",
-    "NackMsg",
-    "RegisteredMsg",
     "ShutdownMsg",
     "cell_digest",
     "payload_digest",

@@ -32,20 +32,6 @@ The scheduler itself is a single asyncio task -- all state mutation
 happens on the event loop, so there are no locks around the lease table
 or cell map.  A reader thread multiplexes every worker's result pipe
 into the loop's inbox via ``call_soon_threadsafe``.
-
-**Distributed mode** (``ServiceConfig.listen``): the scheduler also
-accepts TCP socket workers (:mod:`repro.service.net_worker`) speaking
-the framed transport (:mod:`repro.service.transport`).  Socket workers
-register with a Hello/Registered handshake, heartbeat over their
-connection (idle pings included, so a silent link is distinguishable
-from an idle worker), and stream completions back.  The *same* lease
-table, requeue path, and exactly-once commit logic cover both
-substrates: a dropped connection expires leases exactly like a dead
-process; a checksum-failed frame is discarded, nacked, and counted,
-never fatal.  If no socket worker shows up within
-``local_fallback_deadline_s`` while work is pending, the scheduler
-degrades gracefully by spawning its usual local Pipe workers -- a
-campaign always completes.
 """
 
 from __future__ import annotations
@@ -63,16 +49,12 @@ from pathlib import Path
 from typing import Deque, Dict, List, Optional, Union
 
 from repro.errors import (
-    FrameError,
     ServiceSaturated,
     ServiceStopped,
-    TransportError,
     WorkerLostError,
     error_record,
 )
-from repro.obs.live import LiveEndpoint
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import series_key
 from repro.obs.runtime import METRICS, TRACER, export_config, get_logger
 from repro.parallel.cache import STATS_CACHE_ENV
 from repro.parallel.executor import CellTask
@@ -85,14 +67,10 @@ from repro.service.protocol import (
     CompletionMsg,
     GoodbyeMsg,
     HeartbeatMsg,
-    HelloMsg,
-    NackMsg,
-    RegisteredMsg,
     ShutdownMsg,
     cell_digest,
     payload_digest,
 )
-from repro.service.transport import FramedSocket, listen_socket
 from repro.service.worker import service_worker_main
 
 log = get_logger("service")
@@ -106,8 +84,9 @@ class ServiceConfig:
         workers: Worker-process pool size.
         lease_timeout_s: Heartbeat deadline; a lease silent this long is
             expired and its cell re-dispatched.
-        heartbeat_interval_s: How often workers renew their lease (keep
-            well under ``lease_timeout_s``).
+        heartbeat_interval_s: How often workers renew their lease; must
+            be below ``lease_timeout_s``, or a healthy worker's lease
+            expires between two beats.
         tick_s: Scheduler housekeeping cadence (expiry scan, dispatch).
         max_pending_cells: Admission-control ceiling on not-yet-committed
             cells across all submissions.
@@ -120,31 +99,6 @@ class ServiceConfig:
             None uses the platform default.
         stats_cache_dir: Shared content-keyed stats-cache directory for
             workers; defaults to ``REPRO_STATS_CACHE`` when set.
-        listen: ``"host:port"`` to accept TCP socket workers on (port 0
-            binds an ephemeral port; see
-            :attr:`CampaignService.listen_address`).  ``None`` (the
-            default) keeps the classic in-process Pipe pool.  In listen
-            mode no local workers are spawned up front -- ``workers``
-            becomes the size of the degraded-mode local pool.
-        local_fallback_deadline_s: Listen mode only -- if work is
-            pending and *no* worker is alive this long, the scheduler
-            spawns ``workers`` local Pipe workers so the campaign still
-            completes (degraded mode, counted by
-            ``service.transport.fallback``).
-        frame_timeout_s: Per-frame progress deadline on worker sockets;
-            a connection stalled mid-frame this long is declared lost.
-        slow_worker_lag_s: A socket worker whose heartbeat-interval
-            drift exceeds this is flagged slow (gauge
-            ``service.transport.heartbeat_lag_s``, counter
-            ``service.transport.slow_workers``); detection only -- the
-            lease timeout remains the action threshold.
-        status_listen: ``"host:port"`` for the embedded live
-            observability endpoint (:mod:`repro.obs.live`): ``/metrics``
-            (Prometheus snapshot), ``/healthz`` (liveness + degraded
-            flag; 503 once degraded), ``/status`` (per-worker heartbeat
-            lag, leases in flight, cache hit rate, cell progress).
-            Read-only; ``None`` (default) starts nothing and costs
-            nothing.
     """
 
     workers: int = 2
@@ -156,23 +110,19 @@ class ServiceConfig:
     retry: RetryPolicy = RetryPolicy(backoff_base_s=0.02)
     mp_context: Optional[str] = None
     stats_cache_dir: Optional[str] = None
-    listen: Optional[str] = None
-    local_fallback_deadline_s: float = 5.0
-    frame_timeout_s: float = 10.0
-    slow_worker_lag_s: float = 0.25
-    status_listen: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.lease_timeout_s <= 0 or self.heartbeat_interval_s <= 0:
             raise ValueError("lease timeout and heartbeat interval must be positive")
+        if self.heartbeat_interval_s >= self.lease_timeout_s:
+            raise ValueError(
+                f"heartbeat interval ({self.heartbeat_interval_s}s) must be"
+                f" below the lease timeout ({self.lease_timeout_s}s)"
+            )
         if self.max_pending_cells < 1:
             raise ValueError("max_pending_cells must be >= 1")
-        if self.local_fallback_deadline_s < 0:
-            raise ValueError("local_fallback_deadline_s must be >= 0")
-        if self.frame_timeout_s <= 0:
-            raise ValueError("frame_timeout_s must be positive")
 
 
 @dataclass
@@ -195,31 +145,14 @@ class _CellState:
 
 @dataclass
 class _Worker:
-    """Scheduler-side handle on one worker (local process or socket).
-
-    ``kind == "local"`` workers own a child process and a Pipe pair;
-    ``kind == "net"`` workers own a :class:`FramedSocket` (``conn``) and
-    the heartbeat-drift fields the slow-host detector feeds on:
-    intervals measured on the *sender's* monotonic clock
-    (``last_beat_monotonic``) are compared against intervals on the
-    scheduler's clock (``last_beat_received``), so lag needs no common
-    epoch between hosts.
-    """
+    """Scheduler-side handle on one worker process and its Pipe pair."""
 
     worker_id: str
-    process: Optional[multiprocessing.Process] = None
-    task_conn: Optional[mp_connection.Connection] = None
-    result_conn: Optional[mp_connection.Connection] = None
-    kind: str = "local"  # "local" | "net"
-    conn: Optional[FramedSocket] = None
-    name: str = ""  #: Stable self-chosen identity of a socket worker.
+    process: multiprocessing.Process
+    task_conn: mp_connection.Connection
+    result_conn: mp_connection.Connection
     state: str = "idle"  # "idle" | "busy" | "suspect" | "dead"
     current_lease: Optional[str] = None
-    started_at: float = 0.0
-    last_beat_monotonic: float = 0.0
-    last_beat_received: float = 0.0
-    lag_s: float = 0.0
-    slow: bool = False
 
 
 class SubmissionHandle:
@@ -311,17 +244,6 @@ class CampaignService:
         self._reader_stop = threading.Event()
         self._reader: Optional[threading.Thread] = None
         self._conn_lock = threading.Lock()
-        # -- distributed mode ------------------------------------------
-        self._listener = None  #: Listening socket (listen mode only).
-        #: Actual ``host:port`` bound (resolves a ``:0`` ephemeral port).
-        self.listen_address: Optional[str] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._net_threads: List[threading.Thread] = []
-        self._conn_seq = itertools.count()
-        self._net_seq = itertools.count()
-        self._conn_workers: Dict[int, str] = {}  # conn token -> worker_id
-        self._fallback_deadline: Optional[float] = None
-        self._fallback_done = False
         self._committed_log: Dict[str, dict] = {}
         if self.journal is not None:
             self._committed_log = dict(self.journal.completed())
@@ -333,14 +255,6 @@ class CampaignService:
         self._stats_cache_dir = self.config.stats_cache_dir or os.environ.get(
             STATS_CACHE_ENV
         ) or None
-        # -- live observability endpoint -------------------------------
-        self._endpoint: Optional[LiveEndpoint] = None
-        #: Actual ``host:port`` of the /metrics endpoint once started.
-        self.status_address: Optional[str] = None
-        # Published by the scheduler loop via whole-dict replacement;
-        # HTTP handler threads only ever read the reference, so they
-        # never observe a half-built snapshot and need no lock.
-        self._status_snapshot: dict = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -352,43 +266,16 @@ class CampaignService:
         self._started = True
         self._loop = asyncio.get_running_loop()
         self._inbox = asyncio.Queue()
-        if self.config.listen is not None:
-            self._listener = listen_socket(self.config.listen)
-            host, port = self._listener.getsockname()[:2]
-            self.listen_address = f"{host}:{port}"
-            self._fallback_deadline = (
-                self._clock() + self.config.local_fallback_deadline_s
-            )
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True
-            )
-            self._accept_thread.start()
-        else:
-            for _ in range(self.config.workers):
-                self._spawn_worker()
+        for _ in range(self.config.workers):
+            self._spawn_worker()
         self._reader = threading.Thread(target=self._read_results, daemon=True)
         self._reader.start()
-        if self.config.status_listen is not None:
-            self._endpoint = LiveEndpoint(
-                self.config.status_listen,
-                status_provider=lambda: self._status_snapshot,
-                health_provider=self._health_payload,
-            )
-            self._endpoint.start()
-            self.status_address = self._endpoint.address
-            self._publish_status()
         self._loop_task = asyncio.create_task(self._run())
-        topology = (
-            f"listening on {self.listen_address}"
-            if self.listen_address
-            else f"{self.config.workers} workers"
-        )
         log.info(
             "service.started",
-            message=f"[service up: {topology},"
+            message=f"[service up: {self.config.workers} workers,"
             f" lease timeout {self.config.lease_timeout_s}s]",
             workers=self.config.workers,
-            listen=self.listen_address,
         )
         return self
 
@@ -440,49 +327,22 @@ class CampaignService:
         if self._reader is not None:
             self._reader.join(timeout=2.0)
             self._reader = None
-        if self._listener is not None:
-            try:
-                self._listener.close()  # unblocks the accept thread
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-            self._accept_thread = None
         for worker in self._workers.values():
             if worker.state == "dead":
                 continue
             if graceful:
                 try:
-                    if worker.kind == "net":
-                        worker.conn.send(ShutdownMsg())
-                    else:
-                        worker.task_conn.send(ShutdownMsg())
+                    worker.task_conn.send(ShutdownMsg())
                 except (OSError, ValueError):
                     pass
-        if graceful:
-            # Let socket workers *read* the shutdown before we close their
-            # connections: closing with inbound bytes queued (heartbeats)
-            # RSTs the socket, which can destroy the queued ShutdownMsg.
-            # Each worker answers with a goodbye and closes its side; its
-            # reader thread exits on that EOF, so joining the readers is
-            # exactly "every worker has acknowledged or gone silent".
-            for thread in self._net_threads:
-                thread.join(timeout=2.0)
         for worker in self._workers.values():
             if worker.state == "dead":
                 continue
-            if worker.process is not None:
-                worker.process.join(timeout=2.0 if graceful else 0.2)
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(timeout=2.0)
+            worker.process.join(timeout=2.0 if graceful else 0.2)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=2.0)
             self._close_worker(worker)
-        for thread in self._net_threads:
-            thread.join(timeout=1.0)
-        self._net_threads = []
-        if self._endpoint is not None:
-            self._endpoint.close()
-            self._endpoint = None
         if METRICS.enabled:
             METRICS.set_gauge("service.workers", 0)
 
@@ -511,8 +371,8 @@ class CampaignService:
         with TRACER.span("service.submit", cells=campaign.size(), tenant=tenant):
             # Every cell this submission creates ships the submit span's
             # context; worker-side campaign.cell spans then parent under
-            # it, whether the cell runs over a Pipe or a socket.  A cell
-            # deduped across tenants keeps its *first* submitter's trace.
+            # it.  A cell deduped across tenants keeps its *first*
+            # submitter's trace.
             trace_ctx = TRACER.current_context() or ""
             plan = []  # (digest, key, coords) in deterministic cell order
             new_digests = set()
@@ -602,10 +462,8 @@ class CampaignService:
                 if self._gate is not None:
                     for held in self._gate.flush_due():
                         self._on_completion(*held)
-                self._maybe_fallback()
                 self._check_starvation()
                 self._dispatch()
-                self._publish_status()
         except Exception as error:
             # A scheduler bug (or a failed journal write) must not leave
             # submitters awaiting handles forever: fail them loudly.
@@ -623,30 +481,13 @@ class CampaignService:
             raise
 
     def _handle_item(self, item) -> None:
-        kind, source, message = item
-        if kind == "hello":
-            conn, hello = message
-            self._register_net_worker(source, conn, hello)
-            return
-        if kind in ("net-msg", "net-frame-error", "net-closed"):
-            worker_id = self._conn_workers.get(source)
-            if kind == "net-closed":
-                self._conn_workers.pop(source, None)
-                if worker_id is not None:
-                    self._worker_lost(worker_id, "connection-lost")
-                return
-            if worker_id is None:
-                return  # connection died before registration completed
-            if kind == "net-frame-error":
-                self._on_frame_error(worker_id, message)
-                return
-        else:
-            worker_id = source
+        kind, worker_id, message = item
         if kind == "closed":
             self._worker_lost(worker_id, "channel-closed")
             return
         if isinstance(message, HeartbeatMsg):
-            self._on_heartbeat(worker_id, message)
+            if self._leases.renew(message.lease_id):
+                METRICS.inc("service.heartbeats")
             return
         if isinstance(message, CompletionMsg):
             if self._gate is not None:
@@ -659,100 +500,6 @@ class CampaignService:
             worker = self._workers.get(worker_id)
             if worker is not None and worker.state != "dead":
                 worker.state = "dead"
-            return
-        if isinstance(message, NackMsg):
-            # The worker discarded one of *our* frames (a torn or
-            # corrupted assignment).  The lease covering it will expire
-            # and re-dispatch; nothing to resend statelessly.
-            METRICS.inc("service.transport.frame_errors", kind="peer-nack")
-            log.warning(
-                "service.peer_nack",
-                message=f"[{worker_id} discarded a frame of ours:"
-                f" {message.reason}]",
-                worker=worker_id,
-                reason=message.reason,
-            )
-            return
-
-    # -- heartbeats ----------------------------------------------------
-    def _on_heartbeat(self, worker_id: str, beat: HeartbeatMsg) -> None:
-        worker = self._workers.get(worker_id)
-        if worker is not None and worker.kind == "net":
-            self._track_heartbeat(worker, beat)
-        if beat.lease_id:
-            if self._leases.renew(beat.lease_id):
-                METRICS.inc("service.heartbeats")
-            return
-        # Idle ping (socket workers only): the worker is alive and holds
-        # no lease.  If we still attribute a lease to it that is no
-        # longer active -- e.g. its completion frame was lost and the
-        # lease has since expired -- the worker may rejoin the idle pool.
-        if worker is None or worker.state == "dead":
-            return
-        METRICS.inc("service.heartbeats")
-        if worker.current_lease and self._leases.get(worker.current_lease) is None:
-            worker.current_lease = None
-        if worker.current_lease is None and worker.state in ("busy", "suspect"):
-            worker.state = "idle"
-
-    def _track_heartbeat(self, worker: _Worker, beat: HeartbeatMsg) -> None:
-        """Slow-host detection from monotonic heartbeat intervals.
-
-        Lag is (receive interval) - (send interval): both are measured
-        on a *single* clock each (worker's and scheduler's monotonic
-        respectively), so the comparison needs no common epoch and no
-        wall-clock synchronization between hosts.
-        """
-        now = self._clock()
-        if worker.last_beat_monotonic and beat.sent_monotonic:
-            sent_dt = beat.sent_monotonic - worker.last_beat_monotonic
-            recv_dt = now - worker.last_beat_received
-            lag = max(0.0, recv_dt - sent_dt)
-            worker.lag_s = lag
-            label = worker.name or worker.worker_id
-            if METRICS.enabled:
-                METRICS.set_gauge(
-                    "service.transport.heartbeat_lag_s", lag, worker=label
-                )
-            if lag > self.config.slow_worker_lag_s and not worker.slow:
-                worker.slow = True
-                METRICS.inc("service.transport.slow_workers")
-                log.warning(
-                    "service.slow_worker",
-                    message=f"[{worker.worker_id} ({label}) heartbeats lag"
-                    f" {lag * 1000:.0f}ms behind its send cadence]",
-                    worker=worker.worker_id,
-                    lag_s=round(lag, 4),
-                )
-            elif worker.slow and lag <= self.config.slow_worker_lag_s / 2:
-                worker.slow = False  # hysteresis: recovered
-        if beat.sent_monotonic:
-            worker.last_beat_monotonic = beat.sent_monotonic
-            worker.last_beat_received = now
-
-    # -- frame integrity ------------------------------------------------
-    def _on_frame_error(self, worker_id: str, kind: str) -> None:
-        """One frame from a worker failed checksum/decode: discard + nack.
-
-        Never fatal to the scheduler: the reader already skipped the
-        frame; here we count it and ask the worker to resend whatever it
-        last sent (the cheap path around a full lease-expiry cycle).
-        """
-        METRICS.inc("service.transport.frame_errors", kind=kind)
-        worker = self._workers.get(worker_id)
-        lease_id = (worker.current_lease or "") if worker is not None else ""
-        log.warning(
-            "service.frame_discarded",
-            message=f"[discarded a bad frame from {worker_id} ({kind});"
-            " nacking]",
-            worker=worker_id,
-            kind=kind,
-        )
-        if worker is not None and worker.kind == "net" and worker.state != "dead":
-            try:
-                worker.conn.send(NackMsg(reason=kind, lease_id=lease_id))
-            except OSError:
-                self._worker_lost(worker_id, "connection-lost")
 
     # -- completions ----------------------------------------------------
     def _on_completion(self, worker_id: str, message: CompletionMsg) -> None:
@@ -898,13 +645,10 @@ class CampaignService:
         worker = self._workers.get(worker_id)
         if worker is None or worker.state == "dead":
             return
-        recovery = (
-            "it may reconnect" if worker.kind == "net" else "respawning"
-        )
         log.warning(
             "service.worker_lost",
             message=f"[worker {worker_id} lost ({reason});"
-            f" expiring its lease; {recovery}]",
+            " expiring its lease; respawning]",
             worker=worker_id,
             reason=reason,
         )
@@ -917,53 +661,10 @@ class CampaignService:
             cell = self._cells.get(lease.digest)
             if cell is not None and cell.status == "leased":
                 self._requeue(cell, reason)
-        if worker.kind == "net":
-            # Socket workers own their own lifecycle: a lost connection
-            # is re-established by the *worker* (with backoff), arriving
-            # back here as a fresh registration.  Nothing to respawn.
-            return
         if not self._stop_loop and self._restarts < self.config.max_worker_restarts:
             self._restarts += 1
             METRICS.inc("service.worker_restarts")
             self._spawn_worker(replaces=worker_id)
-
-    def _maybe_fallback(self) -> None:
-        """Degraded mode: no workers showed up, so make our own.
-
-        Listen mode only.  When the fallback deadline passes with
-        outstanding work and not a single live worker (none ever
-        connected, or every one disconnected for good), the scheduler
-        spawns its usual local Pipe pool so the campaign still
-        completes.  One-shot; while any worker is alive the deadline
-        keeps sliding forward.
-        """
-        if (
-            self._listener is None
-            or self._fallback_done
-            or self._fallback_deadline is None
-        ):
-            return
-        now = self._clock()
-        if any(w.state != "dead" for w in self._workers.values()):
-            self._fallback_deadline = now + self.config.local_fallback_deadline_s
-            return
-        if now < self._fallback_deadline:
-            return
-        outstanding = any(c.status != "committed" for c in self._cells.values())
-        if not outstanding:
-            self._fallback_deadline = now + self.config.local_fallback_deadline_s
-            return
-        self._fallback_done = True
-        METRICS.inc("service.transport.fallback")
-        log.warning(
-            "service.degraded",
-            message=f"[no workers connected within"
-            f" {self.config.local_fallback_deadline_s}s; degrading to"
-            f" {self.config.workers} local workers]",
-            workers=self.config.workers,
-        )
-        for _ in range(self.config.workers):
-            self._spawn_worker()
 
     def _check_starvation(self) -> None:
         """Fail outstanding cells when no worker can ever run them."""
@@ -971,8 +672,6 @@ class CampaignService:
             return
         if self._restarts < self.config.max_worker_restarts:
             return
-        if self._listener is not None and not self._fallback_done:
-            return  # a socket worker (or the fallback pool) may yet come
         for cell in self._cells.values():
             if cell.status == "committed":
                 continue
@@ -1037,10 +736,7 @@ class CampaignService:
             heartbeat_interval_s=self.config.heartbeat_interval_s,
         )
         try:
-            if worker.kind == "net":
-                worker.conn.send(assignment)
-            else:
-                worker.task_conn.send(assignment)
+            worker.task_conn.send(assignment)
         except (OSError, ValueError):
             self._leases.expire(lease.lease_id)
             self._requeue(cell, "channel-closed")
@@ -1081,7 +777,6 @@ class CampaignService:
             process=process,
             task_conn=task_w,
             result_conn=result_r,
-            started_at=self._clock(),
         )
         with self._conn_lock:
             self._workers[worker_id] = worker
@@ -1097,138 +792,12 @@ class CampaignService:
         return worker
 
     def _close_worker(self, worker: _Worker) -> None:
-        if worker.kind == "net":
-            if worker.conn is not None:
-                worker.conn.close()
-            if METRICS.enabled:
-                METRICS.set_gauge(
-                    "service.transport.heartbeat_lag_s",
-                    0.0,
-                    worker=worker.name or worker.worker_id,
-                )
-            return
         with self._conn_lock:
             for conn in (worker.task_conn, worker.result_conn):
                 try:
                     conn.close()
                 except OSError:
                     pass
-
-    # ------------------------------------------------------------------
-    # Socket workers: accept loop, per-connection readers, registration
-    # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        """Accept socket workers; one reader thread per connection."""
-        while not self._reader_stop.is_set():
-            try:
-                raw, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed (shutdown)
-            conn = FramedSocket(raw, frame_timeout_s=self.config.frame_timeout_s)
-            token = next(self._conn_seq)
-            thread = threading.Thread(
-                target=self._read_net, args=(token, conn), daemon=True
-            )
-            self._net_threads.append(thread)
-            thread.start()
-
-    def _read_net(self, token: int, conn: FramedSocket) -> None:
-        """Reader thread of one worker connection -> the asyncio inbox.
-
-        Enforces the typed failure envelope at the edge: a
-        :class:`FrameError` discards one frame and keeps reading; any
-        :class:`TransportError`/``OSError`` ends the connection, which
-        the loop converts into lease expiry + requeue.
-        """
-        registered = False
-        try:
-            while True:
-                try:
-                    message = conn.recv()
-                except FrameError as error:
-                    self._post(
-                        (
-                            "net-frame-error",
-                            token,
-                            str(error.context.get("kind", "unknown")),
-                        )
-                    )
-                    continue
-                except (TransportError, OSError):
-                    return
-                if message is None:
-                    # Idle timeout.  Keep listening -- except during
-                    # shutdown, where a worker idle this long is not
-                    # going to acknowledge anything (live ones answer
-                    # the ShutdownMsg with a goodbye + EOF well before
-                    # one frame timeout elapses).
-                    if self._reader_stop.is_set():
-                        return
-                    continue
-                if not registered:
-                    if not isinstance(message, HelloMsg):
-                        return  # protocol violation: first frame is Hello
-                    registered = True
-                    self._post(("hello", token, (conn, message)))
-                    continue
-                self._post(("net-msg", token, message))
-        finally:
-            self._post(("net-closed", token, None))
-            conn.close()
-
-    def _register_net_worker(
-        self, token: int, conn: FramedSocket, hello: HelloMsg
-    ) -> None:
-        """Admit one socket worker (scheduler-loop side of the handshake).
-
-        Every *connection* gets a fresh ``worker_id`` -- a reconnecting
-        worker is a new lease-table identity, so stale leases of its
-        previous life expire normally and can never be confused with
-        new grants.
-        """
-        worker_id = f"n{next(self._net_seq)}"
-        worker = _Worker(
-            worker_id=worker_id,
-            kind="net",
-            conn=conn,
-            name=hello.name,
-            started_at=self._clock(),
-        )
-        with self._conn_lock:
-            self._workers[worker_id] = worker
-        self._conn_workers[token] = worker_id
-        try:
-            conn.send(
-                RegisteredMsg(
-                    worker_id=worker_id,
-                    heartbeat_interval_s=self.config.heartbeat_interval_s,
-                )
-            )
-        except OSError:
-            self._worker_lost(worker_id, "connection-lost")
-            return
-        METRICS.inc("service.transport.connects", role="scheduler")
-        log.info(
-            "service.worker_connected",
-            message=f"[{hello.name} connected from {conn.peername()}"
-            f" as {worker_id}"
-            + (f" (reconnect #{hello.reconnects})" if hello.reconnects else "")
-            + "]",
-            worker=worker_id,
-            name=hello.name,
-            reconnects=hello.reconnects,
-        )
-        if self.manifest is not None:
-            self.manifest.workers.append(
-                {
-                    "worker_id": worker_id,
-                    "kind": "net",
-                    "name": hello.name,
-                    "pid": hello.pid,
-                    "peer": conn.peername(),
-                    "reconnects": hello.reconnects,
-                }
-            )
 
     # ------------------------------------------------------------------
     # Reader thread: worker result pipes -> asyncio inbox
@@ -1239,9 +808,7 @@ class CampaignService:
                 conns = {
                     w.result_conn: w.worker_id
                     for w in self._workers.values()
-                    if w.kind == "local"
-                    and w.state != "dead"
-                    and not w.result_conn.closed
+                    if w.state != "dead" and not w.result_conn.closed
                 }
             if not conns:
                 time.sleep(0.02)
@@ -1289,95 +856,9 @@ class CampaignService:
             "workers_alive": sum(
                 1 for w in self._workers.values() if w.state != "dead"
             ),
-            "net_workers_alive": sum(
-                1
-                for w in self._workers.values()
-                if w.kind == "net" and w.state != "dead"
-            ),
-            "slow_workers": sum(1 for w in self._workers.values() if w.slow),
-            "fallback_engaged": self._fallback_done,
             "worker_restarts": self._restarts,
             "lease_history": len(self._leases.history),
             "submissions": len(self._handles),
-        }
-
-    # ------------------------------------------------------------------
-    # Live observability endpoint (/status and /healthz payloads)
-    # ------------------------------------------------------------------
-    def _publish_status(self) -> None:
-        """Swap in a fresh /status snapshot (scheduler loop only).
-
-        Builds a brand-new dict and replaces the published reference in
-        one assignment; the endpoint's handler threads read whichever
-        snapshot was current when their request arrived.  No-op without
-        a configured endpoint, so the loop stays endpoint-free by
-        default.
-        """
-        if self._endpoint is None:
-            return
-        now = self._clock()
-        workers = []
-        for worker in self._workers.values():
-            beat_age = (
-                round(now - worker.last_beat_received, 4)
-                if worker.last_beat_received
-                else None
-            )
-            workers.append(
-                {
-                    "worker": worker.worker_id,
-                    "name": worker.name,
-                    "kind": worker.kind,
-                    "state": worker.state,
-                    "current_lease": worker.current_lease,
-                    "heartbeat_lag_s": round(worker.lag_s, 4),
-                    "heartbeat_age_s": beat_age,
-                    "slow": worker.slow,
-                }
-            )
-        payload = dict(self.stats())
-        payload.update(
-            {
-                "workers": workers,
-                "leases_in_flight": len(self._leases),
-                "queue_depth": len(self._pending),
-                "cache": self._cache_stats(),
-                "draining": self._draining,
-                "degraded": self._fallback_done,
-                "listen_address": self.listen_address,
-                "ts": time.time(),
-            }
-        )
-        self._status_snapshot = payload
-
-    @staticmethod
-    def _cache_stats() -> dict:
-        """Stats-cache hit/miss counters from the live metrics registry."""
-        counters = METRICS.snapshot().get("counters", {})
-        hits = int(
-            counters.get(series_key("cache.requests", {"result": "hit"}), 0)
-        ) + int(
-            counters.get(series_key("cache.requests", {"result": "disk_hit"}), 0)
-        )
-        misses = int(
-            counters.get(series_key("cache.requests", {"result": "miss"}), 0)
-        )
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": round(hits / total, 4) if total else None,
-        }
-
-    def _health_payload(self) -> dict:
-        """The /healthz body; ``status != "ok"`` renders as HTTP 503."""
-        snapshot = self._status_snapshot
-        degraded = bool(snapshot.get("degraded"))
-        return {
-            "status": "degraded" if degraded else "ok",
-            "workers_alive": snapshot.get("workers_alive", 0),
-            "leases_in_flight": snapshot.get("leases_in_flight", 0),
-            "draining": bool(snapshot.get("draining")),
         }
 
 

@@ -48,35 +48,15 @@ class _HeartbeatPump:
     """Daemon thread renewing the currently-held lease.
 
     ``stall_until`` (monotonic) silences the pump -- the chaos harness
-    uses it to simulate a hung worker whose lease must expire.
-
-    Each beat carries both clocks: ``sent_at`` (wall, for humans in
-    logs) and ``sent_monotonic`` (the sender's monotonic clock, which
-    the scheduler -- running on *its own* monotonic clock -- uses to
-    compute heartbeat-interval drift without cross-clock skew; see
-    :class:`~repro.service.protocol.HeartbeatMsg`).
-
-    With ``idle_ping=True`` (socket workers) the pump also beats while
-    *no* lease is held, with an empty ``lease_id``: over TCP, silence
-    from an idle worker is indistinguishable from a half-open
-    connection, so idle workers prove liveness explicitly.  Pipe workers
-    keep the historical behaviour (no traffic while idle).
+    uses it to simulate a hung worker whose lease must expire.  An idle
+    worker (no lease held) sends nothing.
     """
 
-    def __init__(
-        self,
-        worker_id: str,
-        conn,
-        send_lock,
-        interval_s: float,
-        *,
-        idle_ping: bool = False,
-    ) -> None:
+    def __init__(self, worker_id: str, conn, send_lock, interval_s: float) -> None:
         self.worker_id = worker_id
         self._conn = conn
         self._lock = send_lock
         self.interval_s = max(interval_s, 0.01)
-        self.idle_ping = idle_ping
         self.lease_id: Optional[str] = None
         self.stall_until = 0.0
         self._stop = threading.Event()
@@ -94,13 +74,10 @@ class _HeartbeatPump:
             lease_id = self.lease_id
             if time.monotonic() < self.stall_until:
                 continue
-            if lease_id is None and not self.idle_ping:
+            if lease_id is None:
                 continue
             beat = HeartbeatMsg(
-                worker_id=self.worker_id,
-                lease_id=lease_id or "",
-                sent_at=time.time(),
-                sent_monotonic=time.monotonic(),
+                worker_id=self.worker_id, lease_id=lease_id, sent_at=time.time()
             )
             try:
                 with self._lock:

@@ -17,6 +17,7 @@ import pytest
 from repro import obs
 from repro.errors import ServiceSaturated
 from repro.experiments.campaign import Campaign, MappingSpec, campaign_from_spec
+from repro.resilience.executor import RetryPolicy
 from repro.resilience.journal import CheckpointJournal
 from repro.service import (
     CampaignService,
@@ -214,6 +215,98 @@ class TestAdmissionControl:
                 service._draining = False  # let __aexit__ drain normally
 
         asyncio.run(main())
+
+
+#: Every first dispatch kills its worker before it sends anything.
+KILL_ALL = ChaosSpec(seed=0, kill_before_frac=1.0)
+
+
+def assert_one_journal_line_per_cell(journal_path, campaign):
+    lines = [line for line in journal_path.read_text().splitlines() if line.strip()]
+    keys = [json.loads(line)["key"] for line in lines]
+    assert len(keys) == campaign.size()
+    assert set(keys) == grid_digests(campaign)
+
+
+class TestWorkerBudgets:
+    """The scheduler's two give-up paths each commit tidy error records."""
+
+    def test_restart_budget_starvation_fails_every_cell(self, tmp_path):
+        journal_path = tmp_path / "starved.jsonl"
+        campaign = make_campaign(workloads=["xz"], schemes=["aqua"], thresholds=[128])
+        [records] = run_service(
+            [campaign],
+            config=ServiceConfig(workers=1, max_worker_restarts=0),
+            journal=journal_path,
+            chaos=KILL_ALL,
+        )
+        assert len(records) == campaign.size()
+        for record in records:
+            assert record["status"] == "error"
+            assert record["error_type"] == "WorkerLostError"
+            assert record["error_message"] == (
+                "no workers left and the restart budget is exhausted"
+            )
+        assert_one_journal_line_per_cell(journal_path, campaign)
+
+    def test_infrastructure_budget_exhaustion_fails_each_cell(self, tmp_path):
+        journal_path = tmp_path / "exhausted.jsonl"
+        campaign = make_campaign(workloads=["xz"], schemes=["aqua"], thresholds=[128])
+        [records] = run_service(
+            [campaign],
+            config=ServiceConfig(
+                workers=1,
+                max_worker_restarts=4,
+                retry=RetryPolicy(max_infra_attempts=1),
+            ),
+            journal=journal_path,
+            chaos=KILL_ALL,
+        )
+        assert len(records) == campaign.size()
+        for record in records:
+            assert record["status"] == "error"
+            assert record["error_type"] == "WorkerLostError"
+            assert record["error_message"] == (
+                "cell exhausted its infrastructure retry budget"
+            )
+        assert_one_journal_line_per_cell(journal_path, campaign)
+
+
+class TestServeCLI:
+    def _spec(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "workloads": ["xz"],
+                    "mappings": ["coffeelake"],
+                    "schemes": ["aqua"],
+                    "thresholds": [128],
+                    "scale": 0.02,
+                }
+            )
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--lease-timeout", "0"],
+            # Below the default 0.5 s heartbeat: a healthy worker would
+            # miss every lease deadline.
+            ["--lease-timeout", "0.4"],
+        ],
+    )
+    def test_bad_service_config_exits_2(self, tmp_path, capsys, flags):
+        from repro.experiments.runner import main
+
+        journal = tmp_path / "never.jsonl"
+        argv = ["serve", self._spec(tmp_path), "--journal", str(journal), *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "bad service config" in captured.out + captured.err
+        assert not journal.exists()
 
 
 class TestServiceWorkerEnvironment:

@@ -10,7 +10,6 @@ from repro.service.chaos import (
     ChaosSpec,
     CompletionGate,
     planned_faults,
-    planned_wire_faults,
     truncate_journal_tail,
 )
 
@@ -75,97 +74,6 @@ class TestChaosEngine:
                 assert key not in plan
             else:
                 assert plan[key] == decision
-
-
-WIRE_SPEC = ChaosSpec(
-    seed=11,
-    wire_drop_frac=0.2,
-    wire_corrupt_frac=0.2,
-    wire_truncate_frac=0.15,
-    wire_conn_drop_frac=0.2,
-    wire_delay_frac=0.2,
-    wire_delay_s=0.25,
-    wire_duplicate_frac=0.2,
-)
-
-
-class TestWireChaos:
-    def test_wire_fractions_validated(self):
-        with pytest.raises(ValueError, match="frame-fate"):
-            ChaosSpec(wire_drop_frac=0.5, wire_corrupt_frac=0.4, wire_truncate_frac=0.2)
-        with pytest.raises(ValueError):
-            ChaosSpec(wire_conn_drop_frac=1.5)
-        with pytest.raises(ValueError):
-            ChaosSpec(wire_delay_s=-0.1)
-
-    def test_has_wire_faults_flag(self):
-        assert not ChaosSpec(kill_before_frac=0.5).has_wire_faults
-        assert ChaosSpec(wire_corrupt_frac=0.1).has_wire_faults
-        assert ChaosSpec(wire_conn_drop_frac=0.1).has_wire_faults
-
-    def test_decisions_are_deterministic(self):
-        a, b = ChaosEngine(WIRE_SPEC), ChaosEngine(WIRE_SPEC)
-        for key in KEYS:
-            assert a.decide_wire(key, 1) == b.decide_wire(key, 1)
-
-    def test_retries_always_ship_clean_frames(self):
-        """Wire chaos fires only on attempt 1 -- the convergence guarantee."""
-        engine = ChaosEngine(WIRE_SPEC)
-        for key in KEYS:
-            for attempt in (2, 3, 7):
-                assert engine.decide_wire(key, attempt).benign
-
-    def test_fates_partition_and_decorrelate_from_process_faults(self):
-        spec = ChaosSpec(
-            seed=11,
-            kill_before_frac=0.3,
-            wire_drop_frac=0.25,
-            wire_corrupt_frac=0.25,
-            wire_truncate_frac=0.25,
-        )
-        engine = ChaosEngine(spec)
-        fates = {engine.decide_wire(key, 1).fate for key in KEYS}
-        assert fates == {"drop", "corrupt", "truncate", "none"}
-        # Wire and process draws use distinct labels: the same seed must
-        # not make every killed cell also lose its frame (or vice versa).
-        paired = [
-            (engine.decide(key, 1).action, engine.decide_wire(key, 1).fate)
-            for key in KEYS
-        ]
-        killed = [fate for action, fate in paired if action == "kill-before"]
-        assert len(set(killed)) > 1
-
-    def test_truncate_implies_connection_drop_conn_drop_needs_clean_frame(self):
-        engine = ChaosEngine(WIRE_SPEC)
-        decisions = [engine.decide_wire(key, 1) for key in KEYS]
-        for decision in decisions:
-            if decision.fate == "truncate":
-                assert decision.drops_connection and not decision.conn_drop
-            if decision.conn_drop:
-                # A corrupted frame awaiting a nacked resend must not have
-                # its connection yanked: conn_drop pairs only with a frame
-                # that either arrived clean or vanished entirely.
-                assert decision.fate in ("none", "drop")
-        assert any(d.drops_connection for d in decisions)
-
-    def test_zero_wire_spec_is_benign(self):
-        engine = ChaosEngine(ChaosSpec(seed=11, kill_before_frac=0.5))
-        assert all(engine.decide_wire(key, 1).benign for key in KEYS)
-
-    def test_planned_wire_faults_matches_engine(self):
-        plan = dict(planned_wire_faults(WIRE_SPEC, KEYS))
-        engine = ChaosEngine(WIRE_SPEC)
-        for key in KEYS:
-            decision = engine.decide_wire(key, 1)
-            if decision.benign:
-                assert key not in plan
-            else:
-                assert plan[key] == decision
-
-    def test_delay_only_when_drawn(self):
-        engine = ChaosEngine(WIRE_SPEC)
-        delays = {engine.decide_wire(key, 1).delay_s for key in KEYS}
-        assert delays == {0.0, WIRE_SPEC.wire_delay_s}
 
 
 class TestCompletionGate:
