@@ -12,10 +12,10 @@
 # and validates the emitted manifest + metric snapshots against the
 # schema catalog
 # (scripts/validate_telemetry.py), so instrumentation and catalog
-# cannot drift apart; stage 5 smoke-tests the fault-tolerant campaign
-# service (two overlapping tenants, seeded chaos killing workers,
-# exactly-once journal, resume -- scripts/service_smoke.py) with
-# telemetry enabled and validates its artifacts the same way; stage 6
+# cannot drift apart; stage 5 runs the `serve` subcommand on a tiny
+# campaign spec over the process pool (--workers 2, with a checkpoint
+# journal and --telemetry-dir) and validates its telemetry the same
+# way, so `serve` artifacts stay schema-checked; stage 6
 # smoke-tests the playbook sweep fuzzer (seeded tiny sweep + bisection,
 # exact re-run reproducibility, Rubix-S blind-vs-informed contrast --
 # scripts/fuzz_smoke.py), schema-validating its telemetry too; stage 7
@@ -74,21 +74,25 @@ run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$TELEMETRY_DIR" \
     python scripts/parallel_smoke.py
 run_bounded 60 python scripts/validate_telemetry.py "$TELEMETRY_DIR"
 
-# Stage 5: campaign-service smoke -- overlapping tenants under seeded
-# chaos (worker kills, duplicated completions), exactly-once journal,
-# chaos-free resume; telemetry validated like stage 4.
-SERVICE_TELEMETRY_DIR="$(mktemp -d -t rubix-service-telemetry-XXXXXX)"
-trap 'rm -rf "$TELEMETRY_DIR" "$SERVICE_TELEMETRY_DIR"' EXIT
-run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$SERVICE_TELEMETRY_DIR" \
-    python scripts/service_smoke.py
-run_bounded 60 python scripts/validate_telemetry.py "$SERVICE_TELEMETRY_DIR"
+# Stage 5: serve smoke -- one tiny spec on a two-worker pool with a
+# journal and telemetry; the artifacts are validated like stage 4.
+SERVE_DIR="$(mktemp -d -t rubix-serve-XXXXXX)"
+trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR"' EXIT
+cat > "$SERVE_DIR/spec.json" <<'SPEC'
+{"workloads": ["xz", "lbm"], "mappings": ["coffeelake", "rubix-s"],
+ "schemes": ["blockhammer"], "thresholds": [128], "scale": 0.05}
+SPEC
+run_bounded "$SMOKE_BUDGET" python -m repro.experiments serve "$SERVE_DIR/spec.json" \
+    --workers 2 --journal "$SERVE_DIR/journal.jsonl" \
+    --telemetry-dir "$SERVE_DIR/telemetry"
+run_bounded 60 python scripts/validate_telemetry.py "$SERVE_DIR/telemetry"
 
 # Stage 6: sweep-fuzzer smoke -- deterministic playbook sweep, known
 # minimal pattern, exact re-run reproducibility.  scheme="none" means
 # the mitigation metrics legitimately never fire, so the telemetry gets
 # the schema-only check.
 FUZZ_TELEMETRY_DIR="$(mktemp -d -t rubix-fuzz-telemetry-XXXXXX)"
-trap 'rm -rf "$TELEMETRY_DIR" "$SERVICE_TELEMETRY_DIR" "$FUZZ_TELEMETRY_DIR"' EXIT
+trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR" "$FUZZ_TELEMETRY_DIR"' EXIT
 run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$FUZZ_TELEMETRY_DIR" \
     python scripts/fuzz_smoke.py
 run_bounded 60 python scripts/validate_telemetry.py "$FUZZ_TELEMETRY_DIR" --no-required
@@ -100,7 +104,7 @@ run_bounded 60 python scripts/validate_telemetry.py "$FUZZ_TELEMETRY_DIR" --no-r
 # moved row in EXPERIMENTS.md.  The serial suite takes 66-76 s on a
 # 2-vCPU VM; the 180 s ceiling leaves room for a slower runner.
 SUITE_OUT="$(mktemp -t rubix-paper-suite-XXXXXX)"
-trap 'rm -rf "$TELEMETRY_DIR" "$SERVICE_TELEMETRY_DIR" "$FUZZ_TELEMETRY_DIR" "$SUITE_OUT"' EXIT
+trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR" "$FUZZ_TELEMETRY_DIR" "$SUITE_OUT"' EXIT
 run_bounded 180 python scripts/run_paper_suite.py "$SUITE_OUT" --quiet
 drop_timings() { grep -vE '^\[.* finished in [0-9.]+s\]$' "$1"; }
 if ! diff <(drop_timings results_paper_suite.txt) <(drop_timings "$SUITE_OUT"); then

@@ -90,28 +90,6 @@ class InfrastructureError(ReproError):
     """
 
 
-class WorkerLostError(InfrastructureError):
-    """A worker holding a lease died or stopped heartbeating."""
-
-
-class ServiceSaturated(ReproError):
-    """The campaign service's admission queue is full.
-
-    Raised at submission time -- backpressure is explicit, never
-    unbounded memory.  ``context`` carries the queue depth and limit so
-    clients can implement their own retry policy.
-    """
-
-
-class ServiceStopped(ReproError):
-    """The service shut down before a submission finished.
-
-    Only a *hard* stop raises this (graceful drain waits for in-flight
-    submissions); the journal retains every committed cell, so
-    resubmitting against the same journal resumes without recompute.
-    """
-
-
 class JournalError(ReproError):
     """A checkpoint journal could not be read or written."""
 
@@ -168,9 +146,6 @@ __all__ = [
     "CellTimeoutError",
     "TransientError",
     "InfrastructureError",
-    "WorkerLostError",
-    "ServiceSaturated",
-    "ServiceStopped",
     "JournalError",
     "FaultInjectedError",
     "error_record",

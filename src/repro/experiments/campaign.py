@@ -100,7 +100,8 @@ class Campaign:
     _mapping_cache: Dict[MappingSpec, AddressMapping] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Cells actually simulated by this instance (resume skips count 0).
+    #: Cells this instance ran rather than replayed from a journal: one
+    #: per cell whatever its status or attempt count.
     cells_executed: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -251,6 +252,7 @@ class Campaign:
                 started = time.perf_counter()
                 record = self.execute_cell(sim, executor, workload, spec, scheme, t_rh)
                 records.append(record)
+                self.cells_executed += 1
                 if checkpoint is not None:
                     checkpoint.append(
                         key,
@@ -333,9 +335,7 @@ class Campaign:
         self, sim, workload: str, spec: MappingSpec, scheme: str, t_rh: int, scale: float
     ) -> RunResult:
         trace = get_trace(workload, scale=scale)
-        result = sim.run(trace, self._cell_mapping(spec), scheme=scheme, t_rh=t_rh)
-        self.cells_executed += 1
-        return result
+        return sim.run(trace, self._cell_mapping(spec), scheme=scheme, t_rh=t_rh)
 
     def _degrade_fn(self, sim, workload: str, spec: MappingSpec, scheme: str, t_rh: int):
         if self.degrade_scale_factor is None:
@@ -386,7 +386,7 @@ class Campaign:
 def campaign_from_spec(spec: dict) -> Campaign:
     """Build a :class:`Campaign` from a JSON-friendly spec dict.
 
-    The spec format the CLI's ``serve``/``submit`` subcommands accept::
+    The spec format the CLI's ``serve`` subcommand accepts::
 
         {
           "workloads": ["xz", "namd"],
@@ -406,8 +406,8 @@ def campaign_from_spec(spec: dict) -> Campaign:
     Workload entries may also be self-contained ``playbook:<json>``
     attack-playbook names (see :mod:`repro.workloads.playbook` and
     :func:`repro.workloads.playbook.workload_name_for`), so declarative
-    attack sweeps ride the same spec format, journals, pool workers,
-    and service wire protocol as every other campaign.
+    attack sweeps ride the same spec format, journals, and pool workers
+    as every other campaign.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"campaign spec must be an object, got {type(spec).__name__}")

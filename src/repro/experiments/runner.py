@@ -4,13 +4,19 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments run fig7 [--scale 0.5] [--workloads 6]
-    python -m repro.experiments run all [--scale 0.25] [--workers 4]
+    python -m repro.experiments run all [--scale 0.25]
+    python -m repro.experiments serve spec.json [--workers 2] [--journal j.jsonl]
     python -m repro.experiments report --telemetry runs/today
 
-``--workers N`` fans the selected experiments out over a process pool;
-``--stats-cache DIR`` points every process (and every later run) at one
-shared on-disk window-statistics cache so they reuse instead of
-recompute each (trace, mapping) analysis.
+Experiments run one after another in this process, so they share its
+trace and window-statistics caches.  ``--stats-cache DIR`` also keeps
+the window statistics on disk, so a later run reuses instead of
+recomputes each (trace, mapping) analysis.
+
+``serve`` runs campaign spec files one after another, each over the
+campaign process pool (``Campaign.run(workers=N)``), against one shared
+checkpoint journal: a cell an earlier spec or an earlier run committed
+is replayed, not recomputed.
 
 ``--telemetry-dir DIR`` enables the telemetry layer for the run: a
 ``manifest.json`` with full provenance, metric snapshots (JSONL and
@@ -33,7 +39,6 @@ from repro.experiments.registry import get_experiment, list_experiments
 from repro.obs import runtime as obs_runtime
 from repro.obs.logs import QUIET, VERBOSE
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import diff_snapshots
 from repro.obs.runtime import METRICS, TRACER, get_logger
 from repro.parallel.cache import STATS_CACHE_ENV
 from repro.resilience.journal import CheckpointJournal
@@ -101,19 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
         " starting the journal over",
     )
     run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="run the selected experiments over a process pool of this"
-        " size (1 = in-process, the default)",
-    )
-    run.add_argument(
         "--stats-cache",
         metavar="DIR",
         default=None,
         help="directory for a persistent window-statistics cache shared"
-        " across workers and runs (sets the REPRO_STATS_CACHE"
-        " environment variable)",
+        " across runs (sets the REPRO_STATS_CACHE environment variable)",
     )
     verbosity = run.add_mutually_exclusive_group()
     verbosity.add_argument(
@@ -139,8 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="enable telemetry and write run artifacts (manifest.json,"
         " metrics.jsonl, metrics.prom, events-*.jsonl) to DIR; sets the"
-        " REPRO_TELEMETRY_DIR environment variable so pool workers"
-        " inherit it",
+        " REPRO_TELEMETRY_DIR environment variable",
     )
     playbook_cmd = sub.add_parser(
         "playbook", help="compile a declarative attack playbook and inspect its trace"
@@ -204,47 +200,22 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="telemetry directory a previous run wrote (--telemetry-dir)",
     )
-    submit = sub.add_parser(
-        "submit",
-        help="validate a campaign spec and queue it for the next 'serve'",
-    )
-    submit.add_argument("spec", help="campaign spec JSON file (see docs/SERVICE.md)")
-    submit.add_argument(
-        "--spool",
-        metavar="DIR",
-        default="runs/service-spool",
-        help="spool directory 'serve' drains (default: runs/service-spool)",
-    )
     serve = sub.add_parser(
         "serve",
-        help="run the fault-tolerant campaign service over submitted specs",
+        help="run campaign spec files on the campaign process pool",
     )
     serve.add_argument(
-        "specs",
-        nargs="*",
-        help="campaign spec JSON files to submit directly (besides --spool)",
+        "specs", nargs="+", help="campaign spec JSON files, run in order"
     )
     serve.add_argument(
-        "--spool",
-        metavar="DIR",
-        default=None,
-        help="also drain every spec previously queued with 'submit' here",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2, help="worker-process pool size"
-    )
-    serve.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=5.0,
-        help="heartbeat deadline in seconds before a cell is re-dispatched",
+        "--workers", type=int, default=2, help="process-pool size (1 = in-process)"
     )
     serve.add_argument(
         "--journal",
         metavar="PATH",
         default=None,
-        help="durable commit log; an existing journal resumes without"
-        " recomputing committed cells",
+        help="checkpoint journal shared by every spec; an existing journal"
+        " resumes without recomputing committed cells",
     )
     serve.add_argument(
         "--no-resume",
@@ -255,28 +226,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="DIR",
         default=None,
-        help="write each submission's records to DIR/<tenant>.json",
+        help="write each spec's records to DIR/<tenant>.json",
     )
     serve.add_argument(
         "--stats-cache",
         metavar="DIR",
         default=None,
-        help="shared window-statistics cache directory for service workers"
-        " (sets REPRO_STATS_CACHE)",
+        help="disk-persistent window-statistics cache shared by the pool"
+        " workers and later runs",
     )
     serve.add_argument(
         "--telemetry-dir",
         metavar="DIR",
         default=None,
-        help="enable telemetry; run artifacts (manifest.json with worker"
-        " identities, metrics, events) land in DIR",
-    )
-    serve.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        help="enable the chaos harness with this seed (testing only):"
-        " injects seeded worker kills, hangs, and duplicate completions",
+        help="enable telemetry; run artifacts (manifest.json, metrics,"
+        " events) land in DIR",
     )
     serve_verbosity = serve.add_mutually_exclusive_group()
     serve_verbosity.add_argument("--verbose", action="store_true")
@@ -324,9 +288,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         return _report(args)
 
-    if args.command == "submit":
-        return _submit(args)
-
     if args.command == "serve":
         return _serve(args)
 
@@ -350,18 +311,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                 experiment=experiment_id,
             )
             return 2
-    if args.workers < 1:
-        log.error("args.invalid", message="--workers must be >= 1")
-        return 2
     if args.stats_cache:
-        # Environment, not an argument: pool workers (fork or spawn)
-        # inherit it, and get_simulator() picks it up lazily.
+        # Environment, not an argument: get_simulator() picks it up
+        # lazily, whichever experiment builds the simulator first.
         os.environ[STATS_CACHE_ENV] = args.stats_cache
-    manifest = _configure_telemetry(args, targets)
+    manifest = _configure_telemetry(
+        args,
+        "experiments.run",
+        {
+            "experiments": targets,
+            "scale": args.scale,
+            "workload_limit": args.workloads,
+            "stats_cache": args.stats_cache,
+        },
+    )
     journal = CheckpointJournal(args.journal) if args.journal else None
     if journal is not None and not args.resume:
         journal.reset()
     completed = journal.completed_keys() if journal is not None else set()
+    failures = []
     for experiment_id in targets:
         if experiment_id in completed:
             log.info(
@@ -369,23 +337,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 message=f"[{experiment_id} already completed; skipped (resume)]",
                 experiment=experiment_id,
             )
-    pending = [eid for eid in targets if eid not in completed]
-
-    failures = []
-    for experiment_id, result, error, elapsed in _run_pending(pending, args):
+            continue
+        result, error, elapsed = _experiment_task(
+            experiment_id, args.scale, args.workloads
+        )
         ok = _emit_result(
             args, experiment_id, result, error, elapsed, journal,
             multi=len(targets) > 1,
         )
         if not ok:
             failures.append(experiment_id)
-    if manifest is not None:
-        written = obs_runtime.write_telemetry(manifest=manifest)
-        log.info(
-            "telemetry.written",
-            message=f"[telemetry written to {obs_runtime.telemetry_dir()}]",
-            artifacts=sorted(str(path) for path in written.values()),
-        )
+    _write_telemetry(manifest)
     if failures:
         log.error(
             "run.failures",
@@ -396,7 +358,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _configure_telemetry(args, targets: List[str]) -> Optional[RunManifest]:
+def _configure_telemetry(args, command: str, config: dict) -> Optional[RunManifest]:
     """Apply the run's logging/telemetry flags; returns the manifest, if any.
 
     The telemetry directory travels through ``REPRO_TELEMETRY_DIR`` so
@@ -414,183 +376,115 @@ def _configure_telemetry(args, targets: List[str]) -> Optional[RunManifest]:
     )
     if not args.telemetry_dir:
         return None
-    return RunManifest.create(
-        "experiments.run",
-        config={
-            "experiments": targets,
-            "scale": args.scale,
-            "workload_limit": args.workloads,
-            "workers": args.workers,
-            "stats_cache": args.stats_cache,
-        },
+    return RunManifest.create(command, config=config)
+
+
+def _write_telemetry(manifest: Optional[RunManifest]) -> None:
+    if manifest is None:
+        return
+    written = obs_runtime.write_telemetry(manifest=manifest)
+    log.info(
+        "telemetry.written",
+        message=f"[telemetry written to {obs_runtime.telemetry_dir()}]",
+        artifacts=sorted(str(path) for path in written.values()),
     )
 
 
-def _load_spec(path) -> Tuple[dict, "object"]:
-    """Parse + validate one campaign spec file -> (spec dict, Campaign)."""
+def _serve(args) -> int:
+    """Run campaign specs in order on the pool, sharing one journal.
+
+    Every spec resumes from the journal the specs before it appended
+    to, so a cell that an earlier spec (or an earlier run of the same
+    command) committed is replayed, not recomputed.  Without
+    ``--journal`` the shared journal is a temporary file.
+    """
     import json
+    import tempfile
+    from concurrent.futures.process import BrokenProcessPool
     from pathlib import Path
 
     from repro.experiments.campaign import campaign_from_spec
 
-    spec = json.loads(Path(path).read_text())
-    return spec, campaign_from_spec(spec)
-
-
-def _submit(args) -> int:
-    """Queue one validated campaign spec into the serve spool."""
-    import hashlib
-    import json
-    import shutil
-    from pathlib import Path
-
-    try:
-        spec, campaign = _load_spec(args.spec)
-    except (OSError, ValueError, KeyError) as error:
-        log.error("submit.invalid", message=f"[bad spec {args.spec}: {error}]")
-        return 2
-    spool = Path(args.spool)
-    spool.mkdir(parents=True, exist_ok=True)
-    # Content-addressed name: re-submitting the same spec is idempotent.
-    digest = hashlib.blake2b(
-        json.dumps(spec, sort_keys=True).encode(), digest_size=8
-    ).hexdigest()
-    target = spool / f"{digest}.json"
-    already = target.exists()
-    if not already:
-        shutil.copyfile(args.spec, target)
-    log.info(
-        "submit.queued",
-        message=f"[{'already queued' if already else 'queued'} {target.name}:"
-        f" {campaign.size()} cells, tenant {spec.get('tenant', 'default')}]",
-        path=str(target),
-        cells=campaign.size(),
-    )
-    return 0
-
-
-def _serve(args) -> int:
-    """Drain submitted campaign specs through one CampaignService."""
-    import json
-    from pathlib import Path
-
-    from repro.errors import ServiceSaturated, ServiceStopped
-    from repro.service import ChaosSpec, ServiceConfig, run_service
-
-    try:
-        config = ServiceConfig(
-            workers=args.workers,
-            lease_timeout_s=args.lease_timeout,
-            stats_cache_dir=args.stats_cache,
-        )
-    except ValueError as error:
-        log.error("args.invalid", message=f"[bad service config: {error}]")
-        return 2
-    spec_paths = [Path(p) for p in args.specs]
-    if args.spool:
-        spec_paths.extend(sorted(Path(args.spool).glob("*.json")))
-    if not spec_paths:
-        log.error(
-            "serve.no_specs",
-            message="[nothing to serve: pass spec files or --spool DIR]",
-        )
+    if args.workers < 1:
+        log.error("args.invalid", message="[--workers must be >= 1]")
         return 2
     campaigns, tenants = [], []
-    for index, path in enumerate(spec_paths):
+    for index, path in enumerate(args.specs):
         try:
-            spec, campaign = _load_spec(path)
+            spec = json.loads(Path(path).read_text())
+            campaigns.append(campaign_from_spec(spec))
         except (OSError, ValueError, KeyError) as error:
             log.error("serve.invalid_spec", message=f"[bad spec {path}: {error}]")
             return 2
-        campaigns.append(campaign)
         tenants.append(str(spec.get("tenant", f"tenant{index}")))
-    if args.stats_cache:
-        os.environ[STATS_CACHE_ENV] = args.stats_cache
-    manifest = _configure_serve_telemetry(args, [str(p) for p in spec_paths], tenants)
-    chaos = ChaosSpec(
-        seed=args.chaos_seed,
-        kill_before_frac=0.1,
-        kill_after_frac=0.05,
-        hang_frac=0.05,
-        hang_s=2 * args.lease_timeout,
-        duplicate_frac=0.1,
-        reorder_every=5,
-    ) if args.chaos_seed is not None else None
-    started = time.perf_counter()
-    try:
-        results = run_service(
-            campaigns,
-            config=config,
-            journal=args.journal,
-            chaos=chaos,
-            manifest=manifest,
-            resume=not args.no_resume,
-            tenants=tenants,
+    duplicates = sorted({tenant for tenant in tenants if tenants.count(tenant) > 1})
+    if duplicates:
+        log.error(
+            "serve.duplicate_tenant",
+            message=f"[tenant name(s) used by more than one spec: {', '.join(duplicates)}]",
+            tenants=duplicates,
         )
-    except (ServiceSaturated, ServiceStopped) as error:
-        log.error("serve.failed", message=f"[service failed: {error}]")
-        return 1
-    elapsed = time.perf_counter() - started
+        return 2
+    manifest = _configure_telemetry(
+        args,
+        "experiments.serve",
+        {
+            "specs": list(args.specs),
+            "tenants": tenants,
+            "workers": args.workers,
+            "journal": args.journal,
+            "stats_cache": args.stats_cache,
+        },
+    )
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="rubix-serve-") as scratch:
+        journal = CheckpointJournal(args.journal or Path(scratch) / "journal.jsonl")
+        if args.no_resume:
+            journal.reset()
+        try:
+            results = [
+                campaign.run(
+                    workers=args.workers,
+                    stats_cache_dir=args.stats_cache,
+                    resume_from=journal,
+                )
+                for campaign in campaigns
+            ]
+        except BrokenProcessPool as error:
+            log.error(
+                "serve.worker_lost",
+                message=f"[a pool worker died ({error}); every cell finished"
+                " before it is journaled -- rerun the same command to resume]",
+            )
+            _write_telemetry(manifest)
+            return 1
     failures = 0
-    for tenant, records in zip(tenants, results):
+    for tenant, campaign, records in zip(tenants, campaigns, results):
         errors = sum(1 for r in records if r.get("status") == "error")
         failures += errors
         log.info(
             "serve.finished",
-            message=f"[{tenant}: {len(records)} cells"
+            message=f"[{tenant}: {len(records)} cells, {campaign.cells_executed} computed"
             + (f", {errors} errors" if errors else "")
             + "]",
             tenant=tenant,
             cells=len(records),
+            computed=campaign.cells_executed,
             errors=errors,
         )
         if args.json:
             out = Path(args.json)
             out.mkdir(parents=True, exist_ok=True)
             (out / f"{tenant}.json").write_text(json.dumps(records, indent=2) + "\n")
+    elapsed = time.perf_counter() - started
     log.info(
         "serve.done",
-        message=f"[served {len(campaigns)} submission(s) in {elapsed:.1f}s]",
-        submissions=len(campaigns),
+        message=f"[served {len(campaigns)} spec(s) in {elapsed:.1f}s]",
+        specs=len(campaigns),
         elapsed_s=round(elapsed, 3),
     )
-    if manifest is not None:
-        written = obs_runtime.write_telemetry(manifest=manifest)
-        log.info(
-            "telemetry.written",
-            message=f"[telemetry written to {obs_runtime.telemetry_dir()}]",
-            artifacts=sorted(str(path) for path in written.values()),
-        )
+    _write_telemetry(manifest)
     return 1 if failures else 0
-
-
-def _configure_serve_telemetry(
-    args, specs: List[str], tenants: List[str]
-) -> Optional[RunManifest]:
-    """Serve-mode telemetry config; mirrors :func:`_configure_telemetry`."""
-    verbosity = VERBOSE if args.verbose else (QUIET if args.quiet else None)
-    if args.telemetry_dir:
-        os.environ[obs_runtime.TELEMETRY_DIR_ENV] = args.telemetry_dir
-    obs_runtime.configure(
-        enabled=obs_runtime.enabled() or bool(args.telemetry_dir),
-        telemetry_dir=args.telemetry_dir,
-        verbosity=verbosity,
-        log_json=args.log_json,
-    )
-    if not args.telemetry_dir:
-        return None
-    return RunManifest.create(
-        "experiments.serve",
-        config={
-            "specs": specs,
-            "tenants": tenants,
-            "workers": args.workers,
-            "lease_timeout_s": args.lease_timeout,
-            "journal": args.journal,
-            "chaos_seed": args.chaos_seed,
-            "stats_cache": args.stats_cache,
-        },
-    )
 
 
 def _report(args) -> int:
@@ -606,20 +500,15 @@ def _report(args) -> int:
 
 
 def _experiment_task(
-    task: Tuple[str, Optional[float], Optional[int]], ship_telemetry: bool = False
-):
-    """Run one experiment; shipping-safe result (used from pool workers).
+    experiment_id: str, scale: Optional[float], workload_limit: Optional[int]
+) -> Tuple[object, Optional[str], float]:
+    """Run one experiment; returns ``(result, error, elapsed)``.
 
-    Returns ``(id, result, error, elapsed, telemetry)`` where
-    ``telemetry`` is this experiment's metric *delta* snapshot when
-    ``ship_telemetry`` is set (pool mode: the parent merges it), else
-    None (serial mode: the in-process registry already has it).
-    Timing is monotonic (``perf_counter``), so a wall-clock adjustment
-    mid-run cannot skew the reported elapsed time.
+    A failure comes back as ``"<type>: <message>"`` text so one broken
+    experiment does not abort the suite.  Timing is monotonic
+    (``perf_counter``), so a wall-clock adjustment mid-run cannot skew
+    the reported elapsed time.
     """
-    experiment_id, scale, workload_limit = task
-    telemetry = ship_telemetry and METRICS.enabled
-    before = METRICS.snapshot() if telemetry else None
     started = time.perf_counter()
     try:
         with TRACER.span("runner.experiment", experiment=experiment_id):
@@ -627,45 +516,9 @@ def _experiment_task(
         METRICS.inc("runner.experiments", status="ok")
         error = None
     except Exception as exc:
-        # One broken experiment must not abort the suite: carry the
-        # (typed) failure back as text -- exceptions from a worker may
-        # not unpickle -- so the parent reports it and keeps sweeping.
         METRICS.inc("runner.experiments", status="error")
         result, error = None, f"{type(exc).__name__}: {exc}"
-    elapsed = time.perf_counter() - started
-    delta = diff_snapshots(METRICS.snapshot(), before) if telemetry else None
-    return experiment_id, result, error, elapsed, delta
-
-
-def _run_pending(pending: List[str], args):
-    """Yield (id, result, error, elapsed) in deterministic target order.
-
-    Serial mode yields each experiment as it runs; parallel mode
-    dispatches them all to a process pool and yields the deterministic
-    prefix as soon as it completes, so output order never depends on
-    worker timing.  Pool workers ship their metric deltas back with each
-    outcome; merging them here is what makes the final snapshot (and the
-    manifest) identical between serial and parallel runs of one suite.
-    """
-    tasks = [(eid, args.scale, args.workloads) for eid in pending]
-    if args.workers == 1 or len(pending) <= 1:
-        for task in tasks:
-            yield _experiment_task(task)[:4]
-        return
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    done = {}
-    cursor = 0
-    with ProcessPoolExecutor(max_workers=min(args.workers, len(pending))) as pool:
-        futures = {pool.submit(_experiment_task, task, True): task[0] for task in tasks}
-        for future in as_completed(futures):
-            outcome = future.result()
-            if outcome[4]:
-                METRICS.merge(outcome[4])
-            done[outcome[0]] = outcome[:4]
-            while cursor < len(pending) and pending[cursor] in done:
-                yield done.pop(pending[cursor])
-                cursor += 1
+    return result, error, time.perf_counter() - started
 
 
 def _emit_result(args, experiment_id, result, error, elapsed, journal, *, multi) -> bool:

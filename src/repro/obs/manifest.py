@@ -90,12 +90,6 @@ class RunManifest:
     seeds: Dict[str, int] = field(default_factory=dict)
     config: Dict[str, Any] = field(default_factory=dict)
     metrics: Optional[dict] = None
-    #: Worker-process identities (campaign service / pool runs): one
-    #: entry per spawned worker, ``{"worker_id", "pid", "replaces",
-    #: "stats_cache_dir"}`` -- ``replaces`` names the dead worker a
-    #: respawn substituted for, so the manifest records the run's whole
-    #: failure/recovery history.
-    workers: List[Dict[str, Any]] = field(default_factory=list)
     schema_version: int = MANIFEST_SCHEMA_VERSION
     #: Monotonic anchor for duration_s (not serialized).
     _t0: float = field(default=0.0, repr=False, compare=False)
@@ -155,7 +149,6 @@ class RunManifest:
             "seeds": dict(self.seeds),
             "config": dict(self.config),
             "metrics": self.metrics,
-            "workers": [dict(w) for w in self.workers],
         }
 
     def write(self, path: Union[str, Path]) -> Path:
@@ -186,7 +179,6 @@ class RunManifest:
             seeds=dict(data.get("seeds", {})),
             config=dict(data.get("config", {})),
             metrics=data.get("metrics"),
-            workers=list(data.get("workers", [])),
             schema_version=int(data.get("schema_version", 0)),
         )
 

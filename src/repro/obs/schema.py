@@ -65,20 +65,6 @@ METRICS: Dict[str, dict] = {
     "parallel.completions": {"kind": "counter", "labels": set()},
     "parallel.cell_seconds": {"kind": "histogram", "labels": set()},
     "parallel.worker_heartbeat": {"kind": "gauge", "labels": {"worker"}},
-    # -- campaign service (operational; completions result=committed is
-    #    semantic -- it must equal the grid's cell count) ---------------
-    "service.submissions": {"kind": "counter", "labels": {"result"}},
-    "service.cells": {"kind": "counter", "labels": {"result"}},
-    "service.completions": {"kind": "counter", "labels": {"result"}},
-    "service.dispatches": {"kind": "counter", "labels": set()},
-    "service.heartbeats": {"kind": "counter", "labels": set()},
-    "service.lease_expiries": {"kind": "counter", "labels": set()},
-    "service.requeues": {"kind": "counter", "labels": {"reason"}},
-    "service.worker_restarts": {"kind": "counter", "labels": set()},
-    "service.workers": {"kind": "gauge", "labels": set()},
-    "service.queue_depth": {"kind": "gauge", "labels": set()},
-    # -- chaos harness (operational, test/CI only) ---------------------
-    "chaos.injections": {"kind": "counter", "labels": {"action"}},
     # -- playbook compiler / sweep fuzzer (operational) ----------------
     "playbook.compiled": {"kind": "counter", "labels": {"pattern"}},
     "fuzz.cells": {"kind": "counter", "labels": {"result"}},
@@ -117,7 +103,6 @@ SPAN_NAMES = {
     "sim.analyze",
     "sim.mitigation",
     "trace.gen",
-    "service.submit",
     "fuzz.sweep",
     "fuzz.bisect",
 }

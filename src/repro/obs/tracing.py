@@ -24,8 +24,8 @@ off the thread's stack.  The context crosses process boundaries as a
 compact token -- :meth:`Tracer.current_context` yields
 ``"<trace_id>:<span_id>"``, and :meth:`Tracer.attach` installs such a
 token as the parent of whatever spans a worker opens next -- so a cell
-computed by a Pipe or pool worker still names the scheduler's
-``service.submit`` span as its parent.
+computed by a pool worker still names the span that dispatched it as
+its parent.
 
 Durations come from ``time.perf_counter()`` -- monotonic, so an NTP
 step during a run can never produce a negative span.  Span events also
@@ -254,9 +254,9 @@ class Tracer:
         """Adopt a remote ``"trace:span"`` token as the current parent.
 
         Spans opened inside the returned context manager join the remote
-        trace as children of the remote span -- this is how a worker
-        process hangs its ``campaign.cell`` span off the scheduler's
-        ``service.submit``.  A falsy or malformed token (or disabled
+        trace as children of the remote span -- this is how a pool
+        worker hangs its ``campaign.cell`` span off the span that
+        dispatched the cell.  A falsy or malformed token (or disabled
         telemetry) yields the shared no-op.
         """
         if not self.registry.enabled or not context:

@@ -61,7 +61,7 @@ class CellTask:
     spec: "MappingSpec"
     scheme: str
     t_rh: int
-    trace: str = ""  #: Distributed trace context token ("" = none).
+    trace: str = ""  #: Trace context token ("" = none).
 
 
 @dataclass(frozen=True)
@@ -85,28 +85,17 @@ class CellCompletion:
 # ---------------------------------------------------------------------------
 # Worker-side state.  One campaign + simulator + fault boundary per
 # process, built once by the pool initializer and reused across cells;
-# module-level so both fork and spawn start methods find it.  The
-# build/run pair below is shared with the campaign *service*'s workers
-# (:mod:`repro.service.worker`): both execution substrates run the
-# exact same per-cell code path.
+# module-level so both fork and spawn start methods find it.
 # ---------------------------------------------------------------------------
 _WORKER: dict = {}
 
 
-def build_worker_state(
+def _init_worker(
     payload: dict,
-    stats_cache_dir: Optional[str] = None,
+    stats_cache_dir: Optional[str],
     obs_config: Optional[dict] = None,
-) -> dict:
-    """Build the per-process execution state one campaign payload needs.
-
-    Returns ``{"campaign", "sim", "executor"}`` -- a rebuilt
-    :class:`Campaign`, the process-wide simulator for its geometry
-    (pointed at the shared stats cache when one is configured), and a
-    fresh :class:`ResilientExecutor` fault boundary.  Pool workers call
-    this once from their initializer; service workers call it lazily
-    per distinct campaign payload.
-    """
+) -> None:
+    """Rebuild the campaign, its simulator, and a fault boundary."""
     from repro.experiments.campaign import Campaign
     from repro.experiments.common import get_simulator
     from repro.resilience.executor import ResilientExecutor
@@ -120,24 +109,14 @@ def build_worker_state(
     sim = get_simulator(campaign.config)
     if stats_cache_dir:
         sim.stats_cache.persist_to(stats_cache_dir)
-    return {
-        "campaign": campaign,
-        "sim": sim,
-        "executor": ResilientExecutor(),
-    }
+    _WORKER.update(campaign=campaign, sim=sim, executor=ResilientExecutor())
 
 
-def run_cell_task(state: dict, task: CellTask) -> CellCompletion:
-    """Run one cell against prebuilt worker state; returns its completion.
-
-    The single dispatchable-cell code path: local pool workers and
-    service workers both funnel through here (and through
-    :meth:`Campaign.execute_cell` underneath), which is what keeps
-    serial, pool, and service runs record-for-record identical.
-    """
-    campaign = state["campaign"]
+def _run_task(task: CellTask) -> CellCompletion:
+    """Run one cell through :meth:`Campaign.execute_cell`, the same
+    per-cell code path a serial run takes."""
     telemetry = METRICS.enabled
-    worker_id = state.get("worker_id") or f"p{os.getpid()}"
+    worker_id = f"p{os.getpid()}"
     if telemetry:
         heartbeat(worker_id)
     before = METRICS.snapshot() if telemetry else None
@@ -145,10 +124,10 @@ def run_cell_task(state: dict, task: CellTask) -> CellCompletion:
     # Adopt the submitter's trace context (a no-op for an empty token):
     # the cell's campaign.cell span and everything under it join the
     # submitting process's trace rather than rooting a local one.
-    with TRACER.attach(getattr(task, "trace", "")):
-        record = campaign.execute_cell(
-            state["sim"],
-            state["executor"],
+    with TRACER.attach(task.trace):
+        record = _WORKER["campaign"].execute_cell(
+            _WORKER["sim"],
+            _WORKER["executor"],
             task.workload,
             task.spec,
             task.scheme,
@@ -164,18 +143,6 @@ def run_cell_task(state: dict, task: CellTask) -> CellCompletion:
         worker_id=worker_id,
         telemetry=delta,
     )
-
-
-def _init_worker(
-    payload: dict,
-    stats_cache_dir: Optional[str],
-    obs_config: Optional[dict] = None,
-) -> None:
-    _WORKER.update(build_worker_state(payload, stats_cache_dir, obs_config))
-
-
-def _run_task(task: CellTask) -> CellCompletion:
-    return run_cell_task(_WORKER, task)
 
 
 class ParallelExecutor:
@@ -297,10 +264,4 @@ class ParallelExecutor:
         return records
 
 
-__all__ = [
-    "CellTask",
-    "CellCompletion",
-    "ParallelExecutor",
-    "build_worker_state",
-    "run_cell_task",
-]
+__all__ = ["CellTask", "CellCompletion", "ParallelExecutor"]

@@ -5,12 +5,9 @@ One line per completed cell: ``{"key": <canonical cell key>,
 ``duration_s`` (monotonic cell wall time) and ``worker_id`` (the
 process that ran the cell) -- so a resumed campaign can report where
 the time of its earlier segments went (:meth:`CheckpointJournal.timings`).
-The campaign *service* additionally stamps its completion records with
-lease metadata -- ``attempt`` (how many dispatches the cell took),
-``epoch`` (the lease generation that committed it), and ``lease_id`` --
-making the journal the exactly-once commit log for leased scheduling.
-Journals written before any of those fields existed load unchanged:
-the fields are simply absent from their entries.
+Journals written before those fields existed load unchanged, and so do
+entries with extra fields (older journals also stamped ``attempt``,
+``epoch`` and ``lease_id``): readers pick out only the fields they use.
 
 An append writes and fsyncs one line, so it costs the same on the
 thousandth cell as on the first.  A crash mid-write can at worst leave
@@ -116,24 +113,6 @@ class CheckpointJournal:
             }
         return out
 
-    def leases(self) -> Dict[str, dict]:
-        """Per-cell lease metadata: ``{key: {attempt, epoch, lease_id}}``.
-
-        Only entries committed by the campaign service carry these
-        fields; plain serial/pool journal entries are skipped, exactly
-        like pre-telemetry entries in :meth:`timings`.
-        """
-        out: Dict[str, dict] = {}
-        for entry in self.load():
-            if "epoch" not in entry and "lease_id" not in entry:
-                continue
-            out[entry["key"]] = {
-                "attempt": entry.get("attempt"),
-                "epoch": entry.get("epoch"),
-                "lease_id": entry.get("lease_id"),
-            }
-        return out
-
     # ------------------------------------------------------------------
     def append(
         self,
@@ -142,9 +121,6 @@ class CheckpointJournal:
         *,
         duration_s: Optional[float] = None,
         worker_id: Optional[str] = None,
-        attempt: Optional[int] = None,
-        epoch: Optional[int] = None,
-        lease_id: Optional[str] = None,
     ) -> None:
         """Durably append one completed cell: one line, then fsync.
 
@@ -153,9 +129,6 @@ class CheckpointJournal:
             record: The cell's tidy record (must be JSON-serializable).
             duration_s: Optional monotonic wall time the cell took.
             worker_id: Optional identifier of the executing process.
-            attempt: Optional dispatch count (leased scheduling).
-            epoch: Optional lease generation that committed the cell.
-            lease_id: Optional identifier of the committing lease.
         """
         entries = self.load()
         payload: dict = {"key": key, "record": record}
@@ -163,12 +136,6 @@ class CheckpointJournal:
             payload["duration_s"] = round(float(duration_s), 6)
         if worker_id is not None:
             payload["worker_id"] = worker_id
-        if attempt is not None:
-            payload["attempt"] = int(attempt)
-        if epoch is not None:
-            payload["epoch"] = int(epoch)
-        if lease_id is not None:
-            payload["lease_id"] = lease_id
         try:
             line = json.dumps(payload, default=str)
         except (TypeError, ValueError) as error:

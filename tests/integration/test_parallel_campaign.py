@@ -10,6 +10,8 @@ No wall-clock assertions anywhere: CI machines may have a single core,
 where a process pool is correct but not faster.
 """
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.experiments.campaign import Campaign, MappingSpec
@@ -106,6 +108,33 @@ class TestParallelResume:
         records = resumed.run(resume_from=journal_path)
         assert records == expected
         assert resumed.cells_executed == 0  # everything replayed from journal
+
+
+class TestWorkerDeath:
+    GRID = dict(
+        workloads=["xz", "lbm"],
+        mappings=[MappingSpec("coffeelake")],
+        schemes=["aqua"],
+        thresholds=[128, 512],
+        scale=0.02,
+    )
+
+    def test_killed_worker_breaks_the_pool_and_resume_finishes(
+        self, tmp_path, monkeypatch, lbm_kills_pool_workers
+    ):
+        journal_path = tmp_path / "campaign.jsonl"
+        campaign = Campaign(**self.GRID)
+        xz_keys = {campaign.cell_key(*c) for c in campaign.cells() if c[0] == "xz"}
+        with pytest.raises(BrokenProcessPool):
+            campaign.run(workers=2, journal=journal_path, mp_context="fork")
+        # Every cell finished before the death is journaled.
+        assert set(CheckpointJournal(journal_path).completed()) == xz_keys
+
+        monkeypatch.undo()
+        expected = Campaign(**self.GRID).run()
+        resumed = Campaign(**self.GRID)
+        assert resumed.run(workers=2, resume_from=journal_path) == expected
+        assert resumed.cells_executed == 2  # only the lbm cells re-ran
 
 
 class TestSharedStatsCache:

@@ -173,28 +173,6 @@ def test_section6_parallel_campaign(tmp_path):
         grid().run(workers=2, executor=ResilientExecutor())
 
 
-def test_section6_campaign_service():
-    from repro.service import ChaosSpec, ServiceConfig, run_service
-
-    grid = Campaign(
-        workloads=["xz"],
-        mappings=[MappingSpec("coffeelake"), MappingSpec("rubix-s", gang_size=4)],
-        schemes=["aqua"],
-        thresholds=[128],
-        scale=0.05,
-    )
-    [records] = run_service([grid], config=ServiceConfig(workers=2))
-    assert records == grid.run()
-
-    chaos = ChaosSpec(seed=0, kill_before_frac=0.3, duplicate_frac=0.3)
-    [records] = run_service(
-        [grid],
-        config=ServiceConfig(workers=2, lease_timeout_s=2.0, max_worker_restarts=16),
-        chaos=chaos,
-    )
-    assert records == grid.run()
-
-
 def test_section6_telemetry(tmp_path):
     from repro import obs
     from repro.experiments.common import clear_caches

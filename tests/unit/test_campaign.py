@@ -1,8 +1,13 @@
 """Unit tests for the sweep-campaign API."""
 
+import json
+
 import pytest
 
-from repro.experiments.campaign import Campaign, MappingSpec
+from repro.experiments.campaign import Campaign, MappingSpec, campaign_from_spec
+from repro.experiments.common import get_simulator
+from repro.resilience.executor import CellBudget, ResilientExecutor
+from repro.resilience.faults import FaultPlan, FaultySimulator
 
 
 class TestMappingSpec:
@@ -100,3 +105,73 @@ class TestMappingCache:
         campaign = Campaign(workloads=["xz"], mappings=[MappingSpec("rubix-s")])
         spec = MappingSpec("rubix-s")
         assert campaign._mapping(spec) is campaign._mapping(spec)
+
+
+class TestCellsExecuted:
+    """``cells_executed`` counts cells, not attempts, whatever the outcome."""
+
+    @pytest.mark.parametrize(
+        "plan, budget, status",
+        [
+            (FaultPlan(), CellBudget(max_activations=1), "degraded"),
+            (FaultPlan(fail_cells=("xz",)), CellBudget(), "error"),
+            (FaultPlan(transient_cells={"xz": 1}), CellBudget(), "ok"),
+        ],
+        ids=["degrade", "hard-fail", "transient"],
+    )
+    def test_one_count_per_cell(self, plan, budget, status):
+        campaign = Campaign(
+            workloads=["xz"],
+            mappings=[MappingSpec("coffeelake")],
+            schemes=["aqua"],
+            thresholds=[128, 512],
+            scale=0.02,
+        )
+        records = campaign.run(
+            simulator=FaultySimulator(get_simulator(), plan),
+            executor=ResilientExecutor(budget=budget, sleep=lambda _: None),
+        )
+        assert [r["status"] for r in records] == [status] * campaign.size()
+        assert campaign.cells_executed == campaign.size()
+
+
+class TestSpecRoundTrip:
+    def test_campaign_from_spec_matches_direct_construction(self):
+        spec = {
+            "workloads": ["xz", "namd", "lbm"],
+            "mappings": [
+                "coffeelake",
+                {"kind": "rubix-d", "gang_size": 4, "remap_rate": 0.01},
+            ],
+            "schemes": ["aqua", "blockhammer"],
+            "thresholds": [128, 512],
+            "scale": 0.05,
+            "tenant": "alice",
+        }
+        campaign = campaign_from_spec(json.loads(json.dumps(spec)))
+        direct = Campaign(
+            workloads=["xz", "namd", "lbm"],
+            mappings=[
+                MappingSpec("coffeelake"),
+                MappingSpec("rubix-d", gang_size=4, remap_rate=0.01),
+            ],
+            schemes=["aqua", "blockhammer"],
+            thresholds=[128, 512],
+            scale=0.05,
+        )
+        assert campaign.size() == direct.size() == 24
+        assert [campaign.cell_key(*c) for c in campaign.cells()] == [
+            direct.cell_key(*c) for c in direct.cells()
+        ]
+
+    def test_bad_specs_rejected(self):
+        with pytest.raises(ValueError, match="unknown campaign spec key"):
+            campaign_from_spec({"workloads": ["xz"], "mapings": ["coffeelake"]})
+        with pytest.raises(ValueError, match="unknown campaign spec key"):
+            campaign_from_spec(
+                {"backend": "numpy", "workloads": ["xz"], "mappings": ["coffeelake"]}
+            )
+        with pytest.raises(ValueError, match="mapping"):
+            campaign_from_spec({"workloads": ["xz"], "mappings": [42]})
+        with pytest.raises(ValueError):
+            campaign_from_spec([1, 2, 3])

@@ -261,7 +261,7 @@ class TestTraceContext:
 
     def test_current_context_round_trips_through_attach(self, tracer):
         trc, _, _ = tracer
-        with trc.span("service.submit"):
+        with trc.span("campaign.run"):
             token = trc.current_context()
         assert token is not None
         trace_id, _, span_id = token.partition(":")
@@ -274,7 +274,7 @@ class TestTraceContext:
 
     def test_attach_contributes_nothing_to_paths(self, tracer):
         trc, _, _ = tracer
-        with trc.span("service.submit"):
+        with trc.span("campaign.run"):
             token = trc.current_context()
         with trc.attach(token):
             with trc.span("campaign.cell"):
