@@ -252,7 +252,7 @@ def get_trace(
     key = (name, round(scale, 6), cores, line_addr_bits)
     if key in _TRACES:
         return _TRACES[key]
-    with TRACER.span("trace.gen", workload=name, scale=scale):
+    with TRACER.span("trace.gen", workload=name, scale=scale) as span:
         if name.startswith("file:"):
             from repro.workloads.trace_io import load_trace
 
@@ -269,6 +269,7 @@ def get_trace(
             trace = spec_trace(
                 name, line_addr_bits=line_addr_bits, scale=scale, cores=cores
             )
+        span.set(lines=len(trace))
     # Playbook names embed whole JSON specs (and file names embed
     # paths); fold each family into one label value so a sweep cannot
     # blow the metric-cardinality cap.

@@ -109,6 +109,9 @@ class _NullSpan:
     def __exit__(self, *exc_info: object) -> bool:
         return False
 
+    def set(self, **attrs: object) -> None:
+        pass
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -123,6 +126,10 @@ class _LiveSpan:
         self._path = ""
         self._t0 = 0.0
         self._ids = ("", "", "")  # (trace_id, span_id, parent_span_id)
+
+    def set(self, **attrs: object) -> None:
+        """Add attributes known only once the phase has run."""
+        self.attrs.update(attrs)
 
     def __enter__(self) -> "_LiveSpan":
         stack = self._tracer._stack()

@@ -60,6 +60,10 @@ NOMINAL_COLD_RATE = 6.0
 #: Scan burst length in lines (one block = one row-buffer episode).
 SCAN_BLOCK = 32
 
+#: Accesses (or weave slots) per block while a window is assembled:
+#: bounds every index temporary to a fixed size, whatever the trace.
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SpecProfile:
@@ -218,20 +222,31 @@ def _hot_component(
     acts_per_row: np.ndarray,
     active_lines: int,
     perm: np.ndarray,
-) -> np.ndarray:
-    """Accesses over a tier's hot rows with exact per-row counts,
-    confined per row to a fixed window of ``active_lines`` positions in a
-    global permutation (so each hot row shows ~active_lines distinct
-    activating lines, per Table 3)."""
-    if row_bases.size == 0 or acts_per_row.sum() == 0:
-        return np.empty(0, dtype=np.uint64)
-    rows = row_bases.size
-    salts = rng.integers(0, LINES_PER_ROW, size=rows, dtype=np.int64)
-    pick = np.repeat(np.arange(rows, dtype=np.int64), acts_per_row)
-    accesses = pick.size
-    j = rng.integers(0, active_lines, size=accesses, dtype=np.int64)
-    col = perm[(salts[pick] + j) % LINES_PER_ROW].astype(np.uint64)
-    return row_bases[pick] + col
+    out: np.ndarray,
+) -> None:
+    """Write a tier's accesses over its hot rows into ``out``.
+
+    Row ``r`` receives exactly ``acts_per_row[r]`` consecutive accesses
+    (``out.size`` is their sum), confined to a fixed window of
+    ``active_lines`` positions in the global column permutation ``perm``
+    (so each hot row shows ~active_lines distinct activating lines, per
+    Table 3).  Columns and row bases are built in blocks of
+    ``_BLOCK`` accesses, so no temporary grows with the tier.
+    """
+    if out.size == 0:
+        return
+    salts = rng.integers(0, LINES_PER_ROW, size=row_bases.size, dtype=np.int64)
+    j = rng.integers(0, active_lines, size=out.size, dtype=np.int64)
+    ends = np.cumsum(acts_per_row)
+    for start in range(0, out.size, _BLOCK):
+        stop = min(start + _BLOCK, out.size)
+        pick = np.searchsorted(ends, np.arange(start, stop), side="right")
+        cols = j[start:stop]
+        cols += salts[pick]
+        cols &= LINES_PER_ROW - 1
+        block = out[start:stop]
+        np.take(perm, cols, out=block)
+        block += row_bases[pick]
 
 
 def _tier_row_bases(blob_bases: np.ndarray, rows_needed: int) -> np.ndarray:
@@ -263,13 +278,15 @@ def spec_trace(
             Fig. 15); scales accesses and footprint together.
         seed: Determinism seed.
     """
+    if not 0 < scale <= 1.0:
+        raise ValueError(f"scale must be in (0, 1], got {scale}")
     profile = spec_profile(name)
     if cores < 1:
         raise ValueError(f"cores must be >= 1, got {cores}")
     factor = scale * (cores / 4.0)
     total_lines = 1 << line_addr_bits
     rng = SplitMix64(derive_key(seed, f"spec/{name}", 64)).numpy_rng()
-    perm = rng.permutation(LINES_PER_ROW).astype(np.int64)
+    perm = rng.permutation(LINES_PER_ROW).astype(np.uint64)
 
     # --- population sizing -------------------------------------------------
     tier512_rows = int(round(profile.hot512_rows * factor))
@@ -329,12 +346,18 @@ def spec_trace(
     rows64 = all_hot_rows[tier512_rows:]
 
     # --- component streams ---------------------------------------------------
+    # All single accesses share one buffer, in stream order: the 512+
+    # tier, the 64+ tier, then the cold draw.
+    cold_count = cold_acc if cold_region else 0
+    singles = np.empty(hot_acc + cold_count, dtype=np.uint64)
     # Ultra-hot rows engage a denser line set than ordinary hot rows
     # (their activation volume comes from broader structures), but stay
     # inside Table 3's dominant 32-64 distinct-line bucket.
     active512 = max(profile.active_lines, 63)
-    hot512_lines = _hot_component(rng, rows512, acts512, active512, perm)
-    hot64_lines = _hot_component(rng, rows64, acts64, profile.active_lines, perm)
+    _hot_component(rng, rows512, acts512, active512, perm, singles[:acc512])
+    _hot_component(
+        rng, rows64, acts64, profile.active_lines, perm, singles[acc512:hot_acc]
+    )
 
     block = SCAN_BLOCK
     visits = seq_acc // block if scan_rows else 0
@@ -352,19 +375,12 @@ def spec_trace(
     else:
         scan_starts = np.empty(0, dtype=np.uint64)
 
-    if cold_acc and cold_region:
-        cold_lines_arr = np.uint64(cold_base) + rng.integers(
-            0, cold_region * LINES_PER_ROW, size=cold_acc, dtype=np.uint64
-        )
-    else:
-        cold_lines_arr = np.empty(0, dtype=np.uint64)
+    if cold_count:
+        cold = singles[hot_acc:]
+        cold[:] = rng.integers(0, cold_region * LINES_PER_ROW, size=cold_count, dtype=np.uint64)
+        cold += np.uint64(cold_base)
 
-    lines = _weave(
-        rng,
-        singles=[hot512_lines, hot64_lines, cold_lines_arr],
-        block_starts=scan_starts,
-        block_len=block,
-    )
+    lines = _weave(rng, singles, block_starts=scan_starts, block_len=block)
     instructions = max(1, int(round(lines.size * 1000.0 / profile.mpki)))
     return Trace(
         name=name,
@@ -378,43 +394,49 @@ def spec_trace(
 
 def _weave(
     rng: np.random.Generator,
-    singles: List[np.ndarray],
+    singles: np.ndarray,
     block_starts: np.ndarray,
     block_len: int,
 ) -> np.ndarray:
-    """Interleave single-access streams with burst blocks.
+    """Interleave single accesses with burst blocks.
 
     Singles are already i.i.d., so a uniform shuffle of *block slots*
     (each single is a length-1 block, each scan visit a length-
     ``block_len`` burst that stays contiguous, as a memory controller
-    would see it) produces the merged stream.
+    would see it) produces the merged stream.  The slot labels are
+    walked in blocks of ``_BLOCK``: a slot ``s`` with ``b`` bursts
+    before it starts at ``s + (block_len - 1) * b``, and the singles
+    fill their slots in the order of one uniform permutation.
     """
-    single_lines = (
-        np.concatenate([s for s in singles if s.size])
-        if any(s.size for s in singles)
-        else np.empty(0, dtype=np.uint64)
-    )
-    n_single = single_lines.size
+    n_single = singles.size
     n_blocks = block_starts.size
-    if n_blocks == 0:
-        if n_single == 0:
-            raise ValueError("empty trace: no accesses generated")
-        return single_lines[rng.permutation(n_single)]
+    n_slots = n_single + n_blocks
+    if n_slots == 0:
+        raise ValueError("empty trace: no accesses generated")
+    labels = np.zeros(n_slots, dtype=np.int8)
+    if n_blocks:
+        labels[n_single:] = 1
+        rng.shuffle(labels)
+    order = rng.permutation(n_single)
+    out = np.empty(n_single + n_blocks * block_len, dtype=np.uint64)
 
-    labels = np.zeros(n_single + n_blocks, dtype=np.int8)
-    labels[n_single:] = 1
-    rng.shuffle(labels)
-    lengths = np.where(labels == 1, block_len, 1).astype(np.int64)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    out = np.empty(offsets[-1], dtype=np.uint64)
+    singles_done = bursts_done = 0
+    for start in range(0, n_slots, _BLOCK):
+        is_burst = labels[start : start + _BLOCK].view(np.bool_)
+        bursts_before = bursts_done + np.cumsum(is_burst) - is_burst
+        pos = np.arange(start, start + is_burst.size) + (block_len - 1) * bursts_before
 
-    single_order = rng.permutation(n_single) if n_single else np.empty(0, dtype=np.int64)
-    single_slots = offsets[:-1][labels == 0]
-    out[single_slots] = single_lines[single_order]
+        single_pos = pos[~is_burst]
+        stop = singles_done + single_pos.size
+        out[single_pos] = singles[order[singles_done:stop]]
+        singles_done = stop
 
-    block_slots = offsets[:-1][labels == 1]
-    for j in range(block_len):
-        out[block_slots + j] = block_starts + np.uint64(j)
+        burst_pos = pos[is_burst]
+        stop = bursts_done + burst_pos.size
+        starts = block_starts[bursts_done:stop]
+        for j in range(block_len):
+            out[burst_pos + j] = starts + np.uint64(j)
+        bursts_done = stop
     return out
 
 

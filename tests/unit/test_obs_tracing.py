@@ -89,6 +89,30 @@ class TestTracer:
             assert key in event
         assert event["attrs"] == {"workload": "gcc"}
 
+    def test_set_adds_attrs_after_the_phase_ran(self, tracer):
+        tracer, registry, events = tracer
+        with tracer.span("trace.gen", workload="gcc") as span:
+            span.set(lines=42)
+        assert events[0]["attrs"] == {"workload": "gcc", "lines": 42}
+        with Tracer(MetricsRegistry(enabled=False)).span("trace.gen") as span:
+            span.set(lines=42)  # a no-op while telemetry is off
+
+    def test_trace_gen_span_records_line_count(self):
+        from repro.experiments.common import clear_caches, get_trace
+        from repro.obs import runtime as obs_runtime
+
+        obs_runtime.reset()
+        clear_caches()
+        obs_runtime.configure(enabled=True)
+        try:
+            trace = get_trace("xz", scale=0.02)
+            (record,) = [r for r in obs_runtime.TRACER.finished if r.name == "trace.gen"]
+        finally:
+            obs_runtime.reset()
+            clear_caches()
+        assert record.attrs["workload"] == "xz"
+        assert record.attrs["lines"] == len(trace)
+
 
 class TestStructuredLogger:
     def _logger(self, tmp_path=None, verbosity=NORMAL):

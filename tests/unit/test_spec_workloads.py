@@ -6,6 +6,7 @@ import pytest
 from repro.dram.fast_model import analyze_trace
 from repro.mapping.intel import CoffeeLakeMapping
 from repro.dram.config import baseline_config
+from repro.workloads import spec
 from repro.workloads.spec import (
     SPEC_PROFILES,
     SpecProfile,
@@ -108,8 +109,17 @@ class TestGeneratedTraces:
         trace = spec_trace("gcc", scale=0.05, line_addr_bits=29)
         assert int(trace.lines.max()) < (1 << 29)
 
-    def test_invalid_args(self):
+    def test_invalid_args(self, monkeypatch):
         with pytest.raises(ValueError):
             spec_trace("gcc", scale=0.05, cores=0)
         with pytest.raises(KeyError):
             spec_trace("notaworkload")
+
+        # A bad scale is rejected before any generation work starts.
+        def generating(*args, **kwargs):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(spec, "_pareto_acts", generating)
+        for scale in (0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"scale must be in \(0, 1\], got"):
+                spec_trace("lbm", scale=scale)
