@@ -14,9 +14,9 @@
 # (scripts/validate_telemetry.py), so instrumentation and catalog
 # cannot drift apart; stage 5 runs the `serve` subcommand on a tiny
 # campaign spec over the process pool (--workers 2, with a checkpoint
-# journal and --telemetry-dir) and validates its telemetry the same
-# way, so `serve` artifacts stay schema-checked; stage 6
-# smoke-tests the playbook sweep fuzzer (seeded tiny sweep + bisection,
+# journal, --stats-cache and --telemetry-dir) and validates its
+# telemetry the same way, so `serve` artifacts stay schema-checked;
+# stage 6 smoke-tests the playbook sweep fuzzer (seeded tiny sweep + bisection,
 # exact re-run reproducibility, Rubix-S blind-vs-informed contrast --
 # scripts/fuzz_smoke.py), schema-validating its telemetry too; stage 7
 # gates the published numbers byte for byte (runs the full paper suite
@@ -75,7 +75,9 @@ run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$TELEMETRY_DIR" \
 run_bounded 60 python scripts/validate_telemetry.py "$TELEMETRY_DIR"
 
 # Stage 5: serve smoke -- one tiny spec on a two-worker pool with a
-# journal and telemetry; the artifacts are validated like stage 4.
+# journal, a disk stats cache (the pool workers write and read its
+# packed entries) and telemetry; the artifacts are validated like
+# stage 4.
 SERVE_DIR="$(mktemp -d -t rubix-serve-XXXXXX)"
 trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR"' EXIT
 cat > "$SERVE_DIR/spec.json" <<'SPEC'
@@ -84,7 +86,7 @@ cat > "$SERVE_DIR/spec.json" <<'SPEC'
 SPEC
 run_bounded "$SMOKE_BUDGET" python -m repro.experiments serve "$SERVE_DIR/spec.json" \
     --workers 2 --journal "$SERVE_DIR/journal.jsonl" \
-    --telemetry-dir "$SERVE_DIR/telemetry"
+    --stats-cache "$SERVE_DIR/stats" --telemetry-dir "$SERVE_DIR/telemetry"
 run_bounded 60 python scripts/validate_telemetry.py "$SERVE_DIR/telemetry"
 
 # Stage 6: sweep-fuzzer smoke -- deterministic playbook sweep, known

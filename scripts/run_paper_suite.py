@@ -10,6 +10,9 @@ reuses them.  Output is the EXPERIMENTS.md data, in suite order.
 ``--telemetry-dir DIR`` additionally writes a run manifest, metric
 snapshots, and span event streams to DIR (see docs/OBSERVABILITY.md);
 ``--log-json PATH`` mirrors the console status records to a JSONL file.
+The last record, ``suite.done``, carries the suite's ``elapsed_s`` and
+the process's ``peak_rss_mb``; like every status record it goes to the
+console and the logs, never to the output file.
 
 Usage:  python scripts/run_paper_suite.py [output.txt] [--stats-cache DIR]
                                           [--telemetry-dir DIR]
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 
@@ -101,6 +105,11 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set size (``ru_maxrss``, KB on Linux), in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     if args.stats_cache:
@@ -141,8 +150,15 @@ def main(argv=None) -> int:
                 experiment=experiment_id,
                 elapsed_s=round(elapsed, 3),
             )
-        print(
-            f"[suite finished in {time.perf_counter() - suite_started:.0f}s]", file=out
+        elapsed = time.perf_counter() - suite_started
+        print(f"[suite finished in {elapsed:.0f}s]", file=out)
+        out.flush()
+        peak = peak_rss_mb()
+        log.info(
+            "suite.done",
+            message=f"suite done ({elapsed:.1f}s, peak RSS {peak:.0f} MB)",
+            elapsed_s=round(elapsed, 3),
+            peak_rss_mb=round(peak, 1),
         )
         if manifest is not None:
             written = obs_runtime.write_telemetry(manifest=manifest)

@@ -76,10 +76,12 @@ class TraceStats:
             (``int64``).
         act_cols: If detail was kept, the column of every ACT.
 
-    Every producer -- :func:`analyze_trace`, :class:`ChunkedAnalyzer`,
-    :meth:`merge` and the stats cache's disk layer -- hands out the
-    histogram in these dtypes (see :meth:`narrow_histogram`), so a
-    cached window holds 8 bytes per activated row, not 16.
+    Every producer -- :func:`analyze_trace`, :class:`ChunkedAnalyzer`
+    and :meth:`merge` -- hands out the histogram in these dtypes (see
+    :meth:`narrow_histogram`), and the stats cache hands back exactly
+    the dtypes it was given.  The cache stores the histogram packed: 3
+    bytes per activated row while no row passes 255 activations (see
+    :mod:`repro.parallel.cache`).
     """
 
     n_accesses: int
@@ -461,24 +463,28 @@ class ChunkedAnalyzer:
     count back into the remap engine.  This class accumulates the chunk
     statistics and produces a merged window result; the row buffer is
     conservatively assumed cold at each chunk boundary (a <0.1% activation
-    overcount at the default chunk size).
+    overcount at the default chunk size).  A window of one chunk -- every
+    window shorter than the simulator's ``chunk_lines`` -- needs no merge:
+    its result is that chunk's own statistics, and no histogram is built.
     """
 
     rows_per_bank: int
     max_hits: Optional[int] = 16
     keep_detail: bool = False
     _parts: List[TraceStats] = field(default_factory=list)
-    #: Dense per-row activation histogram over the global-row domain.  It
-    #: replaces the sort-heavy cross-chunk merge (concatenate + np.unique
-    #: over every chunk's ids) with one scatter per chunk; if a chunk
-    #: ever pushes the domain past the dense budget, the accumulated
-    #: counts fold into the list form and the merge falls back to
-    #: :meth:`TraceStats.merge`.  Every run opens with an ACT, so a
-    #: chunk's ``row_ids`` are exactly the rows it touched and the
-    #: histogram's nonzero entries are the window's touched rows.
+    #: Dense per-row activation histogram over the global-row domain,
+    #: built when the second non-empty chunk arrives.  It replaces the
+    #: sort-heavy cross-chunk merge (concatenate + np.unique over every
+    #: chunk's ids) with one scatter per chunk; if the domain ever
+    #: outgrows the dense budget, the accumulated counts fold into the
+    #: list form and the merge falls back to :meth:`TraceStats.merge`.
+    #: Every run opens with an ACT, so a chunk's ``row_ids`` are exactly
+    #: the rows it touched and the histogram's nonzero entries are the
+    #: window's touched rows.
     _hist: Optional[np.ndarray] = None
     _dense: bool = True
     _fed: int = 0
+    _domain: int = 0
 
     def feed(self, global_row: np.ndarray, col: Optional[np.ndarray] = None) -> TraceStats:
         """Analyze one chunk of global row ids; returns the chunk's own stats."""
@@ -493,46 +499,59 @@ class ChunkedAnalyzer:
         if stats.n_accesses == 0 or not self._dense:
             return stats
         self._fed += stats.n_accesses
-        domain = int(stats.row_ids[-1]) + 1
-        if _histogram_domain_ok(domain, self._fed):
-            count_dtype = _fitting_int(self._fed)
-            if self._hist is None or self._hist.size < domain or self._hist.dtype != count_dtype:
-                self._hist = _grown(self._hist, domain, count_dtype)
-            with PROFILER.phase("chunk_merge"):
+        self._domain = max(self._domain, int(stats.row_ids[-1]) + 1)
+        if self._fed == stats.n_accesses:
+            # The first non-empty chunk: it stays the window's result
+            # until another one arrives.
+            return stats
+        if not _histogram_domain_ok(self._domain, self._fed):
+            # Domain outgrew the dense budget mid-stream: continue
+            # sort-merged from here on.
+            self._dense = False
+            if self._hist is not None and not self.keep_detail:
+                # The dense-era parts were slimmed to scalars, so the
+                # histogram is the only copy of their per-row counts:
+                # collapse it into one synthetic part the merge can consume.
+                folded = self._dense_result(self._parts[:-1])
+                self._parts = [folded, self._parts[-1]]
+            self._hist = None
+            return stats
+        if self._hist is None:
+            # The second non-empty chunk: the first one joins it now.
+            fresh = [i for i, part in enumerate(self._parts) if part.n_accesses]
+        else:
+            fresh = [len(self._parts) - 1]
+        count_dtype = _fitting_int(self._fed)
+        if self._hist is None or self._hist.size < self._domain or self._hist.dtype != count_dtype:
+            self._hist = _grown(self._hist, self._domain, count_dtype)
+        with PROFILER.phase("chunk_merge"):
+            for i in fresh:
+                part = self._parts[i]
                 # Row ids are unique within a chunk, so the scatter
                 # needs no np.add.at.
-                self._hist[stats.row_ids] += stats.acts_per_row
-            if not self.keep_detail:
-                # The chunk's per-row arrays now live in the histogram;
-                # retaining them per part as well made a long streamed
-                # window hold every chunk's histogram at once (gigabytes
-                # over a 100M-line trace).  Keep only the scalar tallies
-                # the merged result needs.
-                self._parts[-1] = TraceStats(
-                    n_accesses=stats.n_accesses,
-                    n_activations=stats.n_activations,
-                    n_hits=stats.n_hits,
-                    row_ids=_EMPTY_HISTOGRAM,
-                    acts_per_row=_EMPTY_HISTOGRAM,
-                    unique_rows_touched=stats.unique_rows_touched,
-                )
-            return stats
-        # Domain outgrew the dense budget mid-stream: continue
-        # sort-merged from here on.
-        self._dense = False
-        if self._hist is not None and not self.keep_detail and len(self._parts) > 1:
-            # The dense-era parts were slimmed to scalars, so the
-            # histogram is the only copy of their per-row counts:
-            # collapse it into one synthetic part the merge can consume.
-            folded = self._dense_result(self._parts[:-1])
-            self._parts = [folded, self._parts[-1]]
-        self._hist = None
+                self._hist[part.row_ids] += part.acts_per_row
+                if not self.keep_detail:
+                    # The chunk's per-row arrays now live in the
+                    # histogram; retaining them per part as well made a
+                    # long streamed window hold every chunk's histogram
+                    # at once (gigabytes over a 100M-line trace).  Keep
+                    # only the scalar tallies the merged result needs.
+                    self._parts[i] = TraceStats(
+                        n_accesses=part.n_accesses,
+                        n_activations=part.n_activations,
+                        n_hits=part.n_hits,
+                        row_ids=_EMPTY_HISTOGRAM,
+                        acts_per_row=_EMPTY_HISTOGRAM,
+                        unique_rows_touched=part.unique_rows_touched,
+                    )
         return stats
 
     def result(self) -> TraceStats:
         """Merged statistics across all chunks fed so far."""
         if self._hist is not None:
             return self._dense_result(self._parts)
+        if len(self._parts) == 1:
+            return self._parts[0]
         return TraceStats.merge(self._parts)
 
     def _dense_result(self, parts: List[TraceStats]) -> TraceStats:

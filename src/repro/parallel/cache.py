@@ -13,6 +13,16 @@ statistics.  This module replaces that with a *content-keyed* cache:
   budget, and -- for dynamically-remapped windows -- the chunk size,
   which changes where the remap engine advances).
 
+Detail-free entries are stored packed, in one layout shared by memory
+and disk (:class:`_Packed`): each activated row's id as its low 16 bits
+plus one run per occupied 65,536-row bucket, and its count in the
+narrowest unsigned dtype that holds the window's maximum.  A randomized
+window, whose rows nearly all see fewer than 256 activations, costs
+about 3 bytes per activated row instead of 8.  Every lookup rebuilds a
+fresh :class:`TraceStats` in the documented ``int32``/``int64``
+dtypes, so no consumer ever sees the packed form.  Entries that carry
+per-activation detail are kept as given, in memory only.
+
 Entries can optionally persist to a directory of ``.npz`` files shared
 across processes: a parallel campaign's workers read each other's
 analysis results instead of recomputing them.  Writes are atomic
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -41,8 +52,13 @@ log = get_logger("cache")
 #: is how pool workers inherit the cache location).
 STATS_CACHE_ENV = "REPRO_STATS_CACHE"
 
-#: On-disk entry format version (bump on layout changes).
-_DISK_VERSION = 2
+#: On-disk entry format version (bump on layout changes).  It is part of
+#: every key, so entries of another version are never looked up.
+_DISK_VERSION = 3
+
+#: Low bits of a row id stored per row by the packed layout; the rest is
+#: stored once per run of ids sharing it.
+_BUCKET_BITS = 16
 
 
 def stats_cache_key(
@@ -71,6 +87,90 @@ def stats_cache_key(
     return digest.hexdigest()
 
 
+@dataclass(frozen=True, eq=False)
+class _Packed:
+    """One detail-free cache entry, as held in memory and on disk.
+
+    The sorted, unique ``row_ids`` become ``low`` (each id's low 16 bits,
+    ``uint16``) plus one ``(base, run)`` pair per occupied 65,536-row
+    bucket: ``base`` is the bucket's first id, in the ids' own dtype, and
+    ``run`` the number of ids in it.  ``acts`` holds ``acts_per_row`` in
+    the narrowest unsigned dtype that fits its maximum, and
+    ``acts_dtype`` is the dtype it is handed back in.  The layout is the
+    same for every id dtype, ``int64`` included.
+    """
+
+    #: n_accesses, n_activations, n_hits, unique_rows_touched, swaps.
+    scalars: Tuple[int, int, int, int, int]
+    bases: np.ndarray
+    runs: np.ndarray
+    low: np.ndarray
+    acts: np.ndarray
+    acts_dtype: np.dtype
+
+    @classmethod
+    def pack(cls, stats: TraceStats, swaps: int) -> "_Packed":
+        row_ids, acts = stats.row_ids, stats.acts_per_row
+        # The ids are sorted, so each occupied bucket is one run; starts
+        # holds the index of each run's first id (none when empty).
+        high = row_ids >> _BUCKET_BITS
+        starts = np.flatnonzero(high[1:] != high[:-1]) + 1
+        starts = np.concatenate(([0], starts))[: row_ids.size]
+        return cls(
+            scalars=(
+                int(stats.n_accesses),
+                int(stats.n_activations),
+                int(stats.n_hits),
+                int(stats.unique_rows_touched),
+                int(swaps),
+            ),
+            bases=high[starts] << _BUCKET_BITS,
+            runs=np.diff(np.append(starts, row_ids.size)),
+            # A cast to uint16 keeps exactly the low 16 bits.
+            low=row_ids.astype(np.uint16),
+            acts=acts.astype(np.min_scalar_type(int(acts.max()) if acts.size else 0)),
+            acts_dtype=acts.dtype,
+        )
+
+    def unpack(self) -> Tuple[TraceStats, int]:
+        """A fresh ``(TraceStats, swaps)`` equal to what was packed."""
+        row_ids = np.repeat(self.bases, self.runs)
+        row_ids += self.low
+        n_accesses, n_activations, n_hits, unique_rows_touched, swaps = self.scalars
+        stats = TraceStats(
+            n_accesses=n_accesses,
+            n_activations=n_activations,
+            n_hits=n_hits,
+            row_ids=row_ids,
+            acts_per_row=self.acts.astype(self.acts_dtype),
+            unique_rows_touched=unique_rows_touched,
+        )
+        return stats, swaps
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The entry as named arrays for ``np.savez``."""
+        return {
+            "scalars": np.array([*self.scalars, _DISK_VERSION], dtype=np.int64),
+            "row_bases": self.bases,
+            "row_runs": self.runs,
+            "row_low": self.low,
+            "acts_per_row": self.acts,
+            "acts_dtype": np.array(self.acts_dtype.str),
+        }
+
+    @classmethod
+    def from_arrays(cls, bundle) -> "_Packed":
+        scalars = bundle["scalars"]
+        return cls(
+            scalars=tuple(int(value) for value in scalars[:5]),
+            bases=bundle["row_bases"],
+            runs=bundle["row_runs"],
+            low=bundle["row_low"],
+            acts=bundle["acts_per_row"],
+            acts_dtype=np.dtype(str(bundle["acts_dtype"])),
+        )
+
+
 class StatsCache:
     """Two-level (memory, optional disk) cache of ``(TraceStats, swaps)``.
 
@@ -78,12 +178,14 @@ class StatsCache:
         persist_dir: Directory for the shared disk layer (created on
             first write); None keeps the cache purely in-memory.
 
-    Only detail-free statistics are stored: per-activation detail arrays
-    are large, single-use, and never cached by the simulator either.
+    Detail-free statistics are held packed (:class:`_Packed`) and are
+    the only ones persisted: per-activation detail arrays are large,
+    single-use, and never cached by the simulator either.  Every hit on
+    a packed entry returns a fresh :class:`TraceStats`.
     """
 
     def __init__(self, persist_dir: Optional[Union[str, Path]] = None) -> None:
-        self._mem: Dict[str, Tuple[TraceStats, int]] = {}
+        self._mem: Dict[str, Union[_Packed, Tuple[TraceStats, int]]] = {}
         self.persist_dir: Optional[Path] = Path(persist_dir) if persist_dir else None
         self.hits = 0
         self.disk_hits = 0
@@ -122,38 +224,44 @@ class StatsCache:
         if entry is not None:
             self.hits += 1
             METRICS.inc("cache.requests", result="hit")
-            return entry
+            return entry.unpack() if isinstance(entry, _Packed) else entry
         if self.persist_dir is not None:
-            entry = self._disk_get(key)
-            if entry is not None:
-                self._mem[key] = entry
+            got = self._disk_get(key)
+            if got is not None:
                 self.disk_hits += 1
                 METRICS.inc("cache.requests", result="disk_hit")
-                return entry
+                return got
         self.misses += 1
         METRICS.inc("cache.requests", result="miss")
         return None
 
     def put(self, key: str, stats: TraceStats, swaps: int) -> None:
         """Store one entry (and persist it when a disk layer is attached)."""
-        self._mem[key] = (stats, swaps)
+        if stats.act_rows is None and stats.act_cols is None:
+            packed = _Packed.pack(stats, swaps)
+            self._mem[key] = packed
+            if self.persist_dir is not None:
+                self._disk_put(key, packed)
+        else:
+            self._mem[key] = (stats, swaps)
         METRICS.set_gauge("cache.entries", len(self._mem))
-        if self.persist_dir is not None and stats.act_rows is None and stats.act_cols is None:
-            self._disk_put(key, stats, swaps)
 
     # ------------------------------------------------------------------
     def _entry_path(self, key: str) -> Path:
         return self.persist_dir / f"{key}.npz"
 
     def _disk_get(self, key: str) -> Optional[Tuple[TraceStats, int]]:
+        """Load, promote to memory and unpack one disk entry."""
         path = self._entry_path(key)
         if not path.exists():
             return None
         try:
             with np.load(path) as bundle:
                 scalars = bundle["scalars"]
-                row_ids = bundle["row_ids"]
-                acts = bundle["acts_per_row"]
+                if scalars.shape != (6,) or int(scalars[5]) != _DISK_VERSION:
+                    return None
+                packed = _Packed.from_arrays(bundle)
+            got = packed.unpack()
         except Exception as error:
             # Torn/corrupt entry (e.g. a crashed writer on a filesystem
             # without atomic replace): quarantine it and recompute.  The
@@ -162,25 +270,13 @@ class StatsCache:
             # and the next reader doesn't pay the decode failure again.
             self._quarantine(path, error)
             return None
-        if scalars.shape != (6,) or int(scalars[5]) != _DISK_VERSION:
-            return None
         if METRICS.enabled:
             try:
                 METRICS.inc("cache.disk_bytes_read", path.stat().st_size)
             except OSError:
                 pass
-        # Entries written before the histogram narrowed hold int64
-        # arrays with the same values; they load in today's dtypes.
-        row_ids, acts = TraceStats.narrow_histogram(row_ids, acts, int(scalars[1]))
-        stats = TraceStats(
-            n_accesses=int(scalars[0]),
-            n_activations=int(scalars[1]),
-            n_hits=int(scalars[2]),
-            row_ids=row_ids,
-            acts_per_row=acts,
-            unique_rows_touched=int(scalars[3]),
-        )
-        return stats, int(scalars[4])
+        self._mem[key] = packed
+        return got
 
     def _quarantine(self, path: Path, error: BaseException) -> None:
         """Move an undecodable cache entry aside as ``<name>.corrupt``."""
@@ -200,25 +296,12 @@ class StatsCache:
             error=f"{type(error).__name__}: {error}",
         )
 
-    def _disk_put(self, key: str, stats: TraceStats, swaps: int) -> None:
+    def _disk_put(self, key: str, packed: _Packed) -> None:
         try:
             self.persist_dir.mkdir(parents=True, exist_ok=True)
             path = self._entry_path(key)
             tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
-            scalars = np.array(
-                [
-                    stats.n_accesses,
-                    stats.n_activations,
-                    stats.n_hits,
-                    stats.unique_rows_touched,
-                    swaps,
-                    _DISK_VERSION,
-                ],
-                dtype=np.int64,
-            )
-            np.savez_compressed(
-                tmp, scalars=scalars, row_ids=stats.row_ids, acts_per_row=stats.acts_per_row
-            )
+            np.savez_compressed(tmp, **packed.arrays())
             if METRICS.enabled:
                 METRICS.inc("cache.disk_bytes_written", tmp.stat().st_size)
             os.replace(tmp, path)

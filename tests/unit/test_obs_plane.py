@@ -2,7 +2,8 @@
 
 Covers the pieces added around the core telemetry layer: the sampling
 profiler (:mod:`repro.obs.profile`), per-(run, pid) event-stream keying,
-and the bench-history regression gate (``scripts/bench_regress.py``).
+the bench-history regression gate (``scripts/bench_regress.py``) and the
+paper suite's closing ``suite.done`` record (``scripts/run_paper_suite.py``).
 """
 
 import importlib.util
@@ -166,13 +167,15 @@ class TestRunScopedEventFiles:
         assert "aaaa" in mixed[0] and "bbbb" in mixed[0]
 
 
-def _load_bench_regress():
-    spec = importlib.util.spec_from_file_location(
-        "bench_regress", REPO_ROOT / "scripts" / "bench_regress.py"
-    )
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_bench_regress():
+    return _load_script("bench_regress")
 
 
 class TestBenchRegress:
@@ -243,3 +246,31 @@ class TestBenchRegress:
     def test_cli_against_repo_history(self, capsys):
         bench = _load_bench_regress()
         assert bench.main(["--quiet"]) in (0, 1)  # advisory semantics decide
+
+
+class TestPaperSuiteDone:
+    def test_done_record_reaches_logs_and_events_not_output(self, tmp_path, monkeypatch):
+        from repro.obs.schema import validate_telemetry_dir
+
+        suite = _load_script("run_paper_suite")
+        monkeypatch.setattr(suite, "SUITE", [("fig1a", 1.0, None)])
+        out, log_json, tele = tmp_path / "out.txt", tmp_path / "log.jsonl", tmp_path / "tele"
+        argv = [str(out), "--quiet", "--log-json", str(log_json), "--telemetry-dir", str(tele)]
+        try:
+            assert suite.main(argv) == 0
+        finally:
+            obs_runtime.reset()
+        logged = [json.loads(line) for line in log_json.read_text().splitlines()]
+        done = [record for record in logged if record["event"] == "suite.done"]
+        assert len(done) == 1
+        assert done[0]["elapsed_s"] >= 0 and done[0]["peak_rss_mb"] > 0
+        events = [
+            json.loads(line)
+            for path in tele.glob("events-*.jsonl")
+            for line in path.read_text().splitlines()
+        ]
+        assert [e for e in events if e.get("event") == "suite.done"]
+        assert validate_telemetry_dir(tele, required=()) == []
+        text = out.read_text()
+        assert "suite.done" not in text and "peak" not in text
+        assert text.rstrip("\n").splitlines()[-1].startswith("[suite finished in ")

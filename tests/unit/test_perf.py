@@ -1,5 +1,7 @@
 """Unit tests for the performance model, metrics, and simulator."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -141,8 +143,16 @@ class TestSimulator:
     def test_stats_cached(self, sim, trace):
         mapping = CoffeeLakeMapping(sim.config)
         a, _ = sim.window_stats(trace, mapping)
-        b, _ = sim.window_stats(trace, mapping)
-        assert a is b
+        hits = sim.stats_cache.hits
+        with patch("repro.perf.simulator.analyze_trace", side_effect=AssertionError):
+            b, _ = sim.window_stats(trace, mapping)
+        assert sim.stats_cache.hits == hits + 1
+        for name in ("n_accesses", "n_activations", "n_hits", "unique_rows_touched"):
+            assert getattr(b, name) == getattr(a, name)
+        for name in ("row_ids", "acts_per_row"):
+            assert getattr(b, name).dtype == getattr(a, name).dtype
+            assert np.array_equal(getattr(b, name), getattr(a, name))
+        assert b.act_rows is a.act_rows is None and b.act_cols is a.act_cols is None
 
     def test_trace_key_distinguishes_same_shaped_traces(self, sim):
         # Regression: the cache key was (name, scale, size), so two

@@ -22,6 +22,19 @@ def _stats(activations=100, hits=50, detail=False):
     )
 
 
+def assert_same_stats(got, want):
+    """Every scalar and array of two TraceStats equal, dtypes included."""
+    for name in ("n_accesses", "n_activations", "n_hits", "unique_rows_touched"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("row_ids", "acts_per_row", "act_rows", "act_cols"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
 BASE_KEY_ARGS = dict(
     trace_key=("gcc", 0.5, 100_000, "abcd" * 8, 2024),
     mapping_key="rubix-s|gs4|seed2024",
@@ -59,8 +72,8 @@ class TestKey:
     @pytest.mark.parametrize(
         "mapping, dynamic, digest",
         [
-            ("coffeelake", False, "97f20ad65e75310c38db39e4fb6e68b4d5a54d28"),
-            ("rubix-d", True, "5d2493eec11e3ed7f0b4c4a5ce381e737e3f082b"),
+            ("coffeelake", False, "556a5f1923316c0c3d5bea13a60503e1970437d2"),
+            ("rubix-d", True, "2728ec27e861b7ee81fdf26fdd62dee65e9bebc2"),
         ],
         # The ids leave the digest out, so a version bump keeps the names.
         ids=["coffeelake-False", "rubix-d-True"],
@@ -110,7 +123,7 @@ class TestKey:
 
 
 class TestMemoryLayer:
-    def test_miss_then_hit_returns_same_objects(self):
+    def test_miss_then_hit_returns_equal_stats(self):
         cache = StatsCache()
         key = stats_cache_key(**BASE_KEY_ARGS)
         assert cache.get(key) is None
@@ -118,8 +131,27 @@ class TestMemoryLayer:
         cache.put(key, stats, 7)
         got = cache.get(key)
         assert got is not None
-        assert got[0] is stats and got[1] == 7
+        assert_same_stats(got[0], stats)
+        assert got[1] == 7
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_hit_hands_out_fresh_arrays(self):
+        """A consumer writing into a hit's arrays cannot corrupt the entry."""
+        cache = StatsCache()
+        key = stats_cache_key(**BASE_KEY_ARGS)
+        cache.put(key, _stats(), 0)
+        first, _ = cache.get(key)
+        first.row_ids[:] = 0
+        first.acts_per_row[:] = 0
+        assert_same_stats(cache.get(key)[0], _stats())
+
+    def test_detail_bearing_entry_kept_as_given(self):
+        cache = StatsCache()
+        key = stats_cache_key(**BASE_KEY_ARGS)
+        stats = _stats(detail=True)
+        cache.put(key, stats, 2)
+        got, swaps = cache.get(key)
+        assert got is stats and swaps == 2
 
     def test_len_and_contains(self):
         cache = StatsCache()
@@ -150,10 +182,15 @@ class TestDiskLayer:
         assert loaded.unique_rows_touched == stats.unique_rows_touched
         assert loaded.row_ids.tolist() == stats.row_ids.tolist()
         assert loaded.acts_per_row.tolist() == stats.acts_per_row.tolist()
-        assert reader.disk_hits == 1
-        # Promoted to memory: the second get is a memory hit.
-        assert reader.get(key)[0] is loaded
-        assert reader.hits == 1
+        assert_same_stats(loaded, stats)
+        assert reader.disk_hits == 1 and reader.misses == 0
+        # Promoted to memory: the second get is a counted memory hit that
+        # neither reads the disk nor misses.
+        (tmp_path / f"{key}.npz").unlink()
+        again, again_swaps = reader.get(key)
+        assert (reader.hits, reader.disk_hits, reader.misses) == (1, 1, 0)
+        assert_same_stats(again, stats)
+        assert again_swaps == 11
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         key = stats_cache_key(**BASE_KEY_ARGS)
@@ -213,12 +250,9 @@ class TestDiskLayer:
         cache.put(key, _stats(), 3)
         path = tmp_path / f"{key}.npz"
         with np.load(path) as bundle:
-            scalars = bundle["scalars"].copy()
-            row_ids, acts = bundle["row_ids"], bundle["acts_per_row"]
-            scalars[5] = 999  # future format version
-            np.savez_compressed(
-                tmp_path / "tmp.npz", scalars=scalars, row_ids=row_ids, acts_per_row=acts
-            )
+            arrays = dict(bundle)
+        arrays["scalars"][5] = 999  # future format version
+        np.savez_compressed(tmp_path / "tmp.npz", **arrays)
         (tmp_path / "tmp.npz").replace(path)
         fresh = StatsCache(persist_dir=tmp_path)
         assert fresh.get(key) is None
@@ -253,25 +287,29 @@ class TestDiskLayer:
             assert got.unique_rows_touched == fresh.unique_rows_touched
         assert disk_swaps == swaps
 
-    def test_int64_version_2_entry_loads_narrow(self, tmp_path):
-        """Version-2 entries written while the histogram was int64 hold
-        the same values, so they still load -- as int32."""
+    def test_version_2_entries_are_never_looked_up(self, tmp_path, monkeypatch):
+        """The format version is part of the key: an entry written in the
+        version-2 layout (plain row ids and counts) sits under a different
+        file name and is neither read nor quarantined."""
+        from repro.parallel import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_DISK_VERSION", 2)
+        old_key = stats_cache_key(**BASE_KEY_ARGS)
+        monkeypatch.undo()
         key = stats_cache_key(**BASE_KEY_ARGS)
+        assert old_key != key
         stats = _stats()
-        scalars = np.array([150, 100, 50, 2, 4, 2], dtype=np.int64)
+        old_path = tmp_path / f"{old_key}.npz"
         np.savez_compressed(
-            tmp_path / f"{key}.npz",
-            scalars=scalars,
-            row_ids=stats.row_ids.astype(np.int64),
-            acts_per_row=stats.acts_per_row.astype(np.int64),
+            old_path,
+            scalars=np.array([150, 100, 50, 2, 4, 2], dtype=np.int64),
+            row_ids=stats.row_ids,
+            acts_per_row=stats.acts_per_row,
         )
-        got = StatsCache(persist_dir=tmp_path).get(key)
-        assert got is not None
-        loaded, swaps = got
-        assert swaps == 4
-        assert loaded.row_ids.dtype == loaded.acts_per_row.dtype == np.int32
-        assert loaded.row_ids.tolist() == [3, 9]
-        assert loaded.acts_per_row.tolist() == [60, 40]
+        reader = StatsCache(persist_dir=tmp_path)
+        assert reader.get(key) is None
+        assert (reader.misses, reader.corrupt) == (1, 0)
+        assert old_path.exists()
 
     def test_detail_bearing_stats_not_persisted(self, tmp_path):
         key = stats_cache_key(**BASE_KEY_ARGS)

@@ -1,13 +1,19 @@
-"""Working-set guard for one analysis window.
+"""Working-set guards for one analysis window and its cached statistics.
 
 A window's transient memory is what ``peak_rss_mb`` of the repository
 benchmark tracks, so it is pinned here in bytes per line: the traced
 (``tracemalloc``) peak of one uncached ``Simulator.window_stats`` call
 on a 1M-line window in the Table 1 baseline geometry.  The static path
 translates in blocks straight to ``uint32`` row ids and analyzes them
-without an ``intp`` permutation; the Rubix-D bound also covers the
-chunked analyzer's dense per-row histogram (``int32`` over the 2^21-row
-domain, about 8 bytes per line here).
+without an ``intp`` permutation.  A Rubix-D window shorter than the
+simulator's ``chunk_lines`` is one chunk, whose own statistics are the
+window's, so it builds no per-row histogram and is held to 20 bytes
+per line as well.  The multi-chunk Rubix-D case keeps the
+looser bound: it covers the chunked analyzer's dense per-row histogram
+(``int32`` over the 2^21-row domain, about 8 bytes per line here).
+
+What a window leaves behind is its stats-cache entry, which lives for
+the whole process; the last test pins it in bytes per activated row.
 """
 
 import tracemalloc
@@ -19,7 +25,9 @@ from repro.core.rubix_d import RubixDMapping
 from repro.core.rubix_s import RubixSMapping
 from repro.dram.config import baseline_config
 from repro.mapping.intel import CoffeeLakeMapping
+from repro.parallel.cache import StatsCache
 from repro.perf.simulator import Simulator
+from repro.workloads.spec import spec_trace
 from repro.workloads.trace import Trace, interleave
 
 LINES = 1_000_000
@@ -38,18 +46,19 @@ def _window() -> Trace:
 
 
 @pytest.mark.parametrize(
-    "build, bytes_per_line",
+    "build, chunk_lines, bytes_per_line",
     [
-        (lambda config: CoffeeLakeMapping(config), 20),
-        (lambda config: RubixSMapping(config, gang_size=1), 20),
-        (lambda config: RubixDMapping(config, gang_size=1), 30),
+        (lambda config: CoffeeLakeMapping(config), 1 << 20, 20),
+        (lambda config: RubixSMapping(config, gang_size=1), 1 << 20, 20),
+        (lambda config: RubixDMapping(config, gang_size=1), 1 << 20, 20),
+        (lambda config: RubixDMapping(config, gang_size=1), 1 << 18, 30),
     ],
-    ids=["coffeelake", "rubix-s-gs1", "rubix-d-gs1"],
+    ids=["coffeelake", "rubix-s-gs1", "rubix-d-gs1", "rubix-d-gs1-chunked"],
 )
-def test_window_peak_bytes_per_line(build, bytes_per_line):
+def test_window_peak_bytes_per_line(build, chunk_lines, bytes_per_line):
     trace = _window()
     assert len(trace) == LINES
-    sim = Simulator()
+    sim = Simulator(chunk_lines=chunk_lines)
     mapping = build(sim.config)
     tracemalloc.start()
     try:
@@ -60,3 +69,22 @@ def test_window_peak_bytes_per_line(build, bytes_per_line):
         tracemalloc.stop()
     assert stats.n_accesses == LINES
     assert peak / LINES <= bytes_per_line, f"{peak / LINES:.1f} B/line"
+
+
+def test_cached_randomized_window_bytes_per_row():
+    """A randomized window's rows nearly all see a few ACTs each, so its
+    cache entry holds a 16-bit id part and an 8-bit count per row."""
+    trace = spec_trace("lbm", scale=0.02)
+    sim = Simulator()
+    stats, swaps = sim.window_stats(trace, RubixDMapping(sim.config, gang_size=1), use_cache=False)
+    rows = stats.row_ids.size
+    assert rows > 100_000 and stats.max_row_activations() < 256
+    cache = StatsCache()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache.put("lbm", stats, swaps)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / rows <= 3.2, f"{held / rows:.2f} B/row"
