@@ -8,9 +8,10 @@
 # optimized kernels stay bit-identical to their in-tree references (an
 # equivalence check only -- no timing gate), followed by an *advisory*
 # bench-history regression gate (scripts/bench_regress.py, >15% per
-# kernel); stage 4 re-runs the parallel smoke with telemetry enabled
-# and validates the emitted manifest + metric snapshots against the
-# schema catalog
+# kernel); stage 4 re-runs the parallel smoke with telemetry and the
+# sampling profiler enabled (REPRO_PROFILE=1) and validates the emitted
+# manifest, metric snapshots, event streams and per-process
+# profile-<span>-<pid>.collapsed files against the schema catalog
 # (scripts/validate_telemetry.py), so instrumentation and catalog
 # cannot drift apart; stage 5 runs the `serve` subcommand on a tiny
 # campaign spec over the process pool (--workers 2, with a checkpoint
@@ -67,10 +68,11 @@ run_bounded 60 python scripts/bench_regress.py \
     || echo "WARN: bench_regress reported a >15% kernel regression (advisory)"
 
 # Stage 4: telemetry round-trip -- run the same smoke with telemetry
-# enabled, then validate every emitted artifact against the schema.
+# and the profiler enabled (the pool workers write their own profiles),
+# then validate every emitted artifact against the schema.
 TELEMETRY_DIR="$(mktemp -d -t rubix-telemetry-XXXXXX)"
 trap 'rm -rf "$TELEMETRY_DIR"' EXIT
-run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$TELEMETRY_DIR" \
+run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$TELEMETRY_DIR" REPRO_PROFILE=1 \
     python scripts/parallel_smoke.py
 run_bounded 60 python scripts/validate_telemetry.py "$TELEMETRY_DIR"
 

@@ -4,8 +4,10 @@
 CI runs this after a telemetry-enabled ``scripts/parallel_smoke.py``:
 the manifest must be complete and finalized, every emitted metric name,
 label key, and kind must match the catalog in ``repro.obs.schema``, the
-required campaign metrics must actually have fired, and every span
-event must use a declared span name.  Instrumentation and catalog
+required campaign metrics must actually have fired, every span
+event must use a declared span name, and every
+``profile-<span>-<pid>.collapsed`` file must name a declared span and
+hold only ``stack count`` lines.  Instrumentation and catalog
 therefore cannot drift apart silently.
 
 Usage:  python scripts/validate_telemetry.py DIR [--no-required]

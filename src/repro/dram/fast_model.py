@@ -40,8 +40,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.obs.profile import PROFILER
-
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
@@ -207,41 +205,6 @@ def _grown(current: Optional[np.ndarray], size: int, dtype) -> np.ndarray:
     return grown
 
 
-def analyze_trace(
-    global_row: np.ndarray,
-    *,
-    rows_per_bank: int,
-    max_hits: Optional[int] = 16,
-    col: Optional[np.ndarray] = None,
-    keep_detail: bool = False,
-) -> TraceStats:
-    """Analyze one trace window under the open-adaptive page policy.
-
-    Args:
-        global_row: Global physical row id per access
-            (``flat_bank * rows_per_bank + row``), program order -- e.g.
-            :meth:`~repro.mapping.base.AddressMapping.global_rows` or
-            :attr:`~repro.mapping.base.MappedTrace.global_row`.
-        rows_per_bank: Rows per bank (the bank of an id is
-            ``id // rows_per_bank``).
-        max_hits: Open-adaptive budget; ``None`` models pure open-page.
-        col: Optional column (line-in-row) per access; required when
-            ``keep_detail`` is set and Table-3-style analysis is wanted.
-        keep_detail: Keep per-activation (row, col) arrays.
-
-    Returns:
-        A :class:`TraceStats` for the window.
-    """
-    with PROFILER.phase("analyze_trace"):
-        return _analyze_trace_impl(
-            global_row,
-            rows_per_bank=rows_per_bank,
-            max_hits=max_hits,
-            col=col,
-            keep_detail=keep_detail,
-        )
-
-
 def _group_by_bank(
     global_row: np.ndarray, rows_per_bank: int, col: Optional[np.ndarray]
 ) -> "tuple[np.ndarray, Optional[np.ndarray]]":
@@ -340,7 +303,7 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _analyze_trace_impl(
+def analyze_trace(
     global_row: np.ndarray,
     *,
     rows_per_bank: int,
@@ -348,6 +311,23 @@ def _analyze_trace_impl(
     col: Optional[np.ndarray] = None,
     keep_detail: bool = False,
 ) -> TraceStats:
+    """Analyze one trace window under the open-adaptive page policy.
+
+    Args:
+        global_row: Global physical row id per access
+            (``flat_bank * rows_per_bank + row``), program order -- e.g.
+            :meth:`~repro.mapping.base.AddressMapping.global_rows` or
+            :attr:`~repro.mapping.base.MappedTrace.global_row`.
+        rows_per_bank: Rows per bank (the bank of an id is
+            ``id // rows_per_bank``).
+        max_hits: Open-adaptive budget; ``None`` models pure open-page.
+        col: Optional column (line-in-row) per access; required when
+            ``keep_detail`` is set and Table-3-style analysis is wanted.
+        keep_detail: Keep per-activation (row, col) arrays.
+
+    Returns:
+        A :class:`TraceStats` for the window.
+    """
     global_row = np.asarray(global_row)
     if global_row.ndim != 1:
         raise ValueError("global_row must be a 1-D array")
@@ -524,26 +504,25 @@ class ChunkedAnalyzer:
         count_dtype = _fitting_int(self._fed)
         if self._hist is None or self._hist.size < self._domain or self._hist.dtype != count_dtype:
             self._hist = _grown(self._hist, self._domain, count_dtype)
-        with PROFILER.phase("chunk_merge"):
-            for i in fresh:
-                part = self._parts[i]
-                # Row ids are unique within a chunk, so the scatter
-                # needs no np.add.at.
-                self._hist[part.row_ids] += part.acts_per_row
-                if not self.keep_detail:
-                    # The chunk's per-row arrays now live in the
-                    # histogram; retaining them per part as well made a
-                    # long streamed window hold every chunk's histogram
-                    # at once (gigabytes over a 100M-line trace).  Keep
-                    # only the scalar tallies the merged result needs.
-                    self._parts[i] = TraceStats(
-                        n_accesses=part.n_accesses,
-                        n_activations=part.n_activations,
-                        n_hits=part.n_hits,
-                        row_ids=_EMPTY_HISTOGRAM,
-                        acts_per_row=_EMPTY_HISTOGRAM,
-                        unique_rows_touched=part.unique_rows_touched,
-                    )
+        for i in fresh:
+            part = self._parts[i]
+            # Row ids are unique within a chunk, so the scatter
+            # needs no np.add.at.
+            self._hist[part.row_ids] += part.acts_per_row
+            if not self.keep_detail:
+                # The chunk's per-row arrays now live in the
+                # histogram; retaining them per part as well made a
+                # long streamed window hold every chunk's histogram
+                # at once (gigabytes over a 100M-line trace).  Keep
+                # only the scalar tallies the merged result needs.
+                self._parts[i] = TraceStats(
+                    n_accesses=part.n_accesses,
+                    n_activations=part.n_activations,
+                    n_hits=part.n_hits,
+                    row_ids=_EMPTY_HISTOGRAM,
+                    acts_per_row=_EMPTY_HISTOGRAM,
+                    unique_rows_touched=part.unique_rows_touched,
+                )
         return stats
 
     def result(self) -> TraceStats:

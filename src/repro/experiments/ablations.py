@@ -26,6 +26,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.registry import register
 from repro.mitigations.blockhammer import Blockhammer
+from repro.obs.runtime import TRACER
 
 
 @register("abl-pitfall", "Horizontal vs vertical xor remapping (§5.2)", default_scale=0.3)
@@ -195,9 +196,10 @@ def run_abl_tracker(scale: float = 1.0, workload_limit: int = None) -> Experimen
     ):
         mitigation = Blockhammer(config, 128, **kwargs)
         system = MemorySystem(config, mapping, mitigation=mitigation)
-        system.run_trace(
-            [Request(line_addr=int(line), arrival=i * 60e-9) for i, line in enumerate(lines)]
-        )
+        with TRACER.span("sim.event_model", tracker=label):
+            system.run_trace(
+                [Request(line_addr=int(line), arrival=i * 60e-9) for i, line in enumerate(lines)]
+            )
         storage = mitigation._cbf.storage_bytes if mitigation._cbf else 2 * config.total_rows
         rows.append(
             [

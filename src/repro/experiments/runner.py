@@ -255,7 +255,9 @@ def run_experiment(
     """Run one experiment and return its ExperimentResult.
 
     ``workload_limit`` is forwarded only to runners that accept it (the
-    data-only experiments like fig1a take no workload arguments).
+    data-only experiments like fig1a take no workload arguments).  The
+    run is one ``runner.experiment`` span (attrs ``experiment`` and the
+    resolved ``scale``), the root every simulator span nests under.
     """
     import inspect
 
@@ -265,7 +267,9 @@ def run_experiment(
         parameters = inspect.signature(entry.runner).parameters
         if "workload_limit" in parameters:
             kwargs["workload_limit"] = workload_limit
-    return entry.runner(scale=scale if scale is not None else entry.default_scale, **kwargs)
+    scale = scale if scale is not None else entry.default_scale
+    with TRACER.span("runner.experiment", experiment=experiment_id, scale=scale):
+        return entry.runner(scale=scale, **kwargs)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -511,8 +515,7 @@ def _experiment_task(
     """
     started = time.perf_counter()
     try:
-        with TRACER.span("runner.experiment", experiment=experiment_id):
-            result = run_experiment(experiment_id, scale, workload_limit)
+        result = run_experiment(experiment_id, scale, workload_limit)
         METRICS.inc("runner.experiments", status="ok")
         error = None
     except Exception as exc:

@@ -10,6 +10,7 @@ from repro.experiments.common import (
     make_mapping,
 )
 from repro.experiments.registry import register
+from repro.obs.runtime import TRACER
 
 #: Workloads with 100+ hot rows at full scale (Table 3's population).
 TABLE3_WORKLOADS = [
@@ -39,7 +40,10 @@ def run_table3(scale: float = 0.25, workload_limit: int = None) -> ExperimentRes
     for name in names:
         trace = get_trace(name, scale=scale)
         stats, _ = sim.window_stats(trace, mapping, keep_detail=True, use_cache=False)
-        table = line_contribution_table(stats, threshold=64, lines_per_row=sim.config.lines_per_row)
+        with TRACER.span("analysis.line_table", workload=name):
+            table = line_contribution_table(
+                stats, threshold=64, lines_per_row=sim.config.lines_per_row
+            )
         if table.hot_rows == 0:
             continue
         fractions = table.bucket_fractions

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.mitigations.trackers import Tracker
+from repro.obs.runtime import TRACER
 from repro.utils.prng import SplitMix64
 
 
@@ -157,7 +158,8 @@ def compare_trackers(
         raise ValueError("factories and labels must align")
     reports = []
     for factory, label in zip(factories, labels):
-        report = measure_escape_probability(factory, **kwargs)
+        with TRACER.span("mitigation.escape", tracker=label):
+            report = measure_escape_probability(factory, **kwargs)
         reports.append(
             EscapeReport(
                 tracker=label,

@@ -18,7 +18,8 @@ instrumented call site; see docs/OBSERVABILITY.md for the metric
 catalog, span hierarchy, and artifact formats.
 
 Beyond the post-run artifacts, :data:`PROFILER` samples collapsed
-stacks around the hot kernels when ``REPRO_PROFILE`` is set.
+stacks, credited to the innermost open span, when ``REPRO_PROFILE`` is
+set.
 """
 
 from repro.obs.logs import NORMAL, QUIET, VERBOSE, StructuredLogger
@@ -36,7 +37,7 @@ from repro.obs.metrics import (
     snapshot_to_jsonl,
     snapshot_to_prometheus,
 )
-from repro.obs.profile import PROFILER, SamplingProfiler, profiling_enabled
+from repro.obs.profile import PROFILER, SamplingProfiler
 from repro.obs.runtime import (
     LOGS,
     METRICS,
@@ -98,7 +99,6 @@ __all__ = [
     "git_sha",
     "heartbeat",
     "parse_series_key",
-    "profiling_enabled",
     "reset",
     "run_id",
     "series_key",

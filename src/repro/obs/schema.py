@@ -20,6 +20,7 @@ Two determinism families are distinguished (see docs/OBSERVABILITY.md):
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Union
 
@@ -57,13 +58,11 @@ METRICS: Dict[str, dict] = {
     "sim.windows": {"kind": "counter", "labels": {"mode"}},
     "sim.lines": {"kind": "counter", "labels": set()},
     "sim.activations": {"kind": "counter", "labels": set()},
-    "sim.window_seconds": {"kind": "histogram", "labels": set()},
     "trace.generated": {"kind": "counter", "labels": {"workload"}},
     # -- process pool (operational) ------------------------------------
     "parallel.workers": {"kind": "gauge", "labels": set()},
     "parallel.queue_depth": {"kind": "gauge", "labels": set()},
     "parallel.completions": {"kind": "counter", "labels": set()},
-    "parallel.cell_seconds": {"kind": "histogram", "labels": set()},
     "parallel.worker_heartbeat": {"kind": "gauge", "labels": {"worker"}},
     # -- playbook compiler / sweep fuzzer (operational) ----------------
     "playbook.compiled": {"kind": "counter", "labels": {"pattern"}},
@@ -102,10 +101,17 @@ SPAN_NAMES = {
     "sim.translate",
     "sim.analyze",
     "sim.mitigation",
+    "sim.event_model",
+    "mitigation.escape",
+    "analysis.line_table",
     "trace.gen",
+    "trace.fingerprint",
     "fuzz.sweep",
     "fuzz.bisect",
 }
+
+#: ``profile-<span>-<pid>.collapsed`` (see :mod:`repro.obs.profile`).
+_PROFILE_NAME = re.compile(r"profile-(.+)-(\d+)\.collapsed")
 
 #: Required top-level keys of a run manifest.
 MANIFEST_REQUIRED_KEYS = (
@@ -239,7 +245,9 @@ def validate_telemetry_dir(
 
     Expects ``manifest.json`` and ``metrics.jsonl`` plus zero or more
     ``events-*.jsonl`` files (one per (run, process) that emitted
-    events).
+    events) and ``profile-<span>-<pid>.collapsed`` files (one per
+    sampled span name per process; the span must be in
+    :data:`SPAN_NAMES`).
     """
     from repro.obs.metrics import snapshot_from_jsonl
 
@@ -269,6 +277,14 @@ def validate_telemetry_dir(
                 events_path.read_text().splitlines(), source=events_path.name
             )
         )
+    for profile_path in sorted(directory.glob("profile-*.collapsed")):
+        match = _PROFILE_NAME.fullmatch(profile_path.name)
+        if match is None or match.group(1) not in SPAN_NAMES:
+            errors.append(f"{profile_path.name}: not profile-<declared span>-<pid>.collapsed")
+        for lineno, line in enumerate(profile_path.read_text().splitlines(), start=1):
+            stack, _, count = line.rpartition(" ")
+            if not stack or not count.isdigit():
+                errors.append(f"{profile_path.name}:{lineno}: not a 'stack count' line")
     return errors
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import parse_series_key, snapshot_from_jsonl
+from repro.obs.metrics import parse_series_key, series_key, snapshot_from_jsonl
 
 
 def _counters_by_name(snapshot: dict) -> Dict[str, Dict[str, float]]:
@@ -109,7 +109,9 @@ def summarize_snapshot(snapshot: dict, *, manifest: Optional[RunManifest] = None
     if swaps:
         lines.append(f"rubix-d remap swaps: {int(swaps)}")
     sim_lines = total("sim.lines")
-    window_hist = snapshot.get("histograms", {}).get("sim.window_seconds")
+    window_hist = snapshot.get("histograms", {}).get(
+        series_key("span.seconds", {"span": "sim.window"})
+    )
     if sim_lines and window_hist and window_hist["sum"] > 0:
         lines.append(
             f"analyzer: {int(total('sim.windows'))} windows, {int(sim_lines):,} lines"

@@ -1,11 +1,17 @@
-"""Span-based tracer for the simulation stack.
+"""Span-based tracer: the one way the simulation stack times a phase.
 
-Spans nest -- campaign -> cell -> phase (trace-gen / translate /
-analyze / mitigation) -- via an explicit per-thread stack::
+Spans nest -- experiment -> cell -> window -> translate / analyze -- on
+an explicit per-thread stack::
 
-    with tracer.span("campaign.cell", workload="gcc", scheme="aqua"):
-        with tracer.span("sim.translate"):
-            ...
+    with tracer.span("sim.window", mapping="rubix-d") as window:
+        for chunk in chunks:
+            with window.child("sim.translate"):
+                ...
+
+A child scope (:meth:`_LiveSpan.child`) times a phase entered many
+times inside one span: it is made once per name, each lap pushes one
+prebuilt frame and adds its elapsed time, and when the parent closes it
+emits one record per child name, parented to it.
 
 Each finished span is recorded three ways:
 
@@ -31,9 +37,10 @@ Durations come from ``time.perf_counter()`` -- monotonic, so an NTP
 step during a run can never produce a negative span.  Span events also
 carry ``ts_mono`` (the emitting process's monotonic clock) alongside
 the wall-clock ``ts``, so events of one process can be ordered even
-across a wall-clock (NTP) adjustment mid-run.  With telemetry disabled, :meth:`Tracer.span` returns
-a shared no-op context manager: the hot path pays one boolean check and
-no allocation.
+across a wall-clock (NTP) adjustment mid-run.  With telemetry disabled,
+:meth:`Tracer.span` returns a shared no-op context manager whose
+``child`` returns itself: the hot path pays one boolean check and no
+allocation.
 """
 
 from __future__ import annotations
@@ -112,12 +119,42 @@ class _NullSpan:
     def set(self, **attrs: object) -> None:
         pass
 
+    def child(self, name: str) -> "_NullSpan":
+        return self
+
 
 _NULL_SPAN = _NullSpan()
 
 
+class _ChildScope:
+    """One named phase of a live span, timed over any number of laps."""
+
+    __slots__ = ("_stack", "_frame", "_t0", "seconds", "laps", "failed")
+
+    def __init__(self, stack: list, frame: tuple) -> None:
+        self._stack = stack
+        self._frame = frame  # (name, span_id, trace_id), pushed per lap
+        self._t0 = 0.0
+        self.seconds = 0.0
+        self.laps = 0
+        self.failed = False
+
+    def __enter__(self) -> "_ChildScope":
+        self._stack.append(self._frame)
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.seconds += time.perf_counter() - self._t0
+        self.laps += 1
+        self.failed = self.failed or exc_type is not None
+        if self._stack and self._stack[-1] is self._frame:
+            self._stack.pop()
+        return False
+
+
 class _LiveSpan:
-    __slots__ = ("_tracer", "name", "attrs", "_t0", "_path", "_ids")
+    __slots__ = ("_tracer", "name", "attrs", "_t0", "_path", "_ids", "_stack", "_children")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, object]) -> None:
         self._tracer = tracer
@@ -126,13 +163,27 @@ class _LiveSpan:
         self._path = ""
         self._t0 = 0.0
         self._ids = ("", "", "")  # (trace_id, span_id, parent_span_id)
+        self._stack: list = []
+        self._children: Dict[str, _ChildScope] = {}
 
     def set(self, **attrs: object) -> None:
         """Add attributes known only once the phase has run."""
         self.attrs.update(attrs)
 
+    def child(self, name: str) -> _ChildScope:
+        """The child scope ``name`` of this open span (one per name).
+
+        Enter it once per lap on the span's own thread; the laps are
+        recorded as one ``name`` span under this one when it closes.
+        """
+        scope = self._children.get(name)
+        if scope is None:
+            frame = (name, new_id(), self._ids[0])
+            scope = self._children[name] = _ChildScope(self._stack, frame)
+        return scope
+
     def __enter__(self) -> "_LiveSpan":
-        stack = self._tracer._stack()
+        stack = self._stack = self._tracer._stack()
         if stack:
             _, parent_id, trace_id = stack[-1]
         else:
@@ -146,10 +197,23 @@ class _LiveSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         duration = time.perf_counter() - self._t0
-        stack = self._tracer._stack()
+        stack = self._stack
         if stack and stack[-1][1] == self._ids[1]:
             stack.pop()
         trace_id, span_id, parent_id = self._ids
+        for name, scope in self._children.items():
+            self._tracer._finish(
+                SpanRecord(
+                    name=name,
+                    path=f"{self._path}/{name}",
+                    duration_s=scope.seconds,
+                    status="error" if scope.failed else "ok",
+                    attrs={"laps": scope.laps},
+                    trace_id=trace_id,
+                    span_id=scope._frame[1],
+                    parent_span_id=span_id,
+                )
+            )
         self._tracer._finish(
             SpanRecord(
                 name=self.name,
@@ -211,14 +275,16 @@ class Tracer:
         self.registry = registry
         self.emit = emit
         self.finished: "deque[SpanRecord]" = deque(maxlen=keep)
-        self._local = threading.local()
+        #: thread id -> that thread's span stack.
+        self._stacks: Dict[int, list] = {}
 
     def _stack(self) -> list:
         # Frames are (name, span_id, trace_id); name is None for
         # attached remote contexts (excluded from paths).
-        stack = getattr(self._local, "stack", None)
+        ident = threading.get_ident()
+        stack = self._stacks.get(ident)
         if stack is None:
-            stack = self._local.stack = []
+            stack = self._stacks[ident] = []
         return stack
 
     # ------------------------------------------------------------------
@@ -227,35 +293,6 @@ class Tracer:
         if not self.registry.enabled:
             return _NULL_SPAN
         return _LiveSpan(self, name, attrs)
-
-    def add(self, name: str, duration_s: float, **attrs: object) -> None:
-        """Record a synthetic span from an externally-measured duration.
-
-        Used where a phase's time is accumulated across loop iterations
-        (e.g. per-chunk translate time inside a dynamic window) and a
-        ``with`` block per iteration would be needless overhead.
-        """
-        if not self.registry.enabled:
-            return
-        stack = self._stack()
-        names = [frame[0] for frame in stack if frame[0]]
-        path = "/".join(names + [name]) if names else name
-        if stack:
-            _, parent_id, trace_id = stack[-1]
-        else:
-            parent_id, trace_id = "", new_id()
-        self._finish(
-            SpanRecord(
-                name=name,
-                path=path,
-                duration_s=duration_s,
-                status="ok",
-                attrs=attrs,
-                trace_id=trace_id,
-                span_id=new_id(),
-                parent_span_id=parent_id,
-            )
-        )
 
     def attach(self, context: Optional[str]):
         """Adopt a remote ``"trace:span"`` token as the current parent.
@@ -287,10 +324,24 @@ class Tracer:
         """The active span ancestry (empty string outside any span)."""
         return "/".join(frame[0] for frame in self._stack() if frame[0])
 
+    def innermost_spans(self) -> Dict[int, str]:
+        """Thread id -> name of that thread's innermost open span.
+
+        Safe to call from any thread (the sampling profiler does).
+        Threads whose top frame is no span or an attached remote
+        context are left out.
+        """
+        innermost: Dict[int, str] = {}
+        for ident, stack in list(self._stacks.items()):
+            top = stack[-1:]  # never raises, even as the owner pops
+            if top and top[0][0]:
+                innermost[ident] = top[0][0]
+        return innermost
+
     def clear(self) -> None:
         """Drop recorded spans (the registry is cleared separately)."""
         self.finished.clear()
-        self._local = threading.local()
+        self._stacks = {}
 
     # ------------------------------------------------------------------
     def _finish(self, record: SpanRecord) -> None:

@@ -38,7 +38,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
 
 from repro.obs.metrics import diff_snapshots
-from repro.obs.runtime import METRICS, TRACER, apply_config, export_config, heartbeat
+from repro.obs.profile import PROFILER
+from repro.obs.runtime import (
+    METRICS,
+    TRACER,
+    apply_config,
+    export_config,
+    heartbeat,
+    telemetry_dir,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.campaign import Campaign, MappingSpec
@@ -105,6 +113,9 @@ def _init_worker(
         # starts clean.  Both ship per-cell *deltas* back, so inherited
         # contents never double-count in the parent's merge.
         apply_config(obs_config)
+    if PROFILER.enabled:
+        # A forked worker inherits the flag but not the sampler thread.
+        PROFILER.enable()
     campaign = Campaign(**payload)
     sim = get_simulator(campaign.config)
     if stats_cache_dir:
@@ -135,6 +146,9 @@ def _run_task(task: CellTask) -> CellCompletion:
         )
     duration = time.perf_counter() - started
     delta = diff_snapshots(METRICS.snapshot(), before) if telemetry else None
+    if PROFILER.enabled and telemetry_dir() is not None:
+        # Workers exit without running atexit hooks; flush per cell.
+        PROFILER.write(telemetry_dir())
     return CellCompletion(
         index=task.index,
         key=task.key,
@@ -226,7 +240,6 @@ class ParallelExecutor:
                     if completion.telemetry:
                         METRICS.merge(completion.telemetry)
                     METRICS.inc("parallel.completions")
-                    METRICS.observe("parallel.cell_seconds", completion.duration_s)
                     METRICS.set_gauge("parallel.queue_depth", len(pending) - done)
                 yield completion
 

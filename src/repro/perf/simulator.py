@@ -18,7 +18,6 @@ reuse each other's.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -30,7 +29,6 @@ from repro.dram.fast_model import ChunkedAnalyzer, TraceStats, analyze_trace
 from repro.dram.power import DDR4PowerModel, PowerBreakdown
 from repro.mapping.base import AddressMapping
 from repro.mapping.intel import CoffeeLakeMapping
-from repro.obs.profile import PROFILER
 from repro.obs.runtime import METRICS, TRACER
 from repro.parallel.cache import StatsCache, stats_cache_key
 from repro.perf.core_model import Calibration, PerformanceModel
@@ -171,35 +169,32 @@ class Simulator:
                 return cached
 
         self._check_window(trace, mapping)
-        telemetry = METRICS.enabled
-        t0 = time.perf_counter() if telemetry else 0.0
-        if not dynamic:
-            # Window already validated above -- the mapping can skip its
-            # own domain scan.
-            with TRACER.span("sim.translate", mapping=mapping.name):
-                with PROFILER.phase("translate_trace"):
+        mode = "dynamic" if dynamic else "static"
+        with TRACER.span(
+            "sim.window", trace=trace.name, mapping=mapping.name, mode=mode
+        ) as window:
+            if not dynamic:
+                # Window already validated above -- the mapping can skip
+                # its own domain scan.
+                with window.child("sim.translate"):
                     global_row, col = self._translate(mapping, trace.lines, keep_detail)
-            with TRACER.span("sim.analyze", mapping=mapping.name):
-                stats = analyze_trace(
-                    global_row,
-                    rows_per_bank=mapping.config.rows_per_bank,
-                    max_hits=self.max_hits,
-                    col=col,
-                    keep_detail=keep_detail,
+                with window.child("sim.analyze"):
+                    stats = analyze_trace(
+                        global_row,
+                        rows_per_bank=mapping.config.rows_per_bank,
+                        max_hits=self.max_hits,
+                        col=col,
+                        keep_detail=keep_detail,
+                    )
+                swaps = 0
+            else:
+                stats, swaps = self._run_dynamic(
+                    trace, mapping, window, keep_detail=keep_detail
                 )
-            swaps = 0
-        else:
-            stats, swaps = self._run_dynamic(trace, mapping, keep_detail=keep_detail)
-        if telemetry:
-            dt = time.perf_counter() - t0
-            mode = "dynamic" if dynamic else "static"
+        if METRICS.enabled:
             METRICS.inc("sim.windows", mode=mode)
             METRICS.inc("sim.lines", int(trace.lines.size))
             METRICS.inc("sim.activations", int(stats.n_activations))
-            METRICS.observe("sim.window_seconds", dt)
-            TRACER.add(
-                "sim.window", dt, trace=trace.name, mapping=mapping.name, mode=mode
-            )
 
         if use_cache and not keep_detail:
             self.stats_cache.put(key, stats, swaps)
@@ -237,7 +232,7 @@ class Simulator:
         return mapped.global_row, mapped.col
 
     def _run_dynamic(
-        self, trace: Trace, mapping: RubixDMapping, *, keep_detail: bool
+        self, trace: Trace, mapping: RubixDMapping, window, *, keep_detail: bool
     ) -> Tuple[TraceStats, int]:
         analyzer = ChunkedAnalyzer(
             rows_per_bank=mapping.config.rows_per_bank,
@@ -245,23 +240,18 @@ class Simulator:
             keep_detail=keep_detail,
         )
         swaps = 0
-        # Chunk loops are too hot for per-chunk spans; accumulate the
-        # phase times and report them as two synthetic spans at the end.
-        telemetry = METRICS.enabled
-        translate_s = analyze_s = 0.0
+        # One child scope per phase, re-entered per chunk: the window
+        # span records each phase once, summed over the chunks.
+        translate = window.child("sim.translate")
+        analyze = window.child("sim.analyze")
         # iter_line_chunks releases consumed memmap pages between chunks,
         # so file-backed traces stream through here at ~chunk-sized RSS.
         for chunk in iter_line_chunks(trace.lines, self.chunk_lines):
-            t0 = time.perf_counter() if telemetry else 0.0
-            with PROFILER.phase("translate_trace"):
+            with translate:
                 global_row, col = self._translate(mapping, chunk, keep_detail)
-            if telemetry:
-                t1 = time.perf_counter()
-                translate_s += t1 - t0
-            chunk_stats = analyzer.feed(global_row, col)
+            with analyze:
+                chunk_stats = analyzer.feed(global_row, col)
             del global_row, col
-            if telemetry:
-                analyze_s += time.perf_counter() - t1
             # Attribute the chunk's activations to v-groups in proportion
             # to each group's access share (the probabilistic remap
             # trigger has no better information either).
@@ -270,9 +260,6 @@ class Simulator:
             if total > 0 and chunk_stats.n_activations > 0:
                 shares *= chunk_stats.n_activations / total
             swaps += mapping.record_activations(shares)
-        if telemetry:
-            TRACER.add("sim.translate", translate_s, mapping=mapping.name)
-            TRACER.add("sim.analyze", analyze_s, mapping=mapping.name)
         return analyzer.result(), swaps
 
     # ------------------------------------------------------------------
@@ -300,11 +287,7 @@ class Simulator:
 
         stats, swaps = self.window_stats(trace, mapping)
         gang_size = getattr(mapping, "gang_size", 1)
-        if METRICS.enabled:
-            t0 = time.perf_counter()
-            load = self.model.mitigation_load(scheme, stats, t_rh)
-            TRACER.add("sim.mitigation", time.perf_counter() - t0, scheme=scheme)
-        else:
+        with TRACER.span("sim.mitigation", scheme=scheme):
             load = self.model.mitigation_load(scheme, stats, t_rh)
         t_memory = self.model.memory_time_s(stats)
         t_remap = self.model.remap_time_s(swaps, gang_size)

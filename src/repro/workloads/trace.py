@@ -8,6 +8,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.obs.runtime import TRACER
+
 #: Bytes hashed per :func:`lines_fingerprint` update (16 MiB): large
 #: enough to amortize call overhead, small enough that hashing a
 #: memory-mapped trace never faults more than a sliver into RAM at once.
@@ -25,12 +27,13 @@ def lines_fingerprint(lines: np.ndarray) -> str:
     instead of materializing ``lines.tobytes()``.
     """
     lines = np.ascontiguousarray(lines, dtype=np.uint64)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(str(lines.size).encode())
-    data = lines.view(np.uint8)
-    for start in range(0, data.size, FINGERPRINT_CHUNK_BYTES):
-        digest.update(data[start : start + FINGERPRINT_CHUNK_BYTES])
-    return digest.hexdigest()
+    with TRACER.span("trace.fingerprint", lines=int(lines.size)):
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(str(lines.size).encode())
+        data = lines.view(np.uint8)
+        for start in range(0, data.size, FINGERPRINT_CHUNK_BYTES):
+            digest.update(data[start : start + FINGERPRINT_CHUNK_BYTES])
+        return digest.hexdigest()
 
 
 @dataclass

@@ -84,7 +84,8 @@ class TestSerialParallelEquality:
         assert snap["counters"]["parallel.completions"] == 4
         assert snap["gauges"]["parallel.workers"] == 2
         assert snap["gauges"]["parallel.queue_depth"] == 0
-        assert snap["histograms"]["parallel.cell_seconds"]["count"] == 4
+        # Each worker's campaign.cell span merges into the parent.
+        assert snap["histograms"]["span.seconds|span=campaign.cell"]["count"] == 4
 
     def test_snapshots_validate_against_schema(self):
         _, serial_snap = run_with_telemetry()
@@ -112,6 +113,34 @@ class TestJournalTimings:
         assert len(timings) == 4
         workers = {timing["worker_id"] for timing in timings.values()}
         assert all(worker.startswith("p") for worker in workers)
+
+
+class TestProfiledPool:
+    def test_workers_write_profiles_under_their_pid(self, tmp_path):
+        from repro.obs.profile import PROFILER
+
+        common.clear_caches()
+        obs.configure(enabled=True, telemetry_dir=tmp_path)
+        manifest = obs.RunManifest.create("profiled-pool", config={"workers": 2})
+        journal = tmp_path / "cells.jsonl"
+        PROFILER.enable()
+        try:
+            tiny_campaign().run(workers=2, mp_context="fork", journal=journal)
+            obs.write_telemetry(manifest=manifest)
+        finally:
+            PROFILER.disable()
+            PROFILER.clear()
+        workers = {
+            timing["worker_id"].removeprefix("p")
+            for timing in CheckpointJournal(journal).timings().values()
+        }
+        profiled = {
+            path.name.rsplit("-", 1)[1].removesuffix(".collapsed"): path
+            for path in tmp_path.glob("profile-*.collapsed")
+        }
+        assert str(os.getpid()) not in workers
+        assert workers & set(profiled)
+        assert obs.validate_telemetry_dir(tmp_path, required=()) == []
 
 
 class TestTelemetryArtifacts:
@@ -167,6 +196,31 @@ class TestRunnerCLI:
         out = capsys.readouterr().out
         assert "experiments.run" in out
         assert "runner.experiment" in out
+
+    def test_simulator_spans_nest_under_the_experiment(self, tmp_path, capsys):
+        from repro.experiments.runner import main
+
+        common.clear_caches()
+        target = tmp_path / "telemetry"
+        argv = ["run", "fig7", "--scale", "0.05", "--workloads", "2"]
+        assert main(argv + ["--telemetry-dir", str(target), "--quiet"]) == 0
+        spans = [
+            json.loads(line)
+            for path in target.glob("events-*.jsonl")
+            for line in path.read_text().splitlines()
+        ]
+        spans = [event for event in spans if event["type"] == "span"]
+        (root,) = [e for e in spans if e["name"] == "runner.experiment"]
+        assert root["attrs"] == {"experiment": "fig7", "scale": 0.05}
+        nested = [e for e in spans if e["name"].startswith("sim.") or e["name"] == "trace.gen"]
+        assert {e["name"] for e in nested} >= {"sim.window", "sim.translate", "sim.analyze", "trace.gen"}
+        for event in nested:
+            assert event["path"].startswith("runner.experiment/"), event["path"]
+            assert event["trace_id"] == root["trace_id"]
+        windows = {e["span_id"] for e in spans if e["name"] == "sim.window"}
+        for event in spans:
+            if event["name"] in ("sim.translate", "sim.analyze"):
+                assert event["parent_span_id"] in windows
 
     def test_quiet_flag_suppresses_status_output(self, capsys):
         from repro.experiments.runner import main

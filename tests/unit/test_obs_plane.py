@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.obs import runtime as obs_runtime
-from repro.obs.profile import PROFILER, SamplingProfiler
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import SamplingProfiler
 from repro.obs.schema import validate_events_lines
+from repro.obs.tracing import Tracer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -28,79 +30,89 @@ def _busy(deadline):
     return total
 
 
+def _live_tracer():
+    return Tracer(MetricsRegistry(enabled=True))
+
+
 class TestSamplingProfiler:
     def test_disabled_phase_is_noop(self):
-        profiler = SamplingProfiler()
-        scope = profiler.phase("translate_trace")
-        assert profiler.phase("analyze_trace") is scope  # shared null scope
+        tracer = _live_tracer()
+        profiler = SamplingProfiler(tracer, interval_s=0.001)
+        with tracer.span("sim.window"):
+            _busy(time.perf_counter() + 0.02)
+        assert profiler._thread is None  # no sampler while disabled
+        assert profiler.samples() == {}
 
     def test_samples_attribute_to_active_phase(self, tmp_path):
-        profiler = SamplingProfiler(interval_s=0.001)
+        tracer = _live_tracer()
+        profiler = SamplingProfiler(tracer, interval_s=0.001)
         profiler.enable()
         try:
-            with profiler.phase("translate_trace"):
-                _busy(time.perf_counter() + 0.08)
+            with tracer.span("sim.window") as window:
+                with window.child("sim.translate"):
+                    _busy(time.perf_counter() + 0.08)
         finally:
             profiler.disable()
         samples = profiler.samples()
-        assert "translate_trace" in samples
-        stacks = samples["translate_trace"]
+        assert "sim.translate" in samples
+        stacks = samples["sim.translate"]
         assert sum(stacks.values()) >= 1
         assert any("_busy" in stack for stack in stacks)
-        (path,) = profiler.write(tmp_path)
-        assert path.name == f"profile-translate_trace-{os.getpid()}.collapsed"
+        (path,) = [p for p in profiler.write(tmp_path) if "sim.translate" in p.name]
+        assert path.name == f"profile-sim.translate-{os.getpid()}.collapsed"
         stack, count = path.read_text().splitlines()[0].rsplit(" ", 1)
         assert ";" in stack and int(count) >= 1
 
     def test_nested_phases_attribute_to_innermost(self):
-        profiler = SamplingProfiler(interval_s=0.001)
+        tracer = _live_tracer()
+        profiler = SamplingProfiler(tracer, interval_s=0.001)
         profiler.enable()
         try:
-            with profiler.phase("outer"):
-                with profiler.phase("inner"):
+            with tracer.span("campaign.cell"):
+                with tracer.span("sim.window"):
                     _busy(time.perf_counter() + 0.05)
         finally:
             profiler.disable()
         samples = profiler.samples()
-        assert samples.get("inner")
-        # After the inner scope exits the thread re-registers as outer,
-        # so outer may hold a few samples -- but never inner's majority.
-        inner = sum(samples["inner"].values())
-        outer = sum(samples.get("outer", {}).values())
+        assert samples.get("sim.window")
+        # Samples land on campaign.cell only between the two span
+        # boundaries, never for the inner span's majority.
+        inner = sum(samples["sim.window"].values())
+        outer = sum(samples.get("campaign.cell", {}).values())
         assert inner > outer
 
     def test_write_with_no_samples_writes_nothing(self, tmp_path):
-        assert SamplingProfiler().write(tmp_path) == []
+        assert SamplingProfiler(_live_tracer()).write(tmp_path) == []
         assert list(tmp_path.iterdir()) == []
 
-    def test_production_kernels_scope_their_phase(self, monkeypatch):
-        import threading
-
-        import numpy as np
-
-        from repro.core import remap_engine
-        from repro.dram import fast_model
-
-        seen = []
-
-        def phase_of(result):
-            def probe(*args, **kwargs):
-                seen.append(PROFILER._active.get(threading.get_ident()))
-                return result
-
-            return probe
-
-        empty = fast_model.TraceStats(0, 0, 0, np.empty(0), np.empty(0), 0)
-        monkeypatch.setattr(fast_model, "_analyze_trace_impl", phase_of(empty))
-        monkeypatch.setattr(remap_engine, "_swaps_in_range", phase_of(0))
-        PROFILER.enable(interval_s=0.001)
+    def test_enable_is_idempotent_while_the_sampler_lives(self):
+        profiler = SamplingProfiler(_live_tracer(), interval_s=0.001)
+        profiler.enable()
         try:
-            fast_model.analyze_trace(np.zeros(1), rows_per_bank=1)
-            remap_engine.XorRemapEngine(nbits=4, seed=1).remap_steps(3)
+            first = profiler._thread
+            profiler.enable()
+            assert profiler._thread is first and first.is_alive()
         finally:
-            PROFILER.disable()
-            PROFILER.clear()
-        assert seen == ["analyze_trace", "remap_steps"]
+            profiler.disable()
+
+    def test_forked_child_starts_its_own_sampler_without_parent_samples(self):
+        from collections import Counter
+
+        profiler = SamplingProfiler(_live_tracer(), interval_s=0.001)
+        profiler.enable()
+        profiler._samples["sim.window"] = Counter({"mod:fn": 1})
+        try:
+            pid = os.fork()
+            if pid == 0:  # child: the flag survives, the sampler thread does not
+                inherited_dead = not profiler._thread.is_alive()
+                profiler.enable()
+                ok = inherited_dead and profiler._thread.is_alive()
+                os._exit(0 if ok and profiler.samples() == {} else 1)
+            _, status = os.waitpid(pid, 0)
+            assert profiler.samples() == {"sim.window": Counter({"mod:fn": 1})}
+        finally:
+            profiler.disable()
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.fixture
@@ -270,6 +282,9 @@ class TestPaperSuiteDone:
             for line in path.read_text().splitlines()
         ]
         assert [e for e in events if e.get("event") == "suite.done"]
+        # The suite gets its experiment root span from run_experiment.
+        (root,) = [e for e in events if e.get("name") == "runner.experiment"]
+        assert root["attrs"] == {"experiment": "fig1a", "scale": 1.0}
         assert validate_telemetry_dir(tele, required=()) == []
         text = out.read_text()
         assert "suite.done" not in text and "peak" not in text

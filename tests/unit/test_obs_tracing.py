@@ -27,8 +27,10 @@ class TestTracer:
         tracer = Tracer(MetricsRegistry(enabled=False))
         span = tracer.span("campaign.cell", workload="gcc")
         assert span is _NULL_SPAN
-        with span:
-            pass
+        with span as window:
+            assert window.child("sim.translate") is _NULL_SPAN
+            with window.child("sim.analyze"):
+                pass
         assert not tracer.finished
 
     def test_nested_paths(self, tracer):
@@ -67,16 +69,47 @@ class TestTracer:
         # The stack unwound despite the exception.
         assert tracer.current_path() == ""
 
-    def test_add_records_synthetic_span_under_current_path(self, tracer):
+    def test_child_laps_sum_into_one_record_per_name(self, tracer, monkeypatch):
         tracer, registry, events = tracer
-        with tracer.span("sim.window"):
-            tracer.add("sim.translate", 0.125, mapping="rubix-d")
-        synthetic = tracer.finished[0]
-        assert synthetic.name == "sim.translate"
-        assert synthetic.path == "sim.window/sim.translate"
-        assert synthetic.duration_s == 0.125
+        ticks = iter(range(100))
+        monkeypatch.setattr(
+            "repro.obs.tracing.time.perf_counter", lambda: float(next(ticks))
+        )
+        with tracer.span("sim.window") as window:  # t0 = 0
+            translate = window.child("sim.translate")
+            analyze = window.child("sim.analyze")
+            for _ in range(3):
+                with translate:  # 1 s per lap
+                    assert tracer.current_path() == "sim.window/sim.translate"
+                with window.child("sim.analyze"):  # the same scope again
+                    pass
+            assert window.child("sim.analyze") is analyze
+        by_name = {record.name: record for record in tracer.finished}
+        assert [record.name for record in tracer.finished] == [
+            "sim.translate",
+            "sim.analyze",
+            "sim.window",
+        ]
+        assert by_name["sim.translate"].duration_s == 3.0
+        assert by_name["sim.analyze"].duration_s == 3.0
+        assert by_name["sim.window"].duration_s == 13.0
+        assert by_name["sim.translate"].attrs == {"laps": 3}
+        assert by_name["sim.translate"].path == "sim.window/sim.translate"
         hist = registry.histogram("span.seconds", span="sim.translate")
-        assert hist.sum == pytest.approx(0.125)
+        assert hist.count == 1 and hist.sum == 3.0
+        assert tracer.current_path() == ""
+
+    def test_child_lap_error_marks_its_record(self, tracer):
+        tracer, registry, events = tracer
+        with pytest.raises(RuntimeError):
+            with tracer.span("sim.window") as window:
+                with window.child("sim.analyze"):
+                    raise RuntimeError("boom")
+        assert [(r.name, r.status) for r in tracer.finished] == [
+            ("sim.analyze", "error"),
+            ("sim.window", "error"),
+        ]
+        assert tracer.current_path() == ""
 
     def test_events_emitted_with_schema_fields(self, tracer):
         tracer, registry, events = tracer
@@ -112,6 +145,43 @@ class TestTracer:
             clear_caches()
         assert record.attrs["workload"] == "xz"
         assert record.attrs["lines"] == len(trace)
+
+
+class TestSimulatorSpans:
+    @pytest.fixture
+    def live(self):
+        from repro.obs import runtime as obs_runtime
+
+        obs_runtime.reset()
+        obs_runtime.configure(enabled=True)
+        yield obs_runtime.TRACER
+        obs_runtime.reset()
+
+    @pytest.mark.parametrize("kind", ["static", "rubix-d"])
+    def test_window_parents_translate_and_analyze(self, live, kind):
+        from repro.core.rubix_d import RubixDMapping
+        from repro.mapping.intel import CoffeeLakeMapping
+        from repro.perf.simulator import Simulator
+        from repro.workloads.kernels import random_kernel
+
+        sim = Simulator(chunk_lines=1 << 13)  # Rubix-D: 3 chunks
+        trace = random_kernel(footprint_lines=1 << 14, accesses=20_000, seed=3)
+        mapping = (
+            CoffeeLakeMapping(sim.config)
+            if kind == "static"
+            else RubixDMapping(sim.config, gang_size=4, remap_rate=0.01)
+        )
+        sim.window_stats(trace, mapping, use_cache=False)
+        (window,) = [r for r in live.finished if r.name == "sim.window"]
+        assert window.attrs["mode"] == ("static" if kind == "static" else "dynamic")
+        laps = 1 if kind == "static" else 3
+        for name in ("sim.translate", "sim.analyze"):
+            (record,) = [r for r in live.finished if r.name == name]
+            assert record.parent_span_id == window.span_id
+            assert record.trace_id == window.trace_id
+            assert record.path == f"sim.window/{name}"
+            assert record.attrs == {"laps": laps}
+            assert 0 <= record.duration_s <= window.duration_s
 
 
 class TestStructuredLogger:
@@ -318,15 +388,36 @@ class TestTraceContext:
         assert trc.current_context() is None
         assert trc.attach("a:b") is _NULL_SPAN
 
-    def test_add_inherits_enclosing_context(self, tracer):
+    def test_child_records_name_the_open_span_as_parent(self, tracer):
         trc, _, _ = tracer
-        with trc.span("sim.window"):
-            trc.add("sim.translate", 0.005)
+        with trc.span("sim.window") as window:
             enclosing_token = trc.current_context()
-        synthetic = trc.finished[0]
+            with window.child("sim.translate"):
+                with trc.span("trace.fingerprint"):
+                    pass
+        nested, child, parent = trc.finished
         trace_id, _, span_id = enclosing_token.partition(":")
-        assert synthetic.trace_id == trace_id
-        assert synthetic.parent_span_id == span_id
+        assert child.trace_id == trace_id
+        assert child.parent_span_id == span_id
+        assert child.span_id not in ("", span_id)
+        # A span opened inside a lap nests under the child scope.
+        assert nested.path == "sim.window/sim.translate/trace.fingerprint"
+        assert nested.parent_span_id == child.span_id
+
+    def test_innermost_spans_reads_each_threads_top_span(self, tracer):
+        import threading
+
+        trc, _, _ = tracer
+        me = threading.get_ident()
+        assert trc.innermost_spans() == {}
+        with trc.span("campaign.run"):
+            assert trc.innermost_spans() == {me: "campaign.run"}
+            with trc.attach(trc.current_context()):
+                assert trc.innermost_spans() == {}  # a remote parent is no span
+                with trc.span("campaign.cell") as cell:
+                    with cell.child("sim.window"):
+                        assert trc.innermost_spans() == {me: "sim.window"}
+        assert trc.innermost_spans() == {}
 
     def test_span_events_carry_context_and_monotonic_ts(self, tracer):
         trc, _, events = tracer
