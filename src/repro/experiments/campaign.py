@@ -83,9 +83,10 @@ class Campaign:
         records = campaign.run()
         # -> list of dicts, one per cell, ready for DataFrame(records)
 
-    All grid coordinates are validated in ``__post_init__`` -- unknown
+    All grid coordinates are validated in ``__post_init__`` -- an empty
+    axis or a threshold below 1 raises ``ValueError``, and unknown
     workload, mapping, or scheme names raise typed configuration errors
-    listing the valid options *before* any cell runs.
+    listing the valid options, all *before* any cell runs.
     """
 
     workloads: Sequence[str]
@@ -109,6 +110,13 @@ class Campaign:
             raise ValueError("campaign needs at least one workload")
         if not self.mappings:
             raise ValueError("campaign needs at least one mapping")
+        if not self.schemes:
+            raise ValueError("campaign needs at least one scheme")
+        if not self.thresholds:
+            raise ValueError("campaign needs at least one threshold")
+        for t_rh in self.thresholds:
+            if t_rh < 1:
+                raise ValueError(f"thresholds must be >= 1, got {t_rh}")
         if not 0 < self.scale <= 1.0:
             raise ValueError(f"scale must be in (0, 1], got {self.scale}")
         for workload in self.workloads:
@@ -399,15 +407,10 @@ def campaign_from_spec(spec: dict) -> Campaign:
 
     Mappings may be bare kind strings (defaults for the other fields) or
     dicts of :class:`MappingSpec` fields.  Unknown top-level or mapping
-    keys raise ``ValueError`` up front; grid validation (workload,
+    keys, a grid field that is not a list, and a threshold that is not
+    an integer raise ``ValueError`` up front; grid validation (workload,
     mapping, and scheme names) happens in ``Campaign.__post_init__`` as
     usual.
-
-    Workload entries may also be self-contained ``playbook:<json>``
-    attack-playbook names (see :mod:`repro.workloads.playbook` and
-    :func:`repro.workloads.playbook.workload_name_for`), so declarative
-    attack sweeps ride the same spec format, journals, and pool workers
-    as every other campaign.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"campaign spec must be an object, got {type(spec).__name__}")
@@ -425,6 +428,11 @@ def campaign_from_spec(spec: dict) -> Campaign:
             f"unknown campaign spec key(s): {', '.join(sorted(unknown))};"
             f" allowed: {', '.join(sorted(allowed))}"
         )
+    for key in ("workloads", "mappings", "schemes", "thresholds"):
+        if key in spec and not isinstance(spec[key], list):
+            raise ValueError(
+                f"campaign spec field '{key}' must be a list, got {spec[key]!r}"
+            )
     mappings: List[MappingSpec] = []
     for entry in spec.get("mappings", []):
         if isinstance(entry, str):
@@ -443,7 +451,10 @@ def campaign_from_spec(spec: dict) -> Campaign:
     if "schemes" in spec:
         kwargs["schemes"] = list(spec["schemes"])
     if "thresholds" in spec:
-        kwargs["thresholds"] = [int(t) for t in spec["thresholds"]]
+        for t_rh in spec["thresholds"]:
+            if isinstance(t_rh, bool) or not isinstance(t_rh, int):
+                raise ValueError(f"thresholds must be integers, got {t_rh!r}")
+        kwargs["thresholds"] = list(spec["thresholds"])
     if "scale" in spec:
         kwargs["scale"] = float(spec["scale"])
     return Campaign(**kwargs)

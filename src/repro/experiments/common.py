@@ -24,11 +24,6 @@ from repro.obs.runtime import METRICS, TRACER
 from repro.parallel.cache import StatsCache, default_persist_dir
 from repro.perf.simulator import Simulator
 from repro.workloads.mixes import mix_names, mix_trace
-from repro.workloads.playbook import (
-    compile_playbook,
-    is_playbook_workload,
-    spec_from_workload,
-)
 from repro.workloads.spec import spec_names, spec_trace
 from repro.workloads.stream_suite import stream_suite_names, stream_suite_trace
 from repro.workloads.trace import Trace
@@ -134,9 +129,6 @@ def workload_names() -> List[str]:
 def validate_workload(name: str) -> str:
     """Fail fast on unknown workload names, listing the valid options.
 
-    ``playbook:<json>`` names carry their whole spec inline (see
-    :mod:`repro.workloads.playbook`); they are validated structurally
-    here -- malformed JSON or bad spec fields fail before any cell runs.
     ``file:<path>`` names point at persisted trace files (npz bundles or
     zero-copy raw ``.rtr`` traces, see :mod:`repro.workloads.trace_io`);
     the path must exist up front so a sweep never dies mid-grid on a
@@ -150,15 +142,6 @@ def validate_workload(name: str) -> str:
                 f"trace file workload points at no file: {name[5:]!r}", workload=name
             )
         return name
-    if is_playbook_workload(name):
-        try:
-            spec_from_workload(name)
-            _playbook_mapping_kwargs(spec_from_workload(name).get("target_mapping"))
-        except ValueError as error:
-            raise WorkloadConfigError(
-                f"bad playbook workload: {error}", workload=name
-            ) from error
-        return name
     known = workload_names()
     if name not in known:
         raise WorkloadConfigError(
@@ -166,67 +149,6 @@ def validate_workload(name: str) -> str:
             workload=name,
         )
     return name
-
-
-def _playbook_mapping_kwargs(target) -> Optional[dict]:
-    """Normalize a spec's ``target_mapping`` into make_mapping kwargs.
-
-    Accepts a mapping short name or a dict of
-    ``{kind, gang_size, seed, remap_rate, segments}``; None defaults to
-    the Coffee Lake baseline (the mapping a no-knowledge-of-Rubix
-    attacker would target).  Returns None for line-space specs that need
-    no mapping at all.
-    """
-    if target is None:
-        return {"name": "coffeelake"}
-    if isinstance(target, str):
-        if target not in MAPPING_NAMES:
-            raise ValueError(
-                f"unknown target_mapping '{target}'; known: {', '.join(MAPPING_NAMES)}"
-            )
-        return {"name": target}
-    if isinstance(target, dict):
-        allowed = {"kind", "gang_size", "seed", "remap_rate", "segments"}
-        unknown = set(target) - allowed
-        if unknown:
-            raise ValueError(
-                f"unknown target_mapping key(s): {', '.join(sorted(unknown))};"
-                f" allowed: {', '.join(sorted(allowed))}"
-            )
-        if "kind" not in target:
-            raise ValueError("target_mapping dicts need a 'kind'")
-        kwargs = {"name": str(target["kind"])}
-        if kwargs["name"] not in MAPPING_NAMES:
-            raise ValueError(
-                f"unknown target_mapping '{kwargs['name']}';"
-                f" known: {', '.join(MAPPING_NAMES)}"
-            )
-        for key in ("gang_size", "seed", "segments"):
-            if key in target:
-                kwargs[key] = int(target[key])
-        if "remap_rate" in target:
-            kwargs["remap_rate"] = float(target["remap_rate"])
-        return kwargs
-    raise ValueError(
-        f"target_mapping must be a mapping name or an object, got {target!r}"
-    )
-
-
-def _playbook_trace(name: str, *, scale: float) -> Trace:
-    """Compile a ``playbook:<json>`` workload into its trace.
-
-    The spec's ``target_mapping`` names the mapping the *attacker*
-    constructs the pattern against (default Coffee Lake, on the baseline
-    geometry); the campaign then evaluates the resulting fixed trace
-    under each grid mapping -- exactly the threat-model split the Rubix
-    analysis needs (construct vs evaluate mappings may differ).
-    """
-    spec = spec_from_workload(name)
-    mapping = None
-    if spec.get("address_space", "row") != "line":
-        kwargs = _playbook_mapping_kwargs(spec.get("target_mapping"))
-        mapping = make_mapping(**kwargs)
-    return compile_playbook(spec, mapping, scale=scale)
 
 
 def get_trace(
@@ -257,8 +179,6 @@ def get_trace(
             from repro.workloads.trace_io import load_trace
 
             trace = load_trace(name[5:])
-        elif is_playbook_workload(name):
-            trace = _playbook_trace(name, scale=scale)
         elif name.startswith("mix"):
             trace = mix_trace(name, line_addr_bits=line_addr_bits, scale=scale)
         elif name.startswith("stream-"):
@@ -270,15 +190,9 @@ def get_trace(
                 name, line_addr_bits=line_addr_bits, scale=scale, cores=cores
             )
         span.set(lines=len(trace))
-    # Playbook names embed whole JSON specs (and file names embed
-    # paths); fold each family into one label value so a sweep cannot
-    # blow the metric-cardinality cap.
-    if is_playbook_workload(name):
-        label = "playbook"
-    elif name.startswith("file:"):
-        label = "file"
-    else:
-        label = name
+    # File names embed paths; fold them into one label value so a sweep
+    # cannot blow the metric-cardinality cap.
+    label = "file" if name.startswith("file:") else name
     METRICS.inc("trace.generated", workload=label)
     _TRACES[key] = trace
     return trace

@@ -138,59 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " metrics.jsonl, metrics.prom, events-*.jsonl) to DIR; sets the"
         " REPRO_TELEMETRY_DIR environment variable",
     )
-    playbook_cmd = sub.add_parser(
-        "playbook", help="compile a declarative attack playbook and inspect its trace"
-    )
-    playbook_cmd.add_argument(
-        "spec", help="playbook spec file (JSON, or TOML with a .toml suffix)"
-    )
-    playbook_cmd.add_argument(
-        "--mapping",
-        default=None,
-        help="override the spec's target_mapping (construction mapping)",
-    )
-    playbook_cmd.add_argument("--gang-size", type=int, default=4)
-    playbook_cmd.add_argument("--scale", type=float, default=1.0)
-    playbook_cmd.add_argument(
-        "--top", type=int, default=8, help="hottest rows to list (default 8)"
-    )
-    fuzz_cmd = sub.add_parser(
-        "fuzz",
-        help="sweep a playbook parameter grid and bisect to the minimal hot pattern",
-    )
-    fuzz_cmd.add_argument(
-        "spec",
-        help='sweep file holding {"base": <playbook spec>, "sweep": {axis: range}}'
-        " (JSON, or TOML with a .toml suffix)",
-    )
-    fuzz_cmd.add_argument(
-        "--mapping",
-        default="coffeelake",
-        help="mapping the cells are evaluated under (construction mapping"
-        " comes from the base spec's target_mapping)",
-    )
-    fuzz_cmd.add_argument("--gang-size", type=int, default=4)
-    fuzz_cmd.add_argument("--scheme", default="none")
-    fuzz_cmd.add_argument("--t-rh", type=int, default=128)
-    fuzz_cmd.add_argument(
-        "--metric",
-        default="hot_rows_64",
-        choices=["hot_rows_64", "hot_rows_512"],
-        help="record field that measures row pressure",
-    )
-    fuzz_cmd.add_argument("--min-hot-rows", type=int, default=1)
-    fuzz_cmd.add_argument(
-        "--max-cells",
-        type=int,
-        default=0,
-        help="seeded subsample cap on evaluated grid cells (0 = no cap)",
-    )
-    fuzz_cmd.add_argument("--seed", type=int, default=0)
-    fuzz_cmd.add_argument("--workers", type=int, default=1)
-    fuzz_cmd.add_argument("--stats-cache", metavar="DIR", default=None)
-    fuzz_cmd.add_argument(
-        "--json", metavar="PATH", default=None, help="write the full result as JSON"
-    )
     report = sub.add_parser(
         "report", help="summarize a finished run's telemetry artifacts"
     )
@@ -282,12 +229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "inspect":
         return _inspect(args)
-
-    if args.command == "playbook":
-        return _playbook(args)
-
-    if args.command == "fuzz":
-        return _fuzz(args)
 
     if args.command == "report":
         return _report(args)
@@ -578,124 +519,6 @@ def _emit_result(args, experiment_id, result, error, elapsed, journal, *, multi)
         elapsed_s=round(elapsed, 3),
     )
     return True
-
-
-def _load_playbook_file(path: str) -> dict:
-    """Parse a playbook/sweep file: TOML for ``.toml``, JSON otherwise."""
-    import json
-    from pathlib import Path
-
-    raw = Path(path).read_bytes()
-    if path.endswith(".toml"):
-        import tomllib
-
-        return tomllib.loads(raw.decode())
-    return json.loads(raw)
-
-
-def _playbook(args) -> int:
-    """Compile one playbook spec and print its trace's row profile."""
-    import numpy as np
-
-    from repro.experiments.common import _playbook_mapping_kwargs, make_mapping
-    from repro.workloads.playbook import compile_playbook
-
-    try:
-        spec = _load_playbook_file(args.spec)
-        if args.mapping is not None:
-            spec["target_mapping"] = {"kind": args.mapping, "gang_size": args.gang_size}
-        mapping = None
-        if spec.get("address_space", "row") != "line":
-            kwargs = _playbook_mapping_kwargs(spec.get("target_mapping"))
-            mapping = make_mapping(**kwargs)
-        trace = compile_playbook(spec, mapping, scale=args.scale)
-    except (OSError, ValueError) as error:
-        print(f"bad playbook spec {args.spec}: {error}", file=sys.stderr)
-        return 2
-    print(
-        f"playbook {trace.name}: {len(trace):,} accesses, "
-        f"{trace.instructions:,} instructions, scale {trace.scale}"
-    )
-    if mapping is None:
-        values, counts = np.unique(trace.lines, return_counts=True)
-        print(f"address space: line ({len(values):,} distinct line addresses)")
-        label = "line"
-    else:
-        mapped = mapping.translate_trace(trace.lines)
-        values, counts = np.unique(mapped.global_row, return_counts=True)
-        print(
-            f"constructed against {mapping.name}: {len(values):,} distinct rows touched"
-        )
-        label = "row"
-    order = np.argsort(counts)[::-1][: args.top]
-    for value, count in zip(values[order].tolist(), counts[order].tolist()):
-        print(f"  {label} {value:>12}  {count:,} accesses")
-    return 0
-
-
-def _fuzz(args) -> int:
-    """Run one sweep + bisection through the campaign engine."""
-    from repro.experiments.campaign import MappingSpec
-    from repro.workloads.fuzzer import FuzzConfig, fuzz
-
-    try:
-        payload = _load_playbook_file(args.spec)
-        if not isinstance(payload, dict) or set(payload) != {"base", "sweep"}:
-            raise ValueError('sweep files hold exactly {"base": ..., "sweep": ...}')
-        config = FuzzConfig(
-            mapping=MappingSpec(args.mapping, gang_size=args.gang_size),
-            scheme=args.scheme,
-            t_rh=args.t_rh,
-            metric=args.metric,
-            min_hot_rows=args.min_hot_rows,
-            max_cells=args.max_cells,
-            seed=args.seed,
-            workers=args.workers,
-            stats_cache_dir=args.stats_cache,
-        )
-        result = fuzz(payload["base"], payload["sweep"], config=config)
-    except (OSError, ValueError) as error:
-        print(f"bad sweep {args.spec}: {error}", file=sys.stderr)
-        return 2
-    hot = result.hot_cells
-    print(
-        f"fuzz: {len(result.cells)} cells under {config.mapping.label}/"
-        f"{config.scheme} (t_rh {config.t_rh}), {len(hot)} hot"
-        + (f", {result.skipped_cells} skipped by --max-cells" if result.skipped_cells else "")
-    )
-    if result.minimal_overrides is None:
-        print(f"no cell reached {config.min_hot_rows}+ {config.metric}; nothing to bisect")
-    else:
-        print(f"seed cell      : {result.seed_overrides}")
-        print(f"minimal pattern: {result.minimal_overrides} ({result.probes} probes)")
-        print(
-            f"minimal record : {config.metric}="
-            f"{result.minimal_record.get(config.metric)}"
-            f" activations={result.minimal_record.get('activations')}"
-        )
-    if args.json:
-        import json
-        from pathlib import Path
-
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(
-                {
-                    "cells": result.cells,
-                    "seed_overrides": result.seed_overrides,
-                    "minimal_overrides": result.minimal_overrides,
-                    "minimal_spec": result.minimal_spec,
-                    "minimal_record": result.minimal_record,
-                    "probes": result.probes,
-                    "skipped_cells": result.skipped_cells,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"json written to {out}")
-    return 0
 
 
 def _inspect(args) -> int:

@@ -64,10 +64,8 @@ METRICS: Dict[str, dict] = {
     "parallel.queue_depth": {"kind": "gauge", "labels": set()},
     "parallel.completions": {"kind": "counter", "labels": set()},
     "parallel.worker_heartbeat": {"kind": "gauge", "labels": {"worker"}},
-    # -- playbook compiler / sweep fuzzer (operational) ----------------
+    # -- attack-spec compiler (operational) ----------------------------
     "playbook.compiled": {"kind": "counter", "labels": {"pattern"}},
-    "fuzz.cells": {"kind": "counter", "labels": {"result"}},
-    "fuzz.probes": {"kind": "counter", "labels": set()},
     # -- experiment runner (operational) -------------------------------
     "runner.experiments": {"kind": "counter", "labels": {"status"}},
     # -- tracer aggregates (operational) -------------------------------
@@ -106,8 +104,6 @@ SPAN_NAMES = {
     "analysis.line_table",
     "trace.gen",
     "trace.fingerprint",
-    "fuzz.sweep",
-    "fuzz.bisect",
 }
 
 #: ``profile-<span>-<pid>.collapsed`` (see :mod:`repro.obs.profile`).

@@ -10,7 +10,6 @@ substitution rationale.
 """
 
 from repro.workloads.attacks import (
-    ATTACK_SPECS,
     blacksmith_attack,
     blacksmith_spec,
     blind_adjacency_attack,
@@ -24,20 +23,7 @@ from repro.workloads.attacks import (
     single_sided_attack,
     single_sided_spec,
 )
-# NOTE: the sweep fuzzer (repro.workloads.fuzzer) is intentionally NOT
-# re-exported here: it drives the campaign engine, whose import chain
-# leads back into this package.  Import it directly.
 from repro.workloads.kernels import random_kernel, stream_kernel, stride_kernel
-from repro.workloads.playbook import (
-    compile_playbook,
-    is_playbook_workload,
-    line_of,
-    parse_range,
-    parse_rows,
-    spec_from_workload,
-    validate_spec,
-    workload_name_for,
-)
 from repro.workloads.mixes import mix_names, mix_profile, mix_trace
 from repro.workloads.spec import (
     SPEC_PROFILES,
@@ -78,14 +64,6 @@ __all__ = [
     "many_sided_attack",
     "blacksmith_attack",
     "blind_adjacency_attack",
-    "compile_playbook",
-    "validate_spec",
-    "line_of",
-    "parse_range",
-    "parse_rows",
-    "workload_name_for",
-    "spec_from_workload",
-    "is_playbook_workload",
     "WorkloadBuilder",
     "HotSpots",
     "SequentialScan",

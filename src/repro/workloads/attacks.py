@@ -7,31 +7,24 @@ the mapping changes under the attacker's feet, which is exactly the
 hardening Section 5.6 claims; the ``blind`` helper models an attacker
 stuck with baseline-adjacency assumptions.
 
-Every constructor here is a thin wrapper over a declarative playbook
+Every constructor here is a thin wrapper over a declarative attack
 spec (:mod:`repro.workloads.playbook`): one validated compilation path
 builds the line stream, so the historical trace-construction bug class
 -- mis-phased interleaves, uint64 wraparound, out-of-geometry rows --
-cannot recur.  The specs are exposed as ``*_spec`` helpers so sweeps and
-the fuzzer can parameterize the same patterns declaratively.
+cannot recur.  The specs are exposed as ``*_spec`` helpers.
 """
 
 from __future__ import annotations
 
 from repro.mapping.base import AddressMapping
-from repro.workloads.playbook import compile_playbook, line_of
+from repro.workloads.playbook import compile_playbook
 from repro.workloads.trace import Trace
-
-
-def _line_of(mapping: AddressMapping, bank: int, row: int, col: int = 0) -> int:
-    # Kept as the module's historical entry point; the geometry-checked
-    # implementation lives in the playbook module now.
-    return line_of(mapping, bank, row, col)
 
 
 def single_sided_spec(
     *, bank: int = 0, aggressor_row: int = 1000, dummy_row: int = 5000, activations: int = 2000
 ) -> dict:
-    """Playbook spec behind :func:`single_sided_attack`."""
+    """Attack spec behind :func:`single_sided_attack`."""
     _check_count(activations)
     return {
         "name": "attack-single-sided",
@@ -66,7 +59,7 @@ def single_sided_attack(
 def double_sided_spec(
     *, bank: int = 0, victim_row: int = 1000, activations_per_side: int = 2000
 ) -> dict:
-    """Playbook spec behind :func:`double_sided_attack`."""
+    """Attack spec behind :func:`double_sided_attack`."""
     _check_count(activations_per_side)
     return {
         "name": "attack-double-sided",
@@ -100,7 +93,7 @@ def half_double_spec(
     far_activations: int = 20000,
     near_every: int = 400,
 ) -> dict:
-    """Playbook spec behind :func:`half_double_attack`.
+    """Attack spec behind :func:`half_double_attack`.
 
     The far (distance-2) pair alternates on even/odd slots; the near
     (distance-1) injections replace one far_a slot *and one far_b slot*
@@ -163,7 +156,7 @@ def half_double_attack(
 def many_sided_spec(
     *, bank: int = 0, base_row: int = 1000, sides: int = 10, row_gap: int = 2, rounds: int = 500
 ) -> dict:
-    """Playbook spec behind :func:`many_sided_attack`."""
+    """Attack spec behind :func:`many_sided_attack`."""
     if sides < 2:
         raise ValueError(f"sides must be >= 2, got {sides}")
     if row_gap < 1:
@@ -172,7 +165,7 @@ def many_sided_spec(
     return {
         "name": f"attack-{sides}-sided",
         "bank": bank,
-        "rows": f"{base_row}:{base_row + sides * row_gap}:{row_gap}",
+        "rows": list(range(base_row, base_row + sides * row_gap, row_gap)),
         "pattern": "round-robin",
         "rounds": rounds,
     }
@@ -213,7 +206,7 @@ def blacksmith_spec(
     intensity_ratio: int = 4,
     seed: int = 0xB5,
 ) -> dict:
-    """Playbook spec behind :func:`blacksmith_attack`."""
+    """Attack spec behind :func:`blacksmith_attack`."""
     if sides < 2:
         raise ValueError(f"sides must be >= 2, got {sides}")
     if row_gap < 1:
@@ -224,7 +217,7 @@ def blacksmith_spec(
     return {
         "name": "attack-blacksmith",
         "bank": bank,
-        "rows": f"{base_row}:{base_row + sides * row_gap}:{row_gap}",
+        "rows": list(range(base_row, base_row + sides * row_gap, row_gap)),
         "pattern": "frequency-weighted",
         "rounds": rounds,
         # The first two rows are the "loud" pair.
@@ -273,7 +266,7 @@ def blacksmith_attack(
 def blind_adjacency_spec(
     *, base_line: int = 128 * 1000, lines_per_row: int = 128, activations: int = 20000
 ) -> dict:
-    """Playbook spec behind :func:`blind_adjacency_attack`."""
+    """Attack spec behind :func:`blind_adjacency_attack`."""
     _check_count(activations)
     if lines_per_row < 1:
         raise ValueError(f"lines_per_row must be >= 1, got {lines_per_row}")
@@ -318,17 +311,6 @@ def _check_count(count: int) -> None:
         raise ValueError(f"activation count must be >= 1, got {count}")
 
 
-#: name -> spec builder, for tooling that enumerates the legacy attacks.
-ATTACK_SPECS = {
-    "single-sided": single_sided_spec,
-    "double-sided": double_sided_spec,
-    "half-double": half_double_spec,
-    "many-sided": many_sided_spec,
-    "blacksmith": blacksmith_spec,
-    "blind": blind_adjacency_spec,
-}
-
-
 __all__ = [
     "single_sided_attack",
     "double_sided_attack",
@@ -342,5 +324,4 @@ __all__ = [
     "many_sided_spec",
     "blacksmith_spec",
     "blind_adjacency_spec",
-    "ATTACK_SPECS",
 ]

@@ -1,23 +1,18 @@
-"""Declarative attack playbooks: specs that compile to :class:`Trace`.
+"""Attack specs: the declarative engine behind :mod:`repro.workloads.attacks`.
 
-The litex-rowhammer-tester repos drive real DIMMs from *playbooks* --
-payloads generated from row lists, parameter ranges written as
-``start:end:step``, one engine behind every pattern.  This module ports
-that idiom to simulation: a small declarative spec (a plain dict, fully
-TOML/JSON-compatible) compiles deterministically into a
-:class:`~repro.workloads.trace.Trace`, and every row/bank/column in the
-spec goes through one validated, geometry-checked address path
-(:func:`line_of`).  The ad-hoc constructors in
-:mod:`repro.workloads.attacks` are thin wrappers over these specs, which
-eliminates their historical trace-construction bug class (mis-phased
-interleaves, unsigned wraparound, out-of-geometry rows) by construction.
+Each attack constructor builds a small spec (a plain dict) and compiles
+it here, deterministically, into a :class:`~repro.workloads.trace.Trace`.
+Every row/bank/column in a spec goes through one validated,
+geometry-checked address path (:func:`line_of`), which rules out the
+historical trace-construction bug class (mis-phased interleaves,
+unsigned wraparound, out-of-geometry rows) by construction.
 
 Spec fields::
 
     {
       "name": "attack-double-sided",   # trace name
       "bank": 0,                       # bank the rows live in
-      "rows": [999, 1001],             # ints and/or "start:end:step" ranges
+      "rows": [999, 1001],             # an int or a list of ints
       "pattern": "paired",             # round-robin | paired | frequency-weighted
       "rounds": 2000,                  # pattern repetitions
       "intensities": [4, 4, 1],        # per-row repeats (frequency-weighted)
@@ -25,11 +20,8 @@ Spec fields::
       "near_injections": [             # overlay accesses on pattern slots
         {"row": 999, "every": 800, "phase": 0}
       ],
-      "refresh_gap": 0,                # insert a gap_row access every N slots
-      "gap_row": 5000,                 # row the refresh gap hits
       "col": 0,
       "address_space": "row",          # row | line (line = raw line addresses)
-      "target_mapping": "coffeelake",  # consumed by the workload layer only
     }
 
 Patterns:
@@ -48,22 +40,15 @@ Patterns:
 another row's accesses -- the Half-Double "keep the neighbours warm"
 overlay.  Phases are validated against the period, so an injection can
 never silently land on the wrong side of an interleave (the bug the
-legacy ``half_double_attack`` had).  ``refresh_gap`` then inserts one
-``gap_row`` access after every ``refresh_gap`` slots, for patterns that
-pace themselves against the refresh schedule.
+legacy ``half_double_attack`` had).
 
-``address_space: "line"`` interprets ``rows`` (and injection rows /
-``gap_row``) as raw line addresses and needs no mapping -- the blind
-attacker's view.  ``target_mapping`` is *not* used by the compiler; the
-workload-name layer (:func:`repro.experiments.common.get_trace`) uses it
-to build the mapping a ``playbook:<json>`` workload is constructed
-against.
+``address_space: "line"`` interprets ``rows`` (and injection rows) as
+raw line addresses and needs no mapping -- the blind attacker's view.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,9 +60,6 @@ from repro.workloads.trace import Trace
 #: Patterns :func:`compile_playbook` accepts.
 PATTERNS = ("round-robin", "paired", "frequency-weighted")
 
-#: Workload-name prefix the campaign layer resolves through this module.
-PLAYBOOK_WORKLOAD_PREFIX = "playbook:"
-
 _SPEC_KEYS = {
     "name",
     "bank",
@@ -87,11 +69,8 @@ _SPEC_KEYS = {
     "intensities",
     "seed",
     "near_injections",
-    "refresh_gap",
-    "gap_row",
     "col",
     "address_space",
-    "target_mapping",
 }
 _INJECTION_KEYS = {"row", "every", "phase"}
 
@@ -101,58 +80,20 @@ DEFAULT_SEED = 0xB5
 
 
 # ---------------------------------------------------------------------------
-# Range and row-list parsing
+# Row-list parsing
 # ---------------------------------------------------------------------------
-def parse_range(text: str) -> List[int]:
-    """Expand a ``start:end:step`` range string (end-exclusive).
-
-    ``step`` defaults to 1; all three parts must be integers and the
-    range must be non-empty with a positive step -- a silently empty
-    row list is always a spec bug.
-
-    >>> parse_range("1000:1008:2")
-    [1000, 1002, 1004, 1006]
-    """
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(
-            f"range '{text}' must look like 'start:end' or 'start:end:step'"
-        )
-    try:
-        numbers = [int(part) for part in parts]
-    except ValueError as error:
-        raise ValueError(f"range '{text}' has a non-integer part") from error
-    start, end = numbers[0], numbers[1]
-    step = numbers[2] if len(numbers) == 3 else 1
-    if step < 1:
-        raise ValueError(f"range '{text}' needs a positive step, got {step}")
-    values = list(range(start, end, step))
-    if not values:
-        raise ValueError(f"range '{text}' is empty")
-    return values
-
-
-def parse_rows(entries: Union[int, str, Sequence]) -> List[int]:
-    """Expand a spec ``rows`` value into a flat row list.
-
-    Accepts a single int, a single range string, or a list mixing both.
-    """
-    if isinstance(entries, (int, np.integer)):
+def parse_rows(entries: Union[int, Sequence[int]]) -> List[int]:
+    """Expand a spec ``rows`` value (an int or a list of ints) into a row list."""
+    if isinstance(entries, (int, np.integer)) and not isinstance(entries, bool):
         return [int(entries)]
-    if isinstance(entries, str):
-        return parse_range(entries)
     if isinstance(entries, (list, tuple)):
-        rows: List[int] = []
         for entry in entries:
-            if isinstance(entry, bool) or not isinstance(entry, (int, np.integer, str)):
-                raise ValueError(
-                    f"rows entries must be ints or 'start:end:step' strings, got {entry!r}"
-                )
-            rows.extend(parse_rows(entry))
-        if not rows:
+            if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)):
+                raise ValueError(f"rows entries must be ints, got {entry!r}")
+        if not entries:
             raise ValueError("rows must not be empty")
-        return rows
-    raise ValueError(f"rows must be an int, a range string, or a list, got {entries!r}")
+        return [int(entry) for entry in entries]
+    raise ValueError(f"rows must be an int or a list of ints, got {entries!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +102,11 @@ def parse_rows(entries: Union[int, str, Sequence]) -> List[int]:
 def line_of(mapping: AddressMapping, bank: int, row: int, col: int = 0) -> int:
     """Line address of ``(bank, row, col)``, geometry-checked.
 
-    Every playbook (and every legacy attack wrapper) derives aggressor
-    lines through this one path.  Out-of-geometry coordinates -- e.g.
-    ``victim_row - 2`` underflowing row 0, or a row beyond the bank --
-    raise a clear :class:`ValueError` here instead of flowing into
-    ``mapping.inverse`` and producing an address for the wrong row.
+    Every attack spec derives its aggressor lines through this one path.
+    Out-of-geometry coordinates -- e.g. ``victim_row - 2`` underflowing
+    row 0, or a row beyond the bank -- raise a clear :class:`ValueError`
+    here instead of flowing into ``mapping.inverse`` and producing an
+    address for the wrong row.
     """
     config = mapping.config
     if not 0 <= bank < config.banks:
@@ -231,12 +172,12 @@ def _require_int(spec: dict, key: str, default: int, minimum: int) -> int:
 
 
 def validate_spec(spec: dict) -> dict:
-    """Structural validation of a playbook spec; returns the spec.
+    """Structural validation of an attack spec; returns the spec.
 
     Checks everything that does not need a mapping: key names, types,
-    pattern/row-count compatibility, injection phases, refresh-gap
-    plumbing.  Geometry checks (row/bank/col bounds) happen per-address
-    in :func:`line_of` during compilation.
+    pattern/row-count compatibility and injection phases.  Geometry
+    checks (row/bank/col bounds) happen per-address in :func:`line_of`
+    during compilation.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"playbook spec must be a dict, got {type(spec).__name__}")
@@ -292,11 +233,6 @@ def validate_spec(spec: dict) -> dict:
                 f"near_injection phase {phase} must be < its period {every}"
                 " (phases select the pattern slot within one period)"
             )
-    refresh_gap = _require_int(spec, "refresh_gap", 0, 0)
-    if refresh_gap > 0 and "gap_row" not in spec:
-        raise ValueError("refresh_gap > 0 needs a gap_row to access during the gap")
-    if "gap_row" in spec and refresh_gap == 0:
-        raise ValueError("gap_row is only meaningful with refresh_gap > 0")
     return spec
 
 
@@ -323,28 +259,18 @@ def _base_index(spec: dict, n_rows: int, rounds: int) -> np.ndarray:
     return round_pattern[perm].reshape(-1)
 
 
-def _apply_refresh_gap(lines: np.ndarray, gap: int, gap_line: int) -> np.ndarray:
-    """Insert one gap_line access after every ``gap`` pattern slots."""
-    n = lines.size
-    slots = np.arange(n, dtype=np.int64)
-    out = np.full(n + n // gap, np.uint64(gap_line), dtype=np.uint64)
-    out[slots + slots // gap] = lines
-    return out
-
-
 def compile_playbook(
     spec: dict,
     mapping: Optional[AddressMapping] = None,
     *,
     scale: float = 1.0,
 ) -> Trace:
-    """Compile a playbook spec into a :class:`Trace`.
+    """Compile an attack spec into a :class:`Trace`.
 
     Deterministic: the same (spec, mapping, scale) always yields a
     byte-identical line stream.  ``scale`` shrinks ``rounds`` (to at
-    least one round) so campaign-style scaled runs work on playbook
-    workloads like on any other generator; overlay periods and phases
-    are *not* rescaled -- the pattern shape is the experiment.
+    least one round); overlay periods and phases are *not* rescaled --
+    the pattern shape is the experiment.
     """
     validate_spec(spec)
     if not 0 < scale <= 1.0:
@@ -371,17 +297,6 @@ def compile_playbook(
         )
         lines[int(injection.get("phase", 0)) :: int(injection["every"])] = near_line
 
-    refresh_gap = int(spec.get("refresh_gap", 0))
-    if refresh_gap > 0:
-        (gap_line,) = _line_array(
-            [int(spec["gap_row"])],
-            mapping,
-            bank=bank,
-            col=col,
-            address_space=address_space,
-        )
-        lines = _apply_refresh_gap(lines, refresh_gap, int(gap_line))
-
     if METRICS.enabled:
         METRICS.inc("playbook.compiled", pattern=spec.get("pattern", "round-robin"))
     seed = spec.get("seed")
@@ -394,50 +309,11 @@ def compile_playbook(
     )
 
 
-# ---------------------------------------------------------------------------
-# Workload-name embedding (campaign integration)
-# ---------------------------------------------------------------------------
-def workload_name_for(spec: dict) -> str:
-    """Self-contained campaign workload name for a playbook spec.
-
-    The spec is embedded as canonical (sorted-key, compact) JSON, so the
-    name survives journals and process-pool workers without any
-    side-channel registry, and two equal specs always
-    produce the same name (content-keyed caches dedupe them).
-    """
-    validate_spec(spec)
-    return PLAYBOOK_WORKLOAD_PREFIX + json.dumps(
-        spec, sort_keys=True, separators=(",", ":")
-    )
-
-
-def spec_from_workload(name: str) -> dict:
-    """Parse a ``playbook:<json>`` workload name back into its spec."""
-    if not name.startswith(PLAYBOOK_WORKLOAD_PREFIX):
-        raise ValueError(f"not a playbook workload name: {name!r}")
-    payload = name[len(PLAYBOOK_WORKLOAD_PREFIX) :]
-    try:
-        spec = json.loads(payload)
-    except json.JSONDecodeError as error:
-        raise ValueError(f"playbook workload has malformed JSON: {error}") from error
-    return validate_spec(spec)
-
-
-def is_playbook_workload(name: str) -> bool:
-    """True if ``name`` is a ``playbook:``-embedded workload."""
-    return isinstance(name, str) and name.startswith(PLAYBOOK_WORKLOAD_PREFIX)
-
-
 __all__ = [
     "PATTERNS",
-    "PLAYBOOK_WORKLOAD_PREFIX",
     "DEFAULT_SEED",
-    "parse_range",
     "parse_rows",
     "line_of",
     "validate_spec",
     "compile_playbook",
-    "workload_name_for",
-    "spec_from_workload",
-    "is_playbook_workload",
 ]

@@ -66,6 +66,15 @@ def test_bad_spec_exits_2(tmp_path):
     assert not journal.exists()
 
 
+def test_string_thresholds_exit_2(tmp_path, capsys):
+    journal = tmp_path / "never.jsonl"
+    spec = write_spec(tmp_path, "bad.json", {**SPEC_A, "thresholds": "128"})
+    assert main(["serve", spec, "--journal", str(journal)]) == 2
+    captured = capsys.readouterr()
+    assert "must be a list" in captured.out + captured.err
+    assert not journal.exists()
+
+
 def test_duplicate_tenants_exit_2_before_any_cell_runs(tmp_path, capsys):
     journal = tmp_path / "never.jsonl"
     out = tmp_path / "out"

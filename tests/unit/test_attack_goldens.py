@@ -15,7 +15,6 @@ from repro.core.rubix_s import RubixSMapping
 from repro.dram.config import baseline_config
 from repro.mapping.intel import CoffeeLakeMapping
 from repro.workloads.attacks import (
-    ATTACK_SPECS,
     blacksmith_attack,
     blacksmith_spec,
     blind_adjacency_attack,
@@ -29,7 +28,7 @@ from repro.workloads.attacks import (
     single_sided_attack,
     single_sided_spec,
 )
-from repro.workloads.playbook import compile_playbook, line_of
+from repro.workloads.playbook import compile_playbook, line_of, validate_spec
 
 
 @pytest.fixture(scope="module")
@@ -131,17 +130,20 @@ class TestWrappersMatchSpecs:
             assert np.array_equal(attack.lines, compiled.lines)
             assert attack.name == compiled.name
 
-    def test_attack_specs_registry_is_complete(self):
-        assert sorted(ATTACK_SPECS) == [
-            "blacksmith",
-            "blind",
-            "double-sided",
-            "half-double",
-            "many-sided",
-            "single-sided",
-        ]
-        for builder in ATTACK_SPECS.values():
-            assert isinstance(builder(), dict)
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            single_sided_spec,
+            double_sided_spec,
+            half_double_spec,
+            many_sided_spec,
+            blacksmith_spec,
+            blind_adjacency_spec,
+        ],
+    )
+    def test_spec_builder_passes_validation(self, builder):
+        spec = builder()
+        assert validate_spec(spec) is spec
 
 
 class TestHalfDoubleInterleaving:

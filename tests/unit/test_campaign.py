@@ -70,6 +70,15 @@ class TestCampaign:
             Campaign(workloads=["xz"], mappings=[])
         with pytest.raises(ValueError):
             Campaign(workloads=["xz"], mappings=[MappingSpec("coffeelake")], scale=0.0)
+        # Empty axes and thresholds below 1 fail before any cell runs.
+        for axes, message in [
+            ({"schemes": []}, "at least one scheme"),
+            ({"thresholds": []}, "at least one threshold"),
+            ({"thresholds": [128, 0]}, "thresholds must be >= 1"),
+            ({"thresholds": [-64]}, "thresholds must be >= 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Campaign(workloads=["xz"], mappings=[MappingSpec("coffeelake")], **axes)
 
     def test_deterministic_cell_order(self, campaign):
         cells = list(campaign.cells())
@@ -175,3 +184,22 @@ class TestSpecRoundTrip:
             campaign_from_spec({"workloads": ["xz"], "mappings": [42]})
         with pytest.raises(ValueError):
             campaign_from_spec([1, 2, 3])
+        # A string grid field must not be split into its characters.
+        with pytest.raises(ValueError, match="'thresholds' must be a list"):
+            campaign_from_spec(
+                {"workloads": ["xz"], "mappings": ["coffeelake"], "thresholds": "128"}
+            )
+        with pytest.raises(ValueError, match="'workloads' must be a list"):
+            campaign_from_spec({"workloads": "xz", "mappings": ["coffeelake"]})
+        with pytest.raises(ValueError, match="'mappings' must be a list"):
+            campaign_from_spec({"workloads": ["xz"], "mappings": "coffeelake"})
+        with pytest.raises(ValueError, match="'schemes' must be a list"):
+            campaign_from_spec(
+                {"workloads": ["xz"], "mappings": ["coffeelake"], "schemes": "aqua"}
+            )
+        # Thresholds are integers, never silently truncated or bool.
+        for bad in ([128.9], [True], ["128"]):
+            with pytest.raises(ValueError, match="thresholds must be integers"):
+                campaign_from_spec(
+                    {"workloads": ["xz"], "mappings": ["coffeelake"], "thresholds": bad}
+                )

@@ -1,6 +1,4 @@
-"""Unit tests for the declarative playbook compiler."""
-
-import tomllib
+"""Unit tests for the attack-spec compiler behind the attack constructors."""
 
 import numpy as np
 import pytest
@@ -9,13 +7,9 @@ from repro.dram.config import baseline_config
 from repro.mapping.intel import CoffeeLakeMapping
 from repro.workloads.playbook import (
     compile_playbook,
-    is_playbook_workload,
     line_of,
-    parse_range,
     parse_rows,
-    spec_from_workload,
     validate_spec,
-    workload_name_for,
 )
 
 
@@ -24,35 +18,11 @@ def mapping():
     return CoffeeLakeMapping(baseline_config())
 
 
-class TestParseRange:
-    def test_basic(self):
-        assert parse_range("1000:1008:2") == [1000, 1002, 1004, 1006]
-
-    def test_step_defaults_to_one(self):
-        assert parse_range("5:8") == [5, 6, 7]
-
-    def test_end_exclusive(self):
-        assert parse_range("0:10:5") == [0, 5]
-
-    @pytest.mark.parametrize(
-        "text", ["10", "1:2:3:4", "a:10", "1:b", "10:0", "0:10:0", "0:10:-1"]
-    )
-    def test_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
-            parse_range(text)
-
-
 class TestParseRows:
     def test_single_int(self):
         assert parse_rows(7) == [7]
 
-    def test_single_range(self):
-        assert parse_rows("3:6") == [3, 4, 5]
-
-    def test_mixed_list(self):
-        assert parse_rows([1, "10:14:2", 99]) == [1, 10, 12, 99]
-
-    @pytest.mark.parametrize("bad", [[], [1.5], [True], [None], 2.5])
+    @pytest.mark.parametrize("bad", [[], [1.5], [True], [None], 2.5, "3:6", [1, "3:6"]])
     def test_rejects_bad_entries(self, bad):
         with pytest.raises(ValueError):
             parse_rows(bad)
@@ -70,6 +40,11 @@ class TestValidateSpec:
     def test_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown playbook spec key"):
             validate_spec(self.base(rownds=4))
+
+    @pytest.mark.parametrize("key", ["refresh_gap", "gap_row", "target_mapping"])
+    def test_rejects_retired_keys(self, key):
+        with pytest.raises(ValueError, match="unknown playbook spec key"):
+            validate_spec(self.base(**{key: 1}))
 
     def test_rejects_unknown_pattern(self):
         with pytest.raises(ValueError, match="unknown pattern"):
@@ -110,14 +85,6 @@ class TestValidateSpec:
         bad = [{"row": 9, "every": 4, "phaze": 1}]
         with pytest.raises(ValueError, match="unknown near_injection key"):
             validate_spec(self.base(near_injections=bad))
-
-    def test_refresh_gap_needs_gap_row(self):
-        with pytest.raises(ValueError, match="needs a gap_row"):
-            validate_spec(self.base(refresh_gap=16))
-
-    def test_gap_row_needs_refresh_gap(self):
-        with pytest.raises(ValueError, match="only meaningful with refresh_gap"):
-            validate_spec(self.base(gap_row=5000))
 
     def test_rejects_bad_address_space(self):
         with pytest.raises(ValueError, match="address_space"):
@@ -198,18 +165,6 @@ class TestCompile:
         rows = mapping.translate_trace(compile_playbook(spec, mapping).lines).row
         assert rows.tolist() == [998, 999, 998, 1002] * 4
 
-    def test_refresh_gap_inserts_at_period_boundaries(self, mapping):
-        spec = {
-            "rows": [10, 20],
-            "pattern": "paired",
-            "rounds": 4,
-            "refresh_gap": 3,
-            "gap_row": 5000,
-        }
-        rows = mapping.translate_trace(compile_playbook(spec, mapping).lines).row
-        # 8 pattern slots + one gap access after every 3rd slot.
-        assert rows.tolist() == [10, 20, 10, 5000, 20, 10, 20, 5000, 10, 20]
-
     def test_scale_shrinks_rounds(self, mapping):
         spec = {"rows": [10, 20], "pattern": "paired", "rounds": 100}
         assert len(compile_playbook(spec, mapping, scale=0.25)) == 50
@@ -246,60 +201,3 @@ class TestCompile:
         spec = {"rows": [10, 20], "pattern": "paired", "rounds": 1}
         with pytest.raises(ValueError, match="needs a mapping"):
             compile_playbook(spec)
-
-
-class TestTomlSpecs:
-    """Specs are plain TOML tables -- the on-disk playbook format."""
-
-    TOML = """
-    name = "attack-half-double"
-    rows = [998, 1002]
-    pattern = "paired"
-    rounds = 40
-
-    [[near_injections]]
-    row = 999
-    every = 8
-    phase = 0
-
-    [[near_injections]]
-    row = 1001
-    every = 8
-    phase = 5
-    """
-
-    def test_toml_compiles_like_the_dict(self, mapping):
-        spec = tomllib.loads(self.TOML)
-        trace = compile_playbook(spec, mapping)
-        assert len(trace) == 80
-        rows, counts = np.unique(
-            mapping.translate_trace(trace.lines).row, return_counts=True
-        )
-        assert dict(zip(rows.tolist(), counts.tolist())) == {
-            998: 30,
-            999: 10,
-            1001: 10,
-            1002: 30,
-        }
-
-
-class TestWorkloadNames:
-    def test_round_trip(self):
-        spec = {"rows": [999, 1001], "pattern": "paired", "rounds": 8}
-        name = workload_name_for(spec)
-        assert is_playbook_workload(name)
-        assert spec_from_workload(name) == spec
-
-    def test_equal_specs_share_a_name(self):
-        a = {"rows": [1, 2], "pattern": "paired", "rounds": 3, "bank": 0}
-        b = {"bank": 0, "rounds": 3, "pattern": "paired", "rows": [1, 2]}
-        assert workload_name_for(a) == workload_name_for(b)
-
-    def test_malformed_json_is_rejected(self):
-        with pytest.raises(ValueError, match="malformed JSON"):
-            spec_from_workload("playbook:notjson")
-
-    def test_non_playbook_names_are_rejected(self):
-        assert not is_playbook_workload("xz")
-        with pytest.raises(ValueError, match="not a playbook workload"):
-            spec_from_workload("xz")
