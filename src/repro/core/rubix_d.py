@@ -27,8 +27,8 @@ import numpy as np
 from repro.core.gangs import GangSplitter
 from repro.core.remap_engine import XorRemapEngine, gather_translate, snapshot_engines
 from repro.dram.config import Coordinate, DRAMConfig
-from repro.mapping.base import AddressMapping, MappedTrace
-from repro.utils.bitops import bit_length_for, is_power_of_two, mask
+from repro.mapping.base import AddressMapping, MappedTrace, line_array
+from repro.utils.bitops import bit_length_for, fitting_uint, is_power_of_two, mask
 from repro.utils.prng import derive_key
 
 #: Elements per block of the gather path (its temporaries stay cache-sized).
@@ -174,12 +174,12 @@ class RubixDMapping(AddressMapping):
         :meth:`translate` and to the masked per-engine oracle
         :meth:`_translate_trace_loop` (which computes in uint64).
         """
-        lines = np.asarray(lines, dtype=np.uint64)
+        lines = line_array(lines)
         if validate and lines.size and int(lines.max()) >= self.config.total_lines:
             raise ValueError(
                 f"line addresses exceed the {self.config.capacity_bytes} byte memory"
             )
-        dt = np.uint32 if self.config.line_addr_bits <= 32 else np.uint64
+        dt = fitting_uint(self.config.total_lines - 1)
         k, p, sb = self.k_bits, self.p_bits, self.segment_bits
         col = lines.astype(dt)
         col &= dt(mask(k + p))
@@ -188,7 +188,7 @@ class RubixDMapping(AddressMapping):
         curr, nxt, ptr = snapshot_engines(self.engines, dtype=dt)
         for start in range(0, lines.size, _BLOCK):
             stop = start + _BLOCK
-            row_addr = lines[start:stop].astype(dt) >> dt(k + p)
+            row_addr = (lines[start:stop] >> lines.dtype.type(k + p)).astype(dt, copy=False)
             engine_idx = col[start:stop] >> dt(k)
             if sb:
                 segment = row_addr & dt(mask(sb))
@@ -267,14 +267,14 @@ class RubixDMapping(AddressMapping):
 
         The v-group of a line is its p bits above the k line-in-gang
         bits, so no column array is built; the lines are counted in
-        cache-sized blocks.
+        cache-sized blocks in the lines' own dtype.
         """
-        lines = np.asarray(lines, dtype=np.uint64)
+        lines = line_array(lines)
         counts = np.zeros(self.vgroups, dtype=np.int64)
         for start in range(0, lines.size, _BLOCK):
             block = lines[start : start + _BLOCK]
             vgroup = np.right_shift(
-                block, np.uint64(self.k_bits), out=np.empty(block.size, np.uint32),
+                block, lines.dtype.type(self.k_bits), out=np.empty(block.size, np.uint32),
                 casting="unsafe",
             )
             vgroup &= np.uint32(self.vgroups - 1)

@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from repro.dram.config import Coordinate, DRAMConfig
-from repro.mapping.base import AddressMapping, MappedTrace
+from repro.mapping.base import AddressMapping, MappedTrace, line_array
 from repro.mapping.intel import CoffeeLakeMapping
-from repro.utils.bitops import mask
+from repro.utils.bitops import fitting_uint, mask
 from repro.utils.prng import derive_key
 
 
@@ -58,14 +58,15 @@ class HorizontalXorMapping(AddressMapping):
         return self.decode.translate(line_addr ^ self.key)
 
     def translate_trace(self, lines: np.ndarray, *, validate: bool = True) -> MappedTrace:
-        lines = np.asarray(lines, dtype=np.uint64)
+        lines = line_array(lines)
         # The xored address stays in range iff the input does, so the
         # decode stage's own scan is redundant either way.
         if validate and lines.size and int(lines.max()) >= self.config.total_lines:
             raise ValueError(
                 f"line addresses exceed the {self.config.capacity_bytes} byte memory"
             )
-        return self.decode.translate_trace(lines ^ np.uint64(self.key), validate=False)
+        key = fitting_uint(self.config.total_lines - 1)(self.key)
+        return self.decode.translate_trace(lines ^ key, validate=False)
 
     def inverse(self, coord: Coordinate) -> int:
         return self.decode.inverse(coord) ^ self.key

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.crypto.kcipher import KCipher
 from repro.dram.config import Coordinate, DRAMConfig
-from repro.mapping.base import AddressMapping, MappedTrace
+from repro.mapping.base import AddressMapping, MappedTrace, line_array
 from repro.mapping.linear import LinearMapping
 from repro.utils.bitops import mask
 from repro.utils.prng import derive_key
@@ -88,7 +88,7 @@ class RubixSMapping(AddressMapping):
         return self.decode.translate(self.encrypt_line(line_addr))
 
     def translate_trace(self, lines: np.ndarray, *, validate: bool = True) -> MappedTrace:
-        lines = np.asarray(lines, dtype=np.uint64)
+        lines = line_array(lines)
         # One domain scan for the whole chunk; the cipher and the decode
         # stage then skip their own per-call validation (the encrypted
         # address is in range by bijectivity).
@@ -96,14 +96,17 @@ class RubixSMapping(AddressMapping):
             raise ValueError(
                 f"line addresses exceed the {self.config.capacity_bytes} byte memory"
             )
-        # The cipher returns a fresh array: merge the line-in-gang bits
-        # back into it in place, staged through one byte per line.
+        # The gang ids are split off in the lines' own dtype; the cipher
+        # widens them to a fresh uint64 array (its mix64 rounds need the
+        # width), and the line-in-gang bits merge back into that array
+        # in place, staged through one byte per line.
         k = self.splitter.k_bits
-        encrypted = self.cipher.encrypt(lines >> np.uint64(k) if k else lines, validate=False)
+        word = lines.dtype.type
+        encrypted = self.cipher.encrypt(lines >> word(k) if k else lines, validate=False)
         if k:
             encrypted <<= np.uint64(k)
             encrypted |= np.bitwise_and(
-                lines, np.uint64(mask(k)), out=np.empty(lines.shape, np.uint8)
+                lines, word(mask(k)), out=np.empty(lines.shape, np.uint8)
             )
         return self.decode.translate_trace(encrypted, validate=False)
 

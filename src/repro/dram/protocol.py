@@ -248,7 +248,7 @@ class ProtocolEngine:
         if hasattr(mapping, "translate_trace") and isinstance(
             lines, (np.ndarray, list, tuple)
         ):
-            mapped = mapping.translate_trace(np.asarray(lines, dtype=np.uint64))
+            mapped = mapping.translate_trace(lines)
             coords = mapped.iter_coordinates(self.config)
         if coords is None:
             coords = (mapping.translate(int(line)) for line in lines)

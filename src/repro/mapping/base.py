@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.dram.config import Coordinate, DRAMConfig
-from repro.utils.bitops import mask
+from repro.utils.bitops import fitting_uint, mask
 
 FIELD_ORDER = ("channel", "rank", "bank", "row", "col")
 
@@ -28,6 +28,19 @@ FIELD_ORDER = ("channel", "rank", "bank", "row", "col")
 _BLOCK = 1 << 16
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def line_array(lines) -> np.ndarray:
+    """``lines`` as a line-address array for :meth:`AddressMapping.translate_trace`.
+
+    ``uint32`` and ``uint64`` arrays pass through as they are, so a
+    four-byte window is never widened as a whole; anything else
+    converts to ``uint64``.
+    """
+    array = np.asarray(lines)
+    if array.dtype == np.uint32 or array.dtype == np.uint64:
+        return array
+    return np.asarray(lines, dtype=np.uint64)
 
 
 def _row_id_dtype(largest: int):
@@ -129,6 +142,9 @@ class AddressMapping(abc.ABC):
     @abc.abstractmethod
     def translate_trace(self, lines: np.ndarray, *, validate: bool = True) -> MappedTrace:
         """Translate a whole trace (vectorized).
+
+        ``uint32`` and ``uint64`` lines translate to identical outputs;
+        implementations take either as it comes (:func:`line_array`).
 
         ``validate`` bounds-checks the chunk once (a single max scan);
         callers that already validated the window -- e.g. the simulator,
@@ -244,11 +260,12 @@ class FieldDecodeMapping(AddressMapping):
         """One field of every line: one shift and one mask per bit run.
 
         A one-run field (most of them) is shifted straight into the output.
+        The shifts run in the lines' own dtype.
         """
         out = np.zeros(lines.shape, dtype=dtype)
         part = np.empty_like(out) if len(self._runs[field]) > 1 else out
         for src, dst, width in self._runs[field]:
-            np.right_shift(lines, np.uint64(src), out=part)
+            np.right_shift(lines, lines.dtype.type(src), out=part)
             part &= dtype(mask(width))
             if part is not out:
                 part <<= dtype(dst)
@@ -285,13 +302,13 @@ class FieldDecodeMapping(AddressMapping):
         Every pass writes into the fresh output arrays, never into
         ``lines``; bit-identical to :meth:`_translate_trace_reference`.
         """
-        lines = np.asarray(lines, dtype=np.uint64)
+        lines = line_array(lines)
         if validate and lines.size and int(lines.max()) >= self.config.total_lines:
             raise ValueError(
                 f"line addresses exceed the {self.config.capacity_bytes} byte memory"
             )
         c = self.config
-        dtype = np.uint32 if c.line_addr_bits <= 32 else np.uint64
+        dtype = fitting_uint(c.total_lines - 1)
         row = self._extract(lines, "row", dtype)
         bank = self._extract(lines, "bank", dtype)
         if self._bank_masks:
@@ -416,6 +433,7 @@ __all__ = [
     "FieldDecodeMapping",
     "MappedTrace",
     "FIELD_ORDER",
+    "line_array",
     "fields_from_segments",
     "default_bank_hash",
 ]

@@ -14,6 +14,8 @@ import numpy as np
 
 IntOrArray = Union[int, np.ndarray]
 
+_UINT32_MAX = int(np.iinfo(np.uint32).max)
+
 
 def mask(nbits: int) -> int:
     """Return an integer with the low ``nbits`` bits set.
@@ -42,6 +44,18 @@ def bit_length_for(count: int) -> int:
     if not is_power_of_two(count):
         raise ValueError(f"count must be a power of two, got {count}")
     return count.bit_length() - 1
+
+
+def fitting_uint(largest: int):
+    """``np.uint32`` when values up to ``largest`` fit in it, else ``np.uint64``.
+
+    The line-address dtype rule: every modelled address space (at most
+    29 bits) holds its lines in four bytes.
+
+    >>> fitting_uint((1 << 32) - 1).__name__, fitting_uint(1 << 32).__name__
+    ('uint32', 'uint64')
+    """
+    return np.uint32 if largest <= _UINT32_MAX else np.uint64
 
 
 def extract_bits(value: IntOrArray, low: int, width: int) -> IntOrArray:
@@ -124,6 +138,7 @@ __all__ = [
     "mask",
     "is_power_of_two",
     "bit_length_for",
+    "fitting_uint",
     "extract_bits",
     "insert_bits",
     "rotate_left",

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.bitops import fitting_uint
 from repro.utils.prng import SplitMix64
 from repro.utils.units import MB, LINE_BYTES
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, draw_lines
 
 #: Figure 4 defaults: 4 MB footprint, 1 M accesses.
 DEFAULT_FOOTPRINT_LINES = 4 * MB // LINE_BYTES
@@ -26,9 +27,9 @@ def stream_kernel(
 ) -> Trace:
     """Sequential sweep: line 0, 1, 2, ... wrapping over the footprint."""
     _check(footprint_lines, accesses)
-    lines = (np.arange(accesses, dtype=np.uint64) % np.uint64(footprint_lines)) + np.uint64(
-        base_line
-    )
+    # The access index itself must fit the dtype, not only the lines.
+    dt = fitting_uint(base_line + max(footprint_lines, accesses) - 1)
+    lines = np.arange(accesses, dtype=dt) % dt(footprint_lines) + dt(base_line)
     return Trace(name="stream", lines=lines, instructions=accesses * 4)
 
 
@@ -45,10 +46,11 @@ def stride_kernel(
     if footprint_lines % stride_lines != 0:
         raise ValueError("footprint must be a multiple of the stride")
     pages = footprint_lines // stride_lines
-    i = np.arange(accesses, dtype=np.uint64)
-    page = i % np.uint64(pages)
-    pass_index = (i // np.uint64(pages)) % np.uint64(stride_lines)
-    lines = page * np.uint64(stride_lines) + pass_index + np.uint64(base_line)
+    dt = fitting_uint(base_line + max(footprint_lines, accesses) - 1)
+    i = np.arange(accesses, dtype=dt)
+    page = i % dt(pages)
+    pass_index = (i // dt(pages)) % dt(stride_lines)
+    lines = page * dt(stride_lines) + pass_index + dt(base_line)
     return Trace(name=f"stride-{stride_lines}", lines=lines, instructions=accesses * 4)
 
 
@@ -62,9 +64,8 @@ def random_kernel(
     """Uniform random accesses within the footprint."""
     _check(footprint_lines, accesses)
     rng = SplitMix64(seed).numpy_rng()
-    lines = rng.integers(0, footprint_lines, size=accesses, dtype=np.uint64) + np.uint64(
-        base_line
-    )
+    lines = np.empty(accesses, dtype=fitting_uint(base_line + footprint_lines - 1))
+    draw_lines(rng, footprint_lines, base_line, out=lines)
     return Trace(name="random", lines=lines, instructions=accesses * 4)
 
 

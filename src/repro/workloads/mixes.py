@@ -11,6 +11,7 @@ from typing import List
 
 import numpy as np
 
+from repro.utils.bitops import fitting_uint
 from repro.utils.prng import SplitMix64, derive_key
 from repro.workloads.spec import spec_names, spec_trace
 from repro.workloads.trace import Trace, interleave
@@ -51,6 +52,7 @@ def mix_trace(
     """
     members = mix_profile(name, seed=seed)
     quarter_bits = line_addr_bits - 2
+    dt = fitting_uint((1 << line_addr_bits) - 1)
     streams = []
     instructions = 0
     for core, member in enumerate(members):
@@ -61,7 +63,9 @@ def mix_trace(
             cores=1,
             seed=derive_key(seed, f"{name}/core{core}", 64),
         )
-        streams.append(trace.lines | (np.uint64(core) << np.uint64(quarter_bits)))
+        stream = trace.lines.astype(dt, copy=False)
+        stream |= dt(core << quarter_bits)
+        streams.append(stream)
         instructions += trace.instructions
     lines = interleave(streams)
     return Trace(

@@ -38,8 +38,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.utils.bitops import fitting_uint
 from repro.utils.prng import SplitMix64, derive_key
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, draw_lines
 
 #: Lines per baseline (Coffee Lake) row: the blob/row granularity.
 LINES_PER_ROW = 128
@@ -172,7 +173,9 @@ def _place_regions(
 
     Blobs are scattered over the lower half of the address space on a
     blob-aligned grid; the scan and cold regions occupy the upper half.
+    Blob bases come in the address space's line dtype.
     """
+    dt = fitting_uint(total_lines - 1)
     blob_lines = BLOB_ROWS * LINES_PER_ROW
     half = total_lines // 2
     slots = max(1, half // blob_lines)
@@ -183,7 +186,7 @@ def _place_regions(
     chosen = rng.choice(slots, size=blob_count, replace=False) if blob_count else np.empty(
         0, dtype=np.int64
     )
-    blob_bases = chosen.astype(np.uint64) * np.uint64(blob_lines)
+    blob_bases = chosen.astype(dt) * dt(blob_lines)
     scan_base = half
     cold_base = scan_base + scan_lines
     if cold_base + cold_lines > total_lines:
@@ -252,8 +255,8 @@ def _hot_component(
 def _tier_row_bases(blob_bases: np.ndarray, rows_needed: int) -> np.ndarray:
     """First ``rows_needed`` row base addresses across the given blobs."""
     if rows_needed <= 0:
-        return np.empty(0, dtype=np.uint64)
-    offsets = np.arange(BLOB_ROWS, dtype=np.uint64) * np.uint64(LINES_PER_ROW)
+        return np.empty(0, dtype=blob_bases.dtype)
+    offsets = np.arange(BLOB_ROWS, dtype=blob_bases.dtype) * LINES_PER_ROW
     all_rows = (blob_bases[:, None] + offsets[None, :]).reshape(-1)
     return all_rows[:rows_needed]
 
@@ -285,8 +288,9 @@ def spec_trace(
         raise ValueError(f"cores must be >= 1, got {cores}")
     factor = scale * (cores / 4.0)
     total_lines = 1 << line_addr_bits
+    dt = fitting_uint(total_lines - 1)
     rng = SplitMix64(derive_key(seed, f"spec/{name}", 64)).numpy_rng()
-    perm = rng.permutation(LINES_PER_ROW).astype(np.uint64)
+    perm = rng.permutation(LINES_PER_ROW).astype(dt)
 
     # --- population sizing -------------------------------------------------
     tier512_rows = int(round(profile.hot512_rows * factor))
@@ -349,7 +353,7 @@ def spec_trace(
     # All single accesses share one buffer, in stream order: the 512+
     # tier, the 64+ tier, then the cold draw.
     cold_count = cold_acc if cold_region else 0
-    singles = np.empty(hot_acc + cold_count, dtype=np.uint64)
+    singles = np.empty(hot_acc + cold_count, dtype=dt)
     # Ultra-hot rows engage a denser line set than ordinary hot rows
     # (their activation volume comes from broader structures), but stay
     # inside Table 3's dominant 32-64 distinct-line bucket.
@@ -367,18 +371,15 @@ def spec_trace(
         block = max(1, seq_acc // scan_rows)
         visits = seq_acc // block if block else 0
     if visits:
-        v = np.arange(visits, dtype=np.uint64)
-        row = v % np.uint64(scan_rows)
+        v = np.arange(visits, dtype=dt)
+        row = v % dt(scan_rows)
         bursts_per_row = max(1, LINES_PER_ROW // block)
-        sweep = ((v // np.uint64(scan_rows)) % np.uint64(bursts_per_row)) * np.uint64(block)
-        scan_starts = np.uint64(scan_base) + row * np.uint64(LINES_PER_ROW) + sweep
+        sweep = ((v // dt(scan_rows)) % dt(bursts_per_row)) * dt(block)
+        scan_starts = dt(scan_base) + row * dt(LINES_PER_ROW) + sweep
     else:
-        scan_starts = np.empty(0, dtype=np.uint64)
+        scan_starts = np.empty(0, dtype=dt)
 
-    if cold_count:
-        cold = singles[hot_acc:]
-        cold[:] = rng.integers(0, cold_region * LINES_PER_ROW, size=cold_count, dtype=np.uint64)
-        cold += np.uint64(cold_base)
+    draw_lines(rng, cold_region * LINES_PER_ROW, cold_base, out=singles[hot_acc:])
 
     lines = _weave(rng, singles, block_starts=scan_starts, block_len=block)
     instructions = max(1, int(round(lines.size * 1000.0 / profile.mpki)))
@@ -406,7 +407,8 @@ def _weave(
     would see it) produces the merged stream.  The slot labels are
     walked in blocks of ``_BLOCK``: a slot ``s`` with ``b`` bursts
     before it starts at ``s + (block_len - 1) * b``, and the singles
-    fill their slots in the order of one uniform permutation.
+    fill their slots in the order of one uniform permutation.  The
+    output has the singles' dtype.
     """
     n_single = singles.size
     n_blocks = block_starts.size
@@ -418,7 +420,7 @@ def _weave(
         labels[n_single:] = 1
         rng.shuffle(labels)
     order = rng.permutation(n_single)
-    out = np.empty(n_single + n_blocks * block_len, dtype=np.uint64)
+    out = np.empty(n_single + n_blocks * block_len, dtype=singles.dtype)
 
     singles_done = bursts_done = 0
     for start in range(0, n_slots, _BLOCK):
@@ -435,7 +437,7 @@ def _weave(
         stop = bursts_done + burst_pos.size
         starts = block_starts[bursts_done:stop]
         for j in range(block_len):
-            out[burst_pos + j] = starts + np.uint64(j)
+            out[burst_pos + j] = starts + j
         bursts_done = stop
     return out
 

@@ -11,6 +11,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.utils.bitops import fitting_uint
 from repro.utils.units import GB, LINE_BYTES
 from repro.workloads.trace import Trace
 
@@ -53,10 +54,11 @@ def stream_suite_trace(
         raise ValueError("arrays do not fit in the address space")
     # Arrays placed at equal spacing across the address space.
     spacing = total_lines // n_arrays
-    bases = np.arange(n_arrays, dtype=np.uint64) * np.uint64(spacing)
+    dt = fitting_uint(total_lines - 1)
+    bases = np.arange(n_arrays, dtype=dt) * dt(spacing)
 
     steps = accesses // n_arrays
-    index = (np.arange(steps, dtype=np.uint64) % np.uint64(array_lines))
+    index = np.arange(steps, dtype=dt) % dt(array_lines)
     lines = (bases[None, :] + index[:, None]).reshape(-1)
     # One line holds 8 doubles; each element iteration is ~8 instructions.
     instructions = max(1, steps * 8 * _INSTRUCTIONS_PER_ELEMENT)

@@ -9,31 +9,51 @@ from typing import Optional
 import numpy as np
 
 from repro.obs.runtime import TRACER
+from repro.utils.bitops import fitting_uint
 
 #: Bytes hashed per :func:`lines_fingerprint` update (16 MiB): large
 #: enough to amortize call overhead, small enough that hashing a
 #: memory-mapped trace never faults more than a sliver into RAM at once.
 FINGERPRINT_CHUNK_BYTES = 1 << 24
 
+#: Values per block of :func:`draw_lines`.
+_DRAW_BLOCK = 1 << 16
+
 
 def lines_fingerprint(lines: np.ndarray) -> str:
     """Content digest of a line-address array (hex), computed streaming.
 
-    Chunked ``blake2b`` over the same byte stream the historical
-    in-memory digest hashed (``str(size)`` then the raw array bytes), so
-    the result is bit-for-bit identical whether ``lines`` lives in RAM
-    or is an ``np.memmap`` view of a multi-gigabyte trace file -- and in
-    the latter case peak residency stays bounded by the chunk size
-    instead of materializing ``lines.tobytes()``.
+    ``blake2b`` over ``str(size)`` then the lines as ``uint64`` bytes,
+    fed one block of at most :data:`FINGERPRINT_CHUNK_BYTES` at a time.
+    Hashing the ``uint64`` form whatever the array's dtype gives a
+    ``uint32`` trace, its ``uint64`` twin and an ``np.memmap`` of the
+    same stream one digest, equal to the historical in-memory digest;
+    only one block is ever widened or faulted into RAM at once.
     """
-    lines = np.ascontiguousarray(lines, dtype=np.uint64)
+    lines = np.asarray(lines).reshape(-1)
+    step = FINGERPRINT_CHUNK_BYTES // 8
     with TRACER.span("trace.fingerprint", lines=int(lines.size)):
         digest = hashlib.blake2b(digest_size=16)
         digest.update(str(lines.size).encode())
-        data = lines.view(np.uint8)
-        for start in range(0, data.size, FINGERPRINT_CHUNK_BYTES):
-            digest.update(data[start : start + FINGERPRINT_CHUNK_BYTES])
+        for start in range(0, lines.size, step):
+            block = np.ascontiguousarray(lines[start : start + step], dtype=np.uint64)
+            digest.update(block.view(np.uint8))
         return digest.hexdigest()
+
+
+def _narrow_lines(lines) -> np.ndarray:
+    """``lines`` in the dtype a :class:`Trace` holds: ``uint32`` when it fits.
+
+    A ``uint32`` array is kept as it is.  A memory-mapped array keeps
+    its on-disk dtype: narrowing it would read the whole file into RAM.
+    Anything else becomes ``uint64``, narrowed to ``uint32`` when its
+    largest address fits (:func:`~repro.utils.bitops.fitting_uint`).
+    """
+    if getattr(lines, "dtype", None) == np.uint32 or _backing_mmap(lines) is not None:
+        return np.ascontiguousarray(lines)
+    lines = np.ascontiguousarray(lines, dtype=np.uint64)
+    largest = int(lines.max()) if lines.size else 0
+    return lines.astype(fitting_uint(largest), copy=False)
 
 
 @dataclass
@@ -42,7 +62,9 @@ class Trace:
 
     Attributes:
         name: Workload name (for reports).
-        lines: Line addresses in program order (uint64).
+        lines: Line addresses in program order: ``uint32`` while the
+            largest address fits, else ``uint64``; a memory-mapped
+            trace keeps its on-disk ``uint64``.
         instructions: Instructions the trace's window represents (per the
             whole multi-core system), used to normalize MPKI and to
             anchor the performance model.
@@ -61,7 +83,7 @@ class Trace:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        self.lines = np.ascontiguousarray(self.lines, dtype=np.uint64)
+        self.lines = _narrow_lines(self.lines)
         if self.instructions <= 0:
             raise ValueError(f"instructions must be positive, got {self.instructions}")
         if not 0 < self.scale <= 1.0:
@@ -72,13 +94,14 @@ class Trace:
     def fingerprint(self) -> str:
         """Content digest of the line stream (hex).
 
-        Two traces share a fingerprint iff their line arrays are
-        byte-identical, so caches keyed on it can never confuse
-        same-shaped traces from different generators or seeds.  Computed
-        once (streaming, memmap-safe -- see :func:`lines_fingerprint`)
-        and memoized; ``lines`` must not be mutated afterwards.  Loaders
-        that persisted the digest alongside the data may pre-seed
-        ``_fingerprint`` to skip the hashing pass entirely.
+        Two traces share a fingerprint iff their line arrays hold the
+        same values (in either dtype), so caches keyed on it can never
+        confuse same-shaped traces from different generators or seeds.
+        Computed once (streaming, memmap-safe -- see
+        :func:`lines_fingerprint`) and memoized; ``lines`` must not be
+        mutated afterwards.  Loaders that persisted the digest alongside
+        the data may pre-seed ``_fingerprint`` to skip the hashing pass
+        entirely.
         """
         if self._fingerprint is None:
             self._fingerprint = lines_fingerprint(self.lines)
@@ -146,20 +169,37 @@ def iter_line_chunks(lines: np.ndarray, chunk_lines: int, *, release_pages: bool
                 can_release = False
 
 
+def draw_lines(rng: np.random.Generator, high: int, base: int, *, out: np.ndarray) -> None:
+    """Fill ``out`` with ``base + rng.integers(0, high, dtype=np.uint64)``.
+
+    The draw runs in blocks of at most :data:`_DRAW_BLOCK` values
+    written straight into ``out`` (of any line dtype), so no
+    ``uint64`` copy of the whole draw exists.  The generator continues
+    its stream across calls, so the blocks hold exactly the values of
+    one ``rng.integers(..., size=out.size)`` call.
+    """
+    for start in range(0, out.size, _DRAW_BLOCK):
+        block = out[start : start + _DRAW_BLOCK]
+        block[:] = rng.integers(0, high, size=block.size, dtype=np.uint64)
+        block += base
+
+
 def interleave(streams: "list[np.ndarray]", seed: Optional[int] = None) -> np.ndarray:
     """Merge per-core streams into one controller-order stream.
 
     Each stream's internal order is preserved; streams are merged
     proportionally to their lengths (deterministic weighted round-robin),
-    modeling cores progressing at similar rates.
+    modeling cores progressing at similar rates.  The result is
+    ``uint32`` when every stream is, else ``uint64``.
     """
-    streams = [np.asarray(s, dtype=np.uint64) for s in streams if len(s)]
+    streams = [np.asarray(s) for s in streams if len(s)]
+    dtype = np.uint32 if all(s.dtype == np.uint32 for s in streams) else np.uint64
     if not streams:
-        return np.empty(0, dtype=np.uint64)
+        return np.empty(0, dtype=dtype)
     if len(streams) == 1:
-        return streams[0]
+        return np.asarray(streams[0], dtype=dtype)
     total = sum(s.size for s in streams)
-    out = np.empty(total, dtype=np.uint64)
+    out = np.empty(total, dtype=dtype)
     # Position each stream's i-th element at fraction (i + phase)/len of
     # the merged stream, then stable-sort by position.
     keys = np.empty(total, dtype=np.float64)
@@ -176,6 +216,7 @@ def interleave(streams: "list[np.ndarray]", seed: Optional[int] = None) -> np.nd
 
 __all__ = [
     "Trace",
+    "draw_lines",
     "interleave",
     "iter_line_chunks",
     "lines_fingerprint",

@@ -101,8 +101,9 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
     try:
+        # Bundles hold uint64 lines whatever the trace's in-memory dtype.
         np.savez_compressed(
-            tmp, lines=trace.lines, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            tmp, lines=trace.lines.astype(np.uint64, copy=False), meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         )
         os.replace(tmp, path)
     finally:
@@ -167,7 +168,7 @@ def load_trace(path: Union[str, Path], *, mmap: bool = True) -> Trace:
     try:
         return Trace(
             name=str(meta["name"]),
-            lines=lines.astype(np.uint64),
+            lines=lines,
             instructions=int(meta["instructions"]),
             window_s=float(meta["window_s"]),
             scale=float(meta["scale"]),

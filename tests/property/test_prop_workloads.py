@@ -18,7 +18,7 @@ SMALL_WORKLOADS = ["xz", "namd", "imagick", "wrf", "povray", "parest"]
 @settings(max_examples=25, deadline=None)
 def test_spec_traces_well_formed(name, scale, seed):
     trace = spec_trace(name, scale=scale, seed=seed)
-    assert trace.lines.dtype == np.uint64
+    assert trace.lines.dtype == np.uint32
     assert len(trace) > 0
     assert int(trace.lines.max()) < (1 << 28)
     assert trace.instructions > 0

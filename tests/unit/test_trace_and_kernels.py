@@ -32,7 +32,7 @@ class TestTrace:
 
     def test_dtype_coerced(self):
         trace = Trace(name="t", lines=np.array([1, 2, 3]), instructions=10)
-        assert trace.lines.dtype == np.uint64
+        assert trace.lines.dtype == np.uint32
 
 
 class TestInterleave:

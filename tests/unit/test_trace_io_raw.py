@@ -130,7 +130,7 @@ def test_streamed_digest_identical_to_in_memory(tmp_path, trace):
 
     legacy = hashlib.blake2b(digest_size=16)
     legacy.update(str(trace.lines.size).encode())
-    legacy.update(trace.lines.tobytes())
+    legacy.update(trace.lines.astype(np.uint64).tobytes())
     assert trace.fingerprint == legacy.hexdigest()
     streamed = load_trace_raw(_written(tmp_path, trace))
     assert streamed.fingerprint == trace.fingerprint
@@ -145,6 +145,21 @@ def test_fingerprint_streams_across_chunk_boundary():
     legacy.update(str(n).encode())
     legacy.update(lines.tobytes())
     assert lines_fingerprint(lines) == legacy.hexdigest()
+
+
+def test_fingerprint_same_for_uint32_uint64_and_memmap(tmp_path):
+    """The digest hashes the uint64 form block by block, so a four-byte
+    trace, its eight-byte twin and a memmap of it share one key."""
+    n = FINGERPRINT_CHUNK_BYTES // 8 + 17  # straddles one chunk boundary
+    wide = np.arange(n, dtype=np.uint64) * 3
+    narrow = wide.astype(np.uint32)
+    trace = Trace("t", narrow, instructions=1)
+    assert trace.lines.dtype == np.uint32
+    mapped = load_trace_raw(save_trace_raw(trace, tmp_path / "t"))
+    assert mapped.lines.dtype == np.uint64
+    mapped._fingerprint = None  # hash the mapped bytes, not the stored digest
+    digests = {lines_fingerprint(narrow), lines_fingerprint(wide), mapped.fingerprint}
+    assert digests == {trace.fingerprint}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ window's, so it builds no per-row histogram and is held to 20 bytes
 per line as well.  The multi-chunk Rubix-D case keeps the
 looser bound: it covers the chunked analyzer's dense per-row histogram
 (``int32`` over the 2^21-row domain, about 8 bytes per line here).
+The window holds four-byte lines, and neither the detail path's
+whole-window translation nor Rubix-D's v-group count may widen them.
 
 What a window leaves behind is its stats-cache entry, which lives for
 the whole process; the last test pins it in bytes per activated row.
@@ -69,6 +71,41 @@ def test_window_peak_bytes_per_line(build, chunk_lines, bytes_per_line):
         tracemalloc.stop()
     assert stats.n_accesses == LINES
     assert peak / LINES <= bytes_per_line, f"{peak / LINES:.1f} B/line"
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_keep_detail_window_bytes_per_line():
+    """Table 3's detail path translates the whole four-byte window in one
+    call.  The window stays within the 26 B/line it took with uint64
+    lines, and the translation allocates only its three uint32 output
+    arrays (12 B/line): it never widens the window."""
+    trace = _window()
+    assert trace.lines.dtype == np.uint32
+    sim = Simulator()
+    mapping = CoffeeLakeMapping(sim.config)
+    peak = _traced_peak(
+        lambda: sim.window_stats(trace, mapping, keep_detail=True, use_cache=False)
+    )
+    assert peak / LINES <= 26, f"{peak / LINES:.1f} B/line"
+    peak = _traced_peak(lambda: mapping.translate_trace(trace.lines, validate=False))
+    assert peak / LINES <= 13, f"translation {peak / LINES:.1f} B/line"
+
+
+def test_vgroup_accesses_bytes_per_line():
+    """A Rubix-D chunk's v-group counts never copy the chunk."""
+    lines = _window().lines
+    mapping = RubixDMapping(baseline_config(), gang_size=1)
+    peak = _traced_peak(lambda: mapping.vgroup_accesses(lines))
+    assert peak / LINES < 1, f"{peak / LINES:.2f} B/line"
 
 
 def test_cached_randomized_window_bytes_per_row():
