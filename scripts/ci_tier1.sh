@@ -24,9 +24,12 @@
 # time and peak RSS as an advisory); stage 7 runs the repository
 # benchmark's correctness gate (bench/run.py --quick --seconds 0: every
 # workload's digests must equal bench/expected.json and no cell may
-# fail -- timings are printed but not gated).  All run under a hard
-# wall-clock ceiling, so a wedged simulation fails CI instead of
-# stalling it.  Per-test timeouts come from [tool.pytest.ini_options]
+# fail -- timings are printed but not gated), then prints an advisory
+# cold-start line: a fresh interpreter imports repro.experiments.campaign
+# and reports the import seconds and the number of repro modules loaded
+# (not gated; tests/unit/test_import_graph.py bounds the module count).
+# All run under a hard wall-clock ceiling, so a wedged simulation fails
+# CI instead of stalling it.  Per-test timeouts come from [tool.pytest.ini_options]
 # in pyproject.toml (pytest-timeout, or the conftest SIGALRM fallback);
 # this wrapper bounds each whole stage.
 #
@@ -118,3 +121,14 @@ PY
 # workloads at quick scale, fewest passes; exits non-zero on any digest
 # mismatch against bench/expected.json or any failed cell.
 run_bounded "$BENCH_BUDGET" python3 bench/run.py --quick --seconds 0
+
+# Advisory: cold start of the campaign path in a fresh interpreter --
+# the import seconds and the repro modules it loads; not gated.
+python -c '
+import sys, time
+started = time.perf_counter()
+import repro.experiments.campaign
+elapsed_s = time.perf_counter() - started
+modules = sum(1 for name in sys.modules if name.split(".")[0] == "repro")
+print(f"cold import: import_s={elapsed_s:.3f} repro_modules={modules}")
+'

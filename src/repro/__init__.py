@@ -29,62 +29,53 @@ Package map (see DESIGN.md for the full inventory):
 * ``repro.resilience``  -- campaign fault boundary, checkpoint journals, fault injection
 """
 
-from repro.core.rubix_d import RubixDMapping
-from repro.core.rubix_keyed_xor import KeyedXorMapping
-from repro.core.rubix_s import RubixSMapping
-from repro.dram.config import (
-    Coordinate,
-    DRAMConfig,
-    DRAMTiming,
-    baseline_config,
-    multichannel_config,
-)
-from repro.errors import ReproError
-from repro.mapping.intel import CoffeeLakeMapping, SkylakeMapping
-from repro.mapping.linear import LinearMapping
-from repro.mapping.mop import MOPMapping
-from repro.mapping.stride import LargeStrideMapping
-from repro.mitigations.aqua import AQUA
-from repro.mitigations.blockhammer import Blockhammer
-from repro.mitigations.srs import SRS
-from repro.mitigations.trr import TRR
-from repro.perf.simulator import RunResult, Simulator
-from repro.workloads.kernels import random_kernel, stream_kernel, stride_kernel
-from repro.workloads.mixes import mix_trace
-from repro.workloads.spec import spec_names, spec_trace
-from repro.workloads.stream_suite import stream_suite_trace
-from repro.workloads.trace import Trace
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DRAMConfig",
-    "DRAMTiming",
-    "Coordinate",
-    "baseline_config",
-    "multichannel_config",
-    "CoffeeLakeMapping",
-    "SkylakeMapping",
-    "LinearMapping",
-    "MOPMapping",
-    "LargeStrideMapping",
-    "RubixSMapping",
-    "RubixDMapping",
-    "KeyedXorMapping",
-    "AQUA",
-    "SRS",
-    "Blockhammer",
-    "TRR",
-    "Simulator",
-    "RunResult",
-    "Trace",
-    "spec_trace",
-    "spec_names",
-    "mix_trace",
-    "stream_suite_trace",
-    "stream_kernel",
-    "stride_kernel",
-    "random_kernel",
-    "ReproError",
-    "__version__",
-]
+#: The quickstart surface, by defining module.  Each name is imported on
+#: first access (PEP 562), so ``import repro.<anything>`` imports only
+#: what that caller uses.
+_MODULES = {
+    "repro.dram.config": (
+        "DRAMConfig",
+        "DRAMTiming",
+        "Coordinate",
+        "baseline_config",
+        "multichannel_config",
+    ),
+    "repro.mapping.intel": ("CoffeeLakeMapping", "SkylakeMapping"),
+    "repro.mapping.linear": ("LinearMapping",),
+    "repro.mapping.mop": ("MOPMapping",),
+    "repro.mapping.stride": ("LargeStrideMapping",),
+    "repro.core.rubix_s": ("RubixSMapping",),
+    "repro.core.rubix_d": ("RubixDMapping",),
+    "repro.core.rubix_keyed_xor": ("KeyedXorMapping",),
+    "repro.mitigations.aqua": ("AQUA",),
+    "repro.mitigations.srs": ("SRS",),
+    "repro.mitigations.blockhammer": ("Blockhammer",),
+    "repro.mitigations.trr": ("TRR",),
+    "repro.perf.simulator": ("Simulator", "RunResult"),
+    "repro.workloads.trace": ("Trace",),
+    "repro.workloads.spec": ("spec_trace", "spec_names"),
+    "repro.workloads.mixes": ("mix_trace",),
+    "repro.workloads.stream_suite": ("stream_suite_trace",),
+    "repro.workloads.kernels": ("stream_kernel", "stride_kernel", "random_kernel"),
+    "repro.errors": ("ReproError",),
+}
+_SURFACE = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = [*_SURFACE, "__version__"]
+
+
+def __getattr__(name):
+    module = _SURFACE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,25 +1,2 @@
 """Analysis utilities: hot-row characterization, the analytic binomial
 model of Section 4.1, and the security checker."""
-
-from repro.analysis.binomial import (
-    encrypted_hot_row_expectation,
-    expected_rows_with_k_lines,
-    illustrative_model,
-)
-from repro.analysis.hotrows import (
-    LineContribution,
-    hot_row_summary,
-    line_contribution_table,
-)
-from repro.analysis.security import SecurityReport, verify_mitigation
-
-__all__ = [
-    "expected_rows_with_k_lines",
-    "encrypted_hot_row_expectation",
-    "illustrative_model",
-    "LineContribution",
-    "hot_row_summary",
-    "line_contribution_table",
-    "SecurityReport",
-    "verify_mitigation",
-]

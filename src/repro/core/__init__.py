@@ -7,17 +7,3 @@
 * :class:`repro.core.rubix_keyed_xor.KeyedXorMapping` -- the static
   keyed-xor variant of Section 6.2 (Rubix-D without remapping).
 """
-
-from repro.core.gangs import GangSplitter
-from repro.core.remap_engine import XorRemapEngine
-from repro.core.rubix_d import RubixDMapping
-from repro.core.rubix_keyed_xor import KeyedXorMapping
-from repro.core.rubix_s import RubixSMapping
-
-__all__ = [
-    "GangSplitter",
-    "XorRemapEngine",
-    "RubixSMapping",
-    "RubixDMapping",
-    "KeyedXorMapping",
-]

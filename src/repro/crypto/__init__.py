@@ -7,9 +7,3 @@ over the gang-address space, of any width from a handful of bits up to
 Feistel network with an ARX round function, fully vectorized over numpy
 arrays so whole traces encrypt in one call.
 """
-
-from repro.crypto.feistel import FeistelNetwork
-from repro.crypto.kcipher import KCipher
-from repro.crypto.keys import KeySchedule, generate_key
-
-__all__ = ["FeistelNetwork", "KCipher", "KeySchedule", "generate_key"]

@@ -10,54 +10,3 @@ Two simulation tiers share this package:
   buffer hits, per-row activation histograms) for multi-million access
   traces.  Used by the experiment harness.
 """
-
-from repro.dram.config import (
-    DRAMConfig,
-    DRAMTiming,
-    Coordinate,
-    baseline_config,
-    multichannel_config,
-)
-from repro.dram.bank import Bank, BankState
-from repro.dram.page_policy import (
-    ClosedPagePolicy,
-    OpenAdaptivePolicy,
-    OpenPagePolicy,
-    PagePolicy,
-)
-from repro.dram.commands import Command, CommandType, ProtocolTiming
-from repro.dram.fast_model import TraceStats, analyze_trace
-from repro.dram.memory_system import MemorySystem, Request, RequestResult
-from repro.dram.power import DDR4PowerModel, PowerBreakdown
-from repro.dram.protocol import AccessOutcome, ProtocolEngine, ProtocolStats
-from repro.dram.protocol_system import ProtocolMemorySystem
-from repro.dram.refresh import RefreshWindow
-
-__all__ = [
-    "DRAMConfig",
-    "DRAMTiming",
-    "Coordinate",
-    "baseline_config",
-    "multichannel_config",
-    "Bank",
-    "BankState",
-    "PagePolicy",
-    "OpenPagePolicy",
-    "ClosedPagePolicy",
-    "OpenAdaptivePolicy",
-    "TraceStats",
-    "analyze_trace",
-    "MemorySystem",
-    "Request",
-    "RequestResult",
-    "Command",
-    "CommandType",
-    "ProtocolTiming",
-    "ProtocolEngine",
-    "ProtocolStats",
-    "ProtocolMemorySystem",
-    "AccessOutcome",
-    "DDR4PowerModel",
-    "PowerBreakdown",
-    "RefreshWindow",
-]

@@ -1,54 +1,8 @@
 """Experiment harness: one runner per table/figure of the paper.
 
 Each experiment module registers a runner with
-:mod:`repro.experiments.registry`; ``python -m repro.experiments run
-<id>`` (or the ``rubix-experiment`` console script) executes it and
-prints the same rows/series the paper reports.  See DESIGN.md for the
-experiment index.
+:mod:`repro.experiments.registry`, which imports the modules on the
+first lookup; ``python -m repro.experiments run <id>`` (or the
+``rubix-experiment`` console script) executes it and prints the same
+rows/series the paper reports.  See DESIGN.md for the experiment index.
 """
-
-from repro.experiments.common import (
-    ExperimentResult,
-    get_simulator,
-    get_trace,
-    make_mapping,
-)
-from repro.experiments.registry import get_experiment, list_experiments, register
-
-# Importing the experiment modules populates the registry.
-from repro.experiments import (  # noqa: E402,F401  (registration side effects)
-    ablations,
-    actdist,
-    discussion,
-    fig1,
-    fig3,
-    fig4,
-    fig7,
-    fig8,
-    fig9,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    indram_escape,
-    mixes,
-    power,
-    rowbuffer,
-    table2,
-    table3,
-    table4,
-    table5,
-    victim_refresh,
-)
-
-__all__ = [
-    "ExperimentResult",
-    "get_simulator",
-    "get_trace",
-    "make_mapping",
-    "register",
-    "get_experiment",
-    "list_experiments",
-]

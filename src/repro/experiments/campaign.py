@@ -46,8 +46,11 @@ from repro.experiments.common import (
 from repro.mapping.base import AddressMapping
 from repro.obs.runtime import METRICS, TRACER
 from repro.perf.simulator import SCHEMES, RunResult
-from repro.resilience.executor import CellOutcome, ResilientExecutor
-from repro.resilience.faults import check_result_invariants
+from repro.resilience.executor import (
+    CellOutcome,
+    ResilientExecutor,
+    check_result_invariants,
+)
 from repro.resilience.journal import CheckpointJournal
 
 

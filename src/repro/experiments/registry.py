@@ -1,7 +1,13 @@
-"""Experiment registry: id -> runner."""
+"""Experiment registry: id -> runner.
+
+The experiment modules register themselves when imported; the registry
+imports them on the first lookup, so a process that never looks an
+experiment up never loads one.
+"""
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -16,7 +22,41 @@ class ExperimentEntry:
     default_scale: float
 
 
+#: Every ``repro.experiments`` module that calls :func:`register`.
+EXPERIMENT_MODULES = (
+    "ablations",
+    "actdist",
+    "discussion",
+    "fig1",
+    "fig3",
+    "fig4",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "indram_escape",
+    "mixes",
+    "power",
+    "rowbuffer",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "victim_refresh",
+)
+
 _REGISTRY: Dict[str, ExperimentEntry] = {}
+
+
+def _load() -> None:
+    """Import every experiment module (a no-op once imported), registering them."""
+    for name in EXPERIMENT_MODULES:
+        importlib.import_module(f"repro.experiments.{name}")
 
 
 def register(experiment_id: str, title: str, *, default_scale: float = 0.5):
@@ -42,6 +82,7 @@ def register(experiment_id: str, title: str, *, default_scale: float = 0.5):
 
 def get_experiment(experiment_id: str) -> ExperimentEntry:
     """Look up an experiment by id."""
+    _load()
     try:
         return _REGISTRY[experiment_id]
     except KeyError:
@@ -51,6 +92,7 @@ def get_experiment(experiment_id: str) -> ExperimentEntry:
 
 def list_experiments() -> List[ExperimentEntry]:
     """All registered experiments, sorted by id."""
+    _load()
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 
 

@@ -5,20 +5,3 @@ Skylake, per the reverse-engineering cited by the paper), plus MOP
 (Section 7.1) and the large-stride mapping (Section 6.1).  The Rubix
 mappings that randomize these live in :mod:`repro.core`.
 """
-
-from repro.mapping.base import AddressMapping, FieldDecodeMapping, MappedTrace
-from repro.mapping.intel import CoffeeLakeMapping, SkylakeMapping
-from repro.mapping.linear import LinearMapping
-from repro.mapping.mop import MOPMapping
-from repro.mapping.stride import LargeStrideMapping
-
-__all__ = [
-    "AddressMapping",
-    "FieldDecodeMapping",
-    "MappedTrace",
-    "CoffeeLakeMapping",
-    "SkylakeMapping",
-    "LinearMapping",
-    "MOPMapping",
-    "LargeStrideMapping",
-]

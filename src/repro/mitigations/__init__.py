@@ -13,33 +13,3 @@ Plus the deployed-but-insecure baseline:
 * :class:`repro.mitigations.trr.TRR` -- victim refresh (broken by
   Half-Double; included for Table 5 and the security analysis).
 """
-
-from repro.mitigations.aqua import AQUA
-from repro.mitigations.base import Mitigation, MitigationStats
-from repro.mitigations.blockhammer import Blockhammer
-from repro.mitigations.cbf import CountingBloomFilter, DualCBFTracker
-from repro.mitigations.costs import MitigationCostModel
-from repro.mitigations.indram import InDRAMSamplingTracker, measure_escape_probability
-from repro.mitigations.para import PARA, para_probability_for
-from repro.mitigations.srs import SRS
-from repro.mitigations.trackers import MisraGriesTracker, PerRowTracker, Tracker
-from repro.mitigations.trr import TRR
-
-__all__ = [
-    "Mitigation",
-    "MitigationStats",
-    "MitigationCostModel",
-    "Tracker",
-    "MisraGriesTracker",
-    "PerRowTracker",
-    "CountingBloomFilter",
-    "DualCBFTracker",
-    "AQUA",
-    "SRS",
-    "Blockhammer",
-    "TRR",
-    "PARA",
-    "para_probability_for",
-    "InDRAMSamplingTracker",
-    "measure_escape_probability",
-]

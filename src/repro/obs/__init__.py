@@ -20,95 +20,72 @@ catalog, span hierarchy, and artifact formats.
 Beyond the post-run artifacts, :data:`PROFILER` samples collapsed
 stacks, credited to the innermost open span, when ``REPRO_PROFILE`` is
 set.
+
+The names below are served on first access (PEP 562), so a process
+that only records telemetry never imports the profiler, the schema
+catalog or the summary renderer.
 """
 
-from repro.obs.logs import NORMAL, QUIET, VERBOSE, StructuredLogger
-from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, RunManifest, git_sha
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
-    MAX_SERIES_PER_METRIC,
-    Histogram,
-    MetricsRegistry,
-    diff_snapshots,
-    filter_snapshot,
-    parse_series_key,
-    series_key,
-    snapshot_from_jsonl,
-    snapshot_to_jsonl,
-    snapshot_to_prometheus,
-)
-from repro.obs.profile import PROFILER, SamplingProfiler
-from repro.obs.runtime import (
-    LOGS,
-    METRICS,
-    RUN_ID_ENV,
-    TELEMETRY_DIR_ENV,
-    TELEMETRY_ENV,
-    TRACER,
-    apply_config,
-    configure,
-    enabled,
-    export_config,
-    get_logger,
-    heartbeat,
-    reset,
-    run_id,
-    telemetry_dir,
-    write_telemetry,
-)
-from repro.obs.schema import (
-    REQUIRED_CAMPAIGN_METRICS,
-    SEMANTIC_PREFIXES,
-    validate_manifest,
-    validate_snapshot,
-    validate_telemetry_dir,
-)
-from repro.obs.summary import summarize_dir, summarize_snapshot
-from repro.obs.tracing import SpanRecord, Tracer
+import importlib
 
-__all__ = [
-    "DEFAULT_TIME_BUCKETS",
-    "Histogram",
-    "LOGS",
-    "MANIFEST_SCHEMA_VERSION",
-    "MAX_SERIES_PER_METRIC",
-    "METRICS",
-    "MetricsRegistry",
-    "NORMAL",
-    "PROFILER",
-    "QUIET",
-    "REQUIRED_CAMPAIGN_METRICS",
-    "RUN_ID_ENV",
-    "RunManifest",
-    "SEMANTIC_PREFIXES",
-    "SamplingProfiler",
-    "SpanRecord",
-    "StructuredLogger",
-    "TELEMETRY_DIR_ENV",
-    "TELEMETRY_ENV",
-    "TRACER",
-    "Tracer",
-    "VERBOSE",
-    "apply_config",
-    "configure",
-    "diff_snapshots",
-    "enabled",
-    "export_config",
-    "filter_snapshot",
-    "get_logger",
-    "git_sha",
-    "heartbeat",
-    "parse_series_key",
-    "reset",
-    "run_id",
-    "series_key",
-    "snapshot_from_jsonl",
-    "snapshot_to_jsonl",
-    "snapshot_to_prometheus",
-    "summarize_dir",
-    "summarize_snapshot",
-    "telemetry_dir",
-    "validate_manifest",
-    "validate_snapshot",
-    "validate_telemetry_dir",
-]
+_MODULES = {
+    "repro.obs.logs": ("NORMAL", "QUIET", "VERBOSE", "StructuredLogger"),
+    "repro.obs.manifest": ("MANIFEST_SCHEMA_VERSION", "RunManifest", "git_sha"),
+    "repro.obs.metrics": (
+        "DEFAULT_TIME_BUCKETS",
+        "MAX_SERIES_PER_METRIC",
+        "Histogram",
+        "MetricsRegistry",
+        "diff_snapshots",
+        "filter_snapshot",
+        "parse_series_key",
+        "series_key",
+        "snapshot_from_jsonl",
+        "snapshot_to_jsonl",
+        "snapshot_to_prometheus",
+    ),
+    "repro.obs.profile": ("PROFILER", "SamplingProfiler"),
+    "repro.obs.runtime": (
+        "LOGS",
+        "METRICS",
+        "RUN_ID_ENV",
+        "TELEMETRY_DIR_ENV",
+        "TELEMETRY_ENV",
+        "TRACER",
+        "apply_config",
+        "configure",
+        "enabled",
+        "export_config",
+        "get_logger",
+        "heartbeat",
+        "reset",
+        "run_id",
+        "telemetry_dir",
+        "write_telemetry",
+    ),
+    "repro.obs.schema": (
+        "REQUIRED_CAMPAIGN_METRICS",
+        "SEMANTIC_PREFIXES",
+        "validate_manifest",
+        "validate_snapshot",
+        "validate_telemetry_dir",
+    ),
+    "repro.obs.summary": ("summarize_dir", "summarize_snapshot"),
+    "repro.obs.tracing": ("SpanRecord", "Tracer"),
+}
+_SURFACE = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_SURFACE)
+
+
+def __getattr__(name):
+    module = _SURFACE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -37,16 +37,18 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, Optional, TextIO, Union
+from typing import TYPE_CHECKING, Dict, Optional, TextIO, Union
 
 from repro.obs.logs import NORMAL, LogState, StructuredLogger
-from repro.obs.manifest import RunManifest
 from repro.obs.metrics import (
     MetricsRegistry,
     snapshot_to_jsonl,
     snapshot_to_prometheus,
 )
 from repro.obs.tracing import Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.manifest import RunManifest
 
 #: Enable telemetry and write run artifacts to this directory.
 TELEMETRY_DIR_ENV = "REPRO_TELEMETRY_DIR"
@@ -322,3 +324,9 @@ __all__ = [
     "telemetry_dir",
     "write_telemetry",
 ]
+
+# ``REPRO_PROFILE`` starts the sampler when repro.obs.profile is imported;
+# import it here, after TRACER exists, so every process that records spans
+# honours the variable without the profiler loading when it is unset.
+if os.environ.get("REPRO_PROFILE"):
+    import repro.obs.profile  # noqa: E402,F401

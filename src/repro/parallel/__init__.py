@@ -1,36 +1,6 @@
 """Parallel campaign execution: process pools + a shared stats cache.
 
 :mod:`repro.parallel.cache` provides the content-keyed window-statistics
-cache (imported eagerly -- the simulator depends on it); the process-pool
-:class:`ParallelExecutor` lives in :mod:`repro.parallel.executor` and is
-imported lazily here, because it depends on the experiments layer which
-in turn depends on the simulator.
+cache the simulator consults; the process-pool :class:`ParallelExecutor`
+lives in :mod:`repro.parallel.executor`.
 """
-
-from repro.parallel.cache import (
-    STATS_CACHE_ENV,
-    StatsCache,
-    default_persist_dir,
-    stats_cache_key,
-)
-
-_LAZY = ("ParallelExecutor", "CellTask", "CellCompletion")
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from repro.parallel import executor
-
-        return getattr(executor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "STATS_CACHE_ENV",
-    "StatsCache",
-    "stats_cache_key",
-    "default_persist_dir",
-    "ParallelExecutor",
-    "CellTask",
-    "CellCompletion",
-]

@@ -8,19 +8,3 @@ cells so interrupted sweeps resume where they stopped, and
 :mod:`~repro.resilience.faults` injects deterministic faults so tests can
 prove every failure mode is detected rather than silently absorbed.
 """
-
-from repro.resilience.executor import (
-    CellBudget,
-    CellOutcome,
-    ResilientExecutor,
-    RetryPolicy,
-)
-from repro.resilience.journal import CheckpointJournal
-
-__all__ = [
-    "CellBudget",
-    "CellOutcome",
-    "CheckpointJournal",
-    "ResilientExecutor",
-    "RetryPolicy",
-]

@@ -20,24 +20,36 @@ boundary:
 Only :class:`Exception` is absorbed; ``KeyboardInterrupt`` and other
 ``BaseException`` (including the fault harness's simulated crashes)
 propagate so interruption semantics stay intact.
+
+:func:`check_result_invariants` is the integrity check every campaign
+cell runs on its result: impossible statistics raise
+:class:`~repro.errors.FaultInjectedError`; merely suspicious ones (e.g. a
+mitigation scheme that never fired although a row crossed the threshold
+-- the dropped-events fault of :mod:`repro.resilience.faults`) return
+warning flags, so the campaign keeps the cell but marks it degraded.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.errors import (
     BudgetExceededError,
     CellExecutionError,
     CellTimeoutError,
+    FaultInjectedError,
     TransientError,
     error_record,
     is_infrastructure_error,
 )
 from repro.obs.runtime import METRICS
 from repro.utils.prng import derive_key
+
+if TYPE_CHECKING:
+    from repro.perf.simulator import RunResult
 
 
 @dataclass(frozen=True)
@@ -304,4 +316,58 @@ class ResilientExecutor:
         )
 
 
-__all__ = ["RetryPolicy", "CellBudget", "CellOutcome", "ResilientExecutor"]
+def check_result_invariants(result: RunResult) -> List[str]:
+    """Sanity-check a run result; impossible values raise, suspicious flag.
+
+    Returns:
+        Warning flags for results that are self-consistent but
+        suspicious (kept, marked degraded).
+
+    Raises:
+        FaultInjectedError: The result is physically impossible
+            (negative counters, NaN, hit rate outside [0, 1], ...).
+    """
+    checks: List[Tuple[bool, str]] = [
+        (result.accesses >= 0, "negative access count"),
+        (result.activations >= 0, "negative activation count"),
+        (result.activations <= result.accesses, "more activations than accesses"),
+        (0.0 <= result.hit_rate <= 1.0, "hit rate outside [0, 1]"),
+        (result.mitigations >= 0, "negative mitigation count"),
+        (result.exec_time_s > 0, "non-positive execution time"),
+        (
+            result.normalized_performance is None
+            or (
+                math.isfinite(result.normalized_performance)
+                and result.normalized_performance > 0
+            ),
+            "non-positive or non-finite normalized performance",
+        ),
+        (result.hot_rows_512 <= result.hot_rows_64, "ACT-512 rows exceed ACT-64 rows"),
+    ]
+    for ok, what in checks:
+        if not ok:
+            raise FaultInjectedError(
+                f"impossible run result: {what}",
+                trace=result.trace_name,
+                mapping=result.mapping_name,
+                scheme=result.scheme,
+            )
+    flags: List[str] = []
+    if (
+        result.scheme != "none"
+        and result.mitigations == 0
+        and result.max_row_activations >= result.t_rh
+    ):
+        # A row crossed the Rowhammer threshold yet the mitigation never
+        # fired -- the signature of dropped mitigation events.
+        flags.append("suspect-mitigation-count")
+    return flags
+
+
+__all__ = [
+    "RetryPolicy",
+    "CellBudget",
+    "CellOutcome",
+    "ResilientExecutor",
+    "check_result_invariants",
+]

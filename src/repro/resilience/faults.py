@@ -16,22 +16,18 @@ trust boundaries a campaign crosses --
   fails transiently, drops mitigation events, or crashes the process
   mid-sweep).
 
-:func:`check_result_invariants` is the matching detector: impossible
-statistics raise :class:`~repro.errors.FaultInjectedError`; merely
-suspicious ones (e.g. a mitigation scheme that never fired although a
-row crossed the threshold -- the dropped-events fault) return warning
-flags, so the campaign keeps the cell but marks it degraded.  Either
-way, no injected fault yields a silent wrong result.
+:func:`~repro.resilience.executor.check_result_invariants`, which every
+campaign cell runs, is the matching detector, so no injected fault
+yields a silent wrong result.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import FaultInjectedError, MappingConfigError, TransientError
 from repro.mapping.base import AddressMapping
@@ -159,57 +155,6 @@ def verify_key_state(mapping: AddressMapping, snapshot: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Result integrity checking
-# ---------------------------------------------------------------------------
-def check_result_invariants(result: RunResult) -> List[str]:
-    """Sanity-check a run result; impossible values raise, suspicious flag.
-
-    Returns:
-        Warning flags for results that are self-consistent but
-        suspicious (kept, marked degraded).
-
-    Raises:
-        FaultInjectedError: The result is physically impossible
-            (negative counters, NaN, hit rate outside [0, 1], ...).
-    """
-    checks: List[Tuple[bool, str]] = [
-        (result.accesses >= 0, "negative access count"),
-        (result.activations >= 0, "negative activation count"),
-        (result.activations <= result.accesses, "more activations than accesses"),
-        (0.0 <= result.hit_rate <= 1.0, "hit rate outside [0, 1]"),
-        (result.mitigations >= 0, "negative mitigation count"),
-        (result.exec_time_s > 0, "non-positive execution time"),
-        (
-            result.normalized_performance is None
-            or (
-                math.isfinite(result.normalized_performance)
-                and result.normalized_performance > 0
-            ),
-            "non-positive or non-finite normalized performance",
-        ),
-        (result.hot_rows_512 <= result.hot_rows_64, "ACT-512 rows exceed ACT-64 rows"),
-    ]
-    for ok, what in checks:
-        if not ok:
-            raise FaultInjectedError(
-                f"impossible run result: {what}",
-                trace=result.trace_name,
-                mapping=result.mapping_name,
-                scheme=result.scheme,
-            )
-    flags: List[str] = []
-    if (
-        result.scheme != "none"
-        and result.mitigations == 0
-        and result.max_row_activations >= result.t_rh
-    ):
-        # A row crossed the Rowhammer threshold yet the mitigation never
-        # fired -- the signature of dropped mitigation events.
-        flags.append("suspect-mitigation-count")
-    return flags
-
-
-# ---------------------------------------------------------------------------
 # Simulator-level fault plans
 # ---------------------------------------------------------------------------
 @dataclass
@@ -226,7 +171,8 @@ class FaultPlan:
             matching cells raise :class:`TransientError`, then succeed.
         drop_mitigation_cells: Cells whose result has its mitigation
             events dropped (count zeroed) -- a *silent* corruption that
-            :func:`check_result_invariants` must catch.
+            :func:`~repro.resilience.executor.check_result_invariants`
+            must catch.
         crash_after_cells: Raise :class:`SimulatedCrash` when this many
             cells have completed (None = never).
     """
@@ -303,5 +249,4 @@ __all__ = [
     "snapshot_key_state",
     "corrupt_remap_keys",
     "verify_key_state",
-    "check_result_invariants",
 ]

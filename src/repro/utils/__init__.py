@@ -4,47 +4,3 @@ These helpers are deliberately dependency-light (numpy only) and fully
 deterministic so that every experiment in the repository is reproducible
 bit-for-bit from a seed.
 """
-
-from repro.utils.bitops import (
-    bit_length_for,
-    extract_bits,
-    insert_bits,
-    is_power_of_two,
-    mask,
-    reverse_bits,
-    rotate_left,
-    rotate_right,
-)
-from repro.utils.prng import SplitMix64, derive_key, random_keys
-from repro.utils.units import (
-    GB,
-    KB,
-    MB,
-    MS,
-    NS,
-    US,
-    LINE_BYTES,
-    TREFW_S,
-)
-
-__all__ = [
-    "bit_length_for",
-    "extract_bits",
-    "insert_bits",
-    "is_power_of_two",
-    "mask",
-    "reverse_bits",
-    "rotate_left",
-    "rotate_right",
-    "SplitMix64",
-    "derive_key",
-    "random_keys",
-    "GB",
-    "KB",
-    "MB",
-    "MS",
-    "NS",
-    "US",
-    "LINE_BYTES",
-    "TREFW_S",
-]

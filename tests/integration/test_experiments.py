@@ -7,7 +7,7 @@ properties that survive even at tiny scale.
 
 import pytest
 
-from repro.experiments import get_experiment, list_experiments
+from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import run_experiment
 

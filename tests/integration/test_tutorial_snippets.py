@@ -118,7 +118,7 @@ def test_section6_campaign():
 
 def test_section6_resilient_campaign(tmp_path):
     from repro.experiments.common import get_simulator
-    from repro.resilience import ResilientExecutor, RetryPolicy
+    from repro.resilience.executor import ResilientExecutor, RetryPolicy
     from repro.resilience.faults import FaultPlan, FaultySimulator
 
     campaign = Campaign(
@@ -168,7 +168,7 @@ def test_section6_parallel_campaign(tmp_path):
     # Per-process overrides cannot cross the pool boundary (documented
     # caveat in the parallel section).
     with pytest.raises(ValueError):
-        from repro.resilience import ResilientExecutor
+        from repro.resilience.executor import ResilientExecutor
 
         grid().run(workers=2, executor=ResilientExecutor())
 

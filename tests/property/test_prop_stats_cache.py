@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dram.fast_model import TraceStats
-from repro.parallel import StatsCache
+from repro.parallel.cache import StatsCache
 
 BUCKET = 1 << 16
 

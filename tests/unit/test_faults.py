@@ -12,11 +12,11 @@ import pytest
 
 from repro.errors import FaultInjectedError, MappingConfigError, TraceFormatError, TransientError
 from repro.perf.simulator import RunResult
+from repro.resilience.executor import check_result_invariants
 from repro.resilience.faults import (
     FaultPlan,
     FaultySimulator,
     SimulatedCrash,
-    check_result_invariants,
     corrupt_remap_keys,
     corrupt_trace_file,
     snapshot_key_state,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dram.fast_model import TraceStats
-from repro.parallel import StatsCache, default_persist_dir, stats_cache_key
+from repro.parallel.cache import StatsCache, default_persist_dir, stats_cache_key
 from repro.parallel.cache import STATS_CACHE_ENV
 
 
