@@ -27,7 +27,10 @@
 # fail -- timings are printed but not gated), then prints an advisory
 # cold-start line: a fresh interpreter imports repro.experiments.campaign
 # and reports the import seconds and the number of repro modules loaded
-# (not gated; tests/unit/test_import_graph.py bounds the module count).
+# (not gated; tests/unit/test_import_graph.py bounds the module count),
+# and an advisory window-working-set line: the traced (tracemalloc) peak
+# of one uncached 1M-line Rubix-S GS1 window in bytes per line (not
+# gated; tests/unit/test_window_working_set.py bounds it).
 # All run under a hard wall-clock ceiling, so a wedged simulation fails
 # CI instead of stalling it.  Per-test timeouts come from [tool.pytest.ini_options]
 # in pyproject.toml (pytest-timeout, or the conftest SIGALRM fallback);
@@ -131,4 +134,21 @@ import repro.experiments.campaign
 elapsed_s = time.perf_counter() - started
 modules = sum(1 for name in sys.modules if name.split(".")[0] == "repro")
 print(f"cold import: import_s={elapsed_s:.3f} repro_modules={modules}")
+'
+
+# Advisory: the working set of one analysis window -- the traced peak of
+# an uncached 1M-line Rubix-S GS1 window, in bytes per line; not gated.
+python -c '
+import tracemalloc
+import numpy as np
+from repro.core.rubix_s import RubixSMapping
+from repro.perf.simulator import Simulator
+from repro.workloads.trace import Trace
+sim = Simulator()
+lines = np.random.default_rng(0x5E7).integers(0, sim.config.total_lines, size=1_000_000)
+trace = Trace("working-set", lines, instructions=lines.size)
+mapping = RubixSMapping(sim.config, gang_size=1)
+tracemalloc.start()
+sim.window_stats(trace, mapping, use_cache=False)
+print(f"window working set: B/line={tracemalloc.get_traced_memory()[1] / lines.size:.1f}")
 '

@@ -24,13 +24,18 @@ from the line addresses, so no window ever holds per-access bank, row
 and column arrays.  It groups accesses by bank by sorting one packed
 ``(bank, position)`` key per access in place, in ``int32`` whenever it
 fits; finds each access's position in its same-row run with a running
-maximum, block by block; and counts the activated rows with one more
-in-place sort.  Beyond its input it holds at most about 14 bytes per
-access (fewer the more accesses hit), and no temporary is sized by the
-row domain.  The original ``np.argsort``/``np.unique`` implementation on
-``(flat_bank, row)`` survives as the private oracle
-:func:`_analyze_trace_sorted`, which the equivalence tests and
-``scripts/bench_hotpath.py`` compare against bit-for-bit.
+maximum, block by block; and counts the activated rows inside that
+grouped copy, which it owns: it compacts them into the copy's prefix,
+sorts the prefix in place, compacts the distinct ids and shrinks the
+copy to them.  It never writes to its input, and drops its reference
+to it once grouped, so ids a caller hands over (see
+:meth:`~repro.perf.simulator.Simulator.window_stats`) are freed there:
+a window peaks at about 8 bytes per access, the four-byte ids plus the
+grouped copy, and no temporary is sized by the row domain.  The
+original ``np.argsort``/``np.unique`` implementation on ``(flat_bank,
+row)`` survives as the private oracle :func:`_analyze_trace_sorted`,
+which the equivalence tests and ``scripts/bench_hotpath.py`` compare
+against bit-for-bit.
 """
 
 from __future__ import annotations
@@ -295,6 +300,21 @@ def _run_lengths(boundary: np.ndarray, dtype) -> np.ndarray:
     return lengths
 
 
+def _compact(values: np.ndarray, keep: np.ndarray) -> int:
+    """Move ``values[keep]`` to the front of ``values``, in order; returns how many.
+
+    Block by block: a block's kept values land at or before the block's
+    own start, so nothing unread is overwritten and the only temporary
+    is one block's selection.
+    """
+    written = 0
+    for start in range(0, values.size, _BLOCK):
+        kept = values[start : start + _BLOCK][keep[start : start + _BLOCK]]
+        values[written : written + kept.size] = kept
+        written += kept.size
+    return written
+
+
 def _first_of_runs(values: np.ndarray) -> np.ndarray:
     """Mask of the first element of every run of equal ``values``."""
     first = np.empty(values.size, dtype=bool)
@@ -341,6 +361,10 @@ def analyze_trace(
     if max_hits is not None and max_hits < 1:
         raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
     g, grouped_col = _group_by_bank(global_row, rows_per_bank, col if keep_detail else None)
+    # From here on every count happens inside ``g``, which this call
+    # owns.  Dropping the input lets ids a caller handed over (kept no
+    # reference to) be freed now, not when the call returns.
+    del global_row, col
 
     # An access opens a new run iff its row differs from its
     # predecessor's in the grouped order.  Row ids embed the bank id, so
@@ -348,21 +372,21 @@ def analyze_trace(
     act_mask = _first_of_runs(g)
     if max_hits is not None:
         act_mask = _activation_mask(act_mask, max_hits)
-    act_rows = g[act_mask]
-    del g
-    n_act = int(act_rows.size)
-    detail_rows = act_rows.astype(np.int64) if keep_detail else None
+    n_act = _compact(g, act_mask)
+    detail_rows = g[:n_act].astype(np.int64) if keep_detail else None
     detail_cols = grouped_col[act_mask] if grouped_col is not None else None
     del act_mask, grouped_col
 
-    # Sort-count the activated rows: after one in-place sort, each run of
-    # equal ids is one histogram entry.
-    act_rows.sort()
-    first = _first_of_runs(act_rows)
+    # Sort-count the activated rows in ``g``'s prefix: after one in-place
+    # sort, each run of equal ids is one histogram entry.
+    g[:n_act].sort()
+    first = _first_of_runs(g[:n_act])
     acts_per_row = _run_lengths(first, _fitting_int(n_act))
-    row_ids = act_rows[first]
-    del act_rows, first
-    row_ids, acts_per_row = TraceStats.narrow_histogram(row_ids, acts_per_row, n_act)
+    n_rows = _compact(g[:n_act], first)
+    del first
+    # No view of ``g`` is alive, so it can shrink in place to the ids.
+    g.resize(n_rows, refcheck=False)
+    row_ids, acts_per_row = TraceStats.narrow_histogram(g, acts_per_row, n_act)
 
     return TraceStats(
         n_accesses=n,
@@ -467,9 +491,16 @@ class ChunkedAnalyzer:
     _domain: int = 0
 
     def feed(self, global_row: np.ndarray, col: Optional[np.ndarray] = None) -> TraceStats:
-        """Analyze one chunk of global row ids; returns the chunk's own stats."""
+        """Analyze one chunk of global row ids; returns the chunk's own stats.
+
+        The ids are handed on to :func:`analyze_trace` with no reference
+        left in this frame, so ids the caller handed over too are freed
+        once grouped.
+        """
+        handed = [global_row]
+        del global_row
         stats = analyze_trace(
-            global_row,
+            handed.pop(),
             rows_per_bank=self.rows_per_bank,
             max_hits=self.max_hits,
             col=col,

@@ -19,7 +19,7 @@ reuse each other's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -177,13 +177,15 @@ class Simulator:
                 # Window already validated above -- the mapping can skip
                 # its own domain scan.
                 with window.child("sim.translate"):
-                    global_row, col = self._translate(mapping, trace.lines, keep_detail)
+                    translated = self._translate(mapping, trace.lines, keep_detail)
                 with window.child("sim.analyze"):
+                    # Popped, the ids are handed over: nothing here
+                    # keeps them alive while the analyzer runs.
                     stats = analyze_trace(
-                        global_row,
+                        translated.pop(0),
                         rows_per_bank=mapping.config.rows_per_bank,
                         max_hits=self.max_hits,
-                        col=col,
+                        col=translated.pop(),
                         keep_detail=keep_detail,
                     )
                 swaps = 0
@@ -219,17 +221,22 @@ class Simulator:
     @staticmethod
     def _translate(
         mapping: AddressMapping, lines: np.ndarray, keep_detail: bool
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Global row ids of ``lines``, plus their columns when detail is kept.
+    ) -> List[Optional[np.ndarray]]:
+        """``[global row ids, columns]`` of ``lines``; columns only when detail is kept.
 
         Without detail the window never materializes per-access bank,
         row or column arrays: :meth:`AddressMapping.global_rows`
-        translates it block by block.
+        translates it block by block.  The pair comes as a list so the
+        caller can pop the ids straight into the analyzer call and keep
+        no reference to them: on CPython 3.11 and later the callee's
+        frame then owns the ids, and the analyzer frees them as soon as
+        it has grouped them by bank (earlier versions free them when
+        the call returns, with identical results).
         """
         if not keep_detail:
-            return mapping.global_rows(lines, validate=False), None
+            return [mapping.global_rows(lines, validate=False), None]
         mapped = mapping.translate_trace(lines, validate=False)
-        return mapped.global_row, mapped.col
+        return [mapped.global_row, mapped.col]
 
     def _run_dynamic(
         self, trace: Trace, mapping: RubixDMapping, window, *, keep_detail: bool
@@ -248,10 +255,10 @@ class Simulator:
         # so file-backed traces stream through here at ~chunk-sized RSS.
         for chunk in iter_line_chunks(trace.lines, self.chunk_lines):
             with translate:
-                global_row, col = self._translate(mapping, chunk, keep_detail)
+                translated = self._translate(mapping, chunk, keep_detail)
             with analyze:
-                chunk_stats = analyzer.feed(global_row, col)
-            del global_row, col
+                # The ids are handed over, as in the static path.
+                chunk_stats = analyzer.feed(translated.pop(0), translated.pop())
             # Attribute the chunk's activations to v-groups in proportion
             # to each group's access share (the probabilistic remap
             # trigger has no better information either).

@@ -407,8 +407,8 @@ def _weave(
     would see it) produces the merged stream.  The slot labels are
     walked in blocks of ``_BLOCK``: a slot ``s`` with ``b`` bursts
     before it starts at ``s + (block_len - 1) * b``, and the singles
-    fill their slots in the order of one uniform permutation.  The
-    output has the singles' dtype.
+    fill their slots in the order of one uniform permutation (``int32``
+    indices while they fit).  The output has the singles' dtype.
     """
     n_single = singles.size
     n_blocks = block_starts.size
@@ -419,7 +419,10 @@ def _weave(
     if n_blocks:
         labels[n_single:] = 1
         rng.shuffle(labels)
-    order = rng.permutation(n_single)
+    # rng.permutation(n_single)'s values and RNG state, in int32 while
+    # the indices fit: a shuffle draws the same swaps for any dtype.
+    order = np.arange(n_single, dtype=np.int32 if n_single <= 1 << 31 else np.int64)
+    rng.shuffle(order)
     out = np.empty(n_single + n_blocks * block_len, dtype=singles.dtype)
 
     singles_done = bursts_done = 0

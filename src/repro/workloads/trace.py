@@ -64,7 +64,7 @@ class Trace:
         name: Workload name (for reports).
         lines: Line addresses in program order: ``uint32`` while the
             largest address fits, else ``uint64``; a memory-mapped
-            trace keeps its on-disk ``uint64``.
+            trace keeps its on-disk dtype.
         instructions: Instructions the trace's window represents (per the
             whole multi-core system), used to normalize MPKI and to
             anchor the performance model.

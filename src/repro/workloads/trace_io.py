@@ -12,9 +12,12 @@ trace to another simulator) reuse identical streams.  Two formats:
   sits 64-byte-aligned and little-endian on disk, so loading is one
   ``np.memmap`` call: **zero-copy**, demand-paged, and viable for
   multi-hundred-million-line traces that must never be materialized.
+  Lines are stored as they are held: ``<u4`` (4 bytes a line) for a
+  ``uint32`` trace, ``<u8`` otherwise, and load back in that dtype.
   The writer streams chunks (constant memory) and stores the trace's
   content fingerprint in the header so downstream caches skip the
-  hashing pass too.
+  hashing pass too; the fingerprint hashes the ``uint64`` form, so it
+  does not depend on the stored dtype.
 
 :func:`load_trace` sniffs the on-disk magic and dispatches to the right
 loader, so callers can stay format-agnostic.
@@ -62,8 +65,13 @@ RAW_FORMAT_VERSION = 1
 #: data section does not match this format's mandated byte order.
 RAW_ENDIAN_WORD = 0x01020304
 
-#: Code for the only line dtype the format defines: little-endian u64.
+#: Line dtype codes: little-endian u64, and (for traces whose
+#: addresses fit 32 bits) little-endian u32.
 RAW_DTYPE_CODE_U64LE = 1
+RAW_DTYPE_CODE_U32LE = 2
+
+#: On-disk line dtype of every dtype code.
+_RAW_DTYPES = {RAW_DTYPE_CODE_U64LE: np.dtype("<u8"), RAW_DTYPE_CODE_U32LE: np.dtype("<u4")}
 
 #: Fixed header size; line data starts here, 64-byte aligned for clean
 #: cache-line/page behaviour of the memmap (metadata JSON is a tail
@@ -222,6 +230,8 @@ class RawTraceWriter:
         if seed is not None:
             self.meta["seed"] = int(seed)
         self.n_lines = 0
+        # Line dtype code, fixed by the first chunk appended.
+        self._code: Optional[int] = None
         self._closed = False
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._tmp = self.path.with_name(f".{self.path.stem}.{os.getpid()}.tmp.rtr")
@@ -229,12 +239,26 @@ class RawTraceWriter:
         self._file.write(b"\0" * RAW_HEADER_BYTES)  # placeholder header
 
     def append(self, lines: np.ndarray) -> None:
-        """Append a batch of line addresses (any integer array-like)."""
+        """Append a batch of line addresses (any integer array-like).
+
+        The first batch fixes the file's line dtype: ``<u4`` when it is
+        a ``uint32`` array, ``<u8`` otherwise.  Later batches are stored
+        in that dtype; one that does not fit a ``<u4`` file is refused.
+        """
         if self._closed:
             raise ValueError("writer is closed")
-        chunk = np.ascontiguousarray(lines, dtype="<u8")
-        if chunk.ndim != 1:
-            raise ValueError(f"line chunks must be 1-D, got shape {chunk.shape}")
+        lines = np.asarray(lines)
+        if lines.ndim != 1:
+            raise ValueError(f"line chunks must be 1-D, got shape {lines.shape}")
+        if self._code is None:
+            narrow = lines.dtype == np.uint32
+            self._code = RAW_DTYPE_CODE_U32LE if narrow else RAW_DTYPE_CODE_U64LE
+        chunk = np.ascontiguousarray(lines, dtype=_RAW_DTYPES[self._code])
+        if chunk.itemsize < lines.itemsize and not np.array_equal(chunk, lines):
+            raise ValueError(
+                f"{self.path}: a line address past 32 bits cannot join a file"
+                " whose first chunk was uint32"
+            )
         self._file.write(memoryview(chunk))
         self.n_lines += int(chunk.size)
 
@@ -253,7 +277,7 @@ class RawTraceWriter:
                 RAW_MAGIC,
                 RAW_FORMAT_VERSION,
                 RAW_ENDIAN_WORD,
-                RAW_DTYPE_CODE_U64LE,
+                self._code or RAW_DTYPE_CODE_U64LE,
                 0,
                 self.n_lines,
                 len(raw_meta),
@@ -275,7 +299,7 @@ class RawTraceWriter:
             return lines_fingerprint(np.empty(0, dtype=np.uint64))
         data = np.memmap(
             self._tmp,
-            dtype="<u8",
+            dtype=_RAW_DTYPES[self._code],
             mode="r",
             offset=RAW_HEADER_BYTES,
             shape=(self.n_lines,),
@@ -315,7 +339,9 @@ def save_trace_raw(trace: Trace, path: Union[str, Path]) -> Path:
 
     Streams the line array in bounded chunks through
     :class:`RawTraceWriter` (the trace may itself be memmap-backed), so
-    transcoding never doubles peak memory.  Returns the path written.
+    transcoding never doubles peak memory.  The lines are stored as
+    ``<u4`` when the trace holds them as ``uint32``, else as ``<u8``.
+    Returns the path written.
     """
     writer = RawTraceWriter(
         path,
@@ -326,7 +352,7 @@ def save_trace_raw(trace: Trace, path: Union[str, Path]) -> Path:
         seed=trace.seed,
     )
     try:
-        step = max(1, FINGERPRINT_CHUNK_BYTES // 8)
+        step = max(1, FINGERPRINT_CHUNK_BYTES // trace.lines.dtype.itemsize)
         for start in range(0, int(trace.lines.size), step):
             writer.append(trace.lines[start : start + step])
     except BaseException:
@@ -342,9 +368,10 @@ def load_trace_raw(path: Union[str, Path], *, mmap: bool = True) -> Trace:
     """Open a raw ``.rtr`` trace; line data is a zero-copy ``np.memmap``.
 
     The returned trace's ``lines`` array is a read-only view demand-
-    paged straight from the file (no bytes are copied or materialized at
-    load time), and its fingerprint is pre-seeded from the stored
-    header digest -- a 100M-line campaign input costs O(header) to open.
+    paged straight from the file in its stored dtype (no bytes are
+    copied or materialized at load time), and its fingerprint is
+    pre-seeded from the stored header digest -- a 100M-line campaign
+    input costs O(header) to open.
     Pass ``mmap=False`` to read the lines fully into memory instead
     (small traces, or files on storage about to disappear).
 
@@ -384,16 +411,18 @@ def load_trace_raw(path: Union[str, Path], *, mmap: bool = True) -> Trace:
             f"data byte order marker {endian:#010x} does not read as little-endian"
             f" (expected {RAW_ENDIAN_WORD:#010x}); refusing to map foreign-endian data"
         )
-    if dtype_code != RAW_DTYPE_CODE_U64LE:
-        raise bad(f"unknown line dtype code {dtype_code} (expected {RAW_DTYPE_CODE_U64LE})")
-    expected = RAW_HEADER_BYTES + 8 * n_lines + meta_len
+    dtype = _RAW_DTYPES.get(dtype_code)
+    if dtype is None:
+        raise bad(f"unknown line dtype code {dtype_code} (expected one of {sorted(_RAW_DTYPES)})")
+    data_bytes = dtype.itemsize * n_lines
+    expected = RAW_HEADER_BYTES + data_bytes + meta_len
     if size < expected:
         raise bad(
             f"file is {size} bytes but the header declares {n_lines} lines"
             f" + {meta_len} metadata bytes = {expected}; trace is truncated"
         )
     with open(path, "rb") as handle:
-        handle.seek(RAW_HEADER_BYTES + 8 * n_lines)
+        handle.seek(RAW_HEADER_BYTES + data_bytes)
         raw_meta = handle.read(meta_len)
     try:
         meta = json.loads(raw_meta.decode())
@@ -409,12 +438,12 @@ def load_trace_raw(path: Union[str, Path], *, mmap: bool = True) -> Trace:
         lines = np.empty(0, dtype=np.uint64)
     elif mmap:
         lines = np.memmap(
-            path, dtype="<u8", mode="r", offset=RAW_HEADER_BYTES, shape=(n_lines,)
+            path, dtype=dtype, mode="r", offset=RAW_HEADER_BYTES, shape=(n_lines,)
         )
     else:
         with open(path, "rb") as handle:
             handle.seek(RAW_HEADER_BYTES)
-            lines = np.fromfile(handle, dtype="<u8", count=n_lines)
+            lines = np.fromfile(handle, dtype=dtype, count=n_lines)
     try:
         trace = Trace(
             name=str(meta["name"]),
@@ -453,6 +482,7 @@ __all__ = [
     "RAW_FORMAT_VERSION",
     "RAW_ENDIAN_WORD",
     "RAW_DTYPE_CODE_U64LE",
+    "RAW_DTYPE_CODE_U32LE",
     "RAW_HEADER_BYTES",
     "RawTraceWriter",
     "save_trace",

@@ -95,14 +95,28 @@ def test_trace_narrows_exactly_when_the_largest_address_fits(largest):
     assert trace.fingerprint == lines_fingerprint(np.array([0, largest], dtype=np.uint64))
 
 
-def test_memmapped_trace_keeps_its_dtype(tmp_path):
-    lines = np.arange(1000, dtype=np.uint64) * 3
+def _memmapped_round_trip(tmp_path, lines, stored):
     path = save_trace_raw(Trace("t", lines, instructions=1), tmp_path / "t")
     loaded = load_trace_raw(path)
-    assert loaded.lines.dtype == np.uint64
+    assert loaded.lines.dtype == stored
     assert not loaded.lines.flags.owndata
     # Re-wrapping the memmapped array (as Trace.head or a caller might)
-    # keeps it memory-mapped rather than narrowing it into RAM.
+    # keeps it memory-mapped in its stored dtype rather than copying it
+    # into RAM.
     again = Trace("t", loaded.lines, instructions=1)
-    assert again.lines.dtype == np.uint64
+    assert again.lines.dtype == stored
     assert np.shares_memory(again.lines, loaded.lines)
+    assert again.fingerprint == lines_fingerprint(lines)
+
+
+def test_memmapped_trace_keeps_its_dtype(tmp_path):
+    """Addresses that fit 32 bits are stored, and mapped, as uint32."""
+    lines = np.arange(1000, dtype=np.uint64) * 3
+    lines[-1] = (1 << 32) - 1
+    _memmapped_round_trip(tmp_path, lines, np.uint32)
+
+
+def test_memmapped_wide_trace_keeps_uint64(tmp_path):
+    lines = np.arange(1000, dtype=np.uint64) * 3
+    lines[-1] = 1 << 32
+    _memmapped_round_trip(tmp_path, lines, np.uint64)

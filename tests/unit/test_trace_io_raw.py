@@ -1,11 +1,13 @@
 """Raw memmap trace format (.rtr): zero-copy loads, strict validation.
 
 Pins the zero-copy ingestion contract: loading never materializes the
-line array (memmap view, pre-seeded fingerprint), the streaming
-fingerprint is digest-identical to the in-memory one, and every way a
-file can be malformed -- truncation, wrong byte order, bad magic,
-unsupported version, unknown dtype code, corrupt metadata -- raises
-:class:`~repro.errors.TraceFormatError` instead of a numpy crash.
+line array (memmap view, pre-seeded fingerprint), lines are stored as
+``<u4`` when the trace holds them as ``uint32`` and as ``<u8``
+otherwise, files in either dtype load, the streaming fingerprint is
+digest-identical to the in-memory one whatever the stored dtype, and
+every way a file can be malformed -- truncation, wrong byte order, bad
+magic, unsupported version, unknown dtype code, corrupt metadata --
+raises :class:`~repro.errors.TraceFormatError` instead of a numpy crash.
 """
 
 import json
@@ -17,6 +19,10 @@ import pytest
 from repro.errors import TraceFormatError, WorkloadConfigError
 from repro.workloads.trace import FINGERPRINT_CHUNK_BYTES, Trace, lines_fingerprint
 from repro.workloads.trace_io import (
+    RAW_DTYPE_CODE_U32LE,
+    RAW_DTYPE_CODE_U64LE,
+    RAW_ENDIAN_WORD,
+    RAW_FORMAT_VERSION,
     RAW_HEADER_BYTES,
     RAW_MAGIC,
     RawTraceWriter,
@@ -39,6 +45,14 @@ def _written(tmp_path, trace, name="t"):
     return save_trace_raw(trace, tmp_path / name)
 
 
+def _header(path):
+    """(dtype code, n_lines, meta_len) from a raw file's header."""
+    data = path.read_bytes()
+    (code,) = struct.unpack("<I", data[16:20])
+    n_lines, meta_len = struct.unpack("<QQ", data[24:40])
+    return code, n_lines, meta_len
+
+
 # ---------------------------------------------------------------------------
 # Round trip + zero copy
 # ---------------------------------------------------------------------------
@@ -51,8 +65,68 @@ def test_roundtrip_preserves_everything(tmp_path, trace):
     assert loaded.window_s == trace.window_s
     assert loaded.scale == trace.scale
     assert loaded.seed == trace.seed
+    # Addresses below 2^28 are held as uint32, so they are stored and
+    # loaded as four-byte lines.
+    assert trace.lines.dtype == np.uint32
+    assert _header(path)[0] == RAW_DTYPE_CODE_U32LE
+    assert path.stat().st_size == RAW_HEADER_BYTES + 4 * trace.lines.size + _header(path)[2]
+    assert loaded.lines.dtype == np.uint32
+    assert np.array_equal(loaded.lines, trace.lines)
+
+
+def test_wide_trace_roundtrips_as_u8(tmp_path, trace):
+    """An address at or past 2^32 keeps the trace uint64, stored as <u8."""
+    lines = trace.lines.astype(np.uint64)
+    lines[-1] = 1 << 32
+    wide = Trace("wide", lines, instructions=10**6, seed=7)
+    assert wide.lines.dtype == np.uint64
+    path = _written(tmp_path, wide)
+    assert _header(path)[0] == RAW_DTYPE_CODE_U64LE
+    loaded = load_trace_raw(path)
+    assert loaded.lines.dtype == np.uint64
+    assert np.array_equal(loaded.lines, lines)
+    assert loaded._fingerprint == wide.fingerprint
+    in_memory = load_trace_raw(path, mmap=False)
+    assert in_memory.lines.dtype == np.uint64
+    assert np.array_equal(in_memory.lines, lines)
+    short = tmp_path / "short.rtr"
+    short.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(TraceFormatError, match="; trace is truncated"):
+        load_trace_raw(short)
+
+
+def test_hand_built_u8_file_loads_with_its_fingerprint(tmp_path, trace):
+    """A file in the original eight-byte layout still loads, as uint64,
+    with the fingerprint stored in its metadata."""
+    lines = trace.lines.astype("<u8")
+    meta = json.dumps(
+        {
+            "version": RAW_FORMAT_VERSION,
+            "name": "legacy",
+            "instructions": 1000,
+            "window_s": 0.064,
+            "scale": 1.0,
+            "fingerprint": trace.fingerprint,
+        }
+    ).encode()
+    header = struct.pack(
+        "<8sIIII QQ",
+        RAW_MAGIC,
+        RAW_FORMAT_VERSION,
+        RAW_ENDIAN_WORD,
+        RAW_DTYPE_CODE_U64LE,
+        0,
+        lines.size,
+        len(meta),
+    )
+    path = tmp_path / "legacy.rtr"
+    path.write_bytes(header.ljust(RAW_HEADER_BYTES, b"\0") + lines.tobytes() + meta)
+    loaded = load_trace_raw(path)
     assert loaded.lines.dtype == np.uint64
     assert np.array_equal(loaded.lines, trace.lines)
+    assert loaded._fingerprint == trace.fingerprint
+    loaded._fingerprint = None  # the stored digest is the hashed one
+    assert loaded.fingerprint == trace.fingerprint
 
 
 def test_load_is_zero_copy_memmap(tmp_path, trace):
@@ -100,6 +174,23 @@ def test_streaming_writer_matches_one_shot(tmp_path, trace):
         for start in range(0, trace.lines.size, 7_001):
             writer.append(trace.lines[start : start + 7_001])
     assert (tmp_path / "chunked.rtr").read_bytes() == one_shot.read_bytes()
+    # uint32 chunks make a <u4 file; uint64 chunks of the same values a
+    # <u8 file with the same fingerprint.
+    assert _header(one_shot)[0] == RAW_DTYPE_CODE_U32LE
+    with RawTraceWriter(tmp_path / "wide", name=trace.name, instructions=1) as writer:
+        for start in range(0, trace.lines.size, 7_001):
+            writer.append(trace.lines[start : start + 7_001].astype(np.uint64))
+    wide = tmp_path / "wide.rtr"
+    assert _header(wide)[0] == RAW_DTYPE_CODE_U64LE
+    assert load_trace_raw(wide)._fingerprint == trace.fingerprint
+
+
+def test_writer_refuses_a_wide_chunk_after_uint32(tmp_path, trace):
+    with pytest.raises(ValueError, match="past 32 bits"):
+        with RawTraceWriter(tmp_path / "mixed", name="m", instructions=1) as writer:
+            writer.append(trace.lines[:10])
+            writer.append(np.array([1 << 32], dtype=np.uint64))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_trace_roundtrip(tmp_path):
@@ -156,7 +247,8 @@ def test_fingerprint_same_for_uint32_uint64_and_memmap(tmp_path):
     trace = Trace("t", narrow, instructions=1)
     assert trace.lines.dtype == np.uint32
     mapped = load_trace_raw(save_trace_raw(trace, tmp_path / "t"))
-    assert mapped.lines.dtype == np.uint64
+    assert mapped.lines.dtype == np.uint32
+    assert mapped._fingerprint == trace.fingerprint
     mapped._fingerprint = None  # hash the mapped bytes, not the stored digest
     digests = {lines_fingerprint(narrow), lines_fingerprint(wide), mapped.fingerprint}
     assert digests == {trace.fingerprint}
@@ -194,7 +286,20 @@ def test_truncated_data_is_diagnosed(tmp_path, trace):
     good = _written(tmp_path, trace)
     short = tmp_path / "short.rtr"
     short.write_bytes(good.read_bytes()[: RAW_HEADER_BYTES + 1000])
-    with pytest.raises(TraceFormatError, match="truncated"):
+    with pytest.raises(TraceFormatError, match="; trace is truncated"):
+        load_trace_raw(short)
+
+
+def test_truncated_u4_file_is_diagnosed(tmp_path, trace):
+    """The truncation check counts four bytes a line for a <u4 file: a
+    file four bytes short of its declared data and metadata is refused."""
+    good = _written(tmp_path, trace)
+    code, n_lines, meta_len = _header(good)
+    assert code == RAW_DTYPE_CODE_U32LE
+    short = tmp_path / "short.rtr"
+    short.write_bytes(good.read_bytes()[: RAW_HEADER_BYTES + 4 * n_lines + meta_len - 4])
+    # The temp path names the test, so match the diagnosis itself.
+    with pytest.raises(TraceFormatError, match="; trace is truncated"):
         load_trace_raw(short)
 
 
@@ -244,6 +349,16 @@ def test_unknown_dtype_code_is_refused(tmp_path, trace):
         load_trace_raw(path)
 
 
+@pytest.mark.parametrize("code", [0, 3])
+def test_dtype_codes_next_to_the_known_ones_are_refused(tmp_path, trace, code):
+    def set_dtype_code(data):
+        data[16:20] = struct.pack("<I", code)
+
+    path = _corrupt(tmp_path, trace, set_dtype_code)
+    with pytest.raises(TraceFormatError, match=rf"dtype code {code} \(expected one of \[1, 2\]\)"):
+        load_trace_raw(path)
+
+
 def test_corrupt_metadata_tail_is_diagnosed(tmp_path, trace):
     def scramble_meta(data):
         data[-10:] = b"\xff" * 10
@@ -254,15 +369,18 @@ def test_corrupt_metadata_tail_is_diagnosed(tmp_path, trace):
 
 
 def test_missing_meta_keys_are_diagnosed(tmp_path, trace):
-    good = _written(tmp_path, trace).read_bytes()
-    n_lines, meta_len = struct.unpack("<QQ", good[24:40])
-    meta = json.loads(good[RAW_HEADER_BYTES + 8 * n_lines :].decode())
+    written = _written(tmp_path, trace)
+    code, n_lines, meta_len = _header(written)
+    assert code == RAW_DTYPE_CODE_U32LE
+    good = written.read_bytes()
+    data_end = RAW_HEADER_BYTES + 4 * n_lines
+    meta = json.loads(good[data_end:].decode())
     del meta["instructions"]
     new_meta = json.dumps(meta).encode()
     header = bytearray(good[:RAW_HEADER_BYTES])
     header[32:40] = struct.pack("<Q", len(new_meta))
     path = tmp_path / "nometa.rtr"
-    path.write_bytes(bytes(header) + good[RAW_HEADER_BYTES : RAW_HEADER_BYTES + 8 * n_lines] + new_meta)
+    path.write_bytes(bytes(header) + good[RAW_HEADER_BYTES:data_end] + new_meta)
     with pytest.raises(TraceFormatError, match="missing required keys"):
         load_trace_raw(path)
 
