@@ -21,7 +21,8 @@
 # paper suite serially via scripts/run_paper_suite.py and diffs its
 # output against results_paper_suite.txt, ignoring only the
 # "[... finished in Ns]" timing lines, then prints the suite's wall
-# time and peak RSS as an advisory); stage 7 runs the repository
+# time, peak RSS and the megabytes its stats and trace caches hold as
+# an advisory); stage 7 runs the repository
 # benchmark's correctness gate (bench/run.py --quick --seconds 0: every
 # workload's digests must equal bench/expected.json and no cell may
 # fail -- timings are printed but not gated), then prints an advisory
@@ -82,7 +83,7 @@ run_bounded 60 python scripts/validate_telemetry.py "$TELEMETRY_DIR"
 
 # Stage 5: serve smoke -- one tiny spec on a two-worker pool with a
 # journal, a disk stats cache (the pool workers write and read its
-# packed entries) and telemetry; the artifacts are validated like
+# histogram entries) and telemetry; the artifacts are validated like
 # stage 4.
 SERVE_DIR="$(mktemp -d -t rubix-serve-XXXXXX)"
 trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR"' EXIT
@@ -101,8 +102,9 @@ run_bounded 60 python scripts/validate_telemetry.py "$SERVE_DIR/telemetry"
 # that moves a printed number must regenerate the golden and explain the
 # moved row in EXPERIMENTS.md.  The serial suite takes 52-82 s on a
 # 2-vCPU VM; the 180 s ceiling leaves room for a slower runner.  Its
-# closing suite.done log record (wall time and peak RSS) is printed
-# after the diff: advisory, not gated.
+# closing suite.done log record (wall time, peak RSS, and the megabytes
+# the stats and trace caches hold) is printed after the diff: advisory,
+# not gated.
 SUITE_OUT="$(mktemp -t rubix-paper-suite-XXXXXX)"
 SUITE_LOG="$(mktemp -t rubix-paper-suite-log-XXXXXX)"
 trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR" "$SUITE_OUT" "$SUITE_LOG"' EXIT
@@ -117,7 +119,10 @@ import json, sys
 for line in open(sys.argv[1]):
     record = json.loads(line)
     if record.get("event") == "suite.done":
-        print(f"paper suite: elapsed_s={record['elapsed_s']} peak_rss_mb={record['peak_rss_mb']}")
+        print(
+            f"paper suite: elapsed_s={record['elapsed_s']} peak_rss_mb={record['peak_rss_mb']}"
+            f" stats_cache_mb={record['stats_cache_mb']} trace_cache_mb={record['trace_cache_mb']}"
+        )
 PY
 
 # Stage 7: repository benchmark correctness gate -- the four seeded

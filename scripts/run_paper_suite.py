@@ -10,9 +10,11 @@ reuses them.  Output is the EXPERIMENTS.md data, in suite order.
 ``--telemetry-dir DIR`` additionally writes a run manifest, metric
 snapshots, and span event streams to DIR (see docs/OBSERVABILITY.md);
 ``--log-json PATH`` mirrors the console status records to a JSONL file.
-The last record, ``suite.done``, carries the suite's ``elapsed_s`` and
-the process's ``peak_rss_mb``; like every status record it goes to the
-console and the logs, never to the output file.
+The last record, ``suite.done``, carries the suite's ``elapsed_s``, the
+process's ``peak_rss_mb`` and the array megabytes its window-statistics
+and trace caches hold at the end (``stats_cache_mb``,
+``trace_cache_mb``); like every status record it goes to the console
+and the logs, never to the output file.
 
 Usage:  python scripts/run_paper_suite.py [output.txt] [--stats-cache DIR]
                                           [--telemetry-dir DIR]
@@ -26,6 +28,7 @@ import resource
 import sys
 import time
 
+from repro.experiments.common import cache_footprint_mb
 from repro.experiments.runner import run_experiment
 from repro.obs import runtime as obs_runtime
 from repro.obs.logs import QUIET, VERBOSE
@@ -159,6 +162,7 @@ def main(argv=None) -> int:
             message=f"suite done ({elapsed:.1f}s, peak RSS {peak:.0f} MB)",
             elapsed_s=round(elapsed, 3),
             peak_rss_mb=round(peak, 1),
+            **cache_footprint_mb(),
         )
         if manifest is not None:
             written = obs_runtime.write_telemetry(manifest=manifest)

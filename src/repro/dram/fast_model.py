@@ -72,8 +72,10 @@ class TraceStats:
         row_ids: Global physical-row ids with at least one activation
             (sorted, unique).  ``int32`` whenever the largest id fits,
             which holds for every modelled geometry; ``int64`` beyond.
+            None on a stats-cache hit, which keeps no ids.
         acts_per_row: Activation count aligned with ``row_ids``;
             ``int32`` (``int64`` only past 2^31 activations per window).
+            On a stats-cache hit, the same counts in ascending order.
         unique_rows_touched: Number of distinct physical rows accessed.
         act_rows: If detail was kept, the global row id of every ACT
             (``int64``).
@@ -81,16 +83,18 @@ class TraceStats:
 
     Every producer -- :func:`analyze_trace`, :class:`ChunkedAnalyzer`
     and :meth:`merge` -- hands out the histogram in these dtypes (see
-    :meth:`narrow_histogram`), and the stats cache hands back exactly
-    the dtypes it was given.  The cache stores the histogram packed: 3
-    bytes per activated row while no row passes 255 activations (see
-    :mod:`repro.parallel.cache`).
+    :meth:`narrow_histogram`).  The stats cache keeps only how many rows
+    reach each count (see :mod:`repro.parallel.cache`): a hit hands back
+    the counts' dtype and multiset, which is all the per-row metrics
+    below read, and no ids.  :meth:`merge` and
+    :func:`~repro.analysis.hotrows.line_contribution_table` need the
+    ids, and neither ever sees a cached window.
     """
 
     n_accesses: int
     n_activations: int
     n_hits: int
-    row_ids: np.ndarray
+    row_ids: Optional[np.ndarray]
     acts_per_row: np.ndarray
     unique_rows_touched: int
     act_rows: Optional[np.ndarray] = None

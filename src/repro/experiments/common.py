@@ -26,7 +26,7 @@ from repro.perf.simulator import Simulator
 from repro.workloads.mixes import mix_names, mix_trace
 from repro.workloads.spec import spec_names, spec_trace
 from repro.workloads.stream_suite import stream_suite_names, stream_suite_trace
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, _backing_mmap
 
 
 @dataclass
@@ -198,6 +198,25 @@ def get_trace(
     return trace
 
 
+def cache_footprint_mb() -> Dict[str, float]:
+    """Array megabytes the process-wide caches hold.
+
+    ``stats_cache_mb`` is the simulators' in-memory window statistics
+    and ``trace_cache_mb`` the cached traces' line arrays; the pages of
+    a memory-mapped trace belong to its file and are not counted.
+    """
+    stats_bytes = sum(sim.stats_cache.nbytes for sim in _SIMULATORS.values())
+    trace_bytes = sum(
+        trace.lines.nbytes
+        for trace in _TRACES.values()
+        if _backing_mmap(trace.lines) is None
+    )
+    return {
+        "stats_cache_mb": round(stats_bytes / 1e6, 1),
+        "trace_cache_mb": round(trace_bytes / 1e6, 1),
+    }
+
+
 def clear_caches() -> None:
     """Drop all cached traces and simulators (tests use this)."""
     _SIMULATORS.clear()
@@ -280,6 +299,7 @@ __all__ = [
     "workload_names",
     "validate_workload",
     "clear_caches",
+    "cache_footprint_mb",
     "make_mapping",
     "MAPPING_NAMES",
     "BEST_GANG_SIZE_S",

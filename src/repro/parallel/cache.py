@@ -13,15 +13,17 @@ statistics.  This module replaces that with a *content-keyed* cache:
   budget, and -- for dynamically-remapped windows -- the chunk size,
   which changes where the remap engine advances).
 
-Detail-free entries are stored packed, in one layout shared by memory
-and disk (:class:`_Packed`): each activated row's id as its low 16 bits
-plus one run per occupied 65,536-row bucket, and its count in the
-narrowest unsigned dtype that holds the window's maximum.  A randomized
-window, whose rows nearly all see fewer than 256 activations, costs
-about 3 bytes per activated row instead of 8.  Every lookup rebuilds a
-fresh :class:`TraceStats` in the documented ``int32``/``int64``
-dtypes, so no consumer ever sees the packed form.  Entries that carry
-per-activation detail are kept as given, in memory only.
+An entry keeps what the mitigation and performance models read: the
+window's scalars and its activation-count histogram -- the distinct
+per-row counts, ascending, and how many rows have each (:class:`_Entry`,
+one layout in memory and on disk).  A randomized window spreads its
+ACTs over hundreds of thousands of rows with a few ACTs each, so its
+entry is tens to hundreds of pairs, whatever the row count.  Every hit
+rebuilds a fresh :class:`TraceStats` whose ``acts_per_row`` is the same
+multiset in ascending order, in the dtype that was put, and whose
+``row_ids`` is None: which rows saw the counts is not kept, and a
+consumer that needs it analyzes uncached.  Statistics that carry
+per-activation detail are refused.
 
 Entries can optionally persist to a directory of ``.npz`` files shared
 across processes: a parallel campaign's workers read each other's
@@ -54,11 +56,7 @@ STATS_CACHE_ENV = "REPRO_STATS_CACHE"
 
 #: On-disk entry format version (bump on layout changes).  It is part of
 #: every key, so entries of another version are never looked up.
-_DISK_VERSION = 3
-
-#: Low bits of a row id stored per row by the packed layout; the rest is
-#: stored once per run of ids sharing it.
-_BUCKET_BITS = 16
+_DISK_VERSION = 4
 
 
 def stats_cache_key(
@@ -88,87 +86,31 @@ def stats_cache_key(
 
 
 @dataclass(frozen=True, eq=False)
-class _Packed:
-    """One detail-free cache entry, as held in memory and on disk.
+class _Entry:
+    """One cache entry, as held in memory and on disk.
 
-    The sorted, unique ``row_ids`` become ``low`` (each id's low 16 bits,
-    ``uint16``) plus one ``(base, run)`` pair per occupied 65,536-row
-    bucket: ``base`` is the bucket's first id, in the ids' own dtype, and
-    ``run`` the number of ids in it.  ``acts`` holds ``acts_per_row`` in
-    the narrowest unsigned dtype that fits its maximum, and
-    ``acts_dtype`` is the dtype it is handed back in.  The layout is the
-    same for every id dtype, ``int64`` included.
+    ``counts`` holds the window's distinct per-row activation counts,
+    ascending, in the dtype ``acts_per_row`` was put in, and ``rows``
+    how many activated rows have each.
     """
 
     #: n_accesses, n_activations, n_hits, unique_rows_touched, swaps.
-    scalars: Tuple[int, int, int, int, int]
-    bases: np.ndarray
-    runs: np.ndarray
-    low: np.ndarray
-    acts: np.ndarray
-    acts_dtype: np.dtype
+    scalars: Tuple[int, ...]
+    counts: np.ndarray
+    rows: np.ndarray
 
-    @classmethod
-    def pack(cls, stats: TraceStats, swaps: int) -> "_Packed":
-        row_ids, acts = stats.row_ids, stats.acts_per_row
-        # The ids are sorted, so each occupied bucket is one run; starts
-        # holds the index of each run's first id (none when empty).
-        high = row_ids >> _BUCKET_BITS
-        starts = np.flatnonzero(high[1:] != high[:-1]) + 1
-        starts = np.concatenate(([0], starts))[: row_ids.size]
-        return cls(
-            scalars=(
-                int(stats.n_accesses),
-                int(stats.n_activations),
-                int(stats.n_hits),
-                int(stats.unique_rows_touched),
-                int(swaps),
-            ),
-            bases=high[starts] << _BUCKET_BITS,
-            runs=np.diff(np.append(starts, row_ids.size)),
-            # A cast to uint16 keeps exactly the low 16 bits.
-            low=row_ids.astype(np.uint16),
-            acts=acts.astype(np.min_scalar_type(int(acts.max()) if acts.size else 0)),
-            acts_dtype=acts.dtype,
-        )
-
-    def unpack(self) -> Tuple[TraceStats, int]:
-        """A fresh ``(TraceStats, swaps)`` equal to what was packed."""
-        row_ids = np.repeat(self.bases, self.runs)
-        row_ids += self.low
+    def stats(self) -> Tuple[TraceStats, int]:
+        """A fresh ``(TraceStats, swaps)``: the put histogram, ascending, without ids."""
         n_accesses, n_activations, n_hits, unique_rows_touched, swaps = self.scalars
         stats = TraceStats(
             n_accesses=n_accesses,
             n_activations=n_activations,
             n_hits=n_hits,
-            row_ids=row_ids,
-            acts_per_row=self.acts.astype(self.acts_dtype),
+            row_ids=None,
+            acts_per_row=np.repeat(self.counts, self.rows),
             unique_rows_touched=unique_rows_touched,
         )
         return stats, swaps
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """The entry as named arrays for ``np.savez``."""
-        return {
-            "scalars": np.array([*self.scalars, _DISK_VERSION], dtype=np.int64),
-            "row_bases": self.bases,
-            "row_runs": self.runs,
-            "row_low": self.low,
-            "acts_per_row": self.acts,
-            "acts_dtype": np.array(self.acts_dtype.str),
-        }
-
-    @classmethod
-    def from_arrays(cls, bundle) -> "_Packed":
-        scalars = bundle["scalars"]
-        return cls(
-            scalars=tuple(int(value) for value in scalars[:5]),
-            bases=bundle["row_bases"],
-            runs=bundle["row_runs"],
-            low=bundle["row_low"],
-            acts=bundle["acts_per_row"],
-            acts_dtype=np.dtype(str(bundle["acts_dtype"])),
-        )
 
 
 class StatsCache:
@@ -178,14 +120,13 @@ class StatsCache:
         persist_dir: Directory for the shared disk layer (created on
             first write); None keeps the cache purely in-memory.
 
-    Detail-free statistics are held packed (:class:`_Packed`) and are
-    the only ones persisted: per-activation detail arrays are large,
-    single-use, and never cached by the simulator either.  Every hit on
-    a packed entry returns a fresh :class:`TraceStats`.
+    Only detail-free statistics are accepted, held as their activation-
+    count histogram (:class:`_Entry`); every hit returns a fresh
+    :class:`TraceStats` without row ids.
     """
 
     def __init__(self, persist_dir: Optional[Union[str, Path]] = None) -> None:
-        self._mem: Dict[str, Union[_Packed, Tuple[TraceStats, int]]] = {}
+        self._mem: Dict[str, _Entry] = {}
         self.persist_dir: Optional[Path] = Path(persist_dir) if persist_dir else None
         self.hits = 0
         self.disk_hits = 0
@@ -203,6 +144,11 @@ class StatsCache:
 
     def __contains__(self, key: str) -> bool:
         return key in self._mem
+
+    @property
+    def nbytes(self) -> int:
+        """Array bytes the memory layer holds."""
+        return sum(entry.counts.nbytes + entry.rows.nbytes for entry in self._mem.values())
 
     def clear(self, *, memory_only: bool = True) -> None:
         """Drop cached entries (disk entries too unless ``memory_only``)."""
@@ -224,7 +170,7 @@ class StatsCache:
         if entry is not None:
             self.hits += 1
             METRICS.inc("cache.requests", result="hit")
-            return entry.unpack() if isinstance(entry, _Packed) else entry
+            return entry.stats()
         if self.persist_dir is not None:
             got = self._disk_get(key)
             if got is not None:
@@ -236,14 +182,25 @@ class StatsCache:
         return None
 
     def put(self, key: str, stats: TraceStats, swaps: int) -> None:
-        """Store one entry (and persist it when a disk layer is attached)."""
-        if stats.act_rows is None and stats.act_cols is None:
-            packed = _Packed.pack(stats, swaps)
-            self._mem[key] = packed
-            if self.persist_dir is not None:
-                self._disk_put(key, packed)
-        else:
-            self._mem[key] = (stats, swaps)
+        """Store one entry (and persist it when a disk layer is attached).
+
+        Raises:
+            ValueError: ``stats`` carries per-activation detail.
+        """
+        if stats.act_rows is not None or stats.act_cols is not None:
+            raise ValueError("statistics with per-activation detail are not cached")
+        scalars = (
+            stats.n_accesses,
+            stats.n_activations,
+            stats.n_hits,
+            stats.unique_rows_touched,
+            swaps,
+        )
+        counts, rows = np.unique(stats.acts_per_row, return_counts=True)
+        entry = _Entry(tuple(int(value) for value in scalars), counts, rows)
+        self._mem[key] = entry
+        if self.persist_dir is not None:
+            self._disk_put(key, entry)
         METRICS.set_gauge("cache.entries", len(self._mem))
 
     # ------------------------------------------------------------------
@@ -251,7 +208,7 @@ class StatsCache:
         return self.persist_dir / f"{key}.npz"
 
     def _disk_get(self, key: str) -> Optional[Tuple[TraceStats, int]]:
-        """Load, promote to memory and unpack one disk entry."""
+        """Load, promote to memory and expand one disk entry."""
         path = self._entry_path(key)
         if not path.exists():
             return None
@@ -260,8 +217,12 @@ class StatsCache:
                 scalars = bundle["scalars"]
                 if scalars.shape != (6,) or int(scalars[5]) != _DISK_VERSION:
                     return None
-                packed = _Packed.from_arrays(bundle)
-            got = packed.unpack()
+                entry = _Entry(
+                    tuple(int(value) for value in scalars[:5]),
+                    bundle["act_counts"],
+                    bundle["rows_per_count"],
+                )
+            got = entry.stats()
         except Exception as error:
             # Torn/corrupt entry (e.g. a crashed writer on a filesystem
             # without atomic replace): quarantine it and recompute.  The
@@ -275,7 +236,7 @@ class StatsCache:
                 METRICS.inc("cache.disk_bytes_read", path.stat().st_size)
             except OSError:
                 pass
-        self._mem[key] = packed
+        self._mem[key] = entry
         return got
 
     def _quarantine(self, path: Path, error: BaseException) -> None:
@@ -296,12 +257,17 @@ class StatsCache:
             error=f"{type(error).__name__}: {error}",
         )
 
-    def _disk_put(self, key: str, packed: _Packed) -> None:
+    def _disk_put(self, key: str, entry: _Entry) -> None:
         try:
             self.persist_dir.mkdir(parents=True, exist_ok=True)
             path = self._entry_path(key)
             tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
-            np.savez_compressed(tmp, **packed.arrays())
+            np.savez_compressed(
+                tmp,
+                scalars=np.array([*entry.scalars, _DISK_VERSION], dtype=np.int64),
+                act_counts=entry.counts,
+                rows_per_count=entry.rows,
+            )
             if METRICS.enabled:
                 METRICS.inc("cache.disk_bytes_written", tmp.stat().st_size)
             os.replace(tmp, path)

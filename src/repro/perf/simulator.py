@@ -162,8 +162,11 @@ class Simulator:
         trace in one vectorized pass.
         """
         dynamic = isinstance(mapping, RubixDMapping) and mapping.remap_rate > 0.0
-        key = self._cache_key(trace, mapping, dynamic=dynamic)
+        # Only a consulted cache needs the key, and with it the trace's
+        # fingerprint.
+        key = None
         if use_cache and not keep_detail:
+            key = self._cache_key(trace, mapping, dynamic=dynamic)
             cached = self.stats_cache.get(key)
             if cached is not None:
                 return cached
@@ -198,7 +201,7 @@ class Simulator:
             METRICS.inc("sim.lines", int(trace.lines.size))
             METRICS.inc("sim.activations", int(stats.n_activations))
 
-        if use_cache and not keep_detail:
+        if key is not None:
             self.stats_cache.put(key, stats, swaps)
         return stats, swaps
 

@@ -16,6 +16,9 @@ from repro.utils.bitops import fitting_uint
 #: memory-mapped trace never faults more than a sliver into RAM at once.
 FINGERPRINT_CHUNK_BYTES = 1 << 24
 
+#: Lines :func:`lines_fingerprint` widens to ``uint64`` at a time.
+_WIDEN_BLOCK = 1 << 16
+
 #: Values per block of :func:`draw_lines`.
 _DRAW_BLOCK = 1 << 16
 
@@ -23,21 +26,25 @@ _DRAW_BLOCK = 1 << 16
 def lines_fingerprint(lines: np.ndarray) -> str:
     """Content digest of a line-address array (hex), computed streaming.
 
-    ``blake2b`` over ``str(size)`` then the lines as ``uint64`` bytes,
-    fed one block of at most :data:`FINGERPRINT_CHUNK_BYTES` at a time.
+    ``blake2b`` over ``str(size)`` then the lines as ``uint64`` bytes.
     Hashing the ``uint64`` form whatever the array's dtype gives a
     ``uint32`` trace, its ``uint64`` twin and an ``np.memmap`` of the
-    same stream one digest, equal to the historical in-memory digest;
-    only one block is ever widened or faulted into RAM at once.
+    same stream one digest, equal to the historical in-memory digest.
+    A ``uint64`` array is fed as views of at most
+    :data:`FINGERPRINT_CHUNK_BYTES`; any other dtype is widened
+    :data:`_WIDEN_BLOCK` lines at a time, so only a sliver is ever
+    copied or faulted into RAM at once.
     """
     lines = np.asarray(lines).reshape(-1)
-    step = FINGERPRINT_CHUNK_BYTES // 8
+    step = FINGERPRINT_CHUNK_BYTES // 8 if lines.dtype == np.uint64 else _WIDEN_BLOCK
     with TRACER.span("trace.fingerprint", lines=int(lines.size)):
         digest = hashlib.blake2b(digest_size=16)
         digest.update(str(lines.size).encode())
         for start in range(0, lines.size, step):
-            block = np.ascontiguousarray(lines[start : start + step], dtype=np.uint64)
-            digest.update(block.view(np.uint8))
+            # Unnamed, each widened block is freed before the next exists.
+            digest.update(
+                np.ascontiguousarray(lines[start : start + step], dtype=np.uint64).view(np.uint8)
+            )
         return digest.hexdigest()
 
 

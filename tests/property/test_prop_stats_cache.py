@@ -1,9 +1,11 @@
-"""Property-based tests of the stats cache's packed entry layout.
+"""Property-based tests of the stats cache's histogram entries.
 
-Every detail-free entry is stored as 16-bit row-id parts, one run per
-65,536-row bucket and counts in the narrowest unsigned dtype.  Whatever
-goes in must come back out of both layers -- memory, and disk read by a
-fresh instance -- equal in value and dtype.
+Every entry keeps a window's scalars and how many rows reach each
+activation count.  Whatever goes in must come back out of both layers
+-- memory, and disk read by a fresh instance -- as the same counts in
+ascending order and in the dtype that was put, with no row ids, and
+every model that reads a window's counts must score the hit exactly as
+it scores the window.
 """
 
 import tempfile
@@ -12,10 +14,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.distribution import activation_distribution
+from repro.dram.config import baseline_config
 from repro.dram.fast_model import TraceStats
 from repro.parallel.cache import StatsCache
+from repro.perf.core_model import PerformanceModel
+from repro.perf.simulator import SCHEMES
 
-BUCKET = 1 << 16
+MODEL = PerformanceModel(baseline_config())
 
 
 @st.composite
@@ -23,35 +29,53 @@ def histograms(draw):
     """A sorted unique row-id array and its counts, in documented dtypes."""
     id_dtype = draw(st.sampled_from([np.int32, np.int64]))
     largest = (1 << 31) - 1 if id_dtype is np.int32 else (1 << 40)
-    # Ids hugging bucket edges (both sides), plus ids anywhere.
-    edges = draw(
-        st.lists(
-            st.tuples(st.integers(0, largest // BUCKET), st.integers(-3, 3)),
-            max_size=40,
-        )
-    )
-    anywhere = draw(st.lists(st.integers(0, largest), max_size=40))
-    ids = {bucket * BUCKET + delta for bucket, delta in edges} | set(anywhere)
-    row_ids = np.array(sorted(i for i in ids if 0 <= i <= largest), dtype=id_dtype)
+    ids = draw(st.sets(st.integers(0, largest), max_size=60))
+    row_ids = np.array(sorted(ids), dtype=id_dtype)
     peak = draw(st.sampled_from([1, 255, 256, 65_535, 65_536, 1 << 31]))
     count_dtype = draw(st.sampled_from([np.int32, np.int64]))
     if peak > np.iinfo(count_dtype).max:
         count_dtype = np.int64
-    counts = draw(st.lists(st.integers(1, peak), min_size=row_ids.size, max_size=row_ids.size))
+    # Few distinct counts, as in a randomized window, or any counts.
+    pool = draw(st.lists(st.integers(1, peak), min_size=1, max_size=4))
+    counts = draw(
+        st.lists(
+            st.sampled_from(pool) | st.integers(1, peak),
+            min_size=row_ids.size,
+            max_size=row_ids.size,
+        )
+    )
     acts = np.array(counts, dtype=count_dtype)
     if acts.size:
         acts[draw(st.integers(0, acts.size - 1))] = peak
     return row_ids, acts
 
 
-def _assert_equal(got: TraceStats, want: TraceStats) -> None:
+def _thresholds(acts: np.ndarray):
+    peak = int(acts.max()) if acts.size else 1
+    return sorted({1, 2, 64, 128, 255, 256, 512, 1024, 65_536, peak, peak + 1})
+
+
+def assert_hit_matches(got: TraceStats, want: TraceStats) -> None:
+    """A cache hit is ``want`` without ids, its counts in ascending order."""
     for name in ("n_accesses", "n_activations", "n_hits", "unique_rows_touched"):
-        assert getattr(got, name) == getattr(want, name)
-    for name in ("row_ids", "acts_per_row"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.row_ids is None
     assert got.act_rows is None and got.act_cols is None
+    assert got.acts_per_row.dtype == want.acts_per_row.dtype
+    assert np.array_equal(got.acts_per_row, np.sort(want.acts_per_row))
+    assert got.max_row_activations() == want.max_row_activations()
+    for threshold in _thresholds(want.acts_per_row):
+        assert got.hot_rows(threshold) == want.hot_rows(threshold)
+        assert got.threshold_crossings(threshold) == want.threshold_crossings(threshold)
+        assert got.excess_activations(threshold) == want.excess_activations(threshold)
+        # T_RH is at least 3, so every scheme's tracker threshold is >= 1.
+        t_rh = threshold + 2
+        for scheme in SCHEMES:
+            assert MODEL.mitigation_load(scheme, got, t_rh) == MODEL.mitigation_load(
+                scheme, want, t_rh
+            )
+    assert activation_distribution(got) == activation_distribution(want)
+    assert MODEL.memory_time_s(got) == MODEL.memory_time_s(want)
 
 
 @given(histogram=histograms(), swaps=st.integers(0, 1 << 40))
@@ -76,6 +100,6 @@ def test_pack_round_trip_through_memory_and_disk(histogram, swaps):
         disk = StatsCache(persist_dir=folder).get("entry")
     for got in (memory, disk):
         assert got is not None
-        _assert_equal(got[0], stats)
+        assert_hit_matches(got[0], stats)
         assert got[1] == swaps
     assert writer.hits == 1

@@ -8,6 +8,7 @@ from repro.dram.config import DRAMConfig, DRAMTiming, baseline_config
 from repro.experiments.campaign import Campaign, MappingSpec
 from repro.experiments.common import (
     ExperimentResult,
+    cache_footprint_mb,
     clear_caches,
     get_simulator,
     get_trace,
@@ -98,6 +99,25 @@ class TestCaches:
         b = get_trace("xz", scale=0.02)
         assert a is not b
 
+
+    def test_cache_footprint_counts_held_arrays(self, tmp_path):
+        from repro.workloads.trace import Trace
+        from repro.workloads.trace_io import save_trace_raw
+
+        clear_caches()
+        assert cache_footprint_mb() == {"stats_cache_mb": 0.0, "trace_cache_mb": 0.0}
+        trace = get_trace("xz", scale=0.05)
+        sim = get_simulator()
+        sim.window_stats(trace, make_mapping("coffeelake"))
+        footprint = cache_footprint_mb()
+        assert footprint["trace_cache_mb"] == round(trace.lines.nbytes / 1e6, 1) > 0
+        assert footprint["stats_cache_mb"] == round(sim.stats_cache.nbytes / 1e6, 1)
+        assert 0 < sim.stats_cache.nbytes < 4096
+        # A memory-mapped trace's pages belong to its file.
+        path = save_trace_raw(Trace("big", trace.lines, instructions=1), tmp_path / "big")
+        get_trace(f"file:{path}")
+        assert cache_footprint_mb()["trace_cache_mb"] == footprint["trace_cache_mb"]
+        clear_caches()
 
 class TestMappingFactory:
     def test_all_names_construct(self):

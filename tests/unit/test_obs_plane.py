@@ -276,6 +276,7 @@ class TestPaperSuiteDone:
         done = [record for record in logged if record["event"] == "suite.done"]
         assert len(done) == 1
         assert done[0]["elapsed_s"] >= 0 and done[0]["peak_rss_mb"] > 0
+        assert done[0]["stats_cache_mb"] >= 0 and done[0]["trace_cache_mb"] >= 0
         events = [
             json.loads(line)
             for path in tele.glob("events-*.jsonl")

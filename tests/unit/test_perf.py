@@ -149,10 +149,24 @@ class TestSimulator:
         assert sim.stats_cache.hits == hits + 1
         for name in ("n_accesses", "n_activations", "n_hits", "unique_rows_touched"):
             assert getattr(b, name) == getattr(a, name)
-        for name in ("row_ids", "acts_per_row"):
-            assert getattr(b, name).dtype == getattr(a, name).dtype
-            assert np.array_equal(getattr(b, name), getattr(a, name))
+        # A hit keeps the counts, ascending and in their dtype, not the ids.
+        assert b.row_ids is None
+        assert b.acts_per_row.dtype == a.acts_per_row.dtype
+        assert np.array_equal(b.acts_per_row, np.sort(a.acts_per_row))
         assert b.act_rows is a.act_rows is None and b.act_cols is a.act_cols is None
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"use_cache": False}, {"keep_detail": True}], ids=["uncached", "detail"]
+    )
+    def test_uncached_window_never_fingerprints(self, kwargs):
+        """Only a consulted cache needs the key, so a window that skips
+        the cache never hashes its trace."""
+        trace = random_kernel(footprint_lines=1 << 12, accesses=20_000, seed=303)
+        sim = Simulator(baseline_config())
+        with patch("repro.workloads.trace.lines_fingerprint", side_effect=AssertionError):
+            stats, _ = sim.window_stats(trace, CoffeeLakeMapping(sim.config), **kwargs)
+        assert stats.n_accesses == 20_000
+        assert (sim.stats_cache.hits, sim.stats_cache.misses, len(sim.stats_cache)) == (0, 0, 0)
 
     def test_trace_key_distinguishes_same_shaped_traces(self, sim):
         # Regression: the cache key was (name, scale, size), so two

@@ -22,17 +22,15 @@ def _stats(activations=100, hits=50, detail=False):
     )
 
 
-def assert_same_stats(got, want):
-    """Every scalar and array of two TraceStats equal, dtypes included."""
+def assert_hit_of(got, want):
+    """A cache hit: ``want``'s scalars and counts, ascending, in their
+    dtype, without row ids or detail."""
     for name in ("n_accesses", "n_activations", "n_hits", "unique_rows_touched"):
         assert getattr(got, name) == getattr(want, name), name
-    for name in ("row_ids", "acts_per_row", "act_rows", "act_cols"):
-        a, b = getattr(got, name), getattr(want, name)
-        if b is None:
-            assert a is None, name
-        else:
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b), name
+    assert got.row_ids is None
+    assert got.act_rows is None and got.act_cols is None
+    assert got.acts_per_row.dtype == want.acts_per_row.dtype
+    assert np.array_equal(got.acts_per_row, np.sort(want.acts_per_row))
 
 
 BASE_KEY_ARGS = dict(
@@ -72,8 +70,8 @@ class TestKey:
     @pytest.mark.parametrize(
         "mapping, dynamic, digest",
         [
-            ("coffeelake", False, "556a5f1923316c0c3d5bea13a60503e1970437d2"),
-            ("rubix-d", True, "2728ec27e861b7ee81fdf26fdd62dee65e9bebc2"),
+            ("coffeelake", False, "5f3d23af99ec660fcc8b336f844435253f62ec84"),
+            ("rubix-d", True, "6a847d53af2b2b06de8c4cc28851330340d829e2"),
         ],
         # The ids leave the digest out, so a version bump keeps the names.
         ids=["coffeelake-False", "rubix-d-True"],
@@ -131,7 +129,8 @@ class TestMemoryLayer:
         cache.put(key, stats, 7)
         got = cache.get(key)
         assert got is not None
-        assert_same_stats(got[0], stats)
+        assert_hit_of(got[0], stats)
+        assert got[0].acts_per_row.tolist() == [40, 60]
         assert got[1] == 7
         assert cache.hits == 1 and cache.misses == 1
 
@@ -141,17 +140,18 @@ class TestMemoryLayer:
         key = stats_cache_key(**BASE_KEY_ARGS)
         cache.put(key, _stats(), 0)
         first, _ = cache.get(key)
-        first.row_ids[:] = 0
         first.acts_per_row[:] = 0
-        assert_same_stats(cache.get(key)[0], _stats())
+        assert_hit_of(cache.get(key)[0], _stats())
 
-    def test_detail_bearing_entry_kept_as_given(self):
-        cache = StatsCache()
+    def test_detail_bearing_stats_rejected(self, tmp_path):
+        """The simulator never caches detail, and the cache refuses it:
+        nothing is held in memory or written to disk."""
+        cache = StatsCache(persist_dir=tmp_path)
         key = stats_cache_key(**BASE_KEY_ARGS)
-        stats = _stats(detail=True)
-        cache.put(key, stats, 2)
-        got, swaps = cache.get(key)
-        assert got is stats and swaps == 2
+        with pytest.raises(ValueError, match="detail"):
+            cache.put(key, _stats(detail=True), 2)
+        assert key not in cache and len(cache) == 0
+        assert not list(tmp_path.iterdir())
 
     def test_len_and_contains(self):
         cache = StatsCache()
@@ -180,16 +180,16 @@ class TestDiskLayer:
         assert loaded.n_activations == stats.n_activations
         assert loaded.n_hits == stats.n_hits
         assert loaded.unique_rows_touched == stats.unique_rows_touched
-        assert loaded.row_ids.tolist() == stats.row_ids.tolist()
-        assert loaded.acts_per_row.tolist() == stats.acts_per_row.tolist()
-        assert_same_stats(loaded, stats)
+        assert loaded.row_ids is None
+        assert loaded.acts_per_row.tolist() == sorted(stats.acts_per_row.tolist())
+        assert_hit_of(loaded, stats)
         assert reader.disk_hits == 1 and reader.misses == 0
         # Promoted to memory: the second get is a counted memory hit that
         # neither reads the disk nor misses.
         (tmp_path / f"{key}.npz").unlink()
         again, again_swaps = reader.get(key)
         assert (reader.hits, reader.disk_hits, reader.misses) == (1, 1, 0)
-        assert_same_stats(again, stats)
+        assert_hit_of(again, stats)
         assert again_swaps == 11
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
@@ -260,8 +260,8 @@ class TestDiskLayer:
 
     @pytest.mark.parametrize("mapping", ["coffeelake", "rubix-d"])
     def test_fresh_memory_and_disk_results_keep_dtypes(self, tmp_path, mapping):
-        """A fresh analysis, a memory hit and a disk hit are the same
-        TraceStats, narrow histogram dtypes included."""
+        """A memory hit and a disk hit carry a fresh analysis's scalars
+        and counts, narrow dtype included, and no row ids."""
         from repro.experiments.common import make_mapping
         from repro.perf.simulator import Simulator
         from repro.workloads.spec import spec_trace
@@ -275,16 +275,8 @@ class TestDiskLayer:
         assert sim.stats_cache.hits == 1 and reader.stats_cache.disk_hits == 1
         assert fresh.row_ids.dtype == fresh.acts_per_row.dtype == np.int32
         for got in (memory, disk):
-            assert got.row_ids.dtype == fresh.row_ids.dtype
-            assert got.acts_per_row.dtype == fresh.acts_per_row.dtype
-            assert np.array_equal(got.row_ids, fresh.row_ids)
-            assert np.array_equal(got.acts_per_row, fresh.acts_per_row)
-            assert (got.n_accesses, got.n_activations, got.n_hits) == (
-                fresh.n_accesses,
-                fresh.n_activations,
-                fresh.n_hits,
-            )
-            assert got.unique_rows_touched == fresh.unique_rows_touched
+            assert_hit_of(got, fresh)
+            assert got.hot_rows(4) == fresh.hot_rows(4)
         assert disk_swaps == swaps
 
     def test_version_2_entries_are_never_looked_up(self, tmp_path, monkeypatch):
@@ -311,13 +303,31 @@ class TestDiskLayer:
         assert (reader.misses, reader.corrupt) == (1, 0)
         assert old_path.exists()
 
-    def test_detail_bearing_stats_not_persisted(self, tmp_path):
+    def test_version_3_entries_are_never_looked_up(self, tmp_path, monkeypatch):
+        """An entry written in the version-3 layout (row ids as 16-bit
+        low parts plus one run per 65,536-row bucket) sits under a
+        different file name and is neither read nor quarantined."""
+        from repro.parallel import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_DISK_VERSION", 3)
+        old_key = stats_cache_key(**BASE_KEY_ARGS)
+        monkeypatch.undo()
         key = stats_cache_key(**BASE_KEY_ARGS)
-        cache = StatsCache(persist_dir=tmp_path)
-        cache.put(key, _stats(detail=True), 0)
-        assert not (tmp_path / f"{key}.npz").exists()
-        # Still served from memory, detail intact.
-        assert cache.get(key)[0].act_rows is not None
+        assert old_key != key
+        old_path = tmp_path / f"{old_key}.npz"
+        np.savez_compressed(
+            old_path,
+            scalars=np.array([150, 100, 50, 2, 4, 3], dtype=np.int64),
+            row_bases=np.array([0], dtype=np.int64),
+            row_runs=np.array([2], dtype=np.int64),
+            row_low=np.array([3, 9], dtype=np.uint16),
+            acts_per_row=np.array([60, 40], dtype=np.uint8),
+            acts_dtype=np.array("<i8"),
+        )
+        reader = StatsCache(persist_dir=tmp_path)
+        assert reader.get(key) is None
+        assert (reader.misses, reader.corrupt) == (1, 0)
+        assert old_path.exists()
 
     def test_unwritable_dir_never_raises(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -254,6 +254,28 @@ def test_fingerprint_same_for_uint32_uint64_and_memmap(tmp_path):
     assert digests == {trace.fingerprint}
 
 
+
+@pytest.mark.parametrize("action", ["fingerprint", "save_trace_raw"])
+def test_uint32_fingerprint_temporary_is_bounded(tmp_path, action):
+    """Hashing a four-byte trace, alone or as ``save_trace_raw`` closes
+    the file, widens it a sub-block at a time: the traced peak stays at
+    or under 1 byte per line, not the 8 of a whole-block ``uint64`` copy."""
+    import tracemalloc
+
+    n = 1_000_000
+    trace = Trace("t", np.arange(n, dtype=np.uint32) * 3, instructions=1)
+    run = {
+        "fingerprint": lambda: trace.fingerprint,
+        "save_trace_raw": lambda: save_trace_raw(trace, tmp_path / "t"),
+    }[action]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 1, f"{peak / n:.2f} B/line"
+
 # ---------------------------------------------------------------------------
 # Format sniffing
 # ---------------------------------------------------------------------------
