@@ -37,7 +37,7 @@ _CHILD = textwrap.dedent(
     from repro.dram.config import baseline_config
     from repro.core.rubix_d import RubixDMapping
     from repro.perf.hotpath_bench import run_window
-    from repro.workloads.trace_io import load_trace_raw
+    from repro.workloads.trace_io import load_trace
 
     def peak_rss_kb():
         # VmHWM is the canonical peak-resident figure on Linux; some
@@ -54,7 +54,7 @@ _CHILD = textwrap.dedent(
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     path, chunk_lines = sys.argv[1], int(sys.argv[2])
-    trace = load_trace_raw(path)           # zero-copy memmap
+    trace = load_trace(path)           # zero-copy memmap
     config = baseline_config()
     mapping = RubixDMapping(config, gang_size=4, seed=7, remap_rate=0.01)
     stats, swaps = run_window(

@@ -29,9 +29,12 @@
 # cold-start line: a fresh interpreter imports repro.experiments.campaign
 # and reports the import seconds and the number of repro modules loaded
 # (not gated; tests/unit/test_import_graph.py bounds the module count),
-# and an advisory window-working-set line: the traced (tracemalloc) peak
+# an advisory window-working-set line: the traced (tracemalloc) peak
 # of one uncached 1M-line Rubix-S GS1 window in bytes per line (not
-# gated; tests/unit/test_window_working_set.py bounds it).
+# gated; tests/unit/test_window_working_set.py bounds it), and an
+# advisory `src/repro lines=N` line: the Python source lines under
+# src/repro, so a change's net source delta is the difference between
+# two CI logs (not gated).
 # All run under a hard wall-clock ceiling, so a wedged simulation fails
 # CI instead of stalling it.  Per-test timeouts come from [tool.pytest.ini_options]
 # in pyproject.toml (pytest-timeout, or the conftest SIGALRM fallback);
@@ -157,3 +160,6 @@ tracemalloc.start()
 sim.window_stats(trace, mapping, use_cache=False)
 print(f"window working set: B/line={tracemalloc.get_traced_memory()[1] / lines.size:.1f}")
 '
+
+# Advisory: the Python source lines under src/repro; not gated.
+echo "src/repro lines=$(( $(find src/repro -name '*.py' -exec cat {} + | wc -l) ))"

@@ -129,18 +129,28 @@ def workload_names() -> List[str]:
 def validate_workload(name: str) -> str:
     """Fail fast on unknown workload names, listing the valid options.
 
-    ``file:<path>`` names point at persisted trace files (npz bundles or
-    zero-copy raw ``.rtr`` traces, see :mod:`repro.workloads.trace_io`);
-    the path must exist up front so a sweep never dies mid-grid on a
-    typo'd trace path.
+    ``file:<path>`` names point at persisted ``.rtr`` trace files (see
+    :mod:`repro.workloads.trace_io`); the path must exist and open with
+    the ``.rtr`` magic up front, so a sweep never dies mid-grid on a
+    typo'd path or a leftover ``.npz`` bundle.
     """
     if name.startswith("file:"):
         from pathlib import Path
 
-        if not Path(name[5:]).is_file():
+        from repro.workloads.trace_io import RAW_MAGIC
+
+        path = Path(name[5:])
+        if not path.is_file():
             raise WorkloadConfigError(
                 f"trace file workload points at no file: {name[5:]!r}", workload=name
             )
+        with open(path, "rb") as handle:
+            if handle.read(len(RAW_MAGIC)) != RAW_MAGIC:
+                raise WorkloadConfigError(
+                    f"trace file workload {name[5:]!r} is not a .rtr trace"
+                    " (write traces with repro.workloads.trace_io.save_trace_raw)",
+                    workload=name,
+                )
         return name
     known = workload_names()
     if name not in known:
@@ -168,12 +178,13 @@ def get_trace(
     ``file:`` workloads load as written -- ``scale``/``cores`` describe
     generation and do not re-scale a persisted trace; raw ``.rtr``
     files open as zero-copy memmaps, so even multi-hundred-million-line
-    inputs cost O(1) memory here.
+    inputs cost O(1) memory here.  Names are validated on a cache miss
+    only, so a cached ``file:`` name opens no file.
     """
-    validate_workload(name)
     key = (name, round(scale, 6), cores, line_addr_bits)
     if key in _TRACES:
         return _TRACES[key]
+    validate_workload(name)
     with TRACER.span("trace.gen", workload=name, scale=scale) as span:
         if name.startswith("file:"):
             from repro.workloads.trace_io import load_trace

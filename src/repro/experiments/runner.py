@@ -19,8 +19,8 @@ checkpoint journal: a cell an earlier spec or an earlier run committed
 is replayed, not recomputed.
 
 ``--telemetry-dir DIR`` enables the telemetry layer for the run: a
-``manifest.json`` with full provenance, metric snapshots (JSONL and
-Prometheus text), and per-process span/log event streams land in DIR;
+``manifest.json`` with full provenance, a JSONL metric snapshot, and
+per-process span/log event streams land in DIR;
 ``report --telemetry DIR`` renders them as a human summary afterwards.
 ``--verbose``/``--quiet`` adjust console logging; ``--log-json PATH``
 mirrors every log record (console-visible or not) to a JSONL file.
@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="enable telemetry and write run artifacts (manifest.json,"
-        " metrics.jsonl, metrics.prom, events-*.jsonl) to DIR; sets the"
+        " metrics.jsonl, events-*.jsonl) to DIR; sets the"
         " REPRO_TELEMETRY_DIR environment variable",
     )
     report = sub.add_parser(

@@ -42,7 +42,6 @@ _MODULES = {
         "series_key",
         "snapshot_from_jsonl",
         "snapshot_to_jsonl",
-        "snapshot_to_prometheus",
     ),
     "repro.obs.profile": ("PROFILER", "SamplingProfiler"),
     "repro.obs.runtime": (

@@ -19,9 +19,8 @@ Design constraints, in priority order:
    bug that labels a metric with, say, raw addresses cannot exhaust
    memory.
 
-Snapshots are plain JSON-safe dicts, exported either as JSONL (one
-metric series per line, the format ``scripts/validate_telemetry.py``
-checks) or as a Prometheus text snapshot.
+Snapshots are plain JSON-safe dicts, exported as JSONL (one metric
+series per line, the format ``scripts/validate_telemetry.py`` checks).
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def parse_series_key(key: str) -> Tuple[str, Dict[str, str]]:
 
 @dataclass
 class Histogram:
-    """Fixed-bucket histogram (cumulative export, Prometheus-style).
+    """Fixed-bucket histogram.
 
     ``counts`` has ``len(buckets) + 1`` slots; the last one is the
     overflow (``+Inf``) bucket.  Only bucket counts, the value sum, and
@@ -358,77 +357,6 @@ def snapshot_from_jsonl(path: Union[str, Path]) -> dict:
     return snapshot
 
 
-def _prom_name(name: str) -> str:
-    return "repro_" + name.replace(".", "_").replace("-", "_")
-
-
-def _prom_escape(value: str) -> str:
-    """Escape a label value per the Prometheus text-exposition format.
-
-    Backslash, double quote, and newline are the three characters the
-    format requires escaping -- an unescaped one silently truncates or
-    corrupts the series on the scraper side.
-    """
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _prom_labels(labels: Dict[str, str], extra: Optional[Dict[str, str]] = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    inner = ",".join(
-        f'{k}="{_prom_escape(v)}"' for k, v in sorted(merged.items())
-    )
-    return "{" + inner + "}"
-
-
-def snapshot_to_prometheus(snapshot: dict) -> str:
-    """Prometheus text-exposition rendering of a snapshot."""
-    out: List[str] = []
-    seen_types: set = set()
-
-    def type_line(name: str, kind: str) -> None:
-        if name not in seen_types:
-            out.append(f"# TYPE {name} {kind}")
-            seen_types.add(name)
-
-    for key in sorted(snapshot.get("counters", {})):
-        name, labels = parse_series_key(key)
-        prom = _prom_name(name) + "_total"
-        type_line(prom, "counter")
-        out.append(f"{prom}{_prom_labels(labels)} {snapshot['counters'][key]}")
-    for key in sorted(snapshot.get("gauges", {})):
-        name, labels = parse_series_key(key)
-        prom = _prom_name(name)
-        type_line(prom, "gauge")
-        out.append(f"{prom}{_prom_labels(labels)} {snapshot['gauges'][key]}")
-    for key in sorted(snapshot.get("histograms", {})):
-        name, labels = parse_series_key(key)
-        prom = _prom_name(name)
-        type_line(prom, "histogram")
-        data = snapshot["histograms"][key]
-        cumulative = 0
-        for upper, count in zip(data["buckets"], data["counts"]):
-            cumulative += count
-            out.append(
-                f"{prom}_bucket{_prom_labels(labels, {'le': repr(float(upper))})}"
-                f" {cumulative}"
-            )
-        out.append(
-            f"{prom}_bucket{_prom_labels(labels, {'le': '+Inf'})} {data['count']}"
-        )
-        out.append(f"{prom}_sum{_prom_labels(labels)} {data['sum']}")
-        out.append(f"{prom}_count{_prom_labels(labels)} {data['count']}")
-    return "\n".join(out) + "\n"
-
-
 def filter_snapshot(snapshot: dict, prefixes: Iterable[str]) -> dict:
     """Subset of a snapshot whose metric names start with any prefix.
 
@@ -463,5 +391,4 @@ __all__ = [
     "series_key",
     "snapshot_from_jsonl",
     "snapshot_to_jsonl",
-    "snapshot_to_prometheus",
 ]

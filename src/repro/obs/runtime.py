@@ -17,7 +17,6 @@ Artifact layout under the telemetry directory::
 
     manifest.json                run provenance + final metrics snapshot
     metrics.jsonl                one metric series per line
-    metrics.prom                 Prometheus text-exposition snapshot
     events-<run>-<pid>.jsonl     span + log event stream, one file per
                                  process per run
     profile-<span>-<pid>.collapsed    sampling-profiler stacks (opt-in)
@@ -40,11 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, TextIO, Union
 
 from repro.obs.logs import NORMAL, LogState, StructuredLogger
-from repro.obs.metrics import (
-    MetricsRegistry,
-    snapshot_to_jsonl,
-    snapshot_to_prometheus,
-)
+from repro.obs.metrics import MetricsRegistry, snapshot_to_jsonl
 from repro.obs.tracing import Tracer
 
 if TYPE_CHECKING:
@@ -281,9 +276,6 @@ def write_telemetry(
     metrics_path = target / "metrics.jsonl"
     metrics_path.write_text("\n".join(snapshot_to_jsonl(snapshot)) + "\n")
     written["metrics"] = metrics_path
-    prom_path = target / "metrics.prom"
-    prom_path.write_text(snapshot_to_prometheus(snapshot))
-    written["prometheus"] = prom_path
     if manifest is not None:
         if manifest.finished_at is None:
             manifest.finalize(metrics=snapshot)

@@ -5,9 +5,11 @@ injecting faults and watching the system fail *loudly*.  This module is
 the software analogue: seeded, reproducible corruptions of the three
 trust boundaries a campaign crosses --
 
-* **trace bundles** on disk (:func:`corrupt_trace_file` truncates or
-  bit-flips an ``.npz`` so :func:`~repro.workloads.trace_io.load_trace`
-  must raise :class:`~repro.errors.TraceFormatError`);
+* **trace files** on disk (:func:`corrupt_trace_file` truncates an
+  ``.rtr`` file so :func:`~repro.workloads.trace_io.load_trace` must
+  raise :class:`~repro.errors.TraceFormatError`; a flipped bit in the
+  line data is *not* detected, because the loader trusts the stored
+  fingerprint);
 * **remap-engine key state** (:func:`corrupt_remap_keys` flips a key
   bit, :func:`verify_key_state` catches it against a boot-time
   :func:`snapshot_key_state` digest -- modelling key-register parity);
@@ -47,42 +49,34 @@ class SimulatedCrash(BaseException):
 
 
 # ---------------------------------------------------------------------------
-# Trace-bundle corruption
+# Trace-file corruption
 # ---------------------------------------------------------------------------
 def corrupt_trace_file(
     path: Union[str, Path],
     *,
     mode: str = "truncate",
-    seed: int = 0,
     out: Optional[Union[str, Path]] = None,
 ) -> Path:
-    """Write a deterministically-corrupted copy of a trace bundle.
+    """Write a deterministically-corrupted copy of a ``.rtr`` trace file.
 
     Args:
-        path: An existing ``.npz`` bundle.
-        mode: ``truncate`` (drop the final quarter of the file) or
-            ``bitflip`` (flip one seed-chosen bit).
-        seed: Selects the flipped bit for ``bitflip``.
-        out: Destination (defaults to ``<name>.corrupt.npz`` next to the
+        path: An existing ``.rtr`` trace file.
+        mode: ``truncate`` (drop the final quarter of the file).
+        out: Destination (defaults to ``<name>.corrupt.rtr`` next to the
             original; the original is never modified).
 
     Returns:
         The corrupted file's path.
     """
     path = Path(path)
-    data = bytearray(path.read_bytes())
+    data = path.read_bytes()
     if not data:
         raise ValueError(f"{path} is empty; nothing to corrupt")
-    if mode == "truncate":
-        data = data[: max(1, len(data) - max(1, len(data) // 4))]
-    elif mode == "bitflip":
-        rng = SplitMix64(seed)
-        offset = rng.next_below(len(data))
-        data[offset] ^= 1 << rng.next_below(8)
-    else:
-        raise ValueError(f"unknown corruption mode '{mode}' (truncate, bitflip)")
-    target = Path(out) if out is not None else path.with_suffix(".corrupt.npz")
-    target.write_bytes(bytes(data))
+    if mode != "truncate":
+        raise ValueError(f"unknown corruption mode '{mode}' (truncate)")
+    data = data[: max(1, len(data) - max(1, len(data) // 4))]
+    target = Path(out) if out is not None else path.with_suffix(".corrupt.rtr")
+    target.write_bytes(data)
     return target
 
 

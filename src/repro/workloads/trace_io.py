@@ -1,33 +1,26 @@
-"""Trace persistence: compressed .npz bundles and raw memmap files.
+"""Trace persistence: raw ``.rtr`` files that load as memmaps.
 
 Generating the biggest calibrated traces takes seconds; persisting them
-lets experiment campaigns and external tools (e.g. feeding the same
-trace to another simulator) reuse identical streams.  Two formats:
-
-* **.npz bundles** (:func:`save_trace` / :func:`load_trace`) -- a plain
-  compressed numpy archive with a metadata header.  Compact and
-  portable, but loading decompresses the whole line array into RAM.
-* **.rtr raw traces** (:class:`RawTraceWriter`, :func:`save_trace_raw`,
-  :func:`load_trace_raw`) -- a versioned binary layout whose line data
-  sits 64-byte-aligned and little-endian on disk, so loading is one
-  ``np.memmap`` call: **zero-copy**, demand-paged, and viable for
-  multi-hundred-million-line traces that must never be materialized.
-  Lines are stored as they are held: ``<u4`` (4 bytes a line) for a
-  ``uint32`` trace, ``<u8`` otherwise, and load back in that dtype.
-  The writer streams chunks (constant memory) and stores the trace's
-  content fingerprint in the header so downstream caches skip the
-  hashing pass too; the fingerprint hashes the ``uint64`` form, so it
-  does not depend on the stored dtype.
-
-:func:`load_trace` sniffs the on-disk magic and dispatches to the right
-loader, so callers can stay format-agnostic.
+lets experiment campaigns (``file:<path>`` workloads) and external
+tools (e.g. feeding the same trace to another simulator) reuse
+identical streams.  A ``.rtr`` file (:class:`RawTraceWriter`,
+:func:`save_trace_raw`, :func:`load_trace`) is a versioned binary
+layout whose line data sits 64-byte-aligned and little-endian on disk,
+so loading is one ``np.memmap`` call: **zero-copy**, demand-paged, and
+viable for multi-hundred-million-line traces that must never be
+materialized.  Lines are stored as they are held: ``<u4`` (4 bytes a
+line) for a ``uint32`` trace, ``<u8`` otherwise, and load back in that
+dtype.  The writer streams chunks (constant memory) and stores the
+trace's content fingerprint in the header so downstream caches skip
+the hashing pass too; the fingerprint hashes the ``uint64`` form, so it
+does not depend on the stored dtype.
 
 Writes are atomic (temp file + ``os.replace``) so a crash mid-save never
 leaves a half-written file at the target path, and loads validate the
-archive/header, metadata, and array shape/dtype/endianness, raising
+header, metadata, and file size, raising
 :class:`~repro.errors.TraceFormatError` naming the offending path
-instead of leaking an opaque ``KeyError``, ``zipfile.BadZipFile``, or a
-numpy shape crash on a truncated memmap.
+instead of a numpy shape crash on a truncated memmap.  The loader trusts
+the stored fingerprint: a flipped bit in the line data is not detected.
 """
 
 from __future__ import annotations
@@ -35,8 +28,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import zipfile
-import zlib
 from pathlib import Path
 from typing import Optional, Union
 
@@ -45,15 +36,9 @@ import numpy as np
 from repro.errors import TraceFormatError
 from repro.workloads.trace import FINGERPRINT_CHUNK_BYTES, Trace, lines_fingerprint
 
-#: Format version written into every bundle.
-FORMAT_VERSION = 1
-
-#: Metadata keys every bundle must carry.
+#: Metadata keys every trace file must carry.
 REQUIRED_META_KEYS = ("version", "name", "instructions", "window_s", "scale")
 
-# ---------------------------------------------------------------------------
-# Raw memmap format (.rtr)
-# ---------------------------------------------------------------------------
 #: Magic bytes opening every raw trace file.
 RAW_MAGIC = b"RBXTRACE"
 
@@ -84,110 +69,8 @@ RAW_HEADER_BYTES = 64
 _RAW_HEADER_STRUCT = struct.Struct("<8sIIII QQ")
 
 
-def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
-    """Write a trace to ``path`` (.npz appended if missing), atomically.
-
-    The bundle is written to a sibling temp file and renamed into place,
-    so readers never observe a partially-written archive.
-
-    Returns the final path written.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    meta = {
-        "version": FORMAT_VERSION,
-        "name": trace.name,
-        "instructions": trace.instructions,
-        "window_s": trace.window_s,
-        "scale": trace.scale,
-    }
-    if trace.seed is not None:
-        # Optional key: bundles written before the seed field existed
-        # (and traces without a generator seed) simply omit it.
-        meta["seed"] = trace.seed
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
-    try:
-        # Bundles hold uint64 lines whatever the trace's in-memory dtype.
-        np.savez_compressed(
-            tmp, lines=trace.lines.astype(np.uint64, copy=False), meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        )
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-    return path
-
-
-def load_trace(path: Union[str, Path], *, mmap: bool = True) -> Trace:
-    """Read a persisted trace, whichever format it is stored in.
-
-    Sniffs the on-disk magic: raw ``.rtr`` files (see
-    :func:`load_trace_raw`) open as zero-copy memmaps (``mmap=False``
-    forces an in-memory read); anything else is parsed as a
-    :func:`save_trace` npz bundle.
-
-    Raises:
-        FileNotFoundError: No file at ``path``.
-        TraceFormatError: The file is not a valid trace bundle
-            (corrupt archive, missing arrays/metadata, unsupported
-            version, or malformed line-address array).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no trace bundle at {path}")
-    if sniff_format(path) == "raw":
-        return load_trace_raw(path, mmap=mmap)
-
-    def bad(reason: str) -> TraceFormatError:
-        return TraceFormatError(f"{path}: {reason}", path=str(path))
-
-    try:
-        bundle = np.load(path)
-    except (zipfile.BadZipFile, OSError, ValueError) as error:
-        raise bad(f"not a readable npz archive ({error})") from None
-    with bundle:
-        for key in ("meta", "lines"):
-            if key not in bundle.files:
-                raise bad(f"not a trace bundle (missing '{key}' array)")
-        try:
-            raw_meta = bytes(bundle["meta"].tobytes())
-            lines = bundle["lines"]
-        except (zipfile.BadZipFile, OSError, ValueError, zlib.error) as error:
-            raise bad(f"archive member is corrupt ({error})") from None
-    try:
-        meta = json.loads(raw_meta.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise bad(f"metadata header is not valid JSON ({error})") from None
-
-    if not isinstance(meta, dict):
-        raise bad("metadata header is not a JSON object")
-    missing = [key for key in REQUIRED_META_KEYS if key not in meta]
-    if missing:
-        raise bad(f"metadata is missing required keys {missing}")
-    version = meta["version"]
-    if version != FORMAT_VERSION:
-        raise bad(f"unsupported trace format version {version!r} (expected {FORMAT_VERSION})")
-    if lines.ndim != 1:
-        raise bad(f"lines array must be 1-D, got shape {lines.shape}")
-    if not np.issubdtype(lines.dtype, np.integer):
-        raise bad(f"lines array must be integer-typed, got dtype {lines.dtype}")
-    try:
-        return Trace(
-            name=str(meta["name"]),
-            lines=lines,
-            instructions=int(meta["instructions"]),
-            window_s=float(meta["window_s"]),
-            scale=float(meta["scale"]),
-            seed=int(meta["seed"]) if meta.get("seed") is not None else None,
-        )
-    except (TypeError, ValueError) as error:
-        raise bad(f"metadata values are invalid ({error})") from None
-
-
 # ---------------------------------------------------------------------------
-# Raw format: streaming writer
+# Streaming writer
 # ---------------------------------------------------------------------------
 class RawTraceWriter:
     """Stream a raw ``.rtr`` trace file chunk by chunk, constant-memory.
@@ -206,7 +89,7 @@ class RawTraceWriter:
         with RawTraceWriter(path, name="synth", instructions=10**9) as w:
             for chunk in generate_chunks():
                 w.append(chunk)
-        trace = load_trace_raw(path)   # np.memmap, zero-copy
+        trace = load_trace(path)   # np.memmap, zero-copy
     """
 
     def __init__(
@@ -362,9 +245,9 @@ def save_trace_raw(trace: Trace, path: Union[str, Path]) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Raw format: zero-copy loader
+# Zero-copy loader
 # ---------------------------------------------------------------------------
-def load_trace_raw(path: Union[str, Path], *, mmap: bool = True) -> Trace:
+def load_trace(path: Union[str, Path]) -> Trace:
     """Open a raw ``.rtr`` trace; line data is a zero-copy ``np.memmap``.
 
     The returned trace's ``lines`` array is a read-only view demand-
@@ -372,8 +255,6 @@ def load_trace_raw(path: Union[str, Path], *, mmap: bool = True) -> Trace:
     copied or materialized at load time), and its fingerprint is
     pre-seeded from the stored header digest -- a 100M-line campaign
     input costs O(header) to open.
-    Pass ``mmap=False`` to read the lines fully into memory instead
-    (small traces, or files on storage about to disappear).
 
     Raises:
         FileNotFoundError: No file at ``path``.
@@ -385,7 +266,7 @@ def load_trace_raw(path: Union[str, Path], *, mmap: bool = True) -> Trace:
     """
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"no raw trace at {path}")
+        raise FileNotFoundError(f"no trace file at {path}")
 
     def bad(reason: str) -> TraceFormatError:
         return TraceFormatError(f"{path}: {reason}", path=str(path))
@@ -436,14 +317,10 @@ def load_trace_raw(path: Union[str, Path], *, mmap: bool = True) -> Trace:
 
     if n_lines == 0:
         lines = np.empty(0, dtype=np.uint64)
-    elif mmap:
+    else:
         lines = np.memmap(
             path, dtype=dtype, mode="r", offset=RAW_HEADER_BYTES, shape=(n_lines,)
         )
-    else:
-        with open(path, "rb") as handle:
-            handle.seek(RAW_HEADER_BYTES)
-            lines = np.fromfile(handle, dtype=dtype, count=n_lines)
     try:
         trace = Trace(
             name=str(meta["name"]),
@@ -465,18 +342,7 @@ def load_trace_raw(path: Union[str, Path], *, mmap: bool = True) -> Trace:
     return trace
 
 
-def sniff_format(path: Union[str, Path]) -> str:
-    """Identify the on-disk trace format: ``"raw"`` or ``"npz"``.
-
-    Reads only the leading magic bytes; unknown leaders default to
-    ``"npz"`` so the bundle loader produces its usual typed diagnosis.
-    """
-    with open(path, "rb") as handle:
-        return "raw" if handle.read(len(RAW_MAGIC)) == RAW_MAGIC else "npz"
-
-
 __all__ = [
-    "FORMAT_VERSION",
     "REQUIRED_META_KEYS",
     "RAW_MAGIC",
     "RAW_FORMAT_VERSION",
@@ -485,9 +351,6 @@ __all__ = [
     "RAW_DTYPE_CODE_U32LE",
     "RAW_HEADER_BYTES",
     "RawTraceWriter",
-    "save_trace",
     "save_trace_raw",
     "load_trace",
-    "load_trace_raw",
-    "sniff_format",
 ]

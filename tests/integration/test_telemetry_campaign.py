@@ -150,7 +150,7 @@ class TestTelemetryArtifacts:
         manifest = obs.RunManifest.create("integration-test", config={"cells": 4})
         tiny_campaign().run()
         written = obs.write_telemetry(manifest=manifest)
-        assert set(written) == {"metrics", "prometheus", "manifest"}
+        assert set(written) == {"metrics", "manifest"}
         assert obs.validate_telemetry_dir(tmp_path) == []
         # Event streams captured the span hierarchy.
         events = []
@@ -159,13 +159,14 @@ class TestTelemetryArtifacts:
         span_paths = {e["path"] for e in events if e["type"] == "span"}
         assert any("campaign.run/campaign.cell" in p for p in span_paths)
 
-    def test_prometheus_snapshot_readable(self, tmp_path):
+    def test_jsonl_snapshot_readable(self, tmp_path):
         common.clear_caches()
         obs.configure(enabled=True, telemetry_dir=tmp_path)
         tiny_campaign().run()
         obs.write_telemetry()
-        text = (tmp_path / "metrics.prom").read_text()
-        assert 'repro_campaign_cells_total{status="ok"} 4' in text
+        snapshot = obs.snapshot_from_jsonl(tmp_path / "metrics.jsonl")
+        assert snapshot["counters"]["campaign.cells|status=ok"] == 4
+        assert not list(tmp_path.glob("*.prom"))
 
 
 class TestRunnerCLI:
@@ -178,7 +179,6 @@ class TestRunnerCLI:
         assert "fig1a" in out
         assert (target / "manifest.json").exists()
         assert (target / "metrics.jsonl").exists()
-        assert (target / "metrics.prom").exists()
         manifest = json.loads((target / "manifest.json").read_text())
         assert manifest["command"] == "experiments.run"
         assert manifest["finished_at"] is not None

@@ -27,13 +27,7 @@ from repro.dram.config import DRAMConfig
 from repro.dram.protocol import ProtocolEngine
 from repro.experiments.campaign import Campaign, MappingSpec
 from repro.workloads.attacks import half_double_attack
-from repro.workloads.synthetic import (
-    ColdPool,
-    HotSpots,
-    PointerChase,
-    SequentialScan,
-    WorkloadBuilder,
-)
+from repro.workloads.trace_io import load_trace, save_trace_raw
 
 
 @pytest.fixture(scope="module")
@@ -88,20 +82,24 @@ def test_section4_rubix_d(config, simulator):
     assert engine.physical_layout().tolist() != before
 
 
-def test_section5_builder(config, simulator):
-    my_app = (
-        WorkloadBuilder(seed=42)
-        .add(HotSpots(rows=500, activations_per_row=150))
-        .add(SequentialScan(rows=5_000, accesses=100_000))
-        .add(PointerChase(rows=2_000, accesses=30_000))
-        .add(ColdPool(rows=10_000, accesses_per_row=4))
-        .build(name="my-app", mpki=5.0)
+def test_section5_builder(tmp_path):
+    trace = spec_trace("xz", scale=0.05)
+    path = save_trace_raw(trace, tmp_path / "traces" / "xz")
+    assert path.name == "xz.rtr"
+    assert load_trace(path).fingerprint == trace.fingerprint
+
+    grid = dict(
+        mappings=[MappingSpec("coffeelake"), MappingSpec("rubix-s", gang_size=4)],
+        schemes=["srs"],
+        thresholds=[128],
+        scale=0.05,
     )
-    baseline = simulator.run(my_app, CoffeeLakeMapping(config), scheme="srs", t_rh=128)
-    rubix = simulator.run(
-        my_app, RubixSMapping(config, gang_size=4), scheme="srs", t_rh=128
-    )
-    assert baseline.slowdown_pct > 3 * rubix.slowdown_pct
+    persisted = Campaign(workloads=[f"file:{path}"], **grid).run()
+    generated = Campaign(workloads=["xz"], **grid).run()
+    assert [r["status"] for r in persisted] == ["ok", "ok"]
+    for record in persisted + generated:
+        record.pop("workload")
+    assert persisted == generated
 
 
 def test_section6_campaign():
@@ -194,7 +192,7 @@ def test_section6_telemetry(tmp_path):
     finally:
         obs.reset()
     assert "tutorial-sweep" in summary
-    assert (tmp_path / "sweep" / "metrics.prom").exists()
+    assert (tmp_path / "sweep" / "metrics.jsonl").exists()
     assert obs.validate_telemetry_dir(tmp_path / "sweep") == []
 
 

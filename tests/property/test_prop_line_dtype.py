@@ -19,7 +19,7 @@ from repro.dram.config import baseline_config, multichannel_config
 from repro.experiments.common import MAPPING_NAMES, make_mapping
 from repro.perf.simulator import Simulator
 from repro.workloads.trace import Trace, lines_fingerprint
-from repro.workloads.trace_io import load_trace_raw, save_trace_raw
+from repro.workloads.trace_io import load_trace, save_trace_raw
 
 CONFIGS = {"baseline": baseline_config(), "fig15-4ch": multichannel_config(4)}
 
@@ -97,7 +97,7 @@ def test_trace_narrows_exactly_when_the_largest_address_fits(largest):
 
 def _memmapped_round_trip(tmp_path, lines, stored):
     path = save_trace_raw(Trace("t", lines, instructions=1), tmp_path / "t")
-    loaded = load_trace_raw(path)
+    loaded = load_trace(path)
     assert loaded.lines.dtype == stored
     assert not loaded.lines.flags.owndata
     # Re-wrapping the memmapped array (as Trace.head or a caller might)

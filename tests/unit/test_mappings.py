@@ -11,7 +11,7 @@ from repro.mapping.linear import LinearMapping
 from repro.mapping.mop import MOPMapping
 from repro.mapping.stride import LargeStrideMapping
 from repro.workloads.trace import Trace
-from repro.workloads.trace_io import load_trace_raw, save_trace_raw
+from repro.workloads.trace_io import load_trace, save_trace_raw
 
 ALL_MAPPINGS = [
     LinearMapping,
@@ -109,7 +109,7 @@ def test_translate_trace_leaves_readonly_memmap_untouched(tmp_path, config, rng,
     """The in-place kernels write only into their own arrays."""
     lines = rng.integers(0, config.total_lines, 3000, dtype=np.uint64)
     path = save_trace_raw(Trace("ro", lines, instructions=10_000), tmp_path / "ro.rtr")
-    trace = load_trace_raw(path)
+    trace = load_trace(path)
     assert not trace.lines.flags.writeable
     if gang_size is None:
         mapping = CoffeeLakeMapping(config)

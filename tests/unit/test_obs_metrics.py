@@ -15,7 +15,6 @@ from repro.obs.metrics import (
     series_key,
     snapshot_from_jsonl,
     snapshot_to_jsonl,
-    snapshot_to_prometheus,
 )
 
 
@@ -199,24 +198,6 @@ class TestExporters:
             entry = json.loads(line)
             assert entry["kind"] in ("counter", "gauge", "histogram")
 
-    def test_prometheus_rendering(self):
-        text = snapshot_to_prometheus(self._populated())
-        assert '# TYPE repro_campaign_cells_total counter' in text
-        assert 'repro_campaign_cells_total{status="ok"} 3' in text
-        assert "# TYPE repro_cache_entries gauge" in text
-        assert 'repro_span_seconds_bucket{le="+Inf",span="sim.window"} 1' in text
-        assert 'repro_span_seconds_count{span="sim.window"} 1' in text
-
-    def test_prometheus_buckets_are_cumulative(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.declare_histogram("h", (1.0, 2.0, 3.0))
-        for value in (0.5, 1.5, 2.5):
-            reg.observe("h", value)
-        text = snapshot_to_prometheus(reg.snapshot())
-        assert 'repro_h_bucket{le="1.0"} 1' in text
-        assert 'repro_h_bucket{le="2.0"} 2' in text
-        assert 'repro_h_bucket{le="3.0"} 3' in text
-
     def test_filter_snapshot_by_prefix(self):
         snap = self._populated()
         semantic = filter_snapshot(snap, ("campaign.",))
@@ -225,49 +206,19 @@ class TestExporters:
         assert semantic["histograms"] == {}
 
 
-class TestPrometheusEscaping:
-    """Label values must survive Prometheus text exposition verbatim."""
+class TestOverflowFold:
+    """Histograms stay sound once the series cap folds labels, in the
+    snapshot and through the JSONL artifact."""
 
-    def test_quotes_escaped(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.inc("campaign.cells", status='say "hi"')
-        text = snapshot_to_prometheus(reg.snapshot())
-        assert 'status="say \\"hi\\""' in text
+    @staticmethod
+    def _round_trip(reg, tmp_path):
+        snap = reg.snapshot()
+        path = tmp_path / "metrics.jsonl"
+        path.write_text("\n".join(snapshot_to_jsonl(snap)) + "\n")
+        assert snapshot_from_jsonl(path) == snap
+        return snap["histograms"]
 
-    def test_backslashes_escaped_before_quotes(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.inc("campaign.cells", status="C:\\traces\\xz")
-        text = snapshot_to_prometheus(reg.snapshot())
-        assert 'status="C:\\\\traces\\\\xz"' in text
-        # The backslash pass must not double-escape the quote escapes.
-        reg2 = MetricsRegistry(enabled=True)
-        reg2.inc("campaign.cells", status='\\"')
-        text2 = snapshot_to_prometheus(reg2.snapshot())
-        assert 'status="\\\\\\""' in text2
-
-    def test_newlines_escaped(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.inc("campaign.cells", status="line1\nline2")
-        text = snapshot_to_prometheus(reg.snapshot())
-        assert 'status="line1\\nline2"' in text
-        # The exposition itself must stay one line per sample.
-        sample_lines = [l for l in text.splitlines() if "line1" in l]
-        assert len(sample_lines) == 1
-
-    def test_histogram_label_values_escaped_everywhere(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.observe("span.seconds", 0.01, span='a"b')
-        text = snapshot_to_prometheus(reg.snapshot())
-        for suffix in ("_bucket", "_sum", "_count"):
-            assert f'repro_span_seconds{suffix}' in text
-        assert 'span="a\\"b"' in text
-        assert 'span="a"b"' not in text
-
-
-class TestPrometheusOverflowFold:
-    """Bucket rendering must stay sound once the series cap folds labels."""
-
-    def test_histogram_folds_into_overflow_series(self):
+    def test_histogram_folds_into_overflow_series(self, tmp_path):
         reg = MetricsRegistry(enabled=True)
         reg.declare_histogram("h", (1.0, 2.0))
         for i in range(MAX_SERIES_PER_METRIC):
@@ -275,22 +226,25 @@ class TestPrometheusOverflowFold:
         # Past the cap: these observations fold into overflow="true".
         for value in (0.5, 1.5, 5.0):
             reg.observe("h", value, worker="one-too-many")
-        text = snapshot_to_prometheus(reg.snapshot())
-        assert 'repro_h_bucket{le="1.0",overflow="true"} 1' in text
-        assert 'repro_h_bucket{le="2.0",overflow="true"} 2' in text
-        assert 'repro_h_bucket{le="+Inf",overflow="true"} 3' in text
-        assert 'repro_h_count{overflow="true"} 3' in text
-        assert 'repro_h_sum{overflow="true"} 7.0' in text
+        histograms = self._round_trip(reg, tmp_path)
+        overflow = histograms[series_key("h", {"overflow": "true"})]
+        assert overflow["counts"] == [1, 1, 1]
+        assert overflow["count"] == 3
+        assert overflow["sum"] == 7.0
         # Pre-cap series keep their own buckets.
-        assert 'repro_h_bucket{le="1.0",worker="w0"} 1' in text
-        assert 'worker="one-too-many"' not in text
+        assert histograms[series_key("h", {"worker": "w0"})]["counts"] == [1, 0, 0]
+        assert not any("one-too-many" in key for key in histograms)
 
-    def test_overflow_counts_accumulate_across_folded_series(self):
+    def test_overflow_counts_accumulate_across_folded_series(self, tmp_path):
         reg = MetricsRegistry(enabled=True)
         reg.declare_histogram("h", (1.0,))
         for i in range(MAX_SERIES_PER_METRIC):
             reg.observe("h", 0.5, worker=f"w{i}")
         reg.observe("h", 0.5, worker="xa")
         reg.observe("h", 0.5, worker="xb")
-        text = snapshot_to_prometheus(reg.snapshot())
-        assert 'repro_h_bucket{le="1.0",overflow="true"} 2' in text
+        histograms = self._round_trip(reg, tmp_path)
+        overflow = histograms[series_key("h", {"overflow": "true"})]
+        assert overflow["counts"] == [2, 0]
+        assert overflow["count"] == 2
+        assert overflow["sum"] == 1.0
+        assert len(histograms) == MAX_SERIES_PER_METRIC + 1

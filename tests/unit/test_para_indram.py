@@ -1,68 +1,13 @@
-"""Unit tests for PARA and the in-DRAM sampling trackers."""
+"""Unit tests for the in-DRAM sampling trackers."""
 
 import pytest
 
-from repro.dram.config import Coordinate, DRAMConfig
 from repro.mitigations.indram import (
     InDRAMSamplingTracker,
     compare_trackers,
     measure_escape_probability,
 )
-from repro.mitigations.para import PARA, para_probability_for
 from repro.mitigations.trackers import MisraGriesTracker, PerRowTracker
-
-
-@pytest.fixture()
-def config():
-    return DRAMConfig(channels=1, ranks=1, banks=4, rows_per_bank=1024)
-
-
-def _coord(config, row):
-    return Coordinate(channel=0, rank=0, bank=0, row=row, col=0)
-
-
-class TestParaProbability:
-    def test_original_sizing(self):
-        # Kim et al. sized p ~ 0.001-0.01 for thresholds of tens of K.
-        assert para_probability_for(4800, 1e-15) == pytest.approx(0.0072, abs=3e-4)
-
-    def test_lower_threshold_needs_higher_p(self):
-        assert para_probability_for(128) > para_probability_for(4800)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            para_probability_for(0)
-        with pytest.raises(ValueError):
-            para_probability_for(100, escape_target=2.0)
-
-
-class TestPARA:
-    def test_refresh_rate_tracks_probability(self, config):
-        para = PARA(config, t_rh=128, probability=0.25, seed=1)
-        triggered = 0
-        for i in range(4000):
-            action = para.on_activation(_coord(config, i % 50), i * 1e-7)
-            triggered += action.stall_s > 0
-        assert triggered == pytest.approx(1000, rel=0.15)
-
-    def test_stateless_refreshes_neighbours(self, config):
-        para = PARA(config, t_rh=128, probability=1.0)
-        para.on_activation(_coord(config, 10), 0.0)
-        assert para.refreshes_issued == 2  # rows 9 and 11
-
-    def test_never_blocks_channel(self, config):
-        para = PARA(config, t_rh=128, probability=1.0)
-        action = para.on_activation(_coord(config, 10), 0.0)
-        assert not action.blocks_channel
-
-    def test_expected_overhead(self, config):
-        para = PARA(config, t_rh=128, probability=0.01)
-        overhead = para.expected_refresh_overhead(1_000_000)
-        assert overhead == pytest.approx(10_000 * para.costs.victim_refresh_s)
-
-    def test_validation(self, config):
-        with pytest.raises(ValueError):
-            PARA(config, t_rh=128, probability=0.0)
 
 
 class TestInDRAMSamplingTracker:

@@ -1,6 +1,7 @@
 """Unit tests for trace persistence, charts, and JSON export."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,10 +10,18 @@ from repro.errors import TraceFormatError
 from repro.experiments.charts import render_bars
 from repro.experiments.common import ExperimentResult
 from repro.workloads.trace import Trace
-from repro.workloads.trace_io import FORMAT_VERSION, load_trace, save_trace
+from repro.workloads.trace_io import (
+    RAW_HEADER_BYTES,
+    RawTraceWriter,
+    load_trace,
+    save_trace_raw,
+)
 
 
 class TestTraceIO:
+    """``save_trace_raw`` / ``load_trace`` at the API level; the ``.rtr``
+    layout itself is pinned in ``test_trace_io_raw.py``."""
+
     def _trace(self):
         return Trace(
             name="demo",
@@ -24,7 +33,7 @@ class TestTraceIO:
 
     def test_roundtrip(self, tmp_path):
         trace = self._trace()
-        path = save_trace(trace, tmp_path / "demo")
+        path = save_trace_raw(trace, tmp_path / "demo")
         loaded = load_trace(path)
         assert loaded.name == trace.name
         assert loaded.instructions == trace.instructions
@@ -33,91 +42,83 @@ class TestTraceIO:
         assert np.array_equal(loaded.lines, trace.lines)
 
     def test_suffix_appended(self, tmp_path):
-        path = save_trace(self._trace(), tmp_path / "demo.trace")
-        assert path.suffix == ".npz"
+        path = save_trace_raw(self._trace(), tmp_path / "demo.trace")
+        assert path.name == "demo.trace.rtr"
+        assert load_trace(path).name == "demo"
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_trace(tmp_path / "nothing.npz")
+        with pytest.raises(FileNotFoundError, match="nothing.rtr"):
+            load_trace(tmp_path / "nothing.rtr")
 
     def test_wrong_format(self, tmp_path):
+        # A leftover .npz bundle is refused by its magic, not parsed.
         path = tmp_path / "junk.npz"
-        np.savez(path, stuff=np.arange(3))
-        with pytest.raises(ValueError):
+        np.savez(path, lines=np.arange(3, dtype=np.uint64))
+        with pytest.raises(TraceFormatError, match="junk.npz: not a raw trace"):
             load_trace(path)
 
     def test_creates_directories(self, tmp_path):
-        path = save_trace(self._trace(), tmp_path / "deep" / "dir" / "demo")
+        path = save_trace_raw(self._trace(), tmp_path / "deep" / "dir" / "demo")
         assert path.exists()
 
     def test_save_leaves_no_temp_files(self, tmp_path):
-        save_trace(self._trace(), tmp_path / "demo")
-        assert [p.name for p in tmp_path.iterdir()] == ["demo.npz"]
+        save_trace_raw(self._trace(), tmp_path / "demo")
+        assert [p.name for p in tmp_path.iterdir()] == ["demo.rtr"]
 
-    def _save_with_meta(self, tmp_path, meta):
-        path = tmp_path / "bad.npz"
-        np.savez(
-            path,
-            lines=np.arange(10, dtype=np.uint64),
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        )
+    def _save_with_meta(self, tmp_path, drop=(), **changes):
+        """A valid file whose metadata tail has ``changes`` applied and
+        the keys in ``drop`` removed."""
+        good = save_trace_raw(self._trace(), tmp_path / "good").read_bytes()
+        (meta_len,) = struct.unpack("<Q", good[32:40])
+        data_end = len(good) - meta_len
+        meta = json.loads(good[data_end:].decode())
+        meta.update(changes)
+        for key in drop:
+            del meta[key]
+        new_meta = json.dumps(meta).encode()
+        header = bytearray(good[:RAW_HEADER_BYTES])
+        header[32:40] = struct.pack("<Q", len(new_meta))
+        path = tmp_path / "bad.rtr"
+        path.write_bytes(bytes(header) + good[RAW_HEADER_BYTES:data_end] + new_meta)
         return path
 
     def test_not_an_archive_names_the_path(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not a zip archive at all")
-        with pytest.raises(TraceFormatError, match="garbage.npz"):
+        path = tmp_path / "garbage.rtr"
+        path.write_bytes(b"this is not a raw trace file, just some bytes" * 4)
+        with pytest.raises(TraceFormatError, match="garbage.rtr"):
             load_trace(path)
 
     def test_missing_meta_keys_listed(self, tmp_path):
-        path = self._save_with_meta(tmp_path, {"version": FORMAT_VERSION, "name": "x"})
-        with pytest.raises(TraceFormatError, match="instructions"):
+        path = self._save_with_meta(tmp_path, drop=("instructions", "scale"))
+        with pytest.raises(TraceFormatError, match=r"\['instructions', 'scale'\]"):
             load_trace(path)
 
     def test_unsupported_version(self, tmp_path):
-        meta = {
-            "version": 99,
-            "name": "x",
-            "instructions": 10,
-            "window_s": 0.064,
-            "scale": 1.0,
-        }
-        with pytest.raises(TraceFormatError, match="version"):
-            load_trace(self._save_with_meta(tmp_path, meta))
-
-    def test_malformed_lines_array(self, tmp_path):
-        meta = {
-            "version": FORMAT_VERSION,
-            "name": "x",
-            "instructions": 10,
-            "window_s": 0.064,
-            "scale": 1.0,
-        }
-        path = tmp_path / "bad.npz"
-        np.savez(
-            path,
-            lines=np.ones((2, 5)),  # 2-D float array
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        )
-        with pytest.raises(TraceFormatError, match="1-D"):
+        data = bytearray(save_trace_raw(self._trace(), tmp_path / "demo").read_bytes())
+        data[8:12] = struct.pack("<I", 99)
+        path = tmp_path / "future.rtr"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="future.rtr: unsupported raw trace version"):
             load_trace(path)
 
+    def test_malformed_lines_array(self, tmp_path):
+        # A 2-D line array is refused before anything is published.
+        trace_2d = np.ones((2, 5), dtype=np.uint64)
+        with pytest.raises(ValueError, match="1-D"):
+            with RawTraceWriter(tmp_path / "bad", name="x", instructions=10) as writer:
+                writer.append(trace_2d)
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_meta_values(self, tmp_path):
-        meta = {
-            "version": FORMAT_VERSION,
-            "name": "x",
-            "instructions": -5,  # Trace rejects non-positive counts
-            "window_s": 0.064,
-            "scale": 1.0,
-        }
-        with pytest.raises(TraceFormatError):
-            load_trace(self._save_with_meta(tmp_path, meta))
+        # Trace rejects non-positive instruction counts.
+        path = self._save_with_meta(tmp_path, instructions=-5)
+        with pytest.raises(TraceFormatError, match="bad.rtr: metadata values are invalid"):
+            load_trace(path)
 
     def test_trace_format_error_is_value_error(self, tmp_path):
         # Back-compat: pre-taxonomy callers caught ValueError.
-        path = self._save_with_meta(tmp_path, {"version": 99})
         with pytest.raises(ValueError):
-            load_trace(path)
+            load_trace(self._save_with_meta(tmp_path, window_s="soon"))
 
 
 @pytest.fixture()

@@ -27,10 +27,7 @@ from repro.workloads.trace_io import (
     RAW_MAGIC,
     RawTraceWriter,
     load_trace,
-    load_trace_raw,
-    save_trace,
     save_trace_raw,
-    sniff_format,
 )
 
 
@@ -59,7 +56,7 @@ def _header(path):
 def test_roundtrip_preserves_everything(tmp_path, trace):
     path = _written(tmp_path, trace)
     assert path.suffix == ".rtr"
-    loaded = load_trace_raw(path)
+    loaded = load_trace(path)
     assert loaded.name == trace.name
     assert loaded.instructions == trace.instructions
     assert loaded.window_s == trace.window_s
@@ -82,17 +79,14 @@ def test_wide_trace_roundtrips_as_u8(tmp_path, trace):
     assert wide.lines.dtype == np.uint64
     path = _written(tmp_path, wide)
     assert _header(path)[0] == RAW_DTYPE_CODE_U64LE
-    loaded = load_trace_raw(path)
+    loaded = load_trace(path)
     assert loaded.lines.dtype == np.uint64
     assert np.array_equal(loaded.lines, lines)
     assert loaded._fingerprint == wide.fingerprint
-    in_memory = load_trace_raw(path, mmap=False)
-    assert in_memory.lines.dtype == np.uint64
-    assert np.array_equal(in_memory.lines, lines)
     short = tmp_path / "short.rtr"
     short.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(TraceFormatError, match="; trace is truncated"):
-        load_trace_raw(short)
+        load_trace(short)
 
 
 def test_hand_built_u8_file_loads_with_its_fingerprint(tmp_path, trace):
@@ -121,7 +115,7 @@ def test_hand_built_u8_file_loads_with_its_fingerprint(tmp_path, trace):
     )
     path = tmp_path / "legacy.rtr"
     path.write_bytes(header.ljust(RAW_HEADER_BYTES, b"\0") + lines.tobytes() + meta)
-    loaded = load_trace_raw(path)
+    loaded = load_trace(path)
     assert loaded.lines.dtype == np.uint64
     assert np.array_equal(loaded.lines, trace.lines)
     assert loaded._fingerprint == trace.fingerprint
@@ -130,7 +124,7 @@ def test_hand_built_u8_file_loads_with_its_fingerprint(tmp_path, trace):
 
 
 def test_load_is_zero_copy_memmap(tmp_path, trace):
-    loaded = load_trace_raw(_written(tmp_path, trace))
+    loaded = load_trace(_written(tmp_path, trace))
     # The lines array is a view onto a memmap -- no bytes copied.
     assert not loaded.lines.flags.owndata
     base = loaded.lines
@@ -143,22 +137,11 @@ def test_load_is_zero_copy_memmap(tmp_path, trace):
 
 def test_stored_fingerprint_preseeds_memo(tmp_path, trace):
     expected = trace.fingerprint
-    loaded = load_trace_raw(_written(tmp_path, trace))
+    loaded = load_trace(_written(tmp_path, trace))
     # Already present before any hashing could have run on the memmap...
     assert loaded._fingerprint == expected
     # ...and consistent with hashing the mapped bytes from scratch.
     assert lines_fingerprint(loaded.lines) == expected
-
-
-def test_mmap_false_reads_into_memory(tmp_path, trace):
-    import mmap
-
-    loaded = load_trace_raw(_written(tmp_path, trace), mmap=False)
-    base = loaded.lines
-    while isinstance(base, np.ndarray) and base.base is not None:
-        base = base.base
-    assert not isinstance(base, (np.memmap, mmap.mmap))
-    assert np.array_equal(loaded.lines, trace.lines)
 
 
 def test_streaming_writer_matches_one_shot(tmp_path, trace):
@@ -182,7 +165,7 @@ def test_streaming_writer_matches_one_shot(tmp_path, trace):
             writer.append(trace.lines[start : start + 7_001].astype(np.uint64))
     wide = tmp_path / "wide.rtr"
     assert _header(wide)[0] == RAW_DTYPE_CODE_U64LE
-    assert load_trace_raw(wide)._fingerprint == trace.fingerprint
+    assert load_trace(wide)._fingerprint == trace.fingerprint
 
 
 def test_writer_refuses_a_wide_chunk_after_uint32(tmp_path, trace):
@@ -196,7 +179,7 @@ def test_writer_refuses_a_wide_chunk_after_uint32(tmp_path, trace):
 def test_empty_trace_roundtrip(tmp_path):
     with RawTraceWriter(tmp_path / "empty", name="empty", instructions=1) as writer:
         pass
-    loaded = load_trace_raw(tmp_path / "empty.rtr")
+    loaded = load_trace(tmp_path / "empty.rtr")
     assert loaded.lines.size == 0
     assert loaded.fingerprint == lines_fingerprint(np.empty(0, dtype=np.uint64))
 
@@ -223,7 +206,7 @@ def test_streamed_digest_identical_to_in_memory(tmp_path, trace):
     legacy.update(str(trace.lines.size).encode())
     legacy.update(trace.lines.astype(np.uint64).tobytes())
     assert trace.fingerprint == legacy.hexdigest()
-    streamed = load_trace_raw(_written(tmp_path, trace))
+    streamed = load_trace(_written(tmp_path, trace))
     assert streamed.fingerprint == trace.fingerprint
 
 
@@ -246,7 +229,7 @@ def test_fingerprint_same_for_uint32_uint64_and_memmap(tmp_path):
     narrow = wide.astype(np.uint32)
     trace = Trace("t", narrow, instructions=1)
     assert trace.lines.dtype == np.uint32
-    mapped = load_trace_raw(save_trace_raw(trace, tmp_path / "t"))
+    mapped = load_trace(save_trace_raw(trace, tmp_path / "t"))
     assert mapped.lines.dtype == np.uint32
     assert mapped._fingerprint == trace.fingerprint
     mapped._fingerprint = None  # hash the mapped bytes, not the stored digest
@@ -277,20 +260,15 @@ def test_uint32_fingerprint_temporary_is_bounded(tmp_path, action):
     assert peak / n <= 1, f"{peak / n:.2f} B/line"
 
 # ---------------------------------------------------------------------------
-# Format sniffing
+# The .rtr path is the only format
 # ---------------------------------------------------------------------------
-def test_load_trace_sniffs_both_formats(tmp_path, trace):
-    raw = _written(tmp_path, trace)
-    npz = save_trace(trace, tmp_path / "bundle")
-    assert sniff_format(raw) == "raw"
-    assert sniff_format(npz) == "npz"
-    assert load_trace(raw).fingerprint == trace.fingerprint
-    assert load_trace(npz).fingerprint == trace.fingerprint
+def test_load_trace_keeps_the_in_memory_fingerprint(tmp_path, trace):
+    assert load_trace(_written(tmp_path, trace)).fingerprint == trace.fingerprint
 
 
 def test_missing_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_trace_raw(tmp_path / "nope.rtr")
+        load_trace(tmp_path / "nope.rtr")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +287,7 @@ def test_truncated_data_is_diagnosed(tmp_path, trace):
     short = tmp_path / "short.rtr"
     short.write_bytes(good.read_bytes()[: RAW_HEADER_BYTES + 1000])
     with pytest.raises(TraceFormatError, match="; trace is truncated"):
-        load_trace_raw(short)
+        load_trace(short)
 
 
 def test_truncated_u4_file_is_diagnosed(tmp_path, trace):
@@ -322,14 +300,14 @@ def test_truncated_u4_file_is_diagnosed(tmp_path, trace):
     short.write_bytes(good.read_bytes()[: RAW_HEADER_BYTES + 4 * n_lines + meta_len - 4])
     # The temp path names the test, so match the diagnosis itself.
     with pytest.raises(TraceFormatError, match="; trace is truncated"):
-        load_trace_raw(short)
+        load_trace(short)
 
 
 def test_file_shorter_than_header_is_diagnosed(tmp_path):
     stub = tmp_path / "stub.rtr"
     stub.write_bytes(RAW_MAGIC)  # magic only, no header
     with pytest.raises(TraceFormatError, match="shorter than"):
-        load_trace_raw(stub)
+        load_trace(stub)
 
 
 def test_wrong_endian_word_is_refused(tmp_path, trace):
@@ -338,7 +316,7 @@ def test_wrong_endian_word_is_refused(tmp_path, trace):
 
     path = _corrupt(tmp_path, trace, flip_endian_word)
     with pytest.raises(TraceFormatError, match="byte order"):
-        load_trace_raw(path)
+        load_trace(path)
 
 
 def test_bad_magic_is_not_a_raw_trace(tmp_path, trace):
@@ -347,9 +325,6 @@ def test_bad_magic_is_not_a_raw_trace(tmp_path, trace):
 
     path = _corrupt(tmp_path, trace, clobber_magic)
     with pytest.raises(TraceFormatError, match="magic"):
-        load_trace_raw(path)
-    # The sniffer routes it to the npz loader, which also diagnoses it.
-    with pytest.raises(TraceFormatError):
         load_trace(path)
 
 
@@ -359,7 +334,7 @@ def test_unsupported_version_is_refused(tmp_path, trace):
 
     path = _corrupt(tmp_path, trace, bump_version)
     with pytest.raises(TraceFormatError, match="version 99"):
-        load_trace_raw(path)
+        load_trace(path)
 
 
 def test_unknown_dtype_code_is_refused(tmp_path, trace):
@@ -368,7 +343,7 @@ def test_unknown_dtype_code_is_refused(tmp_path, trace):
 
     path = _corrupt(tmp_path, trace, set_dtype_code)
     with pytest.raises(TraceFormatError, match="dtype code 7"):
-        load_trace_raw(path)
+        load_trace(path)
 
 
 @pytest.mark.parametrize("code", [0, 3])
@@ -378,7 +353,7 @@ def test_dtype_codes_next_to_the_known_ones_are_refused(tmp_path, trace, code):
 
     path = _corrupt(tmp_path, trace, set_dtype_code)
     with pytest.raises(TraceFormatError, match=rf"dtype code {code} \(expected one of \[1, 2\]\)"):
-        load_trace_raw(path)
+        load_trace(path)
 
 
 def test_corrupt_metadata_tail_is_diagnosed(tmp_path, trace):
@@ -387,7 +362,7 @@ def test_corrupt_metadata_tail_is_diagnosed(tmp_path, trace):
 
     path = _corrupt(tmp_path, trace, scramble_meta)
     with pytest.raises(TraceFormatError, match="JSON"):
-        load_trace_raw(path)
+        load_trace(path)
 
 
 def test_missing_meta_keys_are_diagnosed(tmp_path, trace):
@@ -404,7 +379,7 @@ def test_missing_meta_keys_are_diagnosed(tmp_path, trace):
     path = tmp_path / "nometa.rtr"
     path.write_bytes(bytes(header) + good[RAW_HEADER_BYTES:data_end] + new_meta)
     with pytest.raises(TraceFormatError, match="missing required keys"):
-        load_trace_raw(path)
+        load_trace(path)
 
 
 # ---------------------------------------------------------------------------
@@ -425,3 +400,30 @@ def test_file_workload_missing_path_fails_fast(tmp_path):
 
     with pytest.raises(WorkloadConfigError, match="no file"):
         validate_workload(f"file:{tmp_path}/absent.rtr")
+
+
+def test_npz_file_workload_fails_fast(tmp_path, trace):
+    """A ``file:`` workload naming an ``.npz`` bundle is refused by name
+    before any cell runs, through a campaign and through ``get_trace``."""
+    from repro.experiments.campaign import Campaign, MappingSpec
+    from repro.experiments.common import get_trace
+
+    bundle = tmp_path / "old.npz"
+    np.savez(bundle, lines=trace.lines.astype(np.uint64))
+    name = f"file:{bundle}"
+    with pytest.raises(WorkloadConfigError, match="old.npz.* is not a .rtr trace"):
+        Campaign(workloads=[name], mappings=[MappingSpec("coffeelake")])
+    with pytest.raises(WorkloadConfigError, match="old.npz.* is not a .rtr trace"):
+        get_trace(name)
+
+
+def test_cached_file_workload_opens_no_file(tmp_path, trace):
+    from repro.experiments import common
+
+    common.clear_caches()
+    path = _written(tmp_path, trace)
+    name = f"file:{path}"
+    loaded = common.get_trace(name)
+    path.unlink()  # validating the name again would now raise
+    assert common.get_trace(name) is loaded
+    common.clear_caches()
