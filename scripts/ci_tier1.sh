@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification with hang protection.
 #
-# Stage 1 runs the repo's tier-1 test command (see ROADMAP.md); stage 2
+# Stage 1 runs the repo's tier-1 test command (see ROADMAP.md), which
+# includes the import-graph guards of tests/unit/test_import_graph.py
+# (among them: every name in repro.errors.__all__ is used by another
+# module under src/repro, so a dead error type fails CI); stage 2
 # smoke-tests the parallel campaign engine (tiny grid, workers=2,
 # crash + journal-resume check -- scripts/parallel_smoke.py); stage 3
 # runs the hot-path kernel benchmark in --quick mode, which asserts the

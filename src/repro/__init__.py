@@ -26,7 +26,7 @@ Package map (see DESIGN.md for the full inventory):
 * ``repro.analysis``    -- hot-row characterization, binomial model, security checks
 * ``repro.experiments`` -- one runner per table/figure of the paper
 * ``repro.errors``      -- the structured exception taxonomy
-* ``repro.resilience``  -- campaign fault boundary, checkpoint journals, fault injection
+* ``repro.resilience``  -- one-try campaign fault boundary, checkpoint journals, fault injection
 """
 
 import importlib

@@ -6,12 +6,13 @@ of (mapping, scheme, threshold) and give me tidy records I can load
 into pandas".  :class:`Campaign` provides that surface on top of the
 shared simulator and caches.
 
-Campaigns are *resilient*: every cell runs inside a
+Campaigns are *resilient*: every cell is tried once inside a
 :class:`~repro.resilience.executor.ResilientExecutor` fault boundary, so
 one malformed configuration or crashing cell yields a tidy error record
-instead of aborting the sweep, and an optional JSONL checkpoint journal
-makes an interrupted campaign resumable exactly where it stopped
-(``Campaign.run(resume_from=...)``).
+instead of aborting the sweep, every result passes
+:func:`~repro.resilience.executor.check_result_invariants`, and an
+optional JSONL checkpoint journal makes an interrupted campaign
+resumable exactly where it stopped (``Campaign.run(resume_from=...)``).
 
 Campaigns are also *parallel*: ``Campaign.run(workers=N)`` dispatches
 cells to a process pool (see :mod:`repro.parallel.executor`) whose
@@ -98,14 +99,11 @@ class Campaign:
     thresholds: Sequence[int] = (128,)
     scale: float = 0.2
     config: Optional[DRAMConfig] = None
-    #: Scale multiplier the graceful-degradation fallback re-runs with
-    #: when a cell exceeds its budget (None disables the fallback).
-    degrade_scale_factor: Optional[float] = 0.5
     _mapping_cache: Dict[MappingSpec, AddressMapping] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: Cells this instance ran rather than replayed from a journal: one
-    #: per cell whatever its status or attempt count.
+    #: per cell whatever its status.
     cells_executed: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -180,7 +178,7 @@ class Campaign:
         return product(self.workloads, self.mappings, self.schemes, self.thresholds)
 
     def cell_key(self, workload: str, spec: MappingSpec, scheme: str, t_rh: int) -> str:
-        """Canonical journal/retry key for one cell (stable across runs)."""
+        """Canonical journal key for one cell (stable across runs)."""
         return (
             f"{workload}|{spec.kind}|gs{spec.gang_size}|rr{spec.remap_rate}"
             f"|seg{spec.segments}|{scheme}|trh{t_rh}|scale{self.scale}"
@@ -190,7 +188,6 @@ class Campaign:
     def run(
         self,
         *,
-        executor: Optional[ResilientExecutor] = None,
         journal: Optional[Union[str, Path, CheckpointJournal]] = None,
         resume_from: Optional[Union[str, Path, CheckpointJournal]] = None,
         simulator=None,
@@ -200,11 +197,12 @@ class Campaign:
     ) -> List[dict]:
         """Execute the sweep; returns one tidy record per cell.
 
+        Each cell is tried once inside a :class:`ResilientExecutor`
+        fault boundary: failing cells yield records with
+        ``status="error"`` plus the typed error class -- the sweep
+        always completes.
+
         Args:
-            executor: Fault boundary each cell runs in (a default
-                :class:`ResilientExecutor` when omitted).  Failing cells
-                yield records with ``status="error"`` plus the typed
-                error class -- the sweep always completes.
             journal: Checkpoint journal to write (path or instance).  An
                 existing file at the path is restarted from scratch.
             resume_from: Journal of a previous, interrupted run; its
@@ -226,19 +224,18 @@ class Campaign:
 
         Raises:
             ValueError: Both ``journal`` and ``resume_from`` given, a
-                non-positive ``workers``, or per-worker overrides
-                (``executor=``/``simulator=``) combined with
-                ``workers > 1``.
+                non-positive ``workers``, or a ``simulator=`` override
+                combined with ``workers > 1``.
         """
         if journal is not None and resume_from is not None:
             raise ValueError("pass either journal= (fresh) or resume_from=, not both")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if workers > 1:
-            if executor is not None or simulator is not None:
+            if simulator is not None:
                 raise ValueError(
-                    "executor=/simulator= overrides are per-process and cannot"
-                    " cross the pool boundary; run with workers=1 to use them"
+                    "a simulator= override is per-process and cannot cross"
+                    " the pool boundary; run with workers=1 to use it"
                 )
             from repro.parallel.executor import ParallelExecutor
 
@@ -248,7 +245,6 @@ class Campaign:
             return engine.run(self, journal=journal, resume_from=resume_from)
 
         checkpoint, completed = self._checkpoint(journal, resume_from)
-        executor = executor or ResilientExecutor()
         sim = simulator or get_simulator(self.config)
         if stats_cache_dir is not None:
             sim.stats_cache.persist_to(stats_cache_dir)
@@ -261,7 +257,7 @@ class Campaign:
                     records.append(completed[key])
                     continue
                 started = time.perf_counter()
-                record = self.execute_cell(sim, executor, workload, spec, scheme, t_rh)
+                record = self.execute_cell(sim, workload, spec, scheme, t_rh)
                 records.append(record)
                 self.cells_executed += 1
                 if checkpoint is not None:
@@ -276,7 +272,6 @@ class Campaign:
     def execute_cell(
         self,
         sim,
-        executor: ResilientExecutor,
         workload: str,
         spec: MappingSpec,
         scheme: str,
@@ -296,10 +291,9 @@ class Campaign:
             scheme=scheme,
             t_rh=t_rh,
         ):
-            outcome = executor.execute(
+            outcome = ResilientExecutor().execute(
                 key,
-                lambda: self._run_cell(sim, workload, spec, scheme, t_rh, self.scale),
-                degrade=self._degrade_fn(sim, workload, spec, scheme, t_rh),
+                lambda: self._run_cell(sim, workload, spec, scheme, t_rh),
                 validate=check_result_invariants,
             )
         record = self._record(workload, spec, scheme, t_rh, outcome)
@@ -324,7 +318,6 @@ class Campaign:
             "thresholds": list(self.thresholds),
             "scale": self.scale,
             "config": self.config,
-            "degrade_scale_factor": self.degrade_scale_factor,
         }
 
     # ------------------------------------------------------------------
@@ -343,16 +336,10 @@ class Campaign:
         return checkpoint, checkpoint.completed()
 
     def _run_cell(
-        self, sim, workload: str, spec: MappingSpec, scheme: str, t_rh: int, scale: float
+        self, sim, workload: str, spec: MappingSpec, scheme: str, t_rh: int
     ) -> RunResult:
-        trace = get_trace(workload, scale=scale)
+        trace = get_trace(workload, scale=self.scale)
         return sim.run(trace, self._cell_mapping(spec), scheme=scheme, t_rh=t_rh)
-
-    def _degrade_fn(self, sim, workload: str, spec: MappingSpec, scheme: str, t_rh: int):
-        if self.degrade_scale_factor is None:
-            return None
-        reduced = self.scale * self.degrade_scale_factor
-        return lambda: self._run_cell(sim, workload, spec, scheme, t_rh, reduced)
 
     def _record(
         self,
@@ -368,7 +355,6 @@ class Campaign:
             "scheme": scheme,
             "t_rh": t_rh,
             "status": outcome.status,
-            "attempts": outcome.attempts,
         }
         if outcome.flags:
             record["flags"] = list(outcome.flags)

@@ -39,10 +39,7 @@ METRICS: Dict[str, dict] = {
     "cache.disk_bytes_read": {"kind": "counter", "labels": set()},
     "cache.entries": {"kind": "gauge", "labels": set()},
     "cache.corrupt": {"kind": "counter", "labels": set()},
-    # -- resilient executor (semantic) ---------------------------------
-    "resilience.retries": {"kind": "counter", "labels": set()},
-    "resilience.infra_retries": {"kind": "counter", "labels": set()},
-    "resilience.backoff_seconds": {"kind": "counter", "labels": set()},
+    # -- campaign fault boundary (semantic) -----------------------------
     "resilience.faults": {"kind": "counter", "labels": {"class"}},
     "resilience.cells": {"kind": "counter", "labels": {"status"}},
     "resilience.journal.truncated": {"kind": "counter", "labels": set()},

@@ -3,7 +3,7 @@
 Turns a telemetry directory's manifest + metrics snapshot into the
 terse operational overview an engineer actually wants after a run:
 where the time went (span table), whether the caches worked (hit
-rates), whether the run struggled (retries, faults, degraded cells),
+rates), whether the run struggled (faults, degraded cells),
 and the paper-facing mitigation counters.
 """
 
@@ -87,17 +87,10 @@ def summarize_snapshot(snapshot: dict, *, manifest: Optional[RunManifest] = None
             f" (memory {int(in_memory)}, disk {int(disk)},"
             f" misses {int(hits.get('result=miss', 0))})"
         )
-    retries = total("resilience.retries")
     faults = counters.get("resilience.faults", {})
-    if retries or faults:
-        packed = (
-            "  ".join(f"{label}={int(v)}" for label, v in sorted(faults.items()))
-            or "none"
-        )
-        lines.append(
-            f"resilience: {int(retries)} retries,"
-            f" {total('resilience.backoff_seconds'):.2f}s backoff, faults: {packed}"
-        )
+    if faults:
+        packed = "  ".join(f"{label}={int(v)}" for label, v in sorted(faults.items()))
+        lines.append(f"resilience faults: {packed}")
     mitigations = counters.get("mitigation.invocations", {})
     if mitigations:
         packed = "  ".join(

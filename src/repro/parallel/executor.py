@@ -8,10 +8,10 @@ worker pool:
   names and numbers only, a few hundred bytes each; no trace or
   simulator ever crosses the process boundary;
 * each worker rebuilds the campaign once (from its picklable
-  constructor payload), then reuses a per-process simulator, trace
-  cache, and :class:`~repro.resilience.executor.ResilientExecutor`
-  across every cell it is handed -- so each cell still runs inside the
-  same fault boundary as a serial sweep;
+  constructor payload), then reuses a per-process simulator and trace
+  cache across every cell it is handed; each cell runs through
+  :meth:`~repro.experiments.campaign.Campaign.execute_cell`, so it is
+  tried once inside the same fault boundary as in a serial sweep;
 * with a ``stats_cache_dir``, workers share one disk-persistent,
   content-keyed window-statistics cache, so two workers given the same
   (trace, mapping) analysis reuse rather than recompute it;
@@ -64,7 +64,7 @@ class CellTask:
     """
 
     index: int  #: Position in the campaign's deterministic cell order.
-    key: str  #: Canonical journal/retry key.
+    key: str  #: Canonical journal key.
     workload: str
     spec: "MappingSpec"
     scheme: str
@@ -91,8 +91,7 @@ class CellCompletion:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side state.  One campaign + simulator + fault boundary per
-# process, built once by the pool initializer and reused across cells;
+# Worker-side state.  One campaign + simulator per process, built once by the pool initializer and reused across cells;
 # module-level so both fork and spawn start methods find it.
 # ---------------------------------------------------------------------------
 _WORKER: dict = {}
@@ -103,10 +102,9 @@ def _init_worker(
     stats_cache_dir: Optional[str],
     obs_config: Optional[dict] = None,
 ) -> None:
-    """Rebuild the campaign, its simulator, and a fault boundary."""
+    """Rebuild the campaign and its simulator."""
     from repro.experiments.campaign import Campaign
     from repro.experiments.common import get_simulator
-    from repro.resilience.executor import ResilientExecutor
 
     if obs_config is not None:
         # Forked workers inherit the parent's registry contents; spawn
@@ -120,7 +118,7 @@ def _init_worker(
     sim = get_simulator(campaign.config)
     if stats_cache_dir:
         sim.stats_cache.persist_to(stats_cache_dir)
-    _WORKER.update(campaign=campaign, sim=sim, executor=ResilientExecutor())
+    _WORKER.update(campaign=campaign, sim=sim)
 
 
 def _run_task(task: CellTask) -> CellCompletion:
@@ -138,7 +136,6 @@ def _run_task(task: CellTask) -> CellCompletion:
     with TRACER.attach(task.trace):
         record = _WORKER["campaign"].execute_cell(
             _WORKER["sim"],
-            _WORKER["executor"],
             task.workload,
             task.spec,
             task.scheme,

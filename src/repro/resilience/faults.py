@@ -15,8 +15,7 @@ trust boundaries a campaign crosses --
   :func:`snapshot_key_state` digest -- modelling key-register parity);
 * **the simulator itself** (:class:`FaultySimulator` wraps a real
   simulator and, per a seeded :class:`FaultPlan`, raises typed errors,
-  fails transiently, drops mitigation events, or crashes the process
-  mid-sweep).
+  drops mitigation events, or crashes the process mid-sweep).
 
 :func:`~repro.resilience.executor.check_result_invariants`, which every
 campaign cell runs, is the matching detector, so no injected fault
@@ -27,11 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from repro.errors import FaultInjectedError, MappingConfigError, TransientError
+from repro.errors import FaultInjectedError, MappingConfigError
 from repro.mapping.base import AddressMapping
 from repro.perf.simulator import RunResult, Simulator
 from repro.utils.prng import SplitMix64
@@ -161,8 +160,6 @@ class FaultPlan:
     Attributes:
         seed: Recorded for provenance (plans are already deterministic).
         fail_cells: Cells that raise :class:`FaultInjectedError`.
-        transient_cells: ``{pattern: n}`` -- the first ``n`` attempts of
-            matching cells raise :class:`TransientError`, then succeed.
         drop_mitigation_cells: Cells whose result has its mitigation
             events dropped (count zeroed) -- a *silent* corruption that
             :func:`~repro.resilience.executor.check_result_invariants`
@@ -173,7 +170,6 @@ class FaultPlan:
 
     seed: int = 0
     fail_cells: Tuple[str, ...] = ()
-    transient_cells: Dict[str, int] = field(default_factory=dict)
     drop_mitigation_cells: Tuple[str, ...] = ()
     crash_after_cells: Optional[int] = None
 
@@ -190,7 +186,6 @@ class FaultySimulator:
         self.plan = plan
         self.config = simulator.config
         self.cells_completed = 0
-        self._attempts: Dict[str, int] = {}
 
     @staticmethod
     def _cell_id(trace: Trace, mapping: AddressMapping, scheme: str, t_rh: int) -> str:
@@ -213,17 +208,6 @@ class FaultySimulator:
             raise FaultInjectedError(
                 "injected hard fault", cell=cell_id, seed=self.plan.seed
             )
-        for pattern, failures in self.plan.transient_cells.items():
-            if pattern in cell_id:
-                seen = self._attempts.get(cell_id, 0)
-                self._attempts[cell_id] = seen + 1
-                if seen < failures:
-                    raise TransientError(
-                        "injected transient fault",
-                        cell=cell_id,
-                        attempt=seen + 1,
-                        remaining=failures - seen - 1,
-                    )
         result = self.simulator.run(trace, mapping, scheme=scheme, t_rh=t_rh, **kwargs)
         if self._matches(self.plan.drop_mitigation_cells, cell_id):
             result = dataclasses.replace(result, mitigations=0)

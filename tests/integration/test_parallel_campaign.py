@@ -16,7 +16,6 @@ import pytest
 
 from repro.experiments.campaign import Campaign, MappingSpec
 from repro.experiments.common import get_simulator
-from repro.resilience.executor import ResilientExecutor
 from repro.resilience.faults import FaultPlan, FaultySimulator, SimulatedCrash
 from repro.resilience.journal import CheckpointJournal
 
@@ -53,9 +52,9 @@ class TestParallelMatchesSerial:
 
     def test_workers_1_uses_serial_path(self):
         # workers=1 must be exactly the serial code path (it accepts the
-        # per-process simulator/executor overrides parallel mode rejects).
+        # per-process simulator override parallel mode rejects).
         campaign = make_campaign(workloads=["xz"], thresholds=[128])
-        records = campaign.run(workers=1, executor=ResilientExecutor())
+        records = campaign.run(workers=1, simulator=get_simulator())
         assert len(records) == campaign.size() == 4
 
 
@@ -63,10 +62,6 @@ class TestValidation:
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             make_campaign().run(workers=0)
-
-    def test_executor_override_rejected_in_parallel(self):
-        with pytest.raises(ValueError, match="workers=1"):
-            make_campaign().run(workers=2, executor=ResilientExecutor())
 
     def test_simulator_override_rejected_in_parallel(self):
         with pytest.raises(ValueError, match="workers=1"):

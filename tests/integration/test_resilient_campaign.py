@@ -11,7 +11,6 @@ import pytest
 from repro.errors import MappingConfigError, SchemeConfigError, WorkloadConfigError
 from repro.experiments.campaign import Campaign, MappingSpec
 from repro.experiments.common import get_simulator
-from repro.resilience.executor import ResilientExecutor, RetryPolicy
 from repro.resilience.faults import FaultPlan, FaultySimulator, SimulatedCrash
 from repro.resilience.journal import CheckpointJournal
 
@@ -51,20 +50,6 @@ class TestFaultIsolation:
             if record is not error:
                 assert record["status"] == "ok"
                 assert record["normalized_performance"] > 0
-
-    def test_transient_fault_retries_to_success(self):
-        campaign = make_campaign()
-        executor = ResilientExecutor(
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0), sleep=lambda s: None
-        )
-        records = campaign.run(
-            executor=executor,
-            simulator=faulty(FaultPlan(transient_cells={"xz|CoffeeLake": 2})),
-        )
-        by_cell = {(r["workload"], r["mapping"]): r for r in records}
-        flaky = by_cell[("xz", "coffeelake")]
-        assert flaky["status"] == "ok" and flaky["attempts"] == 3
-        assert all(r["status"] == "ok" for r in records)
 
     def test_dropped_mitigation_events_flagged_never_silent(self):
         campaign = make_campaign()

@@ -116,7 +116,6 @@ def test_section6_campaign():
 
 def test_section6_resilient_campaign(tmp_path):
     from repro.experiments.common import get_simulator
-    from repro.resilience.executor import ResilientExecutor, RetryPolicy
     from repro.resilience.faults import FaultPlan, FaultySimulator
 
     campaign = Campaign(
@@ -126,10 +125,8 @@ def test_section6_resilient_campaign(tmp_path):
         thresholds=[128],
         scale=0.05,
     )
-    executor = ResilientExecutor(retry=RetryPolicy(max_attempts=3))
     plan = FaultPlan(fail_cells=("namd|Rubix-S",))
     records = campaign.run(
-        executor=executor,
         journal=tmp_path / "sweep.jsonl",
         simulator=FaultySimulator(get_simulator(), plan),
     )
@@ -163,12 +160,12 @@ def test_section6_parallel_campaign(tmp_path):
     parallel = grid().run(workers=2, stats_cache_dir=tmp_path / "stats")
     assert parallel == serial  # the tutorial's headline claim
 
-    # Per-process overrides cannot cross the pool boundary (documented
+    # A per-process simulator cannot cross the pool boundary (documented
     # caveat in the parallel section).
-    with pytest.raises(ValueError):
-        from repro.resilience.executor import ResilientExecutor
+    from repro.experiments.common import get_simulator
 
-        grid().run(workers=2, executor=ResilientExecutor())
+    with pytest.raises(ValueError, match="simulator="):
+        grid().run(workers=2, simulator=get_simulator())
 
 
 def test_section6_telemetry(tmp_path):

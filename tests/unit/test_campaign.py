@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.campaign import Campaign, MappingSpec, campaign_from_spec
 from repro.experiments.common import get_simulator
-from repro.resilience.executor import CellBudget, ResilientExecutor
 from repro.resilience.faults import FaultPlan, FaultySimulator
 
 
@@ -85,9 +84,10 @@ class TestCampaign:
         assert cells[0][0] == "xz"
         assert len(cells) == campaign.size()
 
-    def test_records_carry_status_and_attempts(self, campaign):
+    def test_records_carry_status(self, campaign):
         records = campaign.run()
-        assert all(r["status"] == "ok" and r["attempts"] == 1 for r in records)
+        # Each cell is tried once, so records carry no attempt count.
+        assert all(r["status"] == "ok" and "attempts" not in r for r in records)
 
     def test_cell_keys_are_unique_and_stable(self, campaign):
         keys = [campaign.cell_key(*cell) for cell in campaign.cells()]
@@ -117,29 +117,28 @@ class TestMappingCache:
 
 
 class TestCellsExecuted:
-    """``cells_executed`` counts cells, not attempts, whatever the outcome."""
+    """``cells_executed`` counts one per cell, whatever the outcome."""
 
     @pytest.mark.parametrize(
-        "plan, budget, status",
+        "plan, status",
         [
-            (FaultPlan(), CellBudget(max_activations=1), "degraded"),
-            (FaultPlan(fail_cells=("xz",)), CellBudget(), "error"),
-            (FaultPlan(transient_cells={"xz": 1}), CellBudget(), "ok"),
+            (FaultPlan(drop_mitigation_cells=("xz",)), "degraded"),
+            (FaultPlan(fail_cells=("xz",)), "error"),
         ],
-        ids=["degrade", "hard-fail", "transient"],
+        ids=["degrade", "hard-fail"],
     )
-    def test_one_count_per_cell(self, plan, budget, status):
+    def test_one_count_per_cell(self, plan, status):
+        # At scale 0.05 xz under Coffee Lake has a row at or above both
+        # thresholds, so zero mitigations there is flagged by the
+        # invariant check.
         campaign = Campaign(
             workloads=["xz"],
             mappings=[MappingSpec("coffeelake")],
             schemes=["aqua"],
-            thresholds=[128, 512],
-            scale=0.02,
+            thresholds=[64, 128],
+            scale=0.05,
         )
-        records = campaign.run(
-            simulator=FaultySimulator(get_simulator(), plan),
-            executor=ResilientExecutor(budget=budget, sleep=lambda _: None),
-        )
+        records = campaign.run(simulator=FaultySimulator(get_simulator(), plan))
         assert [r["status"] for r in records] == [status] * campaign.size()
         assert campaign.cells_executed == campaign.size()
 

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.errors import FaultInjectedError, MappingConfigError, TraceFormatError, TransientError
+from repro.errors import FaultInjectedError, MappingConfigError, TraceFormatError
 from repro.perf.simulator import RunResult
 from repro.resilience.executor import check_result_invariants
 from repro.resilience.faults import (
@@ -180,13 +180,6 @@ class TestFaultySimulator:
         with pytest.raises(FaultInjectedError):
             sim.run(_trace(), _StubMapping())
         assert sim.cells_completed == 0
-
-    def test_transient_fault_fails_n_times_then_succeeds(self):
-        sim = FaultySimulator(_StubSimulator(), FaultPlan(transient_cells={"demo": 2}))
-        for _ in range(2):
-            with pytest.raises(TransientError):
-                sim.run(_trace(), _StubMapping())
-        assert sim.run(_trace(), _StubMapping()).mitigations == 25
 
     def test_dropped_mitigations_are_flagged_by_invariants(self):
         sim = FaultySimulator(_StubSimulator(), FaultPlan(drop_mitigation_cells=("demo",)))

@@ -128,6 +128,24 @@ class TestSurface:
         )
         assert out.split() == ["AttributeError", "True"]
 
+    def test_every_error_name_is_used(self):
+        # An exception nothing raises or catches is a failure path with
+        # no failure behind it: each exported name of repro.errors must
+        # appear in some other module under src/repro.
+        from repro import errors
+
+        sources = [
+            path.read_text()
+            for path in (SRC / "repro").rglob("*.py")
+            if path.name != "errors.py" or path.parent.name != "repro"
+        ]
+        unused = [
+            name
+            for name in errors.__all__
+            if not any(re.search(rf"\b{name}\b", text) for text in sources)
+        ]
+        assert unused == []
+
 
 class TestRegistry:
     def test_lists_every_experiment_from_cold(self):
