@@ -36,7 +36,7 @@ _CHILD = textwrap.dedent(
     import numpy as np
     from repro.dram.config import baseline_config
     from repro.core.rubix_d import RubixDMapping
-    from repro.perf.hotpath_bench import run_window
+    from oracles.window import run_window
     from repro.workloads.trace_io import load_trace
 
     def peak_rss_kb():

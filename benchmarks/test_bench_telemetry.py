@@ -4,7 +4,7 @@ The observability layer's contract is that when telemetry is off (the
 default), every instrumented call site costs one boolean check.  This
 measures it end to end: a 1M-line dynamic Rubix-D window through the
 instrumented :meth:`Simulator.window_stats` vs the uninstrumented
-replica of the same pipeline (:func:`hotpath_bench.run_window`), and
+replica of the same pipeline (``tests/oracles/window.py:run_window``), and
 asserts the instrumented path stays within 2% -- with bit-identical
 stats and swap totals, so the comparison is apples-to-apples.
 
@@ -21,11 +21,11 @@ import statistics
 import time
 
 import pytest
+from oracles.window import assert_stats_equal, run_window, synth_lines
 
 from repro import obs
 from repro.core.rubix_d import RubixDMapping
 from repro.dram.config import baseline_config
-from repro.perf.hotpath_bench import assert_stats_equal, run_window, synth_lines
 from repro.perf.simulator import Simulator
 from repro.workloads.trace import Trace
 

@@ -4,28 +4,27 @@
 # Stage 1 runs the repo's tier-1 test command (see ROADMAP.md), which
 # includes the import-graph guards of tests/unit/test_import_graph.py
 # (among them: every name in repro.errors.__all__ is used by another
-# module under src/repro, so a dead error type fails CI); stage 2
+# module under src/repro, so a dead error type fails CI; and every
+# private function, method or class under src/repro is named somewhere
+# else under src/repro, so dead code or a test-only oracle left in src/
+# fails CI -- oracles live in tests/oracles); stage 2
 # smoke-tests the parallel campaign engine (tiny grid, workers=2,
 # crash + journal-resume check -- scripts/parallel_smoke.py); stage 3
-# runs the hot-path kernel benchmark in --quick mode, which asserts the
-# optimized kernels stay bit-identical to their in-tree references (an
-# equivalence check only -- no timing gate), followed by an *advisory*
-# bench-history regression gate (scripts/bench_regress.py, >15% per
-# kernel); stage 4 re-runs the parallel smoke with telemetry and the
+# re-runs the parallel smoke with telemetry and the
 # sampling profiler enabled (REPRO_PROFILE=1) and validates the emitted
 # manifest, metric snapshots, event streams and per-process
 # profile-<span>-<pid>.collapsed files against the schema catalog
 # (scripts/validate_telemetry.py), so instrumentation and catalog
-# cannot drift apart; stage 5 runs the `serve` subcommand on a tiny
+# cannot drift apart; stage 4 runs the `serve` subcommand on a tiny
 # campaign spec over the process pool (--workers 2, with a checkpoint
 # journal, --stats-cache and --telemetry-dir) and validates its
 # telemetry the same way, so `serve` artifacts stay schema-checked;
-# stage 6 gates the published numbers byte for byte (runs the full
+# stage 5 gates the published numbers byte for byte (runs the full
 # paper suite serially via scripts/run_paper_suite.py and diffs its
 # output against results_paper_suite.txt, ignoring only the
 # "[... finished in Ns]" timing lines, then prints the suite's wall
 # time, peak RSS and the megabytes its stats and trace caches hold as
-# an advisory); stage 7 runs the repository
+# an advisory); stage 6 runs the repository
 # benchmark's correctness gate (bench/run.py --quick --seconds 0: every
 # workload's digests must equal bench/expected.json and no cell may
 # fail -- timings are printed but not gated), then prints an advisory
@@ -47,8 +46,8 @@
 #   CI_TIER1_TIMEOUT=seconds   pytest stage budget (default 1800)
 #   CI_SMOKE_TIMEOUT=seconds   parallel smoke budget (default 300,
 #                              also used by the telemetry stage)
-#   CI_BENCH_TIMEOUT=seconds   hot-path equivalence and repository
-#                              benchmark gate budget (default 300)
+#   CI_BENCH_TIMEOUT=seconds   repository benchmark gate budget
+#                              (default 300)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,16 +68,8 @@ run_bounded() {
 
 run_bounded "$BUDGET" python -m pytest -x -q "$@"
 run_bounded "$SMOKE_BUDGET" python scripts/parallel_smoke.py
-run_bounded "$BENCH_BUDGET" python scripts/bench_hotpath.py --quick --out -
 
-# Advisory regression gate over the committed bench history: compares
-# the newest entry against the best comparable prior entry per kernel
-# (>15% slower fails).  Advisory here because CI timing is noisy; run
-# scripts/bench_regress.py directly as a hard gate for perf work.
-run_bounded 60 python scripts/bench_regress.py \
-    || echo "WARN: bench_regress reported a >15% kernel regression (advisory)"
-
-# Stage 4: telemetry round-trip -- run the same smoke with telemetry
+# Stage 3: telemetry round-trip -- run the same smoke with telemetry
 # and the profiler enabled (the pool workers write their own profiles),
 # then validate every emitted artifact against the schema.
 TELEMETRY_DIR="$(mktemp -d -t rubix-telemetry-XXXXXX)"
@@ -87,10 +78,10 @@ run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$TELEMETRY_DIR" REPRO_PROFI
     python scripts/parallel_smoke.py
 run_bounded 60 python scripts/validate_telemetry.py "$TELEMETRY_DIR"
 
-# Stage 5: serve smoke -- one tiny spec on a two-worker pool with a
+# Stage 4: serve smoke -- one tiny spec on a two-worker pool with a
 # journal, a disk stats cache (the pool workers write and read its
 # histogram entries) and telemetry; the artifacts are validated like
-# stage 4.
+# stage 3.
 SERVE_DIR="$(mktemp -d -t rubix-serve-XXXXXX)"
 trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR"' EXIT
 cat > "$SERVE_DIR/spec.json" <<'SPEC'
@@ -102,7 +93,7 @@ run_bounded "$SMOKE_BUDGET" python -m repro.experiments serve "$SERVE_DIR/spec.j
     --stats-cache "$SERVE_DIR/stats" --telemetry-dir "$SERVE_DIR/telemetry"
 run_bounded 60 python scripts/validate_telemetry.py "$SERVE_DIR/telemetry"
 
-# Stage 6: paper-suite golden -- every published number must match
+# Stage 5: paper-suite golden -- every published number must match
 # results_paper_suite.txt byte for byte.  Only the per-experiment and
 # whole-suite "[... finished in Ns]" timing lines may differ.  A change
 # that moves a printed number must regenerate the golden and explain the
@@ -131,7 +122,7 @@ for line in open(sys.argv[1]):
         )
 PY
 
-# Stage 7: repository benchmark correctness gate -- the four seeded
+# Stage 6: repository benchmark correctness gate -- the four seeded
 # workloads at quick scale, fewest passes; exits non-zero on any digest
 # mismatch against bench/expected.json or any failed cell.
 run_bounded "$BENCH_BUDGET" python3 bench/run.py --quick --seconds 0

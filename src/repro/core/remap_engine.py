@@ -170,7 +170,8 @@ class XorRemapEngine:
         (the 1%-of-activations sweep used to pay a Python loop per
         episode on large windows).  Epoch wrap-around is exact: keys
         rotate and the pointer resets mid-count just as the stepwise
-        walk would (:meth:`_remap_steps_loop` is the stepwise oracle).
+        walk would (``tests/oracles/kernels.py:remap_steps_loop`` is the
+        stepwise oracle).
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -189,17 +190,6 @@ class XorRemapEngine:
                 self.ptr = 0
                 self.epochs_completed += 1
         return total
-
-    def _remap_steps_loop(self, count: int) -> int:
-        """Stepwise reference for :meth:`remap_steps` (tests/benchmarks).
-
-        Walks ``count`` episodes through :meth:`remap_step` exactly as
-        the pre-closed-form implementation did; counters, pointer, and
-        the key schedule end in the same state as :meth:`remap_steps`.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return sum(1 for _ in range(count) if self.remap_step())
 
     # ------------------------------------------------------------------
     def physical_layout(self) -> np.ndarray:

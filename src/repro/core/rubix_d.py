@@ -172,7 +172,8 @@ class RubixDMapping(AddressMapping):
         checked the window); the math runs in uint32 whenever the line
         address fits.  Output is bit-identical to per-element
         :meth:`translate` and to the masked per-engine oracle
-        :meth:`_translate_trace_loop` (which computes in uint64).
+        ``tests/oracles/kernels.py:translate_trace_loop`` (which computes
+        in uint64).
         """
         lines = line_array(lines)
         if validate and lines.size and int(lines.max()) >= self.config.total_lines:
@@ -202,47 +203,6 @@ class RubixDMapping(AddressMapping):
             self._decode_rows(remapped, flat_bank[start:stop], row[start:stop])
         return MappedTrace(
             flat_bank=flat_bank, row=row, col=col, rows_per_bank=self.config.rows_per_bank
-        )
-
-    def _translate_trace_loop(
-        self, lines: np.ndarray, *, validate: bool = True
-    ) -> MappedTrace:
-        """Pre-vectorization reference: one masked pass per remap engine.
-
-        Kept as the oracle for the equivalence property tests and as the
-        baseline ``scripts/bench_hotpath.py`` measures the gather pass
-        against.
-        """
-        lines = np.asarray(lines, dtype=np.uint64)
-        row_addr, vgroup, line_in_gang = self._split_fields(lines)
-        remapped = np.empty_like(row_addr)
-        seg_mask = np.uint64(mask(self.segment_bits))
-        seg_shift = np.uint64(self.segment_bits)
-        segment = row_addr & seg_mask
-        upper = row_addr >> seg_shift
-        for vg in range(self.vgroups):
-            vg_sel = vgroup == np.uint64(vg)
-            if not vg_sel.any():
-                continue
-            for seg in range(self.segments):
-                sel = vg_sel & (segment == np.uint64(seg)) if self.segments > 1 else vg_sel
-                if not sel.any():
-                    continue
-                engine = self.engines[self._engine_index(vg, seg)]
-                remapped[sel] = (
-                    engine.translate(upper[sel], validate=validate) << seg_shift
-                ) | np.uint64(seg)
-        return self._decode_trace(remapped, vgroup, line_in_gang)
-
-    def _decode_trace(
-        self, remapped_row: np.ndarray, vgroup: np.ndarray, line_in_gang: np.ndarray
-    ) -> MappedTrace:
-        flat = np.empty_like(remapped_row)
-        row = np.empty_like(remapped_row)
-        self._decode_rows(remapped_row, flat, row)
-        col = (vgroup << remapped_row.dtype.type(self.k_bits)) | line_in_gang
-        return MappedTrace(
-            flat_bank=flat, row=row, col=col, rows_per_bank=self.config.rows_per_bank
         )
 
     def _decode_rows(

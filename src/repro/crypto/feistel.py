@@ -38,14 +38,6 @@ _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _BLOCK = 1 << 16
 
 
-def _mix64_array(value: np.ndarray) -> np.ndarray:
-    value = value.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        value = (value ^ (value >> np.uint64(30))) * np.uint64(_MIX1)
-        value = (value ^ (value >> np.uint64(27))) * np.uint64(_MIX2)
-    return value ^ (value >> np.uint64(31))
-
-
 class FeistelNetwork:
     """A Feistel PRP over ``width``-bit values.
 
@@ -172,31 +164,6 @@ class FeistelNetwork:
                 raise ValueError(f"values out of [0, 2^{self.width}) domain")
         elif not 0 <= value < limit:
             raise ValueError(f"value {value} out of [0, 2^{self.width}) domain")
-
-
-def _permute_unfused(
-    net: FeistelNetwork, value: np.ndarray, *, inverse: bool = False
-) -> np.ndarray:
-    """The per-round-allocating array kernel the fused path replaced.
-
-    Kept as the oracle the property tests and the hot-path benchmark
-    compare :meth:`FeistelNetwork.encrypt` / ``decrypt`` against; no
-    validation, and widths >= 2 only.
-    """
-    a, b = net._left_bits, net._right_bits
-    v = value.astype(np.uint64)
-    left, right = (v >> np.uint64(b)) & np.uint64(mask(a)), v & np.uint64(mask(b))
-    if not inverse:
-        for round_key in net.round_keys:
-            f = _mix64_array(right ^ np.uint64(round_key)) & np.uint64(mask(a))
-            left, right = right, left ^ f
-            a, b = b, a
-    else:
-        for round_key in reversed(net.round_keys):
-            a, b = b, a
-            f = _mix64_array(left ^ np.uint64(round_key)) & np.uint64(mask(a))
-            left, right = right ^ f, left
-    return (np.uint64(0) + left << np.uint64(b)) | right
 
 
 __all__ = ["FeistelNetwork"]

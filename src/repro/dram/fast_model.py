@@ -33,9 +33,9 @@ to it once grouped, so ids a caller hands over (see
 a window peaks at about 8 bytes per access, the four-byte ids plus the
 grouped copy, and no temporary is sized by the row domain.  The
 original ``np.argsort``/``np.unique`` implementation on ``(flat_bank,
-row)`` survives as the private oracle :func:`_analyze_trace_sorted`,
-which the equivalence tests and ``scripts/bench_hotpath.py`` compare
-against bit-for-bit.
+row)`` survives as the test oracle
+``tests/oracles/kernels.py:analyze_trace_sorted``, which the
+equivalence tests compare against bit-for-bit.
 """
 
 from __future__ import annotations
@@ -401,62 +401,6 @@ def analyze_trace(
         # Every run opens with an ACT, so the rows touched are exactly
         # the rows activated.
         unique_rows_touched=int(row_ids.size),
-        act_rows=detail_rows,
-        act_cols=detail_cols,
-    )
-
-
-def _analyze_trace_sorted(
-    flat_bank: np.ndarray,
-    row: np.ndarray,
-    *,
-    rows_per_bank: int,
-    max_hits: Optional[int],
-    col: Optional[np.ndarray],
-    keep_detail: bool,
-) -> TraceStats:
-    """The original argsort/np.unique kernel (reference implementation).
-
-    Kept verbatim as the oracle the property tests and the hot-path
-    benchmark compare :func:`analyze_trace` against; inputs must be
-    validated, non-empty 1-D arrays.
-    """
-    n = flat_bank.size
-    global_row = flat_bank.astype(np.int64) * np.int64(rows_per_bank) + row.astype(np.int64)
-
-    order = np.argsort(flat_bank, kind="stable")
-    g = global_row[order]
-
-    same = np.empty(n, dtype=bool)
-    same[0] = False
-    same[1:] = g[1:] == g[:-1]
-
-    run_starts = np.flatnonzero(~same)
-    run_id = np.cumsum(~same) - 1
-    pos_in_run = np.arange(n, dtype=np.int64) - run_starts[run_id]
-
-    if max_hits is None:
-        act_mask = ~same
-    else:
-        act_mask = (pos_in_run % max_hits) == 0
-
-    n_act = int(np.count_nonzero(act_mask))
-    act_rows = g[act_mask]
-    row_ids, acts_per_row = np.unique(act_rows, return_counts=True)
-    unique_rows = int(np.unique(g).size)
-
-    detail_rows = act_rows if keep_detail else None
-    detail_cols = None
-    if keep_detail and col is not None:
-        detail_cols = np.asarray(col)[order][act_mask]
-
-    return TraceStats(
-        n_accesses=n,
-        n_activations=n_act,
-        n_hits=n - n_act,
-        row_ids=row_ids,
-        acts_per_row=acts_per_row.astype(np.int64),
-        unique_rows_touched=unique_rows,
         act_rows=detail_rows,
         act_cols=detail_cols,
     )

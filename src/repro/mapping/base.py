@@ -223,16 +223,6 @@ class FieldDecodeMapping(AddressMapping):
         self._bank_masks = [sum(1 << rb for rb in bits) for bits in bank_hash_row_bits or []]
 
     # ------------------------------------------------------------------
-    def _expected_widths(self) -> Dict[str, int]:
-        c = self.config
-        return {
-            "channel": c.channel_bits,
-            "rank": c.rank_bits,
-            "bank": c.bank_bits,
-            "row": c.row_bits,
-            "col": c.col_bits,
-        }
-
     def _validate_spec(self, field_bits: Dict[str, Sequence[int]]) -> None:
         widths = {
             "channel": self.config.channel_bits,
@@ -272,12 +262,6 @@ class FieldDecodeMapping(AddressMapping):
                 out |= part
         return out
 
-    def _gather_field(self, lines: np.ndarray, bits: Sequence[int]) -> np.ndarray:
-        out = np.zeros(lines.shape, dtype=np.uint64)
-        for i, src in enumerate(bits):
-            out |= ((lines >> np.uint64(src)) & np.uint64(1)) << np.uint64(i)
-        return out
-
     def _hash_bank(self, bank: int, row: int) -> int:
         for bit_index, row_mask in enumerate(self._bank_masks):
             bank ^= (bin(row & row_mask).count("1") & 1) << bit_index
@@ -300,7 +284,8 @@ class FieldDecodeMapping(AddressMapping):
         """Vectorized :meth:`translate`, in uint32 whenever the address fits.
 
         Every pass writes into the fresh output arrays, never into
-        ``lines``; bit-identical to :meth:`_translate_trace_reference`.
+        ``lines``; bit-identical to the per-bit oracle
+        ``tests/oracles/kernels.py:translate_trace_reference``.
         """
         lines = line_array(lines)
         if validate and lines.size and int(lines.max()) >= self.config.total_lines:
@@ -330,28 +315,6 @@ class FieldDecodeMapping(AddressMapping):
             flat *= dtype(c.banks)
             flat += bank
         return MappedTrace(flat_bank=flat, row=row, col=col, rows_per_bank=c.rows_per_bank)
-
-    def _translate_trace_reference(self, lines: np.ndarray) -> MappedTrace:
-        """The per-bit uint64 kernel :meth:`translate_trace` replaced.
-
-        Kept as the oracle the equivalence tests and the hot-path
-        benchmark compare against; no validation.
-        """
-        lines = np.asarray(lines, dtype=np.uint64)
-        channel = self._gather_field(lines, self.field_bits["channel"])
-        rank = self._gather_field(lines, self.field_bits["rank"])
-        bank = self._gather_field(lines, self.field_bits["bank"])
-        row = self._gather_field(lines, self.field_bits["row"])
-        col = self._gather_field(lines, self.field_bits["col"])
-        for bit_index, row_bits in enumerate(self.bank_hash_row_bits or []):
-            fold = np.zeros(row.shape, dtype=np.uint64)
-            for rb in row_bits:
-                fold ^= (row >> np.uint64(rb)) & np.uint64(1)
-            bank = bank ^ (fold << np.uint64(bit_index))
-        flat = (channel * np.uint64(self.config.ranks) + rank) * np.uint64(
-            self.config.banks
-        ) + bank
-        return MappedTrace(flat_bank=flat, row=row, col=col, rows_per_bank=self.config.rows_per_bank)
 
     def inverse(self, coord: Coordinate) -> int:
         self.config.validate_coordinate(coord)

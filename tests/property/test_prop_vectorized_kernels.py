@@ -1,10 +1,11 @@
 """Equivalence properties for the vectorized hot-path kernels.
 
-Each optimized kernel keeps its pre-optimization twin in-tree as a
-private oracle; these tests pin the contract the optimization relies
-on: *bit-identical* results, not just statistically similar ones.
+Each optimized kernel's pre-optimization twin is kept in
+``tests/oracles/`` as an oracle; these tests pin the contract the
+optimization relies on: *bit-identical* results, not just statistically
+similar ones.
 
-* ``analyze_trace`` on global row ids vs ``_analyze_trace_sorted`` on
+* ``analyze_trace`` on global row ids vs ``analyze_trace_sorted`` on
   (bank, row) -- every :class:`TraceStats` field including detail-array
   order, with the histogram in its documented narrow dtypes (the oracle
   stays int64),
@@ -12,35 +13,38 @@ on: *bit-identical* results, not just statistically similar ones.
   ``translate_trace``, and Rubix-D's lines-derived v-group counts vs the
   column bincount,
 * ``ChunkedAnalyzer`` (dense histogram, and the list fallback the
-  domain size selects) vs per-chunk ``_analyze_trace_sorted`` plus
+  domain size selects) vs per-chunk ``analyze_trace_sorted`` plus
   ``TraceStats.merge``,
 * ``RubixDMapping.translate_trace`` (gather) vs per-element
-  ``translate`` and the masked ``_translate_trace_loop``, including
+  ``translate`` and the masked ``translate_trace_loop``, including
   mid-sweep engine states (nonzero Ptr),
 * Rubix-S batch translation vs per-element translation under the
   one-shot-validation fast path,
 * ``XorRemapEngine.remap_steps`` (closed form) vs the stepwise
-  ``_remap_steps_loop``, across epoch wrap-arounds,
-* the whole dynamic window, ``run_window`` vs ``_reference_window``.
+  ``remap_steps_loop``, across epoch wrap-arounds, up to the Table 1
+  engine width,
+* the whole dynamic window, ``run_window`` vs ``reference_window``, on
+  the small geometry and on the Table 1 one.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles.kernels import analyze_trace_sorted, remap_steps_loop, translate_trace_loop
+from oracles.window import assert_stats_equal, reference_window, run_window, synth_lines
 
 from repro.core.remap_engine import XorRemapEngine
 from repro.core.rubix_d import RubixDMapping
 from repro.core.rubix_s import RubixSMapping
-from repro.dram.config import DRAMConfig
-from repro.dram.fast_model import (
-    ChunkedAnalyzer,
-    TraceStats,
-    _analyze_trace_sorted,
-    analyze_trace,
-)
+from repro.dram.config import DRAMConfig, baseline_config
+from repro.dram.fast_model import ChunkedAnalyzer, TraceStats, analyze_trace
 
 SMALL = DRAMConfig(banks=4, rows_per_bank=256, row_bytes=1024)
+
+#: The remap engine width of Rubix-D GS4 on the Table 1 geometry (2^21
+#: gang positions per engine).
+TABLE1_ENGINE_BITS = RubixDMapping(baseline_config(), gang_size=4).engines[0].nbits
 
 traces = st.lists(
     st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=63)),
@@ -94,7 +98,7 @@ def test_count_kernel_matches_sort_kernel(trace, max_hits, keep_detail):
         rows_per_bank=1024, max_hits=max_hits, col=cols, keep_detail=keep_detail
     )
     _assert_stats_identical(
-        _analyze_trace_sorted(banks, rows, **kwargs),
+        analyze_trace_sorted(banks, rows, **kwargs),
         analyze_trace(banks * 1024 + rows, **kwargs),
     )
 
@@ -108,7 +112,7 @@ def test_count_kernel_beyond_histogram_domain(rows):
     banks = rng.integers(0, 2, size=200, dtype=np.uint64)
     row = rng.integers(0, 1 << 24, size=200, dtype=np.uint64)
     kwargs = dict(rows_per_bank=1 << 24, max_hits=16)
-    a = _analyze_trace_sorted(banks, row, col=None, keep_detail=False, **kwargs)
+    a = analyze_trace_sorted(banks, row, col=None, keep_detail=False, **kwargs)
     b = analyze_trace(banks * (1 << 24) + row, **kwargs)
     _assert_stats_identical(a, b)
 
@@ -129,7 +133,7 @@ def test_row_id_dtype_follows_largest_id(bank, row, dtype):
     banks = np.append(rng.integers(0, bank, size=300, dtype=np.uint64), bank)
     rows = np.append(rng.integers(0, 1 << 30, size=300, dtype=np.uint64), row)
     kwargs = dict(rows_per_bank=1 << 30, max_hits=16)
-    oracle = _analyze_trace_sorted(banks, rows, col=None, keep_detail=False, **kwargs)
+    oracle = analyze_trace_sorted(banks, rows, col=None, keep_detail=False, **kwargs)
     global_row = banks * (1 << 30) + rows
     got = analyze_trace(global_row, **kwargs)
     _assert_stats_identical(oracle, got)
@@ -186,7 +190,7 @@ def test_global_row_kernel_matches_oracle(rows_per_bank, max_hits, keep_detail):
         bank, row, col = _runny_window(rng, n, banks=16, rows=min(rows_per_bank, 60))
         kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits, col=col)
         _assert_stats_identical(
-            _analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs),
+            analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs),
             analyze_trace(bank * rows_per_bank + row, keep_detail=keep_detail, **kwargs),
         )
 
@@ -204,7 +208,7 @@ def test_global_row_kernel_int64_ids(max_hits, keep_detail):
     kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits, col=col)
     got = analyze_trace(global_row, keep_detail=keep_detail, **kwargs)
     _assert_stats_identical(
-        _analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs), got
+        analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs), got
     )
     assert got.row_ids.dtype == np.int64
 
@@ -287,7 +291,7 @@ def _sorted_chunks(chunks, *, rows_per_bank, keep_detail=False):
     over every chunk's global row ids.
     """
     parts = [
-        _analyze_trace_sorted(
+        analyze_trace_sorted(
             banks,
             rows,
             rows_per_bank=rows_per_bank,
@@ -407,7 +411,7 @@ def test_rubix_d_gather_matches_scalar_and_loop(gang_size, segments):
 
     for round_no in range(3):
         mapped = mapping.translate_trace(lines)
-        looped = mapping._translate_trace_loop(lines)
+        looped = translate_trace_loop(mapping, lines)
         assert np.array_equal(np.asarray(mapped.flat_bank), np.asarray(looped.flat_bank))
         assert np.array_equal(np.asarray(mapped.row), np.asarray(looped.row))
         assert np.array_equal(np.asarray(mapped.col), np.asarray(looped.col))
@@ -451,6 +455,12 @@ def test_out_of_domain_still_rejected_by_default():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     counts=st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=6),
 )
+@example(
+    # The full Table 1 engine width, in one call that crosses an epoch.
+    nbits=TABLE1_ENGINE_BITS,
+    seed=0xB16B00,
+    counts=[(1 << TABLE1_ENGINE_BITS) + (1 << TABLE1_ENGINE_BITS) // 3],
+)
 @settings(max_examples=80, deadline=None)
 def test_closed_form_remap_matches_stepwise_walk(nbits, seed, counts):
     """remap_steps (closed form) == per-episode walk: same swap totals,
@@ -459,7 +469,7 @@ def test_closed_form_remap_matches_stepwise_walk(nbits, seed, counts):
     closed = XorRemapEngine(nbits=nbits, seed=seed)
     stepwise = XorRemapEngine(nbits=nbits, seed=seed)
     for count in counts:
-        assert closed.remap_steps(count) == stepwise._remap_steps_loop(count)
+        assert closed.remap_steps(count) == remap_steps_loop(stepwise, count)
         assert closed.swaps_performed == stepwise.swaps_performed
         assert closed.swaps_skipped == stepwise.swaps_skipped
         assert closed.ptr == stepwise.ptr
@@ -476,21 +486,19 @@ def test_dynamic_window_pipeline_bit_identical():
     advancement -- produces identical TraceStats and swap totals whether
     it runs on the optimized kernels or the reference ones.  This is the
     invariant that keeps simulator RunResults (and the content-keyed
-    stats cache) unchanged by the optimization."""
-    from repro.perf.hotpath_bench import (
-        _reference_window,
-        assert_stats_equal,
-        run_window,
-        synth_lines,
-    )
-
-    lines = synth_lines(20_000, SMALL, seed=0x5EED)
-    legacy_map = RubixDMapping(SMALL, gang_size=4, seed=0x5EED, remap_rate=0.01)
-    new_map = RubixDMapping(SMALL, gang_size=4, seed=0x5EED, remap_rate=0.01)
-    legacy_stats, legacy_swaps = _reference_window(legacy_map, lines, chunk_lines=4096)
-    new_stats, new_swaps = run_window(new_map, lines, chunk_lines=4096)
-    assert legacy_swaps == new_swaps and new_swaps > 0
-    assert_stats_equal(legacy_stats, new_stats)
+    stats cache) unchanged by the optimization.  It runs on the small
+    geometry and on the Table 1 one, each over several chunks."""
+    for config, n_lines, chunk_lines in [
+        (SMALL, 20_000, 4096),
+        (baseline_config(), 400_000, 1 << 18),
+    ]:
+        lines = synth_lines(n_lines, config, seed=0x5EED)
+        legacy_map = RubixDMapping(config, gang_size=4, seed=0x5EED, remap_rate=0.01)
+        new_map = RubixDMapping(config, gang_size=4, seed=0x5EED, remap_rate=0.01)
+        legacy_stats, legacy_swaps = reference_window(legacy_map, lines, chunk_lines=chunk_lines)
+        new_stats, new_swaps = run_window(new_map, lines, chunk_lines=chunk_lines)
+        assert legacy_swaps == new_swaps and new_swaps > 0, config
+        assert_stats_equal(legacy_stats, new_stats)
 
 
 def test_remap_steps_epoch_wrap_exact():
@@ -499,7 +507,7 @@ def test_remap_steps_epoch_wrap_exact():
     closed = XorRemapEngine(nbits=6, seed=99)
     stepwise = XorRemapEngine(nbits=6, seed=99)
     count = 3 * closed.space + 17
-    assert closed.remap_steps(count) == stepwise._remap_steps_loop(count)
+    assert closed.remap_steps(count) == remap_steps_loop(stepwise, count)
     assert closed.epochs_completed == stepwise.epochs_completed == 3
     assert closed.ptr == stepwise.ptr == 17
     assert closed.swaps_performed + closed.swaps_skipped == count

@@ -9,6 +9,7 @@ imported most of the package.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -145,6 +146,35 @@ class TestSurface:
             if not any(re.search(rf"\b{name}\b", text) for text in sources)
         ]
         assert unused == []
+
+    def test_every_private_definition_is_used(self):
+        # A private function, method or class that nothing under
+        # src/repro names is dead code, or an oracle that belongs in
+        # tests/oracles.  A name, attribute, import or string counts as a
+        # use; a docstring or other bare string statement does not.
+        defined, used = {}, set()
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            prose = {
+                id(node.value)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if node.name.startswith("_") and not node.name.endswith("__"):
+                        defined.setdefault(node.name, f"{path.relative_to(SRC)}:{node.lineno}")
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if id(node) not in prose:
+                        used.update(re.findall(r"\w+", node.value))
+        assert defined, "no private definitions found under src/repro"
+        assert {name: where for name, where in defined.items() if name not in used} == {}
 
 
 class TestRegistry:

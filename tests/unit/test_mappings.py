@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles.kernels import translate_trace_reference
 
 from repro.core.rubix_s import RubixSMapping
 from repro.dram.config import DRAMConfig, baseline_config, multichannel_config
@@ -77,7 +78,7 @@ class TestCommonMappingProperties:
                 decoded = lines
                 if mapping is not decode:
                     decoded = np.array([mapping.encrypt_line(int(x)) for x in lines], np.uint64)
-                oracle = decode._translate_trace_reference(decoded)
+                oracle = translate_trace_reference(decode, decoded)
                 for field in ("flat_bank", "row", "col"):
                     assert getattr(mapped, field).dtype == dtype
                     assert np.array_equal(getattr(mapped, field), getattr(oracle, field))

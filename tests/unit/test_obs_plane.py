@@ -1,9 +1,9 @@
 """Unit tests for the observability plane.
 
 Covers the pieces added around the core telemetry layer: the sampling
-profiler (:mod:`repro.obs.profile`), per-(run, pid) event-stream keying,
-the bench-history regression gate (``scripts/bench_regress.py``) and the
-paper suite's closing ``suite.done`` record (``scripts/run_paper_suite.py``).
+profiler (:mod:`repro.obs.profile`), per-(run, pid) event-stream keying
+and the paper suite's closing ``suite.done`` record
+(``scripts/run_paper_suite.py``).
 """
 
 import importlib.util
@@ -184,80 +184,6 @@ def _load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _load_bench_regress():
-    return _load_script("bench_regress")
-
-
-class TestBenchRegress:
-    def _pair(self, seconds, *, quick=False):
-        return {
-            "config": {"lines": 1000, "quick": quick},
-            "kernels": {
-                kernel: {"optimized_s": value} for kernel, value in seconds.items()
-            },
-        }
-
-    def test_regression_over_threshold_fails(self):
-        bench = _load_bench_regress()
-        history = [
-            self._pair({"translate_trace": 1.0}),
-            self._pair({"translate_trace": 1.2}),
-        ]
-        regressions, comparisons = bench.check_regressions(history, 15.0)
-        assert len(regressions) == 1 and "+20.0%" in regressions[0]
-        assert comparisons[0][0] == "translate_trace"
-
-    def test_within_threshold_passes(self):
-        bench = _load_bench_regress()
-        history = [
-            self._pair({"translate_trace": 1.0}),
-            self._pair({"translate_trace": 1.1}),
-        ]
-        regressions, _ = bench.check_regressions(history, 15.0)
-        assert regressions == []
-
-    def test_compares_against_best_prior_not_latest(self):
-        bench = _load_bench_regress()
-        history = [
-            self._pair({"translate_trace": 1.0}),  # the best
-            self._pair({"translate_trace": 2.0}),  # a slow CI box
-            self._pair({"translate_trace": 1.3}),
-        ]
-        regressions, _ = bench.check_regressions(history, 15.0)
-        assert len(regressions) == 1  # 1.3 vs best 1.0 = +30%
-
-    def test_mismatched_config_never_compared(self):
-        bench = _load_bench_regress()
-        history = [
-            self._pair({"translate_trace": 0.001}, quick=True),
-            self._pair({"translate_trace": 1.0}, quick=False),
-        ]
-        regressions, comparisons = bench.check_regressions(history, 15.0)
-        assert regressions == [] and comparisons == []
-
-    def test_kernel_without_prior_entry_is_skipped(self, tmp_path, capsys):
-        bench = _load_bench_regress()
-        history = [
-            self._pair({"translate_trace": 1.0}),
-            self._pair({"translate_trace": 1.0, "encrypt": 9.0}),
-        ]
-        regressions, comparisons = bench.check_regressions(history, 15.0)
-        assert regressions == []
-        assert [row[0] for row in comparisons] == ["translate_trace"]
-        path = tmp_path / "history.json"
-        path.write_text(json.dumps({"history": history}))
-        assert bench.main(["--history", str(path)]) == 0
-        assert "encrypt: no comparable prior timing; skipped" in capsys.readouterr().out
-
-    def test_single_entry_history_passes_vacuously(self):
-        bench = _load_bench_regress()
-        assert bench.check_regressions([self._pair({"k": 1.0})], 15.0) == ([], [])
-
-    def test_cli_against_repo_history(self, capsys):
-        bench = _load_bench_regress()
-        assert bench.main(["--quiet"]) in (0, 1)  # advisory semantics decide
 
 
 class TestPaperSuiteDone:

@@ -17,6 +17,7 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles.kernels import analyze_trace_sorted
 
 from repro.core.rubix_d import RubixDMapping
 from repro.core.rubix_s import RubixSMapping
@@ -73,7 +74,7 @@ def test_analyze_trace_leaves_its_input_untouched(dtype, max_hits, keep_detail):
     assert col.tobytes() == col_before
     # The counts match the reference kernel on the very same arrays.
     bank = ids.astype(np.int64) // ROWS_PER_BANK
-    oracle = fast_model._analyze_trace_sorted(
+    oracle = analyze_trace_sorted(
         bank,
         ids.astype(np.int64) % ROWS_PER_BANK,
         rows_per_bank=ROWS_PER_BANK,
