@@ -2,8 +2,10 @@
 
 Writes a 100-million-line raw ``.rtr`` trace (~800 MB) with the
 streaming writer, then pushes it through the full dynamic window
-pipeline -- memmap load, chunked Rubix-D translation, chunked analysis,
-remap advancement -- inside a subprocess, and asserts the subprocess's
+pipeline -- memmap load (which hashes the mapped lines in
+page-releasing chunks to verify the stored fingerprint), chunked
+Rubix-D translation, chunked analysis, remap advancement -- inside a
+subprocess, and asserts the subprocess's
 peak RSS stayed far below the file size (i.e. the trace was never
 materialized; :func:`repro.workloads.trace.iter_line_chunks` released
 consumed pages as the window streamed).
@@ -54,7 +56,7 @@ _CHILD = textwrap.dedent(
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     path, chunk_lines = sys.argv[1], int(sys.argv[2])
-    trace = load_trace(path)           # zero-copy memmap
+    trace = load_trace(path)           # zero-copy memmap, verified on open
     config = baseline_config()
     mapping = RubixDMapping(config, gang_size=4, seed=7, remap_rate=0.01)
     stats, swaps = run_window(

@@ -33,7 +33,10 @@
 # (not gated; tests/unit/test_import_graph.py bounds the module count),
 # an advisory window-working-set line: the traced (tracemalloc) peak
 # of one uncached 1M-line Rubix-S GS1 window in bytes per line (not
-# gated; tests/unit/test_window_working_set.py bounds it), and an
+# gated; tests/unit/test_window_working_set.py bounds it), an advisory
+# trace set-up line: the seconds to generate one seed's 18 scale-0.05
+# SPEC traces and write them with save_trace_raw, which is what the
+# mitigation-grid benchmark's set-up repeats per seed (not gated), and an
 # advisory `src/repro lines=N` line: the Python source lines under
 # src/repro, so a change's net source delta is the difference between
 # two CI logs (not gated).
@@ -154,6 +157,22 @@ tracemalloc.start()
 sim.window_stats(trace, mapping, use_cache=False)
 print(f"window working set: B/line={tracemalloc.get_traced_memory()[1] / lines.size:.1f}")
 '
+
+# Advisory: trace set-up -- generate one seed's 18 scale-0.05 SPEC traces
+# and write each as a .rtr file (generation, fingerprint, write); not gated.
+TRACE_DIR="$(mktemp -d -t rubix-trace-setup-XXXXXX)"
+trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR" "$SUITE_OUT" "$SUITE_LOG" "$TRACE_DIR"' EXIT
+python - "$TRACE_DIR" <<'PY'
+import sys, time
+from pathlib import Path
+from repro.workloads.spec import spec_names, spec_trace
+from repro.workloads.trace_io import save_trace_raw
+folder = Path(sys.argv[1])
+started = time.perf_counter()
+for name in spec_names():
+    save_trace_raw(spec_trace(name, scale=0.05, seed=2024), folder / name)
+print(f"trace set-up: traces={len(spec_names())} seconds={time.perf_counter() - started:.3f}")
+PY
 
 # Advisory: the Python source lines under src/repro; not gated.
 echo "src/repro lines=$(( $(find src/repro -name '*.py' -exec cat {} + | wc -l) ))"

@@ -119,12 +119,6 @@ class RubixDMapping(AddressMapping):
     def _split_fields(self, line_addr):
         """Return (row_addr, vgroup, line_in_gang) fields."""
         k, p = self.k_bits, self.p_bits
-        if isinstance(line_addr, np.ndarray):
-            v = line_addr.astype(np.uint64)
-            row_addr = v >> np.uint64(k + p)
-            vgroup = (v >> np.uint64(k)) & np.uint64(mask(p))
-            line_in_gang = v & np.uint64(mask(k))
-            return row_addr, vgroup, line_in_gang
         row_addr = line_addr >> (k + p)
         vgroup = (line_addr >> k) & mask(p)
         line_in_gang = line_addr & mask(k)

@@ -177,9 +177,11 @@ def get_trace(
 
     ``file:`` workloads load as written -- ``scale``/``cores`` describe
     generation and do not re-scale a persisted trace; raw ``.rtr``
-    files open as zero-copy memmaps, so even multi-hundred-million-line
-    inputs cost O(1) memory here.  Names are validated on a cache miss
-    only, so a cached ``file:`` name opens no file.
+    files open as zero-copy memmaps, verified against their stored
+    digest in chunks that release their pages, so even
+    multi-hundred-million-line inputs cost O(1) memory here.  Names are
+    validated on a cache miss only, so a cached ``file:`` name opens no
+    file.
     """
     key = (name, round(scale, 6), cores, line_addr_bits)
     if key in _TRACES:

@@ -54,9 +54,11 @@ log = get_logger("cache")
 #: is how pool workers inherit the cache location).
 STATS_CACHE_ENV = "REPRO_STATS_CACHE"
 
-#: On-disk entry format version (bump on layout changes).  It is part of
-#: every key, so entries of another version are never looked up.
-_DISK_VERSION = 4
+#: On-disk entry format version (bump on layout changes, and when the
+#: trace fingerprint a key carries changes definition).  It is part of
+#: every key, so entries of another version are never looked up.  5: the
+#: fingerprint became SHA-256 over the lines at their canonical width.
+_DISK_VERSION = 5
 
 
 def stats_cache_key(

@@ -7,9 +7,9 @@ trust boundaries a campaign crosses --
 
 * **trace files** on disk (:func:`corrupt_trace_file` truncates an
   ``.rtr`` file so :func:`~repro.workloads.trace_io.load_trace` must
-  raise :class:`~repro.errors.TraceFormatError`; a flipped bit in the
-  line data is *not* detected, because the loader trusts the stored
-  fingerprint);
+  raise :class:`~repro.errors.TraceFormatError`; the loader refuses a
+  flipped bit in the line data the same way, since it checks the data
+  against the stored fingerprint);
 * **remap-engine key state** (:func:`corrupt_remap_keys` flips a key
   bit, :func:`verify_key_state` catches it against a boot-time
   :func:`snapshot_key_state` digest -- modelling key-register parity);

@@ -234,7 +234,10 @@ def _hot_component(
     ``active_lines`` positions in the global column permutation ``perm``
     (so each hot row shows ~active_lines distinct activating lines, per
     Table 3).  Columns and row bases are built in blocks of
-    ``_BLOCK`` accesses, so no temporary grows with the tier.
+    ``_BLOCK`` accesses, so no temporary grows with the tier.  A block
+    spans rows ``r0..r1`` (two scalar searches of the running ends);
+    each of those rows is repeated for as many of its accesses as fall
+    inside the block.
     """
     if out.size == 0:
         return
@@ -243,7 +246,10 @@ def _hot_component(
     ends = np.cumsum(acts_per_row)
     for start in range(0, out.size, _BLOCK):
         stop = min(start + _BLOCK, out.size)
-        pick = np.searchsorted(ends, np.arange(start, stop), side="right")
+        r0 = int(np.searchsorted(ends, start, side="right"))
+        r1 = int(np.searchsorted(ends, stop - 1, side="right"))
+        counts = np.diff(np.minimum(ends[r0 : r1 + 1], stop), prepend=start)
+        pick = np.repeat(np.arange(r0, r1 + 1), counts)
         cols = j[start:stop]
         cols += salts[pick]
         cols &= LINES_PER_ROW - 1

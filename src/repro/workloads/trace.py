@@ -1,4 +1,15 @@
-"""Trace container: a line-address stream plus workload metadata."""
+"""Trace container: a line-address stream plus workload metadata.
+
+A trace's identity is its content fingerprint (:func:`lines_fingerprint`):
+SHA-256 over the line count and the lines' little-endian bytes at their
+canonical width, 4 bytes a line when every line fits in 32 bits and 8
+otherwise, so the digest does not depend on the array's dtype or on
+whether it is memory-mapped.  ``.rtr`` files store it under the
+``fingerprint_sha256`` metadata key
+(:mod:`repro.workloads.trace_io`), and the window-statistics cache keys
+on it together with ``repro.parallel.cache._DISK_VERSION`` (5 since the
+digest replaced the earlier ``blake2b`` over ``uint64`` bytes).
+"""
 
 from __future__ import annotations
 
@@ -16,8 +27,8 @@ from repro.utils.bitops import fitting_uint
 #: memory-mapped trace never faults more than a sliver into RAM at once.
 FINGERPRINT_CHUNK_BYTES = 1 << 24
 
-#: Lines :func:`lines_fingerprint` widens to ``uint64`` at a time.
-_WIDEN_BLOCK = 1 << 16
+#: Lines :func:`lines_fingerprint` converts to the hashed width at a time.
+_CONVERT_BLOCK = 1 << 16
 
 #: Values per block of :func:`draw_lines`.
 _DRAW_BLOCK = 1 << 16
@@ -26,26 +37,44 @@ _DRAW_BLOCK = 1 << 16
 def lines_fingerprint(lines: np.ndarray) -> str:
     """Content digest of a line-address array (hex), computed streaming.
 
-    ``blake2b`` over ``str(size)`` then the lines as ``uint64`` bytes.
-    Hashing the ``uint64`` form whatever the array's dtype gives a
+    SHA-256 over ``str(size)`` then the lines' little-endian bytes at a
+    canonical width: ``uint32`` when every line fits in 32 bits, else
+    ``uint64``.  The width depends on the values, not the dtype, so a
     ``uint32`` trace, its ``uint64`` twin and an ``np.memmap`` of the
-    same stream one digest, equal to the historical in-memory digest.
-    A ``uint64`` array is fed as views of at most
-    :data:`FINGERPRINT_CHUNK_BYTES`; any other dtype is widened
-    :data:`_WIDEN_BLOCK` lines at a time, so only a sliver is ever
-    copied or faulted into RAM at once.
+    same stream share one digest.  An array already in the canonical
+    dtype (a ``uint32`` trace, a ``<u4`` memmap) is fed as zero-copy
+    views of at most :data:`FINGERPRINT_CHUNK_BYTES`; any other dtype
+    is checked against 2^32 once, then converted :data:`_CONVERT_BLOCK`
+    lines at a time.  Memory-mapped input is read through
+    :func:`iter_line_chunks`, which releases consumed pages, so only a
+    sliver is ever copied or faulted into RAM at once.
     """
     lines = np.asarray(lines).reshape(-1)
-    step = FINGERPRINT_CHUNK_BYTES // 8 if lines.dtype == np.uint64 else _WIDEN_BLOCK
     with TRACER.span("trace.fingerprint", lines=int(lines.size)):
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(str(lines.size).encode())
-        for start in range(0, lines.size, step):
-            # Unnamed, each widened block is freed before the next exists.
-            digest.update(
-                np.ascontiguousarray(lines[start : start + step], dtype=np.uint64).view(np.uint8)
-            )
+        canonical = np.dtype("<u4") if _fits_u32(lines) else np.dtype("<u8")
+        step = (
+            FINGERPRINT_CHUNK_BYTES // canonical.itemsize
+            if lines.dtype == canonical
+            else _CONVERT_BLOCK
+        )
+        digest = hashlib.sha256(str(lines.size).encode())
+        for chunk in iter_line_chunks(lines, step):
+            # A no-op view for canonical input; unnamed, each converted
+            # block is freed before the next exists.
+            digest.update(np.ascontiguousarray(chunk, dtype=canonical).view(np.uint8))
         return digest.hexdigest()
+
+
+def _fits_u32(lines: np.ndarray) -> bool:
+    """Whether every line of ``lines`` is a value in ``[0, 2^32)``."""
+    if lines.dtype.kind == "u" and lines.dtype.itemsize <= 4:
+        return True
+    signed = lines.dtype.kind == "i"
+    step = FINGERPRINT_CHUNK_BYTES // lines.dtype.itemsize
+    for chunk in iter_line_chunks(lines, step):
+        if chunk.size and (chunk.max() > 0xFFFFFFFF or signed and chunk.min() < 0):
+            return False
+    return True
 
 
 def _narrow_lines(lines) -> np.ndarray:
@@ -106,9 +135,8 @@ class Trace:
         confuse same-shaped traces from different generators or seeds.
         Computed once (streaming, memmap-safe -- see
         :func:`lines_fingerprint`) and memoized; ``lines`` must not be
-        mutated afterwards.  Loaders that persisted the digest alongside
-        the data may pre-seed ``_fingerprint`` to skip the hashing pass
-        entirely.
+        mutated afterwards.  A loader that has just hashed the data may
+        pre-seed ``_fingerprint`` with that digest.
         """
         if self._fingerprint is None:
             self._fingerprint = lines_fingerprint(self.lines)

@@ -11,16 +11,22 @@ viable for multi-hundred-million-line traces that must never be
 materialized.  Lines are stored as they are held: ``<u4`` (4 bytes a
 line) for a ``uint32`` trace, ``<u8`` otherwise, and load back in that
 dtype.  The writer streams chunks (constant memory) and stores the
-trace's content fingerprint in the header so downstream caches skip
-the hashing pass too; the fingerprint hashes the ``uint64`` form, so it
-does not depend on the stored dtype.
+trace's content fingerprint (:func:`~repro.workloads.trace.lines_fingerprint`:
+SHA-256 over the lines at their canonical 4- or 8-byte width, so it does
+not depend on the stored dtype) in the metadata under
+:data:`FINGERPRINT_KEY`.
 
 Writes are atomic (temp file + ``os.replace``) so a crash mid-save never
 leaves a half-written file at the target path, and loads validate the
 header, metadata, and file size, raising
 :class:`~repro.errors.TraceFormatError` naming the offending path
-instead of a numpy shape crash on a truncated memmap.  The loader trusts
-the stored fingerprint: a flipped bit in the line data is not detected.
+instead of a numpy shape crash on a truncated memmap.  The loader also
+hashes the mapped lines, in bounded chunks that release their pages,
+and refuses a file whose data does not match its stored digest, so a
+flipped bit can never file its statistics under the clean trace's
+cache key.  A file written before the digest moved to SHA-256 carries
+only the old ``blake2b`` ``fingerprint`` key; it has nothing to check
+against and is simply hashed.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ from repro.workloads.trace import FINGERPRINT_CHUNK_BYTES, Trace, lines_fingerpr
 
 #: Metadata keys every trace file must carry.
 REQUIRED_META_KEYS = ("version", "name", "instructions", "window_s", "scale")
+
+#: Metadata key of the stored content digest; it names the algorithm.
+FINGERPRINT_KEY = "fingerprint_sha256"
 
 #: Magic bytes opening every raw trace file.
 RAW_MAGIC = b"RBXTRACE"
@@ -152,7 +161,7 @@ class RawTraceWriter:
         self._closed = True
         try:
             self._file.flush()
-            self.meta["fingerprint"] = self._fingerprint()
+            self.meta[FINGERPRINT_KEY] = self._fingerprint()
             raw_meta = json.dumps(self.meta).encode()
             self._file.seek(0, os.SEEK_END)
             self._file.write(raw_meta)
@@ -252,9 +261,10 @@ def load_trace(path: Union[str, Path]) -> Trace:
 
     The returned trace's ``lines`` array is a read-only view demand-
     paged straight from the file in its stored dtype (no bytes are
-    copied or materialized at load time), and its fingerprint is
-    pre-seeded from the stored header digest -- a 100M-line campaign
-    input costs O(header) to open.
+    copied or materialized).  Opening hashes the mapped lines once, in
+    bounded chunks whose pages are released as they go, checks the
+    digest against the one stored under :data:`FINGERPRINT_KEY`, and
+    pre-seeds the trace's memoized fingerprint with it.
 
     Raises:
         FileNotFoundError: No file at ``path``.
@@ -262,7 +272,8 @@ def load_trace(path: Union[str, Path]) -> Trace:
             byte order, unknown dtype code, malformed metadata, or a
             file too short for its declared line count (truncation) --
             every case is caught by header validation, never by a numpy
-            crash on a short buffer.
+            crash on a short buffer -- or line data whose digest differs
+            from the stored one (corruption).
     """
     path = Path(path)
     if not path.exists():
@@ -332,18 +343,20 @@ def load_trace(path: Union[str, Path]) -> Trace:
         )
     except (TypeError, ValueError) as error:
         raise bad(f"metadata values are invalid ({error})") from None
-    stored = meta.get("fingerprint")
-    if stored is not None:
-        if not isinstance(stored, str):
-            raise bad(f"stored fingerprint must be a string, got {type(stored).__name__}")
-        # Pre-seed the memoized digest: hashing 100M+ memmapped lines on
-        # every worker would defeat the zero-copy open.
-        trace._fingerprint = stored
+    digest = lines_fingerprint(trace.lines)
+    stored = meta.get(FINGERPRINT_KEY)
+    if stored is not None and stored != digest:
+        raise bad(
+            f"line data hashes to {digest}, not the stored {FINGERPRINT_KEY}"
+            f" {stored!r}; the file is corrupt"
+        )
+    trace._fingerprint = digest
     return trace
 
 
 __all__ = [
     "REQUIRED_META_KEYS",
+    "FINGERPRINT_KEY",
     "RAW_MAGIC",
     "RAW_FORMAT_VERSION",
     "RAW_ENDIAN_WORD",

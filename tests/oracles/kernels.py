@@ -11,7 +11,10 @@
 * :func:`remap_steps_loop` -- the per-episode walk that
   :meth:`XorRemapEngine.remap_steps`'s closed form replaced;
 * :func:`permute_unfused` -- the per-round-allocating Feistel array
-  kernel that the fused :meth:`FeistelNetwork.encrypt` replaced.
+  kernel that the fused :meth:`FeistelNetwork.encrypt` replaced;
+* :func:`hot_component` -- the per-access ``searchsorted`` hot tier
+  that ``repro.workloads.spec._hot_component``'s per-block
+  ``np.repeat`` replaced.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.crypto.feistel import _MIX1, _MIX2, FeistelNetwork
 from repro.dram.fast_model import TraceStats
 from repro.mapping.base import FieldDecodeMapping, MappedTrace
 from repro.utils.bitops import mask
+from repro.workloads.spec import _BLOCK, LINES_PER_ROW
 
 
 def analyze_trace_sorted(
@@ -114,7 +118,10 @@ def translate_trace_loop(
 ) -> MappedTrace:
     """Pre-vectorization Rubix-D translation: one masked pass per remap engine."""
     lines = np.asarray(lines, dtype=np.uint64)
-    row_addr, vgroup, line_in_gang = mapping._split_fields(lines)
+    k, p = mapping.k_bits, mapping.p_bits
+    row_addr = lines >> np.uint64(k + p)
+    vgroup = (lines >> np.uint64(k)) & np.uint64(mask(p))
+    line_in_gang = lines & np.uint64(mask(k))
     remapped = np.empty_like(row_addr)
     seg_mask = np.uint64(mask(mapping.segment_bits))
     seg_shift = np.uint64(mapping.segment_bits)
@@ -192,3 +199,28 @@ def permute_unfused(
             f = _mix64_array(left ^ np.uint64(round_key)) & np.uint64(mask(a))
             left, right = right ^ f, left
     return (np.uint64(0) + left << np.uint64(b)) | right
+
+
+def hot_component(
+    rng: np.random.Generator,
+    row_bases: np.ndarray,
+    acts_per_row: np.ndarray,
+    active_lines: int,
+    perm: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """The hot tier with one binary search per access."""
+    if out.size == 0:
+        return
+    salts = rng.integers(0, LINES_PER_ROW, size=row_bases.size, dtype=np.int64)
+    j = rng.integers(0, active_lines, size=out.size, dtype=np.int64)
+    ends = np.cumsum(acts_per_row)
+    for start in range(0, out.size, _BLOCK):
+        stop = min(start + _BLOCK, out.size)
+        pick = np.searchsorted(ends, np.arange(start, stop), side="right")
+        cols = j[start:stop]
+        cols += salts[pick]
+        cols &= LINES_PER_ROW - 1
+        block = out[start:stop]
+        np.take(perm, cols, out=block)
+        block += row_bases[pick]

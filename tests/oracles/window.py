@@ -44,20 +44,38 @@ def synth_lines(n: int, config: DRAMConfig, seed: int) -> np.ndarray:
     return interleave([hot, seq, rand])
 
 
-def assert_stats_equal(a: TraceStats, b: TraceStats) -> None:
-    """Require two analysis results to be bit-identical, detail included."""
+def assert_histogram_dtypes(stats: TraceStats) -> None:
+    """The documented dtypes: int32 row ids while the largest id fits,
+    int64 beyond; int32 counts."""
+    largest = int(stats.row_ids.max()) if stats.row_ids.size else 0
+    assert stats.row_ids.dtype == (np.int32 if largest < 2**31 else np.int64)
+    assert stats.acts_per_row.dtype == np.int32
+
+
+def assert_stats_equal(a: TraceStats, b: TraceStats, *, dtypes: Optional[str] = None) -> None:
+    """Require two analysis results to be bit-identical, detail included.
+
+    ``dtypes`` adds a dtype check on top of the values: ``"same"``
+    requires every array of ``b`` in the dtype of ``a``'s, and
+    ``"documented"`` requires ``b``'s histogram in its documented narrow
+    dtypes (:func:`assert_histogram_dtypes`), for an ``a`` from an
+    oracle that stays ``int64``.
+    """
+    assert dtypes in (None, "same", "documented"), dtypes
     assert a.n_accesses == b.n_accesses
     assert a.n_activations == b.n_activations
     assert a.n_hits == b.n_hits
     assert a.unique_rows_touched == b.unique_rows_touched
-    assert np.array_equal(a.row_ids, b.row_ids)
-    assert np.array_equal(a.acts_per_row, b.acts_per_row)
-    assert (a.act_rows is None) == (b.act_rows is None)
-    if a.act_rows is not None:
-        assert np.array_equal(a.act_rows, b.act_rows)
-    assert (a.act_cols is None) == (b.act_cols is None)
-    if a.act_cols is not None:
-        assert np.array_equal(a.act_cols, b.act_cols)
+    for name in ("row_ids", "acts_per_row", "act_rows", "act_cols"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+            continue
+        assert np.array_equal(x, y), name
+        if dtypes == "same":
+            assert x.dtype == y.dtype, name
+    if dtypes == "documented":
+        assert_histogram_dtypes(b)
 
 
 def _vgroup_shares(accesses: np.ndarray, n_activations: int) -> np.ndarray:

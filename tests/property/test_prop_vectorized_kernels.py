@@ -32,7 +32,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles.kernels import analyze_trace_sorted, remap_steps_loop, translate_trace_loop
-from oracles.window import assert_stats_equal, reference_window, run_window, synth_lines
+from oracles.window import (
+    assert_histogram_dtypes,
+    assert_stats_equal,
+    reference_window,
+    run_window,
+    synth_lines,
+)
 
 from repro.core.remap_engine import XorRemapEngine
 from repro.core.rubix_d import RubixDMapping
@@ -51,31 +57,6 @@ traces = st.lists(
     min_size=1,
     max_size=400,
 )
-
-
-def _assert_histogram_dtypes(stats):
-    """The documented dtypes: int32 row ids while the largest id fits,
-    int64 beyond; int32 counts."""
-    largest = int(stats.row_ids.max()) if stats.row_ids.size else 0
-    assert stats.row_ids.dtype == (np.int32 if largest < 2**31 else np.int64)
-    assert stats.acts_per_row.dtype == np.int32
-
-
-def _assert_stats_identical(a, b):
-    """``b`` equals the oracle ``a`` value for value, in its documented dtypes."""
-    assert a.n_accesses == b.n_accesses
-    assert a.n_activations == b.n_activations
-    assert a.n_hits == b.n_hits
-    assert a.unique_rows_touched == b.unique_rows_touched
-    assert np.array_equal(a.row_ids, b.row_ids)
-    assert np.array_equal(a.acts_per_row, b.acts_per_row)
-    _assert_histogram_dtypes(b)
-    assert (a.act_rows is None) == (b.act_rows is None)
-    if a.act_rows is not None:
-        assert np.array_equal(a.act_rows, b.act_rows)
-    assert (a.act_cols is None) == (b.act_cols is None)
-    if a.act_cols is not None:
-        assert np.array_equal(a.act_cols, b.act_cols)
 
 
 @given(
@@ -97,9 +78,10 @@ def test_count_kernel_matches_sort_kernel(trace, max_hits, keep_detail):
     kwargs = dict(
         rows_per_bank=1024, max_hits=max_hits, col=cols, keep_detail=keep_detail
     )
-    _assert_stats_identical(
+    assert_stats_equal(
         analyze_trace_sorted(banks, rows, **kwargs),
         analyze_trace(banks * 1024 + rows, **kwargs),
+        dtypes="documented",
     )
 
 
@@ -114,7 +96,7 @@ def test_count_kernel_beyond_histogram_domain(rows):
     kwargs = dict(rows_per_bank=1 << 24, max_hits=16)
     a = analyze_trace_sorted(banks, row, col=None, keep_detail=False, **kwargs)
     b = analyze_trace(banks * (1 << 24) + row, **kwargs)
-    _assert_stats_identical(a, b)
+    assert_stats_equal(a, b, dtypes="documented")
 
 
 @pytest.mark.parametrize(
@@ -136,7 +118,7 @@ def test_row_id_dtype_follows_largest_id(bank, row, dtype):
     oracle = analyze_trace_sorted(banks, rows, col=None, keep_detail=False, **kwargs)
     global_row = banks * (1 << 30) + rows
     got = analyze_trace(global_row, **kwargs)
-    _assert_stats_identical(oracle, got)
+    assert_stats_equal(oracle, got, dtypes="documented")
     assert got.row_ids.dtype == dtype
     assert int(got.row_ids[-1]) == bank * (1 << 30) + row
 
@@ -161,7 +143,7 @@ def test_empty_windows_have_documented_dtypes():
     for stats in results:
         assert (stats.n_accesses, stats.n_activations, stats.unique_rows_touched) == (0, 0, 0)
         assert stats.row_ids.size == stats.acts_per_row.size == 0
-        _assert_histogram_dtypes(stats)
+        assert_histogram_dtypes(stats)
 
 
 def _runny_window(rng, n, *, banks, rows):
@@ -189,9 +171,10 @@ def test_global_row_kernel_matches_oracle(rows_per_bank, max_hits, keep_detail):
     for n in (1, 2, 9, 5_000, 65_536, 140_001):
         bank, row, col = _runny_window(rng, n, banks=16, rows=min(rows_per_bank, 60))
         kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits, col=col)
-        _assert_stats_identical(
+        assert_stats_equal(
             analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs),
             analyze_trace(bank * rows_per_bank + row, keep_detail=keep_detail, **kwargs),
+            dtypes="documented",
         )
 
 
@@ -207,8 +190,10 @@ def test_global_row_kernel_int64_ids(max_hits, keep_detail):
     assert int(global_row.max()) > 2**32
     kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits, col=col)
     got = analyze_trace(global_row, keep_detail=keep_detail, **kwargs)
-    _assert_stats_identical(
-        analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs), got
+    assert_stats_equal(
+        analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs),
+        got,
+        dtypes="documented",
     )
     assert got.row_ids.dtype == np.int64
 
@@ -340,8 +325,9 @@ def test_chunked_analyzer_count_matches_sort(seed, rows_per_bank, n_chunks, keep
     analyzer = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=16, keep_detail=keep_detail)
     parts, merged = _sorted_chunks(chunks, rows_per_bank=rows_per_bank, keep_detail=keep_detail)
     for (banks, rows, cols), part in zip(chunks, parts):
-        _assert_stats_identical(part, analyzer.feed(banks * rows_per_bank + rows, cols))
-    _assert_stats_identical(merged, analyzer.result())
+        got = analyzer.feed(banks * rows_per_bank + rows, cols)
+        assert_stats_equal(part, got, dtypes="documented")
+    assert_stats_equal(merged, analyzer.result(), dtypes="documented")
 
 
 def test_chunked_analyzer_dense_to_fallback_midstream():
@@ -365,7 +351,7 @@ def test_chunked_analyzer_dense_to_fallback_midstream():
     _, merged = _sorted_chunks(
         [(banks, rows, None) for banks, rows in chunks], rows_per_bank=64
     )
-    _assert_stats_identical(merged, analyzer.result())
+    assert_stats_equal(merged, analyzer.result(), dtypes="documented")
 
 
 def test_chunked_analyzer_dense_accumulator_sparse_chunk():
@@ -395,7 +381,7 @@ def test_chunked_analyzer_dense_accumulator_sparse_chunk():
     _, merged = _sorted_chunks(
         [(banks, rows, None) for banks, rows in chunks], rows_per_bank=rows_per_bank
     )
-    _assert_stats_identical(merged, analyzer.result())
+    assert_stats_equal(merged, analyzer.result(), dtypes="documented")
 
 
 @pytest.mark.parametrize("gang_size", [1, 2, 4])

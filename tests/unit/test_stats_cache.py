@@ -70,8 +70,8 @@ class TestKey:
     @pytest.mark.parametrize(
         "mapping, dynamic, digest",
         [
-            ("coffeelake", False, "5f3d23af99ec660fcc8b336f844435253f62ec84"),
-            ("rubix-d", True, "6a847d53af2b2b06de8c4cc28851330340d829e2"),
+            ("coffeelake", False, "0f50c1ab32f162aa35d7856279287ac2c8942ba3"),
+            ("rubix-d", True, "71c62f6caca39a97bc551829c905e399a8edb363"),
         ],
         # The ids leave the digest out, so a version bump keeps the names.
         ids=["coffeelake-False", "rubix-d-True"],

@@ -1,15 +1,18 @@
 """Raw memmap trace format (.rtr): zero-copy loads, strict validation.
 
 Pins the zero-copy ingestion contract: loading never materializes the
-line array (memmap view, pre-seeded fingerprint), lines are stored as
-``<u4`` when the trace holds them as ``uint32`` and as ``<u8``
-otherwise, files in either dtype load, the streaming fingerprint is
-digest-identical to the in-memory one whatever the stored dtype, and
-every way a file can be malformed -- truncation, wrong byte order, bad
-magic, unsupported version, unknown dtype code, corrupt metadata --
-raises :class:`~repro.errors.TraceFormatError` instead of a numpy crash.
+line array (memmap view, fingerprint verified and pre-seeded), lines are
+stored as ``<u4`` when the trace holds them as ``uint32`` and as ``<u8``
+otherwise, files in either dtype load, the streaming fingerprint equals
+an independent SHA-256 of the lines at their canonical width whatever
+the stored dtype, and every way a file can be malformed -- truncation,
+wrong byte order, bad magic, unsupported version, unknown dtype code,
+corrupt metadata, a flipped data bit -- raises
+:class:`~repro.errors.TraceFormatError` instead of a numpy crash or a
+silently wrong trace.
 """
 
+import hashlib
 import json
 import struct
 
@@ -19,6 +22,7 @@ import pytest
 from repro.errors import TraceFormatError, WorkloadConfigError
 from repro.workloads.trace import FINGERPRINT_CHUNK_BYTES, Trace, lines_fingerprint
 from repro.workloads.trace_io import (
+    FINGERPRINT_KEY,
     RAW_DTYPE_CODE_U32LE,
     RAW_DTYPE_CODE_U64LE,
     RAW_ENDIAN_WORD,
@@ -40,6 +44,14 @@ def trace():
 
 def _written(tmp_path, trace, name="t"):
     return save_trace_raw(trace, tmp_path / name)
+
+
+def _sha256(lines, width):
+    """The fingerprint computed independently: SHA-256 over the line
+    count, then the lines as little-endian integers of ``width`` bytes."""
+    digest = hashlib.sha256(str(lines.size).encode())
+    digest.update(np.asarray(lines).astype(f"<u{width}").tobytes())
+    return digest.hexdigest()
 
 
 def _header(path):
@@ -90,9 +102,12 @@ def test_wide_trace_roundtrips_as_u8(tmp_path, trace):
 
 
 def test_hand_built_u8_file_loads_with_its_fingerprint(tmp_path, trace):
-    """A file in the original eight-byte layout still loads, as uint64,
-    with the fingerprint stored in its metadata."""
+    """A file in the original eight-byte layout, carrying only the old
+    blake2b ``fingerprint`` key, still loads, as uint64: it is hashed on
+    open and gets the current fingerprint."""
     lines = trace.lines.astype("<u8")
+    legacy = hashlib.blake2b(str(lines.size).encode(), digest_size=16)
+    legacy.update(lines.tobytes())
     meta = json.dumps(
         {
             "version": RAW_FORMAT_VERSION,
@@ -100,7 +115,7 @@ def test_hand_built_u8_file_loads_with_its_fingerprint(tmp_path, trace):
             "instructions": 1000,
             "window_s": 0.064,
             "scale": 1.0,
-            "fingerprint": trace.fingerprint,
+            "fingerprint": legacy.hexdigest(),
         }
     ).encode()
     header = struct.pack(
@@ -118,8 +133,8 @@ def test_hand_built_u8_file_loads_with_its_fingerprint(tmp_path, trace):
     loaded = load_trace(path)
     assert loaded.lines.dtype == np.uint64
     assert np.array_equal(loaded.lines, trace.lines)
-    assert loaded._fingerprint == trace.fingerprint
-    loaded._fingerprint = None  # the stored digest is the hashed one
+    assert loaded._fingerprint == trace.fingerprint == _sha256(lines, 4)
+    loaded._fingerprint = None  # the pre-seeded digest is the hashed one
     assert loaded.fingerprint == trace.fingerprint
 
 
@@ -137,11 +152,28 @@ def test_load_is_zero_copy_memmap(tmp_path, trace):
 
 def test_stored_fingerprint_preseeds_memo(tmp_path, trace):
     expected = trace.fingerprint
-    loaded = load_trace(_written(tmp_path, trace))
-    # Already present before any hashing could have run on the memmap...
+    path = _written(tmp_path, trace)
+    meta_len = _header(path)[2]
+    assert json.loads(path.read_bytes()[-meta_len:])[FINGERPRINT_KEY] == expected
+    loaded = load_trace(path)
+    # Present once the file is open: the load verified it...
     assert loaded._fingerprint == expected
-    # ...and consistent with hashing the mapped bytes from scratch.
+    # ...and it is what hashing the mapped bytes from scratch gives.
     assert lines_fingerprint(loaded.lines) == expected
+
+
+def test_flipped_data_bit_is_refused(tmp_path, trace):
+    """The loader hashes the line data: one flipped bit anywhere in it
+    no longer matches the stored digest, and the file is refused by
+    name instead of loading under the clean trace's cache key."""
+
+    def flip_one_bit(data):
+        data[RAW_HEADER_BYTES + 4 * 12_345 + 1] ^= 0x10
+
+    path = _corrupt(tmp_path, trace, flip_one_bit)
+    with pytest.raises(TraceFormatError, match=rf"bad\.rtr.*not the stored {FINGERPRINT_KEY}"):
+        load_trace(path)
+    assert load_trace(tmp_path / "good.rtr").fingerprint == trace.fingerprint
 
 
 def test_streaming_writer_matches_one_shot(tmp_path, trace):
@@ -195,35 +227,43 @@ def test_writer_abort_leaves_nothing(tmp_path, trace):
 
 
 # ---------------------------------------------------------------------------
-# Streaming fingerprint == legacy in-memory digest
+# Streaming fingerprint == an independent SHA-256 of the lines
 # ---------------------------------------------------------------------------
 def test_streamed_digest_identical_to_in_memory(tmp_path, trace):
     """The regression the stats cache depends on: file-backed and
     in-memory copies of the same stream share one fingerprint."""
-    import hashlib
-
-    legacy = hashlib.blake2b(digest_size=16)
-    legacy.update(str(trace.lines.size).encode())
-    legacy.update(trace.lines.astype(np.uint64).tobytes())
-    assert trace.fingerprint == legacy.hexdigest()
+    assert trace.fingerprint == _sha256(trace.lines, 4)
     streamed = load_trace(_written(tmp_path, trace))
+    streamed._fingerprint = None  # hash the mapped bytes again
     assert streamed.fingerprint == trace.fingerprint
 
 
 def test_fingerprint_streams_across_chunk_boundary():
-    n = FINGERPRINT_CHUNK_BYTES // 8 + 17  # straddles one chunk boundary
-    lines = np.arange(n, dtype=np.uint64)
-    import hashlib
+    # Each array straddles one chunk boundary of its own hashing step:
+    # zero-copy views of four-byte lines, and eight-byte lines.
+    narrow = np.arange(FINGERPRINT_CHUNK_BYTES // 4 + 17, dtype=np.uint32)
+    assert lines_fingerprint(narrow) == _sha256(narrow, 4)
+    wide = np.arange(FINGERPRINT_CHUNK_BYTES // 8 + 17, dtype=np.uint64) << np.uint64(12)
+    assert int(wide[-1]) >= 1 << 32
+    assert lines_fingerprint(wide) == _sha256(wide, 8)
 
-    legacy = hashlib.blake2b(digest_size=16)
-    legacy.update(str(n).encode())
-    legacy.update(lines.tobytes())
-    assert lines_fingerprint(lines) == legacy.hexdigest()
+
+@pytest.mark.parametrize("largest", [(1 << 32) - 1, 1 << 32])
+def test_uint64_fingerprint_width_follows_the_values(largest):
+    """A ``uint64`` array is hashed as four-byte lines while every line
+    fits in 32 bits, and as eight-byte lines once one does not."""
+    lines = np.arange(3 * (1 << 16) + 5, dtype=np.uint64)
+    lines[70_000] = largest
+    width = 4 if largest < 1 << 32 else 8
+    assert lines_fingerprint(lines) == _sha256(lines, width)
+    if width == 4:
+        assert lines_fingerprint(lines) == lines_fingerprint(lines.astype(np.uint32))
 
 
 def test_fingerprint_same_for_uint32_uint64_and_memmap(tmp_path):
-    """The digest hashes the uint64 form block by block, so a four-byte
-    trace, its eight-byte twin and a memmap of it share one key."""
+    """The digest hashes the lines at their canonical width, so a
+    four-byte trace, its eight-byte twin and a memmap of it share one
+    key."""
     n = FINGERPRINT_CHUNK_BYTES // 8 + 17  # straddles one chunk boundary
     wide = np.arange(n, dtype=np.uint64) * 3
     narrow = wide.astype(np.uint32)
@@ -241,8 +281,8 @@ def test_fingerprint_same_for_uint32_uint64_and_memmap(tmp_path):
 @pytest.mark.parametrize("action", ["fingerprint", "save_trace_raw"])
 def test_uint32_fingerprint_temporary_is_bounded(tmp_path, action):
     """Hashing a four-byte trace, alone or as ``save_trace_raw`` closes
-    the file, widens it a sub-block at a time: the traced peak stays at
-    or under 1 byte per line, not the 8 of a whole-block ``uint64`` copy."""
+    the file, feeds zero-copy views of its lines: the traced peak stays
+    at or under 0.05 bytes per line, with no widened copy at all."""
     import tracemalloc
 
     n = 1_000_000
@@ -257,7 +297,7 @@ def test_uint32_fingerprint_temporary_is_bounded(tmp_path, action):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 1, f"{peak / n:.2f} B/line"
+    assert peak / n <= 0.05, f"{peak / n:.4f} B/line"
 
 # ---------------------------------------------------------------------------
 # The .rtr path is the only format

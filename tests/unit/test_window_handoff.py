@@ -18,6 +18,7 @@ import weakref
 import numpy as np
 import pytest
 from oracles.kernels import analyze_trace_sorted
+from oracles.window import assert_stats_equal
 
 from repro.core.rubix_d import RubixDMapping
 from repro.core.rubix_s import RubixSMapping
@@ -43,21 +44,6 @@ def _ids(dtype):
         ]
     )
     return ids[rng.permutation(ids.size)].astype(dtype)
-
-
-def _assert_stats_equal(a, b):
-    assert (a.n_accesses, a.n_activations, a.n_hits, a.unique_rows_touched) == (
-        b.n_accesses,
-        b.n_activations,
-        b.n_hits,
-        b.unique_rows_touched,
-    )
-    for name in ("row_ids", "acts_per_row", "act_rows", "act_cols"):
-        x, y = getattr(a, name), getattr(b, name)
-        if x is None or y is None:
-            assert x is None and y is None, name
-        else:
-            assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
@@ -92,7 +78,7 @@ def test_analyze_trace_leaves_its_input_untouched(dtype, max_hits, keep_detail):
     again = analyze_trace(
         ids, rows_per_bank=ROWS_PER_BANK, max_hits=max_hits, col=col, keep_detail=keep_detail
     )
-    _assert_stats_equal(stats, again)
+    assert_stats_equal(stats, again, dtypes="same")
 
 
 def test_chunked_feed_leaves_its_input_untouched():
@@ -106,7 +92,7 @@ def test_chunked_feed_leaves_its_input_untouched():
     reference = TraceStats.merge(
         [analyze_trace(chunk, rows_per_bank=ROWS_PER_BANK) for chunk in chunks]
     )
-    _assert_stats_equal(analyzer.result(), reference)
+    assert_stats_equal(analyzer.result(), reference, dtypes="same")
 
 
 _MAPPINGS = [
@@ -145,7 +131,7 @@ def test_window_stats_unchanged_when_arguments_are_held(
     traced, traced_swaps = _window(build, chunk_lines, keep_detail)
     assert held, "the wrappers were not called"
     assert traced_swaps == plain_swaps
-    _assert_stats_equal(traced, plain)
+    assert_stats_equal(traced, plain, dtypes="same")
 
 
 @pytest.mark.skipif(
