@@ -15,7 +15,8 @@
 # manifest, metric snapshots, event streams and per-process
 # profile-<span>-<pid>.collapsed files against the schema catalog
 # (scripts/validate_telemetry.py), so instrumentation and catalog
-# cannot drift apart; stage 4 runs the `serve` subcommand on a tiny
+# cannot drift apart, then renders the run with `report --telemetry`
+# and fails unless its span table has a sim.window row; stage 4 runs the `serve` subcommand on a tiny
 # campaign spec over the process pool (--workers 2, with a checkpoint
 # journal, --stats-cache and --telemetry-dir) and validates its
 # telemetry the same way, so `serve` artifacts stay schema-checked;
@@ -74,12 +75,21 @@ run_bounded "$SMOKE_BUDGET" python scripts/parallel_smoke.py
 
 # Stage 3: telemetry round-trip -- run the same smoke with telemetry
 # and the profiler enabled (the pool workers write their own profiles),
-# then validate every emitted artifact against the schema.
+# then validate every emitted artifact against the schema and summarize
+# it.
 TELEMETRY_DIR="$(mktemp -d -t rubix-telemetry-XXXXXX)"
 trap 'rm -rf "$TELEMETRY_DIR"' EXIT
 run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$TELEMETRY_DIR" REPRO_PROFILE=1 \
     python scripts/parallel_smoke.py
 run_bounded 60 python scripts/validate_telemetry.py "$TELEMETRY_DIR"
+# The summary's span table is built from the span.count and
+# span.seconds counters; the smoke's analyzed windows must show in it.
+REPORT="$(run_bounded 60 python -m repro.experiments report --telemetry "$TELEMETRY_DIR")"
+if ! grep -qE '^  sim\.window +[0-9]+ ' <<<"$REPORT"; then
+    echo "$REPORT" >&2
+    echo "FAIL: telemetry report has no sim.window row in its span table" >&2
+    exit 1
+fi
 
 # Stage 4: serve smoke -- one tiny spec on a two-worker pool with a
 # journal, a disk stats cache (the pool workers write and read its

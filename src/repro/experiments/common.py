@@ -3,10 +3,13 @@
 Process-level caches keep the expensive artifacts -- generated traces
 and per-(trace, mapping) window statistics -- shared across experiments,
 so running the whole suite costs one analysis pass per configuration.
+The trace cache is bounded in bytes (:data:`TRACE_CACHE_BYTES`):
+generation is seeded, so an evicted trace comes back byte-identical.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -95,7 +98,17 @@ def _fmt(value: object) -> str:
 # Shared caches
 # ---------------------------------------------------------------------------
 _SIMULATORS: Dict[DRAMConfig, Simulator] = {}
-_TRACES: Dict[Tuple, Trace] = {}
+#: Cached traces, least recently used first.
+_TRACES: "OrderedDict[Tuple, Trace]" = OrderedDict()
+
+#: Line-array bytes the trace cache may hold.  The serial paper suite
+#: needs 167 MB of traces live at once, so it generates none twice.
+TRACE_CACHE_BYTES = 200_000_000
+
+
+def _held_bytes(trace: Trace) -> int:
+    """Memory a cached trace holds: a memory-mapped trace's pages belong to its file."""
+    return 0 if _backing_mmap(trace.lines) is not None else trace.lines.nbytes
 
 
 def get_simulator(config: Optional[DRAMConfig] = None) -> Simulator:
@@ -182,10 +195,17 @@ def get_trace(
     multi-hundred-million-line inputs cost O(1) memory here.  Names are
     validated on a cache miss only, so a cached ``file:`` name opens no
     file.
+
+    The cache is least-recently-used and holds at most
+    :data:`TRACE_CACHE_BYTES` of line arrays: an insert first evicts the
+    oldest in-memory traces.  A trace larger than the budget is still
+    returned, and is then the only in-memory trace held.
     """
     key = (name, round(scale, 6), cores, line_addr_bits)
-    if key in _TRACES:
-        return _TRACES[key]
+    trace = _TRACES.get(key)
+    if trace is not None:
+        _TRACES.move_to_end(key)
+        return trace
     validate_workload(name)
     with TRACER.span("trace.gen", workload=name, scale=scale) as span:
         if name.startswith("file:"):
@@ -207,6 +227,11 @@ def get_trace(
     # cannot blow the metric-cardinality cap.
     label = "file" if name.startswith("file:") else name
     METRICS.inc("trace.generated", workload=label)
+    held = _held_bytes(trace) + sum(map(_held_bytes, _TRACES.values()))
+    for old in [k for k, cached in _TRACES.items() if _held_bytes(cached)]:
+        if held <= TRACE_CACHE_BYTES:
+            break
+        held -= _held_bytes(_TRACES.pop(old))
     _TRACES[key] = trace
     return trace
 
@@ -219,11 +244,7 @@ def cache_footprint_mb() -> Dict[str, float]:
     a memory-mapped trace belong to its file and are not counted.
     """
     stats_bytes = sum(sim.stats_cache.nbytes for sim in _SIMULATORS.values())
-    trace_bytes = sum(
-        trace.lines.nbytes
-        for trace in _TRACES.values()
-        if _backing_mmap(trace.lines) is None
-    )
+    trace_bytes = sum(map(_held_bytes, _TRACES.values()))
     return {
         "stats_cache_mb": round(stats_bytes / 1e6, 1),
         "trace_cache_mb": round(trace_bytes / 1e6, 1),
@@ -313,6 +334,7 @@ __all__ = [
     "validate_workload",
     "clear_caches",
     "cache_footprint_mb",
+    "TRACE_CACHE_BYTES",
     "make_mapping",
     "MAPPING_NAMES",
     "BEST_GANG_SIZE_S",

@@ -32,9 +32,7 @@ _MODULES = {
     "repro.obs.logs": ("NORMAL", "QUIET", "VERBOSE", "StructuredLogger"),
     "repro.obs.manifest": ("MANIFEST_SCHEMA_VERSION", "RunManifest", "git_sha"),
     "repro.obs.metrics": (
-        "DEFAULT_TIME_BUCKETS",
         "MAX_SERIES_PER_METRIC",
-        "Histogram",
         "MetricsRegistry",
         "diff_snapshots",
         "filter_snapshot",
@@ -56,7 +54,6 @@ _MODULES = {
         "enabled",
         "export_config",
         "get_logger",
-        "heartbeat",
         "reset",
         "run_id",
         "telemetry_dir",

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, TextIO, Union
 
@@ -289,15 +288,6 @@ def write_telemetry(
     return written
 
 
-def heartbeat(worker: Optional[str] = None) -> None:
-    """Record a worker liveness gauge (wall clock, telemetry only)."""
-    METRICS.set_gauge(
-        "parallel.worker_heartbeat",
-        time.time(),
-        worker=worker or f"p{os.getpid()}",
-    )
-
-
 __all__ = [
     "LOGS",
     "METRICS",
@@ -310,7 +300,6 @@ __all__ = [
     "enabled",
     "export_config",
     "get_logger",
-    "heartbeat",
     "reset",
     "run_id",
     "telemetry_dir",

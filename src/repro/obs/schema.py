@@ -1,10 +1,11 @@
 """Telemetry schema: the metric-name catalog and validators.
 
-Every metric the instrumented stack may emit is declared here with its
-kind and allowed label keys; ``scripts/validate_telemetry.py`` (wired
-into ``ci_tier1.sh``) fails a run that emits an unknown metric name, an
-undeclared label key, a kind mismatch, or that is *missing* a required
-metric -- so instrumentation and catalog cannot silently drift apart.
+Every metric the instrumented stack may emit is a counter, declared
+here with its allowed label keys; ``scripts/validate_telemetry.py``
+(wired into ``ci_tier1.sh``) fails a run that emits an unknown metric
+name, an undeclared label key, a ``metrics.jsonl`` line of any kind
+but ``counter``, or that is *missing* a required metric -- so
+instrumentation and catalog cannot silently drift apart.
 
 Two determinism families are distinguished (see docs/OBSERVABILITY.md):
 
@@ -30,44 +31,40 @@ from repro.obs.metrics import parse_series_key
 #: legal on any metric.
 OVERFLOW_LABEL = "overflow"
 
-#: kind is "counter" | "gauge" | "histogram"; labels are the allowed keys.
-METRICS: Dict[str, dict] = {
+#: Metric name -> the label keys its series may carry.
+METRICS: Dict[str, Set[str]] = {
     # -- stats cache (operational) -------------------------------------
-    "cache.requests": {"kind": "counter", "labels": {"result"}},
-    "cache.evictions": {"kind": "counter", "labels": set()},
-    "cache.disk_bytes_written": {"kind": "counter", "labels": set()},
-    "cache.disk_bytes_read": {"kind": "counter", "labels": set()},
-    "cache.entries": {"kind": "gauge", "labels": set()},
-    "cache.corrupt": {"kind": "counter", "labels": set()},
+    "cache.requests": {"result"},
+    "cache.evictions": set(),
+    "cache.disk_bytes_written": set(),
+    "cache.disk_bytes_read": set(),
+    "cache.corrupt": set(),
     # -- campaign fault boundary (semantic) -----------------------------
-    "resilience.faults": {"kind": "counter", "labels": {"class"}},
-    "resilience.cells": {"kind": "counter", "labels": {"status"}},
-    "resilience.journal.truncated": {"kind": "counter", "labels": set()},
+    "resilience.faults": {"class"},
+    "resilience.cells": {"status"},
+    "resilience.journal.truncated": set(),
     # -- campaign cells (semantic) -------------------------------------
-    "campaign.cells": {"kind": "counter", "labels": {"status"}},
-    "campaign.activations": {"kind": "counter", "labels": set()},
-    "campaign.mitigations": {"kind": "counter", "labels": {"scheme"}},
-    "campaign.remap_swaps": {"kind": "counter", "labels": set()},
+    "campaign.cells": {"status"},
+    "campaign.activations": set(),
+    "campaign.mitigations": {"scheme"},
+    "campaign.remap_swaps": set(),
     # -- mitigation model (semantic) -----------------------------------
-    "mitigation.invocations": {"kind": "counter", "labels": {"scheme"}},
-    "mitigation.throttled_activations": {"kind": "counter", "labels": {"scheme"}},
+    "mitigation.invocations": {"scheme"},
+    "mitigation.throttled_activations": {"scheme"},
     # -- simulator / analyzer (operational) ----------------------------
-    "sim.windows": {"kind": "counter", "labels": {"mode"}},
-    "sim.lines": {"kind": "counter", "labels": set()},
-    "sim.activations": {"kind": "counter", "labels": set()},
-    "trace.generated": {"kind": "counter", "labels": {"workload"}},
+    "sim.windows": {"mode"},
+    "sim.lines": set(),
+    "sim.activations": set(),
+    "trace.generated": {"workload"},
     # -- process pool (operational) ------------------------------------
-    "parallel.workers": {"kind": "gauge", "labels": set()},
-    "parallel.queue_depth": {"kind": "gauge", "labels": set()},
-    "parallel.completions": {"kind": "counter", "labels": set()},
-    "parallel.worker_heartbeat": {"kind": "gauge", "labels": {"worker"}},
+    "parallel.completions": set(),
     # -- attack-spec compiler (operational) ----------------------------
-    "playbook.compiled": {"kind": "counter", "labels": {"pattern"}},
+    "playbook.compiled": {"pattern"},
     # -- experiment runner (operational) -------------------------------
-    "runner.experiments": {"kind": "counter", "labels": {"status"}},
+    "runner.experiments": {"status"},
     # -- tracer aggregates (operational) -------------------------------
-    "span.count": {"kind": "counter", "labels": {"span", "status"}},
-    "span.seconds": {"kind": "histogram", "labels": {"span"}},
+    "span.count": {"span", "status"},
+    "span.seconds": {"span"},
 }
 
 #: Metric names whose totals must be identical between serial and
@@ -129,32 +126,20 @@ def validate_snapshot(
     """Check a metrics snapshot against the catalog; returns error strings.
 
     Flags unknown metric names, label keys not declared for the metric,
-    kind mismatches, and required metrics that never fired.
+    and required metrics that never fired.
     """
     errors: List[str] = []
     seen: Set[str] = set()
-    for kind, section in (
-        ("counter", snapshot.get("counters", {})),
-        ("gauge", snapshot.get("gauges", {})),
-        ("histogram", snapshot.get("histograms", {})),
-    ):
-        for key in section:
-            name, labels = parse_series_key(key)
-            seen.add(name)
-            spec = METRICS.get(name)
-            if spec is None:
-                errors.append(f"unknown metric name '{name}' (series '{key}')")
-                continue
-            if spec["kind"] != kind:
-                errors.append(
-                    f"metric '{name}' is declared {spec['kind']} but appeared as {kind}"
-                )
-            allowed = spec["labels"] | {OVERFLOW_LABEL}
-            for label_key in labels:
-                if label_key not in allowed:
-                    errors.append(
-                        f"metric '{name}' has undeclared label key '{label_key}'"
-                    )
+    for key in snapshot.get("counters", {}):
+        name, labels = parse_series_key(key)
+        seen.add(name)
+        allowed = METRICS.get(name)
+        if allowed is None:
+            errors.append(f"unknown metric name '{name}' (series '{key}')")
+            continue
+        for label_key in labels:
+            if label_key not in allowed | {OVERFLOW_LABEL}:
+                errors.append(f"metric '{name}' has undeclared label key '{label_key}'")
     for name in required:
         if name not in METRICS:
             errors.append(f"required metric '{name}' is not in the catalog")

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import parse_series_key, series_key, snapshot_from_jsonl
+from repro.obs.metrics import parse_series_key, snapshot_from_jsonl
 
 
 def _counters_by_name(snapshot: dict) -> Dict[str, Dict[str, float]]:
@@ -27,15 +27,17 @@ def _counters_by_name(snapshot: dict) -> Dict[str, Dict[str, float]]:
 
 
 def _span_table(snapshot: dict) -> List[str]:
-    rows = []
-    for key, data in snapshot.get("histograms", {}).items():
+    """One row per span name: ``span.count`` over all statuses, ``span.seconds``."""
+    totals: Dict[str, Dict[str, float]] = {"span.count": {}, "span.seconds": {}}
+    for key, value in snapshot.get("counters", {}).items():
         name, labels = parse_series_key(key)
-        if name != "span.seconds" or "span" not in labels:
-            continue
-        count = data["count"]
-        total = data["sum"]
-        mean = total / count if count else 0.0
-        rows.append((total, labels["span"], count, mean))
+        if name in totals and "span" in labels:
+            by_span = totals[name]
+            by_span[labels["span"]] = by_span.get(labels["span"], 0) + value
+    rows = []
+    for span, total in totals["span.seconds"].items():
+        count = int(totals["span.count"].get(span, 0))
+        rows.append((total, span, count, total / count if count else 0.0))
     if not rows:
         return ["  (no spans recorded)"]
     rows.sort(reverse=True)
@@ -102,13 +104,11 @@ def summarize_snapshot(snapshot: dict, *, manifest: Optional[RunManifest] = None
     if swaps:
         lines.append(f"rubix-d remap swaps: {int(swaps)}")
     sim_lines = total("sim.lines")
-    window_hist = snapshot.get("histograms", {}).get(
-        series_key("span.seconds", {"span": "sim.window"})
-    )
-    if sim_lines and window_hist and window_hist["sum"] > 0:
+    window_s = counters.get("span.seconds", {}).get("span=sim.window", 0)
+    if sim_lines and window_s > 0:
         lines.append(
             f"analyzer: {int(total('sim.windows'))} windows, {int(sim_lines):,} lines"
-            f" ({sim_lines / window_hist['sum'] / 1e6:.1f} Mlines/s analyzed)"
+            f" ({sim_lines / window_s / 1e6:.1f} Mlines/s analyzed)"
         )
     lines.append("")
     lines.append("where the time went:")

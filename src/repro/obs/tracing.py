@@ -15,8 +15,8 @@ emits one record per child name, parented to it.
 
 Each finished span is recorded three ways:
 
-* the metrics registry gets ``span.count{span=..., status=...}`` and a
-  ``span.seconds{span=...}`` histogram observation,
+* the metrics registry gets ``span.count{span=..., status=...}`` and
+  its duration added to the ``span.seconds{span=...}`` counter,
 * the telemetry event stream (when configured) gets one JSON line with
   the span's full nesting ``path``, duration, and attributes,
 * a bounded in-memory ring (:attr:`Tracer.finished`) keeps the most
@@ -93,7 +93,7 @@ class SpanRecord:
             "type": "span",
             "name": self.name,
             "path": self.path,
-            "duration_s": round(self.duration_s, 9),
+            "duration_s": self.duration_s,
             "status": self.status,
             "attrs": self.attrs,
             "trace_id": self.trace_id,
@@ -347,7 +347,7 @@ class Tracer:
     def _finish(self, record: SpanRecord) -> None:
         self.finished.append(record)
         self.registry.inc("span.count", span=record.name, status=record.status)
-        self.registry.observe("span.seconds", record.duration_s, span=record.name)
+        self.registry.inc("span.seconds", record.duration_s, span=record.name)
         if self.emit is not None:
             self.emit(record.to_event())
 

@@ -157,7 +157,6 @@ class StatsCache:
         if self._mem:
             METRICS.inc("cache.evictions", len(self._mem))
         self._mem.clear()
-        METRICS.set_gauge("cache.entries", 0)
         if not memory_only and self.persist_dir is not None and self.persist_dir.exists():
             for path in self.persist_dir.glob("*.npz"):
                 try:
@@ -203,7 +202,6 @@ class StatsCache:
         self._mem[key] = entry
         if self.persist_dir is not None:
             self._disk_put(key, entry)
-        METRICS.set_gauge("cache.entries", len(self._mem))
 
     # ------------------------------------------------------------------
     def _entry_path(self, key: str) -> Path:

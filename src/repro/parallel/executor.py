@@ -44,7 +44,6 @@ from repro.obs.runtime import (
     TRACER,
     apply_config,
     export_config,
-    heartbeat,
     telemetry_dir,
 )
 
@@ -126,8 +125,6 @@ def _run_task(task: CellTask) -> CellCompletion:
     per-cell code path a serial run takes."""
     telemetry = METRICS.enabled
     worker_id = f"p{os.getpid()}"
-    if telemetry:
-        heartbeat(worker_id)
     before = METRICS.snapshot() if telemetry else None
     started = time.perf_counter()
     # Adopt the submitter's trace context (a no-op for an empty token):
@@ -214,12 +211,8 @@ class ParallelExecutor:
         context = (
             multiprocessing.get_context(self.mp_context) if self.mp_context else None
         )
-        n_workers = min(self.workers, len(pending))
-        if telemetry:
-            METRICS.set_gauge("parallel.workers", n_workers)
-            METRICS.set_gauge("parallel.queue_depth", len(pending))
         with ProcessPoolExecutor(
-            max_workers=n_workers,
+            max_workers=min(self.workers, len(pending)),
             mp_context=context,
             initializer=_init_worker,
             initargs=(
@@ -229,15 +222,11 @@ class ParallelExecutor:
             ),
         ) as pool:
             futures = [pool.submit(_run_task, task) for task in pending]
-            done = 0
             for future in as_completed(futures):
                 completion = future.result()
                 if telemetry:
-                    done += 1
-                    if completion.telemetry:
-                        METRICS.merge(completion.telemetry)
+                    METRICS.merge(completion.telemetry)
                     METRICS.inc("parallel.completions")
-                    METRICS.set_gauge("parallel.queue_depth", len(pending) - done)
                 yield completion
 
     def run(

@@ -412,9 +412,9 @@ def _weave(
     ``block_len`` burst that stays contiguous, as a memory controller
     would see it) produces the merged stream.  The slot labels are
     walked in blocks of ``_BLOCK``: a slot ``s`` with ``b`` bursts
-    before it starts at ``s + (block_len - 1) * b``, and the singles
-    fill their slots in the order of one uniform permutation (``int32``
-    indices while they fit).  The output has the singles' dtype.
+    before it starts at ``s + (block_len - 1) * b``, and the singles,
+    shuffled in place (consumed: with no bursts they are the result),
+    fill their slots in order.  The output has the singles' dtype.
     """
     n_single = singles.size
     n_blocks = block_starts.size
@@ -425,10 +425,11 @@ def _weave(
     if n_blocks:
         labels[n_single:] = 1
         rng.shuffle(labels)
-    # rng.permutation(n_single)'s values and RNG state, in int32 while
-    # the indices fit: a shuffle draws the same swaps for any dtype.
-    order = np.arange(n_single, dtype=np.int32 if n_single <= 1 << 31 else np.int64)
-    rng.shuffle(order)
+    # The swaps of rng.permutation(n_single), and its RNG state: a
+    # shuffle draws the same swaps for any dtype.
+    rng.shuffle(singles)
+    if not n_blocks:
+        return singles
     out = np.empty(n_single + n_blocks * block_len, dtype=singles.dtype)
 
     singles_done = bursts_done = 0
@@ -439,7 +440,7 @@ def _weave(
 
         single_pos = pos[~is_burst]
         stop = singles_done + single_pos.size
-        out[single_pos] = singles[order[singles_done:stop]]
+        out[single_pos] = singles[singles_done:stop]
         singles_done = stop
 
         burst_pos = pos[is_burst]

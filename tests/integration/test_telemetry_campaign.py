@@ -82,16 +82,50 @@ class TestSerialParallelEquality:
     def test_parallel_run_reports_pool_metrics(self):
         _, snap = run_with_telemetry(workers=2)
         assert snap["counters"]["parallel.completions"] == 4
-        assert snap["gauges"]["parallel.workers"] == 2
-        assert snap["gauges"]["parallel.queue_depth"] == 0
         # Each worker's campaign.cell span merges into the parent.
-        assert snap["histograms"]["span.seconds|span=campaign.cell"]["count"] == 4
+        assert snap["counters"]["span.count|span=campaign.cell,status=ok"] == 4
+        assert snap["counters"]["span.seconds|span=campaign.cell"] > 0
 
     def test_snapshots_validate_against_schema(self):
         _, serial_snap = run_with_telemetry()
         _, parallel_snap = run_with_telemetry(workers=2)
         assert obs.validate_snapshot(serial_snap) == []
         assert obs.validate_snapshot(parallel_snap) == []
+
+
+class TestSpanCountersMatchEvents:
+    """``span.count`` and ``span.seconds`` hold exactly what the event
+    streams record, span name by span name, including spans closed in
+    pool workers and merged back as per-cell deltas."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
+    def test_counters_equal_event_totals(self, tmp_path, workers):
+        common.clear_caches()
+        obs.configure(enabled=True, telemetry_dir=tmp_path)
+        tiny_campaign().run(workers=workers)
+        counters = obs.METRICS.snapshot()["counters"]
+        events = [
+            json.loads(line)
+            for path in tmp_path.glob("events-*.jsonl")
+            for line in path.read_text().splitlines()
+        ]
+        spans = [event for event in events if event["type"] == "span"]
+        names = {event["name"] for event in spans}
+        assert {"campaign.cell", "sim.window", "trace.gen"} <= names
+        in_workers = [event for event in spans if event["pid"] != os.getpid()]
+        assert bool(in_workers) == (workers > 1)
+        count_series = [key for key in counters if key.startswith("span.count|")]
+        seconds_series = [key for key in counters if key.startswith("span.seconds|")]
+        assert len(seconds_series) == len(names)
+        for name in names:
+            durations = [e["duration_s"] for e in spans if e["name"] == name]
+            count = sum(
+                counters[key] for key in count_series
+                if obs.parse_series_key(key)[1]["span"] == name
+            )
+            assert count == len(durations), name
+            seconds = counters[obs.series_key("span.seconds", {"span": name})]
+            assert seconds == pytest.approx(sum(durations), rel=1e-9, abs=0), name
 
 
 class TestJournalTimings:

@@ -2,9 +2,11 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.dram.config import DRAMConfig, DRAMTiming, baseline_config
+from repro.experiments import common
 from repro.experiments.campaign import Campaign, MappingSpec
 from repro.experiments.common import (
     ExperimentResult,
@@ -118,6 +120,64 @@ class TestCaches:
         get_trace(f"file:{path}")
         assert cache_footprint_mb()["trace_cache_mb"] == footprint["trace_cache_mb"]
         clear_caches()
+
+
+class TestTraceCacheBudget:
+    """The trace cache is least-recently-used and bounded in bytes."""
+
+    NAMES = ("xz", "gcc", "mcf")
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    @staticmethod
+    def cached():
+        return [key[0] for key in common._TRACES]
+
+    def test_evicts_least_recently_used_first(self, monkeypatch):
+        sizes = [get_trace(name, scale=0.02).lines.nbytes for name in self.NAMES]
+        clear_caches()
+        # Any two of the three traces fit; all three do not.
+        monkeypatch.setattr(common, "TRACE_CACHE_BYTES", sum(sizes) - 1)
+        xz = get_trace("xz", scale=0.02)
+        get_trace("gcc", scale=0.02)
+        assert get_trace("xz", scale=0.02) is xz  # a hit makes xz the newest
+        get_trace("mcf", scale=0.02)
+        assert self.cached() == ["xz", "mcf"]
+        assert get_trace("xz", scale=0.02) is xz
+        assert cache_footprint_mb()["trace_cache_mb"] <= common.TRACE_CACHE_BYTES / 1e6
+
+    def test_oversize_trace_is_returned_and_held_alone(self, monkeypatch, tmp_path):
+        from repro.workloads.trace import Trace
+        from repro.workloads.trace_io import save_trace_raw
+
+        lines = get_trace("xz", scale=0.02).lines
+        path = save_trace_raw(Trace("mapped", lines, instructions=1), tmp_path / "mapped")
+        clear_caches()
+        monkeypatch.setattr(common, "TRACE_CACHE_BYTES", 1)
+        mapped = get_trace(f"file:{path}")
+        for name in self.NAMES:
+            trace = get_trace(name, scale=0.02)
+            assert trace.lines.nbytes > common.TRACE_CACHE_BYTES
+            # Evicting a memory-mapped trace would free no memory.
+            assert self.cached() == [f"file:{path}", name]
+        assert get_trace(f"file:{path}") is mapped
+
+    def test_regenerated_trace_equals_the_evicted_one(self, monkeypatch):
+        monkeypatch.setattr(common, "TRACE_CACHE_BYTES", 1)
+        first = get_trace("xz", scale=0.02)
+        fingerprint = first.fingerprint
+        get_trace("gcc", scale=0.02)
+        assert self.cached() == ["gcc"]
+        again = get_trace("xz", scale=0.02)
+        assert again is not first
+        assert again.lines.dtype == first.lines.dtype
+        assert np.array_equal(again.lines, first.lines)
+        assert again.instructions == first.instructions
+        assert again.fingerprint == fingerprint
 
 class TestMappingFactory:
     def test_all_names_construct(self):

@@ -5,9 +5,7 @@ import json
 import pytest
 
 from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
     MAX_SERIES_PER_METRIC,
-    Histogram,
     MetricsRegistry,
     diff_snapshots,
     filter_snapshot,
@@ -38,10 +36,9 @@ class TestRegistryBasics:
     def test_disabled_mutations_are_noops(self):
         reg = MetricsRegistry(enabled=False)
         reg.inc("a")
-        reg.set_gauge("b", 3.0)
-        reg.observe("c", 0.5)
+        reg.inc("span.seconds", 0.5, span="x")
         snap = reg.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert snap == {"counters": {}}
 
     def test_counter_accumulates_with_labels(self):
         reg = MetricsRegistry(enabled=True)
@@ -52,47 +49,10 @@ class TestRegistryBasics:
         assert reg.counter_value("cache.requests", result="miss") == 1
         assert reg.counter_total("cache.requests") == 4
 
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.set_gauge("cache.entries", 5)
-        reg.set_gauge("cache.entries", 2)
-        assert reg.gauge_value("cache.entries") == 2
-
     def test_absent_series_defaults(self):
         reg = MetricsRegistry(enabled=True)
         assert reg.counter_value("nope") == 0
-        assert reg.gauge_value("nope") is None
-        assert reg.histogram("nope") is None
-
-
-class TestHistogram:
-    def test_bucket_assignment_and_overflow(self):
-        hist = Histogram(buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.counts == [1, 1, 1, 1]
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(55.55)
-        assert hist.mean == pytest.approx(55.55 / 4)
-
-    def test_boundary_value_lands_in_bucket(self):
-        hist = Histogram(buckets=(1.0, 2.0))
-        hist.observe(1.0)  # le semantics: exactly the bound is inside
-        assert hist.counts == [1, 0, 0]
-
-    def test_registry_observe_uses_default_time_buckets(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.observe("span.seconds", 0.3, span="x")
-        hist = reg.histogram("span.seconds", span="x")
-        assert hist.buckets == DEFAULT_TIME_BUCKETS
-        assert hist.count == 1
-
-    def test_declare_histogram_overrides_buckets(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.declare_histogram("bytes", (1024, 65536))
-        reg.observe("bytes", 2000)
-        assert reg.histogram("bytes").buckets == (1024, 65536)
-        assert reg.histogram("bytes").counts == [0, 1, 0]
+        assert reg.counter_total("nope") == 0
 
 
 class TestCardinalityCap:
@@ -116,50 +76,39 @@ class TestCardinalityCap:
 
 
 class TestSnapshotMergeDiff:
-    def test_merge_adds_counters_and_histograms(self):
+    def test_merge_adds_counters(self):
         a = MetricsRegistry(enabled=True)
         b = MetricsRegistry(enabled=True)
         for reg in (a, b):
             reg.inc("campaign.cells", status="ok")
-            reg.observe("span.seconds", 0.2, span="x")
-        b.set_gauge("cache.entries", 7)
+            reg.inc("span.seconds", 0.25, span="x")
+        b.inc("cache.evictions", 7)
         a.merge(b.snapshot())
         assert a.counter_value("campaign.cells", status="ok") == 2
-        assert a.histogram("span.seconds", span="x").count == 2
-        assert a.gauge_value("cache.entries") == 7
+        assert a.counter_value("span.seconds", span="x") == 0.5
+        assert a.counter_value("cache.evictions") == 7
 
     def test_merge_ignores_enabled_flag(self):
         parent = MetricsRegistry(enabled=False)
         parent.merge({"counters": {"campaign.cells|status=ok": 3}})
         assert parent.counter_value("campaign.cells", status="ok") == 3
 
-    def test_merge_rejects_bucket_mismatch(self):
-        a = MetricsRegistry(enabled=True)
-        a.observe("h", 1.0)
-        other = {
-            "histograms": {
-                "h": {"buckets": [5.0], "counts": [1, 0], "sum": 1.0, "count": 1}
-            }
-        }
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            a.merge(other)
-
     def test_diff_is_the_cells_contribution(self):
         reg = MetricsRegistry(enabled=True)
-        reg.inc("campaign.cells", status="ok", )
-        reg.observe("span.seconds", 0.1, span="x")
+        reg.inc("campaign.cells", status="ok")
+        reg.inc("span.seconds", 0.1, span="x")
+        reg.inc("span.seconds", 0.2, span="idle")
         before = reg.snapshot()
         reg.inc("campaign.cells", status="ok")
         reg.inc("campaign.activations", 100)
-        reg.observe("span.seconds", 0.3, span="x")
+        reg.inc("span.seconds", 0.3, span="x")
         delta = diff_snapshots(reg.snapshot(), before)
+        assert set(delta) == {"counters"}
         assert delta["counters"] == {
             "campaign.cells|status=ok": 1,
             "campaign.activations": 100,
+            "span.seconds|span=x": pytest.approx(0.3),
         }
-        hist = delta["histograms"]["span.seconds|span=x"]
-        assert hist["count"] == 1
-        assert hist["sum"] == pytest.approx(0.3)
 
     def test_serial_equals_merged_deltas(self):
         # The serial==parallel contract in miniature: applying the same
@@ -171,10 +120,10 @@ class TestSnapshotMergeDiff:
         worker.inc("inherited.noise", 99)  # fork-inherited state
         for cell in range(2):
             serial.inc("campaign.cells", status="ok")
-            serial.observe("span.seconds", 0.1 * (cell + 1), span="campaign.cell")
+            serial.inc("span.seconds", 0.1 * (cell + 1), span="campaign.cell")
             before = worker.snapshot()
             worker.inc("campaign.cells", status="ok")
-            worker.observe("span.seconds", 0.1 * (cell + 1), span="campaign.cell")
+            worker.inc("span.seconds", 0.1 * (cell + 1), span="campaign.cell")
             parent.merge(diff_snapshots(worker.snapshot(), before))
         assert parent.snapshot() == serial.snapshot()
 
@@ -183,8 +132,8 @@ class TestExporters:
     def _populated(self):
         reg = MetricsRegistry(enabled=True)
         reg.inc("campaign.cells", 3, status="ok")
-        reg.set_gauge("cache.entries", 4)
-        reg.observe("span.seconds", 0.02, span="sim.window")
+        reg.inc("cache.evictions", 4)
+        reg.inc("span.seconds", 0.02, span="sim.window")
         return reg.snapshot()
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -196,18 +145,16 @@ class TestExporters:
     def test_jsonl_lines_are_valid_json(self):
         for line in snapshot_to_jsonl(self._populated()):
             entry = json.loads(line)
-            assert entry["kind"] in ("counter", "gauge", "histogram")
+            assert entry["kind"] == "counter"
 
     def test_filter_snapshot_by_prefix(self):
         snap = self._populated()
         semantic = filter_snapshot(snap, ("campaign.",))
-        assert list(semantic["counters"]) == ["campaign.cells|status=ok"]
-        assert semantic["gauges"] == {}
-        assert semantic["histograms"] == {}
+        assert semantic == {"counters": {"campaign.cells|status=ok": 3}}
 
 
 class TestOverflowFold:
-    """Histograms stay sound once the series cap folds labels, in the
+    """Counters stay sound once the series cap folds labels, in the
     snapshot and through the JSONL artifact."""
 
     @staticmethod
@@ -216,35 +163,27 @@ class TestOverflowFold:
         path = tmp_path / "metrics.jsonl"
         path.write_text("\n".join(snapshot_to_jsonl(snap)) + "\n")
         assert snapshot_from_jsonl(path) == snap
-        return snap["histograms"]
+        return snap["counters"]
 
-    def test_histogram_folds_into_overflow_series(self, tmp_path):
+    def test_span_seconds_fold_into_overflow_series(self, tmp_path):
         reg = MetricsRegistry(enabled=True)
-        reg.declare_histogram("h", (1.0, 2.0))
         for i in range(MAX_SERIES_PER_METRIC):
-            reg.observe("h", 0.5, worker=f"w{i}")
-        # Past the cap: these observations fold into overflow="true".
+            reg.inc("span.seconds", 0.5, span=f"s{i}")
+        # Past the cap: these durations fold into overflow="true".
         for value in (0.5, 1.5, 5.0):
-            reg.observe("h", value, worker="one-too-many")
-        histograms = self._round_trip(reg, tmp_path)
-        overflow = histograms[series_key("h", {"overflow": "true"})]
-        assert overflow["counts"] == [1, 1, 1]
-        assert overflow["count"] == 3
-        assert overflow["sum"] == 7.0
-        # Pre-cap series keep their own buckets.
-        assert histograms[series_key("h", {"worker": "w0"})]["counts"] == [1, 0, 0]
-        assert not any("one-too-many" in key for key in histograms)
+            reg.inc("span.seconds", value, span="one-too-many")
+        counters = self._round_trip(reg, tmp_path)
+        assert counters[series_key("span.seconds", {"overflow": "true"})] == 7.0
+        # Pre-cap series keep their own totals.
+        assert counters[series_key("span.seconds", {"span": "s0"})] == 0.5
+        assert not any("one-too-many" in key for key in counters)
 
     def test_overflow_counts_accumulate_across_folded_series(self, tmp_path):
         reg = MetricsRegistry(enabled=True)
-        reg.declare_histogram("h", (1.0,))
         for i in range(MAX_SERIES_PER_METRIC):
-            reg.observe("h", 0.5, worker=f"w{i}")
-        reg.observe("h", 0.5, worker="xa")
-        reg.observe("h", 0.5, worker="xb")
-        histograms = self._round_trip(reg, tmp_path)
-        overflow = histograms[series_key("h", {"overflow": "true"})]
-        assert overflow["counts"] == [2, 0]
-        assert overflow["count"] == 2
-        assert overflow["sum"] == 1.0
-        assert len(histograms) == MAX_SERIES_PER_METRIC + 1
+            reg.inc("h", worker=f"w{i}")
+        reg.inc("h", worker="xa")
+        reg.inc("h", worker="xb")
+        counters = self._round_trip(reg, tmp_path)
+        assert counters[series_key("h", {"overflow": "true"})] == 2
+        assert len(counters) == MAX_SERIES_PER_METRIC + 1

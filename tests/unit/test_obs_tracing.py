@@ -11,6 +11,7 @@ from repro.obs.schema import (
     REQUIRED_CAMPAIGN_METRICS,
     validate_manifest,
     validate_snapshot,
+    validate_telemetry_dir,
 )
 from repro.obs.tracing import Tracer, _NULL_SPAN
 
@@ -52,8 +53,8 @@ class TestTracer:
         with tracer.span("sim.window"):
             pass
         assert registry.counter_value("span.count", span="sim.window", status="ok") == 1
-        hist = registry.histogram("span.seconds", span="sim.window")
-        assert hist is not None and hist.count == 1
+        (record,) = tracer.finished
+        assert registry.counter_value("span.seconds", span="sim.window") == record.duration_s
 
     def test_exception_marks_error_and_propagates(self, tracer):
         tracer, registry, events = tracer
@@ -95,8 +96,8 @@ class TestTracer:
         assert by_name["sim.window"].duration_s == 13.0
         assert by_name["sim.translate"].attrs == {"laps": 3}
         assert by_name["sim.translate"].path == "sim.window/sim.translate"
-        hist = registry.histogram("span.seconds", span="sim.translate")
-        assert hist.count == 1 and hist.sum == 3.0
+        assert registry.counter_value("span.count", span="sim.translate", status="ok") == 1
+        assert registry.counter_value("span.seconds", span="sim.translate") == 3.0
         assert tracer.current_path() == ""
 
     def test_child_lap_error_marks_its_record(self, tracer):
@@ -254,7 +255,7 @@ class TestRunManifest:
             config={"scale": 0.1},
             seeds={"mapping": 2024},
         )
-        manifest.finalize(metrics={"counters": {}, "gauges": {}, "histograms": {}})
+        manifest.finalize(metrics={"counters": {}})
         path = manifest.write(tmp_path / "manifest.json")
         loaded = RunManifest.load(path)
         assert loaded.command == "unit-test"
@@ -268,7 +269,7 @@ class TestRunManifest:
 
     def test_validate_finalized_manifest(self):
         manifest = RunManifest.create("unit-test")
-        manifest.finalize(metrics={"counters": {}, "gauges": {}, "histograms": {}})
+        manifest.finalize(metrics={"counters": {}})
         assert validate_manifest(manifest.to_dict()) == []
 
     def test_validate_flags_unfinalized(self):
@@ -287,39 +288,33 @@ class TestSchemaValidation:
     def test_clean_snapshot_validates(self):
         reg = MetricsRegistry(enabled=True)
         reg.inc("campaign.cells", status="ok")
-        reg.observe("span.seconds", 0.1, span="campaign.cell")
+        reg.inc("span.seconds", 0.1, span="campaign.cell")
         assert validate_snapshot(reg.snapshot()) == []
 
     def test_unknown_metric_name_flagged(self):
-        snap = {"counters": {"made.up": 1}, "gauges": {}, "histograms": {}}
+        snap = {"counters": {"made.up": 1}}
         errors = validate_snapshot(snap)
         assert any("unknown metric name 'made.up'" in error for error in errors)
 
     def test_undeclared_label_key_flagged(self):
-        snap = {
-            "counters": {"campaign.cells|color=red": 1},
-            "gauges": {},
-            "histograms": {},
-        }
+        snap = {"counters": {"campaign.cells|color=red": 1}}
         errors = validate_snapshot(snap)
         assert any("undeclared label key 'color'" in error for error in errors)
 
-    def test_kind_mismatch_flagged(self):
-        snap = {"counters": {"cache.entries": 1}, "gauges": {}, "histograms": {}}
-        errors = validate_snapshot(snap)
-        assert any("declared gauge" in error for error in errors)
+    def test_kind_mismatch_flagged(self, tmp_path):
+        # Every metric is a counter: a metrics.jsonl line of another kind
+        # makes the whole file fail validation.
+        line = {"kind": "histogram", "name": "span.seconds", "labels": {"span": "x"}}
+        (tmp_path / "metrics.jsonl").write_text(json.dumps(line) + "\n")
+        errors = validate_telemetry_dir(tmp_path, required=())
+        assert any("unknown metric kind 'histogram'" in error for error in errors)
 
     def test_missing_required_metric_flagged(self):
-        snap = {"counters": {}, "gauges": {}, "histograms": {}}
-        errors = validate_snapshot(snap, required=REQUIRED_CAMPAIGN_METRICS)
+        errors = validate_snapshot({"counters": {}}, required=REQUIRED_CAMPAIGN_METRICS)
         assert any("'campaign.cells' was never emitted" in error for error in errors)
 
     def test_overflow_label_always_legal(self):
-        snap = {
-            "counters": {"campaign.cells|overflow=true": 1},
-            "gauges": {},
-            "histograms": {},
-        }
+        snap = {"counters": {"campaign.cells|overflow=true": 1}}
         assert validate_snapshot(snap) == []
 
 

@@ -2,10 +2,11 @@
 
 The generator builds each window in one buffer of four-byte lines and
 weaves it in bounded blocks; ``_spec_reference`` keeps the original
-trace-sized ``uint64`` implementation.  Every workload, two seeds and four (scale, cores,
+trace-sized ``uint64`` implementation.  Every workload, two seeds and five (scale, cores,
 line-address bits) shapes must produce identical ``lines`` and
 ``instructions``, and the matrix must reach the weave's no-scan and
-short-burst branches.
+short-burst branches.  The 34-bit shape is the one whose lines need
+eight bytes.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.workloads.mixes import mix_trace
 from repro.workloads.spec import SCAN_BLOCK, spec_names, spec_trace
 
 SEEDS = (2024, 7)
-SHAPES = [(0.05, 4, 28), (0.02, 4, 28), (0.1, 8, 29), (0.01, 1, 28)]
+SHAPES = [(0.05, 4, 28), (0.02, 4, 28), (0.1, 8, 29), (0.01, 1, 28), (0.01, 1, 34)]
 
 
 def _assert_same(got, want):
