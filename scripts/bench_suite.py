@@ -1,0 +1,208 @@
+#!/usr/bin/env python3
+"""Time the serial paper suite and append the timings to BENCH_suite.json.
+
+Each run is a fresh ``scripts/run_paper_suite.py --quiet --log-json``
+process of the tree being measured (this checkout unless ``--tree`` names
+another), with every ``REPRO_*`` variable removed so no developer stats
+cache or telemetry leaks in.  A run records:
+
+- ``wall_s``: the process's wall time, interpreter start included;
+- ``elapsed_s``, ``peak_rss_mb``, ``trace_cache_mb`` and
+  ``stats_cache_mb``: the ``suite.done`` log record;
+- ``experiments``: each experiment's seconds, from its
+  ``suite.experiment_done`` record;
+- ``golden``: whether the output equals ``results_paper_suite.txt`` once
+  the ``[... finished in Ns]`` timing lines are dropped.  A run whose
+  output differs is still recorded, but its timings describe a different
+  program.
+
+One invocation appends one entry to the history file: the measured
+tree's commit (and whether its working tree was dirty), the machine, the
+runs, and the quartiles of each number over the runs
+(``bench/benchstats.py``'s ``quartiles``, so this history and the
+repository benchmark summarize the same way).  Earlier entries are kept
+as they are.
+
+Usage::
+
+    python scripts/bench_suite.py [--runs N] [--tree DIR] [--history FILE]
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Dict, List, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from benchstats import quartiles  # noqa: E402
+
+#: Output lines that hold a timing and so differ between runs.
+_TIMING_LINE = re.compile(r"^\[.* finished in [0-9.]+s\]$")
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--runs", type=int, default=2, help="suite runs (default 2)")
+    parser.add_argument(
+        "--tree", type=Path, default=ROOT, help="checkout whose suite runs (default: this one)"
+    )
+    parser.add_argument(
+        "--history",
+        type=Path,
+        default=ROOT / "BENCH_suite.json",
+        help="history file to append to (default: BENCH_suite.json)",
+    )
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs must be at least 1, got {args.runs}")
+    return args
+
+
+def without_timings(text: str) -> List[str]:
+    """The suite output's lines, minus the per-experiment and whole-suite timing lines."""
+    return [line for line in text.splitlines() if not _TIMING_LINE.match(line)]
+
+
+def parse_log(lines) -> dict:
+    """One run's numbers from its ``--log-json`` records.
+
+    Raises:
+        ValueError: The log has no ``suite.done`` record (the suite did
+            not finish).
+    """
+    experiments: Dict[str, float] = {}
+    done: Optional[dict] = None
+    for line in lines:
+        record = json.loads(line)
+        if record.get("event") == "suite.experiment_done":
+            experiments[record["experiment"]] = record["elapsed_s"]
+        elif record.get("event") == "suite.done":
+            done = record
+    if done is None:
+        raise ValueError("the suite log has no suite.done record")
+    keys = ("elapsed_s", "peak_rss_mb", "trace_cache_mb", "stats_cache_mb")
+    return {**{key: done[key] for key in keys}, "experiments": experiments}
+
+
+def run_suite(tree: Path, golden: List[str]) -> dict:
+    """One fresh suite process over ``tree``; its numbers and golden check."""
+    env = {name: value for name, value in os.environ.items() if not name.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(tree / "src")
+    with tempfile.TemporaryDirectory(prefix="bench-suite-") as scratch:
+        output, log = Path(scratch) / "suite.txt", Path(scratch) / "suite.jsonl"
+        started = time.perf_counter()
+        subprocess.run(
+            [sys.executable, str(tree / "scripts" / "run_paper_suite.py"), str(output),
+             "--quiet", "--log-json", str(log)],
+            cwd=scratch,
+            env=env,
+            check=True,
+        )
+        wall_s = time.perf_counter() - started
+        run = parse_log(log.read_text().splitlines())
+        run["golden"] = without_timings(output.read_text()) == golden
+    return {"wall_s": round(wall_s, 3), **run}
+
+
+def summarize(runs: List[dict]) -> dict:
+    """``[first quartile, median, third quartile]`` of each number over ``runs``."""
+
+    def spread(values):
+        return [round(value, 3) for value in quartiles(values)]
+
+    keys = ("wall_s", "elapsed_s", "peak_rss_mb")
+    summary = {key: spread([run[key] for run in runs]) for key in keys}
+    summary["experiments"] = {
+        name: spread([run["experiments"][name] for run in runs]) for name in runs[0]["experiments"]
+    }
+    return summary
+
+
+def commit_of(tree: Path) -> dict:
+    """The tree's commit and whether tracked files differ from it (None outside git)."""
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=tree, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    try:
+        return {
+            "commit": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        }
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "dirty": None}
+
+
+def machine() -> dict:
+    """What the timings depend on: CPU, memory, interpreter and numpy."""
+    import numpy
+
+    info = {
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            info["cpu"] = next(
+                line.split(":", 1)[1].strip() for line in cpuinfo if line.startswith("model name")
+            )
+        with open("/proc/meminfo") as meminfo:
+            info["mem_gb"] = round(int(meminfo.readline().split()[1]) / 2**20, 1)
+    except (OSError, StopIteration):
+        pass
+    return info
+
+
+def append_entry(history: Path, entry: dict) -> None:
+    """Append ``entry`` to the history file, keeping every earlier entry, atomically."""
+    data = json.loads(history.read_text()) if history.exists() else {"history": []}
+    data["history"].append(entry)
+    staging = history.with_name(history.name + ".tmp")
+    staging.write_text(json.dumps(data, indent=2) + "\n")
+    os.replace(staging, history)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    tree = args.tree.resolve()
+    golden = without_timings((tree / "results_paper_suite.txt").read_text())
+    runs = []
+    for index in range(args.runs):
+        run = run_suite(tree, golden)
+        runs.append(run)
+        print(
+            f"run {index + 1}/{args.runs}: wall_s={run['wall_s']} peak_rss_mb={run['peak_rss_mb']}"
+            f" golden={'ok' if run['golden'] else 'DIFFERS'}",
+            flush=True,
+        )
+    entry = {
+        **commit_of(tree),
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "machine": machine(),
+        "runs": runs,
+        "summary": summarize(runs),
+    }
+    append_entry(args.history, entry)
+    wall = entry["summary"]["wall_s"]
+    print(f"appended to {args.history}: wall_s median {wall[1]} [{wall[0]}, {wall[2]}]")
+    return 0 if all(run["golden"] for run in runs) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -32,12 +32,17 @@
 # cold-start line: a fresh interpreter imports repro.experiments.campaign
 # and reports the import seconds and the number of repro modules loaded
 # (not gated; tests/unit/test_import_graph.py bounds the module count),
-# an advisory window-working-set line: the traced (tracemalloc) peak
-# of one uncached 1M-line Rubix-S GS1 window in bytes per line (not
-# gated; tests/unit/test_window_working_set.py bounds it), an advisory
-# trace set-up line: the seconds to generate one seed's 18 scale-0.05
-# SPEC traces and write them with save_trace_raw, which is what the
-# mitigation-grid benchmark's set-up repeats per seed (not gated), and an
+# an advisory trace set-up line: the seconds to generate one seed's 18
+# scale-0.05 SPEC traces and write them with save_trace_raw, which is
+# what the mitigation-grid benchmark's set-up repeats per seed (not
+# gated), an advisory window-working-set line: the traced (tracemalloc)
+# peak of one uncached 1M-line Rubix-S GS1 window in bytes per line (not
+# gated; tests/unit/test_window_working_set.py bounds it), next to it an
+# advisory file-window line for what tracemalloc cannot see: the VmHWM
+# growth and the resident MB of the .rtr file's own mapping after one
+# uncached Coffee Lake window over the saved scale-0.05 lbm trace (not
+# gated; tests/unit/test_window_page_release.py bounds the resident
+# pages), and an
 # advisory `src/repro lines=N` line: the Python source lines under
 # src/repro, so a change's net source delta is the difference between
 # two CI logs (not gated).
@@ -151,6 +156,22 @@ modules = sum(1 for name in sys.modules if name.split(".")[0] == "repro")
 print(f"cold import: import_s={elapsed_s:.3f} repro_modules={modules}")
 '
 
+# Advisory: trace set-up -- generate one seed's 18 scale-0.05 SPEC traces
+# and write each as a .rtr file (generation, fingerprint, write); not gated.
+TRACE_DIR="$(mktemp -d -t rubix-trace-setup-XXXXXX)"
+trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR" "$SUITE_OUT" "$SUITE_LOG" "$TRACE_DIR"' EXIT
+python - "$TRACE_DIR" <<'PY'
+import sys, time
+from pathlib import Path
+from repro.workloads.spec import spec_names, spec_trace
+from repro.workloads.trace_io import save_trace_raw
+folder = Path(sys.argv[1])
+started = time.perf_counter()
+for name in spec_names():
+    save_trace_raw(spec_trace(name, scale=0.05, seed=2024), folder / name)
+print(f"trace set-up: traces={len(spec_names())} seconds={time.perf_counter() - started:.3f}")
+PY
+
 # Advisory: the working set of one analysis window -- the traced peak of
 # an uncached 1M-line Rubix-S GS1 window, in bytes per line; not gated.
 python -c '
@@ -168,20 +189,39 @@ sim.window_stats(trace, mapping, use_cache=False)
 print(f"window working set: B/line={tracemalloc.get_traced_memory()[1] / lines.size:.1f}")
 '
 
-# Advisory: trace set-up -- generate one seed's 18 scale-0.05 SPEC traces
-# and write each as a .rtr file (generation, fingerprint, write); not gated.
-TRACE_DIR="$(mktemp -d -t rubix-trace-setup-XXXXXX)"
-trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR" "$SUITE_OUT" "$SUITE_LOG" "$TRACE_DIR"' EXIT
-python - "$TRACE_DIR" <<'PY'
-import sys, time
-from pathlib import Path
-from repro.workloads.spec import spec_names, spec_trace
-from repro.workloads.trace_io import save_trace_raw
-folder = Path(sys.argv[1])
-started = time.perf_counter()
-for name in spec_names():
-    save_trace_raw(spec_trace(name, scale=0.05, seed=2024), folder / name)
-print(f"trace set-up: traces={len(spec_names())} seconds={time.perf_counter() - started:.3f}")
+# Advisory: file pages of a memory-mapped window, which tracemalloc (the
+# line above) cannot see -- one uncached Coffee Lake window over the
+# saved scale-0.05 lbm .rtr trace in a fresh interpreter: its VmHWM
+# growth and how much of the file's own mapping stays resident
+# afterwards (tests/unit/test_window_page_release.py bounds it); not gated.
+python - "$TRACE_DIR/lbm.rtr" <<'PY'
+import sys
+from repro.mapping.intel import CoffeeLakeMapping
+from repro.perf.simulator import Simulator
+from repro.workloads.trace_io import load_trace
+def hwm_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+def mapping_rss_kb(address):
+    inside = False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = line.split(maxsplit=1)[0]
+            if not head.endswith(":"):
+                start, _, end = head.partition("-")
+                inside = int(start, 16) <= address < int(end, 16)
+            elif inside and head == "Rss:":
+                return int(line.split()[1])
+trace = load_trace(sys.argv[1])
+sim = Simulator()
+before = hwm_kb()
+sim.window_stats(trace, CoffeeLakeMapping(sim.config), use_cache=False)
+growth = hwm_kb() - before
+resident = mapping_rss_kb(trace.lines.__array_interface__["data"][0])
+print(
+    f"file window: lines={len(trace)} vmhwm_growth_mb={growth / 1024:.1f}"
+    f" rtr_resident_mb={resident / 1024:.1f} file_mb={trace.lines.nbytes / 2**20:.1f}"
+)
 PY
 
 # Advisory: the Python source lines under src/repro; not gated.

@@ -30,6 +30,7 @@ from repro.dram.config import Coordinate, DRAMConfig
 from repro.mapping.base import AddressMapping, MappedTrace, line_array
 from repro.utils.bitops import bit_length_for, fitting_uint, is_power_of_two, mask
 from repro.utils.prng import derive_key
+from repro.workloads.trace import iter_line_chunks
 
 #: Elements per block of the gather path (its temporaries stay cache-sized).
 _BLOCK = 1 << 16
@@ -221,12 +222,13 @@ class RubixDMapping(AddressMapping):
 
         The v-group of a line is its p bits above the k line-in-gang
         bits, so no column array is built; the lines are counted in
-        cache-sized blocks in the lines' own dtype.
+        cache-sized blocks in the lines' own dtype, taken from
+        :func:`iter_line_chunks` so a memory-mapped chunk's pages are
+        dropped again once counted.
         """
         lines = line_array(lines)
         counts = np.zeros(self.vgroups, dtype=np.int64)
-        for start in range(0, lines.size, _BLOCK):
-            block = lines[start : start + _BLOCK]
+        for block in iter_line_chunks(lines, _BLOCK):
             vgroup = np.right_shift(
                 block, lines.dtype.type(self.k_bits), out=np.empty(block.size, np.uint32),
                 casting="unsafe",

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.dram.config import Coordinate, DRAMConfig
 from repro.utils.bitops import fitting_uint, mask
+from repro.workloads.trace import iter_line_chunks
 
 FIELD_ORDER = ("channel", "rank", "bank", "row", "col")
 
@@ -159,15 +160,17 @@ class AddressMapping(abc.ABC):
         translated in :data:`_BLOCK`-line blocks written straight into
         one preallocated output: the per-access bank, row and column
         arrays (and a cipher's or decode's temporaries) only ever exist
-        at block size.  ``validate`` is passed to every block's
+        at block size.  The blocks come from :func:`iter_line_chunks`,
+        so a memory-mapped window (an ``.rtr`` trace) drops each block's
+        file pages once it is translated and never becomes resident as a
+        whole.  ``validate`` is passed to every block's
         :meth:`translate_trace`.
         """
         lines = np.asarray(lines)
         out = np.empty(lines.size, dtype=_row_id_dtype(self.config.total_rows - 1))
-        for start in range(0, lines.size, _BLOCK):
-            stop = start + _BLOCK
-            mapped = self.translate_trace(lines[start:stop], validate=validate)
-            mapped.global_row_into(out[start:stop])
+        for start, block in zip(range(0, lines.size, _BLOCK), iter_line_chunks(lines, _BLOCK)):
+            mapped = self.translate_trace(block, validate=validate)
+            mapped.global_row_into(out[start : start + block.size])
         return out
 
     def inverse(self, coord: Coordinate) -> int:

@@ -159,7 +159,7 @@ class Simulator:
 
         Rubix-D mappings are simulated chunk-by-chunk with activation-
         driven remap advancement; all other mappings translate the whole
-        trace in one vectorized pass.
+        trace in one blockwise pass (:meth:`AddressMapping.global_rows`).
         """
         dynamic = isinstance(mapping, RubixDMapping) and mapping.remap_rate > 0.0
         # Only a consulted cache needs the key, and with it the trace's
@@ -229,12 +229,14 @@ class Simulator:
 
         Without detail the window never materializes per-access bank,
         row or column arrays: :meth:`AddressMapping.global_rows`
-        translates it block by block.  The pair comes as a list so the
-        caller can pop the ids straight into the analyzer call and keep
-        no reference to them: on CPython 3.11 and later the callee's
-        frame then owns the ids, and the analyzer frees them as soon as
-        it has grouped them by bank (earlier versions free them when
-        the call returns, with identical results).
+        translates it block by block, and releases a memory-mapped
+        window's pages block by block too, so a static window over an
+        ``.rtr`` trace streams like a Rubix-D one.  The pair comes as a
+        list so the caller can pop the ids straight into the analyzer
+        call and keep no reference to them: on CPython 3.11 and later
+        the callee's frame then owns the ids, and the analyzer frees
+        them as soon as it has grouped them by bank (earlier versions
+        free them when the call returns, with identical results).
         """
         if not keep_detail:
             return [mapping.global_rows(lines, validate=False), None]

@@ -176,7 +176,7 @@ def _backing_mmap(array: np.ndarray):
     return None
 
 
-def iter_line_chunks(lines: np.ndarray, chunk_lines: int, *, release_pages: bool = True):
+def iter_line_chunks(lines: np.ndarray, chunk_lines: int):
     """Yield consecutive ``chunk_lines``-sized slices of a line array.
 
     For plain in-memory arrays this is ordinary slicing.  For
@@ -192,7 +192,7 @@ def iter_line_chunks(lines: np.ndarray, chunk_lines: int, *, release_pages: bool
 
     if chunk_lines < 1:
         raise ValueError(f"chunk_lines must be >= 1, got {chunk_lines}")
-    mm = _backing_mmap(lines) if release_pages else None
+    mm = _backing_mmap(lines)
     advice = getattr(mmap_module, "MADV_DONTNEED", None)
     can_release = mm is not None and advice is not None and hasattr(mm, "madvise")
     for start in range(0, int(lines.size), chunk_lines):

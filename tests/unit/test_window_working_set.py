@@ -17,6 +17,12 @@ here; measured 19.8, bound 22).  The window holds four-byte lines, and
 neither the detail path's whole-window translation nor Rubix-D's
 v-group count may widen them.
 
+These are anonymous (numpy) allocations over an in-memory trace.
+``tracemalloc`` cannot see the file pages a memory-mapped ``.rtr``
+window faults in; that those are released block by block, for static
+and Rubix-D windows alike, is checked in
+``tests/unit/test_window_page_release.py``.
+
 What a window leaves behind is its stats-cache entry, which lives for
 the whole process; the last test pins it in bytes, in memory and as its
 ``.npz`` file.
