@@ -23,21 +23,38 @@ runs, and the quartiles of each number over the runs
 repository benchmark summarize the same way).  Earlier entries are kept
 as they are.
 
+``--against REV`` compares the tree with a parent commit instead.  REV,
+resolved in the tree's repository, is exported with ``git archive`` into
+a temporary directory, which is removed afterwards whether or not the
+runs succeed.  ``--runs`` then counts pairs (at least 3, the default):
+each pair runs the suite once on each side, the side that goes first
+alternating from pair to pair so a steady drift of the machine falls on
+both.  Each side's runs are checked against its own golden and appended
+as one entry (``"side": "parent"`` or ``"change"``).  For ``wall_s``,
+``elapsed_s`` and ``peak_rss_mb`` the script prints the pair wins and
+verdict of ``bench/compare.py``'s ``pair_wins`` and ``verdict``, so the
+suite and the repository benchmark judge alike; the bounds are
+:data:`BOUNDS`.  The exit status is 1 when a run's output differs from
+its golden or a verdict is ``regressed``.
+
 Usage::
 
     python scripts/bench_suite.py [--runs N] [--tree DIR] [--history FILE]
+    python scripts/bench_suite.py --against REV [--runs PAIRS] [--tree DIR] [--history FILE]
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import io
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -47,17 +64,33 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 from benchstats import quartiles  # noqa: E402
+from compare import pair_wins, verdict  # noqa: E402
 
 #: Output lines that hold a timing and so differ between runs.
 _TIMING_LINE = re.compile(r"^\[.* finished in [0-9.]+s\]$")
 
+#: ``--against`` bounds: the share of the parent's median by which the
+#: change's median may be worse.  Four runs of one commit in the first
+#: two history entries spread 2.9% in wall time, and single runs of one
+#: commit have differed by 8%; ``suite.done``'s peak moved by 0.65%
+#: between runs minutes apart.
+BOUNDS = {"wall_s": 0.10, "elapsed_s": 0.10, "peak_rss_mb": 0.02}
+
+#: Pairs ``--against`` runs by default, and the fewest it accepts.
+MIN_PAIRS = 3
+
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=2, help="suite runs (default 2)")
+    parser.add_argument(
+        "--runs",
+        type=int,
+        help=f"suite runs (default 2), or pairs with --against (default {MIN_PAIRS})",
+    )
     parser.add_argument(
         "--tree", type=Path, default=ROOT, help="checkout whose suite runs (default: this one)"
     )
+    parser.add_argument("--against", metavar="REV", help="parent commit to alternate runs with")
     parser.add_argument(
         "--history",
         type=Path,
@@ -65,8 +98,11 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="history file to append to (default: BENCH_suite.json)",
     )
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error(f"--runs must be at least 1, got {args.runs}")
+    least = MIN_PAIRS if args.against else 1
+    if args.runs is None:
+        args.runs = MIN_PAIRS if args.against else 2
+    if args.runs < least:
+        parser.error(f"--runs must be at least {least}, got {args.runs}")
     return args
 
 
@@ -169,6 +205,84 @@ def machine() -> dict:
     return info
 
 
+def export_tree(repo: Path, rev: str, into: Path) -> str:
+    """Extract commit ``rev`` of ``repo``'s repository into ``into``; returns its hash."""
+
+    def git(*args, **kwargs):
+        return subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True, **kwargs)
+
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}", text=True).stdout.strip()
+    archive = git("archive", "--format=tar", commit).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return commit
+
+
+def make_entry(commit: dict, runs: List[dict], **extra) -> dict:
+    """One history entry: commit, date, machine, runs and their quartiles."""
+    return {
+        **commit,
+        **extra,
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "machine": machine(),
+        "runs": runs,
+        "summary": summarize(runs),
+    }
+
+
+def judge(parent: List[dict], change: List[dict]) -> Dict[str, dict]:
+    """``bench/compare.py``'s pair wins and verdict for each bounded number."""
+    rows = {}
+    for key, bound in BOUNDS.items():
+        a, b = [run[key] for run in parent], [run[key] for run in change]
+        parent_wins, change_wins, pairs = pair_wins(a, b, "lower")
+        rows[key] = {
+            "parent": quartiles(a)[1],
+            "change": quartiles(b)[1],
+            "pair_wins": [parent_wins, change_wins, pairs],
+            "verdict": verdict(a, b, bound, "lower"),
+        }
+    return rows
+
+
+def against(args: argparse.Namespace, tree: Path) -> int:
+    """Alternate ``args.runs`` pairs of runs between REV and ``tree``."""
+    golden = without_timings((tree / "results_paper_suite.txt").read_text())
+    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-suite-parent-") as scratch:
+        parent_tree = Path(scratch)
+        commit = export_tree(tree, args.against, parent_tree)
+        parent_golden = without_timings((parent_tree / "results_paper_suite.txt").read_text())
+        sides = {"parent": (parent_tree, parent_golden), "change": (tree, golden)}
+        for index in range(args.runs):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_suite(*sides[side])
+                runs[side].append(run)
+                golden_check = "ok" if run["golden"] else "DIFFERS"
+                print(
+                    f"pair {index + 1}/{args.runs} {side}: wall_s={run['wall_s']}"
+                    f" peak_rss_mb={run['peak_rss_mb']} golden={golden_check}",
+                    flush=True,
+                )
+    rows = judge(runs["parent"], runs["change"])
+    parent = make_entry({"commit": commit, "dirty": False}, runs["parent"], side="parent")
+    append_entry(args.history, parent)
+    change = make_entry(
+        commit_of(tree), runs["change"], side="change", against=commit, comparison=rows
+    )
+    append_entry(args.history, change)
+    for key, row in rows.items():
+        wins = row["pair_wins"]
+        print(
+            f"{key}: parent {row['parent']:.4g} change {row['change']:.4g}"
+            f" pair_wins parent/change {wins[0]}/{wins[1]} of {wins[2]} verdict {row['verdict']}"
+        )
+    goldens = all(run["golden"] for side in runs.values() for run in side)
+    regressed = any(row["verdict"] == "regressed" for row in rows.values())
+    return 0 if goldens and not regressed else 1
+
+
 def append_entry(history: Path, entry: dict) -> None:
     """Append ``entry`` to the history file, keeping every earlier entry, atomically."""
     data = json.loads(history.read_text()) if history.exists() else {"history": []}
@@ -181,6 +295,8 @@ def append_entry(history: Path, entry: dict) -> None:
 def main(argv=None) -> int:
     args = parse_args(argv)
     tree = args.tree.resolve()
+    if args.against:
+        return against(args, tree)
     golden = without_timings((tree / "results_paper_suite.txt").read_text())
     runs = []
     for index in range(args.runs):
@@ -191,13 +307,7 @@ def main(argv=None) -> int:
             f" golden={'ok' if run['golden'] else 'DIFFERS'}",
             flush=True,
         )
-    entry = {
-        **commit_of(tree),
-        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "machine": machine(),
-        "runs": runs,
-        "summary": summarize(runs),
-    }
+    entry = make_entry(commit_of(tree), runs)
     append_entry(args.history, entry)
     wall = entry["summary"]["wall_s"]
     print(f"appended to {args.history}: wall_s median {wall[1]} [{wall[0]}, {wall[2]}]")

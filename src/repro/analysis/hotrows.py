@@ -4,7 +4,10 @@ A *hot row* receives at least ``threshold`` activations within one
 refresh window.  Table 2 counts them per workload (ACT-64+ / ACT-512+);
 Table 3 asks how many distinct lines of each hot row contributed
 activations -- the evidence that the line-to-row mapping, not a single
-frantic line, is what makes rows hot.
+frantic line, is what makes rows hot.  Table 2 reads window statistics;
+Table 3 reads the (row, column) pair of every activation, which window
+statistics do not carry: :func:`~repro.dram.fast_model.activated_lines`
+gives them for one translated window.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.dram.fast_model import TraceStats, _first_of_runs, _run_lengths
+from repro.dram.fast_model import TraceStats, _first_of_runs, _fitting_int, _run_lengths
 
 #: Table 3's line-count buckets (inclusive lower, exclusive upper).
 LINE_BUCKETS: Tuple[Tuple[int, int], ...] = ((1, 32), (32, 64), (64, 129))
@@ -59,41 +62,49 @@ class LineContribution:
 
 
 def line_contribution_table(
-    stats: TraceStats, *, threshold: int = 64, lines_per_row: int = 128
+    rows: np.ndarray, cols: np.ndarray, *, threshold: int = 64, lines_per_row: int = 128
 ) -> LineContribution:
-    """Compute Table 3 for one window.
+    """Compute Table 3 for one window from its activations.
 
-    Requires the window to have been analyzed with ``keep_detail=True``
-    (the per-activation row/column arrays).
+    ``rows`` and ``cols`` are the global row and column of every ACT in
+    the window, in any order (e.g.
+    :func:`~repro.dram.fast_model.activated_lines`).  A row is hot when
+    it has at least ``threshold`` of them.
     """
-    if stats.act_rows is None or stats.act_cols is None:
-        raise ValueError("line contribution needs keep_detail=True analysis")
-    hot_ids = stats.row_ids[stats.acts_per_row >= threshold]
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.shape != cols.shape:
+        raise ValueError("rows and cols must be aligned")
     empty = {f"{lo}-{hi - 1}": 0.0 for lo, hi in LINE_BUCKETS}
-    if hot_ids.size == 0:
+    if rows.size == 0:
         return LineContribution(hot_rows=0, bucket_fractions=empty, average_lines=0.0)
 
-    # One in-place sort of every activation's packed (row, line) key:
-    # the first key of each run of equal keys is one distinct activating
-    # line, and the first of each run of equal rows among those is one
-    # activated row.
-    key = stats.act_rows.astype(np.int64)
-    key *= lines_per_row
-    np.add(key, stats.act_cols, out=key, casting="unsafe")
+    # One in-place sort of every activation's packed (row, line) key, in
+    # the narrowest dtype that holds it: the first key of each run of
+    # equal keys is one distinct activating line.  Dividing the keys in
+    # place then leaves each activation's row, so each run of equal rows
+    # is one activated row and its activations.  Both per-row counts
+    # come out in ascending row order.
+    dtype = _fitting_int((int(rows.max()) + 1) * lines_per_row - 1)
+    key = np.multiply(rows, lines_per_row, dtype=dtype, casting="unsafe")
+    np.add(key, cols, out=key, dtype=dtype, casting="unsafe")
     key.sort()
-    row_of_line = key[_first_of_runs(key)]
-    row_of_line //= lines_per_row
-    first_line = _first_of_runs(row_of_line)
-    lines_per_act_row = _run_lengths(first_line, np.int64)
-    # Every hot row was activated, so each one is found.
-    lines_per_hot_row = lines_per_act_row[np.searchsorted(row_of_line[first_line], hot_ids)]
+    first_line = _first_of_runs(key)
+    key //= lines_per_row
+    acts_per_row = _run_lengths(_first_of_runs(key), _fitting_int(key.size))
+    row_of_line = key[first_line]
+    del key, first_line
+    lines_per_act_row = _run_lengths(_first_of_runs(row_of_line), np.int32)
+    lines_per_hot_row = lines_per_act_row[acts_per_row >= threshold]
+    hot_rows = int(lines_per_hot_row.size)
+    if hot_rows == 0:
+        return LineContribution(hot_rows=0, bucket_fractions=empty, average_lines=0.0)
 
     fractions = {}
     for lo, hi in LINE_BUCKETS:
         in_bucket = np.count_nonzero((lines_per_hot_row >= lo) & (lines_per_hot_row < hi))
-        fractions[f"{lo}-{hi - 1}"] = in_bucket / hot_ids.size
+        fractions[f"{lo}-{hi - 1}"] = in_bucket / hot_rows
     return LineContribution(
-        hot_rows=int(hot_ids.size),
+        hot_rows=hot_rows,
         bucket_fractions=fractions,
         average_lines=float(lines_per_hot_row.mean()),
     )

@@ -7,9 +7,11 @@ computes, without per-access Python loops:
 * the number of activations (ACT commands) and row-buffer hits under the
   open-adaptive page policy,
 * the per-physical-row activation histogram (the input to hot-row and
-  mitigation-invocation analysis), and
-* optionally the (row, column) pairs of every activation, for the
-  line-contribution analysis of Table 3.
+  mitigation-invocation analysis).
+
+:func:`activated_lines` gives the (row, column) pair of every
+activation instead, for the line-contribution analysis of Table 3, the
+only consumer of per-activation detail.
 
 The model corresponds to an in-order, per-bank stream: each bank serves
 its requests in program order, a request hits iff it targets the row left
@@ -40,8 +42,8 @@ equivalence tests compare against bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +55,7 @@ def _fitting_int(largest: int):
     return np.int32 if largest <= _INT32_MAX else np.int64
 
 
-#: Shared empty histogram for empty and slimmed results (never mutated).
+#: Shared empty array for empty results (never mutated).
 _EMPTY_HISTOGRAM = np.empty(0, dtype=np.int32)
 
 #: Accesses per block of the analyzer's gathers and position pass (their
@@ -77,18 +79,13 @@ class TraceStats:
             ``int32`` (``int64`` only past 2^31 activations per window).
             On a stats-cache hit, the same counts in ascending order.
         unique_rows_touched: Number of distinct physical rows accessed.
-        act_rows: If detail was kept, the global row id of every ACT
-            (``int64``).
-        act_cols: If detail was kept, the column of every ACT.
 
-    Every producer -- :func:`analyze_trace`, :class:`ChunkedAnalyzer`
-    and :meth:`merge` -- hands out the histogram in these dtypes (see
+    Both producers -- :func:`analyze_trace` and :class:`ChunkedAnalyzer`
+    -- hand out the histogram in these dtypes (see
     :meth:`narrow_histogram`).  The stats cache keeps only how many rows
     reach each count (see :mod:`repro.parallel.cache`): a hit hands back
     the counts' dtype and multiset, which is all the per-row metrics
-    below read, and no ids.  :meth:`merge` and
-    :func:`~repro.analysis.hotrows.line_contribution_table` need the
-    ids, and neither ever sees a cached window.
+    below read, and no ids.
     """
 
     n_accesses: int
@@ -97,8 +94,6 @@ class TraceStats:
     row_ids: Optional[np.ndarray]
     acts_per_row: np.ndarray
     unique_rows_touched: int
-    act_rows: Optional[np.ndarray] = None
-    act_cols: Optional[np.ndarray] = None
 
     @property
     def hit_rate(self) -> float:
@@ -133,10 +128,12 @@ class TraceStats:
     def excess_activations(self, threshold: int) -> int:
         """Total activations beyond ``threshold`` summed over rows.
 
-        Blockhammer throttles exactly these activations.
+        Blockhammer throttles exactly these activations.  Only the
+        counts above ``threshold`` are summed, in ``int64``, so no wide
+        copy of every row's count is made.
         """
-        excess = self.acts_per_row.astype(np.int64) - threshold
-        return int(excess[excess > 0].sum())
+        above = self.acts_per_row[self.acts_per_row > threshold]
+        return int(above.sum(dtype=np.int64)) - threshold * int(above.size)
 
     @staticmethod
     def narrow_histogram(
@@ -149,75 +146,9 @@ class TraceStats:
             acts_per_row.astype(_fitting_int(n_activations), copy=False),
         )
 
-    @classmethod
-    def merge(cls, parts: Sequence["TraceStats"]) -> "TraceStats":
-        """Merge chunk-wise statistics into one window-level result.
 
-        Per-row histograms are summed by row id.  The detail arrays are
-        kept *atomically*: ``act_rows`` (and ``act_cols``) appear in the
-        merged result only when every part agrees on what detail it
-        kept.  Parts that disagree on column detail drop both arrays --
-        a merged ``act_rows`` spanning all activations next to an
-        ``act_cols`` covering only some chunks would silently misalign
-        downstream (row, col) analyses.
-        """
-        if not parts:
-            return cls(0, 0, 0, _EMPTY_HISTOGRAM, _EMPTY_HISTOGRAM, 0)
-        all_rows = np.concatenate([p.row_ids for p in parts])
-        all_acts = np.concatenate([p.acts_per_row for p in parts])
-        row_ids, inverse = np.unique(all_rows, return_inverse=True)
-        n_activations = sum(p.n_activations for p in parts)
-        acts = np.zeros(row_ids.size, dtype=_fitting_int(n_activations))
-        np.add.at(acts, inverse, all_acts)
-        row_ids, acts = cls.narrow_histogram(row_ids, acts, n_activations)
-        rows_kept = [p.act_rows is not None for p in parts]
-        cols_kept = [p.act_cols is not None for p in parts]
-        keep_detail = all(rows_kept) and (all(cols_kept) or not any(cols_kept))
-        act_rows = np.concatenate([p.act_rows for p in parts]) if keep_detail else None
-        act_cols = (
-            np.concatenate([p.act_cols for p in parts])
-            if keep_detail and all(cols_kept)
-            else None
-        )
-        # Unique rows touched can only be bounded from below across
-        # arbitrary parts.  For parts from analyze_trace the bound is
-        # exact: every run opens with an ACT, so each part touched
-        # exactly its activated rows.
-        unique_touched = max(int(row_ids.size), max(p.unique_rows_touched for p in parts))
-        return cls(
-            n_accesses=sum(p.n_accesses for p in parts),
-            n_activations=n_activations,
-            n_hits=sum(p.n_hits for p in parts),
-            row_ids=row_ids,
-            acts_per_row=acts,
-            unique_rows_touched=unique_touched,
-            act_rows=act_rows,
-            act_cols=act_cols,
-        )
-
-
-def _histogram_domain_ok(domain: int, n: int) -> bool:
-    """Whether a dense histogram over ``domain`` row ids is sane for ``n`` accesses.
-
-    The dense window histogram is O(domain) memory; beyond a few
-    multiples of the lines fed the allocation would dwarf the sort-based
-    merge it replaces, so larger domains fall back to that merge.
-    """
-    return domain <= max(1 << 22, 2 * n)
-
-
-def _grown(current: Optional[np.ndarray], size: int, dtype) -> np.ndarray:
-    """A zeroed array of at least ``size``, preserving ``current``'s prefix."""
-    grown = np.zeros(max(size, 0 if current is None else current.size), dtype=dtype)
-    if current is not None:
-        grown[: current.size] = current
-    return grown
-
-
-def _group_by_bank(
-    global_row: np.ndarray, rows_per_bank: int, col: Optional[np.ndarray]
-) -> "tuple[np.ndarray, Optional[np.ndarray]]":
-    """Row ids (and columns) grouped by bank, program order kept per bank.
+def _group_by_bank(global_row: np.ndarray, rows_per_bank: int) -> np.ndarray:
+    """Row ids grouped by bank, program order kept per bank.
 
     Each access gets one packed ``bank << position_bits | position`` key
     in the narrowest signed dtype that holds it and the ids.  Keys are
@@ -243,15 +174,11 @@ def _group_by_bank(
         block <<= position_bits
         block |= np.arange(start, start + block.size, dtype=dtype)
     key.sort()
-    grouped_col = None if col is None else np.empty_like(col)
     position_mask = dtype((1 << position_bits) - 1)
     for start in range(0, n, _BLOCK):
         block = key[start : start + _BLOCK]
-        position = block & position_mask
-        if grouped_col is not None:
-            grouped_col[start : start + block.size] = col[position]
-        block[:] = global_row[position]
-    return key, grouped_col
+        block[:] = global_row[block & position_mask]
+    return key
 
 
 def _activation_mask(new_run: np.ndarray, max_hits: int) -> np.ndarray:
@@ -332,8 +259,6 @@ def analyze_trace(
     *,
     rows_per_bank: int,
     max_hits: Optional[int] = 16,
-    col: Optional[np.ndarray] = None,
-    keep_detail: bool = False,
 ) -> TraceStats:
     """Analyze one trace window under the open-adaptive page policy.
 
@@ -345,9 +270,6 @@ def analyze_trace(
         rows_per_bank: Rows per bank (the bank of an id is
             ``id // rows_per_bank``).
         max_hits: Open-adaptive budget; ``None`` models pure open-page.
-        col: Optional column (line-in-row) per access; required when
-            ``keep_detail`` is set and Table-3-style analysis is wanted.
-        keep_detail: Keep per-activation (row, col) arrays.
 
     Returns:
         A :class:`TraceStats` for the window.
@@ -355,20 +277,16 @@ def analyze_trace(
     global_row = np.asarray(global_row)
     if global_row.ndim != 1:
         raise ValueError("global_row must be a 1-D array")
-    if col is not None:
-        col = np.asarray(col)
-        if col.shape != global_row.shape:
-            raise ValueError("col must be aligned with global_row")
     n = global_row.size
     if n == 0:
         return TraceStats(0, 0, 0, _EMPTY_HISTOGRAM, _EMPTY_HISTOGRAM, 0)
     if max_hits is not None and max_hits < 1:
         raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
-    g, grouped_col = _group_by_bank(global_row, rows_per_bank, col if keep_detail else None)
+    g = _group_by_bank(global_row, rows_per_bank)
     # From here on every count happens inside ``g``, which this call
     # owns.  Dropping the input lets ids a caller handed over (kept no
     # reference to) be freed now, not when the call returns.
-    del global_row, col
+    del global_row
 
     # An access opens a new run iff its row differs from its
     # predecessor's in the grouped order.  Row ids embed the bank id, so
@@ -377,9 +295,7 @@ def analyze_trace(
     if max_hits is not None:
         act_mask = _activation_mask(act_mask, max_hits)
     n_act = _compact(g, act_mask)
-    detail_rows = g[:n_act].astype(np.int64) if keep_detail else None
-    detail_cols = grouped_col[act_mask] if grouped_col is not None else None
-    del act_mask, grouped_col
+    del act_mask
 
     # Sort-count the activated rows in ``g``'s prefix: after one in-place
     # sort, each run of equal ids is one histogram entry.
@@ -401,9 +317,51 @@ def analyze_trace(
         # Every run opens with an ACT, so the rows touched are exactly
         # the rows activated.
         unique_rows_touched=int(row_ids.size),
-        act_rows=detail_rows,
-        act_cols=detail_cols,
     )
+
+
+def activated_lines(
+    global_row: np.ndarray,
+    col: np.ndarray,
+    *,
+    rows_per_bank: int,
+    lines_per_row: int,
+    max_hits: Optional[int] = 16,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of every ACT of one window, grouped by bank.
+
+    The activations are the ones :func:`analyze_trace` counts, in bank
+    order and program order within a bank.  Each access's row and column
+    (below ``lines_per_row``) are packed into one line id, so the same
+    bank grouping as :func:`analyze_trace`'s carries the columns along;
+    the window holds the packed ids and their grouped copy, never a
+    separate column permutation.  Both results are in the packed ids'
+    dtype (``int32`` for every modelled geometry).  The input is never
+    written to.
+    """
+    global_row, col = np.asarray(global_row), np.asarray(col)
+    if global_row.ndim != 1 or col.shape != global_row.shape:
+        raise ValueError("global_row and col must be aligned 1-D arrays")
+    if max_hits is not None and max_hits < 1:
+        raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
+    if global_row.size == 0:
+        return _EMPTY_HISTOGRAM, _EMPTY_HISTOGRAM
+    dtype = _fitting_int((int(global_row.max()) + 1) * lines_per_row - 1)
+    line = np.multiply(global_row, lines_per_row, dtype=dtype, casting="unsafe")
+    np.add(line, col, out=line, dtype=dtype, casting="unsafe")
+    grouped = _group_by_bank(line, rows_per_bank * lines_per_row)
+    del line
+    act_mask = _first_of_runs(grouped // lines_per_row)
+    if max_hits is not None:
+        act_mask = _activation_mask(act_mask, max_hits)
+    n_act = _compact(grouped, act_mask)
+    del act_mask
+    # No view of ``grouped`` is alive: it shrinks in place to the
+    # activated lines and becomes their columns.
+    grouped.resize(n_act, refcheck=False)
+    rows = grouped // lines_per_row
+    grouped %= lines_per_row
+    return rows, grouped
 
 
 @dataclass
@@ -413,7 +371,7 @@ class ChunkedAnalyzer:
     Rubix-D changes the mapping *during* a window, so the simulator maps
     and analyzes the trace in chunks, feeding each chunk's activation
     count back into the remap engine.  This class accumulates the chunk
-    statistics and produces a merged window result; the row buffer is
+    statistics and produces the window result; the row buffer is
     conservatively assumed cold at each chunk boundary (a <0.1% activation
     overcount at the default chunk size).  A window of one chunk -- every
     window shorter than the simulator's ``chunk_lines`` -- needs no merge:
@@ -422,23 +380,21 @@ class ChunkedAnalyzer:
 
     rows_per_bank: int
     max_hits: Optional[int] = 16
-    keep_detail: bool = False
-    _parts: List[TraceStats] = field(default_factory=list)
+    #: The first non-empty chunk's statistics, the window's result until
+    #: a second non-empty chunk arrives.
+    _first: Optional[TraceStats] = None
     #: Dense per-row activation histogram over the global-row domain,
-    #: built when the second non-empty chunk arrives.  It replaces the
-    #: sort-heavy cross-chunk merge (concatenate + np.unique over every
-    #: chunk's ids) with one scatter per chunk; if the domain ever
-    #: outgrows the dense budget, the accumulated counts fold into the
-    #: list form and the merge falls back to :meth:`TraceStats.merge`.
-    #: Every run opens with an ACT, so a chunk's ``row_ids`` are exactly
-    #: the rows it touched and the histogram's nonzero entries are the
-    #: window's touched rows.
+    #: built when the second non-empty chunk arrives: one scatter per
+    #: chunk instead of a sort-heavy cross-chunk merge.  It is O(largest
+    #: row id): 8 MiB of ``int32`` counts on the 2^21-row baseline, 16 MiB
+    #: on the 2^22-row systems.  Every run opens with an ACT, so a
+    #: chunk's ``row_ids`` are exactly the rows it touched and the
+    #: histogram's nonzero entries are the window's touched rows.
     _hist: Optional[np.ndarray] = None
-    _dense: bool = True
-    _fed: int = 0
-    _domain: int = 0
+    _n_accesses: int = 0
+    _n_activations: int = 0
 
-    def feed(self, global_row: np.ndarray, col: Optional[np.ndarray] = None) -> TraceStats:
+    def feed(self, global_row: np.ndarray) -> TraceStats:
         """Analyze one chunk of global row ids; returns the chunk's own stats.
 
         The ids are handed on to :func:`analyze_trace` with no reference
@@ -448,98 +404,51 @@ class ChunkedAnalyzer:
         handed = [global_row]
         del global_row
         stats = analyze_trace(
-            handed.pop(),
-            rows_per_bank=self.rows_per_bank,
-            max_hits=self.max_hits,
-            col=col,
-            keep_detail=self.keep_detail,
+            handed.pop(), rows_per_bank=self.rows_per_bank, max_hits=self.max_hits
         )
-        self._parts.append(stats)
-        if stats.n_accesses == 0 or not self._dense:
+        if stats.n_accesses == 0:
             return stats
-        self._fed += stats.n_accesses
-        self._domain = max(self._domain, int(stats.row_ids[-1]) + 1)
-        if self._fed == stats.n_accesses:
-            # The first non-empty chunk: it stays the window's result
-            # until another one arrives.
-            return stats
-        if not _histogram_domain_ok(self._domain, self._fed):
-            # Domain outgrew the dense budget mid-stream: continue
-            # sort-merged from here on.
-            self._dense = False
-            if self._hist is not None and not self.keep_detail:
-                # The dense-era parts were slimmed to scalars, so the
-                # histogram is the only copy of their per-row counts:
-                # collapse it into one synthetic part the merge can consume.
-                folded = self._dense_result(self._parts[:-1])
-                self._parts = [folded, self._parts[-1]]
-            self._hist = None
-            return stats
+        self._n_accesses += stats.n_accesses
+        self._n_activations += stats.n_activations
+        parts = [stats]
         if self._hist is None:
-            # The second non-empty chunk: the first one joins it now.
-            fresh = [i for i, part in enumerate(self._parts) if part.n_accesses]
-        else:
-            fresh = [len(self._parts) - 1]
-        count_dtype = _fitting_int(self._fed)
-        if self._hist is None or self._hist.size < self._domain or self._hist.dtype != count_dtype:
-            self._hist = _grown(self._hist, self._domain, count_dtype)
-        for i in fresh:
-            part = self._parts[i]
-            # Row ids are unique within a chunk, so the scatter
-            # needs no np.add.at.
+            if self._first is None:
+                self._first = stats
+                return stats
+            # The second non-empty chunk: the first one joins it now, and
+            # the histogram is sized for both at once.
+            parts.append(self._first)
+            self._first = None
+        count_dtype = _fitting_int(self._n_accesses)
+        held = _EMPTY_HISTOGRAM if self._hist is None else self._hist
+        size = max([held.size] + [int(part.row_ids[-1]) + 1 for part in parts])
+        if size > held.size or held.dtype != count_dtype:
+            self._hist = np.zeros(size, dtype=count_dtype)
+            self._hist[: held.size] = held
+        for part in parts:
+            # Row ids are unique within a chunk, so the scatter needs no
+            # np.add.at.
             self._hist[part.row_ids] += part.acts_per_row
-            if not self.keep_detail:
-                # The chunk's per-row arrays now live in the
-                # histogram; retaining them per part as well made a
-                # long streamed window hold every chunk's histogram
-                # at once (gigabytes over a 100M-line trace).  Keep
-                # only the scalar tallies the merged result needs.
-                self._parts[i] = TraceStats(
-                    n_accesses=part.n_accesses,
-                    n_activations=part.n_activations,
-                    n_hits=part.n_hits,
-                    row_ids=_EMPTY_HISTOGRAM,
-                    acts_per_row=_EMPTY_HISTOGRAM,
-                    unique_rows_touched=part.unique_rows_touched,
-                )
         return stats
 
     def result(self) -> TraceStats:
-        """Merged statistics across all chunks fed so far."""
-        if self._hist is not None:
-            return self._dense_result(self._parts)
-        if len(self._parts) == 1:
-            return self._parts[0]
-        return TraceStats.merge(self._parts)
-
-    def _dense_result(self, parts: List[TraceStats]) -> TraceStats:
-        """Merge of ``parts`` whose per-row counts live in the histogram.
-
-        Same contract as :meth:`TraceStats.merge` -- row ids come out of
-        ``np.flatnonzero`` sorted, counts from the histogram, details
-        concatenated in chunk order, all bit-identical to the reference
-        merge.
-        """
-        n_activations = sum(p.n_activations for p in parts)
+        """The window's statistics across all chunks fed so far."""
+        if self._first is not None:
+            return self._first
+        if self._hist is None:
+            return TraceStats(0, 0, 0, _EMPTY_HISTOGRAM, _EMPTY_HISTOGRAM, 0)
         row_ids = np.flatnonzero(self._hist)
-        row_ids, acts = TraceStats.narrow_histogram(row_ids, self._hist[row_ids], n_activations)
-        rows_kept = [p.act_rows is not None for p in parts]
-        cols_kept = [p.act_cols is not None for p in parts]
-        keep = bool(parts) and all(rows_kept) and (all(cols_kept) or not any(cols_kept))
+        row_ids, acts = TraceStats.narrow_histogram(
+            row_ids, self._hist[row_ids], self._n_activations
+        )
         return TraceStats(
-            n_accesses=sum(p.n_accesses for p in parts),
-            n_activations=n_activations,
-            n_hits=sum(p.n_hits for p in parts),
+            n_accesses=self._n_accesses,
+            n_activations=self._n_activations,
+            n_hits=self._n_accesses - self._n_activations,
             row_ids=row_ids,
             acts_per_row=acts,
             unique_rows_touched=int(row_ids.size),
-            act_rows=np.concatenate([p.act_rows for p in parts]) if keep else None,
-            act_cols=(
-                np.concatenate([p.act_cols for p in parts])
-                if keep and all(cols_kept)
-                else None
-            ),
         )
 
 
-__all__ = ["TraceStats", "analyze_trace", "ChunkedAnalyzer"]
+__all__ = ["TraceStats", "analyze_trace", "activated_lines", "ChunkedAnalyzer"]

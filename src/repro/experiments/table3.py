@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis.hotrows import line_contribution_table
+from repro.analysis.hotrows import LineContribution, line_contribution_table
+from repro.dram.fast_model import activated_lines
 from repro.experiments.common import (
     ExperimentResult,
     get_simulator,
@@ -10,7 +11,10 @@ from repro.experiments.common import (
     make_mapping,
 )
 from repro.experiments.registry import register
+from repro.mapping.base import AddressMapping
 from repro.obs.runtime import TRACER
+from repro.perf.simulator import Simulator
+from repro.workloads.trace import Trace
 
 #: Workloads with 100+ hot rows at full scale (Table 3's population).
 TABLE3_WORKLOADS = [
@@ -27,6 +31,26 @@ TABLE3_WORKLOADS = [
 ]
 
 
+def window_line_table(sim: Simulator, mapping: AddressMapping, trace: Trace) -> LineContribution:
+    """Table 3's row for one window: translated once, its ACTs' lines counted.
+
+    Only the row ids and columns are kept while the activations are
+    found, and only the activations' (row, column) pairs after that.
+    """
+    mapped = mapping.translate_trace(trace.lines)
+    global_row, col = mapped.global_row, mapped.col
+    del mapped
+    rows, cols = activated_lines(
+        global_row,
+        col,
+        rows_per_bank=sim.config.rows_per_bank,
+        lines_per_row=sim.config.lines_per_row,
+        max_hits=sim.max_hits,
+    )
+    del global_row, col
+    return line_contribution_table(rows, cols, threshold=64, lines_per_row=sim.config.lines_per_row)
+
+
 @register("table3", "Activating lines per hot row", default_scale=0.25)
 def run_table3(scale: float = 0.25, workload_limit: int = None) -> ExperimentResult:
     """Distribution of distinct activating lines across each hot row."""
@@ -39,11 +63,8 @@ def run_table3(scale: float = 0.25, workload_limit: int = None) -> ExperimentRes
     counted = 0
     for name in names:
         trace = get_trace(name, scale=scale)
-        stats, _ = sim.window_stats(trace, mapping, keep_detail=True, use_cache=False)
         with TRACER.span("analysis.line_table", workload=name):
-            table = line_contribution_table(
-                stats, threshold=64, lines_per_row=sim.config.lines_per_row
-            )
+            table = window_line_table(sim, mapping, trace)
         if table.hot_rows == 0:
             continue
         fractions = table.bucket_fractions
@@ -85,4 +106,4 @@ def run_table3(scale: float = 0.25, workload_limit: int = None) -> ExperimentRes
     )
 
 
-__all__ = ["run_table3", "TABLE3_WORKLOADS"]
+__all__ = ["run_table3", "window_line_table", "TABLE3_WORKLOADS"]

@@ -22,8 +22,7 @@ entry is tens to hundreds of pairs, whatever the row count.  Every hit
 rebuilds a fresh :class:`TraceStats` whose ``acts_per_row`` is the same
 multiset in ascending order, in the dtype that was put, and whose
 ``row_ids`` is None: which rows saw the counts is not kept, and a
-consumer that needs it analyzes uncached.  Statistics that carry
-per-activation detail are refused.
+consumer that needs it analyzes uncached.
 
 Entries can optionally persist to a directory of ``.npz`` files shared
 across processes: a parallel campaign's workers read each other's
@@ -183,13 +182,7 @@ class StatsCache:
         return None
 
     def put(self, key: str, stats: TraceStats, swaps: int) -> None:
-        """Store one entry (and persist it when a disk layer is attached).
-
-        Raises:
-            ValueError: ``stats`` carries per-activation detail.
-        """
-        if stats.act_rows is not None or stats.act_cols is not None:
-            raise ValueError("statistics with per-activation detail are not cached")
+        """Store one entry (and persist it when a disk layer is attached)."""
         scalars = (
             stats.n_accesses,
             stats.n_activations,

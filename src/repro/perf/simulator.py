@@ -19,7 +19,7 @@ reuse each other's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class Simulator:
 
     Args:
         config: DRAM geometry/timing (Table 1 baseline by default).
-        calibration: Performance-model constants.
         chunk_lines: Chunk size for Rubix-D windows (remap state advances
             between chunks).
         max_hits: Open-adaptive budget (Table 1: 16).
@@ -106,13 +105,12 @@ class Simulator:
         self,
         config: Optional[DRAMConfig] = None,
         *,
-        calibration: Calibration = Calibration(),
         chunk_lines: int = 1 << 20,
         max_hits: int = 16,
         stats_cache: Optional[StatsCache] = None,
     ) -> None:
         self.config = config or baseline_config()
-        self.model = PerformanceModel(self.config, calibration)
+        self.model = PerformanceModel(self.config, Calibration())
         self.power_model = DDR4PowerModel()
         self.chunk_lines = chunk_lines
         self.max_hits = max_hits
@@ -152,7 +150,6 @@ class Simulator:
         trace: Trace,
         mapping: AddressMapping,
         *,
-        keep_detail: bool = False,
         use_cache: bool = True,
     ) -> Tuple[TraceStats, int]:
         """Analyze one window; returns (stats, rubix_d_swaps).
@@ -160,12 +157,16 @@ class Simulator:
         Rubix-D mappings are simulated chunk-by-chunk with activation-
         driven remap advancement; all other mappings translate the whole
         trace in one blockwise pass (:meth:`AddressMapping.global_rows`).
+        The statistics are per-row activation counts, with no
+        per-activation detail: Table 3, the one reader of activation
+        columns, takes them from
+        :func:`~repro.dram.fast_model.activated_lines` instead.
         """
         dynamic = isinstance(mapping, RubixDMapping) and mapping.remap_rate > 0.0
         # Only a consulted cache needs the key, and with it the trace's
         # fingerprint.
         key = None
-        if use_cache and not keep_detail:
+        if use_cache:
             key = self._cache_key(trace, mapping, dynamic=dynamic)
             cached = self.stats_cache.get(key)
             if cached is not None:
@@ -178,24 +179,26 @@ class Simulator:
         ) as window:
             if not dynamic:
                 # Window already validated above -- the mapping can skip
-                # its own domain scan.
+                # its own domain scan.  global_rows translates block by
+                # block, and releases a memory-mapped window's pages
+                # block by block too, so a static window over an .rtr
+                # trace streams like a Rubix-D one.
                 with window.child("sim.translate"):
-                    translated = self._translate(mapping, trace.lines, keep_detail)
+                    handed = [mapping.global_rows(trace.lines, validate=False)]
                 with window.child("sim.analyze"):
-                    # Popped, the ids are handed over: nothing here
-                    # keeps them alive while the analyzer runs.
+                    # Popped, the ids are handed over: on CPython 3.11
+                    # and later the analyzer's frame then owns them, and
+                    # frees them as soon as it has grouped them by bank
+                    # (earlier versions free them when the call returns,
+                    # with identical results).
                     stats = analyze_trace(
-                        translated.pop(0),
+                        handed.pop(),
                         rows_per_bank=mapping.config.rows_per_bank,
                         max_hits=self.max_hits,
-                        col=translated.pop(),
-                        keep_detail=keep_detail,
                     )
                 swaps = 0
             else:
-                stats, swaps = self._run_dynamic(
-                    trace, mapping, window, keep_detail=keep_detail
-                )
+                stats, swaps = self._run_dynamic(trace, mapping, window)
         if METRICS.enabled:
             METRICS.inc("sim.windows", mode=mode)
             METRICS.inc("sim.lines", int(trace.lines.size))
@@ -221,35 +224,11 @@ class Simulator:
                     f"{total_lines}-line memory of {mapping.name}"
                 )
 
-    @staticmethod
-    def _translate(
-        mapping: AddressMapping, lines: np.ndarray, keep_detail: bool
-    ) -> List[Optional[np.ndarray]]:
-        """``[global row ids, columns]`` of ``lines``; columns only when detail is kept.
-
-        Without detail the window never materializes per-access bank,
-        row or column arrays: :meth:`AddressMapping.global_rows`
-        translates it block by block, and releases a memory-mapped
-        window's pages block by block too, so a static window over an
-        ``.rtr`` trace streams like a Rubix-D one.  The pair comes as a
-        list so the caller can pop the ids straight into the analyzer
-        call and keep no reference to them: on CPython 3.11 and later
-        the callee's frame then owns the ids, and the analyzer frees
-        them as soon as it has grouped them by bank (earlier versions
-        free them when the call returns, with identical results).
-        """
-        if not keep_detail:
-            return [mapping.global_rows(lines, validate=False), None]
-        mapped = mapping.translate_trace(lines, validate=False)
-        return [mapped.global_row, mapped.col]
-
     def _run_dynamic(
-        self, trace: Trace, mapping: RubixDMapping, window, *, keep_detail: bool
+        self, trace: Trace, mapping: RubixDMapping, window
     ) -> Tuple[TraceStats, int]:
         analyzer = ChunkedAnalyzer(
-            rows_per_bank=mapping.config.rows_per_bank,
-            max_hits=self.max_hits,
-            keep_detail=keep_detail,
+            rows_per_bank=mapping.config.rows_per_bank, max_hits=self.max_hits
         )
         swaps = 0
         # One child scope per phase, re-entered per chunk: the window
@@ -260,10 +239,10 @@ class Simulator:
         # so file-backed traces stream through here at ~chunk-sized RSS.
         for chunk in iter_line_chunks(trace.lines, self.chunk_lines):
             with translate:
-                translated = self._translate(mapping, chunk, keep_detail)
+                handed = [mapping.global_rows(chunk, validate=False)]
             with analyze:
                 # The ids are handed over, as in the static path.
-                chunk_stats = analyzer.feed(translated.pop(0), translated.pop())
+                chunk_stats = analyzer.feed(handed.pop())
             # Attribute the chunk's activations to v-groups in proportion
             # to each group's access share (the probabilistic remap
             # trigger has no better information either).

@@ -2,7 +2,8 @@
 
 * :func:`analyze_trace_sorted` -- the argsort/``np.unique`` analysis on
   ``(flat_bank, row)`` that :func:`repro.dram.fast_model.analyze_trace`
-  replaced;
+  replaced; its per-activation detail is what
+  :func:`repro.dram.fast_model.activated_lines` replaced;
 * :func:`translate_trace_reference` -- the per-bit ``uint64`` field
   gather that :meth:`FieldDecodeMapping.translate_trace` replaced;
 * :func:`translate_trace_loop` -- Rubix-D's one masked pass per remap
@@ -19,6 +20,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +34,21 @@ from repro.utils.bitops import mask
 from repro.workloads.spec import _BLOCK, LINES_PER_ROW
 
 
+@dataclass
+class DetailedStats(TraceStats):
+    """Window statistics plus the oracle's per-activation detail.
+
+    Attributes:
+        act_rows: If detail was kept, the global row id of every ACT
+            (``int64``), bank-grouped in program order.
+        act_cols: If detail was kept and columns were given, the column
+            of every ACT, in the same order.
+    """
+
+    act_rows: Optional[np.ndarray] = None
+    act_cols: Optional[np.ndarray] = None
+
+
 def analyze_trace_sorted(
     flat_bank: np.ndarray,
     row: np.ndarray,
@@ -40,7 +57,7 @@ def analyze_trace_sorted(
     max_hits: Optional[int],
     col: Optional[np.ndarray],
     keep_detail: bool,
-) -> TraceStats:
+) -> DetailedStats:
     """The original argsort/np.unique kernel (reference implementation).
 
     Inputs must be validated, non-empty 1-D arrays.
@@ -74,7 +91,7 @@ def analyze_trace_sorted(
     if keep_detail and col is not None:
         detail_cols = np.asarray(col)[order][act_mask]
 
-    return TraceStats(
+    return DetailedStats(
         n_accesses=n,
         n_activations=n_act,
         n_hits=n - n_act,

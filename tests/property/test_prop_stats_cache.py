@@ -60,7 +60,6 @@ def assert_hit_matches(got: TraceStats, want: TraceStats) -> None:
     for name in ("n_accesses", "n_activations", "n_hits", "unique_rows_touched"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.row_ids is None
-    assert got.act_rows is None and got.act_cols is None
     assert got.acts_per_row.dtype == want.acts_per_row.dtype
     assert np.array_equal(got.acts_per_row, np.sort(want.acts_per_row))
     assert got.max_row_activations() == want.max_row_activations()

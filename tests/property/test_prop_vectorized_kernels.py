@@ -6,15 +6,15 @@ optimization relies on: *bit-identical* results, not just statistically
 similar ones.
 
 * ``analyze_trace`` on global row ids vs ``analyze_trace_sorted`` on
-  (bank, row) -- every :class:`TraceStats` field including detail-array
-  order, with the histogram in its documented narrow dtypes (the oracle
-  stays int64),
+  (bank, row) -- every :class:`TraceStats` field, with the histogram in
+  its documented narrow dtypes (the oracle stays int64),
+* ``activated_lines`` vs the oracle's per-activation detail -- the same
+  (row, column) pairs in the same bank-grouped order,
 * blocked ``AddressMapping.global_rows`` vs one whole-window
   ``translate_trace``, and Rubix-D's lines-derived v-group counts vs the
   column bincount,
-* ``ChunkedAnalyzer`` (dense histogram, and the list fallback the
-  domain size selects) vs per-chunk ``analyze_trace_sorted`` plus
-  ``TraceStats.merge``,
+* ``ChunkedAnalyzer`` (dense histogram) vs per-chunk
+  ``analyze_trace_sorted`` plus the oracle ``merge_stats``,
 * ``RubixDMapping.translate_trace`` (gather) vs per-element
   ``translate`` and the masked ``translate_trace_loop``, including
   mid-sweep engine states (nonzero Ptr),
@@ -35,6 +35,7 @@ from oracles.kernels import analyze_trace_sorted, remap_steps_loop, translate_tr
 from oracles.window import (
     assert_histogram_dtypes,
     assert_stats_equal,
+    merge_stats,
     reference_window,
     run_window,
     synth_lines,
@@ -44,7 +45,7 @@ from repro.core.remap_engine import XorRemapEngine
 from repro.core.rubix_d import RubixDMapping
 from repro.core.rubix_s import RubixSMapping
 from repro.dram.config import DRAMConfig, baseline_config
-from repro.dram.fast_model import ChunkedAnalyzer, TraceStats, analyze_trace
+from repro.dram.fast_model import ChunkedAnalyzer, activated_lines, analyze_trace
 
 SMALL = DRAMConfig(banks=4, rows_per_bank=256, row_bytes=1024)
 
@@ -59,30 +60,68 @@ traces = st.lists(
 )
 
 
+def assert_pairs_match_oracle(bank, row, col, *, rows_per_bank, max_hits, dtype=np.uint64):
+    """``activated_lines`` on ``dtype`` ids equals the oracle's detail:
+    the same (row, col) of every ACT, in the same bank-grouped order."""
+    oracle = analyze_trace_sorted(
+        bank, row, rows_per_bank=rows_per_bank, max_hits=max_hits, col=col, keep_detail=True
+    )
+    global_row = (bank * np.uint64(rows_per_bank) + row).astype(dtype)
+    rows, cols = activated_lines(
+        global_row, col, rows_per_bank=rows_per_bank, lines_per_row=128, max_hits=max_hits
+    )
+    assert np.array_equal(rows, oracle.act_rows)
+    assert np.array_equal(cols, oracle.act_cols)
+    assert rows.size == cols.size == oracle.n_activations
+
+
 @given(
     trace=traces,
     max_hits=st.sampled_from([None, 1, 3, 16]),
-    keep_detail=st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
-def test_count_kernel_matches_sort_kernel(trace, max_hits, keep_detail):
-    """The counting kernels reproduce the argsort path bit-for-bit.
-
-    Detail arrays included: activation (row, col) pairs must come out in
-    the same order, since Table-3-style analyses consume them
-    positionally.
-    """
+def test_count_kernel_matches_sort_kernel(trace, max_hits):
+    """The counting kernel reproduces the argsort path bit-for-bit."""
     banks = np.array([b for b, _ in trace], dtype=np.uint64)
     rows = np.array([r for _, r in trace], dtype=np.uint64)
-    cols = np.arange(banks.size, dtype=np.uint64) % 128
-    kwargs = dict(
-        rows_per_bank=1024, max_hits=max_hits, col=cols, keep_detail=keep_detail
-    )
+    kwargs = dict(rows_per_bank=1024, max_hits=max_hits)
     assert_stats_equal(
-        analyze_trace_sorted(banks, rows, **kwargs),
+        analyze_trace_sorted(banks, rows, col=None, keep_detail=False, **kwargs),
         analyze_trace(banks * 1024 + rows, **kwargs),
         dtypes="documented",
     )
+
+
+@given(
+    trace=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=63),
+            st.integers(min_value=0, max_value=127),
+        ),
+        max_size=400,
+    ),
+    one_bank=st.booleans(),
+    max_hits=st.sampled_from([None, 1, 5, 16]),
+    dtype=st.sampled_from([np.int32, np.int64]),
+)
+@example(trace=[], one_bank=False, max_hits=16, dtype=np.int32)
+@settings(max_examples=150, deadline=None)
+def test_activated_lines_match_oracle_detail(trace, one_bank, max_hits, dtype):
+    """Table 3's (row, column) pairs equal the argsort oracle's
+    ``act_rows``/``act_cols`` bit for bit, in its bank-grouped order,
+    for any budget, ``int32`` and ``int64`` ids, one-bank and empty
+    windows."""
+    bank = np.array([0 if one_bank else b for b, _, _ in trace], dtype=np.uint64)
+    row = np.array([r for _, r, _ in trace], dtype=np.uint64)
+    col = np.array([c for _, _, c in trace], dtype=np.uint64)
+    if not trace:
+        rows, cols = activated_lines(
+            np.empty(0, dtype), col, rows_per_bank=1024, lines_per_row=128, max_hits=max_hits
+        )
+        assert rows.size == cols.size == 0
+        return
+    assert_pairs_match_oracle(bank, row, col, rows_per_bank=1024, max_hits=max_hits, dtype=dtype)
 
 
 @given(rows=st.integers(min_value=0, max_value=10_000))
@@ -109,7 +148,10 @@ def test_count_kernel_beyond_histogram_domain(rows):
 )
 def test_row_id_dtype_follows_largest_id(bank, row, dtype):
     """Row ids narrow to int32 exactly while the largest global row id
-    fits; past 2^31 they stay int64 with every value exact."""
+    fits; past 2^31 they stay int64 with every value exact.  (A window
+    of several chunks narrows through the same ``narrow_histogram``, but
+    over a dense histogram of every row id, so it is checked on the
+    modelled domains below.)"""
     rng = np.random.default_rng(bank)
     # Random lines in the banks below, then the one line holding the largest id.
     banks = np.append(rng.integers(0, bank, size=300, dtype=np.uint64), bank)
@@ -122,15 +164,10 @@ def test_row_id_dtype_follows_largest_id(bank, row, dtype):
     assert got.row_ids.dtype == dtype
     assert int(got.row_ids[-1]) == bank * (1 << 30) + row
 
-    analyzer = ChunkedAnalyzer(rows_per_bank=1 << 30, max_hits=16)
-    for half in (slice(0, 150), slice(150, None)):
-        analyzer.feed(global_row[half])
-    assert analyzer.result().row_ids.dtype == dtype
-
 
 def test_empty_windows_have_documented_dtypes():
     """Every empty result -- an empty window, an empty chunk, an analyzer
-    fed nothing, a merge of nothing -- carries the narrow dtypes too."""
+    fed nothing -- carries the narrow dtypes too."""
     empty = np.empty(0, dtype=np.uint64)
     analyzer = ChunkedAnalyzer(rows_per_bank=64)
     results = [
@@ -138,7 +175,6 @@ def test_empty_windows_have_documented_dtypes():
         analyzer.result(),
         analyzer.feed(empty),
         analyzer.result(),
-        TraceStats.merge([]),
     ]
     for stats in results:
         assert (stats.n_accesses, stats.n_activations, stats.unique_rows_touched) == (0, 0, 0)
@@ -162,36 +198,49 @@ def _runny_window(rng, n, *, banks, rows):
 
 @pytest.mark.parametrize("rows_per_bank", [10, 100, 1 << 17])
 @pytest.mark.parametrize("max_hits", [None, 16, 12])
-@pytest.mark.parametrize("keep_detail", [False, True])
-def test_global_row_kernel_matches_oracle(rows_per_bank, max_hits, keep_detail):
-    """The packed-key kernel on global row ids equals the argsort oracle on
-    (bank, row) value for value, detail order included, for any rows per
-    bank and budget.  Window lengths straddle the kernel's 64k blocks."""
+@pytest.mark.parametrize("detail", [False, True])
+def test_global_row_kernel_matches_oracle(rows_per_bank, max_hits, detail):
+    """The packed-key kernels on global row ids equal the argsort oracle
+    on (bank, row) value for value, for any rows per bank and budget:
+    ``analyze_trace``'s histogram, or with ``detail`` the (row, column)
+    pairs of ``activated_lines`` in the oracle's order.  Window lengths
+    straddle the kernels' 64k blocks."""
     rng = np.random.default_rng(rows_per_bank * 31 + (max_hits or 0))
     for n in (1, 2, 9, 5_000, 65_536, 140_001):
         bank, row, col = _runny_window(rng, n, banks=16, rows=min(rows_per_bank, 60))
-        kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits, col=col)
+        if detail:
+            assert_pairs_match_oracle(
+                bank, row, col, rows_per_bank=rows_per_bank, max_hits=max_hits
+            )
+            continue
+        kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits)
         assert_stats_equal(
-            analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs),
-            analyze_trace(bank * rows_per_bank + row, keep_detail=keep_detail, **kwargs),
+            analyze_trace_sorted(bank, row, col=None, keep_detail=False, **kwargs),
+            analyze_trace(bank * rows_per_bank + row, **kwargs),
             dtypes="documented",
         )
 
 
 @pytest.mark.parametrize("max_hits", [None, 16, 12])
-@pytest.mark.parametrize("keep_detail", [False, True])
-def test_global_row_kernel_int64_ids(max_hits, keep_detail):
-    """Ids past 2^31 (int64 input, 64-bit packed keys) still match."""
+@pytest.mark.parametrize("detail", [False, True])
+def test_global_row_kernel_int64_ids(max_hits, detail):
+    """Ids past 2^31 (int64 input, 64-bit packed keys) still match, for
+    the histogram and, with ``detail``, for the (row, column) pairs."""
     rng = np.random.default_rng(0x1D5)
     rows_per_bank = 1 << 30
     bank, row, col = _runny_window(rng, 80_000, banks=6, rows=1 << 20)
     row[::7] += np.uint64(rows_per_bank - (1 << 20))  # reach the top rows too
+    if detail:
+        assert_pairs_match_oracle(
+            bank, row, col, rows_per_bank=rows_per_bank, max_hits=max_hits, dtype=np.int64
+        )
+        return
     global_row = (bank * rows_per_bank + row).astype(np.int64)
     assert int(global_row.max()) > 2**32
-    kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits, col=col)
-    got = analyze_trace(global_row, keep_detail=keep_detail, **kwargs)
+    kwargs = dict(rows_per_bank=rows_per_bank, max_hits=max_hits)
+    got = analyze_trace(global_row, **kwargs)
     assert_stats_equal(
-        analyze_trace_sorted(bank, row, keep_detail=keep_detail, **kwargs),
+        analyze_trace_sorted(bank, row, col=None, keep_detail=False, **kwargs),
         got,
         dtypes="documented",
     )
@@ -199,15 +248,13 @@ def test_global_row_kernel_int64_ids(max_hits, keep_detail):
 
 
 def test_global_row_kernel_empty_and_invalid():
-    """Empty windows of any dtype are empty results; negative ids and
-    misaligned columns are rejected."""
+    """Empty windows of any dtype are empty results; negative ids are
+    rejected."""
     for dtype in (np.uint32, np.int64):
-        stats = analyze_trace(np.empty(0, dtype), rows_per_bank=10, col=np.empty(0, dtype))
+        stats = analyze_trace(np.empty(0, dtype), rows_per_bank=10)
         assert (stats.n_accesses, stats.n_activations, stats.row_ids.size) == (0, 0, 0)
     with pytest.raises(ValueError):
         analyze_trace(np.array([3, -1]), rows_per_bank=10)
-    with pytest.raises(ValueError):
-        analyze_trace(np.array([3, 4]), rows_per_bank=10, col=np.zeros(3))
 
 
 def _global_row_mappings():
@@ -268,31 +315,26 @@ def test_vgroup_accesses_match_column_bincount(gang_size):
     assert np.array_equal(mapping.vgroup_accesses(lines), expected)
 
 
-def _sorted_chunks(chunks, *, rows_per_bank, keep_detail=False):
+def _sorted_chunks(chunks, *, rows_per_bank):
     """Per-chunk oracle stats plus their merged window.
 
-    The merge is the pre-optimization one: :meth:`TraceStats.merge`
+    The merge is the pre-optimization one: the oracle ``merge_stats``
     across chunks, with the exact touched-row count from ``np.unique``
     over every chunk's global row ids.
     """
     parts = [
         analyze_trace_sorted(
-            banks,
-            rows,
-            rows_per_bank=rows_per_bank,
-            max_hits=16,
-            col=cols,
-            keep_detail=keep_detail,
+            banks, rows, rows_per_bank=rows_per_bank, max_hits=16, col=None, keep_detail=False
         )
-        for banks, rows, cols in chunks
+        for banks, rows in chunks
     ]
-    merged = TraceStats.merge(parts)
+    merged = merge_stats(parts)
     merged.unique_rows_touched = int(
         np.unique(
             np.concatenate(
                 [
                     banks.astype(np.int64) * rows_per_bank + rows.astype(np.int64)
-                    for banks, rows, _ in chunks
+                    for banks, rows in chunks
                 ]
             )
         ).size
@@ -302,15 +344,14 @@ def _sorted_chunks(chunks, *, rows_per_bank, keep_detail=False):
 
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    rows_per_bank=st.sampled_from([64, 1 << 24]),
+    rows_per_bank=st.sampled_from([64, 1 << 21]),
     n_chunks=st.integers(min_value=1, max_value=4),
-    keep_detail=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_chunked_analyzer_count_matches_sort(seed, rows_per_bank, n_chunks, keep_detail):
+def test_chunked_analyzer_count_matches_sort(seed, rows_per_bank, n_chunks):
     """Chunk-merged windows agree between the analyzer's dense
-    accumulators and the oracle's concatenate-and-unique merge (the 2^24
-    rows-per-bank case forces the analyzer's list fallback)."""
+    histogram and the oracle's concatenate-and-unique merge, on a tiny
+    domain and on the Table 1 baseline's 2^21 rows per bank."""
     rng = np.random.default_rng(seed)
     chunks = []
     for _ in range(n_chunks):
@@ -319,48 +360,20 @@ def test_chunked_analyzer_count_matches_sort(seed, rows_per_bank, n_chunks, keep
             (
                 rng.integers(0, 4, size=n, dtype=np.uint64),
                 rng.integers(0, rows_per_bank, size=n, dtype=np.uint64),
-                rng.integers(0, 128, size=n, dtype=np.uint64),
             )
         )
-    analyzer = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=16, keep_detail=keep_detail)
-    parts, merged = _sorted_chunks(chunks, rows_per_bank=rows_per_bank, keep_detail=keep_detail)
-    for (banks, rows, cols), part in zip(chunks, parts):
-        got = analyzer.feed(banks * rows_per_bank + rows, cols)
+    analyzer = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=16)
+    parts, merged = _sorted_chunks(chunks, rows_per_bank=rows_per_bank)
+    for (banks, rows), part in zip(chunks, parts):
+        got = analyzer.feed(banks * rows_per_bank + rows)
         assert_stats_equal(part, got, dtypes="documented")
     assert_stats_equal(merged, analyzer.result(), dtypes="documented")
 
 
-def test_chunked_analyzer_dense_to_fallback_midstream():
-    """A chunk whose row domain outgrows the dense-histogram budget
-    mid-window folds the accumulated state into the fallback merge
-    without losing any earlier chunk's contribution."""
-    rng = np.random.default_rng(3)
-    chunks = [
-        (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 64, 200, dtype=np.uint64)),
-        # Bank ids up to 2^24 blow up the observed domain (the analyzer
-        # derives it from the data, not the config).
-        (
-            rng.integers(0, 1 << 24, 200, dtype=np.uint64),
-            rng.integers(0, 64, 200, dtype=np.uint64),
-        ),
-        (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 64, 200, dtype=np.uint64)),
-    ]
-    analyzer = ChunkedAnalyzer(rows_per_bank=64, max_hits=16)
-    for banks, rows in chunks:
-        analyzer.feed(banks * 64 + rows)
-    _, merged = _sorted_chunks(
-        [(banks, rows, None) for banks, rows in chunks], rows_per_bank=64
-    )
-    assert_stats_equal(merged, analyzer.result(), dtypes="documented")
-
-
 def test_chunked_analyzer_dense_accumulator_sparse_chunk():
-    """A chunk whose row domain is dense for the window accumulator (it
-    is sized by every line fed so far) but far beyond what the chunk's
-    own length would justify still lands every touched row in the
-    window: the analyzer makes that decision once, from the analysis's
-    own row ids, instead of the chunk kernel and the accumulator each
-    deciding for themselves."""
+    """A short chunk reaching far past every row seen so far (a ~4.46M-row
+    domain after 2.3M lines) grows the dense histogram and still lands
+    every touched row in the window."""
     rows_per_bank = 1 << 20
     rng = np.random.default_rng(5)
     big = 2_300_000  # enough lines that 2x the fed count exceeds 2^22 rows
@@ -378,9 +391,7 @@ def test_chunked_analyzer_dense_accumulator_sparse_chunk():
         analyzer.feed(banks * rows_per_bank + rows)
     assert analyzer._hist is not None, "the window must have stayed dense"
     assert analyzer._hist.size > 1 << 22
-    _, merged = _sorted_chunks(
-        [(banks, rows, None) for banks, rows in chunks], rows_per_bank=rows_per_bank
-    )
+    _, merged = _sorted_chunks(chunks, rows_per_bank=rows_per_bank)
     assert_stats_equal(merged, analyzer.result(), dtypes="documented")
 
 

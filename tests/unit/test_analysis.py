@@ -9,7 +9,7 @@ from repro.analysis.binomial import (
     illustrative_model,
 )
 from repro.analysis.hotrows import hot_row_summary, line_contribution_table
-from repro.dram.fast_model import analyze_trace
+from repro.dram.fast_model import activated_lines, analyze_trace
 
 
 class TestBinomialModel:
@@ -50,54 +50,64 @@ class TestBinomialModel:
         assert result.encrypted["random"] < 1.0
 
 
+def _pairs(global_row, col, *, rows_per_bank, max_hits=16):
+    """The (row, column) of every ACT of a window (Table 3's input)."""
+    return activated_lines(
+        np.asarray(global_row),
+        np.asarray(col),
+        rows_per_bank=rows_per_bank,
+        lines_per_row=128,
+        max_hits=max_hits,
+    )
+
+
 class TestHotRowAnalysis:
-    def _stats(self):
+    def _window(self):
         # Two rows: row 0 hot via many distinct cols, row 1 cold.
         n_hot = 70
         banks = np.zeros(n_hot + 2, dtype=np.uint64)
         rows = np.array([0, 1] * ((n_hot + 2) // 2), dtype=np.uint64)[: n_hot + 2]
         cols = np.arange(n_hot + 2, dtype=np.uint64) % 40
-        return analyze_trace(
-            banks * 100 + rows, rows_per_bank=100, col=cols, keep_detail=True, max_hits=16
-        )
+        return banks * 100 + rows, cols
 
     def test_summary(self):
-        stats = self._stats()
+        global_row, _ = self._window()
+        stats = analyze_trace(global_row, rows_per_bank=100, max_hits=16)
         summary = hot_row_summary(stats)
         assert summary.unique_rows == 2
         assert summary.activations == stats.n_activations
 
     def test_line_contribution_requires_detail(self):
-        stats = analyze_trace(np.zeros(3, dtype=np.uint64), rows_per_bank=10)
+        """Table 3 needs a column for every activated row."""
         with pytest.raises(ValueError):
-            line_contribution_table(stats)
+            line_contribution_table(np.zeros(3, dtype=np.int32), np.zeros(2, dtype=np.int32))
 
     def test_line_contribution_buckets(self):
-        stats = self._stats()
-        table = line_contribution_table(stats, threshold=30, lines_per_row=128)
+        global_row, cols = self._window()
+        rows, cols = _pairs(global_row, cols, rows_per_bank=100)
+        table = line_contribution_table(rows, cols, threshold=30, lines_per_row=128)
         assert table.hot_rows >= 1
         assert sum(table.bucket_fractions.values()) == pytest.approx(1.0)
         assert 1 <= table.average_lines <= 128
 
     def test_no_hot_rows(self):
-        stats = analyze_trace(
-            np.array([1, 2, 3, 4], dtype=np.uint64),
-            rows_per_bank=10,
-            col=np.zeros(4, dtype=np.uint64),
-            keep_detail=True,
+        rows, cols = _pairs(
+            np.array([1, 2, 3, 4], dtype=np.uint64), np.zeros(4, dtype=np.uint64), rows_per_bank=10
         )
-        table = line_contribution_table(stats, threshold=64)
+        table = line_contribution_table(rows, cols, threshold=64)
         assert table.hot_rows == 0
         assert table.average_lines == 0.0
+        empty = line_contribution_table(rows[:0], cols[:0], threshold=64)
+        assert (empty.hot_rows, empty.average_lines) == (0, 0.0)
 
 
-def _line_contribution_reference(stats, threshold, lines_per_row):
+def _line_contribution_reference(rows, cols, threshold, lines_per_row):
     """Table 3 from Python sets: distinct activating lines per hot row."""
-    hot = [int(r) for r, a in zip(stats.row_ids, stats.acts_per_row) if a >= threshold]
-    lines = {row: set() for row in hot}
-    for row, col in zip(stats.act_rows.tolist(), stats.act_cols.tolist()):
-        if row in lines:
-            lines[row].add(col)
+    acts, lines = {}, {}
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        acts[row] = acts.get(row, 0) + 1
+        lines.setdefault(row, set()).add(col)
+    hot = sorted(row for row, count in acts.items() if count >= threshold)
     counts = [len(lines[row]) for row in hot]
     assert all(0 < count <= lines_per_row for count in counts)
     fractions = {
@@ -111,9 +121,7 @@ def _line_contribution_reference(stats, threshold, lines_per_row):
 @pytest.mark.parametrize("threshold", [1, 8, 64])
 def test_line_contribution_matches_set_reference(seed, threshold):
     """The sort-and-diff kernel reproduces the set-based count exactly,
-    for chunk-merged detail as well as one-shot detail."""
-    from repro.dram.fast_model import ChunkedAnalyzer
-
+    and the order of the activations does not matter to it."""
     rng = np.random.default_rng(seed)
     n = 30_000
     rows_per_bank = 64
@@ -121,16 +129,13 @@ def test_line_contribution_matches_set_reference(seed, threshold):
     bank = rng.integers(0, 4, n)
     row = np.where(rng.random(n) < 0.4, rng.integers(0, 3, n), rng.integers(0, 64, n))
     col = rng.integers(0, 128, n).astype(np.uint32)
-    global_row = bank * rows_per_bank + row
-    one_shot = analyze_trace(
-        global_row, rows_per_bank=rows_per_bank, col=col, keep_detail=True, max_hits=4
-    )
-    chunked = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=4, keep_detail=True)
-    for start in range(0, n, 7_000):
-        chunked.feed(global_row[start : start + 7_000], col[start : start + 7_000])
-    for stats in (one_shot, chunked.result()):
-        table = line_contribution_table(stats, threshold=threshold, lines_per_row=128)
-        hot_rows, fractions, average = _line_contribution_reference(stats, threshold, 128)
+    rows, cols = _pairs(bank * rows_per_bank + row, col, rows_per_bank=rows_per_bank, max_hits=4)
+    shuffled = rng.permutation(rows.size)
+    for act_rows, act_cols in ((rows, cols), (rows[shuffled], cols[shuffled])):
+        table = line_contribution_table(act_rows, act_cols, threshold=threshold, lines_per_row=128)
+        hot_rows, fractions, average = _line_contribution_reference(
+            act_rows, act_cols, threshold, 128
+        )
         assert table.hot_rows == hot_rows > 0
         assert table.bucket_fractions == fractions
         assert table.average_lines == average

@@ -2,11 +2,16 @@
 
 The suite itself takes a minute, so these tests point the script at a
 stand-in tree whose ``scripts/run_paper_suite.py`` writes a one-line
-output and the two log records the script reads.
+output and the two log records the script reads.  ``--against`` gets two
+stand-in trees: a committed one, the parent, and the same repository's
+working tree with the stand-in suite edited, the change.
 """
 
 import importlib.util
 import json
+import shutil
+import subprocess
+import tempfile
 import textwrap
 from pathlib import Path
 
@@ -17,13 +22,14 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 _FAKE_SUITE = textwrap.dedent(
     """
     import json, sys
+    PEAK_RSS_MB = 50.0
     output, log = sys.argv[1], sys.argv[sys.argv.index("--log-json") + 1]
     with open(output, "w") as out:
         out.write("fig1a rows\\n[fig1a scale=1.0 finished in 0.1s]\\n\\n[suite finished in 0s]\\n")
     with open(log, "w") as records:
         for record in (
             {"event": "suite.experiment_done", "experiment": "fig1a", "elapsed_s": 0.1},
-            {"event": "suite.done", "elapsed_s": 0.2, "peak_rss_mb": 50.0,
+            {"event": "suite.done", "elapsed_s": 0.2, "peak_rss_mb": PEAK_RSS_MB,
              "trace_cache_mb": 1.5, "stats_cache_mb": 0.5},
         ):
             records.write(json.dumps(record) + "\\n")
@@ -100,3 +106,84 @@ def test_summary_quartiles(bench_suite):
     assert summary["wall_s"][1] == 63.0
     assert summary["wall_s"][0] <= 63.0 <= summary["wall_s"][2]
     assert summary["experiments"]["fig7"][1] == 6.3
+
+
+def _git(tree, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid", *args],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+
+
+@pytest.fixture
+def repo(tree, tmp_path, monkeypatch):
+    """The stand-in tree as a repository: HEAD is the parent; the working
+    tree is the change.  Temporary directories go to a private folder so
+    a test can see that the parent's export is removed."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    _git(tree, "init", "-q")
+    _git(tree, "add", "-A")
+    _git(tree, "commit", "-q", "-m", "parent")
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    return tree
+
+
+def _against(bench_suite, repo, history, *extra):
+    return bench_suite.main(
+        ["--against", "HEAD", "--tree", str(repo), "--history", str(history), *extra]
+    )
+
+
+def test_against_appends_one_entry_per_side(bench_suite, repo, tmp_path, capsys):
+    history = tmp_path / "BENCH_suite.json"
+    status = _against(bench_suite, repo, history)
+    parent, change = json.loads(history.read_text())["history"]
+
+    head = _git(repo, "rev-parse", "HEAD")
+    assert (parent["side"], parent["commit"], parent["dirty"]) == ("parent", head, False)
+    assert (change["side"], change["commit"], change["against"]) == ("change", head, head)
+    assert len(parent["runs"]) == len(change["runs"]) == 3  # the default pair count
+    assert all(run["golden"] for run in parent["runs"] + change["runs"])
+    comparison = change["comparison"]
+    assert set(comparison) == {"wall_s", "elapsed_s", "peak_rss_mb"}
+    for key in ("elapsed_s", "peak_rss_mb"):  # equal on every run: ties
+        assert comparison[key]["pair_wins"] == [0, 0, 3]
+        assert comparison[key]["verdict"] == "unchanged"
+    out = capsys.readouterr().out
+    assert "peak_rss_mb: parent 50 change 50 pair_wins parent/change 0/0 of 3" in out
+    regressed = any(row["verdict"] == "regressed" for row in comparison.values())
+    assert status == (1 if regressed else 0)
+    assert not list((tmp_path / "scratch").iterdir()), "the parent's export was left behind"
+
+
+def test_against_flags_a_regressed_peak(bench_suite, repo, tmp_path):
+    suite = repo / "scripts" / "run_paper_suite.py"
+    suite.write_text(suite.read_text().replace("PEAK_RSS_MB = 50.0", "PEAK_RSS_MB = 60.0"))
+    history = tmp_path / "BENCH_suite.json"
+    assert _against(bench_suite, repo, history, "--runs", "4") == 1
+    parent, change = json.loads(history.read_text())["history"]
+    assert change["dirty"] is True
+    assert [run["peak_rss_mb"] for run in parent["runs"]] == [50.0] * 4
+    assert [run["peak_rss_mb"] for run in change["runs"]] == [60.0] * 4
+    assert change["comparison"]["peak_rss_mb"]["pair_wins"] == [4, 0, 4]
+    assert change["comparison"]["peak_rss_mb"]["verdict"] == "regressed"
+
+
+def test_against_removes_the_export_when_a_run_fails(bench_suite, repo, tmp_path):
+    (repo / "scripts" / "run_paper_suite.py").write_text("raise SystemExit(3)\n")
+    history = tmp_path / "BENCH_suite.json"
+    with pytest.raises(subprocess.CalledProcessError):
+        _against(bench_suite, repo, history)
+    assert not history.exists()
+    assert not list((tmp_path / "scratch").iterdir()), "the parent's export was left behind"
+
+
+def test_against_needs_three_pairs(bench_suite, repo, tmp_path):
+    with pytest.raises(SystemExit):
+        _against(bench_suite, repo, tmp_path / "BENCH_suite.json", "--runs", "2")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dram.fast_model import ChunkedAnalyzer, TraceStats, analyze_trace
+from repro.dram.fast_model import ChunkedAnalyzer, TraceStats, activated_lines, analyze_trace
 
 
 def _analyze(banks, rows, **kwargs):
@@ -108,6 +108,28 @@ class TestDerivedMetrics:
         stats = _analyze([0] * 9, [1, 2] * 4 + [1])
         assert stats.excess_activations(4) == 1  # row1 has 5
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "counts, threshold",
+        [
+            ([1, 5, 64, 3], 64),  # no row above the threshold
+            ([65, 200, 1_000], 64),  # every row above it
+            ([0, 63, 64, 65, 129, 7], 64),
+            ([2**31 - 1, 2**31 - 2, 2**31 - 1, 5], 1),  # counts near 2^31
+            ([2**31 - 1] * 3, 2**31 - 2),
+            ([], 64),
+        ],
+    )
+    def test_excess_activations_matches_widened_formula(self, dtype, counts, threshold):
+        """The sum over counts above the threshold equals the old formula,
+        which widened every count to int64 before subtracting."""
+        acts = np.array(counts, dtype=dtype)
+        stats = TraceStats(0, int(acts.sum(dtype=np.int64)), 0, None, acts, acts.size)
+        widened = acts.astype(np.int64) - threshold
+        expected = int(widened[widened > 0].sum())
+        assert stats.excess_activations(threshold) == expected
+        assert acts.dtype == dtype  # nothing was cast in place
+
     def test_validation(self):
         stats = _analyze([0], [0])
         with pytest.raises(ValueError):
@@ -118,68 +140,43 @@ class TestDerivedMetrics:
 
 class TestDetail:
     def test_detail_arrays(self):
-        stats = analyze_trace(
+        """``activated_lines`` gives the (row, column) of every ACT."""
+        rows, cols = activated_lines(
             np.array([1, 1, 2, 2], dtype=np.uint64),
+            np.array([7, 8, 9, 9], dtype=np.uint64),
             rows_per_bank=10,
-            col=np.array([7, 8, 9, 9], dtype=np.uint64),
-            keep_detail=True,
+            lines_per_row=128,
         )
-        assert stats.act_rows.tolist() == [1, 2]
-        assert stats.act_cols.tolist() == [7, 9]
+        assert rows.tolist() == [1, 2]
+        assert cols.tolist() == [7, 9]
+
+    def test_misaligned_pairs_rejected(self):
+        with pytest.raises(ValueError):
+            activated_lines(np.arange(3), np.arange(2), rows_per_bank=10, lines_per_row=128)
+        with pytest.raises(ValueError):
+            activated_lines(
+                np.arange(3), np.arange(3), rows_per_bank=10, lines_per_row=128, max_hits=0
+            )
 
 
 class TestMerge:
+    """The chunked analyzer's one merge: a dense histogram of every chunk."""
+
     def test_merge_sums_histograms(self):
-        a = _analyze([0] * 4, [1, 1, 2, 2])
-        b = _analyze([0] * 2, [1, 3])
-        merged = TraceStats.merge([a, b])
+        analyzer = ChunkedAnalyzer(rows_per_bank=1024)
+        analyzer.feed(np.array([1, 1, 2, 2], dtype=np.uint32))
+        analyzer.feed(np.array([1, 3], dtype=np.uint32))
+        merged = analyzer.result()
         hist = dict(zip(merged.row_ids.tolist(), merged.acts_per_row.tolist()))
-        assert hist[1] == 2  # 1 act in each part
-        assert hist[2] == 1
-        assert hist[3] == 1
-        assert merged.n_accesses == 6
+        assert hist == {1: 2, 2: 1, 3: 1}  # row 1: one act in each chunk
+        assert (merged.n_accesses, merged.n_activations, merged.n_hits) == (6, 4, 2)
+        assert merged.unique_rows_touched == 3
 
     def test_merge_empty(self):
-        merged = TraceStats.merge([])
-        assert merged.n_accesses == 0
-
-    def test_merge_keeps_detail_when_all_parts_have_it(self):
-        a = _analyze([0, 0], [1, 2], col=np.array([3, 4], dtype=np.uint64), keep_detail=True)
-        b = _analyze([0, 0], [5, 6], col=np.array([7, 8], dtype=np.uint64), keep_detail=True)
-        merged = TraceStats.merge([a, b])
-        assert merged.act_rows.tolist() == [1, 2, 5, 6]
-        assert merged.act_cols.tolist() == [3, 4, 7, 8]
-
-    def test_merge_rows_only_parts_keep_rows(self):
-        # No part ever had columns: act_rows survive, act_cols stay None.
-        a = _analyze([0, 0], [1, 2], keep_detail=True)
-        b = _analyze([0, 0], [5, 6], keep_detail=True)
-        merged = TraceStats.merge([a, b])
-        assert merged.act_rows.tolist() == [1, 2, 5, 6]
-        assert merged.act_cols is None
-
-    def test_merge_mixed_detail_drops_both_arrays(self):
-        # Regression: one part carries (rows, cols), the other rows only.
-        # The keep-detail decision must be atomic -- the old code kept a
-        # concatenated act_rows while dropping act_cols, leaving the two
-        # arrays inconsistent (rows without their columns).
-        full = _analyze(
-            [0, 0], [1, 2], col=np.array([3, 4], dtype=np.uint64), keep_detail=True
-        )
-        rows_only = _analyze([0, 0], [5, 6], keep_detail=True)
-        assert full.act_cols is not None and rows_only.act_cols is None
-        for parts in ([full, rows_only], [rows_only, full]):
-            merged = TraceStats.merge(parts)
-            assert merged.act_rows is None
-            assert merged.act_cols is None
-            assert merged.n_accesses == 4
-
-    def test_merge_missing_rows_drops_detail(self):
-        with_detail = _analyze([0, 0], [1, 2], keep_detail=True)
-        without = _analyze([0, 0], [5, 6])
-        merged = TraceStats.merge([with_detail, without])
-        assert merged.act_rows is None
-        assert merged.act_cols is None
+        analyzer = ChunkedAnalyzer(rows_per_bank=1024)
+        assert analyzer.result().n_accesses == 0
+        analyzer.feed(np.empty(0, dtype=np.uint32))
+        assert analyzer.result().n_accesses == 0
 
 
 class TestChunkedAnalyzer:

@@ -153,11 +153,8 @@ class TestSimulator:
         assert b.row_ids is None
         assert b.acts_per_row.dtype == a.acts_per_row.dtype
         assert np.array_equal(b.acts_per_row, np.sort(a.acts_per_row))
-        assert b.act_rows is a.act_rows is None and b.act_cols is a.act_cols is None
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"use_cache": False}, {"keep_detail": True}], ids=["uncached", "detail"]
-    )
+    @pytest.mark.parametrize("kwargs", [{"use_cache": False}], ids=["uncached"])
     def test_uncached_window_never_fingerprints(self, kwargs):
         """Only a consulted cache needs the key, so a window that skips
         the cache never hashes its trace."""

@@ -8,7 +8,7 @@ from repro.parallel.cache import StatsCache, default_persist_dir, stats_cache_ke
 from repro.parallel.cache import STATS_CACHE_ENV
 
 
-def _stats(activations=100, hits=50, detail=False):
+def _stats(activations=100, hits=50):
     acts = np.array([60, 40], dtype=np.int64)
     return TraceStats(
         n_accesses=activations + hits,
@@ -17,18 +17,15 @@ def _stats(activations=100, hits=50, detail=False):
         row_ids=np.array([3, 9], dtype=np.int64),
         acts_per_row=acts,
         unique_rows_touched=2,
-        act_rows=np.array([3, 9], dtype=np.int64) if detail else None,
-        act_cols=None,
     )
 
 
 def assert_hit_of(got, want):
     """A cache hit: ``want``'s scalars and counts, ascending, in their
-    dtype, without row ids or detail."""
+    dtype, without row ids."""
     for name in ("n_accesses", "n_activations", "n_hits", "unique_rows_touched"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.row_ids is None
-    assert got.act_rows is None and got.act_cols is None
     assert got.acts_per_row.dtype == want.acts_per_row.dtype
     assert np.array_equal(got.acts_per_row, np.sort(want.acts_per_row))
 
@@ -142,16 +139,6 @@ class TestMemoryLayer:
         first, _ = cache.get(key)
         first.acts_per_row[:] = 0
         assert_hit_of(cache.get(key)[0], _stats())
-
-    def test_detail_bearing_stats_rejected(self, tmp_path):
-        """The simulator never caches detail, and the cache refuses it:
-        nothing is held in memory or written to disk."""
-        cache = StatsCache(persist_dir=tmp_path)
-        key = stats_cache_key(**BASE_KEY_ARGS)
-        with pytest.raises(ValueError, match="detail"):
-            cache.put(key, _stats(detail=True), 2)
-        assert key not in cache and len(cache) == 0
-        assert not list(tmp_path.iterdir())
 
     def test_len_and_contains(self):
         cache = StatsCache()

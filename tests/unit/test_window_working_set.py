@@ -14,8 +14,8 @@ histogram and is held to the same bound.  The multi-chunk Rubix-D case
 keeps a looser one: it covers the chunked analyzer's dense per-row
 histogram (``int32`` over the 2^21-row domain, about 8 bytes per line
 here; measured 19.8, bound 22).  The window holds four-byte lines, and
-neither the detail path's whole-window translation nor Rubix-D's
-v-group count may widen them.
+neither Table 3's whole-window translation nor Rubix-D's v-group count
+may widen them.
 
 These are anonymous (numpy) allocations over an in-memory trace.
 ``tracemalloc`` cannot see the file pages a memory-mapped ``.rtr``
@@ -36,6 +36,7 @@ import pytest
 from repro.core.rubix_d import RubixDMapping
 from repro.core.rubix_s import RubixSMapping
 from repro.dram.config import baseline_config
+from repro.experiments.table3 import window_line_table
 from repro.mapping.intel import CoffeeLakeMapping
 from repro.parallel.cache import StatsCache
 from repro.perf.simulator import Simulator
@@ -93,20 +94,21 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_keep_detail_window_bytes_per_line():
-    """Table 3's detail path translates the whole four-byte window in one
-    call and keeps every activation's row and column.  The window
-    measured 18.4 B/line (bound 20), and the translation allocates only
-    its three uint32 output arrays (12 B/line): it never widens the
-    window."""
+def test_table3_window_bytes_per_line():
+    """Table 3 translates the whole four-byte window in one call, keeps
+    its row ids and columns while ``activated_lines`` groups their packed
+    copy, then keeps only every activation's row and column and counts
+    their lines.  The whole computation, line table included, measured
+    17.0 B/line (bound 18; the window statistics alone of the path it
+    replaced measured 18.4, bound 20), and the translation allocates
+    only its three uint32 output arrays (12 B/line): it never widens
+    the window."""
     trace = _window()
     assert trace.lines.dtype == np.uint32
     sim = Simulator()
     mapping = CoffeeLakeMapping(sim.config)
-    peak = _traced_peak(
-        lambda: sim.window_stats(trace, mapping, keep_detail=True, use_cache=False)
-    )
-    assert peak / LINES <= 20, f"{peak / LINES:.1f} B/line"
+    peak = _traced_peak(lambda: window_line_table(sim, mapping, trace))
+    assert peak / LINES <= 18, f"{peak / LINES:.1f} B/line"
     peak = _traced_peak(lambda: mapping.translate_trace(trace.lines, validate=False))
     assert peak / LINES <= 13, f"translation {peak / LINES:.1f} B/line"
 
