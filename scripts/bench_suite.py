@@ -245,9 +245,8 @@ def judge(parent: List[dict], change: List[dict]) -> Dict[str, dict]:
     return rows
 
 
-def against(args: argparse.Namespace, tree: Path) -> int:
+def against(args: argparse.Namespace, tree: Path, measured: dict, golden: List[str]) -> int:
     """Alternate ``args.runs`` pairs of runs between REV and ``tree``."""
-    golden = without_timings((tree / "results_paper_suite.txt").read_text())
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-suite-parent-") as scratch:
         parent_tree = Path(scratch)
@@ -268,9 +267,7 @@ def against(args: argparse.Namespace, tree: Path) -> int:
     rows = judge(runs["parent"], runs["change"])
     parent = make_entry({"commit": commit, "dirty": False}, runs["parent"], side="parent")
     append_entry(args.history, parent)
-    change = make_entry(
-        commit_of(tree), runs["change"], side="change", against=commit, comparison=rows
-    )
+    change = make_entry(measured, runs["change"], side="change", against=commit, comparison=rows)
     append_entry(args.history, change)
     for key, row in rows.items():
         wins = row["pair_wins"]
@@ -295,9 +292,11 @@ def append_entry(history: Path, entry: dict) -> None:
 def main(argv=None) -> int:
     args = parse_args(argv)
     tree = args.tree.resolve()
-    if args.against:
-        return against(args, tree)
+    # Taken before the runs, which the tree may be edited during.
+    measured = commit_of(tree)
     golden = without_timings((tree / "results_paper_suite.txt").read_text())
+    if args.against:
+        return against(args, tree, measured, golden)
     runs = []
     for index in range(args.runs):
         run = run_suite(tree, golden)
@@ -307,7 +306,7 @@ def main(argv=None) -> int:
             f" golden={'ok' if run['golden'] else 'DIFFERS'}",
             flush=True,
         )
-    entry = make_entry(commit_of(tree), runs)
+    entry = make_entry(measured, runs)
     append_entry(args.history, entry)
     wall = entry["summary"]["wall_s"]
     print(f"appended to {args.history}: wall_s median {wall[1]} [{wall[0]}, {wall[2]}]")

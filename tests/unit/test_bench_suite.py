@@ -187,3 +187,23 @@ def test_against_removes_the_export_when_a_run_fails(bench_suite, repo, tmp_path
 def test_against_needs_three_pairs(bench_suite, repo, tmp_path):
     with pytest.raises(SystemExit):
         _against(bench_suite, repo, tmp_path / "BENCH_suite.json", "--runs", "2")
+
+
+def test_against_records_the_tree_as_it_was_before_the_runs(bench_suite, repo, tmp_path):
+    """A checkout edited while its runs go on is recorded as it was
+    when they began: clean here, although each run edits a tracked file."""
+    suite = repo / "scripts" / "run_paper_suite.py"
+    suite.write_text(
+        suite.read_text()
+        + "\nimport pathlib\n"
+        + "with open(pathlib.Path(__file__).parents[1] / 'edited.txt', 'a') as f:\n"
+        + "    f.write('run\\n')\n"
+    )
+    (repo / "edited.txt").write_text("")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "a suite that edits its tree")
+    history = tmp_path / "BENCH_suite.json"
+    _against(bench_suite, repo, history)
+    assert _git(repo, "status", "--porcelain", "--untracked-files=no")  # edited by the runs
+    _, change = json.loads(history.read_text())["history"]
+    assert change["dirty"] is False
