@@ -10,22 +10,19 @@
 # fails CI -- oracles live in tests/oracles); stage 2
 # smoke-tests the parallel campaign engine (tiny grid, workers=2,
 # crash + journal-resume check -- scripts/parallel_smoke.py); stage 3
-# re-runs the parallel smoke with telemetry and the
-# sampling profiler enabled (REPRO_PROFILE=1) and validates the emitted
-# manifest, metric snapshots, event streams and per-process
-# profile-<span>-<pid>.collapsed files against the schema catalog
+# runs the `serve` subcommand on a tiny campaign spec over the process
+# pool (--workers 2, with a checkpoint journal, --stats-cache and
+# --telemetry-dir), validates the emitted manifest, metric snapshot and
+# per-process event streams against the schema catalog
 # (scripts/validate_telemetry.py), so instrumentation and catalog
 # cannot drift apart, then renders the run with `report --telemetry`
-# and fails unless its span table has a sim.window row; stage 4 runs the `serve` subcommand on a tiny
-# campaign spec over the process pool (--workers 2, with a checkpoint
-# journal, --stats-cache and --telemetry-dir) and validates its
-# telemetry the same way, so `serve` artifacts stay schema-checked;
-# stage 5 gates the published numbers byte for byte (runs the full
+# and fails unless its span table has a sim.window row;
+# stage 4 gates the published numbers byte for byte (runs the full
 # paper suite serially via scripts/run_paper_suite.py and diffs its
 # output against results_paper_suite.txt, ignoring only the
 # "[... finished in Ns]" timing lines, then prints the suite's wall
 # time, peak RSS and the megabytes its stats and trace caches hold as
-# an advisory); stage 6 runs the repository
+# an advisory); stage 5 runs the repository
 # benchmark's correctness gate (bench/run.py --quick --seconds 0: every
 # workload's digests must equal bench/expected.json and no cell may
 # fail -- timings are printed but not gated), then prints an advisory
@@ -54,7 +51,7 @@
 # Usage: scripts/ci_tier1.sh [extra pytest args...]
 #   CI_TIER1_TIMEOUT=seconds   pytest stage budget (default 1800)
 #   CI_SMOKE_TIMEOUT=seconds   parallel smoke budget (default 300,
-#                              also used by the telemetry stage)
+#                              also used by the serve stage)
 #   CI_BENCH_TIMEOUT=seconds   repository benchmark gate budget
 #                              (default 300)
 set -euo pipefail
@@ -78,30 +75,12 @@ run_bounded() {
 run_bounded "$BUDGET" python -m pytest -x -q "$@"
 run_bounded "$SMOKE_BUDGET" python scripts/parallel_smoke.py
 
-# Stage 3: telemetry round-trip -- run the same smoke with telemetry
-# and the profiler enabled (the pool workers write their own profiles),
-# then validate every emitted artifact against the schema and summarize
-# it.
-TELEMETRY_DIR="$(mktemp -d -t rubix-telemetry-XXXXXX)"
-trap 'rm -rf "$TELEMETRY_DIR"' EXIT
-run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$TELEMETRY_DIR" REPRO_PROFILE=1 \
-    python scripts/parallel_smoke.py
-run_bounded 60 python scripts/validate_telemetry.py "$TELEMETRY_DIR"
-# The summary's span table is built from the span.count and
-# span.seconds counters; the smoke's analyzed windows must show in it.
-REPORT="$(run_bounded 60 python -m repro.experiments report --telemetry "$TELEMETRY_DIR")"
-if ! grep -qE '^  sim\.window +[0-9]+ ' <<<"$REPORT"; then
-    echo "$REPORT" >&2
-    echo "FAIL: telemetry report has no sim.window row in its span table" >&2
-    exit 1
-fi
-
-# Stage 4: serve smoke -- one tiny spec on a two-worker pool with a
+# Stage 3: serve smoke -- one tiny spec on a two-worker pool with a
 # journal, a disk stats cache (the pool workers write and read its
-# histogram entries) and telemetry; the artifacts are validated like
-# stage 3.
+# histogram entries) and telemetry; every artifact is validated against
+# the schema and the run is summarized.
 SERVE_DIR="$(mktemp -d -t rubix-serve-XXXXXX)"
-trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$SERVE_DIR"' EXIT
 cat > "$SERVE_DIR/spec.json" <<'SPEC'
 {"workloads": ["xz", "lbm"], "mappings": ["coffeelake", "rubix-s"],
  "schemes": ["blockhammer"], "thresholds": [128], "scale": 0.05}
@@ -110,8 +89,17 @@ run_bounded "$SMOKE_BUDGET" python -m repro.experiments serve "$SERVE_DIR/spec.j
     --workers 2 --journal "$SERVE_DIR/journal.jsonl" \
     --stats-cache "$SERVE_DIR/stats" --telemetry-dir "$SERVE_DIR/telemetry"
 run_bounded 60 python scripts/validate_telemetry.py "$SERVE_DIR/telemetry"
+# The summary's span table is built from the span.count and
+# span.seconds counters the workers merge back; the analyzed windows
+# must show in it.
+REPORT="$(run_bounded 60 python -m repro.experiments report --telemetry "$SERVE_DIR/telemetry")"
+if ! grep -qE '^  sim\.window +[0-9]+ ' <<<"$REPORT"; then
+    echo "$REPORT" >&2
+    echo "FAIL: telemetry report has no sim.window row in its span table" >&2
+    exit 1
+fi
 
-# Stage 5: paper-suite golden -- every published number must match
+# Stage 4: paper-suite golden -- every published number must match
 # results_paper_suite.txt byte for byte.  Only the per-experiment and
 # whole-suite "[... finished in Ns]" timing lines may differ.  A change
 # that moves a printed number must regenerate the golden and explain the
@@ -122,7 +110,7 @@ run_bounded 60 python scripts/validate_telemetry.py "$SERVE_DIR/telemetry"
 # not gated.
 SUITE_OUT="$(mktemp -t rubix-paper-suite-XXXXXX)"
 SUITE_LOG="$(mktemp -t rubix-paper-suite-log-XXXXXX)"
-trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR" "$SUITE_OUT" "$SUITE_LOG"' EXIT
+trap 'rm -rf "$SERVE_DIR" "$SUITE_OUT" "$SUITE_LOG"' EXIT
 run_bounded 180 python scripts/run_paper_suite.py "$SUITE_OUT" --quiet --log-json "$SUITE_LOG"
 drop_timings() { grep -vE '^\[.* finished in [0-9.]+s\]$' "$1"; }
 if ! diff <(drop_timings results_paper_suite.txt) <(drop_timings "$SUITE_OUT"); then
@@ -140,7 +128,7 @@ for line in open(sys.argv[1]):
         )
 PY
 
-# Stage 6: repository benchmark correctness gate -- the four seeded
+# Stage 5: repository benchmark correctness gate -- the four seeded
 # workloads at quick scale, fewest passes; exits non-zero on any digest
 # mismatch against bench/expected.json or any failed cell.
 run_bounded "$BENCH_BUDGET" python3 bench/run.py --quick --seconds 0
@@ -159,7 +147,7 @@ print(f"cold import: import_s={elapsed_s:.3f} repro_modules={modules}")
 # Advisory: trace set-up -- generate one seed's 18 scale-0.05 SPEC traces
 # and write each as a .rtr file (generation, fingerprint, write); not gated.
 TRACE_DIR="$(mktemp -d -t rubix-trace-setup-XXXXXX)"
-trap 'rm -rf "$TELEMETRY_DIR" "$SERVE_DIR" "$SUITE_OUT" "$SUITE_LOG" "$TRACE_DIR"' EXIT
+trap 'rm -rf "$SERVE_DIR" "$SUITE_OUT" "$SUITE_LOG" "$TRACE_DIR"' EXIT
 python - "$TRACE_DIR" <<'PY'
 import sys, time
 from pathlib import Path

@@ -22,8 +22,6 @@ from pathlib import Path
 
 from repro.experiments.campaign import Campaign, MappingSpec
 from repro.experiments.common import get_simulator
-from repro.obs import runtime as obs_runtime
-from repro.obs.manifest import RunManifest
 from repro.resilience.faults import FaultPlan, FaultySimulator, SimulatedCrash
 from repro.resilience.journal import CheckpointJournal
 
@@ -47,15 +45,6 @@ def fail(message: str) -> int:
 
 
 def main() -> int:
-    # Telemetry rides along when REPRO_TELEMETRY_DIR is set (the CI
-    # validation stage does this); disabled, it costs one boolean per
-    # instrumented call site.
-    manifest = None
-    if obs_runtime.telemetry_dir() is not None:
-        manifest = RunManifest.create(
-            "parallel_smoke", config={"cells": 8, "workers": 2}
-        )
-
     expected = make_campaign().run()
     print(f"serial: {len(expected)} records")
 
@@ -94,10 +83,6 @@ def main() -> int:
         if fresh != expected:
             return fail("fresh parallel records differ from serial run")
         print("fresh parallel run: records match")
-
-    if manifest is not None:
-        obs_runtime.write_telemetry(manifest=manifest)
-        print(f"telemetry written to {obs_runtime.telemetry_dir()}")
 
     print("OK: parallel smoke passed")
     return 0

@@ -120,12 +120,12 @@ def main(argv=None) -> int:
     verbosity = VERBOSE if args.verbose else (QUIET if args.quiet else None)
     manifest = None
     obs_runtime.configure(
-        enabled=obs_runtime.enabled() or bool(args.telemetry_dir),
+        enabled=bool(args.telemetry_dir),
         telemetry_dir=args.telemetry_dir,
         verbosity=verbosity,
         log_json=args.log_json,
     )
-    if args.telemetry_dir or obs_runtime.telemetry_dir() is not None:
+    if args.telemetry_dir:
         manifest = RunManifest.create(
             "paper_suite",
             config={

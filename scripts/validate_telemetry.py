@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Validate a telemetry directory against the metric/manifest schema.
 
-CI runs this after a telemetry-enabled ``scripts/parallel_smoke.py``:
-the manifest must be complete and finalized, every emitted metric name,
-label key, and kind must match the catalog in ``repro.obs.schema``, the
-required campaign metrics must actually have fired, every span
-event must use a declared span name, and every
-``profile-<span>-<pid>.collapsed`` file must name a declared span and
-hold only ``stack count`` lines.  Instrumentation and catalog
-therefore cannot drift apart silently.
+CI runs this after a telemetry-enabled ``serve`` run on a two-worker
+pool: the manifest must be complete and finalized, every emitted metric
+name, label key, and kind must match the catalog in
+``repro.obs.schema``, the required campaign metrics must actually have
+fired, every span event must use a declared span name, and no events
+file may mix two run ids.  Instrumentation and catalog therefore cannot
+drift apart silently.
 
 Usage:  python scripts/validate_telemetry.py DIR [--no-required]
 Exit status 0 when the directory validates, 1 otherwise.

@@ -135,8 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="enable telemetry and write run artifacts (manifest.json,"
-        " metrics.jsonl, events-*.jsonl) to DIR; sets the"
-        " REPRO_TELEMETRY_DIR environment variable",
+        " metrics.jsonl, events-*.jsonl) to DIR",
     )
     report = sub.add_parser(
         "report", help="summarize a finished run's telemetry artifacts"
@@ -306,15 +305,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _configure_telemetry(args, command: str, config: dict) -> Optional[RunManifest]:
     """Apply the run's logging/telemetry flags; returns the manifest, if any.
 
-    The telemetry directory travels through ``REPRO_TELEMETRY_DIR`` so
-    pool workers -- fork or spawn -- configure themselves at import, the
-    same pattern ``REPRO_STATS_CACHE`` uses.
+    Pool workers mirror this configuration through the pool initializer
+    (:func:`repro.obs.runtime.export_config`).
     """
     verbosity = VERBOSE if args.verbose else (QUIET if args.quiet else None)
-    if args.telemetry_dir:
-        os.environ[obs_runtime.TELEMETRY_DIR_ENV] = args.telemetry_dir
     obs_runtime.configure(
-        enabled=obs_runtime.enabled() or bool(args.telemetry_dir),
+        enabled=bool(args.telemetry_dir),
         telemetry_dir=args.telemetry_dir,
         verbosity=verbosity,
         log_json=args.log_json,

@@ -17,13 +17,9 @@ Everything is disabled by default and costs one boolean check per
 instrumented call site; see docs/OBSERVABILITY.md for the metric
 catalog, span hierarchy, and artifact formats.
 
-Beyond the post-run artifacts, :data:`PROFILER` samples collapsed
-stacks, credited to the innermost open span, when ``REPRO_PROFILE`` is
-set.
-
 The names below are served on first access (PEP 562), so a process
-that only records telemetry never imports the profiler, the schema
-catalog or the summary renderer.
+that only records telemetry never imports the schema catalog or the
+summary renderer.
 """
 
 import importlib
@@ -41,13 +37,9 @@ _MODULES = {
         "snapshot_from_jsonl",
         "snapshot_to_jsonl",
     ),
-    "repro.obs.profile": ("PROFILER", "SamplingProfiler"),
     "repro.obs.runtime": (
         "LOGS",
         "METRICS",
-        "RUN_ID_ENV",
-        "TELEMETRY_DIR_ENV",
-        "TELEMETRY_ENV",
         "TRACER",
         "apply_config",
         "configure",

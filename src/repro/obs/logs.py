@@ -13,8 +13,8 @@ fields; the console rendering is decoupled from the machine record:
   regardless of console verbosity, so ``--quiet`` terminal runs still
   produce a complete machine log.
 * **telemetry event stream** -- when a telemetry directory is
-  configured, log events also land in the run's ``events-<pid>.jsonl``
-  alongside spans (``type: "log"``).
+  configured, log events also land in the run's
+  ``events-<run>-<pid>.jsonl`` alongside spans (``type: "log"``).
 
 Verbosity: ``QUIET`` shows warnings and errors only, ``NORMAL`` (the
 default) adds info, ``VERBOSE`` adds debug.

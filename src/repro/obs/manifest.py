@@ -1,12 +1,13 @@
 """Run manifests: everything needed to interpret (or rerun) a campaign.
 
 A :class:`RunManifest` records what was run (command, argv, config
-grid, seeds), on what (git SHA, python/numpy versions, platform), when
-(wall-clock start/finish plus a monotonic duration immune to NTP
-steps), and what came out (the final metrics snapshot).  One manifest
-is written per run as ``manifest.json`` inside the telemetry
-directory; ``scripts/validate_telemetry.py`` checks it against the
-schema in :mod:`repro.obs.schema`.
+grid, and the run id that keys the run's event files), on what (git
+SHA, python/numpy versions, platform), when (wall-clock start/finish
+plus a monotonic duration immune to NTP steps), and what came out
+(the final metrics snapshot).  One manifest is written per run as
+``manifest.json`` inside the telemetry directory;
+``scripts/validate_telemetry.py`` checks it against the schema in
+:mod:`repro.obs.schema`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from repro.obs import runtime as obs_runtime
 
 #: Bump when the manifest layout changes incompatibly.
 MANIFEST_SCHEMA_VERSION = 1
@@ -87,7 +90,6 @@ class RunManifest:
     git_sha: Optional[str] = None
     platform: str = ""
     packages: Dict[str, str] = field(default_factory=dict)
-    seeds: Dict[str, int] = field(default_factory=dict)
     config: Dict[str, Any] = field(default_factory=dict)
     metrics: Optional[dict] = None
     schema_version: int = MANIFEST_SCHEMA_VERSION
@@ -101,20 +103,21 @@ class RunManifest:
         *,
         argv: Optional[List[str]] = None,
         config: Optional[Dict[str, Any]] = None,
-        seeds: Optional[Dict[str, int]] = None,
-        run_id: Optional[str] = None,
     ) -> "RunManifest":
-        """Start a manifest for a run beginning now."""
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+        """Start a manifest for a run beginning now.
+
+        Its ``run_id`` is :func:`repro.obs.runtime.run_id`, the ``run``
+        stamped on every event line and in every ``events-<run>-<pid>``
+        file name of the same run.
+        """
         return cls(
             command=command,
-            run_id=run_id or f"{command}-{stamp}-p{os.getpid()}",
+            run_id=obs_runtime.run_id(),
             argv=list(argv if argv is not None else sys.argv),
             started_at=_utc_now(),
             git_sha=git_sha(),
             platform=_platform.platform(),
             packages=_package_versions(),
-            seeds=dict(seeds or {}),
             config=dict(config or {}),
             _t0=time.perf_counter(),
         )
@@ -146,7 +149,6 @@ class RunManifest:
             "git_sha": self.git_sha,
             "platform": self.platform,
             "packages": dict(self.packages),
-            "seeds": dict(self.seeds),
             "config": dict(self.config),
             "metrics": self.metrics,
         }
@@ -176,7 +178,6 @@ class RunManifest:
             git_sha=data.get("git_sha"),
             platform=data.get("platform", ""),
             packages=dict(data.get("packages", {})),
-            seeds=dict(data.get("seeds", {})),
             config=dict(data.get("config", {})),
             metrics=data.get("metrics"),
             schema_version=int(data.get("schema_version", 0)),

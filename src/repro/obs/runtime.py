@@ -1,17 +1,15 @@
 """Process-wide telemetry runtime: the singletons and their lifecycle.
 
 One metrics registry, one tracer, and one log state per process, all
-disabled by default.  Enable them explicitly::
+disabled by default.  :func:`configure` is the only way to enable
+them::
 
     from repro import obs
     obs.configure(enabled=True, telemetry_dir="runs/today")
 
-or implicitly through the environment -- ``REPRO_TELEMETRY_DIR=DIR``
-(enable + write artifacts to DIR) or ``REPRO_TELEMETRY=1`` (enable,
-in-memory only).  The environment path is how process-pool workers
-inherit telemetry from a CLI run, exactly like ``REPRO_STATS_CACHE``;
-programmatic pool runs instead ship :func:`export_config` through the
-pool initializer (see :mod:`repro.parallel.executor`).
+Process-pool workers mirror the parent's configuration through the pool
+initializer, which applies :func:`export_config`'s payload with
+:func:`apply_config` (see :mod:`repro.parallel.executor`).
 
 Artifact layout under the telemetry directory::
 
@@ -19,15 +17,14 @@ Artifact layout under the telemetry directory::
     metrics.jsonl                one metric series per line
     events-<run>-<pid>.jsonl     span + log event stream, one file per
                                  process per run
-    profile-<span>-<pid>.collapsed    sampling-profiler stacks (opt-in)
 
 Events are written per-(run, process): the run id (:func:`run_id`, an
-8-hex token minted once in the parent and inherited by every worker via
-``REPRO_RUN_ID`` / :func:`export_config`) keeps two runs sharing a
-telemetry dir -- or a respawned worker that recycled a pid -- from
-append-interleaving unrelated event streams into one file, and every
-event line is stamped with it so ``validate_telemetry`` can reject a
-mixed file.
+8-hex token minted once in the parent and shipped to every worker by
+:func:`export_config`) keeps two runs sharing a telemetry dir -- or a
+respawned worker that recycled a pid -- from append-interleaving
+unrelated event streams into one file, and every event line is stamped
+with it so ``validate_telemetry`` can reject a mixed file.  The run
+manifest records the same id.
 """
 
 from __future__ import annotations
@@ -44,41 +41,21 @@ from repro.obs.tracing import Tracer
 if TYPE_CHECKING:
     from repro.obs.manifest import RunManifest
 
-#: Enable telemetry and write run artifacts to this directory.
-TELEMETRY_DIR_ENV = "REPRO_TELEMETRY_DIR"
-#: Enable telemetry without a directory ("1"/"true"/"yes"/"on").
-TELEMETRY_ENV = "REPRO_TELEMETRY"
-#: Run id workers inherit so their event files join the parent's run.
-RUN_ID_ENV = "REPRO_RUN_ID"
-
-_TRUTHY = {"1", "true", "yes", "on"}
-
 _run_id: Optional[str] = None
 
 
 def run_id() -> str:
-    """This process tree's telemetry run id (minted once, inherited).
+    """This run's telemetry id: an 8-hex token minted on first use.
 
-    The first caller in a process tree mints an 8-hex token and exports
-    it through ``REPRO_RUN_ID`` so forked/spawned workers adopt the same
-    one; :func:`export_config` ships it to programmatic pools the same
-    way.  Event filenames and event lines are keyed by it, so two runs
-    sharing a telemetry directory (or a recycled pid) can never
-    interleave into one file.
+    :func:`apply_config` installs the parent's id in pool workers.
+    Event filenames, event lines and the run manifest are keyed by it,
+    so two runs sharing a telemetry directory (or a recycled pid) can
+    never interleave into one file.
     """
     global _run_id
     if _run_id is None:
-        inherited = os.environ.get(RUN_ID_ENV, "").strip()
-        _run_id = inherited or os.urandom(4).hex()
-        os.environ[RUN_ID_ENV] = _run_id
+        _run_id = os.urandom(4).hex()
     return _run_id
-
-
-def _set_run_id(value: Optional[str]) -> None:
-    global _run_id
-    _run_id = value or None
-    if _run_id:
-        os.environ[RUN_ID_ENV] = _run_id
 
 
 class _EventStream:
@@ -191,7 +168,6 @@ def reset() -> None:
     _EVENTS.directory = None
     _telemetry_dir = None
     _run_id = None
-    os.environ.pop(RUN_ID_ENV, None)
     LOGS.verbosity = NORMAL
     LOGS.set_json_path(None)
     LOGS.emit_event = None
@@ -218,30 +194,16 @@ def export_config() -> Optional[dict]:
 
 def apply_config(config: Optional[dict]) -> None:
     """Apply an :func:`export_config` payload inside a pool worker."""
+    global _run_id
     if not config:
         return
     if config.get("run_id"):
-        _set_run_id(config["run_id"])
+        _run_id = config["run_id"]
     configure(
         enabled=config.get("enabled", True),
         telemetry_dir=config.get("telemetry_dir"),
         verbosity=config.get("verbosity"),
     )
-
-
-def _configure_from_env() -> None:
-    directory = os.environ.get(TELEMETRY_DIR_ENV, "").strip()
-    flag = os.environ.get(TELEMETRY_ENV, "").strip().lower()
-    if directory:
-        configure(enabled=True, telemetry_dir=directory)
-    elif flag in _TRUTHY:
-        configure(enabled=True)
-
-
-# Environment auto-enable at import: CLI entry points set the env vars
-# before building process pools, and workers (fork or spawn) pick the
-# configuration up here without any explicit hand-off.
-_configure_from_env()
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +243,12 @@ def write_telemetry(
         elif manifest.metrics is None:
             manifest.metrics = snapshot
         written["manifest"] = manifest.write(target / "manifest.json")
-    from repro.obs.profile import PROFILER  # lazy: avoids an import cycle
-
-    for path in PROFILER.write(target):
-        written[path.name] = path
     return written
 
 
 __all__ = [
     "LOGS",
     "METRICS",
-    "RUN_ID_ENV",
-    "TELEMETRY_DIR_ENV",
-    "TELEMETRY_ENV",
     "TRACER",
     "apply_config",
     "configure",
@@ -305,9 +260,3 @@ __all__ = [
     "telemetry_dir",
     "write_telemetry",
 ]
-
-# ``REPRO_PROFILE`` starts the sampler when repro.obs.profile is imported;
-# import it here, after TRACER exists, so every process that records spans
-# honours the variable without the profiler loading when it is unset.
-if os.environ.get("REPRO_PROFILE"):
-    import repro.obs.profile  # noqa: E402,F401

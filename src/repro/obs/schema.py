@@ -21,7 +21,6 @@ Two determinism families are distinguished (see docs/OBSERVABILITY.md):
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Union
 
@@ -99,9 +98,6 @@ SPAN_NAMES = {
     "trace.gen",
     "trace.fingerprint",
 }
-
-#: ``profile-<span>-<pid>.collapsed`` (see :mod:`repro.obs.profile`).
-_PROFILE_NAME = re.compile(r"profile-(.+)-(\d+)\.collapsed")
 
 #: Required top-level keys of a run manifest.
 MANIFEST_REQUIRED_KEYS = (
@@ -223,9 +219,7 @@ def validate_telemetry_dir(
 
     Expects ``manifest.json`` and ``metrics.jsonl`` plus zero or more
     ``events-*.jsonl`` files (one per (run, process) that emitted
-    events) and ``profile-<span>-<pid>.collapsed`` files (one per
-    sampled span name per process; the span must be in
-    :data:`SPAN_NAMES`).
+    events).
     """
     from repro.obs.metrics import snapshot_from_jsonl
 
@@ -255,14 +249,6 @@ def validate_telemetry_dir(
                 events_path.read_text().splitlines(), source=events_path.name
             )
         )
-    for profile_path in sorted(directory.glob("profile-*.collapsed")):
-        match = _PROFILE_NAME.fullmatch(profile_path.name)
-        if match is None or match.group(1) not in SPAN_NAMES:
-            errors.append(f"{profile_path.name}: not profile-<declared span>-<pid>.collapsed")
-        for lineno, line in enumerate(profile_path.read_text().splitlines(), start=1):
-            stack, _, count = line.rpartition(" ")
-            if not stack or not count.isdigit():
-                errors.append(f"{profile_path.name}:{lineno}: not a 'stack count' line")
     return errors
 
 

@@ -11,7 +11,7 @@ an explicit per-thread stack::
 A child scope (:meth:`_LiveSpan.child`) times a phase entered many
 times inside one span: it is made once per name, each lap pushes one
 prebuilt frame and adds its elapsed time, and when the parent closes it
-emits one record per child name, parented to it.
+emits one record per child name under the parent's path.
 
 Each finished span is recorded three ways:
 
@@ -22,25 +22,17 @@ Each finished span is recorded three ways:
 * a bounded in-memory ring (:attr:`Tracer.finished`) keeps the most
   recent records for tests and ad-hoc inspection.
 
-**Trace context.**  Every live span carries a
-``(trace_id, span_id, parent_span_id)`` triple.  The first span opened
-on a thread with no active context mints a fresh ``trace_id`` and
-becomes the root of a trace; nested spans inherit the trace and parent
-off the thread's stack.  The context crosses process boundaries as a
-compact token -- :meth:`Tracer.current_context` yields
-``"<trace_id>:<span_id>"``, and :meth:`Tracer.attach` installs such a
-token as the parent of whatever spans a worker opens next -- so a cell
-computed by a pool worker still names the span that dispatched it as
-its parent.
+**Trace id.**  The first span opened on a thread with no open span
+mints a fresh ``trace_id`` and becomes the root of a trace; every span
+and child scope opened under it inherits that id.  Grouping span events
+by ``trace_id`` credits each one to its root, e.g. the
+``runner.experiment`` span of a serial suite run.
 
 Durations come from ``time.perf_counter()`` -- monotonic, so an NTP
-step during a run can never produce a negative span.  Span events also
-carry ``ts_mono`` (the emitting process's monotonic clock) alongside
-the wall-clock ``ts``, so events of one process can be ordered even
-across a wall-clock (NTP) adjustment mid-run.  With telemetry disabled,
-:meth:`Tracer.span` returns a shared no-op context manager whose
-``child`` returns itself: the hot path pays one boolean check and no
-allocation.
+step during a run can never produce a negative span.  With telemetry
+disabled, :meth:`Tracer.span` returns a shared no-op context manager
+whose ``child`` returns itself: the hot path pays one boolean check and
+no allocation.
 """
 
 from __future__ import annotations
@@ -55,26 +47,6 @@ from typing import Callable, Dict, Optional
 from repro.obs.metrics import MetricsRegistry
 
 
-def new_id() -> str:
-    """A fresh 64-bit hex id for a trace or span (collision-negligible)."""
-    return os.urandom(8).hex()
-
-
-def make_context(trace_id: str, span_id: str) -> str:
-    """Pack a ``(trace_id, span_id)`` pair into its wire token."""
-    return f"{trace_id}:{span_id}"
-
-
-def parse_context(token: str) -> Optional[tuple]:
-    """``"trace:span"`` -> ``(trace_id, span_id)``; None when malformed."""
-    if not token or ":" not in token:
-        return None
-    trace_id, _, span_id = token.partition(":")
-    if not trace_id or not span_id:
-        return None
-    return trace_id, span_id
-
-
 @dataclass(frozen=True)
 class SpanRecord:
     """One finished span."""
@@ -84,9 +56,7 @@ class SpanRecord:
     duration_s: float
     status: str  #: ``ok`` or ``error`` (an exception escaped the span).
     attrs: Dict[str, object] = field(default_factory=dict)
-    trace_id: str = ""  #: Trace this span belongs to.
-    span_id: str = ""  #: This span's own id.
-    parent_span_id: str = ""  #: Empty for a trace root.
+    trace_id: str = ""  #: Minted by the trace's root span.
 
     def to_event(self) -> dict:
         return {
@@ -97,10 +67,7 @@ class SpanRecord:
             "status": self.status,
             "attrs": self.attrs,
             "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
             "ts": time.time(),
-            "ts_mono": time.monotonic(),
             "pid": os.getpid(),
         }
 
@@ -133,7 +100,7 @@ class _ChildScope:
 
     def __init__(self, stack: list, frame: tuple) -> None:
         self._stack = stack
-        self._frame = frame  # (name, span_id, trace_id), pushed per lap
+        self._frame = frame  # (name, trace_id), pushed per lap
         self._t0 = 0.0
         self.seconds = 0.0
         self.laps = 0
@@ -154,7 +121,7 @@ class _ChildScope:
 
 
 class _LiveSpan:
-    __slots__ = ("_tracer", "name", "attrs", "_t0", "_path", "_ids", "_stack", "_children")
+    __slots__ = ("_tracer", "name", "attrs", "_t0", "_path", "_frame", "_stack", "_children")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, object]) -> None:
         self._tracer = tracer
@@ -162,7 +129,7 @@ class _LiveSpan:
         self.attrs = attrs
         self._path = ""
         self._t0 = 0.0
-        self._ids = ("", "", "")  # (trace_id, span_id, parent_span_id)
+        self._frame = (name, "")  # (name, trace_id), pushed on enter
         self._stack: list = []
         self._children: Dict[str, _ChildScope] = {}
 
@@ -178,29 +145,25 @@ class _LiveSpan:
         """
         scope = self._children.get(name)
         if scope is None:
-            frame = (name, new_id(), self._ids[0])
+            frame = (name, self._frame[1])
             scope = self._children[name] = _ChildScope(self._stack, frame)
         return scope
 
     def __enter__(self) -> "_LiveSpan":
         stack = self._stack = self._tracer._stack()
-        if stack:
-            _, parent_id, trace_id = stack[-1]
-        else:
-            parent_id, trace_id = "", new_id()
-        span_id = new_id()
-        self._ids = (trace_id, span_id, parent_id)
-        stack.append((self.name, span_id, trace_id))
-        self._path = "/".join(frame[0] for frame in stack if frame[0])
+        trace_id = stack[-1][1] if stack else os.urandom(8).hex()
+        self._frame = (self.name, trace_id)
+        stack.append(self._frame)
+        self._path = "/".join(frame[0] for frame in stack)
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         duration = time.perf_counter() - self._t0
         stack = self._stack
-        if stack and stack[-1][1] == self._ids[1]:
+        if stack and stack[-1] is self._frame:
             stack.pop()
-        trace_id, span_id, parent_id = self._ids
+        trace_id = self._frame[1]
         for name, scope in self._children.items():
             self._tracer._finish(
                 SpanRecord(
@@ -210,8 +173,6 @@ class _LiveSpan:
                     status="error" if scope.failed else "ok",
                     attrs={"laps": scope.laps},
                     trace_id=trace_id,
-                    span_id=scope._frame[1],
-                    parent_span_id=span_id,
                 )
             )
         self._tracer._finish(
@@ -222,35 +183,8 @@ class _LiveSpan:
                 status="error" if exc_type is not None else "ok",
                 attrs=self.attrs,
                 trace_id=trace_id,
-                span_id=span_id,
-                parent_span_id=parent_id,
             )
         )
-        return False
-
-
-class _AttachedContext:
-    """Installs a remote parent context on the current thread's stack.
-
-    The frame has no name, so it contributes nothing to span ``path``s;
-    it only donates its trace id and span id to child spans.
-    """
-
-    __slots__ = ("_tracer", "_trace_id", "_span_id")
-
-    def __init__(self, tracer: "Tracer", trace_id: str, span_id: str) -> None:
-        self._tracer = tracer
-        self._trace_id = trace_id
-        self._span_id = span_id
-
-    def __enter__(self) -> "_AttachedContext":
-        self._tracer._stack().append((None, self._span_id, self._trace_id))
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        stack = self._tracer._stack()
-        if stack and stack[-1][0] is None and stack[-1][1] == self._span_id:
-            stack.pop()
         return False
 
 
@@ -275,17 +209,15 @@ class Tracer:
         self.registry = registry
         self.emit = emit
         self.finished: "deque[SpanRecord]" = deque(maxlen=keep)
-        #: thread id -> that thread's span stack.
-        self._stacks: Dict[int, list] = {}
+        self._local = threading.local()
 
     def _stack(self) -> list:
-        # Frames are (name, span_id, trace_id); name is None for
-        # attached remote contexts (excluded from paths).
-        ident = threading.get_ident()
-        stack = self._stacks.get(ident)
-        if stack is None:
-            stack = self._stacks[ident] = []
-        return stack
+        # This thread's open frames, each (name, trace_id), outermost first.
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: object):
@@ -294,54 +226,10 @@ class Tracer:
             return _NULL_SPAN
         return _LiveSpan(self, name, attrs)
 
-    def attach(self, context: Optional[str]):
-        """Adopt a remote ``"trace:span"`` token as the current parent.
-
-        Spans opened inside the returned context manager join the remote
-        trace as children of the remote span -- this is how a pool
-        worker hangs its ``campaign.cell`` span off the span that
-        dispatched the cell.  A falsy or malformed token (or disabled
-        telemetry) yields the shared no-op.
-        """
-        if not self.registry.enabled or not context:
-            return _NULL_SPAN
-        parsed = parse_context(context)
-        if parsed is None:
-            return _NULL_SPAN
-        return _AttachedContext(self, parsed[0], parsed[1])
-
-    def current_context(self) -> Optional[str]:
-        """The active ``"trace:span"`` token (None outside any span)."""
-        if not self.registry.enabled:
-            return None
-        stack = self._stack()
-        if not stack:
-            return None
-        _, span_id, trace_id = stack[-1]
-        return make_context(trace_id, span_id)
-
-    def current_path(self) -> str:
-        """The active span ancestry (empty string outside any span)."""
-        return "/".join(frame[0] for frame in self._stack() if frame[0])
-
-    def innermost_spans(self) -> Dict[int, str]:
-        """Thread id -> name of that thread's innermost open span.
-
-        Safe to call from any thread (the sampling profiler does).
-        Threads whose top frame is no span or an attached remote
-        context are left out.
-        """
-        innermost: Dict[int, str] = {}
-        for ident, stack in list(self._stacks.items()):
-            top = stack[-1:]  # never raises, even as the owner pops
-            if top and top[0][0]:
-                innermost[ident] = top[0][0]
-        return innermost
-
     def clear(self) -> None:
         """Drop recorded spans (the registry is cleared separately)."""
         self.finished.clear()
-        self._stacks = {}
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     def _finish(self, record: SpanRecord) -> None:
@@ -352,10 +240,4 @@ class Tracer:
             self.emit(record.to_event())
 
 
-__all__ = [
-    "SpanRecord",
-    "Tracer",
-    "make_context",
-    "new_id",
-    "parse_context",
-]
+__all__ = ["SpanRecord", "Tracer"]

@@ -15,6 +15,11 @@ worker pool:
 * with a ``stats_cache_dir``, workers share one disk-persistent,
   content-keyed window-statistics cache, so two workers given the same
   (trace, mapping) analysis reuse rather than recompute it;
+* with telemetry on, the pool initializer applies the parent's
+  :func:`~repro.obs.runtime.export_config` (switch, directory, run id),
+  so worker spans land in ``events-<run>-<pid>.jsonl`` files of the
+  parent's run, and each cell ships its metric delta back for the
+  parent to merge;
 * completions stream back to the parent in *completion order*
   (:meth:`ParallelExecutor.stream`), which journals them immediately --
   a killed run resumes from its checkpoint exactly like a serial one --
@@ -33,19 +38,12 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
 
 from repro.obs.metrics import diff_snapshots
-from repro.obs.profile import PROFILER
-from repro.obs.runtime import (
-    METRICS,
-    TRACER,
-    apply_config,
-    export_config,
-    telemetry_dir,
-)
+from repro.obs.runtime import METRICS, apply_config, export_config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.campaign import Campaign, MappingSpec
@@ -53,14 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 @dataclass(frozen=True)
 class CellTask:
-    """One grid cell, in shipping form (picklable, tiny).
-
-    ``trace`` is the submitting side's trace context as a compact
-    ``"trace_id:span_id"`` token (:meth:`Tracer.current_context`); a
-    worker attaches it before executing, so the cell's spans join the
-    submitter's trace no matter which process runs it.
-    Empty when telemetry is off or the submitter held no span.
-    """
+    """One grid cell, in shipping form (picklable, tiny)."""
 
     index: int  #: Position in the campaign's deterministic cell order.
     key: str  #: Canonical journal key.
@@ -68,7 +59,6 @@ class CellTask:
     spec: "MappingSpec"
     scheme: str
     t_rh: int
-    trace: str = ""  #: Trace context token ("" = none).
 
 
 @dataclass(frozen=True)
@@ -77,16 +67,15 @@ class CellCompletion:
 
     ``duration_s``/``worker_id`` feed the checkpoint journal's timing
     metadata; ``telemetry`` carries the cell's metric *delta* snapshot
-    back to the parent (None when telemetry is disabled).  All three
-    default to their empty values so existing constructors keep working.
+    back to the parent (None when telemetry is disabled).
     """
 
     index: int
     key: str
     record: dict
-    duration_s: float = 0.0
-    worker_id: str = ""
-    telemetry: Optional[dict] = None
+    duration_s: float
+    worker_id: str
+    telemetry: Optional[dict]
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +99,6 @@ def _init_worker(
         # starts clean.  Both ship per-cell *deltas* back, so inherited
         # contents never double-count in the parent's merge.
         apply_config(obs_config)
-    if PROFILER.enabled:
-        # A forked worker inherits the flag but not the sampler thread.
-        PROFILER.enable()
     campaign = Campaign(**payload)
     sim = get_simulator(campaign.config)
     if stats_cache_dir:
@@ -127,22 +113,15 @@ def _run_task(task: CellTask) -> CellCompletion:
     worker_id = f"p{os.getpid()}"
     before = METRICS.snapshot() if telemetry else None
     started = time.perf_counter()
-    # Adopt the submitter's trace context (a no-op for an empty token):
-    # the cell's campaign.cell span and everything under it join the
-    # submitting process's trace rather than rooting a local one.
-    with TRACER.attach(task.trace):
-        record = _WORKER["campaign"].execute_cell(
-            _WORKER["sim"],
-            task.workload,
-            task.spec,
-            task.scheme,
-            task.t_rh,
-        )
+    record = _WORKER["campaign"].execute_cell(
+        _WORKER["sim"],
+        task.workload,
+        task.spec,
+        task.scheme,
+        task.t_rh,
+    )
     duration = time.perf_counter() - started
     delta = diff_snapshots(METRICS.snapshot(), before) if telemetry else None
-    if PROFILER.enabled and telemetry_dir() is not None:
-        # Workers exit without running atexit hooks; flush per cell.
-        PROFILER.write(telemetry_dir())
     return CellCompletion(
         index=task.index,
         key=task.key,
@@ -202,12 +181,6 @@ class ParallelExecutor:
         if not pending:
             return
         telemetry = METRICS.enabled
-        if telemetry:
-            # Stamp each task with the caller's trace context so worker
-            # cell spans attach under the span driving this stream.
-            trace = TRACER.current_context()
-            if trace:
-                pending = [replace(task, trace=trace) for task in pending]
         context = (
             multiprocessing.get_context(self.mp_context) if self.mp_context else None
         )
@@ -257,8 +230,8 @@ class ParallelExecutor:
                 checkpoint.append(
                     completion.key,
                     completion.record,
-                    duration_s=completion.duration_s or None,
-                    worker_id=completion.worker_id or None,
+                    duration_s=completion.duration_s,
+                    worker_id=completion.worker_id,
                 )
         return records
 

@@ -21,19 +21,12 @@ from repro.resilience.journal import CheckpointJournal
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    """Pristine telemetry state around every test (and no env leakage)."""
-    saved = {
-        key: os.environ.pop(key, None)
-        for key in (obs.TELEMETRY_DIR_ENV, obs.TELEMETRY_ENV)
-    }
+    """Pristine telemetry state around every test."""
     obs.reset()
     try:
         yield
     finally:
         obs.reset()
-        for key, value in saved.items():
-            if value is not None:
-                os.environ[key] = value
 
 
 def tiny_campaign():
@@ -85,6 +78,28 @@ class TestSerialParallelEquality:
         # Each worker's campaign.cell span merges into the parent.
         assert snap["counters"]["span.count|span=campaign.cell,status=ok"] == 4
         assert snap["counters"]["span.seconds|span=campaign.cell"] > 0
+
+    def test_spawned_workers_join_the_parent_run(self, tmp_path, monkeypatch):
+        # The pool initializer is the only hand-off: no REPRO_* variable
+        # tells a spawned worker that telemetry is on or which run it is.
+        for key in [key for key in os.environ if key.startswith("REPRO_")]:
+            monkeypatch.delenv(key)
+        _, serial_snap = run_with_telemetry()
+        common.clear_caches()
+        obs.configure(enabled=True, telemetry_dir=tmp_path)
+        tiny_campaign().run(workers=2, mp_context="spawn")
+        run = obs.run_id()
+        files = {path.name: path for path in tmp_path.glob("events-*.jsonl")}
+        pids = {int(name.removesuffix(".jsonl").rsplit("-", 1)[1]) for name in files}
+        assert pids - {os.getpid()}, "no worker wrote events"
+        for name, path in files.items():
+            assert name.startswith(f"events-{run}-"), name
+            events = [json.loads(line) for line in path.read_text().splitlines()]
+            assert events and {event["run"] for event in events} == {run}
+        assert obs.filter_snapshot(
+            obs.METRICS.snapshot(), obs.SEMANTIC_PREFIXES
+        ) == obs.filter_snapshot(serial_snap, obs.SEMANTIC_PREFIXES)
+        assert not [key for key in os.environ if key.startswith("REPRO_")]
 
     def test_snapshots_validate_against_schema(self):
         _, serial_snap = run_with_telemetry()
@@ -149,34 +164,6 @@ class TestJournalTimings:
         assert all(worker.startswith("p") for worker in workers)
 
 
-class TestProfiledPool:
-    def test_workers_write_profiles_under_their_pid(self, tmp_path):
-        from repro.obs.profile import PROFILER
-
-        common.clear_caches()
-        obs.configure(enabled=True, telemetry_dir=tmp_path)
-        manifest = obs.RunManifest.create("profiled-pool", config={"workers": 2})
-        journal = tmp_path / "cells.jsonl"
-        PROFILER.enable()
-        try:
-            tiny_campaign().run(workers=2, mp_context="fork", journal=journal)
-            obs.write_telemetry(manifest=manifest)
-        finally:
-            PROFILER.disable()
-            PROFILER.clear()
-        workers = {
-            timing["worker_id"].removeprefix("p")
-            for timing in CheckpointJournal(journal).timings().values()
-        }
-        profiled = {
-            path.name.rsplit("-", 1)[1].removesuffix(".collapsed"): path
-            for path in tmp_path.glob("profile-*.collapsed")
-        }
-        assert str(os.getpid()) not in workers
-        assert workers & set(profiled)
-        assert obs.validate_telemetry_dir(tmp_path, required=()) == []
-
-
 class TestTelemetryArtifacts:
     def test_write_telemetry_emits_validating_artifacts(self, tmp_path):
         common.clear_caches()
@@ -220,6 +207,19 @@ class TestRunnerCLI:
         # fig1a is data-only, so skip the campaign-metrics floor.
         assert obs.validate_telemetry_dir(target, required=()) == []
 
+    def test_manifest_run_id_keys_every_events_file(self, tmp_path, capsys):
+        from repro.experiments.runner import main
+
+        target = tmp_path / "telemetry"
+        assert main(["run", "fig1a", "--telemetry-dir", str(target)]) == 0
+        run = json.loads((target / "manifest.json").read_text())["run_id"]
+        files = sorted(target.glob("events-*.jsonl"))
+        assert files
+        for path in files:
+            assert path.name == f"events-{run}-{os.getpid()}.jsonl"
+            runs = {json.loads(line)["run"] for line in path.read_text().splitlines()}
+            assert runs == {run}
+
     def test_report_subcommand_summarizes(self, tmp_path, capsys):
         from repro.experiments.runner import main
 
@@ -251,10 +251,9 @@ class TestRunnerCLI:
         for event in nested:
             assert event["path"].startswith("runner.experiment/"), event["path"]
             assert event["trace_id"] == root["trace_id"]
-        windows = {e["span_id"] for e in spans if e["name"] == "sim.window"}
         for event in spans:
             if event["name"] in ("sim.translate", "sim.analyze"):
-                assert event["parent_span_id"] in windows
+                assert event["path"].endswith(f"/sim.window/{event['name']}"), event["path"]
 
     def test_quiet_flag_suppresses_status_output(self, capsys):
         from repro.experiments.runner import main

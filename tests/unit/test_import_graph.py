@@ -44,7 +44,6 @@ OFF_THE_HOT_PATH = {
     "repro.resilience.faults",
     "repro.workloads.attacks",
     "repro.workloads.playbook",
-    "repro.obs.profile",
     "repro.obs.schema",
     "repro.obs.summary",
 }
@@ -52,13 +51,12 @@ OFF_THE_HOT_PATH = {
 CAMPAIGN_MODULE_BUDGET = 55
 
 
-def _python(code: str, **repro_env: str) -> str:
+def _python(code: str) -> str:
     """Run ``code`` in a fresh interpreter; return its stdout.
 
-    No ``REPRO_*`` variable reaches it except ``repro_env``.
+    No ``REPRO_*`` variable reaches it.
     """
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(repro_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -95,14 +93,6 @@ class TestImportGraph:
         loaded = _loaded_by(f"import {module}")
         assert not loaded & OFF_THE_HOT_PATH
         assert not {m for m in loaded if m.startswith("repro.analysis")}
-
-    def test_profile_variable_still_starts_the_sampler(self):
-        out = _python(
-            "import sys, repro.experiments.campaign\n"
-            "print(sys.modules['repro.obs.profile'].PROFILER.enabled)",
-            REPRO_PROFILE="1",
-        )
-        assert out.strip() == "True"
 
 
 class TestSurface:

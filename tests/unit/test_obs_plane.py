@@ -1,136 +1,33 @@
 """Unit tests for the observability plane.
 
-Covers the pieces added around the core telemetry layer: the sampling
-profiler (:mod:`repro.obs.profile`), per-(run, pid) event-stream keying
-and the paper suite's closing ``suite.done`` record
-(``scripts/run_paper_suite.py``).
+Covers the pieces added around the core telemetry layer: per-(run,
+pid) event-stream keying and the paper suite's closing ``suite.done``
+record (``scripts/run_paper_suite.py``).
 """
 
 import importlib.util
 import json
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.obs import runtime as obs_runtime
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import SamplingProfiler
 from repro.obs.schema import validate_events_lines
-from repro.obs.tracing import Tracer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-def _busy(deadline):
-    total = 0
-    while time.perf_counter() < deadline:
-        total += sum(range(100))
-    return total
-
-
-def _live_tracer():
-    return Tracer(MetricsRegistry(enabled=True))
-
-
-class TestSamplingProfiler:
-    def test_disabled_phase_is_noop(self):
-        tracer = _live_tracer()
-        profiler = SamplingProfiler(tracer, interval_s=0.001)
-        with tracer.span("sim.window"):
-            _busy(time.perf_counter() + 0.02)
-        assert profiler._thread is None  # no sampler while disabled
-        assert profiler.samples() == {}
-
-    def test_samples_attribute_to_active_phase(self, tmp_path):
-        tracer = _live_tracer()
-        profiler = SamplingProfiler(tracer, interval_s=0.001)
-        profiler.enable()
-        try:
-            with tracer.span("sim.window") as window:
-                with window.child("sim.translate"):
-                    _busy(time.perf_counter() + 0.08)
-        finally:
-            profiler.disable()
-        samples = profiler.samples()
-        assert "sim.translate" in samples
-        stacks = samples["sim.translate"]
-        assert sum(stacks.values()) >= 1
-        assert any("_busy" in stack for stack in stacks)
-        (path,) = [p for p in profiler.write(tmp_path) if "sim.translate" in p.name]
-        assert path.name == f"profile-sim.translate-{os.getpid()}.collapsed"
-        stack, count = path.read_text().splitlines()[0].rsplit(" ", 1)
-        assert ";" in stack and int(count) >= 1
-
-    def test_nested_phases_attribute_to_innermost(self):
-        tracer = _live_tracer()
-        profiler = SamplingProfiler(tracer, interval_s=0.001)
-        profiler.enable()
-        try:
-            with tracer.span("campaign.cell"):
-                with tracer.span("sim.window"):
-                    _busy(time.perf_counter() + 0.05)
-        finally:
-            profiler.disable()
-        samples = profiler.samples()
-        assert samples.get("sim.window")
-        # Samples land on campaign.cell only between the two span
-        # boundaries, never for the inner span's majority.
-        inner = sum(samples["sim.window"].values())
-        outer = sum(samples.get("campaign.cell", {}).values())
-        assert inner > outer
-
-    def test_write_with_no_samples_writes_nothing(self, tmp_path):
-        assert SamplingProfiler(_live_tracer()).write(tmp_path) == []
-        assert list(tmp_path.iterdir()) == []
-
-    def test_enable_is_idempotent_while_the_sampler_lives(self):
-        profiler = SamplingProfiler(_live_tracer(), interval_s=0.001)
-        profiler.enable()
-        try:
-            first = profiler._thread
-            profiler.enable()
-            assert profiler._thread is first and first.is_alive()
-        finally:
-            profiler.disable()
-
-    def test_forked_child_starts_its_own_sampler_without_parent_samples(self):
-        from collections import Counter
-
-        profiler = SamplingProfiler(_live_tracer(), interval_s=0.001)
-        profiler.enable()
-        profiler._samples["sim.window"] = Counter({"mod:fn": 1})
-        try:
-            pid = os.fork()
-            if pid == 0:  # child: the flag survives, the sampler thread does not
-                inherited_dead = not profiler._thread.is_alive()
-                profiler.enable()
-                ok = inherited_dead and profiler._thread.is_alive()
-                os._exit(0 if ok and profiler.samples() == {} else 1)
-            _, status = os.waitpid(pid, 0)
-            assert profiler.samples() == {"sim.window": Counter({"mod:fn": 1})}
-        finally:
-            profiler.disable()
-        assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.fixture
 def clean_runtime():
     obs_runtime.reset()
-    saved = {
-        key: os.environ.pop(key, None)
-        for key in (obs_runtime.TELEMETRY_DIR_ENV, obs_runtime.RUN_ID_ENV)
-    }
     yield
     obs_runtime.reset()
-    for key, value in saved.items():
-        if value is not None:
-            os.environ[key] = value
 
 
 class TestRunScopedEventFiles:
     def test_event_file_keyed_by_run_and_pid(self, tmp_path, clean_runtime):
+        environ = dict(os.environ)
         obs_runtime.configure(enabled=True, telemetry_dir=tmp_path)
         with obs_runtime.TRACER.span("campaign.run"):
             pass
@@ -139,7 +36,7 @@ class TestRunScopedEventFiles:
         assert path.name == f"events-{run}-{os.getpid()}.jsonl"
         event = json.loads(path.read_text().splitlines()[0])
         assert event["run"] == run
-        assert os.environ[obs_runtime.RUN_ID_ENV] == run
+        assert dict(os.environ) == environ  # the run id lives in the process only
 
     def test_two_runs_sharing_a_dir_get_separate_files(
         self, tmp_path, clean_runtime

@@ -23,6 +23,16 @@ def tracer():
     return Tracer(registry, emit=events.append), registry, events
 
 
+def assert_no_span_open(tracer):
+    """A span opened now is a root: its path is its name and its trace new."""
+    traces = {record.trace_id for record in tracer.finished}
+    with tracer.span("probe"):
+        pass
+    probe = tracer.finished[-1]
+    assert probe.path == "probe"
+    assert probe.trace_id not in traces
+
+
 class TestTracer:
     def test_disabled_returns_shared_null_span(self):
         tracer = Tracer(MetricsRegistry(enabled=False))
@@ -46,7 +56,7 @@ class TestTracer:
             "campaign.run/campaign.cell",
             "campaign.run",
         ]
-        assert tracer.current_path() == ""
+        assert_no_span_open(tracer)
 
     def test_span_aggregates_into_registry(self, tracer):
         tracer, registry, events = tracer
@@ -68,7 +78,7 @@ class TestTracer:
             == 1
         )
         # The stack unwound despite the exception.
-        assert tracer.current_path() == ""
+        assert_no_span_open(tracer)
 
     def test_child_laps_sum_into_one_record_per_name(self, tracer, monkeypatch):
         tracer, registry, events = tracer
@@ -81,7 +91,7 @@ class TestTracer:
             analyze = window.child("sim.analyze")
             for _ in range(3):
                 with translate:  # 1 s per lap
-                    assert tracer.current_path() == "sim.window/sim.translate"
+                    pass
                 with window.child("sim.analyze"):  # the same scope again
                     pass
             assert window.child("sim.analyze") is analyze
@@ -98,7 +108,7 @@ class TestTracer:
         assert by_name["sim.translate"].path == "sim.window/sim.translate"
         assert registry.counter_value("span.count", span="sim.translate", status="ok") == 1
         assert registry.counter_value("span.seconds", span="sim.translate") == 3.0
-        assert tracer.current_path() == ""
+        assert_no_span_open(tracer)
 
     def test_child_lap_error_marks_its_record(self, tracer):
         tracer, registry, events = tracer
@@ -110,7 +120,7 @@ class TestTracer:
             ("sim.analyze", "error"),
             ("sim.window", "error"),
         ]
-        assert tracer.current_path() == ""
+        assert_no_span_open(tracer)
 
     def test_events_emitted_with_schema_fields(self, tracer):
         tracer, registry, events = tracer
@@ -178,7 +188,6 @@ class TestSimulatorSpans:
         laps = 1 if kind == "static" else 3
         for name in ("sim.translate", "sim.analyze"):
             (record,) = [r for r in live.finished if r.name == name]
-            assert record.parent_span_id == window.span_id
             assert record.trace_id == window.trace_id
             assert record.path == f"sim.window/{name}"
             assert record.attrs == {"laps": laps}
@@ -253,7 +262,6 @@ class TestRunManifest:
             "unit-test",
             argv=["prog", "run"],
             config={"scale": 0.1},
-            seeds={"mapping": 2024},
         )
         manifest.finalize(metrics={"counters": {}})
         path = manifest.write(tmp_path / "manifest.json")
@@ -261,7 +269,6 @@ class TestRunManifest:
         assert loaded.command == "unit-test"
         assert loaded.run_id == manifest.run_id
         assert loaded.config == {"scale": 0.1}
-        assert loaded.seeds == {"mapping": 2024}
         assert loaded.schema_version == MANIFEST_SCHEMA_VERSION
         assert loaded.duration_s is not None and loaded.duration_s >= 0
         assert loaded.packages.get("python")
@@ -319,15 +326,15 @@ class TestSchemaValidation:
 
 
 class TestTraceContext:
-    """Distributed (trace_id, span_id, parent_span_id) propagation."""
+    """A root span mints the trace id that every span under it shares."""
 
     def test_root_span_mints_trace_and_has_no_parent(self, tracer):
         trc, _, _ = tracer
         with trc.span("campaign.run"):
             pass
         record = trc.finished[-1]
-        assert record.trace_id and record.span_id
-        assert record.parent_span_id == ""
+        assert record.trace_id
+        assert record.path == "campaign.run"
 
     def test_nested_span_inherits_trace_and_parent(self, tracer):
         trc, _, _ = tracer
@@ -336,8 +343,7 @@ class TestTraceContext:
                 pass
         child, parent = trc.finished[-2], trc.finished[-1]
         assert child.trace_id == parent.trace_id
-        assert child.parent_span_id == parent.span_id
-        assert child.span_id != parent.span_id
+        assert child.path == f"{parent.path}/campaign.cell"
 
     def test_sequential_roots_get_distinct_traces(self, tracer):
         trc, _, _ = tracer
@@ -348,85 +354,60 @@ class TestTraceContext:
         first, second = trc.finished[0], trc.finished[1]
         assert first.trace_id != second.trace_id
 
-    def test_current_context_round_trips_through_attach(self, tracer):
-        trc, _, _ = tracer
-        with trc.span("campaign.run"):
-            token = trc.current_context()
-        assert token is not None
-        trace_id, _, span_id = token.partition(":")
-        with trc.attach(token):
-            with trc.span("campaign.cell"):
-                pass
-        remote = trc.finished[-1]
-        assert remote.trace_id == trace_id
-        assert remote.parent_span_id == span_id
-
-    def test_attach_contributes_nothing_to_paths(self, tracer):
-        trc, _, _ = tracer
-        with trc.span("campaign.run"):
-            token = trc.current_context()
-        with trc.attach(token):
-            with trc.span("campaign.cell"):
-                assert trc.current_path() == "campaign.cell"
-
-    def test_attach_rejects_malformed_tokens(self, tracer):
-        trc, _, _ = tracer
-        for bad in (None, "", "no-separator", ":", "a:", ":b"):
-            assert trc.attach(bad) is _NULL_SPAN
-
-    def test_current_context_none_outside_spans(self, tracer):
-        trc, _, _ = tracer
-        assert trc.current_context() is None
-
-    def test_disabled_tracer_has_no_context(self):
-        trc = Tracer(MetricsRegistry(enabled=False))
-        assert trc.current_context() is None
-        assert trc.attach("a:b") is _NULL_SPAN
-
     def test_child_records_name_the_open_span_as_parent(self, tracer):
         trc, _, _ = tracer
         with trc.span("sim.window") as window:
-            enclosing_token = trc.current_context()
             with window.child("sim.translate"):
                 with trc.span("trace.fingerprint"):
                     pass
         nested, child, parent = trc.finished
-        trace_id, _, span_id = enclosing_token.partition(":")
-        assert child.trace_id == trace_id
-        assert child.parent_span_id == span_id
-        assert child.span_id not in ("", span_id)
+        assert child.path == "sim.window/sim.translate"
+        assert child.trace_id == parent.trace_id
         # A span opened inside a lap nests under the child scope.
         assert nested.path == "sim.window/sim.translate/trace.fingerprint"
-        assert nested.parent_span_id == child.span_id
+        assert nested.trace_id == parent.trace_id
 
-    def test_innermost_spans_reads_each_threads_top_span(self, tracer):
+    def test_threads_keep_separate_paths_and_traces(self, tracer):
         import threading
 
         trc, _, _ = tracer
-        me = threading.get_ident()
-        assert trc.innermost_spans() == {}
-        with trc.span("campaign.run"):
-            assert trc.innermost_spans() == {me: "campaign.run"}
-            with trc.attach(trc.current_context()):
-                assert trc.innermost_spans() == {}  # a remote parent is no span
-                with trc.span("campaign.cell") as cell:
-                    with cell.child("sim.window"):
-                        assert trc.innermost_spans() == {me: "sim.window"}
-        assert trc.innermost_spans() == {}
+        inside = threading.Barrier(2)
 
-    def test_span_events_carry_context_and_monotonic_ts(self, tracer):
+        def work(root):
+            with trc.span(root):
+                inside.wait(timeout=10)  # both roots are open at once
+                with trc.span("sim.window"):
+                    inside.wait(timeout=10)
+
+        threads = [
+            threading.Thread(target=work, args=(root,))
+            for root in ("campaign.run", "runner.experiment")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        windows = {r.path: r for r in trc.finished if r.name == "sim.window"}
+        roots = {r.name: r for r in trc.finished if r.name != "sim.window"}
+        assert set(windows) == {"campaign.run/sim.window", "runner.experiment/sim.window"}
+        for name, root in roots.items():
+            assert windows[f"{name}/sim.window"].trace_id == root.trace_id
+        assert roots["campaign.run"].trace_id != roots["runner.experiment"].trace_id
+
+    def test_span_events_carry_trace_id(self, tracer):
         trc, _, events = tracer
         with trc.span("campaign.run"):
             pass
         event = events[-1]
-        assert event["trace_id"] and event["span_id"]
-        assert event["parent_span_id"] == ""
-        assert event["ts_mono"] > 0
+        assert event["trace_id"] == trc.finished[-1].trace_id
         assert event["ts"] > 0
+        assert set(event) == {
+            "type", "name", "path", "duration_s", "status", "attrs", "trace_id", "ts", "pid"
+        }
 
     def test_exception_exit_still_pops_stack(self, tracer):
         trc, _, _ = tracer
         with pytest.raises(ValueError):
             with trc.span("campaign.run"):
                 raise ValueError("boom")
-        assert trc.current_context() is None
+        assert_no_span_open(trc)
