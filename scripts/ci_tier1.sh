@@ -16,7 +16,11 @@
 # per-process event streams against the schema catalog
 # (scripts/validate_telemetry.py), so instrumentation and catalog
 # cannot drift apart, then renders the run with `report --telemetry`
-# and fails unless its span table has a sim.window row;
+# and fails unless its span table has a sim.window row (the workers'
+# windows, merged back) and a campaign.run row (the pool run's own span
+# in the parent); stage 3b runs every examples/*.py script and fails on
+# a non-zero exit, so the documented entry points keep working (about
+# 20 s, most of it attack_analysis.py's detailed-model replay);
 # stage 4 gates the published numbers byte for byte (runs the full
 # paper suite serially via scripts/run_paper_suite.py and diffs its
 # output against results_paper_suite.txt, ignoring only the
@@ -51,7 +55,8 @@
 # Usage: scripts/ci_tier1.sh [extra pytest args...]
 #   CI_TIER1_TIMEOUT=seconds   pytest stage budget (default 1800)
 #   CI_SMOKE_TIMEOUT=seconds   parallel smoke budget (default 300,
-#                              also used by the serve stage)
+#                              also used by the serve stage and by
+#                              each example script)
 #   CI_BENCH_TIMEOUT=seconds   repository benchmark gate budget
 #                              (default 300)
 set -euo pipefail
@@ -90,14 +95,22 @@ run_bounded "$SMOKE_BUDGET" python -m repro.experiments serve "$SERVE_DIR/spec.j
     --stats-cache "$SERVE_DIR/stats" --telemetry-dir "$SERVE_DIR/telemetry"
 run_bounded 60 python scripts/validate_telemetry.py "$SERVE_DIR/telemetry"
 # The summary's span table is built from the span.count and
-# span.seconds counters the workers merge back; the analyzed windows
-# must show in it.
+# span.seconds counters: the analyzed windows the workers merge back
+# and the parent's own span for the pool run must both show in it.
 REPORT="$(run_bounded 60 python -m repro.experiments report --telemetry "$SERVE_DIR/telemetry")"
-if ! grep -qE '^  sim\.window +[0-9]+ ' <<<"$REPORT"; then
-    echo "$REPORT" >&2
-    echo "FAIL: telemetry report has no sim.window row in its span table" >&2
-    exit 1
-fi
+for span in sim.window campaign.run; do
+    if ! grep -qE "^  ${span//./\\.} +[0-9]+ " <<<"$REPORT"; then
+        echo "$REPORT" >&2
+        echo "FAIL: telemetry report has no $span row in its span table" >&2
+        exit 1
+    fi
+done
+
+# Stage 3b: every example script runs to a zero exit.
+for example in examples/*.py; do
+    run_bounded "$SMOKE_BUDGET" python "$example" >/dev/null
+    echo "example ok: $example"
+done
 
 # Stage 4: paper-suite golden -- every published number must match
 # results_paper_suite.txt byte for byte.  Only the per-experiment and

@@ -242,7 +242,8 @@ class Campaign:
             engine = ParallelExecutor(
                 workers, stats_cache_dir=stats_cache_dir, mp_context=mp_context
             )
-            return engine.run(self, journal=journal, resume_from=resume_from)
+            with TRACER.span("campaign.run", cells=self.size(), workers=workers):
+                return engine.run(self, journal=journal, resume_from=resume_from)
 
         checkpoint, completed = self._checkpoint(journal, resume_from)
         sim = simulator or get_simulator(self.config)

@@ -57,8 +57,6 @@ METRICS: Dict[str, Set[str]] = {
     "trace.generated": {"workload"},
     # -- process pool (operational) ------------------------------------
     "parallel.completions": set(),
-    # -- attack-spec compiler (operational) ----------------------------
-    "playbook.compiled": {"pattern"},
     # -- experiment runner (operational) -------------------------------
     "runner.experiments": {"status"},
     # -- tracer aggregates (operational) -------------------------------

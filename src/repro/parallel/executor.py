@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
 
 from repro.obs.metrics import diff_snapshots
-from repro.obs.runtime import METRICS, apply_config, export_config
+from repro.obs.runtime import METRICS, TRACER, apply_config, export_config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.campaign import Campaign, MappingSpec
@@ -94,6 +94,10 @@ def _init_worker(
     from repro.experiments.campaign import Campaign
     from repro.experiments.common import get_simulator
 
+    # A forked worker inherits the open span frames of the thread that
+    # forked it; drop them so each cell roots its own trace at
+    # campaign.cell, as in a spawned worker.
+    TRACER.clear()
     if obs_config is not None:
         # Forked workers inherit the parent's registry contents; spawn
         # starts clean.  Both ship per-cell *deltas* back, so inherited

@@ -7,32 +7,58 @@ the mapping changes under the attacker's feet, which is exactly the
 hardening Section 5.6 claims; the ``blind`` helper models an attacker
 stuck with baseline-adjacency assumptions.
 
-Every constructor here is a thin wrapper over a declarative attack
-spec (:mod:`repro.workloads.playbook`): one validated compilation path
-builds the line stream, so the historical trace-construction bug class
--- mis-phased interleaves, uint64 wraparound, out-of-geometry rows --
-cannot recur.  The specs are exposed as ``*_spec`` helpers.
+Every aggressor row becomes a line address through :func:`line_of`, one
+geometry-checked path, so an out-of-geometry row (``victim_row - 2``
+below row 0, a row past the bank) is a clear error instead of an
+address for the wrong row.  Each pattern is then a ``np.tile`` of the
+aggressor lines, that tile with Half-Double's near rows written over
+two slices, or Blacksmith's one seeded ``rng.permuted`` schedule.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
+import numpy as np
+
+from repro.dram.config import Coordinate
 from repro.mapping.base import AddressMapping
-from repro.workloads.playbook import compile_playbook
 from repro.workloads.trace import Trace
 
 
-def single_sided_spec(
-    *, bank: int = 0, aggressor_row: int = 1000, dummy_row: int = 5000, activations: int = 2000
-) -> dict:
-    """Attack spec behind :func:`single_sided_attack`."""
-    _check_count(activations)
-    return {
-        "name": "attack-single-sided",
-        "bank": bank,
-        "rows": [aggressor_row, dummy_row],
-        "pattern": "paired",
-        "rounds": activations,
-    }
+def line_of(mapping: AddressMapping, bank: int, row: int, col: int = 0) -> int:
+    """Line address of ``(bank, row, col)``, geometry-checked.
+
+    Every attack derives its aggressor lines through this one path.
+    Out-of-geometry coordinates -- e.g. ``victim_row - 2`` underflowing
+    row 0, or a row beyond the bank -- raise a clear :class:`ValueError`
+    here instead of flowing into ``mapping.inverse`` and producing an
+    address for the wrong row.
+    """
+    config = mapping.config
+    if not 0 <= bank < config.banks:
+        raise ValueError(
+            f"bank {bank} out of range [0, {config.banks}) for {mapping.name}"
+        )
+    if not 0 <= row < config.rows_per_bank:
+        raise ValueError(
+            f"row {row} out of range [0, {config.rows_per_bank}) for {mapping.name}"
+            " (attack rows, including victim_row +/- 1/2 neighbours, must stay"
+            " inside the bank)"
+        )
+    if not 0 <= col < config.lines_per_row:
+        raise ValueError(
+            f"col {col} out of range [0, {config.lines_per_row}) for {mapping.name}"
+        )
+    return mapping.inverse(Coordinate(channel=0, rank=0, bank=bank, row=row, col=col))
+
+
+def _row_lines(mapping: AddressMapping, bank: int, rows: Sequence[int]) -> np.ndarray:
+    return np.asarray([line_of(mapping, bank, row) for row in rows], dtype=np.uint64)
+
+
+def _attack_trace(name: str, lines: np.ndarray, seed: Optional[int] = None) -> Trace:
+    return Trace(name=name, lines=lines, instructions=int(lines.size) * 2, seed=seed)
 
 
 def single_sided_attack(
@@ -45,29 +71,9 @@ def single_sided_attack(
 ) -> Trace:
     """Classic single-sided hammer: alternate the aggressor with a dummy
     row in the same bank so every aggressor access causes an ACT."""
-    return compile_playbook(
-        single_sided_spec(
-            bank=bank,
-            aggressor_row=aggressor_row,
-            dummy_row=dummy_row,
-            activations=activations,
-        ),
-        mapping,
-    )
-
-
-def double_sided_spec(
-    *, bank: int = 0, victim_row: int = 1000, activations_per_side: int = 2000
-) -> dict:
-    """Attack spec behind :func:`double_sided_attack`."""
-    _check_count(activations_per_side)
-    return {
-        "name": "attack-double-sided",
-        "bank": bank,
-        "rows": [victim_row - 1, victim_row + 1],
-        "pattern": "paired",
-        "rounds": activations_per_side,
-    }
+    _check_count(activations)
+    pair = _row_lines(mapping, bank, [aggressor_row, dummy_row])
+    return _attack_trace("attack-single-sided", np.tile(pair, activations))
 
 
 def double_sided_attack(
@@ -78,49 +84,9 @@ def double_sided_attack(
     activations_per_side: int = 2000,
 ) -> Trace:
     """Double-sided hammer: alternate the two rows sandwiching the victim."""
-    return compile_playbook(
-        double_sided_spec(
-            bank=bank, victim_row=victim_row, activations_per_side=activations_per_side
-        ),
-        mapping,
-    )
-
-
-def half_double_spec(
-    *,
-    bank: int = 0,
-    victim_row: int = 1000,
-    far_activations: int = 20000,
-    near_every: int = 400,
-) -> dict:
-    """Attack spec behind :func:`half_double_attack`.
-
-    The far (distance-2) pair alternates on even/odd slots; the near
-    (distance-1) injections replace one far_a slot *and one far_b slot*
-    per period.  ``near_b``'s phase is forced odd so it lands on far_b
-    slots -- the legacy constructor planted it on even (far_a) slots,
-    which drained far_a twice per period, left far_b untouched, and made
-    the distance-2 pressure asymmetric.
-    """
-    _check_count(far_activations)
-    if near_every < 2:
-        raise ValueError(f"near_every must be >= 2, got {near_every}")
-    return {
-        "name": "attack-half-double",
-        "bank": bank,
-        "rows": [victim_row - 2, victim_row + 2],
-        "pattern": "paired",
-        "rounds": far_activations,
-        "near_injections": [
-            {"row": victim_row - 1, "every": near_every * 2, "phase": 0},
-            {
-                "row": victim_row + 1,
-                "every": near_every * 2,
-                # Odd phase == an odd pattern slot == a far_b slot.
-                "phase": near_every | 1,
-            },
-        ],
-    }
+    _check_count(activations_per_side)
+    pair = _row_lines(mapping, bank, [victim_row - 1, victim_row + 1])
+    return _attack_trace("attack-double-sided", np.tile(pair, activations_per_side))
 
 
 def half_double_attack(
@@ -141,34 +107,25 @@ def half_double_attack(
     threshold) so the defense never refreshes the victim itself.  Secure
     (aggressor-focused) mitigations cap the far rows' activations
     instead, so the pattern never accumulates.
+
+    The far (distance-2) pair alternates on even/odd slots; the near
+    (distance-1) accesses replace one far_a slot *and one far_b slot*
+    per period.  ``near_b``'s phase is forced odd so it lands on far_b
+    slots -- the legacy constructor planted it on even (far_a) slots,
+    which drained far_a twice per period, left far_b untouched, and made
+    the distance-2 pressure asymmetric.
     """
-    return compile_playbook(
-        half_double_spec(
-            bank=bank,
-            victim_row=victim_row,
-            far_activations=far_activations,
-            near_every=near_every,
-        ),
-        mapping,
-    )
-
-
-def many_sided_spec(
-    *, bank: int = 0, base_row: int = 1000, sides: int = 10, row_gap: int = 2, rounds: int = 500
-) -> dict:
-    """Attack spec behind :func:`many_sided_attack`."""
-    if sides < 2:
-        raise ValueError(f"sides must be >= 2, got {sides}")
-    if row_gap < 1:
-        raise ValueError(f"row_gap must be >= 1, got {row_gap}")
-    _check_count(rounds)
-    return {
-        "name": f"attack-{sides}-sided",
-        "bank": bank,
-        "rows": list(range(base_row, base_row + sides * row_gap, row_gap)),
-        "pattern": "round-robin",
-        "rounds": rounds,
-    }
+    _check_count(far_activations)
+    if near_every < 2:
+        raise ValueError(f"near_every must be >= 2, got {near_every}")
+    far = _row_lines(mapping, bank, [victim_row - 2, victim_row + 2])
+    near_a, near_b = _row_lines(mapping, bank, [victim_row - 1, victim_row + 1])
+    lines = np.tile(far, far_activations)
+    period = near_every * 2
+    lines[0::period] = near_a
+    # Odd phase == an odd pattern slot == a far_b slot.
+    lines[near_every | 1 :: period] = near_b
+    return _attack_trace("attack-half-double", lines)
 
 
 def many_sided_attack(
@@ -188,42 +145,12 @@ def many_sided_attack(
     aggressor-focused schemes handle it (each row still accumulates
     ``rounds`` activations and gets mitigated on threshold).
     """
-    return compile_playbook(
-        many_sided_spec(
-            bank=bank, base_row=base_row, sides=sides, row_gap=row_gap, rounds=rounds
-        ),
-        mapping,
-    )
-
-
-def blacksmith_spec(
-    *,
-    bank: int = 0,
-    base_row: int = 1000,
-    sides: int = 6,
-    row_gap: int = 2,
-    rounds: int = 500,
-    intensity_ratio: int = 4,
-    seed: int = 0xB5,
-) -> dict:
-    """Attack spec behind :func:`blacksmith_attack`."""
-    if sides < 2:
-        raise ValueError(f"sides must be >= 2, got {sides}")
-    if row_gap < 1:
-        raise ValueError(f"row_gap must be >= 1, got {row_gap}")
-    if intensity_ratio < 1:
-        raise ValueError(f"intensity_ratio must be >= 1, got {intensity_ratio}")
+    _check_sides(sides, row_gap)
     _check_count(rounds)
-    return {
-        "name": "attack-blacksmith",
-        "bank": bank,
-        "rows": list(range(base_row, base_row + sides * row_gap, row_gap)),
-        "pattern": "frequency-weighted",
-        "rounds": rounds,
-        # The first two rows are the "loud" pair.
-        "intensities": [intensity_ratio, intensity_ratio] + [1] * (sides - 2),
-        "seed": seed,
-    }
+    rows = _row_lines(
+        mapping, bank, range(base_row, base_row + sides * row_gap, row_gap)
+    )
+    return _attack_trace(f"attack-{sides}-sided", np.tile(rows, rounds))
 
 
 def blacksmith_attack(
@@ -245,46 +172,28 @@ def blacksmith_attack(
     per-row activation counts are what matter, and those are bounded by
     the mitigations exactly as for uniform patterns.
 
-    The jittered schedule is built in one vectorized ``rng.permuted``
-    pass that is bit-identical (same seed, same bit stream) to the
-    historical per-round ``rng.permutation`` loop.
+    Each round repeats the first two ("loud") rows ``intensity_ratio``
+    times and every other row once, in a seeded jittered order.  The
+    schedule is built in one vectorized ``rng.permuted`` pass that is
+    bit-identical (same seed, same bit stream) to the historical
+    per-round ``rng.permutation`` loop.
     """
-    return compile_playbook(
-        blacksmith_spec(
-            bank=bank,
-            base_row=base_row,
-            sides=sides,
-            row_gap=row_gap,
-            rounds=rounds,
-            intensity_ratio=intensity_ratio,
-            seed=seed,
-        ),
-        mapping,
+    _check_sides(sides, row_gap)
+    if intensity_ratio < 1:
+        raise ValueError(f"intensity_ratio must be >= 1, got {intensity_ratio}")
+    _check_count(rounds)
+    rows = _row_lines(
+        mapping, bank, range(base_row, base_row + sides * row_gap, row_gap)
     )
-
-
-def blind_adjacency_spec(
-    *, base_line: int = 128 * 1000, lines_per_row: int = 128, activations: int = 20000
-) -> dict:
-    """Attack spec behind :func:`blind_adjacency_attack`."""
-    _check_count(activations)
-    if lines_per_row < 1:
-        raise ValueError(f"lines_per_row must be >= 1, got {lines_per_row}")
-    if base_line < lines_per_row:
-        # base_line - lines_per_row would fall below address 0; in the
-        # legacy uint64 construction it wrapped to a huge line address
-        # (or crashed on recent numpy) instead of failing clearly.
-        raise ValueError(
-            f"base_line {base_line} must be >= lines_per_row {lines_per_row}"
-            " so the row-above address does not wrap below 0"
-        )
-    return {
-        "name": "attack-blind",
-        "address_space": "line",
-        "rows": [base_line - lines_per_row, base_line + lines_per_row],
-        "pattern": "paired",
-        "rounds": activations,
-    }
+    round_pattern = np.repeat(
+        np.arange(sides), [intensity_ratio, intensity_ratio] + [1] * (sides - 2)
+    )
+    rng = np.random.default_rng(seed)
+    schedule = rng.permuted(
+        np.tile(np.arange(round_pattern.size, dtype=np.int64), (rounds, 1)), axis=1
+    )
+    lines = rows[round_pattern[schedule].reshape(-1)]
+    return _attack_trace("attack-blacksmith", lines, seed)
 
 
 def blind_adjacency_attack(
@@ -299,11 +208,21 @@ def blind_adjacency_attack(
     Against a randomized mapping these lines land in unrelated rows, so
     the hammer pressure never concentrates.
     """
-    return compile_playbook(
-        blind_adjacency_spec(
-            base_line=base_line, lines_per_row=lines_per_row, activations=activations
+    _check_count(activations)
+    if lines_per_row < 1:
+        raise ValueError(f"lines_per_row must be >= 1, got {lines_per_row}")
+    if base_line < lines_per_row:
+        # base_line - lines_per_row would fall below address 0; in the
+        # legacy uint64 construction it wrapped to a huge line address
+        # (or crashed on recent numpy) instead of failing clearly.
+        raise ValueError(
+            f"base_line {base_line} must be >= lines_per_row {lines_per_row}"
+            " so the row-above address does not wrap below 0"
         )
+    pair = np.asarray(
+        [base_line - lines_per_row, base_line + lines_per_row], dtype=np.uint64
     )
+    return _attack_trace("attack-blind", np.tile(pair, activations))
 
 
 def _check_count(count: int) -> None:
@@ -311,17 +230,19 @@ def _check_count(count: int) -> None:
         raise ValueError(f"activation count must be >= 1, got {count}")
 
 
+def _check_sides(sides: int, row_gap: int) -> None:
+    if sides < 2:
+        raise ValueError(f"sides must be >= 2, got {sides}")
+    if row_gap < 1:
+        raise ValueError(f"row_gap must be >= 1, got {row_gap}")
+
+
 __all__ = [
+    "line_of",
     "single_sided_attack",
     "double_sided_attack",
     "half_double_attack",
     "many_sided_attack",
     "blacksmith_attack",
     "blind_adjacency_attack",
-    "single_sided_spec",
-    "double_sided_spec",
-    "half_double_spec",
-    "many_sided_spec",
-    "blacksmith_spec",
-    "blind_adjacency_spec",
 ]

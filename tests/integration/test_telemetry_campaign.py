@@ -143,6 +143,36 @@ class TestSpanCountersMatchEvents:
             assert seconds == pytest.approx(sum(durations), rel=1e-9, abs=0), name
 
 
+class TestPoolSpans:
+    """A pool run opened inside a span records one ``campaign.run`` under
+    it in the parent, and every worker roots each cell at
+    ``campaign.cell`` in a trace of its own, whichever start method made
+    the worker."""
+
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+    def test_pool_run_inside_an_open_span(self, tmp_path, mp_context):
+        common.clear_caches()
+        obs.configure(enabled=True, telemetry_dir=tmp_path)
+        with obs.TRACER.span("runner.experiment"):
+            tiny_campaign().run(workers=2, mp_context=mp_context)
+        spans = [
+            event
+            for path in tmp_path.glob("events-*.jsonl")
+            for event in map(json.loads, path.read_text().splitlines())
+            if event["type"] == "span"
+        ]
+        parent = [event for event in spans if event["pid"] == os.getpid()]
+        workers = [event for event in spans if event["pid"] != os.getpid()]
+        (root,) = [event for event in parent if event["name"] == "runner.experiment"]
+        (run,) = [event for event in parent if event["name"] == "campaign.run"]
+        assert run["path"] == "runner.experiment/campaign.run"
+        assert run["trace_id"] == root["trace_id"]
+        cells = [event for event in workers if event["name"] == "campaign.cell"]
+        assert len(cells) == 4
+        assert {event["path"] for event in cells} == {"campaign.cell"}
+        assert root["trace_id"] not in {event["trace_id"] for event in workers}
+
+
 class TestJournalTimings:
     def test_serial_journal_records_durations(self, tmp_path):
         common.clear_caches()

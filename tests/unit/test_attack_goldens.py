@@ -2,10 +2,11 @@
 
 Pins (a) the exact per-row activation histograms of all six attacks
 under Coffee Lake and Rubix-S -- any change to trace construction must
-be a deliberate golden update -- and (b) the two historical
+be a deliberate golden update -- (b) the two historical
 trace-construction bugs this layer fixed: the Half-Double near_b
 interleaving (which silently drained far_a twice per period) and the
-blind-adjacency uint64 wraparound below address 0.
+blind-adjacency uint64 wraparound below address 0 -- and (c) the
+geometry checks of ``line_of``, the one path from a row to a line.
 """
 
 import numpy as np
@@ -16,19 +17,13 @@ from repro.dram.config import baseline_config
 from repro.mapping.intel import CoffeeLakeMapping
 from repro.workloads.attacks import (
     blacksmith_attack,
-    blacksmith_spec,
     blind_adjacency_attack,
-    blind_adjacency_spec,
     double_sided_attack,
-    double_sided_spec,
     half_double_attack,
-    half_double_spec,
+    line_of,
     many_sided_attack,
-    many_sided_spec,
     single_sided_attack,
-    single_sided_spec,
 )
-from repro.workloads.playbook import compile_playbook, line_of, validate_spec
 
 
 @pytest.fixture(scope="module")
@@ -110,42 +105,6 @@ class TestDeterminism:
         assert a.name == b.name and a.instructions == b.instructions
 
 
-class TestWrappersMatchSpecs:
-    """Every attack wrapper is a thin shim over its playbook spec."""
-
-    def test_bit_identical(self, coffeelake):
-        pairs = [
-            (single_sided_attack(coffeelake), single_sided_spec()),
-            (double_sided_attack(coffeelake), double_sided_spec()),
-            (
-                half_double_attack(coffeelake, far_activations=400),
-                half_double_spec(far_activations=400),
-            ),
-            (many_sided_attack(coffeelake), many_sided_spec()),
-            (blacksmith_attack(coffeelake), blacksmith_spec()),
-            (blind_adjacency_attack(), blind_adjacency_spec()),
-        ]
-        for attack, spec in pairs:
-            compiled = compile_playbook(spec, coffeelake)
-            assert np.array_equal(attack.lines, compiled.lines)
-            assert attack.name == compiled.name
-
-    @pytest.mark.parametrize(
-        "builder",
-        [
-            single_sided_spec,
-            double_sided_spec,
-            half_double_spec,
-            many_sided_spec,
-            blacksmith_spec,
-            blind_adjacency_spec,
-        ],
-    )
-    def test_spec_builder_passes_validation(self, builder):
-        spec = builder()
-        assert validate_spec(spec) is spec
-
-
 class TestHalfDoubleInterleaving:
     """Satellite: near_b must land on far_b (odd) slots.
 
@@ -219,7 +178,7 @@ class TestBlindWraparound:
 
     def test_spec_rejects_bad_lines_per_row(self):
         with pytest.raises(ValueError, match="lines_per_row"):
-            blind_adjacency_spec(lines_per_row=0)
+            blind_adjacency_attack(lines_per_row=0)
 
 
 class TestBlacksmithVectorization:
@@ -251,3 +210,33 @@ class TestBlacksmithVectorization:
         attack = blacksmith_attack(coffeelake, **params)
         reference = self.legacy_reference(coffeelake, **params)
         assert np.array_equal(attack.lines, reference)
+
+
+class TestLineOf:
+    """Every attack row goes through one geometry-checked path."""
+
+    def test_valid_coordinate_round_trips(self, coffeelake):
+        line = line_of(coffeelake, 3, 1000, 5)
+        coord = coffeelake.translate(line)
+        assert (coord.bank, coord.row, coord.col) == (3, 1000, 5)
+
+    def test_row_underflow_is_a_clear_error(self, coffeelake):
+        with pytest.raises(ValueError, match="row -2 out of range"):
+            line_of(coffeelake, 0, -2)
+
+    def test_row_overflow_is_a_clear_error(self, coffeelake):
+        rows = coffeelake.config.rows_per_bank
+        with pytest.raises(ValueError, match="out of range"):
+            line_of(coffeelake, 0, rows)
+
+    def test_bank_bounds(self, coffeelake):
+        with pytest.raises(ValueError, match="bank"):
+            line_of(coffeelake, coffeelake.config.banks, 0)
+
+    def test_col_bounds(self, coffeelake):
+        with pytest.raises(ValueError, match="col"):
+            line_of(coffeelake, 0, 0, coffeelake.config.lines_per_row)
+
+    def test_edge_rows_are_legal(self, coffeelake):
+        line_of(coffeelake, 0, 0)
+        line_of(coffeelake, 0, coffeelake.config.rows_per_bank - 1)

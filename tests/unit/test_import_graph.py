@@ -43,7 +43,6 @@ OFF_THE_HOT_PATH = {
     "repro.dram.protocol",
     "repro.resilience.faults",
     "repro.workloads.attacks",
-    "repro.workloads.playbook",
     "repro.obs.schema",
     "repro.obs.summary",
 }
