@@ -18,7 +18,10 @@
 # cannot drift apart, then renders the run with `report --telemetry`
 # and fails unless its span table has a sim.window row (the workers'
 # windows, merged back) and a campaign.run row (the pool run's own span
-# in the parent); stage 3b runs every examples/*.py script and fails on
+# in the parent), then reruns the same spec with --workers 1 against the
+# same journal and fails unless it logs "0 computed" (a pool-written
+# journal replayed by the in-process source of Campaign.run's one
+# loop); stage 3b runs every examples/*.py script and fails on
 # a non-zero exit, so the documented entry points keep working (about
 # 20 s, most of it attack_analysis.py's detailed-model replay);
 # stage 4 gates the published numbers byte for byte (runs the full
@@ -105,6 +108,14 @@ for span in sim.window campaign.run; do
         exit 1
     fi
 done
+# The pool's journal, resumed in process: every cell is replayed.
+RERUN="$(run_bounded "$SMOKE_BUDGET" python -m repro.experiments serve "$SERVE_DIR/spec.json" \
+    --workers 1 --journal "$SERVE_DIR/journal.jsonl")"
+if ! grep -q ", 0 computed" <<<"$RERUN"; then
+    echo "$RERUN" >&2
+    echo "FAIL: a --workers 1 rerun over the pool's journal recomputed cells" >&2
+    exit 1
+fi
 
 # Stage 3b: every example script runs to a zero exit.
 for example in examples/*.py; do

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the full experiment suite at publication scales.
 
+Every registered experiment runs once, at its registered default scale.
+
 The experiments run one after another in one process, so every
 experiment reuses the trace and window-statistics caches -- the whole
 suite costs one analysis pass per (workload, mapping) configuration.
@@ -29,6 +31,7 @@ import sys
 import time
 
 from repro.experiments.common import cache_footprint_mb
+from repro.experiments.registry import get_experiment
 from repro.experiments.runner import run_experiment
 from repro.obs import runtime as obs_runtime
 from repro.obs.logs import QUIET, VERBOSE
@@ -38,42 +41,44 @@ from repro.parallel.cache import STATS_CACHE_ENV
 
 log = get_logger("paper_suite")
 
-#: (experiment id, scale, workload limit) -- None = experiment default.
-SUITE = [
-    ("fig1a", 1.0, None),
-    ("fig4", 1.0, None),
-    ("table2", 1.0, None),
-    ("fig7", 1.0, None),
-    ("table3", 0.5, None),
-    ("fig1c", 0.4, None),
-    ("fig3", 0.4, None),
-    ("fig8", 0.4, None),
-    ("fig9", 0.4, None),
-    ("sec48", 0.4, None),
-    ("sec49", 0.4, None),
-    ("fig12", 0.4, None),
-    ("fig13", 0.4, None),
-    ("table4", 0.4, None),
-    ("fig14", 0.4, None),
-    ("sec57", 0.4, None),
-    ("table5", 0.4, None),
-    ("sec61", 0.4, None),
-    ("sec62", 0.4, None),
-    ("fig16", 0.5, None),
-    ("fig17", 0.4, None),
-    ("fig8mix", 0.25, None),
-    ("fig15", 0.2, None),
-    ("sec73", 0.4, None),
-    ("actdist", 0.3, None),
-    ("indram-escape", 1.0, None),
-    ("abl-pitfall", 0.3, None),
-    ("abl-stride-attack", 1.0, None),
-    ("abl-remap-rate", 0.2, None),
-    ("abl-segments", 1.0, None),
-    ("abl-tracker", 1.0, None),
-    ("abl-cipher-rounds", 0.2, None),
-    ("abl-reveng", 1.0, None),
-]
+#: Every registered experiment, in suite order.  Each runs at its
+#: registered ``default_scale``, so ``run <id>`` and ``run all`` print
+#: what this suite (and EXPERIMENTS.md) reports.
+SUITE = (
+    "fig1a",
+    "fig4",
+    "table2",
+    "fig7",
+    "table3",
+    "fig1c",
+    "fig3",
+    "fig8",
+    "fig9",
+    "sec48",
+    "sec49",
+    "fig12",
+    "fig13",
+    "table4",
+    "fig14",
+    "sec57",
+    "table5",
+    "sec61",
+    "sec62",
+    "fig16",
+    "fig17",
+    "fig8mix",
+    "fig15",
+    "sec73",
+    "actdist",
+    "indram-escape",
+    "abl-pitfall",
+    "abl-stride-attack",
+    "abl-remap-rate",
+    "abl-segments",
+    "abl-tracker",
+    "abl-cipher-rounds",
+    "abl-reveng",
+)
 
 
 def _parse_args(argv):
@@ -129,7 +134,10 @@ def main(argv=None) -> int:
         manifest = RunManifest.create(
             "paper_suite",
             config={
-                "suite": [list(entry) for entry in SUITE],
+                "suite": {
+                    experiment_id: get_experiment(experiment_id).default_scale
+                    for experiment_id in SUITE
+                },
                 "stats_cache": args.stats_cache,
                 "output": args.output,
             },
@@ -137,9 +145,10 @@ def main(argv=None) -> int:
     out = open(args.output, "w") if args.output else sys.stdout
     suite_started = time.perf_counter()
     try:
-        for experiment_id, scale, workloads in SUITE:
+        for experiment_id in SUITE:
+            scale = get_experiment(experiment_id).default_scale
             started = time.perf_counter()
-            result = run_experiment(experiment_id, scale, workloads)
+            result = run_experiment(experiment_id, scale)
             elapsed = time.perf_counter() - started
             print(result.format(), file=out)
             print(

@@ -376,9 +376,12 @@ class ChunkedAnalyzer:
     overcount at the default chunk size).  A window of one chunk -- every
     window shorter than the simulator's ``chunk_lines`` -- needs no merge:
     its result is that chunk's own statistics, and no histogram is built.
+    ``rows_total`` is the global-row domain: a chunk with an id at or
+    past it raises ``ValueError`` before the histogram grows.
     """
 
     rows_per_bank: int
+    rows_total: int
     max_hits: Optional[int] = 16
     #: The first non-empty chunk's statistics, the window's result until
     #: a second non-empty chunk arrives.
@@ -386,10 +389,11 @@ class ChunkedAnalyzer:
     #: Dense per-row activation histogram over the global-row domain,
     #: built when the second non-empty chunk arrives: one scatter per
     #: chunk instead of a sort-heavy cross-chunk merge.  It is O(largest
-    #: row id): 8 MiB of ``int32`` counts on the 2^21-row baseline, 16 MiB
-    #: on the 2^22-row systems.  Every run opens with an ACT, so a
-    #: chunk's ``row_ids`` are exactly the rows it touched and the
-    #: histogram's nonzero entries are the window's touched rows.
+    #: row id), below ``rows_total``: 8 MiB of ``int32`` counts on the
+    #: 2^21-row baseline, 16 MiB on the 2^22-row systems.  Every run opens
+    #: with an ACT, so a chunk's ``row_ids`` are exactly the rows it
+    #: touched and the histogram's nonzero entries are the window's
+    #: touched rows.
     _hist: Optional[np.ndarray] = None
     _n_accesses: int = 0
     _n_activations: int = 0
@@ -408,6 +412,8 @@ class ChunkedAnalyzer:
         )
         if stats.n_accesses == 0:
             return stats
+        if stats.row_ids[-1] >= self.rows_total:
+            raise ValueError(f"row id {stats.row_ids[-1]} is outside the {self.rows_total}-row domain")
         self._n_accesses += stats.n_accesses
         self._n_activations += stats.n_activations
         parts = [stats]

@@ -14,11 +14,13 @@ instead of aborting the sweep, every result passes
 optional JSONL checkpoint journal makes an interrupted campaign
 resumable exactly where it stopped (``Campaign.run(resume_from=...)``).
 
-Campaigns are also *parallel*: ``Campaign.run(workers=N)`` dispatches
-cells to a process pool (see :mod:`repro.parallel.executor`) whose
-workers run the identical per-cell code path -- same fault boundary,
-same records -- so serial and parallel sweeps of one grid produce
-byte-identical results, and the same journal works for either mode.
+Campaigns are also *parallel*: ``Campaign.run(workers=N)`` takes cell
+completions from a process pool (see :mod:`repro.parallel.executor`)
+instead of this process.  Both sources run the identical per-cell code
+path -- same fault boundary, same records -- and feed one loop that
+orders and journals them, so serial and parallel sweeps of one grid
+produce byte-identical results, and the same journal works for either
+mode.
 
 Cells are independent by construction: mappings with *mutable* remap
 state (Rubix-D with a nonzero remap rate) are built fresh, from their
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -212,13 +215,14 @@ class Campaign:
                 and parallel mode (the parent journals completions).
             simulator: Override the shared simulator (used by the
                 fault-injection harness).
-            workers: Process-pool size; ``workers > 1`` dispatches cells
-                to a :class:`~repro.parallel.executor.ParallelExecutor`
-                whose workers run the same per-cell fault boundary and
-                produce records identical to a serial run.
+            workers: Process-pool size; ``workers > 1`` runs cells on
+                :func:`~repro.parallel.executor.run_on_pool`, whose
+                workers run the same per-cell fault boundary and produce
+                records identical to a serial run.
             stats_cache_dir: Directory for a disk-persistent window-
                 statistics cache shared across workers (and across
-                runs); None keeps caches in-memory and per-process.
+                runs); None keeps caches in-memory and per-process.  An
+                in-process run detaches it again when it ends.
             mp_context: Multiprocessing start method for parallel mode
                 ('fork', 'spawn', ...); None uses the platform default.
 
@@ -231,42 +235,37 @@ class Campaign:
             raise ValueError("pass either journal= (fresh) or resume_from=, not both")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1:
-            if simulator is not None:
-                raise ValueError(
-                    "a simulator= override is per-process and cannot cross"
-                    " the pool boundary; run with workers=1 to use it"
-                )
-            from repro.parallel.executor import ParallelExecutor
-
-            engine = ParallelExecutor(
-                workers, stats_cache_dir=stats_cache_dir, mp_context=mp_context
+        if workers > 1 and simulator is not None:
+            raise ValueError(
+                "a simulator= override is per-process and cannot cross"
+                " the pool boundary; run with workers=1 to use it"
             )
-            with TRACER.span("campaign.run", cells=self.size(), workers=workers):
-                return engine.run(self, journal=journal, resume_from=resume_from)
+        checkpoint = journal if resume_from is None else resume_from
+        if checkpoint is not None and not isinstance(checkpoint, CheckpointJournal):
+            checkpoint = CheckpointJournal(checkpoint)
+        if journal is not None:
+            checkpoint.reset()
+        completed = {} if checkpoint is None else checkpoint.completed()
+        cells = list(self.cells())
+        keys = [self.cell_key(*cell) for cell in cells]
+        records: List[Optional[dict]] = [completed.get(key) for key in keys]
+        pending = [(index, cell) for index, cell in enumerate(cells) if keys[index] not in completed]
+        if workers > 1:
+            from repro.parallel.executor import run_on_pool
 
-        checkpoint, completed = self._checkpoint(journal, resume_from)
-        sim = simulator or get_simulator(self.config)
-        if stats_cache_dir is not None:
-            sim.stats_cache.persist_to(stats_cache_dir)
-
-        records: List[dict] = []
-        with TRACER.span("campaign.run", cells=self.size(), workers=1):
-            for workload, spec, scheme, t_rh in self.cells():
-                key = self.cell_key(workload, spec, scheme, t_rh)
-                if key in completed:
-                    records.append(completed[key])
-                    continue
-                started = time.perf_counter()
-                record = self.execute_cell(sim, workload, spec, scheme, t_rh)
-                records.append(record)
+            source = run_on_pool(
+                self, pending, workers, stats_cache_dir=stats_cache_dir, mp_context=mp_context
+            )
+        else:
+            source = self._run_here(pending, simulator, stats_cache_dir)
+        # closing(): a failed append still ends the source (cache detach, pool shutdown).
+        with TRACER.span("campaign.run", cells=len(cells), workers=workers), closing(source):
+            for index, record, duration_s, worker_id in source:
+                records[index] = record
                 self.cells_executed += 1
                 if checkpoint is not None:
                     checkpoint.append(
-                        key,
-                        record,
-                        duration_s=time.perf_counter() - started,
-                        worker_id=f"p{os.getpid()}",
+                        keys[index], record, duration_s=duration_s, worker_id=worker_id
                     )
         return records
 
@@ -280,8 +279,8 @@ class Campaign:
     ) -> dict:
         """Run one grid cell inside the fault boundary; returns its record.
 
-        This is the single per-cell code path: the serial loop above and
-        the parallel pool workers both call it, which is what guarantees
+        This is the single per-cell code path: the in-process source and
+        the pool workers both call it, which is what guarantees
         record-for-record identical output between the two modes.
         """
         key = self.cell_key(workload, spec, scheme, t_rh)
@@ -322,19 +321,24 @@ class Campaign:
         }
 
     # ------------------------------------------------------------------
-    def _checkpoint(self, journal, resume_from):
-        """Resolve the journal arguments to (journal, completed-records)."""
-        source = resume_from if resume_from is not None else journal
-        if source is None:
-            return None, {}
-        checkpoint = (
-            source
-            if isinstance(source, CheckpointJournal)
-            else CheckpointJournal(source)
-        )
-        if resume_from is None:
-            checkpoint.reset()
-        return checkpoint, checkpoint.completed()
+    def _run_here(self, pending, simulator, stats_cache_dir):
+        """Run ``pending`` ``(index, cell)`` pairs in this process, yielding
+        completions as :func:`~repro.parallel.executor.run_on_pool` does.
+
+        ``stats_cache_dir`` is attached for this run only, on error too.
+        """
+        sim = simulator or get_simulator(self.config)
+        previous = sim.stats_cache.persist_dir
+        if stats_cache_dir is not None:
+            sim.stats_cache.persist_to(stats_cache_dir)
+        worker_id = f"p{os.getpid()}"
+        try:
+            for index, cell in pending:
+                started = time.perf_counter()
+                record = self.execute_cell(sim, *cell)
+                yield index, record, time.perf_counter() - started, worker_id
+        finally:
+            sim.stats_cache.persist_to(previous)
 
     def _run_cell(
         self, sim, workload: str, spec: MappingSpec, scheme: str, t_rh: int

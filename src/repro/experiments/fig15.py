@@ -32,8 +32,8 @@ FIG15_WORKLOADS = [
 ]
 
 
-@register("fig15", "Multi-channel 8-core systems", default_scale=0.25)
-def run_fig15(scale: float = 0.25, workload_limit: int = None) -> ExperimentResult:
+@register("fig15", "Multi-channel 8-core systems", default_scale=0.2)
+def run_fig15(scale: float = 0.2, workload_limit: int = None) -> ExperimentResult:
     """Average normalized performance for 2- and 4-channel systems."""
     names = FIG15_WORKLOADS[:workload_limit] if workload_limit else FIG15_WORKLOADS
     rows = []

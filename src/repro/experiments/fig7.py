@@ -14,8 +14,8 @@ from repro.experiments.registry import register
 MAPPINGS = ["coffeelake", "skylake", "rubix-s"]
 
 
-@register("fig7", "Hot rows: Intel mappings vs Rubix-S (GS4)", default_scale=0.4)
-def run_fig7(scale: float = 0.4, workload_limit: int = None) -> ExperimentResult:
+@register("fig7", "Hot rows: Intel mappings vs Rubix-S (GS4)", default_scale=1.0)
+def run_fig7(scale: float = 1.0, workload_limit: int = None) -> ExperimentResult:
     """ACT-64+ hot rows per workload under each mapping."""
     sim = get_simulator()
     mappings = {

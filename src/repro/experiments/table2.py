@@ -13,8 +13,8 @@ from repro.experiments.registry import register
 from repro.workloads.spec import spec_profile
 
 
-@register("table2", "Workload characteristics under the baseline mapping", default_scale=0.4)
-def run_table2(scale: float = 0.4, workload_limit: int = None) -> ExperimentResult:
+@register("table2", "Workload characteristics under the baseline mapping", default_scale=1.0)
+def run_table2(scale: float = 1.0, workload_limit: int = None) -> ExperimentResult:
     """Measured MPKI, unique rows, ACT-64+ and ACT-512+ per workload.
 
     Counts scale linearly with the trace scale factor; the table reports

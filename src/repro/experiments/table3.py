@@ -51,8 +51,8 @@ def window_line_table(sim: Simulator, mapping: AddressMapping, trace: Trace) -> 
     return line_contribution_table(rows, cols, threshold=64, lines_per_row=sim.config.lines_per_row)
 
 
-@register("table3", "Activating lines per hot row", default_scale=0.25)
-def run_table3(scale: float = 0.25, workload_limit: int = None) -> ExperimentResult:
+@register("table3", "Activating lines per hot row", default_scale=0.5)
+def run_table3(scale: float = 0.5, workload_limit: int = None) -> ExperimentResult:
     """Distribution of distinct activating lines across each hot row."""
     sim = get_simulator()
     mapping = make_mapping("coffeelake", sim.config)

@@ -1,12 +1,12 @@
-"""Process-pool campaign execution engine.
+"""Process-pool source of campaign cell completions.
 
 A campaign grid is thousands of independent ``(trace, mapping, scheme,
-t_rh)`` cells; this module fans them out over a ``multiprocessing``
-worker pool:
+t_rh)`` cells; :func:`run_on_pool` fans the pending ones out over a
+``multiprocessing`` worker pool for ``Campaign.run(workers=N)``:
 
-* the parent partitions the grid into :class:`CellTask` descriptors --
-  names and numbers only, a few hundred bytes each; no trace or
-  simulator ever crosses the process boundary;
+* each task is a cell's grid index and coordinates -- names and numbers
+  only, a few hundred bytes; no trace or simulator ever crosses the
+  process boundary;
 * each worker rebuilds the campaign once (from its picklable
   constructor payload), then reuses a per-process simulator and trace
   cache across every cell it is handed; each cell runs through
@@ -20,16 +20,14 @@ worker pool:
   so worker spans land in ``events-<run>-<pid>.jsonl`` files of the
   parent's run, and each cell ships its metric delta back for the
   parent to merge;
-* completions stream back to the parent in *completion order*
-  (:meth:`ParallelExecutor.stream`), which journals them immediately --
-  a killed run resumes from its checkpoint exactly like a serial one --
-  while :meth:`ParallelExecutor.run` reassembles the deterministic
-  grid ordering for the returned records.
+* completions come back in *completion order*, in the shape the
+  in-process source yields; ``Campaign.run``'s one loop puts them in
+  grid order and journals each as it arrives.
 
 A worker process dying hard (OOM kill, segfault) surfaces as
 :class:`concurrent.futures.process.BrokenProcessPool` in the parent
-after the already-completed cells were journaled; ``resume_from=`` the
-same journal finishes the grid.
+once every completion received before the death is journaled;
+``resume_from=`` the same journal finishes the grid.
 """
 
 from __future__ import annotations
@@ -38,50 +36,18 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import diff_snapshots
 from repro.obs.runtime import METRICS, TRACER, apply_config, export_config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.experiments.campaign import Campaign, MappingSpec
+    from repro.experiments.campaign import Campaign
 
 
-@dataclass(frozen=True)
-class CellTask:
-    """One grid cell, in shipping form (picklable, tiny)."""
-
-    index: int  #: Position in the campaign's deterministic cell order.
-    key: str  #: Canonical journal key.
-    workload: str
-    spec: "MappingSpec"
-    scheme: str
-    t_rh: int
-
-
-@dataclass(frozen=True)
-class CellCompletion:
-    """One finished cell, streamed back in completion order.
-
-    ``duration_s``/``worker_id`` feed the checkpoint journal's timing
-    metadata; ``telemetry`` carries the cell's metric *delta* snapshot
-    back to the parent (None when telemetry is disabled).
-    """
-
-    index: int
-    key: str
-    record: dict
-    duration_s: float
-    worker_id: str
-    telemetry: Optional[dict]
-
-
-# ---------------------------------------------------------------------------
-# Worker-side state.  One campaign + simulator per process, built once by the pool initializer and reused across cells;
-# module-level so both fork and spawn start methods find it.
-# ---------------------------------------------------------------------------
+# Worker-side state: one campaign + simulator per process, built once by
+# the pool initializer; module-level so fork and spawn workers find it.
 _WORKER: dict = {}
 
 
@@ -110,134 +76,57 @@ def _init_worker(
     _WORKER.update(campaign=campaign, sim=sim)
 
 
-def _run_task(task: CellTask) -> CellCompletion:
+def _run_task(index: int, cell: tuple) -> tuple:
     """Run one cell through :meth:`Campaign.execute_cell`, the same
-    per-cell code path a serial run takes."""
+    per-cell code path an in-process run takes.
+
+    Returns ``(index, record, duration_s, worker_id, delta)``; ``delta``
+    is the cell's metric delta snapshot (None when telemetry is off).
+    """
     telemetry = METRICS.enabled
-    worker_id = f"p{os.getpid()}"
     before = METRICS.snapshot() if telemetry else None
     started = time.perf_counter()
-    record = _WORKER["campaign"].execute_cell(
-        _WORKER["sim"],
-        task.workload,
-        task.spec,
-        task.scheme,
-        task.t_rh,
-    )
+    record = _WORKER["campaign"].execute_cell(_WORKER["sim"], *cell)
     duration = time.perf_counter() - started
     delta = diff_snapshots(METRICS.snapshot(), before) if telemetry else None
-    return CellCompletion(
-        index=task.index,
-        key=task.key,
-        record=record,
-        duration_s=duration,
-        worker_id=worker_id,
-        telemetry=delta,
-    )
+    return index, record, duration, f"p{os.getpid()}", delta
 
 
-class ParallelExecutor:
-    """Dispatches campaign cells to a process pool.
+def run_on_pool(
+    campaign: "Campaign",
+    pending: Sequence[Tuple[int, tuple]],
+    workers: int,
+    *,
+    stats_cache_dir: Optional[Union[str, Path]] = None,
+    mp_context: Optional[str] = None,
+) -> Iterator[Tuple[int, dict, float, str]]:
+    """Run ``pending`` ``(index, cell)`` pairs on a pool of ``workers``.
 
-    Args:
-        workers: Pool size (capped at the number of pending cells).
-        stats_cache_dir: Directory for the shared disk-persistent
-            window-statistics cache (None = per-process memory only).
-        mp_context: Multiprocessing start method ('fork', 'spawn',
-            'forkserver'); None uses the platform default.
+    Yields ``(index, record, duration_s, worker_id)`` as workers finish
+    cells, after merging each cell's metric delta.  Raises
+    ``BrokenProcessPool`` if a worker dies hard.
     """
-
-    def __init__(
-        self,
-        workers: int,
-        *,
-        stats_cache_dir: Optional[Union[str, Path]] = None,
-        mp_context: Optional[str] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.stats_cache_dir = str(stats_cache_dir) if stats_cache_dir else None
-        self.mp_context = mp_context
-
-    # ------------------------------------------------------------------
-    def tasks(self, campaign: "Campaign", *, skip: Iterable[str] = ()) -> List[CellTask]:
-        """The grid as dispatchable tasks, minus already-completed keys."""
-        skip = set(skip)
-        tasks: List[CellTask] = []
-        for index, (workload, spec, scheme, t_rh) in enumerate(campaign.cells()):
-            key = campaign.cell_key(workload, spec, scheme, t_rh)
-            if key in skip:
-                continue
-            tasks.append(CellTask(index, key, workload, spec, scheme, t_rh))
-        return tasks
-
-    def stream(
-        self, campaign: "Campaign", *, skip: Iterable[str] = ()
-    ) -> Iterator[CellCompletion]:
-        """Yield cell completions as workers finish them (unordered).
-
-        The caller owns ordering and journaling; :meth:`run` wraps this
-        with both.  Raises ``BrokenProcessPool`` if a worker dies hard --
-        after every completion received so far has been yielded.
-        """
-        pending = self.tasks(campaign, skip=skip)
-        if not pending:
-            return
-        telemetry = METRICS.enabled
-        context = (
-            multiprocessing.get_context(self.mp_context) if self.mp_context else None
-        )
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(pending)),
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(
-                campaign.parallel_payload(),
-                self.stats_cache_dir,
-                export_config() if telemetry else None,
-            ),
-        ) as pool:
-            futures = [pool.submit(_run_task, task) for task in pending]
-            for future in as_completed(futures):
-                completion = future.result()
-                if telemetry:
-                    METRICS.merge(completion.telemetry)
-                    METRICS.inc("parallel.completions")
-                yield completion
-
-    def run(
-        self,
-        campaign: "Campaign",
-        *,
-        journal=None,
-        resume_from=None,
-    ) -> List[dict]:
-        """Execute the grid; returns records in deterministic cell order.
-
-        Journal semantics match :meth:`Campaign.run`: completions are
-        checkpointed by the parent as they arrive (in completion order;
-        resume keys on cells, not order), and ``resume_from`` replays
-        finished cells without re-dispatching them.
-        """
-        checkpoint, completed = campaign._checkpoint(journal, resume_from)
-        cells = list(campaign.cells())
-        records: List[Optional[dict]] = [None] * len(cells)
-        for index, cell in enumerate(cells):
-            key = campaign.cell_key(*cell)
-            if key in completed:
-                records[index] = completed[key]
-        for completion in self.stream(campaign, skip=completed):
-            records[completion.index] = completion.record
-            campaign.cells_executed += 1
-            if checkpoint is not None:
-                checkpoint.append(
-                    completion.key,
-                    completion.record,
-                    duration_s=completion.duration_s,
-                    worker_id=completion.worker_id,
-                )
-        return records
+    if not pending:
+        return
+    telemetry = METRICS.enabled
+    context = multiprocessing.get_context(mp_context) if mp_context else None
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(pending)),
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(
+            campaign.parallel_payload(),
+            str(stats_cache_dir) if stats_cache_dir else None,
+            export_config() if telemetry else None,
+        ),
+    ) as pool:
+        futures = [pool.submit(_run_task, index, cell) for index, cell in pending]
+        for future in as_completed(futures):
+            index, record, duration, worker_id, delta = future.result()
+            if telemetry:
+                METRICS.merge(delta)
+                METRICS.inc("parallel.completions")
+            yield index, record, duration, worker_id
 
 
-__all__ = ["CellTask", "CellCompletion", "ParallelExecutor"]
+__all__ = ["run_on_pool"]

@@ -228,7 +228,7 @@ class Simulator:
         self, trace: Trace, mapping: RubixDMapping, window
     ) -> Tuple[TraceStats, int]:
         analyzer = ChunkedAnalyzer(
-            rows_per_bank=mapping.config.rows_per_bank, max_hits=self.max_hits
+            mapping.config.rows_per_bank, mapping.config.total_rows, max_hits=self.max_hits
         )
         swaps = 0
         # One child scope per phase, re-entered per chunk: the window

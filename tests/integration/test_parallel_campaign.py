@@ -41,14 +41,27 @@ def make_campaign(**overrides) -> Campaign:
 
 
 class TestParallelMatchesSerial:
-    def test_24_cell_grid_identical_records(self):
-        serial = make_campaign().run()
+    def test_24_cell_grid_identical_records(self, tmp_path):
+        here = make_campaign()
+        serial = here.run(journal=tmp_path / "serial.jsonl")
         campaign = make_campaign()
-        parallel = campaign.run(workers=4)
+        parallel = campaign.run(workers=4, journal=tmp_path / "pool.jsonl")
         assert len(serial) == campaign.size() == 24
         assert parallel == serial
-        assert campaign.cells_executed == 24
+        assert campaign.cells_executed == here.cells_executed == 24
         assert all(record["status"] == "ok" for record in parallel)
+        # Both modes journal alike: the same {key: record}, and every
+        # entry carries the timing fields the campaign-pool benchmark
+        # reads through timings().
+        serial_journal = CheckpointJournal(tmp_path / "serial.jsonl")
+        pool_journal = CheckpointJournal(tmp_path / "pool.jsonl")
+        assert pool_journal.completed() == serial_journal.completed()
+        for journal in (serial_journal, pool_journal):
+            timings = journal.timings()
+            assert set(timings) == set(journal.completed())
+            for timing in timings.values():
+                assert timing["duration_s"] > 0
+                assert timing["worker_id"].startswith("p")
 
     def test_workers_1_uses_serial_path(self):
         # workers=1 must be exactly the serial code path (it accepts the

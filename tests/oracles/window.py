@@ -120,7 +120,11 @@ def run_window(
     max_hits: Optional[int] = 16,
 ) -> Tuple[TraceStats, int]:
     """One dynamic window, exactly as the simulator runs it."""
-    analyzer = ChunkedAnalyzer(rows_per_bank=mapping.config.rows_per_bank, max_hits=max_hits)
+    analyzer = ChunkedAnalyzer(
+        rows_per_bank=mapping.config.rows_per_bank,
+        rows_total=mapping.config.total_rows,
+        max_hits=max_hits,
+    )
     swaps = 0
     for chunk in iter_line_chunks(lines, chunk_lines):
         chunk_stats = analyzer.feed(mapping.global_rows(chunk, validate=False))

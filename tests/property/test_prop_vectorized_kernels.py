@@ -169,7 +169,7 @@ def test_empty_windows_have_documented_dtypes():
     """Every empty result -- an empty window, an empty chunk, an analyzer
     fed nothing -- carries the narrow dtypes too."""
     empty = np.empty(0, dtype=np.uint64)
-    analyzer = ChunkedAnalyzer(rows_per_bank=64)
+    analyzer = ChunkedAnalyzer(rows_per_bank=64, rows_total=4 * 64)
     results = [
         analyze_trace(empty, rows_per_bank=64),
         analyzer.result(),
@@ -362,7 +362,9 @@ def test_chunked_analyzer_count_matches_sort(seed, rows_per_bank, n_chunks):
                 rng.integers(0, rows_per_bank, size=n, dtype=np.uint64),
             )
         )
-    analyzer = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=16)
+    analyzer = ChunkedAnalyzer(
+        rows_per_bank=rows_per_bank, rows_total=4 * rows_per_bank, max_hits=16
+    )
     parts, merged = _sorted_chunks(chunks, rows_per_bank=rows_per_bank)
     for (banks, rows), part in zip(chunks, parts):
         got = analyzer.feed(banks * rows_per_bank + rows)
@@ -386,7 +388,9 @@ def test_chunked_analyzer_dense_accumulator_sparse_chunk():
             np.append(rng.integers(0, 1 << 18, 199, dtype=np.uint64), (1 << 18) - 1),
         ),
     ]
-    analyzer = ChunkedAnalyzer(rows_per_bank=rows_per_bank, max_hits=16)
+    analyzer = ChunkedAnalyzer(
+        rows_per_bank=rows_per_bank, rows_total=5 * rows_per_bank, max_hits=16
+    )
     for banks, rows in chunks:
         analyzer.feed(banks * rows_per_bank + rows)
     assert analyzer._hist is not None, "the window must have stayed dense"

@@ -1,12 +1,13 @@
 """Unit tests for the sweep-campaign API."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.experiments.campaign import Campaign, MappingSpec, campaign_from_spec
 from repro.experiments.common import get_simulator
-from repro.resilience.faults import FaultPlan, FaultySimulator
+from repro.resilience.faults import FaultPlan, FaultySimulator, SimulatedCrash
 
 
 class TestMappingSpec:
@@ -141,6 +142,42 @@ class TestCellsExecuted:
         records = campaign.run(simulator=FaultySimulator(get_simulator(), plan))
         assert [r["status"] for r in records] == [status] * campaign.size()
         assert campaign.cells_executed == campaign.size()
+
+
+class TestStatsCacheDir:
+    """``run(stats_cache_dir=D)`` in process lends D to the shared simulator
+    for that run only."""
+
+    @staticmethod
+    def grid() -> Campaign:
+        return Campaign(
+            workloads=["xz"],
+            mappings=[MappingSpec("coffeelake")],
+            schemes=["aqua"],
+            thresholds=[128],
+            scale=0.02,
+        )
+
+    def test_later_run_without_a_directory_writes_nothing_there(self, tmp_path):
+        cache = get_simulator().stats_cache
+        before = cache.persist_dir
+        lent = tmp_path / "stats"
+        cache.clear()
+        self.grid().run(stats_cache_dir=lent)
+        assert list(lent.glob("*.npz")), "the run should persist its windows"
+        assert cache.persist_dir == before
+        shutil.rmtree(lent)
+        cache.clear()  # the next run misses memory, so it would put()
+        self.grid().run()
+        assert not lent.exists()
+
+    def test_directory_detached_when_the_run_crashes(self, tmp_path):
+        cache = get_simulator().stats_cache
+        before = cache.persist_dir
+        crashing = FaultySimulator(get_simulator(), FaultPlan(crash_after_cells=0))
+        with pytest.raises(SimulatedCrash):
+            self.grid().run(simulator=crashing, stats_cache_dir=tmp_path / "stats")
+        assert cache.persist_dir == before
 
 
 class TestSpecRoundTrip:

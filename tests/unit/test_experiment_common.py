@@ -1,6 +1,8 @@
 """Unit tests for experiment-harness plumbing (common, registry, runner)."""
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +208,15 @@ class TestRegistry:
 
     def test_lookup(self):
         assert get_experiment("fig7").experiment_id == "fig7"
+
+    def test_paper_suite_names_every_experiment_once(self):
+        # scripts/run_paper_suite.py runs each id at its registered
+        # default_scale, so every registered experiment is in it once.
+        path = Path(__file__).resolve().parents[2] / "scripts" / "run_paper_suite.py"
+        spec = importlib.util.spec_from_file_location("run_paper_suite", path)
+        suite = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(suite)
+        assert sorted(suite.SUITE) == sorted(e.experiment_id for e in list_experiments())
 
     def test_experiment_count_covers_paper(self):
         # 22 paper artifacts + mixes + 6 ablations + sec73 + actdist.

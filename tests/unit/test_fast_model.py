@@ -163,7 +163,7 @@ class TestMerge:
     """The chunked analyzer's one merge: a dense histogram of every chunk."""
 
     def test_merge_sums_histograms(self):
-        analyzer = ChunkedAnalyzer(rows_per_bank=1024)
+        analyzer = ChunkedAnalyzer(rows_per_bank=1024, rows_total=4 * 1024)
         analyzer.feed(np.array([1, 1, 2, 2], dtype=np.uint32))
         analyzer.feed(np.array([1, 3], dtype=np.uint32))
         merged = analyzer.result()
@@ -172,8 +172,17 @@ class TestMerge:
         assert (merged.n_accesses, merged.n_activations, merged.n_hits) == (6, 4, 2)
         assert merged.unique_rows_touched == 3
 
+    def test_id_outside_the_domain_is_refused(self):
+        analyzer = ChunkedAnalyzer(rows_per_bank=1024, rows_total=4 * 1024)
+        analyzer.feed(np.array([1, 2], dtype=np.uint32))
+        # A second chunk reaching 2^31 - 1 would size an 8 GiB histogram.
+        with pytest.raises(ValueError, match="4096-row domain"):
+            analyzer.feed(np.array([3, (1 << 31) - 1], dtype=np.uint32))
+        assert analyzer._hist is None
+        assert analyzer.result().n_accesses == 2  # the refused chunk left no trace
+
     def test_merge_empty(self):
-        analyzer = ChunkedAnalyzer(rows_per_bank=1024)
+        analyzer = ChunkedAnalyzer(rows_per_bank=1024, rows_total=4 * 1024)
         assert analyzer.result().n_accesses == 0
         analyzer.feed(np.empty(0, dtype=np.uint32))
         assert analyzer.result().n_accesses == 0
@@ -186,7 +195,7 @@ class TestChunkedAnalyzer:
         rows = rng.integers(0, 50, 10_000).astype(np.uint64)
         global_row = banks * 1024 + rows
         whole = analyze_trace(global_row, rows_per_bank=1024)
-        chunked = ChunkedAnalyzer(rows_per_bank=1024)
+        chunked = ChunkedAnalyzer(rows_per_bank=1024, rows_total=4 * 1024)
         for start in range(0, 10_000, 1000):
             chunked.feed(global_row[start : start + 1000])
         merged = chunked.result()
@@ -216,7 +225,7 @@ class TestChunkedAnalyzer:
 
         global_row = banks * 8192 + rows
         whole = analyze_trace(global_row, rows_per_bank=8192)
-        chunked = ChunkedAnalyzer(rows_per_bank=8192)
+        chunked = ChunkedAnalyzer(rows_per_bank=8192, rows_total=8 * 8192)
         for start in range(0, n, chunk_size):
             chunked.feed(global_row[start : start + chunk_size])
         merged = chunked.result()

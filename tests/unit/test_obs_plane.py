@@ -88,7 +88,7 @@ class TestPaperSuiteDone:
         from repro.obs.schema import validate_telemetry_dir
 
         suite = _load_script("run_paper_suite")
-        monkeypatch.setattr(suite, "SUITE", [("fig1a", 1.0, None)])
+        monkeypatch.setattr(suite, "SUITE", ("fig1a",))
         out, log_json, tele = tmp_path / "out.txt", tmp_path / "log.jsonl", tmp_path / "tele"
         argv = [str(out), "--quiet", "--log-json", str(log_json), "--telemetry-dir", str(tele)]
         try:

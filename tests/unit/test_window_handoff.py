@@ -95,7 +95,7 @@ def test_chunked_feed_leaves_its_input_untouched():
     ids = _ids(np.uint32)
     before = ids.tobytes()
     chunks = [ids[start : start + 20_000] for start in range(0, ids.size, 20_000)]
-    analyzer = ChunkedAnalyzer(rows_per_bank=ROWS_PER_BANK)
+    analyzer = ChunkedAnalyzer(rows_per_bank=ROWS_PER_BANK, rows_total=16 * ROWS_PER_BANK)
     for chunk in chunks:
         analyzer.feed(chunk)
     assert ids.tobytes() == before
