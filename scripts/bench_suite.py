@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Time the serial paper suite and append the timings to BENCH_suite.json.
 
-Each run is a fresh ``scripts/run_paper_suite.py --quiet --log-json``
-process of the tree being measured (this checkout unless ``--tree`` names
-another), with every ``REPRO_*`` variable removed so no developer stats
-cache or telemetry leaks in.  A run records:
+Each run is a fresh ``scripts/run_paper_suite.py OUT --quiet
+--telemetry-dir DIR`` process of the tree being measured (this checkout
+unless ``--tree`` names another), with every ``REPRO_*`` variable
+removed so no developer stats cache leaks into an older tree, which
+still reads one.  The numbers come from the suite's log records in its
+telemetry event streams (``DIR/events-*.jsonl``).  A run records:
 
 - ``wall_s``: the process's wall time, interpreter start included;
 - ``elapsed_s``, ``peak_rss_mb``, ``trace_cache_mb`` and
-  ``stats_cache_mb``: the ``suite.done`` log record;
+  ``stats_cache_mb``: the ``suite.done`` record;
 - ``experiments``: each experiment's seconds, from its
   ``suite.experiment_done`` record;
 - ``golden``: whether the output equals ``results_paper_suite.txt`` once
@@ -112,11 +114,11 @@ def without_timings(text: str) -> List[str]:
 
 
 def parse_log(lines) -> dict:
-    """One run's numbers from its ``--log-json`` records.
+    """One run's numbers from its event-stream lines (spans are skipped).
 
     Raises:
-        ValueError: The log has no ``suite.done`` record (the suite did
-            not finish).
+        ValueError: The events hold no ``suite.done`` record (the suite
+            did not finish).
     """
     experiments: Dict[str, float] = {}
     done: Optional[dict] = None
@@ -127,7 +129,7 @@ def parse_log(lines) -> dict:
         elif record.get("event") == "suite.done":
             done = record
     if done is None:
-        raise ValueError("the suite log has no suite.done record")
+        raise ValueError("the suite events hold no suite.done record")
     keys = ("elapsed_s", "peak_rss_mb", "trace_cache_mb", "stats_cache_mb")
     return {**{key: done[key] for key in keys}, "experiments": experiments}
 
@@ -137,17 +139,18 @@ def run_suite(tree: Path, golden: List[str]) -> dict:
     env = {name: value for name, value in os.environ.items() if not name.startswith("REPRO_")}
     env["PYTHONPATH"] = str(tree / "src")
     with tempfile.TemporaryDirectory(prefix="bench-suite-") as scratch:
-        output, log = Path(scratch) / "suite.txt", Path(scratch) / "suite.jsonl"
+        output, telemetry = Path(scratch) / "suite.txt", Path(scratch) / "telemetry"
         started = time.perf_counter()
         subprocess.run(
             [sys.executable, str(tree / "scripts" / "run_paper_suite.py"), str(output),
-             "--quiet", "--log-json", str(log)],
+             "--quiet", "--telemetry-dir", str(telemetry)],
             cwd=scratch,
             env=env,
             check=True,
         )
         wall_s = time.perf_counter() - started
-        run = parse_log(log.read_text().splitlines())
+        events = sorted(telemetry.glob("events-*.jsonl"))
+        run = parse_log(line for path in events for line in path.read_text().splitlines())
         run["golden"] = without_timings(output.read_text()) == golden
     return {"wall_s": round(wall_s, 3), **run}
 

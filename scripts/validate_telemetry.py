@@ -2,10 +2,11 @@
 """Validate a telemetry directory against the metric/manifest schema.
 
 CI runs this after a telemetry-enabled ``serve`` run on a two-worker
-pool: the manifest must be complete and finalized, every emitted metric
+pool, and with ``--no-required`` after the traced paper suite: the
+manifest must be complete and finalized, every emitted metric
 name, label key, and kind must match the catalog in
 ``repro.obs.schema``, the required campaign metrics must actually have
-fired, every span event must use a declared span name, and no events
+fired (unless ``--no-required``), every span event must use a declared span name, and no events
 file may mix two run ids.  Instrumentation and catalog therefore cannot
 drift apart silently.
 

@@ -10,8 +10,10 @@ generation is seeded, so an evicted trace comes back byte-identical.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.rubix_d import RubixDMapping
 from repro.core.rubix_keyed_xor import KeyedXorMapping
@@ -24,7 +26,7 @@ from repro.mapping.linear import LinearMapping
 from repro.mapping.mop import MOPMapping
 from repro.mapping.stride import LargeStrideMapping
 from repro.obs.runtime import METRICS, TRACER
-from repro.parallel.cache import StatsCache, default_persist_dir
+from repro.parallel.cache import StatsCache
 from repro.perf.simulator import Simulator
 from repro.workloads.mixes import mix_names, mix_trace
 from repro.workloads.spec import spec_names, spec_trace
@@ -98,6 +100,8 @@ def _fmt(value: object) -> str:
 # Shared caches
 # ---------------------------------------------------------------------------
 _SIMULATORS: Dict[DRAMConfig, Simulator] = {}
+#: Where new simulators persist window statistics (see persist_window_stats).
+_STATS_DIR: Optional[Union[str, Path]] = None
 #: Cached traces, least recently used first.
 _TRACES: "OrderedDict[Tuple, Trace]" = OrderedDict()
 
@@ -117,17 +121,39 @@ def get_simulator(config: Optional[DRAMConfig] = None) -> Simulator:
     Keyed on the whole (frozen) config: row size and timing shape both
     the mappings a campaign builds from ``sim.config`` and the
     performance model, so configs differing in any field never share a
-    simulator.  When the ``REPRO_STATS_CACHE`` environment variable
-    names a directory, the simulator's window-statistics cache persists
-    there -- pool workers and sequential suite runs then share one
-    content-keyed cache on disk.
+    simulator.  Inside :func:`persist_window_stats` a new simulator's
+    window-statistics cache persists to that block's directory.
     """
     config = config or baseline_config()
     if config not in _SIMULATORS:
-        _SIMULATORS[config] = Simulator(
-            config, stats_cache=StatsCache(persist_dir=default_persist_dir())
-        )
+        _SIMULATORS[config] = Simulator(config, stats_cache=StatsCache(persist_dir=_STATS_DIR))
     return _SIMULATORS[config]
+
+
+@contextmanager
+def persist_window_stats(directory: Optional[Union[str, Path]]) -> Iterator[None]:
+    """Keep every process-wide simulator's window statistics in ``directory``.
+
+    Applies to the simulators that exist and to those built inside the
+    block (fig15's 32 GB configurations), so sequential runs over one
+    directory share one content-keyed cache on disk.  On exit each
+    simulator goes back to the directory it had before, so the setting
+    never outlives the block.  None leaves the caches as they are.
+    """
+    global _STATS_DIR
+    if directory is None:
+        yield
+        return
+    previous = _STATS_DIR
+    _STATS_DIR = directory
+    for sim in _SIMULATORS.values():
+        sim.stats_cache.persist_to(directory)
+    try:
+        yield
+    finally:
+        _STATS_DIR = previous
+        for sim in _SIMULATORS.values():
+            sim.stats_cache.persist_to(previous)
 
 
 def workload_names() -> List[str]:
@@ -148,8 +174,6 @@ def validate_workload(name: str) -> str:
     typo'd path or a leftover ``.npz`` bundle.
     """
     if name.startswith("file:"):
-        from pathlib import Path
-
         from repro.workloads.trace_io import RAW_MAGIC
 
         path = Path(name[5:])

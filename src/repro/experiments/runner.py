@@ -4,43 +4,43 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments run fig7 [--scale 0.5] [--workloads 6]
-    python -m repro.experiments run all [--scale 0.25]
     python -m repro.experiments serve spec.json [--workers 2] [--journal j.jsonl]
     python -m repro.experiments report --telemetry runs/today
 
-Experiments run one after another in this process, so they share its
-trace and window-statistics caches.  ``--stats-cache DIR`` also keeps
-the window statistics on disk, so a later run reuses instead of
-recomputes each (trace, mapping) analysis.
+``run`` runs one experiment; ``scripts/run_paper_suite.py`` runs the
+whole suite, in its published order, in one process.
 
 ``serve`` runs campaign spec files one after another, each over the
 campaign process pool (``Campaign.run(workers=N)``), against one shared
 checkpoint journal: a cell an earlier spec or an earlier run committed
 is replayed, not recomputed.
 
-``--telemetry-dir DIR`` enables the telemetry layer for the run: a
-``manifest.json`` with full provenance, a JSONL metric snapshot, and
-per-process span/log event streams land in DIR;
-``report --telemetry DIR`` renders them as a human summary afterwards.
-``--verbose``/``--quiet`` adjust console logging; ``--log-json PATH``
-mirrors every log record (console-visible or not) to a JSONL file.
-Default console output is unchanged by any of this.
+``run``, ``serve`` and the suite share one block of flags
+(:func:`add_run_flags`).  ``--stats-cache DIR`` keeps the window
+statistics on disk, so a later run reuses instead of recomputes each
+(trace, mapping) analysis.  ``--telemetry-dir DIR`` enables the
+telemetry layer for the run: a ``manifest.json`` with full provenance,
+a JSONL metric snapshot, and per-process span/log event streams -- the
+run's machine log -- land in DIR; ``report --telemetry DIR`` renders
+them as a human summary afterwards.  ``--quiet`` keeps only warnings
+and errors on the console.  Default console output is unchanged by any
+of this.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from typing import List, Optional, Tuple
+from pathlib import Path
+from typing import List, Optional
 
+from repro.experiments.common import persist_window_stats
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.obs import runtime as obs_runtime
-from repro.obs.logs import QUIET, VERBOSE
+from repro.obs.logs import QUIET
 from repro.obs.manifest import RunManifest
 from repro.obs.runtime import METRICS, TRACER, get_logger
-from repro.parallel.cache import STATS_CACHE_ENV
 from repro.resilience.journal import CheckpointJournal
 
 log = get_logger("runner")
@@ -66,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     inspect_cmd.add_argument("--gang-size", type=int, default=4)
     inspect_cmd.add_argument("--scale", type=float, default=0.2)
     inspect_cmd.add_argument("--t-rh", type=int, default=128)
-    run = sub.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", help="experiment id (see 'list') or 'all'")
+    run = sub.add_parser("run", help="run one experiment")
+    run.add_argument("experiment", help="experiment id (see 'list')")
     run.add_argument(
         "--scale",
         type=float,
@@ -89,54 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="PATH",
         default=None,
-        help="also write results as JSON (one file per experiment, or a"
-        " single file for one experiment)",
+        help="also write the result as JSON to PATH",
     )
-    run.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help="JSONL checkpoint journal: record each completed experiment"
-        " so an interrupted 'run all' can be resumed",
-    )
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments already completed in --journal instead of"
-        " starting the journal over",
-    )
-    run.add_argument(
-        "--stats-cache",
-        metavar="DIR",
-        default=None,
-        help="directory for a persistent window-statistics cache shared"
-        " across runs (sets the REPRO_STATS_CACHE environment variable)",
-    )
-    verbosity = run.add_mutually_exclusive_group()
-    verbosity.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also print debug-level status records to the console",
-    )
-    verbosity.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress console status output (warnings/errors still print)",
-    )
-    run.add_argument(
-        "--log-json",
-        metavar="PATH",
-        default=None,
-        help="mirror every structured log record to this JSONL file"
-        " (independent of console verbosity)",
-    )
-    run.add_argument(
-        "--telemetry-dir",
-        metavar="DIR",
-        default=None,
-        help="enable telemetry and write run artifacts (manifest.json,"
-        " metrics.jsonl, events-*.jsonl) to DIR",
-    )
+    add_run_flags(run)
     report = sub.add_parser(
         "report", help="summarize a finished run's telemetry artifacts"
     )
@@ -174,25 +129,31 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write each spec's records to DIR/<tenant>.json",
     )
-    serve.add_argument(
+    add_run_flags(serve)
+    return parser
+
+
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Add the flags every run command shares: ``run``, ``serve`` and the suite."""
+    parser.add_argument(
         "--stats-cache",
         metavar="DIR",
         default=None,
-        help="disk-persistent window-statistics cache shared by the pool"
+        help="disk-persistent window-statistics cache, shared with pool"
         " workers and later runs",
     )
-    serve.add_argument(
+    parser.add_argument(
+        "--quiet",
+        action="store_true",
+        help="suppress console status output (warnings/errors still print)",
+    )
+    parser.add_argument(
         "--telemetry-dir",
         metavar="DIR",
         default=None,
-        help="enable telemetry; run artifacts (manifest.json, metrics,"
-        " events) land in DIR",
+        help="enable telemetry and write run artifacts (manifest.json,"
+        " metrics.jsonl, events-*.jsonl) to DIR",
     )
-    serve_verbosity = serve.add_mutually_exclusive_group()
-    serve_verbosity.add_argument("--verbose", action="store_true")
-    serve_verbosity.add_argument("--quiet", action="store_true")
-    serve.add_argument("--log-json", metavar="PATH", default=None)
-    return parser
 
 
 def run_experiment(
@@ -235,92 +196,48 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         return _serve(args)
 
-    targets = (
-        [e.experiment_id for e in list_experiments()]
-        if args.experiment == "all"
-        else [args.experiment]
-    )
-    if args.resume and not args.journal:
-        log.error("args.invalid", message="--resume requires --journal PATH")
+    known = sorted(entry.experiment_id for entry in list_experiments())
+    if args.experiment not in known:
+        log.error(
+            "args.invalid",
+            message=f"unknown experiment '{args.experiment}'; known: {', '.join(known)}",
+            experiment=args.experiment,
+        )
         return 2
-    known = {entry.experiment_id for entry in list_experiments()}
-    for experiment_id in targets:
-        if experiment_id not in known:
-            # Validate before journal.reset() below: a typo'd id must not
-            # wipe an existing checkpoint journal.
-            log.error(
-                "args.invalid",
-                message=f"unknown experiment '{experiment_id}';"
-                f" known: {', '.join(sorted(known))}",
-                experiment=experiment_id,
-            )
-            return 2
-    if args.stats_cache:
-        # Environment, not an argument: get_simulator() picks it up
-        # lazily, whichever experiment builds the simulator first.
-        os.environ[STATS_CACHE_ENV] = args.stats_cache
-    manifest = _configure_telemetry(
+    manifest = configure_telemetry(
         args,
         "experiments.run",
         {
-            "experiments": targets,
+            "experiment": args.experiment,
             "scale": args.scale,
             "workload_limit": args.workloads,
             "stats_cache": args.stats_cache,
         },
     )
-    journal = CheckpointJournal(args.journal) if args.journal else None
-    if journal is not None and not args.resume:
-        journal.reset()
-    completed = journal.completed_keys() if journal is not None else set()
-    failures = []
-    for experiment_id in targets:
-        if experiment_id in completed:
-            log.info(
-                "experiment.skipped",
-                message=f"[{experiment_id} already completed; skipped (resume)]",
-                experiment=experiment_id,
-            )
-            continue
-        result, error, elapsed = _experiment_task(
-            experiment_id, args.scale, args.workloads
-        )
-        ok = _emit_result(
-            args, experiment_id, result, error, elapsed, journal,
-            multi=len(targets) > 1,
-        )
-        if not ok:
-            failures.append(experiment_id)
-    _write_telemetry(manifest)
-    if failures:
-        log.error(
-            "run.failures",
-            message=f"[{len(failures)} experiment(s) failed: {', '.join(failures)}]",
-            failed=failures,
-        )
-        return 1
-    return 0
+    with persist_window_stats(args.stats_cache):
+        ok = _run_one(args)
+    write_telemetry(manifest)
+    return 0 if ok else 1
 
 
-def _configure_telemetry(args, command: str, config: dict) -> Optional[RunManifest]:
-    """Apply the run's logging/telemetry flags; returns the manifest, if any.
+def configure_telemetry(args, command: str, config: dict) -> Optional[RunManifest]:
+    """Apply the run's ``--quiet``/``--telemetry-dir``; returns the manifest, if any.
 
     Pool workers mirror this configuration through the pool initializer
     (:func:`repro.obs.runtime.export_config`).
     """
-    verbosity = VERBOSE if args.verbose else (QUIET if args.quiet else None)
     obs_runtime.configure(
         enabled=bool(args.telemetry_dir),
         telemetry_dir=args.telemetry_dir,
-        verbosity=verbosity,
-        log_json=args.log_json,
+        verbosity=QUIET if args.quiet else None,
     )
     if not args.telemetry_dir:
         return None
     return RunManifest.create(command, config=config)
 
 
-def _write_telemetry(manifest: Optional[RunManifest]) -> None:
+def write_telemetry(manifest: Optional[RunManifest]) -> None:
+    """Write the run's metric snapshot and manifest, when telemetry is on."""
     if manifest is None:
         return
     written = obs_runtime.write_telemetry(manifest=manifest)
@@ -342,7 +259,6 @@ def _serve(args) -> int:
     import json
     import tempfile
     from concurrent.futures.process import BrokenProcessPool
-    from pathlib import Path
 
     from repro.experiments.campaign import campaign_from_spec
 
@@ -357,7 +273,15 @@ def _serve(args) -> int:
         except (OSError, ValueError, KeyError) as error:
             log.error("serve.invalid_spec", message=f"[bad spec {path}: {error}]")
             return 2
-        tenants.append(str(spec.get("tenant", f"tenant{index}")))
+        tenant = str(spec.get("tenant", f"tenant{index}"))
+        if tenant in ("", ".", "..") or Path(tenant).name != tenant:
+            # It names the --json DIR/<tenant>.json file, so it must stay in DIR.
+            log.error(
+                "serve.invalid_spec",
+                message=f"[bad spec {path}: tenant {tenant!r} is not a plain file name]",
+            )
+            return 2
+        tenants.append(tenant)
     duplicates = sorted({tenant for tenant in tenants if tenants.count(tenant) > 1})
     if duplicates:
         log.error(
@@ -366,7 +290,7 @@ def _serve(args) -> int:
             tenants=duplicates,
         )
         return 2
-    manifest = _configure_telemetry(
+    manifest = configure_telemetry(
         args,
         "experiments.serve",
         {
@@ -397,7 +321,7 @@ def _serve(args) -> int:
                 message=f"[a pool worker died ({error}); every cell finished"
                 " before it is journaled -- rerun the same command to resume]",
             )
-            _write_telemetry(manifest)
+            write_telemetry(manifest)
             return 1
     failures = 0
     for tenant, campaign, records in zip(tenants, campaigns, results):
@@ -424,7 +348,7 @@ def _serve(args) -> int:
         specs=len(campaigns),
         elapsed_s=round(elapsed, 3),
     )
-    _write_telemetry(manifest)
+    write_telemetry(manifest)
     return 1 if failures else 0
 
 
@@ -440,38 +364,30 @@ def _report(args) -> int:
     return 0
 
 
-def _experiment_task(
-    experiment_id: str, scale: Optional[float], workload_limit: Optional[int]
-) -> Tuple[object, Optional[str], float]:
-    """Run one experiment; returns ``(result, error, elapsed)``.
+def _run_one(args) -> bool:
+    """Run ``args.experiment`` and print its outcome; returns False on failure.
 
-    A failure comes back as ``"<type>: <message>"`` text so one broken
-    experiment does not abort the suite.  Timing is monotonic
-    (``perf_counter``), so a wall-clock adjustment mid-run cannot skew
-    the reported elapsed time.
+    A failure is logged as ``"<type>: <message>"`` text rather than a
+    traceback.  Timing is monotonic (``perf_counter``), so a wall-clock
+    adjustment mid-run cannot skew the reported elapsed time.
     """
+    experiment_id = args.experiment
     started = time.perf_counter()
     try:
-        result = run_experiment(experiment_id, scale, workload_limit)
-        METRICS.inc("runner.experiments", status="ok")
-        error = None
+        result = run_experiment(experiment_id, args.scale, args.workloads)
     except Exception as exc:
         METRICS.inc("runner.experiments", status="error")
-        result, error = None, f"{type(exc).__name__}: {exc}"
-    return result, error, time.perf_counter() - started
-
-
-def _emit_result(args, experiment_id, result, error, elapsed, journal, *, multi) -> bool:
-    """Print/journal one experiment outcome; returns False on failure."""
-    if error is not None:
+        error = f"{type(exc).__name__}: {exc}"
         log.error(
             "experiment.failed",
             message=f"[{experiment_id} failed: {error}]",
             experiment=experiment_id,
             error=error,
-            elapsed_s=round(elapsed, 3),
+            elapsed_s=round(time.perf_counter() - started, 3),
         )
         return False
+    METRICS.inc("runner.experiments", status="ok")
+    elapsed = time.perf_counter() - started
     log.info("experiment.result", message=result.format(), experiment=experiment_id)
     if args.chart:
         from repro.experiments.charts import render_bars
@@ -485,28 +401,14 @@ def _emit_result(args, experiment_id, result, error, elapsed, journal, *, multi)
                 experiment=experiment_id,
             )
     if args.json:
-        from pathlib import Path
-
-        target = Path(args.json)
-        if multi:
-            target.mkdir(parents=True, exist_ok=True)
-            out = target / f"{experiment_id}.json"
-        else:
-            out = target
-            out.parent.mkdir(parents=True, exist_ok=True)
+        out = Path(args.json)
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(result.to_json())
         log.info(
             "experiment.json_written",
             message=f"[json written to {out}]",
             experiment=experiment_id,
             path=str(out),
-        )
-    if journal is not None:
-        journal.append(
-            experiment_id,
-            {"status": "ok", "title": result.title, "elapsed_s": round(elapsed, 1)},
-            duration_s=elapsed,
-            worker_id=f"p{os.getpid()}",
         )
     log.info(
         "experiment.finished",

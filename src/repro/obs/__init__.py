@@ -1,5 +1,8 @@
 """Campaign telemetry layer: metrics, spans, structured logs, manifests.
 
+Spans and log records share one per-process event stream, the only
+machine log a run keeps.
+
 Quickstart::
 
     from repro import obs
@@ -25,7 +28,7 @@ summary renderer.
 import importlib
 
 _MODULES = {
-    "repro.obs.logs": ("NORMAL", "QUIET", "VERBOSE", "StructuredLogger"),
+    "repro.obs.logs": ("NORMAL", "QUIET", "StructuredLogger"),
     "repro.obs.manifest": ("MANIFEST_SCHEMA_VERSION", "RunManifest", "git_sha"),
     "repro.obs.metrics": (
         "MAX_SERIES_PER_METRIC",

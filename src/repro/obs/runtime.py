@@ -16,7 +16,8 @@ Artifact layout under the telemetry directory::
     manifest.json                run provenance + final metrics snapshot
     metrics.jsonl                one metric series per line
     events-<run>-<pid>.jsonl     span + log event stream, one file per
-                                 process per run
+                                 process per run; the run's only
+                                 machine log
 
 Events are written per-(run, process): the run id (:func:`run_id`, an
 8-hex token minted once in the parent and shipped to every worker by
@@ -126,18 +127,15 @@ def configure(
     enabled: bool = True,
     telemetry_dir: Optional[Union[str, Path]] = None,
     verbosity: Optional[int] = None,
-    log_json: Optional[Union[str, Path]] = None,
 ) -> None:
-    """Turn telemetry on/off and point its sinks.
+    """Turn telemetry on/off and point its event stream.
 
     Args:
-        enabled: Master switch for metrics + spans.
+        enabled: Master switch for metrics, spans and log events.
         telemetry_dir: Directory for run artifacts (manifest, metrics,
             per-process event streams); None keeps telemetry in-memory.
-        verbosity: Console log verbosity (``obs.QUIET`` / ``NORMAL`` /
-            ``VERBOSE``); None leaves it unchanged.
-        log_json: Path for the structured JSONL log sink; None leaves
-            the current sink unchanged.
+        verbosity: Console log verbosity (``obs.QUIET`` / ``NORMAL``);
+            None leaves it unchanged.
     """
     global _telemetry_dir
     METRICS.enabled = enabled
@@ -149,8 +147,6 @@ def configure(
     LOGS.emit_event = _EVENTS.emit if (enabled and _EVENTS.directory) else None
     if verbosity is not None:
         LOGS.verbosity = verbosity
-    if log_json is not None:
-        LOGS.set_json_path(log_json)
 
 
 def get_logger(name: str) -> StructuredLogger:
@@ -169,7 +165,6 @@ def reset() -> None:
     _telemetry_dir = None
     _run_id = None
     LOGS.verbosity = NORMAL
-    LOGS.set_json_path(None)
     LOGS.emit_event = None
 
 

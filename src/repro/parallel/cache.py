@@ -48,11 +48,6 @@ from repro.obs.runtime import METRICS, get_logger
 
 log = get_logger("cache")
 
-#: Environment variable naming a shared persistence directory; when set,
-#: process-wide simulators persist their window statistics there (this
-#: is how pool workers inherit the cache location).
-STATS_CACHE_ENV = "REPRO_STATS_CACHE"
-
 #: On-disk entry format version (bump on layout changes, and when the
 #: trace fingerprint a key carries changes definition).  It is part of
 #: every key, so entries of another version are never looked up.  5: the
@@ -276,10 +271,4 @@ class StatsCache:
                 pass
 
 
-def default_persist_dir() -> Optional[str]:
-    """The environment-configured persistence directory, if any."""
-    value = os.environ.get(STATS_CACHE_ENV, "").strip()
-    return value or None
-
-
-__all__ = ["STATS_CACHE_ENV", "StatsCache", "stats_cache_key", "default_persist_dir"]
+__all__ = ["StatsCache", "stats_cache_key"]

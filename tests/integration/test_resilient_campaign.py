@@ -122,19 +122,3 @@ class TestFailFastValidation:
     def test_config_errors_are_value_errors_for_old_callers(self):
         with pytest.raises(ValueError):
             Campaign(workloads=["xz"], mappings=MAPPINGS, schemes=["magic"])
-
-
-class TestRunnerJournalCLI:
-    def test_run_all_style_journal_resume(self, tmp_path, capsys):
-        from repro.experiments.runner import main
-
-        journal = tmp_path / "suite.jsonl"
-        assert main(["run", "fig1a", "--journal", str(journal)]) == 0
-        assert CheckpointJournal(journal).completed_keys() == {"fig1a"}
-        assert main(["run", "fig1a", "--journal", str(journal), "--resume"]) == 0
-        assert "skipped (resume)" in capsys.readouterr().out
-
-    def test_resume_requires_journal(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["run", "fig1a", "--resume"]) == 2

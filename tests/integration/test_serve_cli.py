@@ -88,6 +88,20 @@ def test_duplicate_tenants_exit_2_before_any_cell_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tenant", ["team/a", "../x", "..", ""])
+def test_tenant_that_is_not_a_file_name_exits_2_before_any_cell_runs(tmp_path, capsys, tenant):
+    # The tenant names the DIR/<tenant>.json records file, so a path
+    # would fail after every cell ran, or write outside DIR.
+    journal = tmp_path / "never.jsonl"
+    out = tmp_path / "out"
+    spec = write_spec(tmp_path, "a.json", {**SPEC_A, "tenant": tenant})
+    assert main(["serve", spec, "--journal", str(journal), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"bad spec {spec}" in captured.out + captured.err
+    assert not journal.exists()
+    assert not out.exists()
+
+
 def test_overlapping_specs_match_serial_and_compute_each_cell_once(tmp_path):
     journal = tmp_path / "serve.jsonl"
     out = tmp_path / "out"

@@ -241,14 +241,20 @@ class TestRunnerCLI:
         from repro.experiments.runner import main
 
         target = tmp_path / "telemetry"
-        assert main(["run", "fig1a", "--telemetry-dir", str(target)]) == 0
+        assert main(["run", "fig1a", "--quiet", "--telemetry-dir", str(target)]) == 0
+        assert "finished in" not in capsys.readouterr().out
         run = json.loads((target / "manifest.json").read_text())["run_id"]
         files = sorted(target.glob("events-*.jsonl"))
         assert files
+        events = []
         for path in files:
             assert path.name == f"events-{run}-{os.getpid()}.jsonl"
-            runs = {json.loads(line)["run"] for line in path.read_text().splitlines()}
-            assert runs == {run}
+            events += [json.loads(line) for line in path.read_text().splitlines()]
+        assert {event["run"] for event in events} == {run}
+        # The event stream is the machine log: a record --quiet keeps off
+        # the console still reaches it.
+        (finished,) = [e for e in events if e.get("event") == "experiment.finished"]
+        assert finished["experiment"] == "fig1a" and finished["elapsed_s"] >= 0
 
     def test_report_subcommand_summarizes(self, tmp_path, capsys):
         from repro.experiments.runner import main
@@ -292,6 +298,58 @@ class TestRunnerCLI:
         out = capsys.readouterr().out
         assert "finished in" not in out
 
+    def test_stats_cache_flag_persists_in_process(self, tmp_path, capsys):
+        # The directory reaches the simulators in process: it is set
+        # for the run only and never written into the environment.
+        from repro.experiments.runner import main
+
+        common.clear_caches()
+        environ = dict(os.environ)
+        cache = tmp_path / "stats"
+        argv = ["run", "fig7", "--scale", "0.02", "--workloads", "1", "--quiet"]
+        assert main(argv + ["--stats-cache", str(cache)]) == 0
+        assert list(cache.glob("*.npz"))
+        assert dict(os.environ) == environ
+        assert all(
+            sim.stats_cache.persist_dir is None for sim in common._SIMULATORS.values()
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig1a", "--log-json", "log.jsonl"],
+            ["run", "fig1a", "--verbose"],
+            ["run", "fig1a", "--journal", "j.jsonl"],
+            ["run", "fig1a", "--resume"],
+            ["serve", "spec.json", "--log-json", "log.jsonl"],
+            ["serve", "spec.json", "--verbose"],
+        ],
+    )
+    def test_removed_flags_are_refused(self, argv, capsys):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+
+    def test_failed_experiment_exits_1_with_one_line(self, monkeypatch, capsys):
+        from repro.experiments import runner
+
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(runner, "run_experiment", broken)
+        assert runner.main(["run", "fig1a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "[fig1a failed: RuntimeError: boom]\n"
+        assert captured.out == ""
+
+    def test_run_all_is_an_unknown_experiment(self, capsys):
+        from repro.experiments.runner import main
+
+        assert main(["run", "all"]) == 2
+        assert "unknown experiment 'all'" in capsys.readouterr().err
+
     def test_default_output_unchanged_without_flags(self, capsys):
         from repro.experiments.runner import main
 
@@ -299,18 +357,3 @@ class TestRunnerCLI:
         out = capsys.readouterr().out
         assert "== fig1a" in out
         assert "finished in" in out
-
-    def test_log_json_captures_records(self, tmp_path, capsys):
-        from repro.experiments.runner import main
-
-        log_path = tmp_path / "run.jsonl"
-        assert main(["run", "fig1a", "--quiet", "--log-json", str(log_path)]) == 0
-        capsys.readouterr()
-        obs.LOGS.close()
-        events = [
-            json.loads(line) for line in log_path.read_text().splitlines()
-        ]
-        assert any(e["event"] == "experiment.finished" for e in events)
-        finished = next(e for e in events if e["event"] == "experiment.finished")
-        assert finished["experiment"] == "fig1a"
-        assert "elapsed_s" in finished

@@ -2,7 +2,8 @@
 
 The suite itself takes a minute, so these tests point the script at a
 stand-in tree whose ``scripts/run_paper_suite.py`` writes a one-line
-output and the two log records the script reads.  ``--against`` gets two
+output and, to an event stream in its telemetry directory, the two log
+records the script reads.  ``--against`` gets two
 stand-in trees: a committed one, the parent, and the same repository's
 working tree with the stand-in suite edited, the change.
 """
@@ -21,18 +22,22 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _FAKE_SUITE = textwrap.dedent(
     """
-    import json, sys
+    import json, os, pathlib, sys
     PEAK_RSS_MB = 50.0
-    output, log = sys.argv[1], sys.argv[sys.argv.index("--log-json") + 1]
+    output = sys.argv[1]
+    telemetry = pathlib.Path(sys.argv[sys.argv.index("--telemetry-dir") + 1])
     with open(output, "w") as out:
         out.write("fig1a rows\\n[fig1a scale=1.0 finished in 0.1s]\\n\\n[suite finished in 0s]\\n")
-    with open(log, "w") as records:
+    telemetry.mkdir(parents=True, exist_ok=True)
+    with open(telemetry / f"events-0badcafe-{os.getpid()}.jsonl", "w") as events:
         for record in (
-            {"event": "suite.experiment_done", "experiment": "fig1a", "elapsed_s": 0.1},
-            {"event": "suite.done", "elapsed_s": 0.2, "peak_rss_mb": PEAK_RSS_MB,
-             "trace_cache_mb": 1.5, "stats_cache_mb": 0.5},
+            {"type": "span", "name": "runner.experiment", "run": "0badcafe"},
+            {"type": "log", "event": "suite.experiment_done", "experiment": "fig1a",
+             "elapsed_s": 0.1, "run": "0badcafe"},
+            {"type": "log", "event": "suite.done", "elapsed_s": 0.2, "peak_rss_mb": PEAK_RSS_MB,
+             "trace_cache_mb": 1.5, "stats_cache_mb": 0.5, "run": "0badcafe"},
         ):
-            records.write(json.dumps(record) + "\\n")
+            events.write(json.dumps(record) + "\\n")
     """
 )
 

@@ -97,6 +97,18 @@ class TestCaches:
         assert get_trace("stream-copy", scale=0.05).name == "stream-copy"
         assert get_trace("gcc", scale=0.02).name == "gcc"
 
+    def test_persist_window_stats_reaches_new_and_existing_simulators(self, tmp_path):
+        clear_caches()
+        existing = get_simulator()
+        variant = replace(baseline_config(), row_bytes=4 * KB)
+        with common.persist_window_stats(tmp_path):
+            built = get_simulator(variant)
+            assert existing.stats_cache.persist_dir == built.stats_cache.persist_dir == tmp_path
+        assert existing.stats_cache.persist_dir is built.stats_cache.persist_dir is None
+        with common.persist_window_stats(None):
+            assert get_simulator(replace(variant, row_bytes=2 * KB)).stats_cache.persist_dir is None
+        clear_caches()
+
     def test_clear_caches(self):
         a = get_trace("xz", scale=0.02)
         clear_caches()

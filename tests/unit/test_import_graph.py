@@ -136,6 +136,17 @@ class TestSurface:
         ]
         assert unused == []
 
+    def test_no_module_reads_the_environment(self):
+        # Settings reach the package as arguments: a variable in
+        # os.environ outlives the call that set it, and code that reads
+        # it later ignores an object already built.
+        readers = [
+            str(path.relative_to(SRC))
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            if re.search(r"os\.environ|getenv", path.read_text())
+        ]
+        assert readers == []
+
     def test_every_private_definition_is_used(self):
         # A private function, method or class that nothing under
         # src/repro names is dead code, or an oracle that belongs in

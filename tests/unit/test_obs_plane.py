@@ -89,23 +89,21 @@ class TestPaperSuiteDone:
 
         suite = _load_script("run_paper_suite")
         monkeypatch.setattr(suite, "SUITE", ("fig1a",))
-        out, log_json, tele = tmp_path / "out.txt", tmp_path / "log.jsonl", tmp_path / "tele"
-        argv = [str(out), "--quiet", "--log-json", str(log_json), "--telemetry-dir", str(tele)]
+        out, tele = tmp_path / "out.txt", tmp_path / "tele"
         try:
-            assert suite.main(argv) == 0
+            assert suite.main([str(out), "--quiet", "--telemetry-dir", str(tele)]) == 0
         finally:
             obs_runtime.reset()
-        logged = [json.loads(line) for line in log_json.read_text().splitlines()]
-        done = [record for record in logged if record["event"] == "suite.done"]
-        assert len(done) == 1
-        assert done[0]["elapsed_s"] >= 0 and done[0]["peak_rss_mb"] > 0
-        assert done[0]["stats_cache_mb"] >= 0 and done[0]["trace_cache_mb"] >= 0
         events = [
             json.loads(line)
             for path in tele.glob("events-*.jsonl")
             for line in path.read_text().splitlines()
         ]
-        assert [e for e in events if e.get("event") == "suite.done"]
+        (finished,) = [e for e in events if e.get("event") == "suite.experiment_done"]
+        assert finished["experiment"] == "fig1a" and finished["elapsed_s"] >= 0
+        (done,) = [e for e in events if e.get("event") == "suite.done"]
+        assert done["elapsed_s"] >= 0 and done["peak_rss_mb"] > 0
+        assert done["stats_cache_mb"] >= 0 and done["trace_cache_mb"] >= 0
         # The suite gets its experiment root span from run_experiment.
         (root,) = [e for e in events if e.get("name") == "runner.experiment"]
         assert root["attrs"] == {"experiment": "fig1a", "scale": 1.0}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.logs import NORMAL, QUIET, VERBOSE, LogState, StructuredLogger
+from repro.obs.logs import NORMAL, QUIET, LogState, StructuredLogger
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import (
@@ -195,11 +195,9 @@ class TestSimulatorSpans:
 
 
 class TestStructuredLogger:
-    def _logger(self, tmp_path=None, verbosity=NORMAL):
+    def _logger(self, verbosity=NORMAL):
         state = LogState()
         state.verbosity = verbosity
-        if tmp_path is not None:
-            state.set_json_path(tmp_path / "log.jsonl")
         return StructuredLogger("test", state), state
 
     def test_message_printed_verbatim_to_stdout(self, capsys):
@@ -224,36 +222,10 @@ class TestStructuredLogger:
         assert "hidden" not in captured.out
         assert "shown" in captured.err
 
-    def test_verbose_shows_debug(self, capsys):
-        log, _ = self._logger(verbosity=VERBOSE)
-        log.debug("detail", message="debug line")
-        assert "debug line" in capsys.readouterr().out
-
-    def test_normal_hides_debug(self, capsys):
-        log, _ = self._logger()
-        log.debug("detail", message="debug line")
-        assert capsys.readouterr().out == ""
-
     def test_event_rendering_without_message(self, capsys):
         log, _ = self._logger()
         log.info("cache.cleared", entries=5)
         assert capsys.readouterr().out == "cache.cleared entries=5\n"
-
-    def test_json_sink_gets_all_records_even_when_quiet(self, tmp_path, capsys):
-        log, state = self._logger(tmp_path, verbosity=QUIET)
-        log.info("status", message="hidden", experiment="fig7")
-        log.debug("detail", step=3)
-        state.close()
-        capsys.readouterr()
-        lines = [
-            json.loads(line)
-            for line in (tmp_path / "log.jsonl").read_text().splitlines()
-        ]
-        assert [record["event"] for record in lines] == ["status", "detail"]
-        assert lines[0]["experiment"] == "fig7"
-        assert lines[0]["level"] == "info"
-        for record in lines:
-            assert {"ts", "level", "logger", "event"} <= set(record)
 
 
 class TestRunManifest:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dram.fast_model import TraceStats
-from repro.parallel.cache import StatsCache, default_persist_dir, stats_cache_key
-from repro.parallel.cache import STATS_CACHE_ENV
+from repro.parallel.cache import StatsCache, stats_cache_key
 
 
 def _stats(activations=100, hits=50):
@@ -336,13 +335,3 @@ class TestDiskLayer:
         cache.put(stats_cache_key(**BASE_KEY_ARGS), _stats(), 0)
         cache.clear(memory_only=False)
         assert not list(tmp_path.glob("*.npz"))
-
-
-class TestEnvironment:
-    def test_default_persist_dir(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(STATS_CACHE_ENV, raising=False)
-        assert default_persist_dir() is None
-        monkeypatch.setenv(STATS_CACHE_ENV, str(tmp_path))
-        assert default_persist_dir() == str(tmp_path)
-        monkeypatch.setenv(STATS_CACHE_ENV, "  ")
-        assert default_persist_dir() is None
