@@ -1,7 +1,9 @@
 """Benchmark: 100M-line file-backed trace at chunk-bounded peak RSS.
 
-Writes a 100-million-line raw ``.rtr`` trace (~800 MB) with the
-streaming writer, then pushes it through the full dynamic window
+Writes a 100-million-line raw ``<u8`` ``.rtr`` trace (~800 MB) with
+``save_trace_raw`` from a trace built over a scratch ``np.memmap`` (so
+the lines are never held in RAM either; the scratch file is deleted once
+the trace is written), then pushes it through the full dynamic window
 pipeline -- memmap load (which hashes the mapped lines in
 page-releasing chunks to verify the stored fingerprint), chunked
 Rubix-D translation, chunked analysis, remap advancement -- inside a
@@ -23,7 +25,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.workloads.trace_io import RawTraceWriter
+from repro.workloads.trace import Trace
+from repro.workloads.trace_io import save_trace_raw
 
 N_LINES = int(os.environ.get("REPRO_BENCH_MEMMAP_LINES", 100_000_000))
 CHUNK_LINES = 1 << 21  # 2M lines / 16 MB per chunk
@@ -72,16 +75,17 @@ def test_100m_line_memmap_window_bounded_rss(tmp_path, benchmark):
     from repro.dram.config import baseline_config
 
     total = baseline_config().total_lines
-    path = tmp_path / "big.rtr"
+    scratch = tmp_path / "lines.u8"
+    lines = np.memmap(scratch, dtype="<u8", mode="w+", shape=(N_LINES,))
     rng = np.random.default_rng(0xB16)
-    with RawTraceWriter(
-        path, name="memmap-bench", instructions=max(1, N_LINES // 2)
-    ) as writer:
-        written = 0
-        while written < N_LINES:
-            n = min(CHUNK_LINES, N_LINES - written)
-            writer.append(rng.integers(0, total, size=n, dtype=np.uint64))
-            written += n
+    for start in range(0, N_LINES, CHUNK_LINES):
+        stop = min(start + CHUNK_LINES, N_LINES)
+        lines[start:stop] = rng.integers(0, total, size=stop - start, dtype=np.uint64)
+    lines.flush()
+    trace = Trace("memmap-bench", lines, instructions=max(1, N_LINES // 2))
+    path = save_trace_raw(trace, tmp_path / "big.rtr")
+    del trace, lines
+    scratch.unlink()
     file_mb = path.stat().st_size / 1e6
 
     def run():

@@ -13,17 +13,24 @@ telemetry event streams (``DIR/events-*.jsonl``).  A run records:
   ``stats_cache_mb``: the ``suite.done`` record;
 - ``experiments``: each experiment's seconds, from its
   ``suite.experiment_done`` record;
+- ``layers``: each span name's seconds, the ``span.seconds`` counters
+  of ``DIR/metrics.jsonl`` summed over statuses by
+  ``repro.obs.summary.span_totals`` (the reader ``report --telemetry``
+  uses), absent when the tree wrote no ``metrics.jsonl``;
 - ``golden``: whether the output equals ``results_paper_suite.txt`` once
   the ``[... finished in Ns]`` timing lines are dropped.  A run whose
   output differs is still recorded, but its timings describe a different
   program.
 
 One invocation appends one entry to the history file: the measured
-tree's commit (and whether its working tree was dirty), the machine, the
-runs, and the quartiles of each number over the runs
-(``bench/benchstats.py``'s ``quartiles``, so this history and the
-repository benchmark summarize the same way).  Earlier entries are kept
-as they are.
+tree's commit (and whether its working tree was dirty; when it was,
+``tree`` is the git tree id of its tracked content, which equals the
+tree of a later commit of that content), the machine, the runs, and the
+quartiles of each number over the runs (``bench/benchstats.py``'s
+``quartiles``, so this history and the repository benchmark summarize
+the same way), each layer's included when every run recorded it.
+Earlier entries are kept as they are, and are never backfilled with
+layers.
 
 ``--against REV`` compares the tree with a parent commit instead.  REV,
 resolved in the tree's repository, is exported with ``git archive`` into
@@ -33,10 +40,13 @@ each pair runs the suite once on each side, the side that goes first
 alternating from pair to pair so a steady drift of the machine falls on
 both.  Each side's runs are checked against its own golden and appended
 as one entry (``"side": "parent"`` or ``"change"``).  For ``wall_s``,
-``elapsed_s`` and ``peak_rss_mb`` the script prints the pair wins and
-verdict of ``bench/compare.py``'s ``pair_wins`` and ``verdict``, so the
-suite and the repository benchmark judge alike; the bounds are
-:data:`BOUNDS`.  The exit status is 1 when a run's output differs from
+``elapsed_s`` and ``peak_rss_mb``, and for each span of :data:`LAYERS`
+that every run of both sides recorded, the script prints the medians,
+pair wins and verdict of ``bench/compare.py``'s ``pair_wins`` and
+``verdict``, so the suite and the repository benchmark judge alike; the
+bounds are :data:`BOUNDS` and :data:`LAYERS`.  A layer's row adds each
+side's median share of ``runner.experiment``, which cancels most of the
+machine's drift.  The exit status is 1 when a run's output differs from
 its golden or a verdict is ``regressed``.
 
 Usage::
@@ -63,10 +73,12 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
 from benchstats import quartiles  # noqa: E402
 from compare import pair_wins, verdict  # noqa: E402
+from repro.obs.metrics import snapshot_from_jsonl  # noqa: E402
+from repro.obs.summary import span_totals  # noqa: E402
 
 #: Output lines that hold a timing and so differ between runs.
 _TIMING_LINE = re.compile(r"^\[.* finished in [0-9.]+s\]$")
@@ -77,6 +89,25 @@ _TIMING_LINE = re.compile(r"^\[.* finished in [0-9.]+s\]$")
 #: commit have differed by 8%; ``suite.done``'s peak moved by 0.65%
 #: between runs minutes apart.
 BOUNDS = {"wall_s": 0.10, "elapsed_s": 0.10, "peak_rss_mb": 0.02}
+
+#: The spans ``--against`` judges, with their bounds.  In the first
+#: round that recorded layers, the parent's three runs spread 5.6%
+#: (``sim.analyze``), 3.9%, 3.4% and 28.8% (``sim.event_model``:
+#: abl-tracker's four-second scalar replay) of their medians; see
+#: docs/PERFORMANCE.md.
+LAYERS = {"sim.analyze": 0.10, "sim.translate": 0.10, "trace.gen": 0.10, "sim.event_model": 0.30}
+
+#: The span every layer's share is taken of.
+ROOT_SPAN = "runner.experiment"
+
+#: Identity of the throwaway commit ``git stash create`` writes, so it
+#: needs no configured user.
+_STASH_IDENT = {
+    "GIT_AUTHOR_NAME": "bench_suite",
+    "GIT_AUTHOR_EMAIL": "bench_suite@localhost",
+    "GIT_COMMITTER_NAME": "bench_suite",
+    "GIT_COMMITTER_EMAIL": "bench_suite@localhost",
+}
 
 #: Pairs ``--against`` runs by default, and the fewest it accepts.
 MIN_PAIRS = 3
@@ -152,7 +183,17 @@ def run_suite(tree: Path, golden: List[str]) -> dict:
         events = sorted(telemetry.glob("events-*.jsonl"))
         run = parse_log(line for path in events for line in path.read_text().splitlines())
         run["golden"] = without_timings(output.read_text()) == golden
+        metrics = telemetry / "metrics.jsonl"
+        if metrics.exists():
+            seconds = span_totals(snapshot_from_jsonl(metrics))["span.seconds"]
+            run["layers"] = {name: round(seconds[name], 3) for name in sorted(seconds)}
     return {"wall_s": round(wall_s, 3), **run}
+
+
+def common_layers(runs: List[dict]) -> List[str]:
+    """The span names every run recorded (none when a run has no layers)."""
+    names = [set(run.get("layers", ())) for run in runs]
+    return sorted(set.intersection(*names)) if names else []
 
 
 def summarize(runs: List[dict]) -> dict:
@@ -166,22 +207,33 @@ def summarize(runs: List[dict]) -> dict:
     summary["experiments"] = {
         name: spread([run["experiments"][name] for run in runs]) for name in runs[0]["experiments"]
     }
+    layers = common_layers(runs)
+    if layers:
+        summary["layers"] = {
+            name: spread([run["layers"][name] for run in runs]) for name in layers
+        }
     return summary
 
 
 def commit_of(tree: Path) -> dict:
     """The tree's commit and whether tracked files differ from it (None outside git)."""
 
-    def git(*args):
+    def git(*args, env=None):
         return subprocess.run(
-            ["git", *args], cwd=tree, capture_output=True, text=True, check=True
+            ["git", *args], cwd=tree, capture_output=True, text=True, check=True, env=env
         ).stdout.strip()
 
     try:
-        return {
+        measured = {
             "commit": git("rev-parse", "HEAD"),
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         }
+        if measured["dirty"]:
+            # A commit of the tracked files as they are, written without
+            # touching the index, the working tree or the stash list.
+            stash = git("stash", "create", env={**os.environ, **_STASH_IDENT})
+            measured["tree"] = git("rev-parse", f"{stash}^{{tree}}")
+        return measured
     except (OSError, subprocess.CalledProcessError):
         return {"commit": None, "dirty": None}
 
@@ -234,17 +286,32 @@ def make_entry(commit: dict, runs: List[dict], **extra) -> dict:
 
 
 def judge(parent: List[dict], change: List[dict]) -> Dict[str, dict]:
-    """``bench/compare.py``'s pair wins and verdict for each bounded number."""
-    rows = {}
-    for key, bound in BOUNDS.items():
-        a, b = [run[key] for run in parent], [run[key] for run in change]
+    """``bench/compare.py``'s pair wins and verdict for each bounded number,
+    and for each layer of :data:`LAYERS` that every run recorded."""
+
+    def row(a, b, bound):
         parent_wins, change_wins, pairs = pair_wins(a, b, "lower")
-        rows[key] = {
+        return {
             "parent": quartiles(a)[1],
             "change": quartiles(b)[1],
             "pair_wins": [parent_wins, change_wins, pairs],
             "verdict": verdict(a, b, bound, "lower"),
         }
+
+    rows = {
+        key: row([run[key] for run in parent], [run[key] for run in change], bound)
+        for key, bound in BOUNDS.items()
+    }
+    recorded = common_layers(parent + change)
+    for layer, bound in LAYERS.items():
+        if layer not in recorded or ROOT_SPAN not in recorded:
+            continue
+        sides = [[run["layers"][layer] for run in side] for side in (parent, change)]
+        rows[layer] = row(*sides, bound)
+        rows[layer]["share"] = [
+            round(quartiles([run["layers"][layer] / run["layers"][ROOT_SPAN] for run in side])[1], 4)
+            for side in (parent, change)
+        ]
     return rows
 
 
@@ -274,9 +341,13 @@ def against(args: argparse.Namespace, tree: Path, measured: dict, golden: List[s
     append_entry(args.history, change)
     for key, row in rows.items():
         wins = row["pair_wins"]
+        share = ""
+        if "share" in row:
+            share = f" share of {ROOT_SPAN} parent {row['share'][0]} change {row['share'][1]}"
         print(
             f"{key}: parent {row['parent']:.4g} change {row['change']:.4g}"
             f" pair_wins parent/change {wins[0]}/{wins[1]} of {wins[2]} verdict {row['verdict']}"
+            + share
         )
     goldens = all(run["golden"] for side in runs.values() for run in side)
     regressed = any(row["verdict"] == "regressed" for row in rows.values())

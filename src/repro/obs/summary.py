@@ -26,14 +26,20 @@ def _counters_by_name(snapshot: dict) -> Dict[str, Dict[str, float]]:
     return grouped
 
 
-def _span_table(snapshot: dict) -> List[str]:
-    """One row per span name: ``span.count`` over all statuses, ``span.seconds``."""
+def span_totals(snapshot: dict) -> Dict[str, Dict[str, float]]:
+    """``{"span.count": {span: n}, "span.seconds": {span: s}}`` over all statuses."""
     totals: Dict[str, Dict[str, float]] = {"span.count": {}, "span.seconds": {}}
     for key, value in snapshot.get("counters", {}).items():
         name, labels = parse_series_key(key)
         if name in totals and "span" in labels:
             by_span = totals[name]
             by_span[labels["span"]] = by_span.get(labels["span"], 0) + value
+    return totals
+
+
+def _span_table(snapshot: dict) -> List[str]:
+    """One row per span name: ``span.count`` and ``span.seconds``."""
+    totals = span_totals(snapshot)
     rows = []
     for span, total in totals["span.seconds"].items():
         count = int(totals["span.count"].get(span, 0))
@@ -137,4 +143,4 @@ def summarize_dir(directory: Union[str, Path]) -> str:
     return summarize_snapshot(snapshot, manifest=manifest)
 
 
-__all__ = ["summarize_dir", "summarize_snapshot"]
+__all__ = ["span_totals", "summarize_dir", "summarize_snapshot"]

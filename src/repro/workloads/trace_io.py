@@ -3,15 +3,17 @@
 Generating the biggest calibrated traces takes seconds; persisting them
 lets experiment campaigns (``file:<path>`` workloads) and external
 tools (e.g. feeding the same trace to another simulator) reuse
-identical streams.  A ``.rtr`` file (:class:`RawTraceWriter`,
-:func:`save_trace_raw`, :func:`load_trace`) is a versioned binary
+identical streams.  A ``.rtr`` file (:func:`save_trace_raw`,
+:func:`load_trace`) is a versioned binary
 layout whose line data sits 64-byte-aligned and little-endian on disk,
 so loading is one ``np.memmap`` call: **zero-copy**, demand-paged, and
 viable for multi-hundred-million-line traces that must never be
 materialized.  Lines are stored as they are held: ``<u4`` (4 bytes a
 line) for a ``uint32`` trace, ``<u8`` otherwise, and load back in that
-dtype.  The writer streams chunks (constant memory) and stores the
-trace's content fingerprint (:func:`~repro.workloads.trace.lines_fingerprint`:
+dtype.  The writer takes one :class:`~repro.workloads.trace.Trace`, in
+memory or itself memory-mapped (a trace too large for RAM is built over
+a scratch ``np.memmap``), writes its lines in bounded slices and stores
+its content fingerprint (:func:`~repro.workloads.trace.lines_fingerprint`:
 SHA-256 over the lines at their canonical 4- or 8-byte width, so it does
 not depend on the stored dtype) in the metadata under
 :data:`FINGERPRINT_KEY`.
@@ -35,12 +37,17 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from repro.errors import TraceFormatError
-from repro.workloads.trace import FINGERPRINT_CHUNK_BYTES, Trace, lines_fingerprint
+from repro.workloads.trace import (
+    FINGERPRINT_CHUNK_BYTES,
+    Trace,
+    iter_line_chunks,
+    lines_fingerprint,
+)
 
 #: Metadata keys every trace file must carry.
 REQUIRED_META_KEYS = ("version", "name", "instructions", "window_s", "scale")
@@ -78,147 +85,6 @@ RAW_HEADER_BYTES = 64
 _RAW_HEADER_STRUCT = struct.Struct("<8sIIII QQ")
 
 
-# ---------------------------------------------------------------------------
-# Streaming writer
-# ---------------------------------------------------------------------------
-class RawTraceWriter:
-    """Stream a raw ``.rtr`` trace file chunk by chunk, constant-memory.
-
-    The writer never holds more than one appended chunk: callers
-    generating (or transcoding) traces far larger than RAM feed line
-    batches through :meth:`append` and the file grows in place.  On
-    :meth:`close` the writer re-reads the written data in bounded chunks
-    to compute the content fingerprint (the digest stream starts with
-    the final line count, which is only known now), writes the tail
-    metadata and final header, and atomically renames the temp file into
-    place -- readers never observe a half-written trace.
-
-    Usage::
-
-        with RawTraceWriter(path, name="synth", instructions=10**9) as w:
-            for chunk in generate_chunks():
-                w.append(chunk)
-        trace = load_trace(path)   # np.memmap, zero-copy
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        name: str,
-        instructions: int,
-        window_s: float = 64e-3,
-        scale: float = 1.0,
-        seed: Optional[int] = None,
-    ) -> None:
-        self.path = _raw_path(path)
-        self.meta = {
-            "version": RAW_FORMAT_VERSION,
-            "name": str(name),
-            "instructions": int(instructions),
-            "window_s": float(window_s),
-            "scale": float(scale),
-        }
-        if seed is not None:
-            self.meta["seed"] = int(seed)
-        self.n_lines = 0
-        # Line dtype code, fixed by the first chunk appended.
-        self._code: Optional[int] = None
-        self._closed = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._tmp = self.path.with_name(f".{self.path.stem}.{os.getpid()}.tmp.rtr")
-        self._file = open(self._tmp, "wb")
-        self._file.write(b"\0" * RAW_HEADER_BYTES)  # placeholder header
-
-    def append(self, lines: np.ndarray) -> None:
-        """Append a batch of line addresses (any integer array-like).
-
-        The first batch fixes the file's line dtype: ``<u4`` when it is
-        a ``uint32`` array, ``<u8`` otherwise.  Later batches are stored
-        in that dtype; one that does not fit a ``<u4`` file is refused.
-        """
-        if self._closed:
-            raise ValueError("writer is closed")
-        lines = np.asarray(lines)
-        if lines.ndim != 1:
-            raise ValueError(f"line chunks must be 1-D, got shape {lines.shape}")
-        if self._code is None:
-            narrow = lines.dtype == np.uint32
-            self._code = RAW_DTYPE_CODE_U32LE if narrow else RAW_DTYPE_CODE_U64LE
-        chunk = np.ascontiguousarray(lines, dtype=_RAW_DTYPES[self._code])
-        if chunk.itemsize < lines.itemsize and not np.array_equal(chunk, lines):
-            raise ValueError(
-                f"{self.path}: a line address past 32 bits cannot join a file"
-                " whose first chunk was uint32"
-            )
-        self._file.write(memoryview(chunk))
-        self.n_lines += int(chunk.size)
-
-    def close(self) -> Path:
-        """Finalize header + metadata and publish the file; returns its path."""
-        if self._closed:
-            return self.path
-        self._closed = True
-        try:
-            self._file.flush()
-            self.meta[FINGERPRINT_KEY] = self._fingerprint()
-            raw_meta = json.dumps(self.meta).encode()
-            self._file.seek(0, os.SEEK_END)
-            self._file.write(raw_meta)
-            header = _RAW_HEADER_STRUCT.pack(
-                RAW_MAGIC,
-                RAW_FORMAT_VERSION,
-                RAW_ENDIAN_WORD,
-                self._code or RAW_DTYPE_CODE_U64LE,
-                0,
-                self.n_lines,
-                len(raw_meta),
-            )
-            self._file.seek(0)
-            self._file.write(header)
-            self._file.close()
-            os.replace(self._tmp, self.path)
-        finally:
-            if not self._file.closed:
-                self._file.close()
-            if self._tmp.exists():
-                self._tmp.unlink()
-        return self.path
-
-    def _fingerprint(self) -> str:
-        """Streamed digest of the written data (bounded re-read)."""
-        if self.n_lines == 0:
-            return lines_fingerprint(np.empty(0, dtype=np.uint64))
-        data = np.memmap(
-            self._tmp,
-            dtype=_RAW_DTYPES[self._code],
-            mode="r",
-            offset=RAW_HEADER_BYTES,
-            shape=(self.n_lines,),
-        )
-        try:
-            return lines_fingerprint(data)
-        finally:
-            del data
-
-    def abort(self) -> None:
-        """Discard the temp file without publishing anything."""
-        self._closed = True
-        if not self._file.closed:
-            self._file.close()
-        if self._tmp.exists():
-            self._tmp.unlink()
-
-    def __enter__(self) -> "RawTraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-
 def _raw_path(path: Union[str, Path]) -> Path:
     path = Path(path)
     if path.suffix != ".rtr":
@@ -226,31 +92,60 @@ def _raw_path(path: Union[str, Path]) -> Path:
     return path
 
 
+# ---------------------------------------------------------------------------
+# Writer
+# ---------------------------------------------------------------------------
 def save_trace_raw(trace: Trace, path: Union[str, Path]) -> Path:
-    """Write an in-memory trace as a raw ``.rtr`` file, atomically.
+    """Write a trace as a raw ``.rtr`` file, atomically; returns the path.
 
-    Streams the line array in bounded chunks through
-    :class:`RawTraceWriter` (the trace may itself be memmap-backed), so
-    transcoding never doubles peak memory.  The lines are stored as
-    ``<u4`` when the trace holds them as ``uint32``, else as ``<u8``.
-    Returns the path written.
+    The lines are stored as ``<u4`` when the trace holds them as
+    ``uint32``, else as ``<u8``, in slices of at most
+    :data:`~repro.workloads.trace.FINGERPRINT_CHUNK_BYTES` (zero-copy
+    views of a trace already in its stored dtype; a memory-mapped
+    trace's consumed pages are released as they go), so writing never
+    doubles peak memory.  The stored digest is the trace's memoized
+    :attr:`~repro.workloads.trace.Trace.fingerprint`.  The file is
+    written to a temporary name beside ``path`` and renamed into place,
+    so a failure leaves nothing behind.
+
+    Raises:
+        ValueError: ``trace.lines`` is not one-dimensional.
     """
-    writer = RawTraceWriter(
-        path,
-        name=trace.name,
-        instructions=trace.instructions,
-        window_s=trace.window_s,
-        scale=trace.scale,
-        seed=trace.seed,
+    lines = trace.lines
+    if lines.ndim != 1:
+        raise ValueError(f"trace lines must be 1-D, got shape {lines.shape}")
+    # An empty trace is stored as <u8, as every empty .rtr file has been.
+    narrow = lines.dtype == np.uint32 and lines.size > 0
+    code = RAW_DTYPE_CODE_U32LE if narrow else RAW_DTYPE_CODE_U64LE
+    meta = {
+        "version": RAW_FORMAT_VERSION,
+        "name": str(trace.name),
+        "instructions": int(trace.instructions),
+        "window_s": float(trace.window_s),
+        "scale": float(trace.scale),
+    }
+    if trace.seed is not None:
+        meta["seed"] = int(trace.seed)
+    meta[FINGERPRINT_KEY] = trace.fingerprint
+    raw_meta = json.dumps(meta).encode()
+    header = _RAW_HEADER_STRUCT.pack(
+        RAW_MAGIC, RAW_FORMAT_VERSION, RAW_ENDIAN_WORD, code, 0, lines.size, len(raw_meta)
     )
+    dtype = _RAW_DTYPES[code]
+    path = _raw_path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp.rtr")
     try:
-        step = max(1, FINGERPRINT_CHUNK_BYTES // trace.lines.dtype.itemsize)
-        for start in range(0, int(trace.lines.size), step):
-            writer.append(trace.lines[start : start + step])
+        with open(tmp, "wb") as handle:
+            handle.write(header.ljust(RAW_HEADER_BYTES, b"\0"))
+            for chunk in iter_line_chunks(lines, FINGERPRINT_CHUNK_BYTES // dtype.itemsize):
+                handle.write(memoryview(np.ascontiguousarray(chunk, dtype=dtype)))
+            handle.write(raw_meta)
+        os.replace(tmp, path)
     except BaseException:
-        writer.abort()
+        tmp.unlink(missing_ok=True)
         raise
-    return writer.close()
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +258,6 @@ __all__ = [
     "RAW_DTYPE_CODE_U64LE",
     "RAW_DTYPE_CODE_U32LE",
     "RAW_HEADER_BYTES",
-    "RawTraceWriter",
     "save_trace_raw",
     "load_trace",
 ]

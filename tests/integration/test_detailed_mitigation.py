@@ -17,6 +17,7 @@ from repro.mapping.intel import CoffeeLakeMapping
 from repro.mitigations.aqua import AQUA
 from repro.mitigations.blockhammer import Blockhammer
 from repro.mitigations.srs import SRS
+from repro.workloads.attacks import double_sided_attack
 
 T_RH = 128
 
@@ -63,6 +64,28 @@ class TestAQUADetailed:
         assert system.stats.mitigation_stall_s == pytest.approx(
             aqua.migrations * aqua.costs.migration_s
         )
+
+    def test_migration_stall_blocks_channel(self, config):
+        # Hammer one row past the tracker threshold: conflict-alternate
+        # two same-bank rows (built via the mapping inverse, so the bank
+        # hash cannot route them apart).
+        aqua = AQUA(config, T_RH)
+        mapping = CoffeeLakeMapping(config)
+        system = MemorySystem(config, mapping, mitigation=aqua)
+        attack = double_sided_attack(mapping, victim_row=600, activations_per_side=80)
+        results = system.run_trace(
+            [Request(int(line), i * 60e-9) for i, line in enumerate(attack.lines)],
+            collect_results=True,
+        )
+        assert aqua.migrations >= 1
+        stalled = [r for r in results if r.mitigation_stall > 0]
+        assert len(stalled) == aqua.migrations
+        assert system.stats.mitigation_stall_s > 0
+        # A request to another bank issued mid-migration waits for it.
+        last = stalled[-1]
+        probe = system.access(config.lines_per_row, last.completion - last.mitigation_stall)
+        assert probe.coord.channel == last.coord.channel
+        assert probe.start >= last.completion
 
 
 class TestSRSDetailed:

@@ -2,8 +2,9 @@
 
 The suite itself takes a minute, so these tests point the script at a
 stand-in tree whose ``scripts/run_paper_suite.py`` writes a one-line
-output and, to an event stream in its telemetry directory, the two log
-records the script reads.  ``--against`` gets two
+output and, to its telemetry directory, an event stream with the two
+log records the script reads and a ``metrics.jsonl`` with the
+``span.seconds`` counters it reads the layers from.  ``--against`` gets two
 stand-in trees: a committed one, the parent, and the same repository's
 working tree with the stand-in suite edited, the change.
 """
@@ -24,6 +25,7 @@ _FAKE_SUITE = textwrap.dedent(
     """
     import json, os, pathlib, sys
     PEAK_RSS_MB = 50.0
+    LAYERS = True
     output = sys.argv[1]
     telemetry = pathlib.Path(sys.argv[sys.argv.index("--telemetry-dir") + 1])
     with open(output, "w") as out:
@@ -38,8 +40,20 @@ _FAKE_SUITE = textwrap.dedent(
              "trace_cache_mb": 1.5, "stats_cache_mb": 0.5, "run": "0badcafe"},
         ):
             events.write(json.dumps(record) + "\\n")
+    spans = [("runner.experiment", "ok", 1.0), ("sim.analyze", "ok", 0.3),
+             ("sim.analyze", "error", 0.1), ("sim.translate", "ok", 0.25)]
+    with open(telemetry / "metrics.jsonl", "w") as metrics:
+        for span, status, seconds in spans if LAYERS else ():
+            labels = {"span": span, "status": status}
+            for name, value in (("span.count", 2), ("span.seconds", seconds)):
+                metrics.write(json.dumps(
+                    {"kind": "counter", "labels": labels, "name": name, "value": value}
+                ) + "\\n")
     """
 )
+
+#: The stand-in suite's ``span.seconds``, summed over statuses.
+LAYERS = {"runner.experiment": 1.0, "sim.analyze": 0.4, "sim.translate": 0.25}
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +98,10 @@ def test_entries_append_and_keep_history(bench_suite, tree, tmp_path):
         assert run["experiments"] == {"fig1a": 0.1}
         caches = (run["trace_cache_mb"], run["stats_cache_mb"])
         assert run["peak_rss_mb"] == 50.0 and caches == (1.5, 0.5)
+        assert run["layers"] == LAYERS
     assert entry["summary"]["peak_rss_mb"] == [50.0, 50.0, 50.0]
     assert entry["summary"]["experiments"] == {"fig1a": [0.1, 0.1, 0.1]}
+    assert entry["summary"]["layers"] == {name: [s, s, s] for name, s in LAYERS.items()}
 
 
 def test_changed_output_is_recorded_and_fails(bench_suite, tree, tmp_path):
@@ -104,13 +120,34 @@ def test_log_without_done_record_is_refused(bench_suite):
 
 def test_summary_quartiles(bench_suite):
     runs = [
-        {"wall_s": wall, "elapsed_s": wall - 1, "peak_rss_mb": 380.0, "experiments": {"fig7": wall / 10}}
+        {
+            "wall_s": wall,
+            "elapsed_s": wall - 1,
+            "peak_rss_mb": 380.0,
+            "experiments": {"fig7": wall / 10},
+            "layers": {"sim.analyze": wall / 3, "trace.gen": 5.0},
+        }
         for wall in (60.0, 62.0, 70.0, 64.0)
     ]
     summary = bench_suite.summarize(runs)
     assert summary["wall_s"][1] == 63.0
     assert summary["wall_s"][0] <= 63.0 <= summary["wall_s"][2]
     assert summary["experiments"]["fig7"][1] == 6.3
+    assert summary["layers"]["sim.analyze"][1] == 21.0
+    assert summary["layers"]["trace.gen"] == [5.0, 5.0, 5.0]
+    # A run without layers (an older tree's) leaves the summary without them.
+    del runs[0]["layers"]
+    assert "layers" not in bench_suite.summarize(runs)
+
+
+def test_a_tree_without_metrics_records_no_layers(bench_suite, tree, tmp_path):
+    suite = tree / "scripts" / "run_paper_suite.py"
+    suite.write_text(suite.read_text().replace("LAYERS = True", "LAYERS = False"))
+    history = tmp_path / "BENCH_suite.json"
+    assert bench_suite.main(["--runs", "1", "--tree", str(tree), "--history", str(history)]) == 0
+    (entry,) = json.loads(history.read_text())["history"]
+    assert entry["runs"][0]["layers"] == {}
+    assert "layers" not in entry["summary"]
 
 
 def _git(tree, *args):
@@ -155,13 +192,21 @@ def test_against_appends_one_entry_per_side(bench_suite, repo, tmp_path, capsys)
     assert (change["side"], change["commit"], change["against"]) == ("change", head, head)
     assert len(parent["runs"]) == len(change["runs"]) == 3  # the default pair count
     assert all(run["golden"] for run in parent["runs"] + change["runs"])
+    assert "tree" not in parent and "tree" not in change  # both clean
+    assert all(run["layers"] == LAYERS for run in parent["runs"] + change["runs"])
     comparison = change["comparison"]
-    assert set(comparison) == {"wall_s", "elapsed_s", "peak_rss_mb"}
-    for key in ("elapsed_s", "peak_rss_mb"):  # equal on every run: ties
+    # Only the judged layers both sides recorded get a row.
+    assert set(comparison) == {"wall_s", "elapsed_s", "peak_rss_mb", "sim.analyze", "sim.translate"}
+    for key in ("elapsed_s", "peak_rss_mb", "sim.analyze", "sim.translate"):  # ties
         assert comparison[key]["pair_wins"] == [0, 0, 3]
         assert comparison[key]["verdict"] == "unchanged"
+    assert comparison["sim.analyze"]["share"] == [0.4, 0.4]
     out = capsys.readouterr().out
     assert "peak_rss_mb: parent 50 change 50 pair_wins parent/change 0/0 of 3" in out
+    assert (
+        "sim.translate: parent 0.25 change 0.25 pair_wins parent/change 0/0 of 3 verdict"
+        " unchanged share of runner.experiment parent 0.25 change 0.25"
+    ) in out
     regressed = any(row["verdict"] == "regressed" for row in comparison.values())
     assert status == (1 if regressed else 0)
     assert not list((tmp_path / "scratch").iterdir()), "the parent's export was left behind"
@@ -178,6 +223,28 @@ def test_against_flags_a_regressed_peak(bench_suite, repo, tmp_path):
     assert [run["peak_rss_mb"] for run in change["runs"]] == [60.0] * 4
     assert change["comparison"]["peak_rss_mb"]["pair_wins"] == [4, 0, 4]
     assert change["comparison"]["peak_rss_mb"]["verdict"] == "regressed"
+
+
+def test_dirty_tree_records_its_tracked_content(bench_suite, repo, tmp_path):
+    """An ``--against`` round run before the change is committed names
+    the change by the tree id its tracked content will commit as, and
+    leaves the index, the working tree and the stash list alone."""
+    suite = repo / "scripts" / "run_paper_suite.py"
+    suite.write_text(suite.read_text().replace("LAYERS = True", "LAYERS = False"))
+    (repo / "untracked.txt").write_text("not part of the tree\n")
+    status = _git(repo, "status", "--porcelain")
+    history = tmp_path / "BENCH_suite.json"
+    _against(bench_suite, repo, history)  # wall_s alone may read regressed
+    parent, change = json.loads(history.read_text())["history"]
+    assert _git(repo, "status", "--porcelain") == status
+    assert _git(repo, "stash", "list") == ""
+    assert (change["dirty"], "tree" in parent) == (True, False)
+    # The change side wrote no metrics: no layer is judged.
+    assert set(change["comparison"]) == {"wall_s", "elapsed_s", "peak_rss_mb"}
+    assert "layers" in parent["summary"] and "layers" not in change["summary"]
+    _git(repo, "commit", "-qam", "change")
+    assert change["tree"] == _git(repo, "rev-parse", "HEAD^{tree}")
+    assert change["tree"] != _git(repo, "rev-parse", "HEAD~1^{tree}")
 
 
 def test_against_removes_the_export_when_a_run_fails(bench_suite, repo, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from repro.dram.commands import Command, CommandType, ProtocolTiming
 from repro.dram.config import Coordinate, DRAMConfig
 from repro.dram.protocol import ProtocolEngine
+from repro.mapping.intel import CoffeeLakeMapping
 from repro.mapping.linear import LinearMapping
 
 
@@ -155,6 +156,23 @@ class TestRunTrace:
         stats = engine.run_trace(mapping, np.arange(100, dtype=np.uint64), write_every=4)
         assert stats.writes == 25
         assert stats.reads == 75
+
+    def test_every_latency_covers_cas_and_burst(self, config):
+        """Served in order, with hits, misses and conflicts mixed, no
+        request's data is ready sooner than tCL + tBurst after it issues."""
+        engine = ProtocolEngine(config)
+        mapping = CoffeeLakeMapping(config)
+        spread = np.random.default_rng(0).integers(0, config.total_lines, 200, dtype=np.uint64)
+        lines = np.repeat(spread, 2)  # each line twice: a miss, then a hit
+        t = engine.timing
+        clock = 0.0
+        for index, line in enumerate(lines):
+            clock = max(clock, index * 5e-9)
+            outcome = engine.access(mapping.translate(int(line)), clock)
+            assert outcome.start >= clock
+            assert outcome.latency >= t.t_cl + t.t_burst - 1e-12
+            clock = outcome.data_ready
+        assert 0 < engine.activations < 400
 
     def test_sequential_trace_mostly_hits(self, config):
         engine = ProtocolEngine(config)

@@ -12,7 +12,6 @@ from repro.experiments.common import ExperimentResult
 from repro.workloads.trace import Trace
 from repro.workloads.trace_io import (
     RAW_HEADER_BYTES,
-    RawTraceWriter,
     load_trace,
     save_trace_raw,
 )
@@ -103,10 +102,9 @@ class TestTraceIO:
 
     def test_malformed_lines_array(self, tmp_path):
         # A 2-D line array is refused before anything is published.
-        trace_2d = np.ones((2, 5), dtype=np.uint64)
+        trace_2d = Trace("x", np.ones((2, 5), dtype=np.uint64), instructions=10)
         with pytest.raises(ValueError, match="1-D"):
-            with RawTraceWriter(tmp_path / "bad", name="x", instructions=10) as writer:
-                writer.append(trace_2d)
+            save_trace_raw(trace_2d, tmp_path / "bad")
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_meta_values(self, tmp_path):

@@ -29,7 +29,6 @@ from repro.workloads.trace_io import (
     RAW_FORMAT_VERSION,
     RAW_HEADER_BYTES,
     RAW_MAGIC,
-    RawTraceWriter,
     load_trace,
     save_trace_raw,
 )
@@ -176,53 +175,45 @@ def test_flipped_data_bit_is_refused(tmp_path, trace):
     assert load_trace(tmp_path / "good.rtr").fingerprint == trace.fingerprint
 
 
-def test_streaming_writer_matches_one_shot(tmp_path, trace):
-    one_shot = _written(tmp_path, trace, "oneshot")
-    with RawTraceWriter(
-        tmp_path / "chunked",
-        name=trace.name,
-        instructions=trace.instructions,
-        window_s=trace.window_s,
-        scale=trace.scale,
-        seed=trace.seed,
-    ) as writer:
-        for start in range(0, trace.lines.size, 7_001):
-            writer.append(trace.lines[start : start + 7_001])
-    assert (tmp_path / "chunked.rtr").read_bytes() == one_shot.read_bytes()
-    # uint32 chunks make a <u4 file; uint64 chunks of the same values a
-    # <u8 file with the same fingerprint.
-    assert _header(one_shot)[0] == RAW_DTYPE_CODE_U32LE
-    with RawTraceWriter(tmp_path / "wide", name=trace.name, instructions=1) as writer:
-        for start in range(0, trace.lines.size, 7_001):
-            writer.append(trace.lines[start : start + 7_001].astype(np.uint64))
-    wide = tmp_path / "wide.rtr"
-    assert _header(wide)[0] == RAW_DTYPE_CODE_U64LE
-    assert load_trace(wide)._fingerprint == trace.fingerprint
+#: SHA-256 of the whole file ``save_trace_raw`` writes for the ``trace``
+#: fixture (``uint32``) and for its ``uint64`` twin:
+#: the header, the line bytes and the metadata tail must never drift.
+_FILE_SHA256 = {
+    "uint32": "3d2c587208762ad3ecc2a49cbb746e5149300d97297a27eb54d1743db1492338",
+    "uint64": "4d7dd9d16581690fc205d10162920a4378f055fd81d9331cb8650b558cc4136f",
+}
 
 
-def test_writer_refuses_a_wide_chunk_after_uint32(tmp_path, trace):
-    with pytest.raises(ValueError, match="past 32 bits"):
-        with RawTraceWriter(tmp_path / "mixed", name="m", instructions=1) as writer:
-            writer.append(trace.lines[:10])
-            writer.append(np.array([1 << 32], dtype=np.uint64))
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("held", ["uint32", "uint64"])
+def test_written_bytes_are_pinned(tmp_path, trace, held):
+    if held == "uint64":  # the test_wide_trace_roundtrips_as_u8 shape
+        lines = trace.lines.astype(np.uint64)
+        lines[-1] = 1 << 32
+        trace = Trace("wide", lines, instructions=10**6, seed=7)
+    assert trace.lines.dtype == np.dtype(held)
+    data = _written(tmp_path, trace).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _FILE_SHA256[held]
 
 
 def test_empty_trace_roundtrip(tmp_path):
-    with RawTraceWriter(tmp_path / "empty", name="empty", instructions=1) as writer:
-        pass
-    loaded = load_trace(tmp_path / "empty.rtr")
+    empty = Trace("empty", np.empty(0, dtype=np.uint64), instructions=1)
+    path = _written(tmp_path, empty, "empty")
+    assert _header(path)[:2] == (RAW_DTYPE_CODE_U64LE, 0)
+    loaded = load_trace(path)
     assert loaded.lines.size == 0
     assert loaded.fingerprint == lines_fingerprint(np.empty(0, dtype=np.uint64))
 
 
-def test_writer_abort_leaves_nothing(tmp_path, trace):
-    try:
-        with RawTraceWriter(tmp_path / "gone", name="x", instructions=1) as writer:
-            writer.append(trace.lines[:10])
-            raise RuntimeError("boom")
-    except RuntimeError:
-        pass
+def test_writer_abort_leaves_nothing(tmp_path, trace, monkeypatch):
+    """A save that fails after the lines are written publishes nothing
+    and removes its temporary file."""
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("repro.workloads.trace_io.os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_trace_raw(trace, tmp_path / "gone")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -280,8 +271,8 @@ def test_fingerprint_same_for_uint32_uint64_and_memmap(tmp_path):
 
 @pytest.mark.parametrize("action", ["fingerprint", "save_trace_raw"])
 def test_uint32_fingerprint_temporary_is_bounded(tmp_path, action):
-    """Hashing a four-byte trace, alone or as ``save_trace_raw`` closes
-    the file, feeds zero-copy views of its lines: the traced peak stays
+    """Hashing a four-byte trace, alone or as ``save_trace_raw`` writes
+    it, feeds zero-copy views of its lines: the traced peak stays
     at or under 0.05 bytes per line, with no widened copy at all."""
     import tracemalloc
 
