@@ -34,8 +34,15 @@ layers.
 
 ``--against REV`` compares the tree with a parent commit instead.  REV,
 resolved in the tree's repository, is exported with ``git archive`` into
-a temporary directory, which is removed afterwards whether or not the
-runs succeed.  ``--runs`` then counts pairs (at least 3, the default):
+a temporary directory, and so is the tree's tracked content as it was
+before the runs (the ``git stash create`` commit when tracked files
+differ from HEAD, staged new files included, otherwise HEAD; untracked
+files stay behind) into a second one whose path has the same length.
+Neither side runs from the checkout itself, so the two differ in code
+only, not in where they run (a checkout run against a ``/tmp`` export
+showed a one-sided offset in layer shares).  Both
+directories are removed afterwards whether or not the runs succeed.
+``--runs`` then counts pairs (at least 3, the default):
 each pair runs the suite once on each side, the side that goes first
 alternating from pair to pair so a steady drift of the machine falls on
 both.  Each side's runs are checked against its own golden and appended
@@ -58,6 +65,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import io
 import json
@@ -215,24 +223,25 @@ def summarize(runs: List[dict]) -> dict:
     return summary
 
 
+def git(repo: Path, *args: str, env=None) -> str:
+    """``git ARGS`` run in ``repo``; its stdout, stripped."""
+    return subprocess.run(
+        ["git", *args], cwd=repo, capture_output=True, text=True, check=True, env=env
+    ).stdout.strip()
+
+
 def commit_of(tree: Path) -> dict:
     """The tree's commit and whether tracked files differ from it (None outside git)."""
-
-    def git(*args, env=None):
-        return subprocess.run(
-            ["git", *args], cwd=tree, capture_output=True, text=True, check=True, env=env
-        ).stdout.strip()
-
     try:
         measured = {
-            "commit": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+            "commit": git(tree, "rev-parse", "HEAD"),
+            "dirty": bool(git(tree, "status", "--porcelain", "--untracked-files=no")),
         }
         if measured["dirty"]:
             # A commit of the tracked files as they are, written without
             # touching the index, the working tree or the stash list.
-            stash = git("stash", "create", env={**os.environ, **_STASH_IDENT})
-            measured["tree"] = git("rev-parse", f"{stash}^{{tree}}")
+            stash = git(tree, "stash", "create", env={**os.environ, **_STASH_IDENT})
+            measured["tree"] = git(tree, "rev-parse", f"{stash}^{{tree}}")
         return measured
     except (OSError, subprocess.CalledProcessError):
         return {"commit": None, "dirty": None}
@@ -260,17 +269,13 @@ def machine() -> dict:
     return info
 
 
-def export_tree(repo: Path, rev: str, into: Path) -> str:
-    """Extract commit ``rev`` of ``repo``'s repository into ``into``; returns its hash."""
-
-    def git(*args, **kwargs):
-        return subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True, **kwargs)
-
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}", text=True).stdout.strip()
-    archive = git("archive", "--format=tar", commit).stdout
+def export_tree(repo: Path, rev: str, into: Path) -> None:
+    """Extract ``rev`` (a commit or tree id) of ``repo``'s repository into ``into``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=repo, capture_output=True, check=True
+    ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
-    return commit
 
 
 def make_entry(commit: dict, runs: List[dict], **extra) -> dict:
@@ -315,14 +320,20 @@ def judge(parent: List[dict], change: List[dict]) -> Dict[str, dict]:
     return rows
 
 
-def against(args: argparse.Namespace, tree: Path, measured: dict, golden: List[str]) -> int:
-    """Alternate ``args.runs`` pairs of runs between REV and ``tree``."""
+def against(args: argparse.Namespace, tree: Path, measured: dict) -> int:
+    """Alternate ``args.runs`` pairs of runs between exports of REV and ``tree``."""
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-suite-parent-") as scratch:
-        parent_tree = Path(scratch)
-        commit = export_tree(tree, args.against, parent_tree)
-        parent_golden = without_timings((parent_tree / "results_paper_suite.txt").read_text())
-        sides = {"parent": (parent_tree, parent_golden), "change": (tree, golden)}
+    commit = git(tree, "rev-parse", "--verify", f"{args.against}^{{commit}}")
+    revs = {"parent": commit, "change": measured.get("tree", measured["commit"])}
+    # "parent" and "change" have the same length, and so has mkdtemp's
+    # random suffix: both sides run from paths of equal length.
+    with contextlib.ExitStack() as stack:
+        sides = {}
+        for side, rev in revs.items():
+            scratch = tempfile.TemporaryDirectory(prefix=f"bench-suite-{side}-")
+            into = Path(stack.enter_context(scratch))
+            export_tree(tree, rev, into)
+            sides[side] = (into, without_timings((into / "results_paper_suite.txt").read_text()))
         for index in range(args.runs):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             for side in order:
@@ -368,9 +379,9 @@ def main(argv=None) -> int:
     tree = args.tree.resolve()
     # Taken before the runs, which the tree may be edited during.
     measured = commit_of(tree)
-    golden = without_timings((tree / "results_paper_suite.txt").read_text())
     if args.against:
-        return against(args, tree, measured, golden)
+        return against(args, tree, measured)
+    golden = without_timings((tree / "results_paper_suite.txt").read_text())
     runs = []
     for index in range(args.runs):
         run = run_suite(tree, golden)

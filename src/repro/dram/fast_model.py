@@ -181,6 +181,16 @@ def _group_by_bank(global_row: np.ndarray, rows_per_bank: int) -> np.ndarray:
     return key
 
 
+def check_max_hits(max_hits: Optional[int]) -> None:
+    """Reject an open-adaptive budget below one access (``None`` is open page).
+
+    Every tier -- this analyzer, the event-level memory system and the
+    protocol engine -- takes the budget as ``max_hits`` and checks it here.
+    """
+    if max_hits is not None and max_hits < 1:
+        raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
+
+
 def _activation_mask(new_run: np.ndarray, max_hits: int) -> np.ndarray:
     """Which accesses issue an ACT under a ``max_hits`` budget, in ``new_run``'s place.
 
@@ -277,11 +287,10 @@ def analyze_trace(
     global_row = np.asarray(global_row)
     if global_row.ndim != 1:
         raise ValueError("global_row must be a 1-D array")
+    check_max_hits(max_hits)
     n = global_row.size
     if n == 0:
         return TraceStats(0, 0, 0, _EMPTY_HISTOGRAM, _EMPTY_HISTOGRAM, 0)
-    if max_hits is not None and max_hits < 1:
-        raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
     g = _group_by_bank(global_row, rows_per_bank)
     # From here on every count happens inside ``g``, which this call
     # owns.  Dropping the input lets ids a caller handed over (kept no
@@ -342,8 +351,7 @@ def activated_lines(
     global_row, col = np.asarray(global_row), np.asarray(col)
     if global_row.ndim != 1 or col.shape != global_row.shape:
         raise ValueError("global_row and col must be aligned 1-D arrays")
-    if max_hits is not None and max_hits < 1:
-        raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
+    check_max_hits(max_hits)
     if global_row.size == 0:
         return _EMPTY_HISTOGRAM, _EMPTY_HISTOGRAM
     dtype = _fitting_int((int(global_row.max()) + 1) * lines_per_row - 1)
@@ -457,4 +465,4 @@ class ChunkedAnalyzer:
         )
 
 
-__all__ = ["TraceStats", "analyze_trace", "activated_lines", "ChunkedAnalyzer"]
+__all__ = ["TraceStats", "check_max_hits", "analyze_trace", "activated_lines", "ChunkedAnalyzer"]

@@ -1,9 +1,11 @@
 """Detailed event-driven memory-system model.
 
 This tier models each request's journey through the controller: FR-FCFS
-selection from a finite queue, per-bank row-buffer state with the
-open-adaptive policy, channel blocking during mitigative row migrations,
-and per-activation mitigation hooks (tracking + action).
+selection from a finite queue, per-bank row-buffer state under the
+open-adaptive page policy (``max_hits``, the budget every tier takes),
+channel blocking during mitigative row migrations, per-activation
+mitigation hooks (tracking + action), and the tREFW refresh window at
+whose boundaries the per-window counts restart.
 
 It is exact but Python-speed; the experiment harness uses the vectorized
 :mod:`repro.dram.fast_model` tier instead and the test suite verifies the
@@ -13,13 +15,12 @@ two tiers agree on their shared statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.dram.bank import Bank
 from repro.dram.config import Coordinate, DRAMConfig
-from repro.dram.page_policy import DEFAULT_POLICY, PagePolicy
-from repro.dram.refresh import RefreshWindow
-from repro.dram.scheduler import FRFCFSScheduler, QueuedRequest, Scheduler
+from repro.dram.fast_model import check_max_hits
+from repro.utils.units import TREFW_S
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,12 @@ class MemorySystem:
         config: Geometry and timing.
         mapping: Object with ``translate(line_addr) -> Coordinate`` (any
             mapping from :mod:`repro.mapping` or :mod:`repro.core`).
-        scheduler: Request-selection policy (default FR-FCFS).
-        page_policy: Row-buffer management policy (default open-adaptive 16).
+        max_hits: Open-adaptive row-buffer budget, as in
+            :func:`~repro.dram.fast_model.analyze_trace`: 16 per Table 1,
+            ``1`` for closed page, ``None`` for pure open page.
         mitigation: Optional Rowhammer mitigation hook.
-        queue_depth: Controller queue lookahead for FR-FCFS.
+        queue_depth: Controller queue lookahead for FR-FCFS (``1`` issues
+            in arrival order).
     """
 
     def __init__(
@@ -135,22 +138,21 @@ class MemorySystem:
         config: DRAMConfig,
         mapping,
         *,
-        scheduler: Optional[Scheduler] = None,
-        page_policy: PagePolicy = DEFAULT_POLICY,
+        max_hits: Optional[int] = 16,
         mitigation: Optional[MitigationHook] = None,
         queue_depth: int = 32,
     ) -> None:
+        check_max_hits(max_hits)
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.config = config
         self.mapping = mapping
-        self.scheduler = scheduler or FRFCFSScheduler()
-        self.page_policy = page_policy
+        self.max_hits = max_hits
         self.mitigation = mitigation
         self.queue_depth = queue_depth
         self.banks: Dict[int, Bank] = {}
         self.stats = MemorySystemStats()
-        self.refresh = RefreshWindow()
+        self._window = 0  # index of the current tREFW window
         self._channel_blocked_until: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -161,7 +163,9 @@ class MemorySystem:
             self.banks[flat] = bank
         return bank
 
-    def _service(self, coord: Coordinate, arrival: float, now: float) -> RequestResult:
+    def _service(
+        self, line_addr: int, coord: Coordinate, arrival: float, now: float
+    ) -> RequestResult:
         """Issue one request at time ``now`` and update all state."""
         if self.mitigation is not None:
             coord = self.mitigation.redirect(coord)
@@ -169,14 +173,18 @@ class MemorySystem:
         flat = self.config.flat_bank(coord)
         blocked = self._channel_blocked_until.get(coord.channel, 0.0)
         start = max(now, blocked)
-        completion, activated = self._bank(flat).access(
-            coord.row, start, max_hits=self.page_policy.max_hits()
-        )
+        completion, activated = self._bank(flat).access(coord.row, start, max_hits=self.max_hits)
 
         stall = 0.0
         if activated:
             self.stats.activations += 1
-            if self.refresh.advance(completion):
+            window = int(completion // TREFW_S)
+            if window != self._window:
+                # Trackers count per tREFW: however many boundaries were
+                # crossed, the histogram folds and the mitigation resets once.
+                if window < self._window:
+                    raise ValueError("clock moved backwards across refresh windows")
+                self._window = window
                 self.stats.fold_window()
                 if self.mitigation is not None:
                     self.mitigation.on_refresh_window()
@@ -199,7 +207,7 @@ class MemorySystem:
         self.stats.accesses += 1
         self.stats.busy_until = max(self.stats.busy_until, completion)
         return RequestResult(
-            line_addr=-1,
+            line_addr=line_addr,
             coord=coord,
             arrival=arrival,
             start=start,
@@ -215,17 +223,7 @@ class MemorySystem:
         Convenient for unit tests and micro-examples that need full
         control over issue times.
         """
-        coord = self.mapping.translate(line_addr)
-        result = self._service(coord, now, now)
-        return RequestResult(
-            line_addr=line_addr,
-            coord=result.coord,
-            arrival=result.arrival,
-            start=result.start,
-            completion=result.completion,
-            activated=result.activated,
-            mitigation_stall=result.mitigation_stall,
-        )
+        return self._service(line_addr, self.mapping.translate(line_addr), now, now)
 
     def run_trace(
         self,
@@ -236,57 +234,47 @@ class MemorySystem:
         """Run a trace through the queued FR-FCFS front end.
 
         Requests enter the queue at their arrival times (the queue admits
-        up to ``queue_depth`` future requests); the scheduler repeatedly
-        selects one to issue.  Time advances to the later of the selected
-        request's arrival and the current clock.
+        up to ``queue_depth`` future requests, and always one when it is
+        empty).  First-ready FCFS picks the next one: the oldest queued
+        request that hits an open row, otherwise the oldest request.  It
+        maximizes row-buffer hits and so *minimizes* activations, the
+        conservative choice for activation-driven mitigations.  Time
+        advances to the later of the selected request's arrival and the
+        current clock.
 
         Returns the per-request results when ``collect_results`` is set
         (kept optional to avoid holding large traces in memory).
         """
-        pending: List[Request] = list(requests)
-        pending.sort(key=lambda r: r.arrival)
-        queue: List[QueuedRequest] = []
+        pending = sorted(requests, key=lambda r: r.arrival)
+        # Each entry: (line_addr, arrival, coord, flat bank), in arrival order.
+        queue: List[Tuple[int, float, Coordinate, int]] = []
         results: List[RequestResult] = []
+        translate, flat_bank, banks = self.mapping.translate, self.config.flat_bank, self.banks
         now = 0.0
         next_index = 0
-        request_id = 0
-        line_addr_of: Dict[int, int] = {}
 
         while next_index < len(pending) or queue:
             # Admit arrived (or imminently needed) requests up to depth.
             while next_index < len(pending) and len(queue) < self.queue_depth:
                 req = pending[next_index]
-                if req.arrival <= now or not queue:
-                    coord = self.mapping.translate(req.line_addr)
-                    queue.append(QueuedRequest(coord, req.arrival, request_id))
-                    line_addr_of[request_id] = req.line_addr
-                    request_id += 1
-                    next_index += 1
-                else:
+                if req.arrival > now and queue:
                     break
+                coord = translate(req.line_addr)
+                queue.append((req.line_addr, req.arrival, coord, flat_bank(coord)))
+                next_index += 1
 
-            choice = self.scheduler.select(queue, self.banks, self.config)
-            if choice is None:
-                if next_index < len(pending):
-                    now = max(now, pending[next_index].arrival)
-                    continue
-                break
-            selected = queue.pop(choice)
-            now = max(now, selected.arrival)
-            result = self._service(selected.coord, selected.arrival, now)
+            choice = 0
+            for index, (_, _, coord, flat) in enumerate(queue):
+                bank = banks.get(flat)
+                if bank is not None and bank.state.open_row == coord.row:
+                    choice = index
+                    break
+            line_addr, arrival, coord, _ = queue.pop(choice)
+            now = max(now, arrival)
+            result = self._service(line_addr, coord, arrival, now)
             now = result.completion
             if collect_results:
-                results.append(
-                    RequestResult(
-                        line_addr=line_addr_of.pop(selected.request_id),
-                        coord=result.coord,
-                        arrival=result.arrival,
-                        start=result.start,
-                        completion=result.completion,
-                        activated=result.activated,
-                        mitigation_stall=result.mitigation_stall,
-                    )
-                )
+                results.append(result)
         return results
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.dram.commands import Command, CommandType, ProtocolTiming
 from repro.dram.config import Coordinate, DRAMConfig
+from repro.dram.fast_model import check_max_hits
 
 
 @dataclass
@@ -79,6 +80,7 @@ class ProtocolEngine:
         max_hits: Optional[int] = 16,
         collect_commands: bool = False,
     ) -> None:
+        check_max_hits(max_hits)
         self.config = config
         self.timing = timing or ProtocolTiming()
         self.timing.validate()

@@ -7,6 +7,8 @@ record, and :func:`~repro.resilience.executor.check_result_invariants`
 flags or rejects impossible results;
 :class:`~repro.resilience.journal.CheckpointJournal` persists completed
 cells so interrupted sweeps resume where they stopped, and
-:mod:`~repro.resilience.faults` injects deterministic faults so tests can
-prove every failure mode is detected rather than silently absorbed.
+:mod:`~repro.resilience.faults` injects deterministic faults into the
+simulator a campaign drives, so tests, the CI crash/resume smoke and the
+benchmark's own tests can prove every failure mode is detected rather
+than silently absorbed.
 """

@@ -1,39 +1,27 @@
-"""Deterministic fault injection for the mitigation pipeline.
+"""Deterministic fault injection into the simulator a campaign drives.
 
 Hardware Rowhammer test harnesses prove their detection logic by
 injecting faults and watching the system fail *loudly*.  This module is
-the software analogue: seeded, reproducible corruptions of the three
-trust boundaries a campaign crosses --
-
-* **trace files** on disk (:func:`corrupt_trace_file` truncates an
-  ``.rtr`` file so :func:`~repro.workloads.trace_io.load_trace` must
-  raise :class:`~repro.errors.TraceFormatError`; the loader refuses a
-  flipped bit in the line data the same way, since it checks the data
-  against the stored fingerprint);
-* **remap-engine key state** (:func:`corrupt_remap_keys` flips a key
-  bit, :func:`verify_key_state` catches it against a boot-time
-  :func:`snapshot_key_state` digest -- modelling key-register parity);
-* **the simulator itself** (:class:`FaultySimulator` wraps a real
-  simulator and, per a seeded :class:`FaultPlan`, raises typed errors,
-  drops mitigation events, or crashes the process mid-sweep).
-
+the software analogue for campaigns: :class:`FaultySimulator` wraps a
+real simulator and, per a seeded :class:`FaultPlan`, raises typed
+errors, drops mitigation events, or crashes the process mid-sweep.
 :func:`~repro.resilience.executor.check_result_invariants`, which every
 campaign cell runs, is the matching detector, so no injected fault
 yields a silent wrong result.
+
+The corruptions of trace files and remap-key state that only unit tests
+inject live with those tests (``tests/support/faults.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
-from repro.errors import FaultInjectedError, MappingConfigError
+from repro.errors import FaultInjectedError
 from repro.mapping.base import AddressMapping
 from repro.perf.simulator import RunResult, Simulator
-from repro.utils.prng import SplitMix64
 from repro.workloads.trace import Trace
 
 
@@ -47,109 +35,6 @@ class SimulatedCrash(BaseException):
     """
 
 
-# ---------------------------------------------------------------------------
-# Trace-file corruption
-# ---------------------------------------------------------------------------
-def corrupt_trace_file(
-    path: Union[str, Path],
-    *,
-    mode: str = "truncate",
-    out: Optional[Union[str, Path]] = None,
-) -> Path:
-    """Write a deterministically-corrupted copy of a ``.rtr`` trace file.
-
-    Args:
-        path: An existing ``.rtr`` trace file.
-        mode: ``truncate`` (drop the final quarter of the file).
-        out: Destination (defaults to ``<name>.corrupt.rtr`` next to the
-            original; the original is never modified).
-
-    Returns:
-        The corrupted file's path.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    if not data:
-        raise ValueError(f"{path} is empty; nothing to corrupt")
-    if mode != "truncate":
-        raise ValueError(f"unknown corruption mode '{mode}' (truncate)")
-    data = data[: max(1, len(data) - max(1, len(data) // 4))]
-    target = Path(out) if out is not None else path.with_suffix(".corrupt.rtr")
-    target.write_bytes(data)
-    return target
-
-
-# ---------------------------------------------------------------------------
-# Remap-engine key corruption + integrity checking
-# ---------------------------------------------------------------------------
-def _key_material(mapping: AddressMapping) -> bytes:
-    """Serialize a mapping's secret state (keys + sweep pointers)."""
-    engines = getattr(mapping, "engines", None)
-    if engines:
-        digest = hashlib.sha256()
-        for engine in engines:
-            digest.update(
-                f"{engine.keys.curr_key:x}/{engine.keys.next_key:x}/{engine.ptr}|".encode()
-            )
-        return digest.digest()
-    cipher = getattr(mapping, "cipher", None)
-    if cipher is not None:
-        return hashlib.sha256(f"{cipher.key:x}".encode()).digest()
-    raise MappingConfigError(
-        f"mapping '{mapping.name}' has no key state to checksum",
-        mapping=mapping.name,
-    )
-
-
-def snapshot_key_state(mapping: AddressMapping) -> str:
-    """Boot-time digest of the mapping's key registers (hex)."""
-    return _key_material(mapping).hex()
-
-
-def corrupt_remap_keys(mapping: AddressMapping, *, seed: int = 0) -> str:
-    """Flip one bit in one remap engine's current key (in place).
-
-    Models a bit-flip in the controller's key SRAM.  Only mappings with
-    xor remap engines (Rubix-D, Keyed-Xor) carry mutable key registers;
-    others raise :class:`~repro.errors.MappingConfigError`.
-
-    Returns:
-        A description of the flip (engine index and bit), for logs.
-    """
-    engines = getattr(mapping, "engines", None)
-    if not engines:
-        raise MappingConfigError(
-            f"mapping '{mapping.name}' has no remap engines to corrupt",
-            mapping=mapping.name,
-        )
-    rng = SplitMix64(seed)
-    index = rng.next_below(len(engines))
-    engine = engines[index]
-    bit = rng.next_below(engine.nbits)
-    engine.keys.curr_key ^= 1 << bit
-    return f"engine[{index}].curr_key bit {bit}"
-
-
-def verify_key_state(mapping: AddressMapping, snapshot: str) -> None:
-    """Check key registers against a boot-time snapshot.
-
-    Raises:
-        FaultInjectedError: The key material changed outside a legal
-            epoch advance (snapshot mismatch).
-    """
-    current = snapshot_key_state(mapping)
-    if current != snapshot:
-        raise FaultInjectedError(
-            "remap key state diverged from its boot-time snapshot",
-            mapping=mapping.name,
-            expected=snapshot[:16],
-            actual=current[:16],
-        )
-
-
-# ---------------------------------------------------------------------------
-# Simulator-level fault plans
-# ---------------------------------------------------------------------------
 @dataclass
 class FaultPlan:
     """A seeded, declarative set of faults to inject into a simulator.
@@ -219,12 +104,4 @@ class FaultySimulator:
         return getattr(self.simulator, name)
 
 
-__all__ = [
-    "SimulatedCrash",
-    "FaultPlan",
-    "FaultySimulator",
-    "corrupt_trace_file",
-    "snapshot_key_state",
-    "corrupt_remap_keys",
-    "verify_key_state",
-]
+__all__ = ["SimulatedCrash", "FaultPlan", "FaultySimulator"]

@@ -14,7 +14,6 @@ from repro.dram.config import DRAMConfig
 from repro.dram.fast_model import analyze_trace
 from repro.dram.memory_system import MemorySystem, Request
 from repro.dram.protocol import ProtocolEngine
-from repro.dram.scheduler import FCFSScheduler
 from repro.mapping.intel import CoffeeLakeMapping
 from repro.mapping.linear import LinearMapping
 
@@ -35,27 +34,49 @@ def _mixed_lines(config, n, seed=0):
 
 
 @pytest.mark.parametrize("mapping_cls", [LinearMapping, CoffeeLakeMapping])
-def test_three_tiers_agree_on_activations(config, mapping_cls):
+@pytest.mark.parametrize("max_hits", [1, 4, 16, None])
+def test_three_tiers_agree_on_activations(config, mapping_cls, max_hits):
     mapping = mapping_cls(config)
     lines = _mixed_lines(config, 600)
 
     # Tier 1: vectorized analyzer.
     mapped = mapping.translate_trace(lines)
     fast = analyze_trace(
-        mapped.global_row, rows_per_bank=config.rows_per_bank, max_hits=16
+        mapped.global_row, rows_per_bank=config.rows_per_bank, max_hits=max_hits
     )
 
-    # Tier 2: simple detailed model (FCFS, in order).
-    system = MemorySystem(config, mapping, scheduler=FCFSScheduler(), queue_depth=1)
+    # Tier 2: event-level model, in order (a one-entry queue).
+    system = MemorySystem(config, mapping, max_hits=max_hits, queue_depth=1)
     system.run_trace([Request(int(line), i * 1e-9) for i, line in enumerate(lines)])
 
     # Tier 3: command-level protocol engine (10 ns arrivals keep the run
     # far inside the first tREFI, so no refresh interferes).
-    engine = ProtocolEngine(config, max_hits=16)
+    engine = ProtocolEngine(config, max_hits=max_hits)
     stats = engine.run_trace(mapping, lines, inter_arrival_s=1e-9)
 
     assert fast.n_activations == system.stats.activations == stats.activations
     assert stats.refreshes == 0
+
+
+#: Each tier built or run with a given budget.  The analyzer gets an empty
+#: window: the budget is checked before any work, as the others check it
+#: on construction.
+_TIERS = {
+    "analyze_trace": lambda config, max_hits: analyze_trace(
+        np.arange(0), rows_per_bank=config.rows_per_bank, max_hits=max_hits
+    ),
+    "MemorySystem": lambda config, max_hits: MemorySystem(
+        config, LinearMapping(config), max_hits=max_hits
+    ),
+    "ProtocolEngine": lambda config, max_hits: ProtocolEngine(config, max_hits=max_hits),
+}
+
+
+@pytest.mark.parametrize("tier", sorted(_TIERS))
+@pytest.mark.parametrize("max_hits", [0, -1])
+def test_every_tier_rejects_a_budget_below_one(config, tier, max_hits):
+    with pytest.raises(ValueError, match=f"max_hits must be >= 1 or None, got {max_hits}"):
+        _TIERS[tier](config, max_hits)
 
 
 def test_protocol_latency_never_below_simple_model(config):

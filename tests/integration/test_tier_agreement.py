@@ -13,7 +13,6 @@ import pytest
 from repro.dram.config import DRAMConfig
 from repro.dram.fast_model import analyze_trace
 from repro.dram.memory_system import MemorySystem, Request
-from repro.dram.scheduler import FCFSScheduler
 from repro.mapping.intel import CoffeeLakeMapping, SkylakeMapping
 from repro.mapping.linear import LinearMapping
 
@@ -45,7 +44,7 @@ def test_fcfs_matches_fast_model_exactly(config, mapping_cls):
         mapped.global_row, rows_per_bank=config.rows_per_bank, max_hits=16
     )
 
-    system = MemorySystem(config, mapping, scheduler=FCFSScheduler(), queue_depth=1)
+    system = MemorySystem(config, mapping, queue_depth=1)
     # Issue back-to-back: arrival order == service order.
     requests = [Request(line_addr=int(line), arrival=i * 1e-9) for i, line in enumerate(lines)]
     system.run_trace(requests)
@@ -82,15 +81,7 @@ def test_open_page_agreement(config):
     fast = analyze_trace(
         mapped.global_row, rows_per_bank=config.rows_per_bank, max_hits=None
     )
-    from repro.dram.page_policy import OpenPagePolicy
-
-    system = MemorySystem(
-        config,
-        mapping,
-        scheduler=FCFSScheduler(),
-        page_policy=OpenPagePolicy(),
-        queue_depth=1,
-    )
+    system = MemorySystem(config, mapping, max_hits=None, queue_depth=1)
     requests = [Request(line_addr=int(line), arrival=i * 1e-9) for i, line in enumerate(lines)]
     system.run_trace(requests)
     assert system.stats.activations == fast.n_activations

@@ -263,12 +263,12 @@ def test_against_needs_three_pairs(bench_suite, repo, tmp_path):
 
 def test_against_records_the_tree_as_it_was_before_the_runs(bench_suite, repo, tmp_path):
     """A checkout edited while its runs go on is recorded as it was
-    when they began: clean here, although each run edits a tracked file."""
+    when they began: clean here, although each run edits a tracked file
+    of the checkout."""
     suite = repo / "scripts" / "run_paper_suite.py"
     suite.write_text(
         suite.read_text()
-        + "\nimport pathlib\n"
-        + "with open(pathlib.Path(__file__).parents[1] / 'edited.txt', 'a') as f:\n"
+        + f"\nwith open({str(repo / 'edited.txt')!r}, 'a') as f:\n"
         + "    f.write('run\\n')\n"
     )
     (repo / "edited.txt").write_text("")
@@ -279,3 +279,32 @@ def test_against_records_the_tree_as_it_was_before_the_runs(bench_suite, repo, t
     assert _git(repo, "status", "--porcelain", "--untracked-files=no")  # edited by the runs
     _, change = json.loads(history.read_text())["history"]
     assert change["dirty"] is False
+
+
+def test_against_runs_both_sides_from_exports(bench_suite, repo, tmp_path):
+    """The change side runs from an export of the tracked content, as the
+    parent does: a staged new file comes along, an untracked one stays
+    behind, and both sides' paths have the same length."""
+    seen = tmp_path / "seen.txt"
+    suite = repo / "scripts" / "run_paper_suite.py"
+    suite.write_text(
+        suite.read_text()
+        + "\nhere = pathlib.Path(__file__).resolve().parents[1]\n"
+        + f"with open({str(seen)!r}, 'a') as f:\n"
+        + "    f.write(f\"{here} {(here / 'staged.txt').exists()} {(here / 'untracked.txt').exists()}\\n\")\n"
+    )
+    _git(repo, "commit", "-qam", "a suite that reports where it runs")
+    (repo / "staged.txt").write_text("")
+    _git(repo, "add", "staged.txt")
+    (repo / "untracked.txt").write_text("")
+    _against(bench_suite, repo, tmp_path / "BENCH_suite.json")
+
+    runs = [line.split() for line in seen.read_text().splitlines()]
+    parent = {root for root, staged, _ in runs if staged == "False"}
+    change = {root for root, staged, _ in runs if staged == "True"}
+    assert len(parent) == len(change) == 1, runs
+    assert all(untracked == "False" for _, _, untracked in runs)
+    (parent_root,), (change_root,) = parent, change
+    assert len(parent_root) == len(change_root)
+    assert str(repo) not in (parent_root, change_root)
+    assert not list((tmp_path / "scratch").iterdir()), "an export was left behind"

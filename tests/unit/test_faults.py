@@ -13,17 +13,15 @@ import pytest
 from repro.errors import FaultInjectedError, MappingConfigError, TraceFormatError
 from repro.perf.simulator import RunResult
 from repro.resilience.executor import check_result_invariants
-from repro.resilience.faults import (
-    FaultPlan,
-    FaultySimulator,
-    SimulatedCrash,
+from repro.resilience.faults import FaultPlan, FaultySimulator, SimulatedCrash
+from repro.workloads.trace import Trace
+from repro.workloads.trace_io import load_trace, save_trace_raw
+from support.faults import (
     corrupt_remap_keys,
     corrupt_trace_file,
     snapshot_key_state,
     verify_key_state,
 )
-from repro.workloads.trace import Trace
-from repro.workloads.trace_io import load_trace, save_trace_raw
 
 
 @pytest.fixture()

@@ -1,11 +1,11 @@
 """Unit tests for the detailed memory system."""
 
+import dataclasses
+
 import pytest
 
 from repro.dram.config import DRAMConfig
 from repro.dram.memory_system import MemorySystem, MitigationAction, Request
-from repro.dram.page_policy import ClosedPagePolicy, OpenAdaptivePolicy
-from repro.dram.scheduler import FCFSScheduler
 from repro.mapping.linear import LinearMapping
 
 
@@ -48,9 +48,7 @@ class TestSingleAccess:
 
 class TestPagePolicies:
     def test_closed_page_always_activates(self, config):
-        system = MemorySystem(
-            config, LinearMapping(config), page_policy=ClosedPagePolicy()
-        )
+        system = MemorySystem(config, LinearMapping(config), max_hits=1)
         now = 0.0
         for _ in range(5):
             now = system.access(0, now + 1e-6).completion
@@ -58,9 +56,7 @@ class TestPagePolicies:
         assert system.stats.activations == 5
 
     def test_open_adaptive_budget(self, config):
-        system = MemorySystem(
-            config, LinearMapping(config), page_policy=OpenAdaptivePolicy(limit=4)
-        )
+        system = MemorySystem(config, LinearMapping(config), max_hits=4)
         now = 0.0
         for _ in range(9):
             now = system.access(0, now + 1e-6).completion
@@ -70,10 +66,25 @@ class TestPagePolicies:
 
 class TestRunTrace:
     def test_fcfs_order_preserved(self, config):
-        system = MemorySystem(config, LinearMapping(config), scheduler=FCFSScheduler())
-        requests = [Request(line_addr=i, arrival=i * 1e-7) for i in range(20)]
-        results = system.run_trace(requests, collect_results=True)
-        assert [r.line_addr for r in results] == list(range(20))
+        # At queue depth 1 the controller issues in arrival order: each
+        # request is the access() of its line at the later of its arrival
+        # and the previous completion.
+        row_stride = config.lines_per_row * config.banks
+        lines = [(i * 7 % 5) * row_stride + i % 3 for i in range(40)]
+        requests = [Request(line_addr=line, arrival=i * 2e-8) for i, line in enumerate(lines)]
+        queued = MemorySystem(
+            config, LinearMapping(config), mitigation=_StallMitigation(1e-7), queue_depth=1
+        )
+        results = queued.run_trace(requests, collect_results=True)
+        direct = MemorySystem(config, LinearMapping(config), mitigation=_StallMitigation(1e-7))
+        now, expected = 0.0, []
+        for request in requests:
+            result = direct.access(request.line_addr, max(now, request.arrival))
+            now = result.completion
+            expected.append(dataclasses.replace(result, arrival=request.arrival))
+        assert [r.line_addr for r in results] == lines
+        assert results == expected
+        assert queued.stats == direct.stats
 
     def test_frfcfs_prefers_row_hits(self, config):
         system = MemorySystem(config, LinearMapping(config), queue_depth=4)
